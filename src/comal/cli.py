@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: parse | print | synthesize | compose | simulate | verify.
-Set TOSCA_LOG=debug|info|warning for diagnostics verbosity.
+Set COMAL_LOG=debug|info|warning for diagnostics verbosity.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ EXIT_BOUND_EXCEEDED = 3
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("TOSCA_LOG", "warning").upper())
+    logging.basicConfig(level=os.environ.get("COMAL_LOG", "warning").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -265,7 +265,7 @@ def cmd_verify(args) -> int:
         if args.theorem1:
             if not args.input:
                 raise ComalError("--theorem1 needs --input NAME")
-            result = check_theorem1(protocols[args.input], protocol, bound, protocols)
+            result = check_theorem1(_pick_protocol(protocols, args.input), protocol, bound, protocols)
             for report in (result.safety_input, result.safety_composed,
                            result.liveness_input, result.liveness_composed):
                 _report_line(report, args.json)
@@ -277,7 +277,7 @@ def cmd_verify(args) -> int:
         if args.embedding:
             if not args.input:
                 raise ComalError("--embedding needs --input NAME")
-            record(check_embedding(protocols[args.input], protocol, bound, protocols))
+            record(check_embedding(_pick_protocol(protocols, args.input), protocol, bound, protocols))
         if args.theorem2:
             if not commitments:
                 raise ComalError("--theorem2 needs .cupid commitment files")

@@ -255,6 +255,19 @@ def default_value(schema: str, param: str) -> str:
     return f"{schema}.{param}"
 
 
+def uniform_key_bindings(universe: Uod, key_values: Iterable[str]) -> list[dict[str, str]]:
+    """For each distinct key-parameter set and each key value, the binding of
+    every key parameter to that value, in schema order without repeats. Mixed
+    bindings, with key parameters taking different values, are not produced."""
+    bindings: list[dict[str, str]] = []
+    for schema in universe.schemas:
+        for value in key_values:
+            kb = {k: value for k in schema.keys}
+            if kb not in bindings:
+                bindings.append(kb)
+    return bindings
+
+
 def knowledge_of(v: HistoryVector, role: str) -> RoleKnowledge:
     knowledge = RoleKnowledge(role)
     for obs in v.history(role).events:
@@ -350,15 +363,14 @@ class Model:
     entries: tuple[ModelEntry, ...]
 
 
-def project_model(
-    v: HistoryVector, role: str, fwd_registry: Mapping[str, ForwardingName]
+def model_of(
+    role: str, observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapping[str, ForwardingName]
 ) -> Model:
-    """Project a role's history to its model: forwards renamed to the message
-    they forward and stripped of the forwarding identifier; duplicate knowledge
-    keeps the earliest tick."""
+    """The model of a role that observed each instance at the paired tick:
+    forwards renamed to the message they forward and stripped of the
+    forwarding identifier; duplicate knowledge keeps the earliest tick."""
     first: dict[tuple[str, Bindings], int] = {}
-    for obs in v.history(role).events:
-        inst = obs.instance
+    for inst, tick in observed:
         naming = fwd_registry.get(inst.schema)
         if naming is not None:
             name = naming.base_message
@@ -369,12 +381,19 @@ def project_model(
             name = inst.schema
             bindings = inst.bindings
         key = (name, bindings)
-        if key not in first or obs.tick < first[key]:
-            first[key] = obs.tick
+        if key not in first or tick < first[key]:
+            first[key] = tick
     entries = tuple(
         ModelEntry(name, bindings, tick) for (name, bindings), tick in sorted(first.items())
     )
     return Model(role=role, entries=entries)
+
+
+def project_model(
+    v: HistoryVector, role: str, fwd_registry: Mapping[str, ForwardingName]
+) -> Model:
+    """Project a role's history to its model (see :func:`model_of`)."""
+    return model_of(role, ((obs.instance, obs.tick) for obs in v.history(role).events), fwd_registry)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from .enactment import (
     deliverable,
     enabled_emissions,
     project_model,
+    uniform_key_bindings,
 )
 from .errors import ScriptedMoveNotEnabled, WellFormednessError
 from .protocol import Protocol, Uod, parse_protocols, uod
@@ -93,6 +94,10 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
     path = Path(path)
     data = json.loads(path.read_text())
     data.update(overrides or {})
+    if "protocols" not in data or "protocol" not in data:
+        raise WellFormednessError(
+            f"scenario {path.name} must name its \"protocols\" files and its \"protocol\""
+        )
     registry: dict[str, Protocol] = {}
     for name in data["protocols"]:
         registry.update(parse_protocols((path.parent / name).read_text()))
@@ -124,15 +129,7 @@ class Simulation:
         self.vector = HistoryVector.empty(self.universe.roles)
         self.result = SimulationResult(self.vector)
         self.rng = random.Random(scenario.seed)
-        self.key_bindings = [
-            {k: scenario.key for k in schema.keys} for schema in self.universe.schemas
-        ]
-        # One shared binding per key value is enough: key parameter sets repeat.
-        unique = []
-        for kb in self.key_bindings:
-            if kb not in unique:
-                unique.append(kb)
-        self.key_bindings = unique
+        self.key_bindings = uniform_key_bindings(self.universe, (scenario.key,))
 
     def run(self) -> SimulationResult:
         policy = dict(self.scenario.policy)

@@ -14,9 +14,15 @@ an observation budget):
 * alignment reachability: from every reachable state of a composed protocol,
   some extension is aligned for every commitment.
 
+All four enumerate with one breadth-first explorer, ``StateSpace``; the
+knowledge-set, ordered and timed graphs below differ only in their state
+encoding and successor moves.
+
 Safety and liveness work on knowledge-set states: a role's enabled moves and
 the two verdicts depend only on what each role knows, not on the order it
-learned it, so states collapse to per-role knowledge sets.
+learned it, so states collapse to per-role knowledge sets. Theorem 1 builds
+each protocol's graph once: a safe protocol's safety build is the whole
+graph, and liveness reads it too.
 
 Alignment needs time. Observations are treated as instantaneous next to
 window units: window offsets are scaled by a large unit, every observation
@@ -32,7 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from . import commitments as cm
 from .commitments import CommitmentSpec, print_event
@@ -42,12 +48,13 @@ from .enactment import (
     HistoryVector,
     MessageInstance,
     Model,
-    ModelEntry,
     Observation,
     RoleKnowledge,
     emission_candidates,
     emission_violation,
     kb_agree,
+    model_of,
+    uniform_key_bindings,
 )
 from .errors import BoundExceeded
 from .protocol import Protocol, Uod, uod
@@ -82,64 +89,87 @@ class VerificationReport:
     detail: str = ""
 
 
-def _key_bindings(universe: Uod, bound: Bound) -> list[dict[str, str]]:
-    bindings: list[dict[str, str]] = []
-    for schema in universe.schemas:
-        for value in bound.key_values:
-            kb = {k: value for k in schema.keys}
-            if kb not in bindings:
-                bindings.append(kb)
-    return bindings
+def _instance_order(inst: MessageInstance):
+    return (inst.schema, inst.bindings)
 
 
 def _knowledge_from(instances: Iterable[MessageInstance], role: str) -> RoleKnowledge:
     knowledge = RoleKnowledge(role)
-    for inst in sorted(instances, key=lambda i: (i.schema, i.bindings)):
+    for inst in sorted(instances, key=_instance_order):
         direction = EMIT if inst.sender == role else RECV
         knowledge.observe(Observation(inst, direction, 0))
     return knowledge
 
 
+def is_complete(emitted: Sequence[MessageInstance], public_out: Sequence[str]) -> bool:
+    """Every key binding initiated by the emitted instances binds every public
+    ``out`` parameter."""
+    for kb in {inst.key_binding for inst in emitted}:
+        for param in public_out:
+            if not any(
+                inst.binding(param) is not None and kb_agree(inst.key_binding, kb)
+                for inst in emitted
+            ):
+                return False
+    return True
+
+
+def _move_json(move: tuple, tick: int) -> dict:
+    kind = move[0]
+    if kind == "lapse":
+        return {"tick": tick, "lapse": move[1]}
+    _, role, inst = move
+    return {
+        "tick": tick,
+        "role": role,
+        "dir": kind,
+        "schema": inst.schema,
+        "bindings": dict(inst.bindings),
+    }
+
+
 # ---------------------------------------------------------------------------
-# Knowledge-set enumeration (safety, liveness)
+# The shared explorer
 
 
-class KnowledgeGraph:
-    """Reachable per-role knowledge sets under emission and delivery moves."""
+class StateSpace:
+    """Breadth-first enumeration of the states reachable at a bound. States are
+    numbered in discovery order; each keeps the edge it was found by and its
+    out-edges. Subclasses give the initial state (to ``build``) and
+    ``_successors``."""
 
-    def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str]):
+    def __init__(self, universe: Uod, bound: Bound):
         self.universe = universe
         self.bound = bound
         self.roles = tuple(sorted(universe.roles))
         self.role_index = {r: i for i, r in enumerate(self.roles)}
-        self.key_bindings = _key_bindings(universe, bound)
-        self.public_out = tuple(public_out)
-        self.states: list[tuple[frozenset[MessageInstance], ...]] = []
+        self.key_bindings = uniform_key_bindings(universe, bound.key_values)
+        self.states: list = []
         self.parents: list[tuple[int, tuple] | None] = []
         self.edges: list[list[tuple[tuple, int]]] = []
-        self.index: dict[tuple, int] = {}
-        self.safety_violation: tuple[int, str] | None = None
+        self.index: dict = {}
 
-    # -- construction -------------------------------------------------------
-
-    def build(self, stop_on_safety: bool = False) -> None:
-        initial = tuple(frozenset() for _ in self.roles)
+    def _explore(self, initial, stop=None) -> None:
+        """Enumerate from ``initial``; ``stop()`` is asked before expanding each
+        state, and ``_found`` is told of every new state."""
         self._add(initial, None)
         frontier = [0]
         while frontier:
             next_frontier: list[int] = []
             for sid in frontier:
-                if self.safety_violation and stop_on_safety:
+                if stop is not None and stop():
                     return
                 for move, succ in self._successors(self.states[sid]):
                     tid = self.index.get(succ)
                     if tid is None:
                         tid = self._add(succ, (sid, move))
                         next_frontier.append(tid)
-                        if move[0] == EMIT:
-                            self._check_safety(sid, tid, move[2])
+                        self._found(sid, tid, move)
                     self.edges[sid].append((move, tid))
             frontier = next_frontier
+
+    def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
+        pass
 
     def _add(self, state, parent) -> int:
         if len(self.states) >= self.bound.max_states:
@@ -151,76 +181,49 @@ class KnowledgeGraph:
         self.index[state] = sid
         return sid
 
-    def _successors(self, state) -> list[tuple[tuple, tuple]]:
-        out = []
-        if sum(len(s) for s in state) >= self.bound.max_ticks:
-            return out
-        for ri, role in enumerate(self.roles):
-            knowledge = _knowledge_from(state[ri], role)
-            for inst in emission_candidates(
-                knowledge, self.universe, role, self.key_bindings, self.bound.out_value_pool
-            ):
-                succ = self._with(state, ri, inst)
-                out.append(((EMIT, role, inst), succ))
-        for ri, role in enumerate(self.roles):
-            for inst in sorted(state[ri], key=lambda i: (i.schema, i.bindings)):
-                if inst.sender != role:
-                    continue
-                ti = self.role_index[inst.receiver]
-                if inst not in state[ti]:
-                    succ = self._with(state, ti, inst)
-                    out.append(((RECV, inst.receiver, inst), succ))
-        return out
+    def _moves(
+        self, known: Sequence[Collection[MessageInstance]], pending: Iterable[MessageInstance]
+    ) -> list[tuple[int, tuple]]:
+        """Emission candidates per role while the observation budget lasts, then
+        a delivery of each ``pending`` instance. ``known[i]`` is what role ``i``
+        knows; each move comes with the index of the role that observes it.
+        Only the timed graph asks past the budget: the others stop there."""
+        moves = []
+        if sum(map(len, known)) < self.bound.max_ticks:
+            for ri, role in enumerate(self.roles):
+                knowledge = _knowledge_from(known[ri], role)
+                for inst in emission_candidates(
+                    knowledge, self.universe, role, self.key_bindings, self.bound.out_value_pool
+                ):
+                    moves.append((ri, (EMIT, role, inst)))
+        for inst in pending:
+            moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
+        return moves
 
-    @staticmethod
-    def _with(state, ri: int, inst: MessageInstance):
-        return tuple(s | {inst} if i == ri else s for i, s in enumerate(state))
-
-    def _check_safety(self, parent_id: int, state_id: int, new: MessageInstance) -> None:
-        if self.safety_violation is not None:
-            return
-        emitted = {
+    def _undelivered(self, known: Sequence[Collection[MessageInstance]]) -> list[MessageInstance]:
+        """Every sent instance its receiver does not know yet, in role order and
+        ``(schema, bindings)`` order."""
+        received = {
+            inst for ri, role in enumerate(self.roles) for inst in known[ri] if inst.receiver == role
+        }
+        return [
             inst
             for ri, role in enumerate(self.roles)
-            for inst in self.states[parent_id][ri]
-            if inst.sender == role
-        }
-        new_bindings = dict(new.bindings)
-        for inst in emitted:
-            if not kb_agree(inst.key_binding, new.key_binding):
-                continue
-            for param, value in inst.bindings:
-                if param in new_bindings and new_bindings[param] != value:
-                    self.safety_violation = (
-                        state_id,
-                        f"parameter {param!r} bound to {value!r} by {inst.schema!r} "
-                        f"and to {new_bindings[param]!r} by {new.schema!r}",
-                    )
-                    return
+            for inst in sorted(known[ri], key=_instance_order)
+            if inst.sender == role and inst not in received
+        ]
 
-    # -- queries -------------------------------------------------------------
+    def _trail(self, state_id: int) -> list[tuple]:
+        """The moves from the initial state to ``state_id``."""
+        moves = []
+        while self.parents[state_id] is not None:
+            state_id, move = self.parents[state_id]
+            moves.append(move)
+        moves.reverse()
+        return moves
 
     def path_to(self, state_id: int) -> list[dict]:
-        moves = []
-        current = state_id
-        while self.parents[current] is not None:
-            parent, move = self.parents[current]
-            moves.append(move)
-            current = parent
-        moves.reverse()
-        return [_move_json(move, tick) for tick, move in enumerate(moves, start=1)]
-
-    def is_complete(self, state) -> bool:
-        instances = [inst for ri, role in enumerate(self.roles) for inst in state[ri] if inst.sender == role]
-        initiated = {inst.key_binding for inst in instances}
-        for kb in initiated:
-            for param in self.public_out:
-                if not any(
-                    inst.binding(param) is not None and kb_agree(inst.key_binding, kb)
-                    for inst in instances
-                ):
-                    return False
-        return True
+        return [_move_json(move, tick) for tick, move in enumerate(self._trail(state_id), start=1)]
 
     def backward_closure(self, seeds: Iterable[int]) -> set[int]:
         reverse: list[list[int]] = [[] for _ in self.states]
@@ -238,27 +241,65 @@ class KnowledgeGraph:
         return closed
 
 
-def _move_json(move: tuple, tick: int) -> dict:
-    kind = move[0]
-    if kind == "lapse":
-        return {"tick": tick, "lapse": move[1]}
-    _, role, inst = move
-    return {
-        "tick": tick,
-        "role": role,
-        "dir": kind,
-        "schema": inst.schema,
-        "bindings": dict(inst.bindings),
-    }
+# ---------------------------------------------------------------------------
+# Knowledge-set enumeration (safety, liveness)
 
 
-def check_safety(
-    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
-) -> VerificationReport:
-    """Key integrity across every reachable state at the bound."""
-    universe = uod(p, registry)
+class KnowledgeGraph(StateSpace):
+    """Reachable per-role knowledge sets under emission and delivery moves."""
+
+    def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str]):
+        super().__init__(universe, bound)
+        self.public_out = tuple(public_out)
+        self.safety_violation: tuple[int, str] | None = None
+
+    def build(self, stop_on_safety: bool = False) -> None:
+        stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
+        self._explore(tuple(frozenset() for _ in self.roles), stop)
+
+    def _successors(self, state) -> list[tuple[tuple, tuple]]:
+        if sum(map(len, state)) >= self.bound.max_ticks:
+            return []
+        moves = self._moves(state, self._undelivered(state))
+        return [(move, self._with(state, ri, move[2])) for ri, move in moves]
+
+    @staticmethod
+    def _with(state, ri: int, inst: MessageInstance):
+        return tuple(s | {inst} if i == ri else s for i, s in enumerate(state))
+
+    def emitted(self, state) -> list[MessageInstance]:
+        return [inst for ri, role in enumerate(self.roles) for inst in state[ri] if inst.sender == role]
+
+    def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
+        if move[0] != EMIT or self.safety_violation is not None:
+            return
+        new = move[2]
+        new_bindings = dict(new.bindings)
+        for inst in set(self.emitted(self.states[parent_id])):
+            if not kb_agree(inst.key_binding, new.key_binding):
+                continue
+            for param, value in inst.bindings:
+                if param in new_bindings and new_bindings[param] != value:
+                    self.safety_violation = (
+                        state_id,
+                        f"parameter {param!r} bound to {value!r} by {inst.schema!r} "
+                        f"and to {new_bindings[param]!r} by {new.schema!r}",
+                    )
+                    return
+
+    # perfbench/tracer.py rebinds these on each graph class it traces, so the
+    # class must hold them in its own namespace.
+    path_to = StateSpace.path_to
+    backward_closure = StateSpace.backward_closure
+
+
+def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: bool) -> KnowledgeGraph:
     graph = KnowledgeGraph(universe, bound, p.out_params)
-    graph.build(stop_on_safety=True)
+    graph.build(stop_on_safety)
+    return graph
+
+
+def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
     if graph.safety_violation is not None:
         state_id, detail = graph.safety_violation
         witness = {"reach": graph.path_to(state_id), "violation": detail}
@@ -266,23 +307,32 @@ def check_safety(
     return VerificationReport(SAFETY, True, None, len(graph.states))
 
 
-def check_liveness(
-    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
-) -> VerificationReport:
-    """Every reachable state can still be extended to a complete enactment."""
-    universe = uod(p, registry)
-    graph = KnowledgeGraph(universe, bound, p.out_params)
-    graph.build()
-    complete = [sid for sid, state in enumerate(graph.states) if graph.is_complete(state)]
+def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
+    complete = [
+        sid for sid, state in enumerate(graph.states) if is_complete(graph.emitted(state), graph.public_out)
+    ]
     closed = graph.backward_closure(complete)
     stuck = [sid for sid in range(len(graph.states)) if sid not in closed]
     if stuck:
-        worst = stuck[0]
-        witness = {"reach": graph.path_to(worst)}
+        witness = {"reach": graph.path_to(stuck[0])}
         return VerificationReport(
             LIVENESS, False, witness, len(graph.states), "state with no completing extension"
         )
     return VerificationReport(LIVENESS, True, None, len(graph.states))
+
+
+def check_safety(
+    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
+) -> VerificationReport:
+    """Key integrity across every reachable state at the bound."""
+    return _safety_report(_knowledge_graph(uod(p, registry), p, bound, stop_on_safety=True))
+
+
+def check_liveness(
+    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
+) -> VerificationReport:
+    """Every reachable state can still be extended to a complete enactment."""
+    return _liveness_report(_knowledge_graph(uod(p, registry), p, bound, stop_on_safety=False))
 
 
 @dataclass(frozen=True)
@@ -313,119 +363,73 @@ def check_theorem1(
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
 ) -> Theorem1Result:
-    return Theorem1Result(
-        safety_input=check_safety(input_protocol, bound, registry),
-        safety_composed=check_safety(composed, bound, registry),
-        liveness_input=check_liveness(input_protocol, bound, registry),
-        liveness_composed=check_liveness(composed, bound, registry),
-    )
+    def safety_and_liveness(p: Protocol) -> tuple[VerificationReport, VerificationReport]:
+        # A safe protocol's safety build ran to the end, so it is the whole
+        # graph liveness needs; an unsafe one stopped early and is rebuilt.
+        universe = uod(p, registry)
+        graph = _knowledge_graph(universe, p, bound, stop_on_safety=True)
+        safety = _safety_report(graph)
+        if not safety.holds:
+            graph = _knowledge_graph(universe, p, bound, stop_on_safety=False)
+        return safety, _liveness_report(graph)
+
+    safety_input, liveness_input = safety_and_liveness(input_protocol)
+    safety_composed, liveness_composed = safety_and_liveness(composed)
+    return Theorem1Result(safety_input, safety_composed, liveness_input, liveness_composed)
 
 
 # ---------------------------------------------------------------------------
 # Ordered enumeration (exact per-role sequences)
 
 
-class EnactmentGraph:
+class EnactmentGraph(StateSpace):
     """Reachable history vectors, deduplicated up to tick relabeling: states
     are the per-role observation sequences, with ticks assigned by global
     arrival order on reconstruction."""
 
-    def __init__(self, universe: Uod, bound: Bound):
-        self.universe = universe
-        self.bound = bound
-        self.roles = tuple(sorted(universe.roles))
-        self.role_index = {r: i for i, r in enumerate(self.roles)}
-        self.key_bindings = _key_bindings(universe, bound)
-        self.states: list[tuple[tuple[tuple[str, MessageInstance], ...], ...]] = []
-        self.parents: list[tuple[int, tuple] | None] = []
-        self.edges: list[list[tuple[tuple, int]]] = []
-        self.index: dict[tuple, int] = {}
-
     def build(self) -> None:
-        initial = tuple(() for _ in self.roles)
-        self._add(initial, None)
-        frontier = [0]
-        while frontier:
-            next_frontier = []
-            for sid in frontier:
-                for move, succ in self._successors(self.states[sid]):
-                    tid = self.index.get(succ)
-                    if tid is None:
-                        tid = self._add(succ, (sid, move))
-                        next_frontier.append(tid)
-                    self.edges[sid].append((move, tid))
-            frontier = next_frontier
-
-    def _add(self, state, parent) -> int:
-        if len(self.states) >= self.bound.max_states:
-            raise BoundExceeded(f"more than {self.bound.max_states} states", partial=self)
-        sid = len(self.states)
-        self.states.append(state)
-        self.parents.append(parent)
-        self.edges.append([])
-        self.index[state] = sid
-        return sid
+        self._explore(tuple(() for _ in self.roles))
 
     def _successors(self, state):
-        out = []
-        if sum(len(s) for s in state) >= self.bound.max_ticks:
-            return out
-        for ri, role in enumerate(self.roles):
-            knowledge = _knowledge_from([inst for _, inst in state[ri]], role)
-            for inst in emission_candidates(
-                knowledge, self.universe, role, self.key_bindings, self.bound.out_value_pool
-            ):
-                out.append(((EMIT, role, inst), self._with(state, ri, EMIT, inst)))
-        pending = self._in_flight(state)
+        if sum(map(len, state)) >= self.bound.max_ticks:
+            return []
+        known = [[inst for _, inst in events] for events in state]
+        return [
+            (move, self._with(state, ri, move[0], move[2]))
+            for ri, move in self._moves(known, self._in_flight(state))
+        ]
+
+    def _in_flight(self, state) -> list[MessageInstance]:
+        # Unlike the knowledge-set graphs, this keeps each sender's emission
+        # order, which FIFO delivery needs to find the oldest message per channel.
+        received = {
+            inst for ri, role in enumerate(self.roles) for _, inst in state[ri] if inst.receiver == role
+        }
+        pending = [
+            inst
+            for events in state
+            for direction, inst in events
+            if direction == EMIT and inst not in received
+        ]
         if self.bound.delivery == "fifo":
             first_per_channel = {}
             for inst in pending:
                 first_per_channel.setdefault((inst.sender, inst.receiver), inst)
             pending = list(first_per_channel.values())
-        for inst in pending:
-            ti = self.role_index[inst.receiver]
-            out.append(((RECV, inst.receiver, inst), self._with(state, ti, RECV, inst)))
-        return out
-
-    def _in_flight(self, state) -> list[MessageInstance]:
-        received = {
-            inst for ri, role in enumerate(self.roles) for _, inst in state[ri] if inst.receiver == role
-        }
-        pending = []
-        for ri, role in enumerate(self.roles):
-            for direction, inst in state[ri]:
-                if direction == EMIT and inst not in received:
-                    pending.append(inst)
         return pending
 
     @staticmethod
     def _with(state, ri: int, direction: str, inst: MessageInstance):
         return tuple(s + ((direction, inst),) if i == ri else s for i, s in enumerate(state))
 
+    def emitted(self, state) -> list[MessageInstance]:
+        return [inst for events in state for direction, inst in events if direction == EMIT]
+
     def vector(self, state_id: int) -> HistoryVector:
-        moves = []
-        current = state_id
-        while self.parents[current] is not None:
-            parent, move = self.parents[current]
-            moves.append(move)
-            current = parent
-        moves.reverse()
         v = HistoryVector.empty(self.roles)
-        for tick, (direction, _, inst) in enumerate(moves, start=1):
+        for tick, (direction, _, inst) in enumerate(self._trail(state_id), start=1):
             v = v.extend(Observation(inst, direction, tick))
         return v
-
-    def is_complete(self, state, public_out: Sequence[str]) -> bool:
-        instances = [inst for ri, role in enumerate(self.roles) for d, inst in state[ri] if d == EMIT]
-        initiated = {inst.key_binding for inst in instances}
-        for kb in initiated:
-            for param in public_out:
-                if not any(
-                    inst.binding(param) is not None and kb_agree(inst.key_binding, kb)
-                    for inst in instances
-                ):
-                    return False
-        return True
 
 
 def enumerate_uoe(
@@ -450,7 +454,7 @@ def check_embedding(
     composed_universe = uod(composed, registry)
     checked = 0
     for sid, state in enumerate(input_graph.states):
-        if not input_graph.is_complete(state, input_protocol.out_params):
+        if not is_complete(input_graph.emitted(state), input_protocol.out_params):
             continue
         checked += 1
         vector = input_graph.vector(sid)
@@ -515,7 +519,7 @@ def _window_anchors(commitments: Sequence[CommitmentSpec]):
     return list(anchors.values())
 
 
-class AlignmentGraph:
+class AlignmentGraph(StateSpace):
     """Reachable phase-annotated knowledge states of a composed protocol,
     including deadline-lapse moves."""
 
@@ -526,116 +530,45 @@ class AlignmentGraph:
         bound: Bound,
         punctual: bool,
     ):
-        self.universe = universe
+        # state: (per-role frozenset[(MessageInstance, phase)], now_phase)
+        super().__init__(universe, bound)
         self.commitments = tuple(commitments)
-        self.bound = bound
         self.punctual = punctual
-        self.roles = tuple(sorted(universe.roles))
-        self.role_index = {r: i for i, r in enumerate(self.roles)}
-        self.key_bindings = _key_bindings(universe, bound)
         self.fwd_registry = forwarding_registry(universe)
         self.anchors = _window_anchors(commitments)
-        # state: (per-role frozenset[(MessageInstance, phase)], now_phase)
-        self.states: list[tuple] = []
-        self.parents: list[tuple[int, tuple] | None] = []
-        self.edges: list[list[tuple[tuple, int]]] = []
-        self.index: dict[tuple, int] = {}
         self._model_cache: dict[frozenset, Model] = {}
         self._verdict_cache: dict[tuple, tuple[bool, int]] = {}
         self._pending_cache: dict[tuple, list[int]] = {}
 
     def build(self) -> None:
-        initial = (tuple(frozenset() for _ in self.roles), 0)
-        self._add(initial, None)
-        frontier = [0]
-        while frontier:
-            next_frontier = []
-            for sid in frontier:
-                for move, succ in self._successors(self.states[sid]):
-                    tid = self.index.get(succ)
-                    if tid is None:
-                        tid = self._add(succ, (sid, move))
-                        next_frontier.append(tid)
-                    self.edges[sid].append((move, tid))
-            frontier = next_frontier
-
-    def _add(self, state, parent) -> int:
-        if len(self.states) >= self.bound.max_states:
-            raise BoundExceeded(f"more than {self.bound.max_states} states", partial=self)
-        sid = len(self.states)
-        self.states.append(state)
-        self.parents.append(parent)
-        self.edges.append([])
-        self.index[state] = sid
-        return sid
+        self._explore((tuple(frozenset() for _ in self.roles), 0))
 
     def _successors(self, state):
         sets, now_phase = state
-        out = []
-        emissions: list[tuple[str, MessageInstance]] = []
-        if sum(len(s) for s in sets) < self.bound.max_ticks:
-            for ri, role in enumerate(self.roles):
-                knowledge = _knowledge_from([inst for inst, _ in sets[ri]], role)
-                for inst in emission_candidates(
-                    knowledge, self.universe, role, self.key_bindings, self.bound.out_value_pool
-                ):
-                    emissions.append((role, inst))
-        received = {
-            inst for ri, role in enumerate(self.roles) for inst, _ in sets[ri] if inst.receiver == role
-        }
-        pending = [
-            inst
-            for ri, role in enumerate(self.roles)
-            for inst, _ in sorted(sets[ri], key=lambda e: (e[0].schema, e[0].bindings))
-            if inst.sender == role and inst not in received
-        ]
-        for role, inst in emissions:
-            succ = (self._with(sets, self.role_index[role], inst, now_phase), now_phase)
-            out.append(((EMIT, role, inst), succ))
-        for inst in pending:
-            ti = self.role_index[inst.receiver]
-            succ = (self._with(sets, ti, inst, now_phase), now_phase)
-            out.append(((RECV, inst.receiver, inst), succ))
+        known = [[inst for inst, _ in s] for s in sets]
+        moves = self._moves(known, self._undelivered(known))
+        out = [(move, (self._with(sets, ri, move[2], now_phase), now_phase)) for ri, move in moves]
         lapse_value = self._next_boundary(sets, now_phase)
-        if lapse_value is not None and self._lapse_allowed(pending, emissions):
+        if lapse_value is not None and self._lapse_allowed(moves):
             out.append((("lapse", lapse_value), (sets, lapse_value)))
         return out
 
-    def _lapse_allowed(self, pending, emissions) -> bool:
+    def _lapse_allowed(self, moves) -> bool:
+        """Punctually, no deadline passes while a message is in flight or a
+        forward can be emitted."""
         if not self.punctual:
             return True
-        if pending:
-            return False
-        return not any(inst.schema in self.fwd_registry for _, inst in emissions)
+        return not any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst) in moves)
 
     @staticmethod
     def _with(sets, ri: int, inst: MessageInstance, phase: int):
         return tuple(s | {(inst, phase)} if i == ri else s for i, s in enumerate(sets))
 
     def _model(self, entries: frozenset, role: str) -> Model:
-        cached = self._model_cache.get(entries)
-        if cached is not None:
-            return cached
-        first: dict[tuple[str, tuple], int] = {}
-        for inst, phase in entries:
-            naming = self.fwd_registry.get(inst.schema)
-            if naming is not None:
-                name = naming.base_message
-                bindings = tuple(i for i in inst.bindings if i[0] != naming.id_param)
-            else:
-                name = inst.schema
-                bindings = inst.bindings
-            key = (name, bindings)
-            if key not in first or phase < first[key]:
-                first[key] = phase
-        model = Model(
-            role,
-            tuple(
-                ModelEntry(name, bindings, phase * SCALE)
-                for (name, bindings), phase in sorted(first.items())
-            ),
-        )
-        self._model_cache[entries] = model
+        model = self._model_cache.get(entries)
+        if model is None:
+            model = model_of(role, ((inst, phase * SCALE) for inst, phase in entries), self.fwd_registry)
+            self._model_cache[entries] = model
         return model
 
     def _next_boundary(self, sets, now_phase: int) -> int | None:
@@ -695,16 +628,6 @@ class AlignmentGraph:
             total += self._verdict_cache.get(key, (True, 0))[1]
         return total
 
-    def path_to(self, state_id: int) -> list[dict]:
-        moves = []
-        current = state_id
-        while self.parents[current] is not None:
-            parent, move = self.parents[current]
-            moves.append(move)
-            current = parent
-        moves.reverse()
-        return [_move_json(move, tick) for tick, move in enumerate(moves, start=1)]
-
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
         if start in goal:
             return []
@@ -720,20 +643,9 @@ class AlignmentGraph:
                     queue.append((succ, path + [move]))
         return None
 
-    def backward_closure(self, seeds: Iterable[int]) -> set[int]:
-        reverse: list[list[int]] = [[] for _ in self.states]
-        for sid, out_edges in enumerate(self.edges):
-            for _, tid in out_edges:
-                reverse[tid].append(sid)
-        closed = set(seeds)
-        stack = list(closed)
-        while stack:
-            node = stack.pop()
-            for pred in reverse[node]:
-                if pred not in closed:
-                    closed.add(pred)
-                    stack.append(pred)
-        return closed
+    # Held in the class namespace for perfbench/tracer.py, as in KnowledgeGraph.
+    path_to = StateSpace.path_to
+    backward_closure = StateSpace.backward_closure
 
 
 def check_alignment_reachability(

@@ -185,3 +185,25 @@ def test_verify_requires_a_property(capsys, fixtures_dir):
     code, _, err = run(capsys, "verify", fixtures_dir / "ordering.bspl")
     assert code == 1
     assert "nothing to verify" in err
+
+
+def test_verify_unknown_input_protocol_is_an_error(capsys, fixtures_dir):
+    for prop in ("--theorem1", "--embedding"):
+        code, _, err = run(
+            capsys,
+            "verify",
+            prop,
+            fixtures_dir / "ordering_op.bspl",
+            "--protocol", "OrderingOp",
+            "--input", "Nope",
+        )
+        assert code == 1
+        assert "'Nope' not found" in err
+
+
+def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"policy": {"kind": "random"}, "horizon": 3}))
+    code, _, err = run(capsys, "simulate", scenario)
+    assert code == 1
+    assert "protocols" in err

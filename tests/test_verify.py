@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from comal.commitments import parse_commitments
 from comal.enactment import EMIT, check_viable
-from comal.errors import BoundExceeded
-from comal.protocol import parse_protocol, uod
+from comal.errors import BoundExceeded, UnknownForwardName
+from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.synthesis import (
     SynthesisMode,
     compose_operationalization,
@@ -19,6 +23,7 @@ from comal.verify import (
     check_safety,
     check_theorem1,
     enumerate_uoe,
+    is_complete,
 )
 
 BOUND = Bound()
@@ -45,6 +50,61 @@ def escrow_composed_literal(fixtures_dir):
     return escrow, composed, registry, commitments
 
 
+@pytest.fixture(scope="module")
+def op_registry(fixtures_dir):
+    return parse_protocols((fixtures_dir / "ordering_op.bspl").read_text())
+
+
+def _protocol(name, op_registry, toys):
+    """A fixture protocol by name, with the registry it needs."""
+    if name in op_registry:
+        return op_registry[name], op_registry
+    return toys[name], None
+
+
+def _sha256(witness) -> str:
+    return hashlib.sha256(json.dumps(witness, sort_keys=True).encode()).hexdigest()
+
+
+NO_WITNESS = _sha256(None)
+
+# States explored and witness digests of the cheap fixture checks, recorded
+# before the explorers were merged; any change here is a semantic change.
+PINNED = {
+    "safety-Ordering": (23, NO_WITNESS),
+    "liveness-Ordering": (23, NO_WITNESS),
+    "safety-OrderingOp": (43, NO_WITNESS),
+    "liveness-OrderingOp": (43, NO_WITNESS),
+    "safety-unsafe_toy": (5, "2577cb7f8b7129cd475483fa237ba1db46076eb790311e62dc5be761b2fed4c7"),
+    "liveness-unsafe_toy": (9, NO_WITNESS),
+    "safety-stuck_toy": (3, NO_WITNESS),
+    "liveness-stuck_toy": (3, "c6e0c18bb32bbdb2b2df624531af9df83e41ddb4611d5f6e8c3ccee153a2dd9e"),
+    "safety-empty": (1, NO_WITNESS),
+    "liveness-empty": (1, NO_WITNESS),
+    "theorem2-OrderingOp": (163, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
+    "theorem2-bare-escrow": (242, "c7223a3d9c0a52e658ea01968c0247f7779df9215295c57aec881ca27afe055d"),
+    "embedding-Ordering": (34, NO_WITNESS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_outputs(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+    kind, _, name = case.partition("-")
+    if kind in ("safety", "liveness"):
+        protocol, registry = _protocol(name, op_registry, toys)
+        check = check_safety if kind == "safety" else check_liveness
+        report = check(protocol, BOUND, registry)
+    elif name == "OrderingOp":
+        report = check_alignment_reachability(op_registry[name], [purchase], BOUND, True, op_registry)
+    elif name == "bare-escrow":
+        report = check_alignment_reachability(
+            escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, True
+        )
+    else:
+        report = check_embedding(op_registry["Ordering"], op_registry["OrderingOp"], BOUND, op_registry)
+    assert (report.states_explored, _sha256(report.witness)) == PINNED[case]
+
+
 def test_enumerate_atomic_protocol():
     atom = parse_protocol(
         "Atom { roles A, B parameters out k key, out x A -> B: m[out k key, out x] }"
@@ -58,7 +118,7 @@ def test_enumerate_ordering_complete_states(ordering):
     initiated = [
         s for s in graph.states if any(events for events in s)
     ]
-    complete = [s for s in initiated if graph.is_complete(s, ordering.out_params)]
+    complete = [s for s in initiated if is_complete(graph.emitted(s), ordering.out_params)]
     assert complete
     for state in complete:
         emitted = {inst.schema for events in state for d, inst in events if d == EMIT}
@@ -211,3 +271,50 @@ def test_reports_are_deterministic(escrow_composed_literal):
         composed, list(commitments.values()), BOUND, punctual=True, registry=registry
     )
     assert first == second
+
+
+DIFFERENTIAL = ("Ordering", "OrderingOp", "unsafe_toy", "stuck_toy", "empty")
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_knowledge_sets_agree_with_ordered_enumeration(name, op_registry, toys):
+    """The knowledge-set abstraction behind safety and liveness gives the same
+    verdicts as the exact ordered enumeration checked vector by vector."""
+    protocol, registry = _protocol(name, op_registry, toys)
+    graph = enumerate_uoe(protocol, BOUND, registry)
+    complete = [
+        sid for sid, state in enumerate(graph.states)
+        if is_complete(graph.emitted(state), protocol.out_params)
+    ]
+    live = len(graph.backward_closure(complete)) == len(graph.states)
+    assert live == check_liveness(protocol, BOUND, registry).holds
+    universe = uod(protocol, registry)
+    violations = [check_viable(graph.vector(sid), universe) for sid in range(len(graph.states))]
+    unsafe = any(v is not None and v.rule == "c" for v in violations)
+    assert unsafe == (not check_safety(protocol, BOUND, registry).holds)
+
+
+def test_benchmark_hook_surface(monkeypatch):
+    """Every attribute the benchmark's tracer rebinds is defined on its owner
+    itself, not inherited, and every probed graph class defines ``build``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from tracer import GRAPH_CLASSES, TARGETS
+
+    for owner, attr, _, _ in TARGETS:
+        assert attr in owner.__dict__, (owner, attr)
+    for cls in GRAPH_CLASSES:
+        assert "build" in cls.__dict__, cls
+
+
+def test_alignment_rejects_unregistered_forward():
+    odd = parse_protocol(
+        """
+        Odd {
+          roles A, B
+          parameters out k key, out fwdOddID
+          A -> B: fwdABThing[out k key, out fwdOddID]
+        }
+        """
+    )
+    with pytest.raises(UnknownForwardName):
+        check_alignment_reachability(odd, [], BOUND, punctual=True)
