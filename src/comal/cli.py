@@ -7,6 +7,7 @@ Set COMAL_LOG=debug|info|warning for diagnostics verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -43,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ComalError as exc:
+    except (ComalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -98,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-keys", type=int, default=1, help="number of distinct key values")
     p.add_argument("--max-states", type=int, default=400_000)
     p.add_argument("--max-ticks", type=int, default=80)
-    p.add_argument("--delivery", choices=["any", "fifo"], default="any")
+    p.add_argument("--delivery", choices=["any", "fifo"], default="any",
+                   help="in-flight delivery order; only --embedding enumerates ordered histories and reads it")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
@@ -242,7 +244,7 @@ def cmd_verify(args) -> int:
     bound = Bound(
         key_values=tuple(str(i + 1) for i in range(args.bound_keys)),
         max_ticks=args.max_ticks,
-        delivery="fifo" if args.delivery == "fifo" else "unordered",
+        delivery=args.delivery,
         max_states=args.max_states,
     )
     requested = args.safety or args.liveness or args.theorem1 or args.theorem2 or args.embedding
@@ -290,8 +292,7 @@ def cmd_verify(args) -> int:
             try:
                 informational = check_alignment_reachability(
                     protocol, list(commitments.values()),
-                    Bound(bound.key_values, bound.max_ticks, bound.out_value_pool,
-                          bound.delivery, min(bound.max_states, 50_000)),
+                    dataclasses.replace(bound, max_states=min(bound.max_states, 50_000)),
                     punctual=False, registry=protocols,
                 )
                 _report_line(informational, args.json)

@@ -289,10 +289,6 @@ def print_commitment(c: CommitmentSpec) -> str:
     )
 
 
-def print_commitments(commitments) -> str:
-    return "\n".join(print_commitment(c) for c in commitments)
-
-
 # ---------------------------------------------------------------------------
 # Binding against a universe of discourse
 

@@ -5,7 +5,9 @@ Every observation (an emission or a reception) carries a global tick.
 Emissions are legal only when the sender already knows each ``in`` binding,
 has no prior binding for any ``out`` parameter of the same enactment, and has
 not emitted the same schema for the same key binding before. Reception is
-never forced: in-flight messages may be delayed arbitrarily.
+never forced: in-flight messages may be delayed arbitrarily. The simulator
+and every explorer in ``verify`` take the messages in flight from one rule,
+:func:`in_flight`, and build role knowledge with :func:`knowledge_from`.
 
 A role's *model* is its history with every forwarding message renamed to the
 message it forwards, the forwarding identifier dropped, and each entry
@@ -127,17 +129,6 @@ class HistoryVector:
         out.sort(key=lambda o: o.tick)
         return out
 
-    def in_flight(self) -> list[Observation]:
-        """Emissions whose instance has not yet been received, oldest first."""
-        received = {
-            obs.instance for h in self.histories for obs in h.events if obs.direction == RECV
-        }
-        return [
-            obs
-            for obs in self.observations()
-            if obs.direction == EMIT and obs.instance not in received
-        ]
-
 
 @dataclass(frozen=True)
 class ViabilityViolation:
@@ -166,10 +157,10 @@ class RoleKnowledge:
         self.emitted: set[tuple[str, Bindings]] = set()
         self._bound: dict[str, list[tuple[Bindings, str]]] = {}
 
-    def observe(self, obs: Observation) -> None:
-        inst = obs.instance
+    def observe(self, inst: MessageInstance) -> None:
+        """Record an instance this role emitted (it is the sender) or received."""
         self.instances.append(inst)
-        if obs.direction == EMIT:
+        if inst.sender == self.role:
             self.emitted.add((inst.schema, inst.key_binding))
         for param, value in inst.bindings:
             self._bound.setdefault(param, []).append((inst.key_binding, value))
@@ -245,7 +236,7 @@ def check_viable(v: HistoryVector, universe: Uod) -> ViabilityViolation | None:
                             f"parameter {param!r} bound to {known_value!r} and {value!r} for one enactment",
                         )
                 global_bound.setdefault(param, []).append((kb, value, obs.tick))
-        knowledge[role].observe(obs)
+        knowledge[role].observe(inst)
     return None
 
 
@@ -268,10 +259,11 @@ def uniform_key_bindings(universe: Uod, key_values: Iterable[str]) -> list[dict[
     return bindings
 
 
-def knowledge_of(v: HistoryVector, role: str) -> RoleKnowledge:
+def knowledge_from(instances: Iterable[MessageInstance], role: str) -> RoleKnowledge:
+    """What ``role`` knows after observing ``instances``."""
     knowledge = RoleKnowledge(role)
-    for obs in v.history(role).events:
-        knowledge.observe(obs)
+    for inst in instances:
+        knowledge.observe(inst)
     return knowledge
 
 
@@ -280,38 +272,31 @@ def emission_candidates(
     universe: Uod,
     role: str,
     key_bindings: Sequence[Mapping[str, str]],
-    value_pool: Mapping[str, Sequence[str]] | None = None,
-    tick: int = 0,
 ) -> list[MessageInstance]:
     """Every instance ``role`` could emit given ``knowledge``. Key bindings are
-    drawn from the given finite set; other ``out`` values come from
-    ``value_pool`` (falling back to one deterministic value each)."""
+    drawn from the given finite set; every other ``out`` parameter takes its
+    one :func:`default_value`."""
     out: list[MessageInstance] = []
     for schema in universe.schemas:
         if schema.sender != role:
             continue
         for kb_source in key_bindings:
-            candidates: list[dict[str, str]] = [
-                {k: kb_source[k] for k in schema.keys if k in kb_source}
-            ]
-            if len(candidates[0]) != len(schema.keys):
+            if not all(k in kb_source for k in schema.keys):
                 continue
+            key = {k: kb_source[k] for k in schema.keys}
+            kb = freeze_bindings(key)
+            candidates = [key]
             for p in schema.params:
                 if p.key:
                     continue
-                extended: list[dict[str, str]] = []
-                for partial in candidates:
-                    kb = freeze_bindings({k: partial[k] for k in schema.keys})
-                    if p.adornment == IN:
-                        values = knowledge.values_for(p.name, kb)
-                    else:
-                        values = list((value_pool or {}).get(p.name, ()) or (default_value(schema.name, p.name),))
-                    for value in values:
-                        extended.append({**partial, p.name: value})
-                candidates = extended
+                if p.adornment == IN:
+                    values = knowledge.values_for(p.name, kb)
+                else:
+                    values = [default_value(schema.name, p.name)]
+                candidates = [{**partial, p.name: value} for partial in candidates for value in values]
             for bindings in candidates:
                 instance = MessageInstance.make(schema, bindings)
-                if emission_violation(knowledge, schema, instance, tick) is None:
+                if emission_violation(knowledge, schema, instance, 0) is None:
                     out.append(instance)
     out.sort(key=lambda i: (i.schema, i.bindings))
     return out
@@ -322,28 +307,36 @@ def enabled_emissions(
     universe: Uod,
     role: str,
     key_bindings: Sequence[Mapping[str, str]],
-    value_pool: Mapping[str, Sequence[str]] | None = None,
 ) -> list[MessageInstance]:
     """Every instance ``role`` could emit next while keeping ``v`` viable."""
-    return emission_candidates(
-        knowledge_of(v, role), universe, role, key_bindings, value_pool, tick=v.clock + 1
-    )
+    observed = (obs.instance for obs in v.history(role).events)
+    return emission_candidates(knowledge_from(observed, role), universe, role, key_bindings)
+
+
+def in_flight(
+    roles: Sequence[str], known: Sequence[Sequence[MessageInstance]], fifo: bool = False
+) -> list[MessageInstance]:
+    """Every sent instance whose receiver has not observed it, where
+    ``known[i]`` is what ``roles[i]`` observed, in order: by sender in role
+    order, then in the sender's ``known`` order. With ``fifo`` only the first
+    instance per (sender, receiver) channel is kept; a sender's own order is
+    its emission order, so that is the oldest message on the channel."""
+    received = {inst for role, seen in zip(roles, known) for inst in seen if inst.receiver == role}
+    pending = [
+        inst for role, seen in zip(roles, known) for inst in seen if inst.sender == role and inst not in received
+    ]
+    if fifo:
+        oldest: dict[tuple[str, str], MessageInstance] = {}
+        for inst in pending:
+            oldest.setdefault((inst.sender, inst.receiver), inst)
+        pending = list(oldest.values())
+    return pending
 
 
 def deliverable(v: HistoryVector, fifo: bool = False) -> list[tuple[str, MessageInstance]]:
-    """All sent-but-not-received instances, as (receiver, instance) pairs.
-    With ``fifo`` only the oldest in-flight message per channel is offered."""
-    pending = v.in_flight()
-    if fifo:
-        seen_channels: set[tuple[str, str]] = set()
-        kept = []
-        for obs in pending:
-            channel = (obs.instance.sender, obs.instance.receiver)
-            if channel not in seen_channels:
-                seen_channels.add(channel)
-                kept.append(obs)
-        pending = kept
-    return [(obs.instance.receiver, obs.instance) for obs in pending]
+    """The :func:`in_flight` instances of ``v`` as (receiver, instance) pairs."""
+    known = [[obs.instance for obs in h.events] for h in v.histories]
+    return [(inst.receiver, inst) for inst in in_flight(v.roles, known, fifo)]
 
 
 # ---------------------------------------------------------------------------

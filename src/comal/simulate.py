@@ -47,7 +47,7 @@ from .enactment import (
     project_model,
     uniform_key_bindings,
 )
-from .errors import ScriptedMoveNotEnabled, WellFormednessError
+from .errors import ParseError, ScriptedMoveNotEnabled, WellFormednessError
 from .protocol import Protocol, Uod, parse_protocols, uod
 from .semantics import (
     AlignmentResult,
@@ -92,7 +92,10 @@ class SimulationResult:
 
 def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenario:
     path = Path(path)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"scenario {path.name} is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
     data.update(overrides or {})
     if "protocols" not in data or "protocol" not in data:
         raise WellFormednessError(

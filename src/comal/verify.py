@@ -1,7 +1,7 @@
 """Bounded verification by exhaustive enumeration of reachable enactments.
 
-Four checks are provided over a finite bound (key bindings, value pools, and
-an observation budget):
+Four checks are provided over a finite :class:`Bound` (key values, an
+observation budget, a delivery order and a state budget):
 
 * safety: no reachable state binds two values to one parameter of one
   enactment. Emissions are validated against the *sender's* knowledge only,
@@ -16,7 +16,9 @@ an observation budget):
 
 All four enumerate with one breadth-first explorer, ``StateSpace``; the
 knowledge-set, ordered and timed graphs below differ only in their state
-encoding and successor moves.
+encoding. Their moves, like the simulator's, are the ``emission_candidates``
+of each role's knowledge and a delivery of each ``in_flight`` message, both
+from ``enactment``.
 
 Safety and liveness work on knowledge-set states: a role's enabled moves and
 the two verdicts depend only on what each role knows, not on the order it
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import commitments as cm
 from .commitments import CommitmentSpec, print_event
@@ -52,11 +54,13 @@ from .enactment import (
     RoleKnowledge,
     emission_candidates,
     emission_violation,
+    in_flight,
     kb_agree,
     model_of,
     uniform_key_bindings,
 )
-from .errors import BoundExceeded
+from .enactment import knowledge_from as _knowledge_from
+from .errors import BoundExceeded, WellFormednessError
 from .protocol import Protocol, Uod, uod
 from .semantics import check_alignment_models, evaluate, EvaluationContext
 from .synthesis import forwarding_registry
@@ -71,13 +75,31 @@ ALIGNMENT_REACHABILITY = "ALIGNMENT_REACHABILITY"
 
 @dataclass(frozen=True)
 class Bound:
-    """Finite restriction of the enactment space."""
+    """Finite restriction of the enactment space.
+
+    * ``key_values``: the values key parameters range over. In each key
+      binding every key parameter takes the same value, so mixed bindings
+      (one key parameter at ``"1"``, another at ``"2"``) are not explored.
+    * ``max_ticks``: observations per enactment; past it no role emits, and
+      only the timed graph of Theorem 2 still delivers and lapses deadlines.
+    * ``delivery``: ``"any"`` delivers any in-flight message, ``"fifo"`` only
+      the oldest per channel. Only the ordered enumeration (``enumerate_uoe``,
+      ``check_embedding``) reads it; knowledge sets keep no order.
+    * ``max_states``: states explored before ``BoundExceeded`` is raised.
+    """
 
     key_values: tuple[str, ...] = ("1",)
-    max_ticks: int = 80  # observations per enactment
-    out_value_pool: Mapping[str, Sequence[str]] | None = None
-    delivery: str = "unordered"  # "unordered" | "fifo" (fifo: ordered enumeration only)
+    max_ticks: int = 80
+    delivery: str = "any"
     max_states: int = 400_000
+
+    def __post_init__(self):
+        if not self.key_values:
+            raise WellFormednessError("a bound needs at least one key value")
+        if self.max_ticks < 1:
+            raise WellFormednessError(f"a bound needs max_ticks >= 1, not {self.max_ticks}")
+        if self.delivery not in ("any", "fifo"):
+            raise WellFormednessError(f"delivery must be 'any' or 'fifo', not {self.delivery!r}")
 
 
 @dataclass(frozen=True)
@@ -91,14 +113,6 @@ class VerificationReport:
 
 def _instance_order(inst: MessageInstance):
     return (inst.schema, inst.bindings)
-
-
-def _knowledge_from(instances: Iterable[MessageInstance], role: str) -> RoleKnowledge:
-    knowledge = RoleKnowledge(role)
-    for inst in sorted(instances, key=_instance_order):
-        direction = EMIT if inst.sender == role else RECV
-        knowledge.observe(Observation(inst, direction, 0))
-    return knowledge
 
 
 def is_complete(emitted: Sequence[MessageInstance], public_out: Sequence[str]) -> bool:
@@ -182,36 +196,22 @@ class StateSpace:
         return sid
 
     def _moves(
-        self, known: Sequence[Collection[MessageInstance]], pending: Iterable[MessageInstance]
+        self, known: Sequence[Sequence[MessageInstance]], fifo: bool = False
     ) -> list[tuple[int, tuple]]:
         """Emission candidates per role while the observation budget lasts, then
-        a delivery of each ``pending`` instance. ``known[i]`` is what role ``i``
-        knows; each move comes with the index of the role that observes it.
-        Only the timed graph asks past the budget: the others stop there."""
+        a delivery of each in-flight instance. ``known[i]`` is what role ``i``
+        observed, in the order that sets the order of deliveries; each move
+        comes with the index of the role that observes it. Only the timed graph
+        asks past the budget: the others stop there."""
         moves = []
         if sum(map(len, known)) < self.bound.max_ticks:
             for ri, role in enumerate(self.roles):
                 knowledge = _knowledge_from(known[ri], role)
-                for inst in emission_candidates(
-                    knowledge, self.universe, role, self.key_bindings, self.bound.out_value_pool
-                ):
+                for inst in emission_candidates(knowledge, self.universe, role, self.key_bindings):
                     moves.append((ri, (EMIT, role, inst)))
-        for inst in pending:
+        for inst in in_flight(self.roles, known, fifo):
             moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
         return moves
-
-    def _undelivered(self, known: Sequence[Collection[MessageInstance]]) -> list[MessageInstance]:
-        """Every sent instance its receiver does not know yet, in role order and
-        ``(schema, bindings)`` order."""
-        received = {
-            inst for ri, role in enumerate(self.roles) for inst in known[ri] if inst.receiver == role
-        }
-        return [
-            inst
-            for ri, role in enumerate(self.roles)
-            for inst in sorted(known[ri], key=_instance_order)
-            if inst.sender == role and inst not in received
-        ]
 
     def _trail(self, state_id: int) -> list[tuple]:
         """The moves from the initial state to ``state_id``."""
@@ -260,14 +260,16 @@ class KnowledgeGraph(StateSpace):
     def _successors(self, state) -> list[tuple[tuple, tuple]]:
         if sum(map(len, state)) >= self.bound.max_ticks:
             return []
-        moves = self._moves(state, self._undelivered(state))
-        return [(move, self._with(state, ri, move[2])) for ri, move in moves]
+        known = [sorted(s, key=_instance_order) for s in state]
+        return [(move, self._with(state, ri, move[2])) for ri, move in self._moves(known)]
 
     @staticmethod
     def _with(state, ri: int, inst: MessageInstance):
         return tuple(s | {inst} if i == ri else s for i, s in enumerate(state))
 
     def emitted(self, state) -> list[MessageInstance]:
+        """The instances sent in ``state``: a role emitted exactly those it is
+        the sender of. Ordered states use this too."""
         return [inst for ri, role in enumerate(self.roles) for inst in state[ri] if inst.sender == role]
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
@@ -384,8 +386,10 @@ def check_theorem1(
 
 class EnactmentGraph(StateSpace):
     """Reachable history vectors, deduplicated up to tick relabeling: states
-    are the per-role observation sequences, with ticks assigned by global
-    arrival order on reconstruction."""
+    are the per-role instance sequences in observation order, with ticks
+    assigned by global arrival order on reconstruction. Keeping each sender's
+    emission order is what lets FIFO delivery find the oldest message per
+    channel."""
 
     def build(self) -> None:
         self._explore(tuple(() for _ in self.roles))
@@ -393,37 +397,14 @@ class EnactmentGraph(StateSpace):
     def _successors(self, state):
         if sum(map(len, state)) >= self.bound.max_ticks:
             return []
-        known = [[inst for _, inst in events] for events in state]
-        return [
-            (move, self._with(state, ri, move[0], move[2]))
-            for ri, move in self._moves(known, self._in_flight(state))
-        ]
-
-    def _in_flight(self, state) -> list[MessageInstance]:
-        # Unlike the knowledge-set graphs, this keeps each sender's emission
-        # order, which FIFO delivery needs to find the oldest message per channel.
-        received = {
-            inst for ri, role in enumerate(self.roles) for _, inst in state[ri] if inst.receiver == role
-        }
-        pending = [
-            inst
-            for events in state
-            for direction, inst in events
-            if direction == EMIT and inst not in received
-        ]
-        if self.bound.delivery == "fifo":
-            first_per_channel = {}
-            for inst in pending:
-                first_per_channel.setdefault((inst.sender, inst.receiver), inst)
-            pending = list(first_per_channel.values())
-        return pending
+        moves = self._moves(state, fifo=self.bound.delivery == "fifo")
+        return [(move, self._with(state, ri, move[2])) for ri, move in moves]
 
     @staticmethod
-    def _with(state, ri: int, direction: str, inst: MessageInstance):
-        return tuple(s + ((direction, inst),) if i == ri else s for i, s in enumerate(state))
+    def _with(state, ri: int, inst: MessageInstance):
+        return tuple(s + (inst,) if i == ri else s for i, s in enumerate(state))
 
-    def emitted(self, state) -> list[MessageInstance]:
-        return [inst for events in state for direction, inst in events if direction == EMIT]
+    emitted = KnowledgeGraph.emitted
 
     def vector(self, state_id: int) -> HistoryVector:
         v = HistoryVector.empty(self.roles)
@@ -472,7 +453,7 @@ def check_embedding(
                         EMBEDDING, False, witness, len(input_graph.states),
                         "input enactment not viable inside the composition",
                     )
-            knowledge[obs.role].observe(obs)
+            knowledge[obs.role].observe(obs.instance)
     return VerificationReport(
         EMBEDDING, True, None, len(input_graph.states),
         f"{checked} complete enactments replayed order-preservingly",
@@ -537,7 +518,7 @@ class AlignmentGraph(StateSpace):
         self.fwd_registry = forwarding_registry(universe)
         self.anchors = _window_anchors(commitments)
         self._model_cache: dict[frozenset, Model] = {}
-        self._verdict_cache: dict[tuple, tuple[bool, int]] = {}
+        self._verdict_cache: dict[tuple, int] = {}
         self._pending_cache: dict[tuple, list[int]] = {}
 
     def build(self) -> None:
@@ -545,8 +526,7 @@ class AlignmentGraph(StateSpace):
 
     def _successors(self, state):
         sets, now_phase = state
-        known = [[inst for inst, _ in s] for s in sets]
-        moves = self._moves(known, self._undelivered(known))
+        moves = self._moves([sorted((inst for inst, _ in s), key=_instance_order) for s in sets])
         out = [(move, (self._with(sets, ri, move[2], now_phase), now_phase)) for ri, move in moves]
         lapse_value = self._next_boundary(sets, now_phase)
         if lapse_value is not None and self._lapse_allowed(moves):
@@ -598,7 +578,9 @@ class AlignmentGraph(StateSpace):
         self._pending_cache[key] = values
         return values
 
-    def alignment(self, state) -> list[tuple[CommitmentSpec, bool]]:
+    def alignment(self, state) -> list[int]:
+        """Each commitment's number of misalignments at ``state``; 0 means
+        aligned."""
         sets, now_phase = state
         out = []
         for c in self.commitments:
@@ -615,18 +597,10 @@ class AlignmentGraph(StateSpace):
                     self.universe,
                     SCALE,
                 )
-                cached = (result.aligned, len(result.misalignments))
+                cached = len(result.misalignments)
                 self._verdict_cache[key] = cached
-            out.append((c, cached[0]))
+            out.append(cached)
         return out
-
-    def misalignment_count(self, state) -> int:
-        sets, now_phase = state
-        total = 0
-        for c in self.commitments:
-            key = (c.name, sets[self.role_index[c.debtor]], sets[self.role_index[c.creditor]], now_phase)
-            total += self._verdict_cache.get(key, (True, 0))[1]
-        return total
 
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
         if start in goal:
@@ -662,14 +636,9 @@ def check_alignment_reachability(
     graph = AlignmentGraph(universe, commitments, bound, punctual)
     graph.build()
     mode = "punctual" if punctual else "unrestricted"
-    aligned_per_commitment: dict[str, set[int]] = {}
-    for sid, state in enumerate(graph.states):
-        for c, aligned in graph.alignment(state):
-            if aligned:
-                aligned_per_commitment.setdefault(c.name, set()).add(sid)
-    for c in commitments:
-        seeds = aligned_per_commitment.get(c.name, set())
-        closed = graph.backward_closure(seeds)
+    counts = [graph.alignment(state) for state in graph.states]
+    for ci, c in enumerate(graph.commitments):
+        closed = graph.backward_closure(sid for sid, row in enumerate(counts) if row[ci] == 0)
         missing = [sid for sid in range(len(graph.states)) if sid not in closed]
         if missing:
             witness = {
@@ -684,18 +653,11 @@ def check_alignment_reachability(
                 f"{mode}: no aligning extension for {c.name!r}",
             )
     # Success: exhibit the most misaligned state and how it realigns.
-    worst_id, worst_count = None, 0
-    for sid, state in enumerate(graph.states):
-        count = graph.misalignment_count(state)
-        if count > worst_count:
-            worst_id, worst_count = sid, count
+    totals = [sum(row) for row in counts]
     witness = None
-    if worst_id is not None:
-        all_aligned = {
-            sid
-            for sid in range(len(graph.states))
-            if all(aligned for _, aligned in graph.alignment(graph.states[sid]))
-        }
+    if max(totals, default=0) > 0:
+        worst_id = totals.index(max(totals))
+        all_aligned = {sid for sid, row in enumerate(counts) if not any(row)}
         extension = graph.forward_path(worst_id, all_aligned)
         witness = {
             "misaligned_state": graph.path_to(worst_id),

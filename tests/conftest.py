@@ -25,6 +25,22 @@ def ordering():
 
 
 @pytest.fixture(scope="session")
+def chan():
+    """Two messages on one channel, A -> B. No fixture protocol ever has two
+    messages in flight on one channel, so FIFO delivery changes nothing there."""
+    return parse_protocol(
+        """
+        Chan {
+          roles A, B
+          parameters out k key, out x, out y
+          A -> B: m1[out k key, out x]
+          A -> B: m2[in k key, out y]
+        }
+        """
+    )
+
+
+@pytest.fixture(scope="session")
 def escrow_ordering():
     return parse_protocol(fixture_text("escrow_ordering.bspl"))
 

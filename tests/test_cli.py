@@ -201,6 +201,34 @@ def test_verify_unknown_input_protocol_is_an_error(capsys, fixtures_dir):
         assert "'Nope' not found" in err
 
 
+def test_verify_zero_bound_is_an_error(capsys, fixtures_dir):
+    for flags, toy in ((("--safety", "--bound-keys", "0"), "unsafe_toy"),
+                       (("--liveness", "--max-ticks", "0"), "stuck_toy")):
+        code, out, err = run(capsys, "verify", *flags, fixtures_dir / f"{toy}.bspl")
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+
+def test_missing_files_are_errors(capsys, fixtures_dir, tmp_path):
+    code, _, err = run(capsys, "verify", "--safety", tmp_path / "nope.bspl")
+    assert code == 1
+    assert "nope.bspl" in err
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"protocols": ["nope.bspl"], "protocol": "Nope"}))
+    code, _, err = run(capsys, "simulate", scenario)
+    assert code == 1
+    assert "nope.bspl" in err
+
+
+def test_simulate_scenario_not_json_is_an_error(capsys, tmp_path):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text('{"protocols": ["a.bspl"],\n  "protocol": }')
+    code, _, err = run(capsys, "simulate", scenario)
+    assert code == 1
+    assert "error: 2:" in err and "not JSON" in err
+
+
 def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps({"policy": {"kind": "random"}, "horizon": 3}))

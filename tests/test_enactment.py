@@ -118,13 +118,20 @@ def test_deliverable(order_universe):
     assert deliverable(HistoryVector.empty(order_universe.roles)) == []
 
 
-def test_deliverable_fifo_orders_channel(order_universe):
+def test_deliverable_fifo_orders_channel(order_universe, chan):
     quote = instance(order_universe, "quote", oID="1", item="book", price="10")
     request = instance(order_universe, "requestShip", oID="1", rID="3")
     v = play(HistoryVector.empty(order_universe.roles), (1, EMIT, quote), (2, EMIT, request))
     assert len(deliverable(v)) == 2
     # Different channels, so fifo does not serialize them.
     assert len(deliverable(v, fifo=True)) == 2
+    # Two messages on one channel: only the older is offered.
+    universe = uod(chan)
+    m1 = instance(universe, "m1", k="1", x="m1.x")
+    m2 = instance(universe, "m2", k="1", y="m2.y")
+    v = play(HistoryVector.empty(universe.roles), (1, EMIT, m1), (2, EMIT, m2))
+    assert deliverable(v) == [("B", m1), ("B", m2)]
+    assert deliverable(v, fifo=True) == [("B", m1)]
 
 
 def test_project_model_renames_forwards(operationalization_registry):

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from comal.commitments import parse_commitments
-from comal.enactment import EMIT, check_viable
-from comal.errors import BoundExceeded, UnknownForwardName
+from comal.enactment import EMIT, RECV, check_viable, deliverable, enabled_emissions
+from comal.errors import BoundExceeded, UnknownForwardName, WellFormednessError
 from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.synthesis import (
     SynthesisMode,
@@ -121,7 +121,7 @@ def test_enumerate_ordering_complete_states(ordering):
     complete = [s for s in initiated if is_complete(graph.emitted(s), ordering.out_params)]
     assert complete
     for state in complete:
-        emitted = {inst.schema for events in state for d, inst in events if d == EMIT}
+        emitted = {inst.schema for inst in graph.emitted(state)}
         assert emitted == {"quote", "pay", "requestShip", "ship"}
     # Every enumerated state is a viable vector.
     universe = uod(ordering)
@@ -129,10 +129,43 @@ def test_enumerate_ordering_complete_states(ordering):
         assert check_viable(graph.vector(sid), universe) is None
 
 
-def test_enumerate_respects_fifo(ordering):
+def test_enumerate_respects_fifo(ordering, chan):
     unordered = enumerate_uoe(ordering, BOUND)
     fifo = enumerate_uoe(ordering, Bound(delivery="fifo"))
     assert len(fifo.states) <= len(unordered.states)
+    assert len(enumerate_uoe(chan, BOUND).states) == 8
+    fifo = enumerate_uoe(chan, Bound(delivery="fifo"))
+    assert len(fifo.states) == 6
+    for sid in range(len(fifo.states)):
+        received = [obs.instance.schema for obs in fifo.vector(sid).history("B").events]
+        assert received in ([], ["m1"], ["m1", "m2"])
+
+
+@pytest.mark.parametrize("name", ("Ordering", "OrderingOp", "Chan"))
+@pytest.mark.parametrize("delivery", ("any", "fifo"))
+def test_ordered_moves_match_simulator(name, delivery, op_registry, chan):
+    """The ordered explorer and the simulator enable the same moves in every
+    reachable state."""
+    protocol, registry = (chan, None) if name == "Chan" else (op_registry[name], op_registry)
+    graph = enumerate_uoe(protocol, Bound(delivery=delivery), registry)
+    universe = uod(protocol, registry)
+    for sid in range(len(graph.states)):
+        v = graph.vector(sid)
+        simulator = {
+            (EMIT, role, inst)
+            for role in graph.roles
+            for inst in enabled_emissions(v, universe, role, graph.key_bindings)
+        }
+        simulator |= {(RECV, receiver, inst) for receiver, inst in deliverable(v, delivery == "fifo")}
+        assert {move for move, _ in graph.edges[sid]} == simulator, sid
+
+
+@pytest.mark.parametrize(
+    "fields", ({"key_values": ()}, {"max_ticks": 0}, {"delivery": "unordered"})
+)
+def test_bound_rejects_empty_or_unknown_limits(fields):
+    with pytest.raises(WellFormednessError):
+        Bound(**fields)
 
 
 def test_safety_ordering_holds(ordering):
