@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .commitments import CommitmentSpec, parse_commitments, print_commitment
-from .enactment import trace_lines
+from .enactment import DELIVERIES, trace_lines
 from .errors import BoundExceeded, ComalError
 from .protocol import Protocol, parse_protocols, print_protocol, print_protocols
 from .simulate import load_scenario, report_to_json, run_scenario
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", type=Path)
     p.add_argument("--seed", type=int)
     p.add_argument("--horizon", type=int)
-    p.add_argument("--delivery", choices=["any", "fifo"])
+    p.add_argument("--delivery", choices=DELIVERIES)
     p.add_argument("--trace", type=Path, help="write the JSON-lines trace here")
     p.add_argument("--report", type=Path, help="write the per-tick report here")
     p.add_argument("--json", action="store_true", help="print report as JSON lines")
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-keys", type=int, default=1, help="number of distinct key values")
     p.add_argument("--max-states", type=int, default=400_000)
     p.add_argument("--max-ticks", type=int, default=80)
-    p.add_argument("--delivery", choices=["any", "fifo"], default="any",
+    p.add_argument("--delivery", choices=DELIVERIES, default="any",
                    help="in-flight delivery order; only --embedding enumerates ordered histories and reads it")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)

@@ -29,6 +29,7 @@ from .synthesis import ForwardingName
 
 EMIT = "emit"
 RECV = "recv"
+DELIVERIES = ("any", "fifo")  # any in-flight message, or the oldest per channel
 
 Bindings = tuple[tuple[str, str], ...]
 
@@ -87,15 +88,6 @@ class Observation:
 class History:
     role: str
     events: tuple[Observation, ...] = ()
-
-    def validate(self) -> None:
-        last = -1
-        for obs in self.events:
-            if obs.role != self.role:
-                raise WellFormednessError(f"history of {self.role!r} contains an event of {obs.role!r}")
-            if obs.tick <= last:
-                raise WellFormednessError(f"history of {self.role!r}: ticks must strictly increase")
-            last = obs.tick
 
 
 @dataclass(frozen=True)
@@ -280,12 +272,14 @@ def emission_candidates(
     for schema in universe.schemas:
         if schema.sender != role:
             continue
-        for kb_source in key_bindings:
-            if not all(k in kb_source for k in schema.keys):
-                continue
-            key = {k: kb_source[k] for k in schema.keys}
-            kb = freeze_bindings(key)
-            candidates = [key]
+        # Each key projection once: nested key sets cover a schema's keys twice.
+        projections = {
+            freeze_bindings({k: source[k] for k in schema.keys})
+            for source in key_bindings
+            if all(k in source for k in schema.keys)
+        }
+        for kb in projections:
+            candidates = [dict(kb)]
             for p in schema.params:
                 if p.key:
                     continue
@@ -352,13 +346,10 @@ class ModelEntry:
 
 @dataclass(frozen=True)
 class Model:
-    role: str
     entries: tuple[ModelEntry, ...]
 
 
-def model_of(
-    role: str, observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapping[str, ForwardingName]
-) -> Model:
+def model_of(observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapping[str, ForwardingName]) -> Model:
     """The model of a role that observed each instance at the paired tick:
     forwards renamed to the message they forward and stripped of the
     forwarding identifier; duplicate knowledge keeps the earliest tick."""
@@ -379,14 +370,14 @@ def model_of(
     entries = tuple(
         ModelEntry(name, bindings, tick) for (name, bindings), tick in sorted(first.items())
     )
-    return Model(role=role, entries=entries)
+    return Model(entries)
 
 
 def project_model(
     v: HistoryVector, role: str, fwd_registry: Mapping[str, ForwardingName]
 ) -> Model:
     """Project a role's history to its model (see :func:`model_of`)."""
-    return model_of(role, ((obs.instance, obs.tick) for obs in v.history(role).events), fwd_registry)
+    return model_of(((obs.instance, obs.tick) for obs in v.history(role).events), fwd_registry)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""Evaluation of event expressions and commitment lifecycles over a role's
-model, and the alignment check between debtor and creditor.
+"""Evaluation of event expressions over a role's model, each commitment's
+lifecycle table (the instances of its five lifecycle states), and alignment,
+which compares the debtor's and the creditor's tables: each role infers a
+commitment's lifecycle from its own observations, and those inferences must be
+compatible.
 
 Instances correlate through shared key parameters. Windows are half-open:
 an instance at timestamp ``t`` satisfies ``[lo, hi]`` when ``lo <= t < hi``,
@@ -22,10 +25,9 @@ from typing import Mapping
 
 from . import commitments as cm
 from .commitments import CommitmentSpec, EventExpr, lifecycle_formula
-from .enactment import Bindings, HistoryVector, Model, kb_agree, project_model
+from .enactment import Bindings, Model, kb_agree
 from .errors import UnboundName
 from .protocol import Uod
-from .synthesis import ForwardingName
 
 INF = math.inf
 
@@ -43,7 +45,6 @@ class EvaluationContext:
     now: int | float
     universe: Uod
     tick_unit: int = 1
-    registry: Mapping[str, CommitmentSpec] | None = None
 
 
 def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
@@ -151,13 +152,9 @@ def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | flo
     raise UnboundName(f"cannot bound expression node {type(expr).__name__}")
 
 
-def lifecycle_instances(kind: str, c: CommitmentSpec, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
-    """Instances of one lifecycle state of ``c`` entailed by the model."""
-    return _eval(lifecycle_formula(kind, c), ctx)
-
-
 def lifecycle_table(c: CommitmentSpec, ctx: EvaluationContext) -> dict[str, tuple[EventInstance, ...]]:
-    return {kind: lifecycle_instances(kind, c, ctx) for kind in cm.LIFECYCLE_KINDS}
+    """The instances of each lifecycle state of ``c`` entailed by the model."""
+    return {kind: _eval(lifecycle_formula(kind, c), ctx) for kind in cm.LIFECYCLE_KINDS}
 
 
 # ---------------------------------------------------------------------------
@@ -183,43 +180,25 @@ class AlignmentResult:
 
 
 def check_alignment_models(
-    debtor_model: Model,
-    creditor_model: Model,
     c: CommitmentSpec,
-    now: int | float,
-    universe: Uod,
-    tick_unit: int = 1,
+    debtor_table: Mapping[str, tuple[EventInstance, ...]],
+    creditor_table: Mapping[str, tuple[EventInstance, ...]],
 ) -> AlignmentResult:
-    debtor_ctx = EvaluationContext(debtor_model, now, universe, tick_unit)
-    creditor_ctx = EvaluationContext(creditor_model, now, universe, tick_unit)
+    """Compare the debtor's and the creditor's :func:`lifecycle_table` of
+    ``c``: the creditor's created/detached/violated inferences must be the
+    debtor's too, and the debtor's discharged/expired must be the creditor's."""
     failures: list[Misalignment] = []
     for kind in CREDITOR_TO_DEBTOR:
-        have = _kbs(lifecycle_instances(kind, c, debtor_ctx))
-        for kb in _kbs(lifecycle_instances(kind, c, creditor_ctx)):
+        have = _kbs(debtor_table[kind])
+        for kb in _kbs(creditor_table[kind]):
             if kb not in have:
                 failures.append(Misalignment(kind, kb, c.debtor))
     for kind in DEBTOR_TO_CREDITOR:
-        have = _kbs(lifecycle_instances(kind, c, creditor_ctx))
-        for kb in _kbs(lifecycle_instances(kind, c, debtor_ctx)):
+        have = _kbs(creditor_table[kind])
+        for kb in _kbs(debtor_table[kind]):
             if kb not in have:
                 failures.append(Misalignment(kind, kb, c.creditor))
     return AlignmentResult(aligned=not failures, misalignments=tuple(failures))
-
-
-def check_alignment(
-    v: HistoryVector,
-    c: CommitmentSpec,
-    now: int | float,
-    universe: Uod,
-    fwd_registry: Mapping[str, ForwardingName],
-    tick_unit: int = 1,
-) -> AlignmentResult:
-    """Decide whether a history vector is aligned with respect to ``c`` at
-    ``now``: the creditor's created/detached/violated inferences must be the
-    debtor's too, and the debtor's discharged/expired must be the creditor's."""
-    debtor_model = project_model(v, c.debtor, fwd_registry)
-    creditor_model = project_model(v, c.creditor, fwd_registry)
-    return check_alignment_models(debtor_model, creditor_model, c, now, universe, tick_unit)
 
 
 def _kbs(instances) -> set[Bindings]:

@@ -37,6 +37,7 @@ from typing import Mapping, Sequence
 
 from .commitments import CommitmentSpec, parse_commitments
 from .enactment import (
+    DELIVERIES,
     EMIT,
     RECV,
     HistoryVector,
@@ -69,6 +70,10 @@ class Scenario:
     seed: int = 0
     key: str = "1"
 
+    def __post_init__(self):
+        if self.delivery not in DELIVERIES:
+            raise WellFormednessError(f"delivery must be one of {DELIVERIES}, not {self.delivery!r}")
+
 
 @dataclass(frozen=True)
 class CommitmentTick:
@@ -96,6 +101,8 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario {path.name} is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    if not isinstance(data, dict):
+        raise WellFormednessError(f"scenario {path.name} must be a JSON object")
     data.update(overrides or {})
     if "protocols" not in data or "protocol" not in data:
         raise WellFormednessError(
@@ -110,15 +117,25 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
     commitments: dict[str, CommitmentSpec] = {}
     for name in data.get("commitments", ()):
         commitments.update(parse_commitments((path.parent / name).read_text(), commitments))
+    policy = data.get("policy", {"kind": "random"})
+    if not isinstance(policy, dict):
+        raise WellFormednessError(f"scenario {path.name}: \"policy\" must be an object, not {policy!r}")
+    numbers = {}
+    for name, default in (("horizon", 20), ("seed", 0)):
+        try:
+            numbers[name] = int(data.get(name, default))
+        except (TypeError, ValueError):
+            raise WellFormednessError(
+                f'scenario {path.name}: "{name}" must be an integer, not {data[name]!r}'
+            ) from None
     return Scenario(
         protocol=protocol,
         registry=registry,
         commitments=tuple(commitments.values()),
-        policy=data.get("policy", {"kind": "random"}),
-        horizon=int(data.get("horizon", 20)),
+        policy=policy,
         delivery=data.get("delivery", "any"),
-        seed=int(data.get("seed", 0)),
         key=str(data.get("key", "1")),
+        **numbers,
     )
 
 
@@ -228,21 +245,16 @@ class Simulation:
     def _report(self, tick: int) -> None:
         models = {}
         for c in self.scenario.commitments:
+            tables = {}
             for role in (c.debtor, c.creditor):
                 if role not in models:
                     models[role] = project_model(self.vector, role, self.fwd_registry)
+                tables[role] = lifecycle_table(c, EvaluationContext(models[role], tick, self.universe))
             lifecycle = {
-                role: {
-                    kind: [dict(inst.key_binding) for inst in instances]
-                    for kind, instances in lifecycle_table(
-                        c, EvaluationContext(models[role], tick, self.universe)
-                    ).items()
-                }
-                for role in (c.debtor, c.creditor)
+                role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
+                for role, table in tables.items()
             }
-            alignment = check_alignment_models(
-                models[c.debtor], models[c.creditor], c, tick, self.universe
-            )
+            alignment = check_alignment_models(c, tables[c.debtor], tables[c.creditor])
             self.result.reports.append(CommitmentTick(tick, c.name, lifecycle, alignment))
 
 

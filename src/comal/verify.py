@@ -45,6 +45,7 @@ from typing import Iterable, Mapping, Sequence
 from . import commitments as cm
 from .commitments import CommitmentSpec, print_event
 from .enactment import (
+    DELIVERIES,
     EMIT,
     RECV,
     HistoryVector,
@@ -62,7 +63,7 @@ from .enactment import (
 from .enactment import knowledge_from as _knowledge_from
 from .errors import BoundExceeded, WellFormednessError
 from .protocol import Protocol, Uod, uod
-from .semantics import check_alignment_models, evaluate, EvaluationContext
+from .semantics import check_alignment_models, evaluate, EvaluationContext, lifecycle_table
 from .synthesis import forwarding_registry
 
 SCALE = 10 ** 9
@@ -98,8 +99,8 @@ class Bound:
             raise WellFormednessError("a bound needs at least one key value")
         if self.max_ticks < 1:
             raise WellFormednessError(f"a bound needs max_ticks >= 1, not {self.max_ticks}")
-        if self.delivery not in ("any", "fifo"):
-            raise WellFormednessError(f"delivery must be 'any' or 'fifo', not {self.delivery!r}")
+        if self.delivery not in DELIVERIES:
+            raise WellFormednessError(f"delivery must be one of {DELIVERIES}, not {self.delivery!r}")
 
 
 @dataclass(frozen=True)
@@ -518,7 +519,10 @@ class AlignmentGraph(StateSpace):
         self.fwd_registry = forwarding_registry(universe)
         self.anchors = _window_anchors(commitments)
         self._model_cache: dict[frozenset, Model] = {}
-        self._verdict_cache: dict[tuple, int] = {}
+        # Lifecycle tables by (commitment, one role's entries, phase): a table
+        # depends on the model alone, so a debtor and a creditor with equal
+        # entries share one.
+        self._table_cache: dict[tuple, dict] = {}
         self._pending_cache: dict[tuple, list[int]] = {}
 
     def build(self) -> None:
@@ -544,10 +548,10 @@ class AlignmentGraph(StateSpace):
     def _with(sets, ri: int, inst: MessageInstance, phase: int):
         return tuple(s | {(inst, phase)} if i == ri else s for i, s in enumerate(sets))
 
-    def _model(self, entries: frozenset, role: str) -> Model:
+    def _model(self, entries: frozenset) -> Model:
         model = self._model_cache.get(entries)
         if model is None:
-            model = model_of(role, ((inst, phase * SCALE) for inst, phase in entries), self.fwd_registry)
+            model = model_of(((inst, phase * SCALE) for inst, phase in entries), self.fwd_registry)
             self._model_cache[entries] = model
         return model
 
@@ -556,17 +560,16 @@ class AlignmentGraph(StateSpace):
         for anchor, offset in self.anchors:
             if anchor is None and offset > now_phase:
                 values.append(offset)
-        for ri, role in enumerate(self.roles):
-            values.extend(self._role_pending(sets[ri], role, now_phase))
+        for entries in sets:
+            values.extend(self._role_pending(entries, now_phase))
         return min(values) if values else None
 
-    def _role_pending(self, entries: frozenset, role: str, now_phase: int) -> list[int]:
+    def _role_pending(self, entries: frozenset, now_phase: int) -> list[int]:
         key = (entries, now_phase)
         cached = self._pending_cache.get(key)
         if cached is not None:
             return cached
-        model = self._model(entries, role)
-        ctx = EvaluationContext(model, now_phase * SCALE, self.universe, SCALE)
+        ctx = EvaluationContext(self._model(entries), now_phase * SCALE, self.universe, SCALE)
         values = []
         for anchor, offset in self.anchors:
             if anchor is None:
@@ -578,29 +581,26 @@ class AlignmentGraph(StateSpace):
         self._pending_cache[key] = values
         return values
 
+    def _table(self, c: CommitmentSpec, entries: frozenset, now_phase: int) -> dict:
+        key = (c.name, entries, now_phase)
+        table = self._table_cache.get(key)
+        if table is None:
+            ctx = EvaluationContext(self._model(entries), now_phase * SCALE, self.universe, SCALE)
+            table = self._table_cache[key] = lifecycle_table(c, ctx)
+        return table
+
     def alignment(self, state) -> list[int]:
         """Each commitment's number of misalignments at ``state``; 0 means
         aligned."""
         sets, now_phase = state
-        out = []
-        for c in self.commitments:
-            debtor_entries = sets[self.role_index[c.debtor]]
-            creditor_entries = sets[self.role_index[c.creditor]]
-            key = (c.name, debtor_entries, creditor_entries, now_phase)
-            cached = self._verdict_cache.get(key)
-            if cached is None:
-                result = check_alignment_models(
-                    self._model(debtor_entries, c.debtor),
-                    self._model(creditor_entries, c.creditor),
-                    c,
-                    now_phase * SCALE,
-                    self.universe,
-                    SCALE,
-                )
-                cached = len(result.misalignments)
-                self._verdict_cache[key] = cached
-            out.append(cached)
-        return out
+        return [
+            len(check_alignment_models(
+                c,
+                self._table(c, sets[self.role_index[c.debtor]], now_phase),
+                self._table(c, sets[self.role_index[c.creditor]], now_phase),
+            ).misalignments)
+            for c in self.commitments
+        ]
 
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
         if start in goal:

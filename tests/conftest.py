@@ -41,6 +41,21 @@ def chan():
 
 
 @pytest.fixture(scope="session")
+def nested_keys():
+    """Two key sets, one inside the other: ``a`` is keyed by k, ``b`` by k and j."""
+    return parse_protocol(
+        """
+        Two {
+          roles A, B
+          parameters out k key, out j key, out x, out y
+          A -> B: a[out k key, out x]
+          B -> A: b[in k key, out j key, out y]
+        }
+        """
+    )
+
+
+@pytest.fixture(scope="session")
 def escrow_ordering():
     return parse_protocol(fixture_text("escrow_ordering.bspl"))
 

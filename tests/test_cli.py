@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import shutil
 
+import pytest
+
 from comal.cli import main
 from comal.protocol import canonicalize, parse_protocol
 
@@ -235,3 +237,21 @@ def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
     code, _, err = run(capsys, "simulate", scenario)
     assert code == 1
     assert "protocols" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"seed": "abc"}, {"horizon": "x"}, {"horizon": None}, {"policy": "random"}, {"delivery": "bogus"}, "list"],
+    ids=["seed", "horizon", "horizon-null", "policy-string", "delivery", "top-level-list"],
+)
+def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path, change):
+    data = json.loads((fixtures_dir / "scenario_direct_order.json").read_text())
+    data["protocols"] = [str(fixtures_dir / name) for name in data["protocols"]]
+    data["commitments"] = [str(fixtures_dir / name) for name in data["commitments"]]
+    data = [data] if change == "list" else {**data, **change}
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", scenario)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err

@@ -18,6 +18,7 @@ from comal.enactment import (
     observation_to_json,
     project_model,
     trace_lines,
+    uniform_key_bindings,
 )
 from comal.errors import UnknownForwardName, WellFormednessError
 from comal.protocol import parse_protocols, uod
@@ -245,3 +246,11 @@ def test_prefix_closure_on_random_runs(ordering, escrow_ordering):
             before = set(project_model(prefix, role, {}).entries)
             after = set(project_model(result.vector, role, {}).entries)
             assert before <= after
+
+
+def test_emission_candidates_distinct_with_nested_key_sets(nested_keys):
+    universe = uod(nested_keys)
+    key_bindings = uniform_key_bindings(universe, ("1",))
+    assert key_bindings == [{"k": "1"}, {"k": "1", "j": "1"}]
+    candidates = enabled_emissions(HistoryVector.empty(universe.roles), universe, "A", key_bindings)
+    assert [inst.schema for inst in candidates] == ["a"]

@@ -11,7 +11,7 @@ from comal.semantics import (
     check_alignment_models,
     deadline,
     evaluate,
-    lifecycle_instances,
+    lifecycle_table,
 )
 
 ORDER_TEXT = """
@@ -31,7 +31,7 @@ def entry(name, tick, **bindings):
 
 
 def model(role, *entries):
-    return Model(role, tuple(entries))
+    return Model(tuple(entries))
 
 
 def ctx(universe, m, now, unit=1):
@@ -143,16 +143,16 @@ def test_lifecycle_progression(ordering, purchase):
         entry("pay", 4, oID="1", pID="7"),
     )
     merchant = model("M", entry("quote", 1, oID="1", item="b", price="2"))
-    assert kbs(lifecycle_instances("detached", purchase, ctx(universe, customer, 4)))
-    assert not kbs(lifecycle_instances("detached", purchase, ctx(universe, merchant, 4)))
-    assert kbs(lifecycle_instances("created", purchase, ctx(universe, merchant, 4)))
+    assert kbs(lifecycle_table(purchase, ctx(universe, customer, 4))["detached"])
+    assert not kbs(lifecycle_table(purchase, ctx(universe, merchant, 4))["detached"])
+    assert kbs(lifecycle_table(purchase, ctx(universe, merchant, 4))["created"])
 
 
 def test_lifecycle_empty_model(ordering, purchase):
     universe = uod(ordering)
     empty = model("C")
     for kind in ("created", "detached", "discharged", "expired", "violated"):
-        assert lifecycle_instances(kind, purchase, ctx(universe, empty, 99)) == ()
+        assert lifecycle_table(purchase, ctx(universe, empty, 99))[kind] == ()
 
 
 def test_alignment_on_identical_models(ordering, purchase):
@@ -163,14 +163,14 @@ def test_alignment_on_identical_models(ordering, purchase):
         entry("pay", 3, oID="1", pID="7"),
     )
     for now in (3, 12, 40):
-        result = check_alignment_models(shared, shared, purchase, now, universe)
+        table = lifecycle_table(purchase, ctx(universe, shared, now))
+        result = check_alignment_models(purchase, table, table)
         assert result.aligned
 
 
 def test_alignment_from_history_vector(fixtures_dir, escrow_purchase):
-    from comal.enactment import EMIT, RECV, HistoryVector, MessageInstance, Observation
+    from comal.enactment import EMIT, RECV, HistoryVector, MessageInstance, Observation, project_model
     from comal.protocol import parse_protocols
-    from comal.semantics import check_alignment
     from comal.synthesis import forwarding_registry
     from comal.protocol import uod as make_uod
 
@@ -182,16 +182,24 @@ def test_alignment_from_history_vector(fixtures_dir, escrow_purchase):
     forward = MessageInstance.make(
         universe.schema("fwdCMPayEscrow"), {"oID": "1", "pID": "7", "fwdCMPayEscrowID": "9"}
     )
+
+    def alignment_at(v, now):
+        tables = [
+            lifecycle_table(escrow_purchase, ctx(universe, project_model(v, role, fwd), now))
+            for role in (escrow_purchase.debtor, escrow_purchase.creditor)
+        ]
+        return check_alignment_models(escrow_purchase, *tables)
+
     v = HistoryVector.empty(universe.roles)
     for tick, direction, inst in [
         (1, EMIT, quote), (2, RECV, quote), (3, EMIT, pay), (4, RECV, pay),
     ]:
         v = v.extend(Observation(inst, direction, tick))
-    early = check_alignment(v, escrow_purchase, 4, universe, fwd)
+    early = alignment_at(v, 4)
     assert not early.aligned  # the merchant cannot see the escrow payment yet
     for tick, direction, inst in [(5, EMIT, forward), (6, RECV, forward)]:
         v = v.extend(Observation(inst, direction, tick))
-    late = check_alignment(v, escrow_purchase, 6, universe, fwd)
+    late = alignment_at(v, 6)
     assert late.aligned
 
 
@@ -203,7 +211,11 @@ def test_alignment_detects_creditor_only_detach(ordering, purchase):
         entry("pay", 3, oID="1", pID="7"),
     )
     merchant = model("M", entry("quote", 1, oID="1", item="b", price="2"))
-    result = check_alignment_models(merchant, customer, purchase, 3, universe)
+    result = check_alignment_models(
+        purchase,
+        lifecycle_table(purchase, ctx(universe, merchant, 3)),
+        lifecycle_table(purchase, ctx(universe, customer, 3)),
+    )
     assert not result.aligned
     assert {m.kind for m in result.misalignments} == {"detached"}
     assert result.misalignments[0].missing_role == "M"
@@ -277,8 +289,8 @@ def test_lifecycle_containment_on_running_models(
                 for role in (c.debtor, c.creditor):
                     m = project_model(result.vector, role, fwd)
                     context = ctx(universe, m, now)
-                    created = kbs(lifecycle_instances("created", c, context))
-                    detached = kbs(lifecycle_instances("detached", c, context))
+                    created = kbs(lifecycle_table(c, context)["created"])
+                    detached = kbs(lifecycle_table(c, context)["detached"])
                     partial = kbs(evaluate(And(c.detach, c.discharge), context))
                     assert detached <= created
                     assert partial <= detached
@@ -405,7 +417,7 @@ def test_evaluate_matches_brute_force_oracle():
         universe = _random_universe(rng)
         entries = _random_entries(rng, universe)
         formula = _random_oracle_formula(rng, rng.randint(1, 3))
-        context = EvaluationContext(Model("A", entries), 40, universe)
+        context = EvaluationContext(Model(entries), 40, universe)
         ours = {(i.key_binding, i.timestamp) for i in evaluate(formula, context)}
         reference = oracle_eval(formula, entries, universe, 1)
         assert ours == reference, f"case {case}: {formula}"

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from comal.enactment import trace_lines
-from comal.errors import ScriptedMoveNotEnabled
+from comal.errors import ScriptedMoveNotEnabled, WellFormednessError
 from comal.simulate import Scenario, load_scenario, report_to_json, run_scenario
 
 
@@ -76,6 +77,17 @@ def test_scripted_move_not_enabled(fixtures_dir, ordering, purchase):
         run_scenario(scenario)
 
 
+def test_scenario_rejects_unknown_delivery(ordering, purchase):
+    with pytest.raises(WellFormednessError):
+        Scenario(
+            protocol=ordering,
+            registry={ordering.name: ordering},
+            commitments=(purchase,),
+            policy={"kind": "random"},
+            delivery="FIFO",
+        )
+
+
 def test_zero_horizon_is_vacuously_aligned(ordering, purchase):
     scenario = Scenario(
         protocol=ordering,
@@ -128,3 +140,46 @@ def test_trace_is_emitted_in_trace_format(fixtures_dir):
         "bindings": {"oID": "1", "item": "quote.item", "price": "quote.price"},
     }
     assert {line["dir"] for line in lines} == {"emit", "recv"}
+
+
+# SHA-256 of what ``comal simulate --json --trace`` writes (trace lines, then
+# report lines) for seeded runs at horizon 40; "scenario-policy-delivery-seed".
+SIM_PINNED = {
+    "direct_order-random-any-2": "6730b08cdeba1134c5a22ca8b2340ed3064c4f70e685f52eedde3b4ae1c8c79b",
+    "direct_order-random-any-5": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
+    "direct_order-random-fifo-2": "6730b08cdeba1134c5a22ca8b2340ed3064c4f70e685f52eedde3b4ae1c8c79b",
+    "direct_order-random-fifo-5": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
+    "direct_order-aligner-any-2": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
+    "direct_order-aligner-any-5": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
+    "direct_order-aligner-fifo-2": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
+    "direct_order-aligner-fifo-5": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
+    "escrow_payment-random-any-2": "1c0b654b8451ea39d16099b78530475c6bb453fcd8039efc4e862570a40e5a5e",
+    "escrow_payment-random-any-5": "e5b9708c2d66868a1ccc80c3fd30e966fb45ba667086100597a3c9313298a152",
+    "escrow_payment-random-fifo-2": "0ad157bbc28453c66a07afcf549a2c966cccc32501d6990607b67a84140a59d5",
+    "escrow_payment-random-fifo-5": "850747e1a7fb58b90ad53c3361718fa03ba80bea42e5ceb42092e33bbba864b8",
+    "escrow_payment-aligner-any-2": "837ff662350f3fb683c46ef47578cffee1990caa9e7e1748d69402ccabdc2cd2",
+    "escrow_payment-aligner-any-5": "950afc2c742e95118627fa4ec722e6a6861158530c5d590f0c34c24198c637c3",
+    "escrow_payment-aligner-fifo-2": "837ff662350f3fb683c46ef47578cffee1990caa9e7e1748d69402ccabdc2cd2",
+    "escrow_payment-aligner-fifo-5": "950afc2c742e95118627fa4ec722e6a6861158530c5d590f0c34c24198c637c3",
+    "nested_transfer-random-any-2": "64cabdc08c81b699a23bc0e9f6b5f1669b814a3758b14a1d43a374ab09c04c81",
+    "nested_transfer-random-any-5": "6b1dea7b74eaf2bfdd7ac9a9f514371cfefdfe6a39517a22c673b0ccbc6a8983",
+    "nested_transfer-random-fifo-2": "5afe46ccafc728dc895fc6aff25730b14b2e2a8e0df1230655f1a6b2dcfeb55f",
+    "nested_transfer-random-fifo-5": "5cd1926658d8f510bed49561feabacc7eb81fe94b1efdbb48e311a40e22cff6f",
+    "nested_transfer-aligner-any-2": "b2efb0655da3cb81483c8344bf2a29d0c4322ccd818289e7175ba7dc842a8c58",
+    "nested_transfer-aligner-any-5": "b08410982549616860906db513a84e35e26065753968b19bd5bf0b4b034afa72",
+    "nested_transfer-aligner-fifo-2": "b2efb0655da3cb81483c8344bf2a29d0c4322ccd818289e7175ba7dc842a8c58",
+    "nested_transfer-aligner-fifo-5": "b08410982549616860906db513a84e35e26065753968b19bd5bf0b4b034afa72",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIM_PINNED))
+def test_pinned_simulation_bytes(case, fixtures_dir):
+    name, policy, delivery, seed = case.split("-")
+    scenario = load_scenario(
+        fixtures_dir / f"scenario_{name}.json",
+        {"policy": {"kind": policy}, "delivery": delivery, "seed": int(seed), "horizon": 40},
+    )
+    result = run_scenario(scenario)
+    lines = list(trace_lines(result.vector))
+    lines += [json.dumps(report_to_json(row), sort_keys=True) for row in result.reports]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SIM_PINNED[case]

@@ -7,16 +7,21 @@ from pathlib import Path
 import pytest
 
 from comal.commitments import parse_commitments
-from comal.enactment import EMIT, RECV, check_viable, deliverable, enabled_emissions
+from comal.enactment import EMIT, RECV, check_viable, deliverable, enabled_emissions, model_of
 from comal.errors import BoundExceeded, UnknownForwardName, WellFormednessError
 from comal.protocol import parse_protocol, parse_protocols, uod
+from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
 from comal.synthesis import (
     SynthesisMode,
     compose_operationalization,
+    forwarding_registry,
     synthesize_alignment_protocol,
 )
 from comal.verify import (
+    SCALE,
+    AlignmentGraph,
     Bound,
+    KnowledgeGraph,
     check_alignment_reachability,
     check_embedding,
     check_liveness,
@@ -351,3 +356,40 @@ def test_alignment_rejects_unregistered_forward():
     )
     with pytest.raises(UnknownForwardName):
         check_alignment_reachability(odd, [], BOUND, punctual=True)
+
+
+def test_nested_key_sets_give_one_edge_per_move(nested_keys):
+    graph = KnowledgeGraph(uod(nested_keys), BOUND, nested_keys.out_params)
+    graph.build()
+    assert len(graph.states) == 5
+    assert sum(len(out) for out in graph.edges) == 4
+
+
+@pytest.mark.parametrize("case", ["OrderingOp", "bare-escrow"])
+def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_ordering, escrow_commitments):
+    """The graph caches one lifecycle table per (commitment, entries, phase),
+    shared by debtor and creditor; every state's counts must equal those of
+    tables evaluated afresh from each role's own entries."""
+    if case == "OrderingOp":
+        protocol, specs, registry = op_registry["OrderingOp"], [purchase], op_registry
+    else:
+        protocol, specs, registry = escrow_ordering, [escrow_commitments["EscrowPurchase"]], None
+    universe = uod(protocol, registry)
+    fwd = forwarding_registry(universe)
+    graph = AlignmentGraph(universe, specs, BOUND, punctual=True)
+    graph.build()
+
+    def fresh_table(c, entries, phase):
+        model = model_of(((inst, p * SCALE) for inst, p in entries), fwd)
+        return lifecycle_table(c, EvaluationContext(model, phase * SCALE, universe, SCALE))
+
+    for sets, phase in graph.states:
+        expected = [
+            len(check_alignment_models(
+                c,
+                fresh_table(c, sets[graph.role_index[c.debtor]], phase),
+                fresh_table(c, sets[graph.role_index[c.creditor]], phase),
+            ).misalignments)
+            for c in specs
+        ]
+        assert graph.alignment((sets, phase)) == expected
