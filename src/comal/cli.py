@@ -301,6 +301,10 @@ def cmd_verify(args) -> int:
                       "restriction (bound exceeded); informational only")
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
+        graph = exc.partial
+        if graph is not None:
+            print(f"partial {type(graph).__name__}: {len(graph.states)} states, "
+                  f"{graph.edge_count()} edges, depth {graph.depth()}", file=sys.stderr)
         return EXIT_BOUND_EXCEEDED
     return exit_code
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownForwardName, WellFormednessError
@@ -61,7 +62,7 @@ class MessageInstance:
             keys=tuple(sorted(schema.keys)),
         )
 
-    @property
+    @cached_property  # kept in the instance __dict__, outside eq, hash and repr
     def key_binding(self) -> Bindings:
         keys = set(self.keys)
         return tuple(item for item in self.bindings if item[0] in keys)

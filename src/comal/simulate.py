@@ -166,21 +166,21 @@ class Simulation:
     # -- policies ----------------------------------------------------------
 
     def _run_scripted(self, moves: Sequence[Mapping]) -> None:
-        moves = sorted(moves, key=lambda m: int(m["tick"]))
-        ticks = [int(m["tick"]) for m in moves]
+        if not isinstance(moves, (list, tuple)):
+            raise WellFormednessError(f"scripted \"moves\" must be a list, not {moves!r}")
+        moves = sorted(((_scripted_tick(m), m) for m in moves), key=lambda pair: pair[0])
+        ticks = [tick for tick, _ in moves]
         if len(set(ticks)) != len(ticks):
             raise WellFormednessError("scripted moves must occupy distinct ticks")
         next_move = 0
         for tick in range(1, self.scenario.horizon + 1):
-            if next_move < len(moves) and int(moves[next_move]["tick"]) == tick:
-                self._apply_scripted(moves[next_move], tick)
+            if next_move < len(moves) and moves[next_move][0] == tick:
+                self._apply_scripted(moves[next_move][1], tick)
                 next_move += 1
             self._report(tick)
         if next_move < len(moves):
-            move = moves[next_move]
-            raise ScriptedMoveNotEnabled(
-                f"move at tick {move['tick']} is beyond the horizon", int(move["tick"]), move
-            )
+            tick, move = moves[next_move]
+            raise ScriptedMoveNotEnabled(f"move at tick {tick} is beyond the horizon", tick, move)
 
     def _apply_scripted(self, move: Mapping, tick: int) -> None:
         role = move["role"]
@@ -256,6 +256,23 @@ class Simulation:
             }
             alignment = check_alignment_models(c, tables[c.debtor], tables[c.creditor])
             self.result.reports.append(CommitmentTick(tick, c.name, lifecycle, alignment))
+
+
+def _scripted_tick(move) -> int:
+    """The tick of a scripted move, once the move is known to be an object
+    naming a tick, a role, a direction and a schema; ticks start at 1."""
+    if not isinstance(move, Mapping):
+        raise WellFormednessError(f"a scripted move must be an object, not {move!r}")
+    for name in ("tick", "role", "dir", "schema"):
+        if name not in move:
+            raise WellFormednessError(f"scripted move {move!r} has no \"{name}\"")
+    try:
+        tick = int(move["tick"])
+    except (TypeError, ValueError):
+        tick = 0
+    if tick < 1:
+        raise WellFormednessError(f'scripted move {move!r}: "tick" must be an integer from 1, not {move["tick"]!r}')
+    return tick
 
 
 def run_scenario(scenario: Scenario) -> SimulationResult:

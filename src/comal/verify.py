@@ -20,6 +20,16 @@ encoding. Their moves, like the simulator's, are the ``emission_candidates``
 of each role's knowledge and a delivery of each ``in_flight`` message, both
 from ``enactment``.
 
+A role's emission moves depend only on the set of instances it has observed,
+and few such sets recur across many states, so each graph caches them, keyed
+on (role index, that set): the knowledge-set graph's own frozenset, the timed
+graph's instances with phases stripped, the ordered graph's sequence as a
+set. Role knowledge is rebuilt and candidates are generated only on a miss.
+The cache lives on one graph instance and dies with it; a moves list depends
+on the universe and key bindings too, so it is never shared across graphs.
+The observation budget is checked before the cache, and deliveries are
+computed afresh for every state.
+
 Safety and liveness work on knowledge-set states: a role's enabled moves and
 the two verdicts depend only on what each role knows, not on the order it
 learned it, so states collapse to per-role knowledge sets. Theorem 1 builds
@@ -38,6 +48,7 @@ gates lapse moves on empty channels and no enabled forwarding emissions.
 
 from __future__ import annotations
 
+import logging
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -65,6 +76,8 @@ from .errors import BoundExceeded, WellFormednessError
 from .protocol import Protocol, Uod, uod
 from .semantics import check_alignment_models, evaluate, EvaluationContext, lifecycle_table
 from .synthesis import forwarding_registry
+
+log = logging.getLogger(__name__)
 
 SCALE = 10 ** 9
 
@@ -99,6 +112,8 @@ class Bound:
             raise WellFormednessError("a bound needs at least one key value")
         if self.max_ticks < 1:
             raise WellFormednessError(f"a bound needs max_ticks >= 1, not {self.max_ticks}")
+        if self.max_states < 1:
+            raise WellFormednessError(f"a bound needs max_states >= 1, not {self.max_states}")
         if self.delivery not in DELIVERIES:
             raise WellFormednessError(f"delivery must be one of {DELIVERIES}, not {self.delivery!r}")
 
@@ -119,14 +134,16 @@ def _instance_order(inst: MessageInstance):
 def is_complete(emitted: Sequence[MessageInstance], public_out: Sequence[str]) -> bool:
     """Every key binding initiated by the emitted instances binds every public
     ``out`` parameter."""
-    for kb in {inst.key_binding for inst in emitted}:
-        for param in public_out:
-            if not any(
-                inst.binding(param) is not None and kb_agree(inst.key_binding, kb)
-                for inst in emitted
-            ):
-                return False
-    return True
+    initiated: set = set()
+    binders: dict[str, set] = {param: set() for param in public_out}
+    for inst in emitted:
+        initiated.add(inst.key_binding)
+        for param, _ in inst.bindings:
+            if param in binders:
+                binders[param].add(inst.key_binding)
+    return all(
+        any(kb_agree(binder, kb) for binder in binders[param]) for kb in initiated for param in public_out
+    )
 
 
 def _move_json(move: tuple, tick: int) -> dict:
@@ -163,25 +180,35 @@ class StateSpace:
         self.parents: list[tuple[int, tuple] | None] = []
         self.edges: list[list[tuple[tuple, int]]] = []
         self.index: dict = {}
+        # Emission moves by (role index, instances that role observed).
+        self._emission_cache: dict[tuple[int, frozenset], list[tuple[int, tuple]]] = {}
+        self.cache_hits = 0
 
     def _explore(self, initial, stop=None) -> None:
         """Enumerate from ``initial``; ``stop()`` is asked before expanding each
         state, and ``_found`` is told of every new state."""
-        self._add(initial, None)
-        frontier = [0]
-        while frontier:
-            next_frontier: list[int] = []
-            for sid in frontier:
-                if stop is not None and stop():
-                    return
-                for move, succ in self._successors(self.states[sid]):
-                    tid = self.index.get(succ)
-                    if tid is None:
-                        tid = self._add(succ, (sid, move))
-                        next_frontier.append(tid)
-                        self._found(sid, tid, move)
-                    self.edges[sid].append((move, tid))
-            frontier = next_frontier
+        try:
+            self._add(initial, None)
+            frontier = [0]
+            while frontier:
+                next_frontier: list[int] = []
+                for sid in frontier:
+                    if stop is not None and stop():
+                        return
+                    for move, succ in self._successors(self.states[sid]):
+                        tid = self.index.get(succ)
+                        if tid is None:
+                            tid = self._add(succ, (sid, move))
+                            next_frontier.append(tid)
+                            self._found(sid, tid, move)
+                        self.edges[sid].append((move, tid))
+                frontier = next_frontier
+        finally:
+            log.info(
+                "%s: %d states, %d edges, %d candidate-cache entries, %d hits",
+                type(self).__name__, len(self.states), self.edge_count(),
+                len(self._emission_cache), self.cache_hits,
+            )
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         pass
@@ -197,22 +224,48 @@ class StateSpace:
         return sid
 
     def _moves(
-        self, known: Sequence[Sequence[MessageInstance]], fifo: bool = False
+        self,
+        known: Sequence[Sequence[MessageInstance]],
+        observed: Sequence[frozenset],
+        fifo: bool = False,
     ) -> list[tuple[int, tuple]]:
         """Emission candidates per role while the observation budget lasts, then
         a delivery of each in-flight instance. ``known[i]`` is what role ``i``
-        observed, in the order that sets the order of deliveries; each move
-        comes with the index of the role that observes it. Only the timed graph
-        asks past the budget: the others stop there."""
+        observed, in the order that sets the order of deliveries, and
+        ``observed[i]`` the same instances as a set; each move comes with the
+        index of the role that observes it. Only the timed graph asks past the
+        budget: the others stop there."""
         moves = []
         if sum(map(len, known)) < self.bound.max_ticks:
-            for ri, role in enumerate(self.roles):
-                knowledge = _knowledge_from(known[ri], role)
-                for inst in emission_candidates(knowledge, self.universe, role, self.key_bindings):
-                    moves.append((ri, (EMIT, role, inst)))
+            for ri, seen in enumerate(observed):
+                moves.extend(self._emissions(ri, seen))
         for inst in in_flight(self.roles, known, fifo):
             moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
         return moves
+
+    def _emissions(self, ri: int, seen: frozenset) -> list[tuple[int, tuple]]:
+        """Role ``ri``'s emission moves after observing ``seen``, cached per
+        graph. Knowledge is built in set order: no ``RoleKnowledge`` answer
+        depends on order, and ``emission_candidates`` sorts its output."""
+        key = (ri, seen)
+        moves = self._emission_cache.get(key)
+        if moves is not None:
+            self.cache_hits += 1
+            return moves
+        role = self.roles[ri]
+        knowledge = _knowledge_from(seen, role)
+        moves = self._emission_cache[key] = [
+            (ri, (EMIT, role, inst))
+            for inst in emission_candidates(knowledge, self.universe, role, self.key_bindings)
+        ]
+        return moves
+
+    def edge_count(self) -> int:
+        return sum(map(len, self.edges))
+
+    def depth(self) -> int:
+        """Moves to the last state found, the deepest in breadth-first order."""
+        return len(self._trail(len(self.states) - 1)) if self.states else 0
 
     def _trail(self, state_id: int) -> list[tuple]:
         """The moves from the initial state to ``state_id``."""
@@ -262,7 +315,7 @@ class KnowledgeGraph(StateSpace):
         if sum(map(len, state)) >= self.bound.max_ticks:
             return []
         known = [sorted(s, key=_instance_order) for s in state]
-        return [(move, self._with(state, ri, move[2])) for ri, move in self._moves(known)]
+        return [(move, self._with(state, ri, move[2])) for ri, move in self._moves(known, state)]
 
     @staticmethod
     def _with(state, ri: int, inst: MessageInstance):
@@ -398,7 +451,7 @@ class EnactmentGraph(StateSpace):
     def _successors(self, state):
         if sum(map(len, state)) >= self.bound.max_ticks:
             return []
-        moves = self._moves(state, fifo=self.bound.delivery == "fifo")
+        moves = self._moves(state, [frozenset(s) for s in state], fifo=self.bound.delivery == "fifo")
         return [(move, self._with(state, ri, move[2])) for ri, move in moves]
 
     @staticmethod
@@ -530,7 +583,8 @@ class AlignmentGraph(StateSpace):
 
     def _successors(self, state):
         sets, now_phase = state
-        moves = self._moves([sorted((inst for inst, _ in s), key=_instance_order) for s in sets])
+        observed = [frozenset(inst for inst, _ in s) for s in sets]
+        moves = self._moves([sorted(s, key=_instance_order) for s in observed], observed)
         out = [(move, (self._with(sets, ri, move[2], now_phase), now_phase)) for ri, move in moves]
         lapse_value = self._next_boundary(sets, now_phase)
         if lapse_value is not None and self._lapse_allowed(moves):

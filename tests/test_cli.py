@@ -15,6 +15,15 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def direct_order(fixtures_dir) -> dict:
+    """The direct-order scenario, its file names made absolute so that an
+    edited copy can be written anywhere."""
+    data = json.loads((fixtures_dir / "scenario_direct_order.json").read_text())
+    data["protocols"] = [str(fixtures_dir / name) for name in data["protocols"]]
+    data["commitments"] = [str(fixtures_dir / name) for name in data["commitments"]]
+    return data
+
+
 def test_parse_ok(capsys, fixtures_dir):
     code, out, _ = run(capsys, "parse", fixtures_dir / "ordering.bspl", fixtures_dir / "purchase.cupid")
     assert code == 0
@@ -205,7 +214,8 @@ def test_verify_unknown_input_protocol_is_an_error(capsys, fixtures_dir):
 
 def test_verify_zero_bound_is_an_error(capsys, fixtures_dir):
     for flags, toy in ((("--safety", "--bound-keys", "0"), "unsafe_toy"),
-                       (("--liveness", "--max-ticks", "0"), "stuck_toy")):
+                       (("--liveness", "--max-ticks", "0"), "stuck_toy"),
+                       (("--safety", "--max-states", "0"), "unsafe_toy")):
         code, out, err = run(capsys, "verify", *flags, fixtures_dir / f"{toy}.bspl")
         assert code == 1
         assert out == ""
@@ -241,13 +251,13 @@ def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "change",
-    [{"seed": "abc"}, {"horizon": "x"}, {"horizon": None}, {"policy": "random"}, {"delivery": "bogus"}, "list"],
-    ids=["seed", "horizon", "horizon-null", "policy-string", "delivery", "top-level-list"],
+    [{"seed": "abc"}, {"horizon": "x"}, {"horizon": None}, {"policy": "random"}, {"delivery": "bogus"}, "list",
+     {"policy": {"kind": "scripted", "moves": 5}}, {"policy": {"kind": "scripted", "moves": [5]}}],
+    ids=["seed", "horizon", "horizon-null", "policy-string", "delivery", "top-level-list",
+         "moves-not-list", "move-not-object"],
 )
 def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path, change):
-    data = json.loads((fixtures_dir / "scenario_direct_order.json").read_text())
-    data["protocols"] = [str(fixtures_dir / name) for name in data["protocols"]]
-    data["commitments"] = [str(fixtures_dir / name) for name in data["commitments"]]
+    data = direct_order(fixtures_dir)
     data = [data] if change == "list" else {**data, **change}
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(data))
@@ -255,3 +265,39 @@ def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path,
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", ["tick", "role", "schema", "dir", {"tick": "x"}, {"tick": None}, {"tick": 0}],
+                         ids=["tick", "role", "schema", "dir", "tick-string", "tick-null", "tick-zero"])
+def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_path, change):
+    data = direct_order(fixtures_dir)
+    move = data["policy"]["moves"][0]
+    if isinstance(change, str):
+        del move[change]
+    else:
+        move.update(change)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", scenario)
+    assert code == 1
+    assert out == ""
+    assert "error: scripted move" in err and "Traceback" not in err
+
+
+def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
+    code, out, err = run(
+        capsys,
+        "verify",
+        "--theorem1",
+        fixtures_dir / "escrow_ordering_op.bspl",
+        "--protocol", "EscrowOrderingOp",
+        "--input", "EscrowOrdering",
+        "--max-states", "500",
+        "--json",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "bound exceeded: more than 500 states",
+        "partial KnowledgeGraph: 500 states, 1314 edges, depth 10",
+    ]

@@ -254,3 +254,10 @@ def test_emission_candidates_distinct_with_nested_key_sets(nested_keys):
     assert key_bindings == [{"k": "1"}, {"k": "1", "j": "1"}]
     candidates = enabled_emissions(HistoryVector.empty(universe.roles), universe, "A", key_bindings)
     assert [inst.schema for inst in candidates] == ["a"]
+
+
+def test_key_binding_cache_leaves_identity_alone(order_universe):
+    fresh = instance(order_universe, "quote", oID="1", item="book", price="10")
+    used = instance(order_universe, "quote", oID="1", item="book", price="10")
+    assert used.key_binding == (("oID", "1"),)
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)

@@ -2,12 +2,24 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
 from comal.commitments import parse_commitments
-from comal.enactment import EMIT, RECV, check_viable, deliverable, enabled_emissions, model_of
+from comal.enactment import (
+    EMIT,
+    RECV,
+    check_viable,
+    deliverable,
+    emission_candidates,
+    enabled_emissions,
+    in_flight,
+    kb_agree,
+    knowledge_from,
+    model_of,
+)
 from comal.errors import BoundExceeded, UnknownForwardName, WellFormednessError
 from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
@@ -21,6 +33,7 @@ from comal.verify import (
     SCALE,
     AlignmentGraph,
     Bound,
+    EnactmentGraph,
     KnowledgeGraph,
     check_alignment_reachability,
     check_embedding,
@@ -166,7 +179,7 @@ def test_ordered_moves_match_simulator(name, delivery, op_registry, chan):
 
 
 @pytest.mark.parametrize(
-    "fields", ({"key_values": ()}, {"max_ticks": 0}, {"delivery": "unordered"})
+    "fields", ({"key_values": ()}, {"max_ticks": 0}, {"delivery": "unordered"}, {"max_states": 0})
 )
 def test_bound_rejects_empty_or_unknown_limits(fields):
     with pytest.raises(WellFormednessError):
@@ -393,3 +406,143 @@ def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_o
             for c in specs
         ]
         assert graph.alignment((sets, phase)) == expected
+
+
+def _uncached_moves(graph, known, observed, fifo=False):
+    """``StateSpace._moves`` without the per-graph cache: every role's
+    knowledge rebuilt and its candidates generated for every state."""
+    moves = []
+    if sum(map(len, known)) < graph.bound.max_ticks:
+        for ri, role in enumerate(graph.roles):
+            knowledge = knowledge_from(known[ri], role)
+            for inst in emission_candidates(knowledge, graph.universe, role, graph.key_bindings):
+                moves.append((ri, (EMIT, role, inst)))
+    for inst in in_flight(graph.roles, known, fifo):
+        moves.append((graph.role_index[inst.receiver], (RECV, inst.receiver, inst)))
+    return moves
+
+
+def _cached_graph(case, op_registry, chan, escrow_ordering, escrow_commitments, purchase):
+    kind, name, setting = case
+    protocol, registry = {
+        "Ordering": (op_registry["Ordering"], op_registry),
+        "OrderingOp": (op_registry["OrderingOp"], op_registry),
+        "EscrowOrdering": (escrow_ordering, None),
+        "Chan": (chan, None),
+    }[name]
+    universe = uod(protocol, registry)
+    if kind == "knowledge":
+        graph = KnowledgeGraph(universe, Bound(key_values=setting), protocol.out_params)
+    elif kind == "ordered":
+        graph = EnactmentGraph(universe, Bound(delivery=setting))
+    else:
+        specs = [purchase] if name == "OrderingOp" else [escrow_commitments["EscrowPurchase"]]
+        graph = AlignmentGraph(universe, specs, Bound(max_ticks=setting), punctual=True)
+    graph.build()
+    return graph
+
+
+# (graph, protocol, key values | delivery | max_ticks). At max_ticks 3 the
+# timed graph goes on delivering and lapsing from knowledge sets whose
+# emission moves were cached while the budget lasted.
+CACHE_CASES = [
+    *(("knowledge", name, keys) for name in ("Ordering", "OrderingOp", "EscrowOrdering") for keys in (("1",), ("1", "2"))),
+    *(("ordered", name, delivery) for name in ("Ordering", "OrderingOp", "Chan") for delivery in ("any", "fifo")),
+    ("alignment", "OrderingOp", 80),
+    ("alignment", "OrderingOp", 3),
+    ("alignment", "EscrowOrdering", 80),
+]
+
+
+@pytest.mark.parametrize("case", CACHE_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_cached_successors_match_uncached(
+    case, monkeypatch, op_registry, chan, escrow_ordering, escrow_commitments, purchase
+):
+    """Every state's successors, and the edges the build recorded, are those of
+    a successor function that rebuilds knowledge and candidates each time."""
+    graph = _cached_graph(case, op_registry, chan, escrow_ordering, escrow_commitments, purchase)
+    cached = [graph._successors(state) for state in graph.states]
+    monkeypatch.setattr(graph, "_moves", lambda *args, **kwargs: _uncached_moves(graph, *args, **kwargs))
+    for sid, state in enumerate(graph.states):
+        uncached = graph._successors(state)
+        assert cached[sid] == uncached, sid
+        assert graph.edges[sid] == [(move, graph.index[succ]) for move, succ in uncached], sid
+
+
+def test_candidates_generated_once_per_role_and_knowledge_set(monkeypatch, op_registry):
+    calls = []
+
+    def counted(knowledge, universe, role, key_bindings):
+        calls.append((role, frozenset(knowledge.instances)))
+        return emission_candidates(knowledge, universe, role, key_bindings)
+
+    monkeypatch.setattr("comal.verify.emission_candidates", counted)
+    protocol = op_registry["OrderingOp"]
+    graph = KnowledgeGraph(uod(protocol, op_registry), Bound(key_values=("1", "2")), protocol.out_params)
+    graph.build()
+    assert len(calls) == len(set(calls)) == len(graph._emission_cache)
+    assert graph.cache_hits > len(calls)
+
+
+def test_graphs_over_different_protocols_share_no_moves():
+    """Two protocols with the same roles and the same initial knowledge: a cache
+    shared between graphs would hand the second one the first one's moves."""
+    twins = [
+        parse_protocol("One { roles A, B parameters out k key, out x A -> B: m[out k key, out x] }"),
+        parse_protocol(
+            """
+            Two {
+              roles A, B
+              parameters out k key, out y, out z
+              A -> B: n[out k key, out y]
+              B -> A: r[in k key, in y, out z]
+            }
+            """
+        ),
+    ]
+
+    def built(p):
+        graph = KnowledgeGraph(uod(p), BOUND, p.out_params)
+        graph.build()
+        return graph.states, graph.edges
+
+    alone = [built(p) for p in twins]
+    together = [built(p) for p in twins]
+    assert together == alone
+    assert [(len(states), sum(map(len, edges))) for states, edges in alone] == [(3, 2), (5, 4)]
+    for p, (_, edges) in zip(twins, alone):
+        schemas = {s.name for s in p.schemas}
+        assert {move[2].schema for out in edges for move, _ in out} == schemas
+
+
+def _is_complete_reference(emitted, public_out):
+    return all(
+        any(inst.binding(param) is not None and kb_agree(inst.key_binding, kb) for inst in emitted)
+        for kb in {inst.key_binding for inst in emitted}
+        for param in public_out
+    )
+
+
+@pytest.mark.parametrize("name", ("Ordering", "OrderingOp", "EscrowOrdering"))
+def test_is_complete_matches_rescan(name, op_registry, escrow_ordering):
+    protocol, registry = (escrow_ordering, None) if name == "EscrowOrdering" else (op_registry[name], op_registry)
+    graph = KnowledgeGraph(uod(protocol, registry), Bound(key_values=("1", "2")), protocol.out_params)
+    graph.build()
+    verdicts = set()
+    for state in graph.states:
+        emitted = graph.emitted(state)
+        verdict = is_complete(emitted, protocol.out_params)
+        assert verdict == _is_complete_reference(emitted, protocol.out_params)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_build_logs_one_line(caplog, ordering):
+    graph = KnowledgeGraph(uod(ordering), BOUND, ordering.out_params)
+    with caplog.at_level(logging.INFO, logger="comal.verify"):
+        graph.build()
+    [record] = caplog.records
+    assert record.getMessage() == (
+        f"KnowledgeGraph: 23 states, {graph.edge_count()} edges, "
+        f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits"
+    )
