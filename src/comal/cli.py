@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="input protocol name for --theorem1/--embedding")
     p.add_argument("--bound-keys", type=int, default=1, help="number of distinct key values")
     p.add_argument("--max-states", type=int, default=400_000)
-    p.add_argument("--max-ticks", type=int, default=80)
+    p.add_argument("--max-ticks", type=int, default=80,
+                   help="observations per state, summed over all roles and key bindings; past it no role emits")
     p.add_argument("--delivery", choices=DELIVERIES, default="any",
                    help="in-flight delivery order; only --embedding enumerates ordered histories and reads it")
     p.add_argument("--json", action="store_true")

@@ -13,15 +13,16 @@ from the earlier. An exception ``L except R`` holds for an instance of ``L``
 only once ``R`` is absent *and* can no longer occur, i.e. its deadline has
 passed at the evaluation instant; without a finite deadline it never holds.
 
-``tick_unit`` scales window offsets, letting callers place many observations
-inside one nominal time unit.
+A table reads ``now`` only through exception deadlines, which are window
+upper bounds, so it stays the same until the model changes or ``now`` reaches
+:func:`next_change`; the timed explorer and the simulator both rely on this.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import commitments as cm
 from .commitments import CommitmentSpec, EventExpr, lifecycle_formula
@@ -44,7 +45,6 @@ class EvaluationContext:
     model: Model
     now: int | float
     universe: Uod
-    tick_unit: int = 1
 
 
 def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
@@ -125,11 +125,11 @@ def _resolve_bound(bound: cm.TimeRef, kb: Bindings, ctx: EvaluationContext) -> i
     """A window bound as an absolute time for one key binding, or None when an
     event-anchored bound's event has not occurred."""
     if bound.is_absolute:
-        return bound.offset if bound.offset == INF else bound.offset * ctx.tick_unit
+        return bound.offset
     anchors = [i for i in _eval(bound.base_event, ctx) if kb_agree(i.key_binding, kb)]
     if not anchors:
         return None
-    return min(i.timestamp for i in anchors) + bound.offset * ctx.tick_unit
+    return min(i.timestamp for i in anchors) + bound.offset
 
 
 def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | float:
@@ -155,6 +155,41 @@ def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | flo
 def lifecycle_table(c: CommitmentSpec, ctx: EvaluationContext) -> dict[str, tuple[EventInstance, ...]]:
     """The instances of each lifecycle state of ``c`` entailed by the model."""
     return {kind: _eval(lifecycle_formula(kind, c), ctx) for kind in cm.LIFECYCLE_KINDS}
+
+
+def window_anchors(commitments: Iterable[CommitmentSpec]) -> frozenset[tuple[EventExpr | None, int]]:
+    """Every (anchor expression, offset) of an event-anchored window bound in
+    ``commitments`` and the commitments their lifecycle events name, plus
+    (None, instant) for each finite absolute bound."""
+    anchors = set()
+    stack = [e for c in commitments for e in (c.create, c.detach, c.discharge)]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, cm.Window):
+            stack.append(expr.inner)
+            for bound in (expr.lower, expr.upper):
+                if bound.base_event is not None:
+                    stack.append(bound.base_event)
+                if bound.offset != INF:  # never infinite after an event
+                    anchors.add((bound.base_event, int(bound.offset)))
+        elif isinstance(expr, (cm.And, cm.Or, cm.Except)):
+            stack += [expr.left, expr.right]
+        elif isinstance(expr, cm.LifecycleEvent):
+            stack += [expr.commitment.create, expr.commitment.detach, expr.commitment.discharge]
+    return frozenset(anchors)
+
+
+def next_change(anchors: Iterable[tuple[EventExpr | None, int]], ctx: EvaluationContext) -> int | float:
+    """The first instant after ``ctx.now`` at which a window bound from
+    ``anchors`` falls under ``ctx.model``, or ``INF``: until then, lifecycle
+    tables over those windows stay the same under this model."""
+    first = INF
+    for anchor, offset in anchors:
+        instants = (offset,) if anchor is None else (i.timestamp + offset for i in _eval(anchor, ctx))
+        for instant in instants:
+            if ctx.now < instant < first:
+                first = instant
+    return first
 
 
 # ---------------------------------------------------------------------------

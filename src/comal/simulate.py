@@ -9,10 +9,11 @@ move policy:
 * ``aligner`` is random but prefers forwarding emissions and deliveries, so
   runs drift toward alignment.
 
-One observation happens per tick. After every tick the simulator evaluates
+One observation happens per tick. After every tick the simulator reports
 each commitment's five lifecycle states in the debtor's and the creditor's
-models and records the alignment verdict; ticks after the final move keep
-reporting, so deadline expiry shows up in the report tail.
+models (re-evaluated only after that role observes or at their
+``semantics.next_change``) and the alignment verdict; ticks after the final
+move keep reporting, so deadline expiry shows up in the report tail.
 
 Scenario files are JSON::
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .commitments import CommitmentSpec, parse_commitments
+from .commitments import CommitmentSpec, bind_commitment, parse_commitments
 from .enactment import (
     DELIVERIES,
     EMIT,
@@ -55,6 +56,8 @@ from .semantics import (
     EvaluationContext,
     check_alignment_models,
     lifecycle_table,
+    next_change,
+    window_anchors,
 )
 from .synthesis import ForwardingName, forwarding_registry
 
@@ -108,10 +111,14 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
         raise WellFormednessError(
             f"scenario {path.name} must name its \"protocols\" files and its \"protocol\""
         )
+    for name in ("protocols", "commitments"):
+        files = data.get(name, [])
+        if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
+            raise WellFormednessError(f'scenario {path.name}: "{name}" must be a list of file names, not {files!r}')
     registry: dict[str, Protocol] = {}
     for name in data["protocols"]:
         registry.update(parse_protocols((path.parent / name).read_text()))
-    protocol = registry.get(data["protocol"])
+    protocol = registry.get(data["protocol"]) if isinstance(data["protocol"], str) else None
     if protocol is None:
         raise WellFormednessError(f"scenario names unknown protocol {data['protocol']!r}")
     commitments: dict[str, CommitmentSpec] = {}
@@ -150,6 +157,11 @@ class Simulation:
         self.result = SimulationResult(self.vector)
         self.rng = random.Random(scenario.seed)
         self.key_bindings = uniform_key_bindings(self.universe, (scenario.key,))
+        for c in scenario.commitments:
+            bind_commitment(c, self.universe)
+        self.anchors = window_anchors(scenario.commitments)
+        # role -> (its lifecycle tables by commitment name, the tick they next change at)
+        self._tables: dict[str, tuple[dict, int | float]] = {}
 
     def run(self) -> SimulationResult:
         policy = dict(self.scenario.policy)
@@ -214,17 +226,13 @@ class Simulation:
             raise ScriptedMoveNotEnabled(f"bad direction {direction!r}", tick, move)
 
     def _run_random(self, prefer_forwards: bool) -> None:
+        moves = self._enabled_moves()
         for tick in range(1, self.scenario.horizon + 1):
-            moves = self._enabled_moves()
             if moves:
-                if prefer_forwards:
-                    preferred = [
-                        m for m in moves
-                        if m[0] == RECV or m[1].schema in self.fwd_registry
-                    ]
-                    moves = preferred or moves
-                direction, instance = self.rng.choice(moves)
+                preferred = [m for m in moves if m[0] == RECV or m[1].schema in self.fwd_registry]
+                direction, instance = self.rng.choice(preferred if prefer_forwards and preferred else moves)
                 self._observe(Observation(instance, direction, tick))
+                moves = self._enabled_moves()
             self._report(tick)
 
     def _enabled_moves(self) -> list[tuple[str, MessageInstance]]:
@@ -241,15 +249,19 @@ class Simulation:
 
     def _observe(self, obs: Observation) -> None:
         self.vector = self.vector.extend(obs)
+        self._tables.pop(obs.role, None)
+
+    def _role_tables(self, role: str, tick: int) -> dict:
+        cached = self._tables.get(role)
+        if cached is None or tick >= cached[1]:
+            ctx = EvaluationContext(project_model(self.vector, role, self.fwd_registry), tick, self.universe)
+            tables = {c.name: lifecycle_table(c, ctx) for c in self.scenario.commitments}
+            cached = self._tables[role] = (tables, next_change(self.anchors, ctx))
+        return cached[0]
 
     def _report(self, tick: int) -> None:
-        models = {}
         for c in self.scenario.commitments:
-            tables = {}
-            for role in (c.debtor, c.creditor):
-                if role not in models:
-                    models[role] = project_model(self.vector, role, self.fwd_registry)
-                tables[role] = lifecycle_table(c, EvaluationContext(models[role], tick, self.universe))
+            tables = {role: self._role_tables(role, tick)[c.name] for role in (c.debtor, c.creditor)}
             lifecycle = {
                 role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
                 for role, table in tables.items()

@@ -36,12 +36,13 @@ learned it, so states collapse to per-role knowledge sets. Theorem 1 builds
 each protocol's graph once: a safe protocol's safety build is the whole
 graph, and liveness reads it too.
 
-Alignment needs time. Observations are treated as instantaneous next to
-window units: window offsets are scaled by a large unit, every observation
-happens in the current *phase*, and the clock advances only through explicit
-deadline-lapse moves that jump to the next pending window boundary. Knowledge
-is annotated with its phase, which fully determines window membership;
-deadlines sharing one nominal instant lapse together. The punctual-delivery
+Alignment needs time. Every observation happens in the current *phase*,
+which is also its timestamp in the observer's model and the instant tables
+are evaluated at. Observations take no time: the clock advances only through
+explicit deadline-lapse moves, which jump to the first phase at which some
+role's lifecycle tables can change (``semantics.next_change``). Knowledge is
+annotated with its phase, which fully determines window membership;
+deadlines falling on one instant lapse together. The punctual-delivery
 restriction (deliveries and available forwards happen before deadlines pass)
 gates lapse moves on empty channels and no enabled forwarding emissions.
 """
@@ -53,8 +54,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import commitments as cm
-from .commitments import CommitmentSpec, print_event
+from .commitments import CommitmentSpec, bind_commitment
 from .enactment import (
     DELIVERIES,
     EMIT,
@@ -74,12 +74,11 @@ from .enactment import (
 from .enactment import knowledge_from as _knowledge_from
 from .errors import BoundExceeded, WellFormednessError
 from .protocol import Protocol, Uod, uod
-from .semantics import check_alignment_models, evaluate, EvaluationContext, lifecycle_table
+from .semantics import INF, EvaluationContext, check_alignment_models, lifecycle_table, next_change, window_anchors
+from .semantics import evaluate  # noqa: F401  unused here; perfbench/tracer.py rebinds it on this module
 from .synthesis import forwarding_registry
 
 log = logging.getLogger(__name__)
-
-SCALE = 10 ** 9
 
 SAFETY = "SAFETY"
 LIVENESS = "LIVENESS"
@@ -94,8 +93,9 @@ class Bound:
     * ``key_values``: the values key parameters range over. In each key
       binding every key parameter takes the same value, so mixed bindings
       (one key parameter at ``"1"``, another at ``"2"``) are not explored.
-    * ``max_ticks``: observations per enactment; past it no role emits, and
-      only the timed graph of Theorem 2 still delivers and lapses deadlines.
+    * ``max_ticks``: observations per state, summed over every role and key
+      binding; past it no role emits, and only the timed graph of Theorem 2
+      still delivers and lapses deadlines.
     * ``delivery``: ``"any"`` delivers any in-flight message, ``"fifo"`` only
       the oldest per channel. Only the ordered enumeration (``enumerate_uoe``,
       ``check_embedding``) reads it; knowledge sets keep no order.
@@ -518,42 +518,6 @@ def check_embedding(
 # Timed enumeration (alignment reachability)
 
 
-def _window_anchors(commitments: Sequence[CommitmentSpec]):
-    """Every (anchor expression, offset) pair appearing as an event-anchored
-    window bound, plus absolute finite upper bounds as (None, instant)."""
-    anchors: dict[tuple[str, int], tuple[cm.EventExpr | None, int]] = {}
-    seen_commitments: set[str] = set()
-
-    def walk(expr: cm.EventExpr) -> None:
-        if isinstance(expr, cm.Window):
-            walk(expr.inner)
-            for bound in (expr.lower, expr.upper):
-                if bound.base_event is not None:
-                    anchors[(print_event(bound.base_event), int(bound.offset))] = (
-                        bound.base_event,
-                        int(bound.offset),
-                    )
-                    walk(bound.base_event)
-                elif bound.offset != cm.INFINITY:
-                    anchors[("", int(bound.offset))] = (None, int(bound.offset))
-        elif isinstance(expr, (cm.And, cm.Or, cm.Except)):
-            walk(expr.left)
-            walk(expr.right)
-        elif isinstance(expr, cm.LifecycleEvent):
-            walk_commitment(expr.commitment)
-
-    def walk_commitment(c: CommitmentSpec) -> None:
-        if c.name in seen_commitments:
-            return
-        seen_commitments.add(c.name)
-        for expr in (c.create, c.detach, c.discharge):
-            walk(expr)
-
-    for c in commitments:
-        walk_commitment(c)
-    return list(anchors.values())
-
-
 class AlignmentGraph(StateSpace):
     """Reachable phase-annotated knowledge states of a composed protocol,
     including deadline-lapse moves."""
@@ -570,13 +534,13 @@ class AlignmentGraph(StateSpace):
         self.commitments = tuple(commitments)
         self.punctual = punctual
         self.fwd_registry = forwarding_registry(universe)
-        self.anchors = _window_anchors(commitments)
+        self.anchors = window_anchors(commitments)
         self._model_cache: dict[frozenset, Model] = {}
-        # Lifecycle tables by (commitment, one role's entries, phase): a table
-        # depends on the model alone, so a debtor and a creditor with equal
-        # entries share one.
+        # Lifecycle tables by (commitment, one role's entries, phase) and their
+        # next change by (entries, phase): both depend on the model alone, so
+        # roles with equal entries share them.
         self._table_cache: dict[tuple, dict] = {}
-        self._pending_cache: dict[tuple, list[int]] = {}
+        self._change_cache: dict[tuple, int | float] = {}
 
     def build(self) -> None:
         self._explore((tuple(frozenset() for _ in self.roles), 0))
@@ -587,7 +551,7 @@ class AlignmentGraph(StateSpace):
         moves = self._moves([sorted(s, key=_instance_order) for s in observed], observed)
         out = [(move, (self._with(sets, ri, move[2], now_phase), now_phase)) for ri, move in moves]
         lapse_value = self._next_boundary(sets, now_phase)
-        if lapse_value is not None and self._lapse_allowed(moves):
+        if lapse_value < INF and self._lapse_allowed(moves):
             out.append((("lapse", lapse_value), (sets, lapse_value)))
         return out
 
@@ -605,41 +569,27 @@ class AlignmentGraph(StateSpace):
     def _model(self, entries: frozenset) -> Model:
         model = self._model_cache.get(entries)
         if model is None:
-            model = model_of(((inst, phase * SCALE) for inst, phase in entries), self.fwd_registry)
-            self._model_cache[entries] = model
+            model = self._model_cache[entries] = model_of(entries, self.fwd_registry)
         return model
 
-    def _next_boundary(self, sets, now_phase: int) -> int | None:
-        values = []
-        for anchor, offset in self.anchors:
-            if anchor is None and offset > now_phase:
-                values.append(offset)
+    def _next_boundary(self, sets, now_phase: int) -> int | float:
+        """The phase the next lapse jumps to: the first at which some role's
+        lifecycle tables can change, or INF when none can."""
+        first = INF
         for entries in sets:
-            values.extend(self._role_pending(entries, now_phase))
-        return min(values) if values else None
-
-    def _role_pending(self, entries: frozenset, now_phase: int) -> list[int]:
-        key = (entries, now_phase)
-        cached = self._pending_cache.get(key)
-        if cached is not None:
-            return cached
-        ctx = EvaluationContext(self._model(entries), now_phase * SCALE, self.universe, SCALE)
-        values = []
-        for anchor, offset in self.anchors:
-            if anchor is None:
-                continue
-            for inst in evaluate(anchor, ctx):
-                value = inst.timestamp // SCALE + offset
-                if value > now_phase and value not in values:
-                    values.append(value)
-        self._pending_cache[key] = values
-        return values
+            key = (entries, now_phase)
+            change = self._change_cache.get(key)
+            if change is None:
+                ctx = EvaluationContext(self._model(entries), now_phase, self.universe)
+                change = self._change_cache[key] = next_change(self.anchors, ctx)
+            first = min(first, change)
+        return first
 
     def _table(self, c: CommitmentSpec, entries: frozenset, now_phase: int) -> dict:
         key = (c.name, entries, now_phase)
         table = self._table_cache.get(key)
         if table is None:
-            ctx = EvaluationContext(self._model(entries), now_phase * SCALE, self.universe, SCALE)
+            ctx = EvaluationContext(self._model(entries), now_phase, self.universe)
             table = self._table_cache[key] = lifecycle_table(c, ctx)
         return table
 
@@ -687,6 +637,8 @@ def check_alignment_reachability(
     commitment. On success the witness shows a maximally misaligned state and
     its aligning extension; on failure, a state with no aligning extension."""
     universe = uod(composed, registry)
+    for c in commitments:
+        bind_commitment(c, universe)
     graph = AlignmentGraph(universe, commitments, bound, punctual)
     graph.build()
     mode = "punctual" if punctual else "unrestricted"

@@ -252,9 +252,11 @@ def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
 @pytest.mark.parametrize(
     "change",
     [{"seed": "abc"}, {"horizon": "x"}, {"horizon": None}, {"policy": "random"}, {"delivery": "bogus"}, "list",
-     {"policy": {"kind": "scripted", "moves": 5}}, {"policy": {"kind": "scripted", "moves": [5]}}],
+     {"policy": {"kind": "scripted", "moves": 5}}, {"policy": {"kind": "scripted", "moves": [5]}},
+     {"protocols": 5}, {"commitments": 3}, {"protocol": ["x"]}],
     ids=["seed", "horizon", "horizon-null", "policy-string", "delivery", "top-level-list",
-         "moves-not-list", "move-not-object"],
+         "moves-not-list", "move-not-object", "protocols-not-list", "commitments-not-list",
+         "protocol-not-string"],
 )
 def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path, change):
     data = direct_order(fixtures_dir)
@@ -265,6 +267,26 @@ def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path,
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+
+
+BAD_ROLE = """
+commitment Bad M to Z
+  create quote
+  detach pay[, quote + 10]
+  discharge ship[, pay + 5]
+"""
+
+
+def test_commitment_role_outside_the_protocol_is_an_error(capsys, fixtures_dir, tmp_path):
+    bad = tmp_path / "bad.cupid"
+    bad.write_text(BAD_ROLE)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**direct_order(fixtures_dir), "commitments": [str(bad)]}))
+    for argv in (("verify", "--theorem2", fixtures_dir / "ordering.bspl", bad), ("simulate", scenario)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: commitment 'Bad': role 'Z' not in the universe\n"
 
 
 @pytest.mark.parametrize("change", ["tick", "role", "schema", "dir", {"tick": "x"}, {"tick": None}, {"tick": 0}],

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
 from comal.commitments import And, BaseEvent, Except, Or, TimeRef, Window
 from comal.enactment import Model, ModelEntry, freeze_bindings
 from comal.protocol import parse_protocol, uod
@@ -12,6 +14,8 @@ from comal.semantics import (
     deadline,
     evaluate,
     lifecycle_table,
+    next_change,
+    window_anchors,
 )
 
 ORDER_TEXT = """
@@ -34,8 +38,8 @@ def model(role, *entries):
     return Model(tuple(entries))
 
 
-def ctx(universe, m, now, unit=1):
-    return EvaluationContext(m, now, universe, unit)
+def ctx(universe, m, now):
+    return EvaluationContext(m, now, universe)
 
 
 def kbs(instances):
@@ -294,6 +298,39 @@ def test_lifecycle_containment_on_running_models(
                     partial = kbs(evaluate(And(c.detach, c.discharge), context))
                     assert detached <= created
                     assert partial <= detached
+
+
+@pytest.mark.parametrize("case", ["Purchase", "EscrowPurchase", "EscrowTransfer"])
+def test_tables_hold_until_next_change(case, ordering, escrow_ordering, purchase, escrow_commitments):
+    """On random models, every lifecycle table at an instant in [now,
+    next_change) equals the table at now; the rule is not vacuous either: some
+    spans are longer than one instant and some tables change at their end."""
+    protocol, c = (ordering, purchase) if case == "Purchase" else (escrow_ordering, escrow_commitments[case])
+    universe = uod(protocol)
+    anchors = window_anchors([c])
+    rng = random.Random(f"next-change-{case}")
+    long_spans = changes = 0
+    for _ in range(150):
+        entries = [
+            ModelEntry(
+                schema.name,
+                freeze_bindings({p.name: key if p.key else f"{schema.name}.{p.name}" for p in schema.params}),
+                rng.randint(0, 30),
+            )
+            for schema in universe.schemas
+            for key in ("1", "2")
+            if rng.random() < 0.6
+        ]
+        m = Model(tuple(entries))
+        now = rng.randint(0, 40)
+        first = next_change(anchors, ctx(universe, m, now))
+        assert first > now
+        table = lifecycle_table(c, ctx(universe, m, now))
+        for t in range(now, min(first, now + 40)):
+            assert lifecycle_table(c, ctx(universe, m, t)) == table, (m, now, t)
+        long_spans += first - now > 1
+        changes += first < math.inf and lifecycle_table(c, ctx(universe, m, first)) != table
+    assert long_spans and changes
 
 
 # ---------------------------------------------------------------------------

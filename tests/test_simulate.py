@@ -5,9 +5,13 @@ import json
 
 import pytest
 
-from comal.enactment import trace_lines
+import comal.simulate
+from comal.enactment import HistoryVector, enabled_emissions, project_model, trace_lines
 from comal.errors import ScriptedMoveNotEnabled, WellFormednessError
+from comal.protocol import uod
+from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
 from comal.simulate import Scenario, load_scenario, report_to_json, run_scenario
+from comal.synthesis import forwarding_registry
 
 
 def kb_names(row, role, kind):
@@ -140,6 +144,57 @@ def test_trace_is_emitted_in_trace_format(fixtures_dir):
         "bindings": {"oID": "1", "item": "quote.item", "price": "quote.price"},
     }
     assert {line["dir"] for line in lines} == {"emit", "recv"}
+
+
+@pytest.mark.parametrize("policy", ["random", "aligner"])
+@pytest.mark.parametrize("name", ["direct_order", "escrow_payment", "nested_transfer"])
+def test_reports_match_fresh_evaluation(name, policy, fixtures_dir):
+    """The simulator keeps a role's tables until the role observes something
+    or the tick reaches their next change; every report row must equal one
+    built from a freshly projected model and tables evaluated at its tick."""
+    for seed in (1, 2, 3):
+        scenario = load_scenario(
+            fixtures_dir / f"scenario_{name}.json", {"policy": {"kind": policy}, "seed": seed, "horizon": 120}
+        )
+        result = run_scenario(scenario)
+        universe = uod(scenario.protocol, scenario.registry)
+        fwd = forwarding_registry(universe)
+        commitments = {c.name: c for c in scenario.commitments}
+        pending = result.vector.observations()
+        vector = HistoryVector.empty(universe.roles)
+        for row in result.reports:
+            while pending and pending[0].tick <= row.tick:
+                vector = vector.extend(pending.pop(0))
+            c = commitments[row.commitment]
+            tables = {
+                role: lifecycle_table(c, EvaluationContext(project_model(vector, role, fwd), row.tick, universe))
+                for role in (c.debtor, c.creditor)
+            }
+            lifecycle = {
+                role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
+                for role, table in tables.items()
+            }
+            assert row.lifecycle == lifecycle, (seed, row.tick)
+            assert row.alignment == check_alignment_models(c, tables[c.debtor], tables[c.creditor])
+
+
+def test_moves_are_recomputed_only_after_observations(fixtures_dir, monkeypatch):
+    """Enabled moves do not depend on the tick, so each role's emissions are
+    generated once at the start and once after each observation."""
+    seen = []
+
+    def counting(v, *args):
+        seen.append(len(v.observations()))
+        return enabled_emissions(v, *args)
+
+    monkeypatch.setattr(comal.simulate, "enabled_emissions", counting)
+    scenario = load_scenario(
+        fixtures_dir / "scenario_nested_transfer.json", {"policy": {"kind": "random"}, "horizon": 120, "seed": 1}
+    )
+    vector = run_scenario(scenario).vector
+    observed = len(vector.observations())
+    assert observed < 60  # most ticks are idle
+    assert sorted(seen) == sorted(list(range(observed + 1)) * len(vector.roles))
 
 
 # SHA-256 of what ``comal simulate --json --trace`` writes (trace lines, then

@@ -30,7 +30,6 @@ from comal.synthesis import (
     synthesize_alignment_protocol,
 )
 from comal.verify import (
-    SCALE,
     AlignmentGraph,
     Bound,
     EnactmentGraph,
@@ -393,8 +392,8 @@ def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_o
     graph.build()
 
     def fresh_table(c, entries, phase):
-        model = model_of(((inst, p * SCALE) for inst, p in entries), fwd)
-        return lifecycle_table(c, EvaluationContext(model, phase * SCALE, universe, SCALE))
+        model = model_of(entries, fwd)
+        return lifecycle_table(c, EvaluationContext(model, phase, universe))
 
     for sets, phase in graph.states:
         expected = [
