@@ -21,6 +21,7 @@ from .protocol import Protocol, parse_protocols, print_protocol, print_protocols
 from .simulate import load_scenario, report_to_json, run_scenario
 from .synthesis import SynthesisMode, compose_operationalization, synthesize_alignment_protocol
 from .verify import (
+    ALIGNMENT_REACHABILITY,
     Bound,
     VerificationReport,
     check_alignment_reachability,
@@ -273,8 +274,11 @@ def cmd_verify(args) -> int:
                            result.liveness_input, result.liveness_composed):
                 _report_line(report, args.json)
             preserved = result.holds
-            print(f"THEOREM1: {'holds' if preserved else 'FAILS'} "
-                  f"(safety preserved: {result.safety_preserved}, liveness preserved: {result.liveness_preserved})")
+            summary = {"property": "THEOREM1", "holds": preserved, "safety_preserved": result.safety_preserved,
+                       "liveness_preserved": result.liveness_preserved}
+            print(json.dumps(summary, sort_keys=True) if args.json else
+                  f"THEOREM1: {'holds' if preserved else 'FAILS'} (safety preserved: {result.safety_preserved}, "
+                  f"liveness preserved: {result.liveness_preserved})")
             if not preserved:
                 exit_code = max(exit_code, EXIT_COUNTEREXAMPLE)
         if args.embedding:
@@ -297,9 +301,14 @@ def cmd_verify(args) -> int:
                     punctual=False, registry=protocols,
                 )
                 _report_line(informational, args.json)
-            except BoundExceeded:
-                print("ALIGNMENT_REACHABILITY: inconclusive without the punctual-delivery "
-                      "restriction (bound exceeded); informational only")
+            except BoundExceeded as exc:
+                if args.json:
+                    detail = "unrestricted: inconclusive (bound exceeded); informational only"
+                    partial = len(exc.partial.states)
+                    _report_line(VerificationReport(ALIGNMENT_REACHABILITY, None, None, partial, detail), True)
+                else:
+                    print("ALIGNMENT_REACHABILITY: inconclusive without the punctual-delivery "
+                          "restriction (bound exceeded); informational only")
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         graph = exc.partial

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnknownForwardName, WellFormednessError
 from .protocol import IN, MessageSchema, Uod
@@ -309,16 +309,19 @@ def enabled_emissions(
 
 
 def in_flight(
-    roles: Sequence[str], known: Sequence[Sequence[MessageInstance]], fifo: bool = False
+    roles: Sequence[str], known: Sequence[Sequence[MessageInstance]], observed: Sequence[Collection], fifo: bool = False
 ) -> list[MessageInstance]:
     """Every sent instance whose receiver has not observed it, where
-    ``known[i]`` is what ``roles[i]`` observed, in order: by sender in role
-    order, then in the sender's ``known`` order. With ``fifo`` only the first
-    instance per (sender, receiver) channel is kept; a sender's own order is
-    its emission order, so that is the oldest message on the channel."""
-    received = {inst for role, seen in zip(roles, known) for inst in seen if inst.receiver == role}
+    ``known[i]`` is what ``roles[i]`` observed, in order, and ``observed[i]``
+    the same instances as a set: by sender in role order, then in the sender's
+    ``known`` order. The sets are the callers' own (the explorers keep one per
+    knowledge id), so no received set is built here. With ``fifo`` only the
+    first instance per (sender, receiver) channel is kept; a sender's own order
+    is its emission order, so that is the oldest message on the channel."""
+    observer = dict(zip(roles, observed))
     pending = [
-        inst for role, seen in zip(roles, known) for inst in seen if inst.sender == role and inst not in received
+        inst for role, seen in zip(roles, known) for inst in seen
+        if inst.sender == role and inst not in observer[inst.receiver]
     ]
     if fifo:
         oldest: dict[tuple[str, str], MessageInstance] = {}
@@ -331,7 +334,7 @@ def in_flight(
 def deliverable(v: HistoryVector, fifo: bool = False) -> list[tuple[str, MessageInstance]]:
     """The :func:`in_flight` instances of ``v`` as (receiver, instance) pairs."""
     known = [[obs.instance for obs in h.events] for h in v.histories]
-    return [(inst.receiver, inst) for inst in in_flight(v.roles, known, fifo)]
+    return [(inst.receiver, inst) for inst in in_flight(v.roles, known, list(map(set, known)), fifo)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,17 @@ encoding. Their moves, like the simulator's, are the ``emission_candidates``
 of each role's knowledge and a delivery of each ``in_flight`` message, both
 from ``enactment``.
 
-A role's emission moves depend only on the set of instances it has observed,
-and few such sets recur across many states, so each graph caches them, keyed
-on (role index, that set): the knowledge-set graph's own frozenset, the timed
-graph's instances with phases stripped, the ordered graph's sequence as a
-set. Role knowledge is rebuilt and candidates are generated only on a miss.
-The cache lives on one graph instance and dies with it; a moves list depends
-on the universe and key bindings too, so it is never shared across graphs.
-The observation budget is checked before the cache, and deliveries are
-computed afresh for every state.
+Few role knowledges recur across many states (composed escrow: 9 595 safety
+states, 211 knowledge sets), so each graph interns them: a state is a tuple
+of knowledge ids, one per role, plus the phase in the timed graph. Growing a
+knowledge by one entry is memoized, and each id's observed instance set and
+delivery order are derived once. Caches key on these: emission moves on
+(role index, observed set), so timed candidates do not split by phase;
+models, lifecycle tables and next changes on (id, phase); misalignment counts
+on (commitment, debtor id, creditor id, phase); ``is_complete`` on the
+emitted set. Every cache lives on one graph instance and dies with it: a
+moves list depends on the universe and key bindings too. The observation
+budget is checked outside the caches.
 
 Safety and liveness work on knowledge-set states: a role's enabled moves and
 the two verdicts depend only on what each role knows, not on the order it
@@ -167,8 +169,14 @@ def _move_json(move: tuple, tick: int) -> dict:
 class StateSpace:
     """Breadth-first enumeration of the states reachable at a bound. States are
     numbered in discovery order; each keeps the edge it was found by and its
-    out-edges. Subclasses give the initial state (to ``build``) and
-    ``_successors``."""
+    out-edges.
+
+    A state is a tuple of knowledge ids, one per role (the timed graph appends
+    the phase). ``_knowledge[kid]`` is an interned collection, a frozenset
+    unless ``_extend`` says otherwise, and ``_derive`` gives its instance set
+    (``_observed[kid]``) and delivery order (``_order[kid]``) once; ``decode``
+    gives a state's collections back. Subclasses give the initial state (to
+    ``build``) and the timed graph its own ``_successors``."""
 
     def __init__(self, universe: Uod, bound: Bound):
         self.universe = universe
@@ -176,11 +184,18 @@ class StateSpace:
         self.roles = tuple(sorted(universe.roles))
         self.role_index = {r: i for i, r in enumerate(self.roles)}
         self.key_bindings = uniform_key_bindings(universe, bound.key_values)
-        self.states: list = []
+        self.states: list[tuple[int, ...]] = []
         self.parents: list[tuple[int, tuple] | None] = []
         self.edges: list[list[tuple[tuple, int]]] = []
-        self.index: dict = {}
-        # Emission moves by (role index, instances that role observed).
+        self.index: dict[tuple[int, ...], int] = {}
+        self._knowledge: list = []
+        self._knowledge_ids: dict = {}
+        self._observed: list[frozenset] = []
+        self._order: list[Sequence[MessageInstance]] = []
+        # Knowledge id after one more entry, by (id, entry); what a role sent,
+        # by (role index, id); emission moves by (role index, observed set).
+        self._grown: dict[tuple[int, object], int] = {}
+        self._sent: dict[tuple[int, int], frozenset] = {}
         self._emission_cache: dict[tuple[int, frozenset], list[tuple[int, tuple]]] = {}
         self.cache_hits = 0
 
@@ -223,6 +238,54 @@ class StateSpace:
         self.index[state] = sid
         return sid
 
+    def _extend(self, collection, entry):
+        return collection | {entry}
+
+    def _derive(self, collection) -> tuple[frozenset, Sequence[MessageInstance]]:
+        """The instances a knowledge observed, and the order of deliveries."""
+        return collection, sorted(collection, key=_instance_order)
+
+    def _knowledge_id(self, collection) -> int:
+        kid = self._knowledge_ids.get(collection)
+        if kid is None:
+            kid = self._knowledge_ids[collection] = len(self._knowledge)
+            self._knowledge.append(collection)
+            observed, order = self._derive(collection)
+            self._observed.append(observed)
+            self._order.append(order)
+        return kid
+
+    def _with(self, state: tuple[int, ...], ri: int, entry) -> tuple[int, ...]:
+        key = (state[ri], entry)
+        grown = self._grown.get(key)
+        if grown is None:
+            grown = self._grown[key] = self._knowledge_id(self._extend(self._knowledge[state[ri]], entry))
+        return state[:ri] + (grown,) + state[ri + 1:]
+
+    def decode(self, state: tuple[int, ...]) -> tuple:
+        """Each role's interned collection in ``state``."""
+        return tuple(self._knowledge[kid] for kid in state)
+
+    def sent(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
+        """Per role, the instances in its knowledge it is the sender of."""
+        for ri, (role, kid) in enumerate(zip(self.roles, state)):
+            if (ri, kid) not in self._sent:
+                self._sent[ri, kid] = frozenset(inst for inst in self._observed[kid] if inst.sender == role)
+        return tuple(self._sent[ri, kid] for ri, kid in enumerate(state[:len(self.roles)]))
+
+    def emitted(self, state: tuple[int, ...]) -> list[MessageInstance]:
+        return [inst for sent in self.sent(state) for inst in sent]
+
+    def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
+        """Successors of an untimed state: none past the observation budget."""
+        known = [self._order[kid] for kid in state]
+        if sum(map(len, known)) >= self.bound.max_ticks:
+            return []
+        moves = self._moves(known, [self._observed[kid] for kid in state], self._fifo)
+        return [(move, self._with(state, ri, move[2])) for ri, move in moves]
+
+    _fifo = False
+
     def _moves(
         self,
         known: Sequence[Sequence[MessageInstance]],
@@ -239,7 +302,7 @@ class StateSpace:
         if sum(map(len, known)) < self.bound.max_ticks:
             for ri, seen in enumerate(observed):
                 moves.extend(self._emissions(ri, seen))
-        for inst in in_flight(self.roles, known, fifo):
+        for inst in in_flight(self.roles, known, observed, fifo):
             moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
         return moves
 
@@ -309,22 +372,7 @@ class KnowledgeGraph(StateSpace):
 
     def build(self, stop_on_safety: bool = False) -> None:
         stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
-        self._explore(tuple(frozenset() for _ in self.roles), stop)
-
-    def _successors(self, state) -> list[tuple[tuple, tuple]]:
-        if sum(map(len, state)) >= self.bound.max_ticks:
-            return []
-        known = [sorted(s, key=_instance_order) for s in state]
-        return [(move, self._with(state, ri, move[2])) for ri, move in self._moves(known, state)]
-
-    @staticmethod
-    def _with(state, ri: int, inst: MessageInstance):
-        return tuple(s | {inst} if i == ri else s for i, s in enumerate(state))
-
-    def emitted(self, state) -> list[MessageInstance]:
-        """The instances sent in ``state``: a role emitted exactly those it is
-        the sender of. Ordered states use this too."""
-        return [inst for ri, role in enumerate(self.roles) for inst in state[ri] if inst.sender == role]
+        self._explore((self._knowledge_id(frozenset()),) * len(self.roles), stop)
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         if move[0] != EMIT or self.safety_violation is not None:
@@ -363,10 +411,22 @@ def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
     return VerificationReport(SAFETY, True, None, len(graph.states))
 
 
+def _complete_states(graph: StateSpace, public_out: Sequence[str]) -> list[int]:
+    """The states whose emissions are complete, evaluating ``is_complete`` once
+    per distinct emitted set (the tuple of per-role sent sets)."""
+    verdicts: dict[tuple[frozenset, ...], bool] = {}
+    complete = []
+    for sid, state in enumerate(graph.states):
+        sent = graph.sent(state)
+        if sent not in verdicts:
+            verdicts[sent] = is_complete(graph.emitted(state), public_out)
+        if verdicts[sent]:
+            complete.append(sid)
+    return complete
+
+
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
-    complete = [
-        sid for sid, state in enumerate(graph.states) if is_complete(graph.emitted(state), graph.public_out)
-    ]
+    complete = _complete_states(graph, graph.public_out)
     closed = graph.backward_closure(complete)
     stuck = [sid for sid in range(len(graph.states)) if sid not in closed]
     if stuck:
@@ -446,19 +506,14 @@ class EnactmentGraph(StateSpace):
     channel."""
 
     def build(self) -> None:
-        self._explore(tuple(() for _ in self.roles))
+        self._fifo = self.bound.delivery == "fifo"
+        self._explore((self._knowledge_id(()),) * len(self.roles))
 
-    def _successors(self, state):
-        if sum(map(len, state)) >= self.bound.max_ticks:
-            return []
-        moves = self._moves(state, [frozenset(s) for s in state], fifo=self.bound.delivery == "fifo")
-        return [(move, self._with(state, ri, move[2])) for ri, move in moves]
+    def _extend(self, collection, entry):
+        return collection + (entry,)
 
-    @staticmethod
-    def _with(state, ri: int, inst: MessageInstance):
-        return tuple(s + (inst,) if i == ri else s for i, s in enumerate(state))
-
-    emitted = KnowledgeGraph.emitted
+    def _derive(self, collection):
+        return frozenset(collection), collection
 
     def vector(self, state_id: int) -> HistoryVector:
         v = HistoryVector.empty(self.roles)
@@ -488,9 +543,7 @@ def check_embedding(
     input_graph = enumerate_uoe(input_protocol, bound, registry)
     composed_universe = uod(composed, registry)
     checked = 0
-    for sid, state in enumerate(input_graph.states):
-        if not is_complete(input_graph.emitted(state), input_protocol.out_params):
-            continue
+    for sid in _complete_states(input_graph, input_protocol.out_params):
         checked += 1
         vector = input_graph.vector(sid)
         knowledge = {role: RoleKnowledge(role) for role in vector.roles}
@@ -529,30 +582,35 @@ class AlignmentGraph(StateSpace):
         bound: Bound,
         punctual: bool,
     ):
-        # state: (per-role frozenset[(MessageInstance, phase)], now_phase)
         super().__init__(universe, bound)
         self.commitments = tuple(commitments)
         self.punctual = punctual
         self.fwd_registry = forwarding_registry(universe)
         self.anchors = window_anchors(commitments)
-        self._model_cache: dict[frozenset, Model] = {}
-        # Lifecycle tables by (commitment, one role's entries, phase) and their
-        # next change by (entries, phase): both depend on the model alone, so
-        # roles with equal entries share them.
+        # By knowledge id, so roles with equal entries share them: models, tables
+        # and next changes (with the phase), and misalignment counts (per pair).
+        self._model_cache: dict[int, Model] = {}
         self._table_cache: dict[tuple, dict] = {}
-        self._change_cache: dict[tuple, int | float] = {}
+        self._change_cache: dict[tuple[int, int], int | float] = {}
+        self._count_cache: dict[tuple, int] = {}
 
     def build(self) -> None:
-        self._explore((tuple(frozenset() for _ in self.roles), 0))
+        self._explore((self._knowledge_id(frozenset()),) * len(self.roles) + (0,))
+
+    def _derive(self, collection):
+        return super()._derive(frozenset(inst for inst, _ in collection))
+
+    def decode(self, state):
+        """Each role's (instance, phase) set in ``state``, and its phase."""
+        return super().decode(state[:-1]), state[-1]
 
     def _successors(self, state):
-        sets, now_phase = state
-        observed = [frozenset(inst for inst, _ in s) for s in sets]
-        moves = self._moves([sorted(s, key=_instance_order) for s in observed], observed)
-        out = [(move, (self._with(sets, ri, move[2], now_phase), now_phase)) for ri, move in moves]
-        lapse_value = self._next_boundary(sets, now_phase)
+        ids, now_phase = state[:-1], state[-1]
+        moves = self._moves([self._order[kid] for kid in ids], [self._observed[kid] for kid in ids])
+        out = [(move, self._with(state, ri, (move[2], now_phase))) for ri, move in moves]
+        lapse_value = self._next_boundary(ids, now_phase)
         if lapse_value < INF and self._lapse_allowed(moves):
-            out.append((("lapse", lapse_value), (sets, lapse_value)))
+            out.append((("lapse", lapse_value), ids + (lapse_value,)))
         return out
 
     def _lapse_allowed(self, moves) -> bool:
@@ -562,49 +620,46 @@ class AlignmentGraph(StateSpace):
             return True
         return not any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst) in moves)
 
-    @staticmethod
-    def _with(sets, ri: int, inst: MessageInstance, phase: int):
-        return tuple(s | {(inst, phase)} if i == ri else s for i, s in enumerate(sets))
-
-    def _model(self, entries: frozenset) -> Model:
-        model = self._model_cache.get(entries)
+    def _model(self, kid: int) -> Model:
+        model = self._model_cache.get(kid)
         if model is None:
-            model = self._model_cache[entries] = model_of(entries, self.fwd_registry)
+            model = self._model_cache[kid] = model_of(self._knowledge[kid], self.fwd_registry)
         return model
 
-    def _next_boundary(self, sets, now_phase: int) -> int | float:
+    def _next_boundary(self, ids: tuple[int, ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's
         lifecycle tables can change, or INF when none can."""
         first = INF
-        for entries in sets:
-            key = (entries, now_phase)
+        for kid in ids:
+            key = (kid, now_phase)
             change = self._change_cache.get(key)
             if change is None:
-                ctx = EvaluationContext(self._model(entries), now_phase, self.universe)
+                ctx = EvaluationContext(self._model(kid), now_phase, self.universe)
                 change = self._change_cache[key] = next_change(self.anchors, ctx)
             first = min(first, change)
         return first
 
-    def _table(self, c: CommitmentSpec, entries: frozenset, now_phase: int) -> dict:
-        key = (c.name, entries, now_phase)
+    def _table(self, c: CommitmentSpec, kid: int, now_phase: int) -> dict:
+        key = (c.name, kid, now_phase)
         table = self._table_cache.get(key)
         if table is None:
-            ctx = EvaluationContext(self._model(entries), now_phase, self.universe)
+            ctx = EvaluationContext(self._model(kid), now_phase, self.universe)
             table = self._table_cache[key] = lifecycle_table(c, ctx)
         return table
 
     def alignment(self, state) -> list[int]:
         """Each commitment's number of misalignments at ``state``; 0 means
         aligned."""
-        sets, now_phase = state
-        return [
-            len(check_alignment_models(
-                c,
-                self._table(c, sets[self.role_index[c.debtor]], now_phase),
-                self._table(c, sets[self.role_index[c.creditor]], now_phase),
-            ).misalignments)
-            for c in self.commitments
-        ]
+        counts = []
+        for c in self.commitments:
+            key = (c.name, state[self.role_index[c.debtor]], state[self.role_index[c.creditor]], state[-1])
+            if key not in self._count_cache:
+                _, debtor, creditor, now_phase = key
+                self._count_cache[key] = len(check_alignment_models(
+                    c, self._table(c, debtor, now_phase), self._table(c, creditor, now_phase)
+                ).misalignments)
+            counts.append(self._count_cache[key])
+        return counts
 
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
         if start in goal:

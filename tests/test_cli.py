@@ -179,6 +179,38 @@ def test_verify_theorem2_via_cli(capsys, fixtures_dir):
     assert rows[0]["holds"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (
+            ("--theorem1", "ordering_op.bspl", "--input", "Ordering"),
+            {"property": "THEOREM1", "holds": True, "safety_preserved": True, "liveness_preserved": True},
+        ),
+        (
+            ("--theorem2", "ordering_op.bspl", "purchase.cupid", "--max-states", "1000"),
+            {
+                "property": "ALIGNMENT_REACHABILITY",
+                "holds": None,
+                "states": 1000,
+                "detail": "unrestricted: inconclusive (bound exceeded); informational only",
+                "witness": None,
+            },
+        ),
+    ],
+    ids=["theorem1", "theorem2-inconclusive"],
+)
+def test_verify_json_lines_are_all_json(capsys, fixtures_dir, argv, last):
+    """In --json mode the summary lines are JSON too."""
+    argv = [fixtures_dir / a if a.endswith((".bspl", ".cupid")) else a for a in argv]
+    code, out, _ = run(capsys, "verify", *argv, "--protocol", "OrderingOp", "--json")
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    # Theorem 1 reports four checks before its summary; Theorem 2 the
+    # punctual check before the unrestricted one.
+    assert len(rows) == (5 if argv[0] == "--theorem1" else 2)
+    assert rows[-1] == last
+
+
 def test_verify_embedding_via_cli(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,

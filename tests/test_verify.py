@@ -133,7 +133,7 @@ def test_enumerate_atomic_protocol():
 def test_enumerate_ordering_complete_states(ordering):
     graph = enumerate_uoe(ordering, BOUND)
     initiated = [
-        s for s in graph.states if any(events for events in s)
+        s for s in graph.states if any(events for events in graph.decode(s))
     ]
     complete = [s for s in initiated if is_complete(graph.emitted(s), ordering.out_params)]
     assert complete
@@ -395,7 +395,8 @@ def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_o
         model = model_of(entries, fwd)
         return lifecycle_table(c, EvaluationContext(model, phase, universe))
 
-    for sets, phase in graph.states:
+    for state in graph.states:
+        sets, phase = graph.decode(state)
         expected = [
             len(check_alignment_models(
                 c,
@@ -404,7 +405,7 @@ def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_o
             ).misalignments)
             for c in specs
         ]
-        assert graph.alignment((sets, phase)) == expected
+        assert graph.alignment(state) == expected
 
 
 def _uncached_moves(graph, known, observed, fifo=False):
@@ -416,7 +417,7 @@ def _uncached_moves(graph, known, observed, fifo=False):
             knowledge = knowledge_from(known[ri], role)
             for inst in emission_candidates(knowledge, graph.universe, role, graph.key_bindings):
                 moves.append((ri, (EMIT, role, inst)))
-    for inst in in_flight(graph.roles, known, fifo):
+    for inst in in_flight(graph.roles, known, observed, fifo):
         moves.append((graph.role_index[inst.receiver], (RECV, inst.receiver, inst)))
     return moves
 
@@ -503,7 +504,7 @@ def test_graphs_over_different_protocols_share_no_moves():
     def built(p):
         graph = KnowledgeGraph(uod(p), BOUND, p.out_params)
         graph.build()
-        return graph.states, graph.edges
+        return [graph.decode(state) for state in graph.states], graph.edges
 
     alone = [built(p) for p in twins]
     together = [built(p) for p in twins]
