@@ -239,19 +239,6 @@ def default_value(schema: str, param: str) -> str:
     return f"{schema}.{param}"
 
 
-def uniform_key_bindings(universe: Uod, key_values: Iterable[str]) -> list[dict[str, str]]:
-    """For each distinct key-parameter set and each key value, the binding of
-    every key parameter to that value, in schema order without repeats. Mixed
-    bindings, with key parameters taking different values, are not produced."""
-    bindings: list[dict[str, str]] = []
-    for schema in universe.schemas:
-        for value in key_values:
-            kb = {k: value for k in schema.keys}
-            if kb not in bindings:
-                bindings.append(kb)
-    return bindings
-
-
 def knowledge_from(instances: Iterable[MessageInstance], role: str) -> RoleKnowledge:
     """What ``role`` knows after observing ``instances``."""
     knowledge = RoleKnowledge(role)
@@ -264,22 +251,18 @@ def emission_candidates(
     knowledge: RoleKnowledge,
     universe: Uod,
     role: str,
-    key_bindings: Sequence[Mapping[str, str]],
+    key_values: Sequence[str],
 ) -> list[MessageInstance]:
-    """Every instance ``role`` could emit given ``knowledge``. Key bindings are
-    drawn from the given finite set; every other ``out`` parameter takes its
+    """Every instance ``role`` could emit given ``knowledge``. For each of the
+    distinct ``key_values`` every key parameter of a schema takes that value,
+    so mixed bindings are not produced; every other ``out`` parameter takes its
     one :func:`default_value`."""
     out: list[MessageInstance] = []
     for schema in universe.schemas:
         if schema.sender != role:
             continue
-        # Each key projection once: nested key sets cover a schema's keys twice.
-        projections = {
-            freeze_bindings({k: source[k] for k in schema.keys})
-            for source in key_bindings
-            if all(k in source for k in schema.keys)
-        }
-        for kb in projections:
+        for value in dict.fromkeys(key_values):
+            kb = freeze_bindings({k: value for k in schema.keys})
             candidates = [dict(kb)]
             for p in schema.params:
                 if p.key:
@@ -301,11 +284,11 @@ def enabled_emissions(
     v: HistoryVector,
     universe: Uod,
     role: str,
-    key_bindings: Sequence[Mapping[str, str]],
+    key_values: Sequence[str],
 ) -> list[MessageInstance]:
     """Every instance ``role`` could emit next while keeping ``v`` viable."""
     observed = (obs.instance for obs in v.history(role).events)
-    return emission_candidates(knowledge_from(observed, role), universe, role, key_bindings)
+    return emission_candidates(knowledge_from(observed, role), universe, role, key_values)
 
 
 def in_flight(
@@ -346,6 +329,7 @@ class ModelEntry:
     name: str
     bindings: Bindings
     tick: int
+    key_binding: Bindings
 
 
 @dataclass(frozen=True)
@@ -356,8 +340,10 @@ class Model:
 def model_of(observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapping[str, ForwardingName]) -> Model:
     """The model of a role that observed each instance at the paired tick:
     forwards renamed to the message they forward and stripped of the
-    forwarding identifier; duplicate knowledge keeps the earliest tick."""
-    first: dict[tuple[str, Bindings], int] = {}
+    forwarding identifier; duplicate knowledge keeps the earliest tick. Each
+    entry keeps its instance's key binding: a forward carries its base's keys
+    (see ``synthesis.forwarding_registry``), so renaming leaves it exact."""
+    first: dict[tuple[str, Bindings], tuple[int, Bindings]] = {}
     for inst, tick in observed:
         naming = fwd_registry.get(inst.schema)
         if naming is not None:
@@ -369,10 +355,10 @@ def model_of(observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapp
             name = inst.schema
             bindings = inst.bindings
         key = (name, bindings)
-        if key not in first or tick < first[key]:
-            first[key] = tick
+        if key not in first or tick < first[key][0]:
+            first[key] = (tick, inst.key_binding)
     entries = tuple(
-        ModelEntry(name, bindings, tick) for (name, bindings), tick in sorted(first.items())
+        ModelEntry(name, bindings, tick, kb) for (name, bindings), (tick, kb) in sorted(first.items())
     )
     return Model(entries)
 

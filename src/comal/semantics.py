@@ -4,7 +4,9 @@ which compares the debtor's and the creditor's tables: each role infers a
 commitment's lifecycle from its own observations, and those inferences must be
 compatible.
 
-Instances correlate through shared key parameters. Windows are half-open:
+The evaluator reads only the model. Each entry carries the key binding its
+message instance fixed (``enactment.MessageInstance.key_binding``), and
+instances correlate through shared key parameters. Windows are half-open:
 an instance at timestamp ``t`` satisfies ``[lo, hi]`` when ``lo <= t < hi``,
 where event-anchored bounds resolve per key binding to the anchor's timestamp
 plus the offset; if the anchor is absent the instance is excluded. Conjunction
@@ -28,7 +30,6 @@ from . import commitments as cm
 from .commitments import CommitmentSpec, EventExpr, lifecycle_formula
 from .enactment import Bindings, Model, kb_agree
 from .errors import UnboundName
-from .protocol import Uod
 
 INF = math.inf
 
@@ -44,7 +45,6 @@ class EventInstance:
 class EvaluationContext:
     model: Model
     now: int | float
-    universe: Uod
 
 
 def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
@@ -54,16 +54,11 @@ def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ..
 
 def _eval(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
     if isinstance(expr, cm.BaseEvent):
-        try:
-            keys = set(ctx.universe.schema(expr.name).keys)
-        except Exception as exc:
-            raise UnboundName(str(exc)) from None
-        out = []
-        for entry in ctx.model.entries:
-            if entry.name == expr.name:
-                kb = tuple(item for item in entry.bindings if item[0] in keys)
-                out.append(EventInstance(kb, entry.bindings, entry.tick))
-        return tuple(out)
+        return tuple(
+            EventInstance(entry.key_binding, entry.bindings, entry.tick)
+            for entry in ctx.model.entries
+            if entry.name == expr.name
+        )
     if isinstance(expr, cm.LifecycleEvent):
         return _eval(lifecycle_formula(expr.kind, expr.commitment), ctx)
     if isinstance(expr, cm.Window):

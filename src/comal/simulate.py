@@ -47,7 +47,6 @@ from .enactment import (
     deliverable,
     enabled_emissions,
     project_model,
-    uniform_key_bindings,
 )
 from .errors import ParseError, ScriptedMoveNotEnabled, WellFormednessError
 from .protocol import Protocol, Uod, parse_protocols, uod
@@ -76,6 +75,8 @@ class Scenario:
     def __post_init__(self):
         if self.delivery not in DELIVERIES:
             raise WellFormednessError(f"delivery must be one of {DELIVERIES}, not {self.delivery!r}")
+        if self.horizon < 0:
+            raise WellFormednessError(f"horizon must be at least 0, not {self.horizon}")
 
 
 @dataclass(frozen=True)
@@ -135,13 +136,16 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
             raise WellFormednessError(
                 f'scenario {path.name}: "{name}" must be an integer, not {data[name]!r}'
             ) from None
+    key = data.get("key", "1")
+    if isinstance(key, bool) or not isinstance(key, (str, int)):
+        raise WellFormednessError(f'scenario {path.name}: "key" must be a string or an integer, not {key!r}')
     return Scenario(
         protocol=protocol,
         registry=registry,
         commitments=tuple(commitments.values()),
         policy=policy,
         delivery=data.get("delivery", "any"),
-        key=str(data.get("key", "1")),
+        key=str(key),
         **numbers,
     )
 
@@ -156,7 +160,6 @@ class Simulation:
         self.vector = HistoryVector.empty(self.universe.roles)
         self.result = SimulationResult(self.vector)
         self.rng = random.Random(scenario.seed)
-        self.key_bindings = uniform_key_bindings(self.universe, (scenario.key,))
         for c in scenario.commitments:
             bind_commitment(c, self.universe)
         self.anchors = window_anchors(scenario.commitments)
@@ -180,7 +183,7 @@ class Simulation:
     def _run_scripted(self, moves: Sequence[Mapping]) -> None:
         if not isinstance(moves, (list, tuple)):
             raise WellFormednessError(f"scripted \"moves\" must be a list, not {moves!r}")
-        moves = sorted(((_scripted_tick(m), m) for m in moves), key=lambda pair: pair[0])
+        moves = sorted(((_scripted_tick(m, self.universe), m) for m in moves), key=lambda pair: pair[0])
         ticks = [tick for tick, _ in moves]
         if len(set(ticks)) != len(ticks):
             raise WellFormednessError("scripted moves must occupy distinct ticks")
@@ -200,16 +203,14 @@ class Simulation:
         direction = move["dir"]
         key = str(move.get("key", self.scenario.key))
         if direction == EMIT:
-            options = enabled_emissions(
-                self.vector, self.universe, role, [{k: key for k in self.universe.schema(schema_name).keys}]
-            )
+            options = enabled_emissions(self.vector, self.universe, role, (key,))
             options = [i for i in options if i.schema == schema_name]
             if not options:
                 raise ScriptedMoveNotEnabled(
                     f"emission of {schema_name!r} by {role!r} is not enabled at tick {tick}", tick, move
                 )
             self._observe(Observation(options[0], EMIT, tick))
-        elif direction == RECV:
+        else:
             pending = [
                 inst
                 for receiver, inst in deliverable(self.vector, fifo=self.scenario.delivery == "fifo")
@@ -222,8 +223,6 @@ class Simulation:
                     f"no deliverable {schema_name!r} for {role!r} at tick {tick}", tick, move
                 )
             self._observe(Observation(pending[0], RECV, tick))
-        else:
-            raise ScriptedMoveNotEnabled(f"bad direction {direction!r}", tick, move)
 
     def _run_random(self, prefer_forwards: bool) -> None:
         moves = self._enabled_moves()
@@ -238,7 +237,7 @@ class Simulation:
     def _enabled_moves(self) -> list[tuple[str, MessageInstance]]:
         moves: list[tuple[str, MessageInstance]] = []
         for role in self.universe.roles:
-            for instance in enabled_emissions(self.vector, self.universe, role, self.key_bindings):
+            for instance in enabled_emissions(self.vector, self.universe, role, (self.scenario.key,)):
                 moves.append((EMIT, instance))
         for _, instance in deliverable(self.vector, fifo=self.scenario.delivery == "fifo"):
             moves.append((RECV, instance))
@@ -254,7 +253,7 @@ class Simulation:
     def _role_tables(self, role: str, tick: int) -> dict:
         cached = self._tables.get(role)
         if cached is None or tick >= cached[1]:
-            ctx = EvaluationContext(project_model(self.vector, role, self.fwd_registry), tick, self.universe)
+            ctx = EvaluationContext(project_model(self.vector, role, self.fwd_registry), tick)
             tables = {c.name: lifecycle_table(c, ctx) for c in self.scenario.commitments}
             cached = self._tables[role] = (tables, next_change(self.anchors, ctx))
         return cached[0]
@@ -270,9 +269,10 @@ class Simulation:
             self.result.reports.append(CommitmentTick(tick, c.name, lifecycle, alignment))
 
 
-def _scripted_tick(move) -> int:
+def _scripted_tick(move, universe: Uod) -> int:
     """The tick of a scripted move, once the move is known to be an object
-    naming a tick, a role, a direction and a schema; ticks start at 1."""
+    naming a tick, a role and a schema of ``universe``, and ``emit`` or
+    ``recv``; ticks start at 1."""
     if not isinstance(move, Mapping):
         raise WellFormednessError(f"a scripted move must be an object, not {move!r}")
     for name in ("tick", "role", "dir", "schema"):
@@ -284,6 +284,12 @@ def _scripted_tick(move) -> int:
         tick = 0
     if tick < 1:
         raise WellFormednessError(f'scripted move {move!r}: "tick" must be an integer from 1, not {move["tick"]!r}')
+    if move["role"] not in universe.roles:
+        raise WellFormednessError(f"scripted move {move!r}: role {move['role']!r} is not in the protocol")
+    if not any(move["schema"] == schema.name for schema in universe.schemas):
+        raise WellFormednessError(f"scripted move {move!r}: no message schema named {move['schema']!r}")
+    if move["dir"] not in (EMIT, RECV):
+        raise WellFormednessError(f'scripted move {move!r}: "dir" must be "emit" or "recv", not {move["dir"]!r}')
     return tick
 
 

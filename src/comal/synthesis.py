@@ -263,8 +263,10 @@ def forwarding_registry(universe: Uod) -> dict[str, ForwardingName]:
     """Recover the forwarding registry of a universe from schema shapes.
 
     A schema counts as a forward when its name matches the naming scheme for
-    its own sender and receiver and some base schema, and it carries the base
-    parameters as ``in`` plus exactly the expected ``out`` identifier.
+    its own sender and receiver and some base schema, and its parameters are
+    exactly :func:`forward_schema`'s, adornments and key marks included: the
+    base parameters as ``in`` plus the one ``out`` identifier. A forward's key
+    binding is therefore always its base's.
     """
     registry: dict[str, ForwardingName] = {}
     for schema in universe.schemas:
@@ -276,8 +278,6 @@ def forwarding_registry(universe: Uod) -> dict[str, ForwardingName]:
         base = universe.by_name.get(base_name)
         if base is None:
             continue
-        naming = ForwardingName(schema.sender, schema.receiver, base.name)
-        expected = forward_schema(base, schema.sender, schema.receiver)
-        if set(schema.ins) == set(expected.ins) and schema.outs == (naming.id_param,):
-            registry[schema.name] = naming
+        if set(schema.params) == set(forward_schema(base, schema.sender, schema.receiver).params):
+            registry[schema.name] = ForwardingName(schema.sender, schema.receiver, base.name)
     return registry

@@ -29,7 +29,7 @@ delivery order are derived once. Caches key on these: emission moves on
 models, lifecycle tables and next changes on (id, phase); misalignment counts
 on (commitment, debtor id, creditor id, phase); ``is_complete`` on the
 emitted set. Every cache lives on one graph instance and dies with it: a
-moves list depends on the universe and key bindings too. The observation
+moves list depends on the universe and key values too. The observation
 budget is checked outside the caches.
 
 Safety and liveness work on knowledge-set states: a role's enabled moves and
@@ -71,7 +71,6 @@ from .enactment import (
     in_flight,
     kb_agree,
     model_of,
-    uniform_key_bindings,
 )
 from .enactment import knowledge_from as _knowledge_from
 from .errors import BoundExceeded, WellFormednessError
@@ -92,9 +91,10 @@ ALIGNMENT_REACHABILITY = "ALIGNMENT_REACHABILITY"
 class Bound:
     """Finite restriction of the enactment space.
 
-    * ``key_values``: the values key parameters range over. In each key
-      binding every key parameter takes the same value, so mixed bindings
-      (one key parameter at ``"1"``, another at ``"2"``) are not explored.
+    * ``key_values``: the values key parameters range over. An emission
+      gives every key parameter of its schema the same one of them, so mixed
+      bindings (one key parameter at ``"1"``, another at ``"2"``) are not
+      produced or explored.
     * ``max_ticks``: observations per state, summed over every role and key
       binding; past it no role emits, and only the timed graph of Theorem 2
       still delivers and lapses deadlines.
@@ -183,7 +183,6 @@ class StateSpace:
         self.bound = bound
         self.roles = tuple(sorted(universe.roles))
         self.role_index = {r: i for i, r in enumerate(self.roles)}
-        self.key_bindings = uniform_key_bindings(universe, bound.key_values)
         self.states: list[tuple[int, ...]] = []
         self.parents: list[tuple[int, tuple] | None] = []
         self.edges: list[list[tuple[tuple, int]]] = []
@@ -319,7 +318,7 @@ class StateSpace:
         knowledge = _knowledge_from(seen, role)
         moves = self._emission_cache[key] = [
             (ri, (EMIT, role, inst))
-            for inst in emission_candidates(knowledge, self.universe, role, self.key_bindings)
+            for inst in emission_candidates(knowledge, self.universe, role, self.bound.key_values)
         ]
         return moves
 
@@ -634,7 +633,7 @@ class AlignmentGraph(StateSpace):
             key = (kid, now_phase)
             change = self._change_cache.get(key)
             if change is None:
-                ctx = EvaluationContext(self._model(kid), now_phase, self.universe)
+                ctx = EvaluationContext(self._model(kid), now_phase)
                 change = self._change_cache[key] = next_change(self.anchors, ctx)
             first = min(first, change)
         return first
@@ -643,7 +642,7 @@ class AlignmentGraph(StateSpace):
         key = (c.name, kid, now_phase)
         table = self._table_cache.get(key)
         if table is None:
-            ctx = EvaluationContext(self._model(kid), now_phase, self.universe)
+            ctx = EvaluationContext(self._model(kid), now_phase)
             table = self._table_cache[key] = lifecycle_table(c, ctx)
         return table
 

@@ -31,6 +31,18 @@ def test_parse_ok(capsys, fixtures_dir):
     assert "commitment Purchase: M to C" in out
 
 
+def test_non_utf8_input_is_an_error(capsys, fixtures_dir, tmp_path):
+    bad = tmp_path / "bad.bspl"
+    bad.write_bytes(b"Oops \xff { roles A B }")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**direct_order(fixtures_dir), "protocols": [str(bad)]}))
+    for argv in (("parse", bad), ("simulate", scenario)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "0xff" in err
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     bad = tmp_path / "bad.bspl"
     bad.write_text("Oops { roles A B }")
@@ -285,10 +297,11 @@ def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
     "change",
     [{"seed": "abc"}, {"horizon": "x"}, {"horizon": None}, {"policy": "random"}, {"delivery": "bogus"}, "list",
      {"policy": {"kind": "scripted", "moves": 5}}, {"policy": {"kind": "scripted", "moves": [5]}},
-     {"protocols": 5}, {"commitments": 3}, {"protocol": ["x"]}],
+     {"protocols": 5}, {"commitments": 3}, {"protocol": ["x"]},
+     {"horizon": -3, "policy": {"kind": "random"}}, {"key": ["a"]}, {"key": None}],
     ids=["seed", "horizon", "horizon-null", "policy-string", "delivery", "top-level-list",
          "moves-not-list", "move-not-object", "protocols-not-list", "commitments-not-list",
-         "protocol-not-string"],
+         "protocol-not-string", "horizon-negative", "key-list", "key-null"],
 )
 def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path, change):
     data = direct_order(fixtures_dir)
@@ -309,23 +322,39 @@ commitment Bad M to Z
 """
 
 
+BAD_EVENT = """
+commitment Bad M to C
+  create quote
+  detach refund[, quote + 10]
+  discharge ship[, quote + 5]
+"""
+
+
 def test_commitment_role_outside_the_protocol_is_an_error(capsys, fixtures_dir, tmp_path):
-    bad = tmp_path / "bad.cupid"
-    bad.write_text(BAD_ROLE)
-    scenario = tmp_path / "scenario.json"
-    scenario.write_text(json.dumps({**direct_order(fixtures_dir), "commitments": [str(bad)]}))
-    for argv in (("verify", "--theorem2", fixtures_dir / "ordering.bspl", bad), ("simulate", scenario)):
-        code, out, err = run(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err == "error: commitment 'Bad': role 'Z' not in the universe\n"
+    """A commitment naming a role or a message outside the protocol is
+    rejected before anything is evaluated."""
+    for text, message in ((BAD_ROLE, "commitment 'Bad': role 'Z' not in the universe"),
+                          (BAD_EVENT, "event 'refund' is not a message of the universe")):
+        bad = tmp_path / "bad.cupid"
+        bad.write_text(text)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**direct_order(fixtures_dir), "commitments": [str(bad)]}))
+        for argv in (("verify", "--theorem2", fixtures_dir / "ordering.bspl", bad), ("simulate", scenario)):
+            code, out, err = run(capsys, *argv)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("change", ["tick", "role", "schema", "dir", {"tick": "x"}, {"tick": None}, {"tick": 0}],
-                         ids=["tick", "role", "schema", "dir", "tick-string", "tick-null", "tick-zero"])
+@pytest.mark.parametrize("change", ["tick", "role", "schema", "dir", {"tick": "x"}, {"tick": None}, {"tick": 0},
+                                    {"role": "Z"}, {"schema": "refund"}, {"dir": "send"}],
+                         ids=["tick", "role", "schema", "dir", "tick-string", "tick-null", "tick-zero",
+                              "role-unknown", "schema-unknown", "dir-unknown"])
 def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_path, change):
+    """Every move is checked before the run: a bad last move is reported as
+    itself, not as a failure at its tick."""
     data = direct_order(fixtures_dir)
-    move = data["policy"]["moves"][0]
+    move = data["policy"]["moves"][-1]
     if isinstance(change, str):
         del move[change]
     else:

@@ -18,14 +18,13 @@ from comal.enactment import (
     observation_to_json,
     project_model,
     trace_lines,
-    uniform_key_bindings,
 )
 from comal.errors import UnknownForwardName, WellFormednessError
 from comal.protocol import parse_protocols, uod
 from comal.simulate import Scenario, run_scenario
 from comal.synthesis import forwarding_registry
 
-KB = [{"oID": "1"}]
+KB = ("1",)
 
 
 def instance(universe, name, **bindings):
@@ -250,9 +249,7 @@ def test_prefix_closure_on_random_runs(ordering, escrow_ordering):
 
 def test_emission_candidates_distinct_with_nested_key_sets(nested_keys):
     universe = uod(nested_keys)
-    key_bindings = uniform_key_bindings(universe, ("1",))
-    assert key_bindings == [{"k": "1"}, {"k": "1", "j": "1"}]
-    candidates = enabled_emissions(HistoryVector.empty(universe.roles), universe, "A", key_bindings)
+    candidates = enabled_emissions(HistoryVector.empty(universe.roles), universe, "A", ("1",))
     assert [inst.schema for inst in candidates] == ["a"]
 
 

@@ -52,7 +52,7 @@ def _moves(graph, known, budget_left, fifo, candidates):
             key = (role, frozenset(known[ri]))
             if key not in candidates:
                 knowledge = knowledge_from(known[ri], role)
-                candidates[key] = emission_candidates(knowledge, graph.universe, role, graph.key_bindings)
+                candidates[key] = emission_candidates(knowledge, graph.universe, role, graph.bound.key_values)
             moves += [(ri, (EMIT, role, inst)) for inst in candidates[key]]
     observed = {role: set(seen) for role, seen in zip(graph.roles, known)}
     channels = set()
@@ -92,7 +92,7 @@ def _reference_timed(graph: AlignmentGraph):
 
     def change(entries, phase):
         if (entries, phase) not in changes:
-            ctx = EvaluationContext(model_of(entries, fwd), phase, graph.universe)
+            ctx = EvaluationContext(model_of(entries, fwd), phase)
             changes[entries, phase] = next_change(anchors, ctx)
         return changes[entries, phase]
 

@@ -30,8 +30,12 @@ Ordering {
 """
 
 
+ORDER_UNIVERSE = uod(parse_protocol(ORDER_TEXT))
+
+
 def entry(name, tick, **bindings):
-    return ModelEntry(name, freeze_bindings(bindings), tick)
+    keys = ORDER_UNIVERSE.schema(name).keys
+    return ModelEntry(name, freeze_bindings(bindings), tick, freeze_bindings({k: bindings[k] for k in keys}))
 
 
 def model(role, *entries):
@@ -39,7 +43,7 @@ def model(role, *entries):
 
 
 def ctx(universe, m, now):
-    return EvaluationContext(m, now, universe)
+    return EvaluationContext(m, now)
 
 
 def kbs(instances):
@@ -316,6 +320,7 @@ def test_tables_hold_until_next_change(case, ordering, escrow_ordering, purchase
                 schema.name,
                 freeze_bindings({p.name: key if p.key else f"{schema.name}.{p.name}" for p in schema.params}),
                 rng.randint(0, 30),
+                freeze_bindings({k: key for k in schema.keys}),
             )
             for schema in universe.schemas
             for key in ("1", "2")
@@ -425,7 +430,10 @@ def _random_entries(rng, universe):
                 bindings[p.name] = rng.choice(["1", "2"])
             else:
                 bindings[p.name] = rng.choice(["a", "b"])
-        entries.append(ModelEntry(schema.name, freeze_bindings(bindings), rng.randint(0, 15)))
+        entries.append(ModelEntry(
+            schema.name, freeze_bindings(bindings), rng.randint(0, 15),
+            freeze_bindings({k: bindings[k] for k in schema.keys}),
+        ))
     # Models keep one entry per (name, bindings).
     unique = {}
     for e in entries:
@@ -454,7 +462,7 @@ def test_evaluate_matches_brute_force_oracle():
         universe = _random_universe(rng)
         entries = _random_entries(rng, universe)
         formula = _random_oracle_formula(rng, rng.randint(1, 3))
-        context = EvaluationContext(Model(entries), 40, universe)
+        context = EvaluationContext(Model(entries), 40)
         ours = {(i.key_binding, i.timestamp) for i in evaluate(formula, context)}
         reference = oracle_eval(formula, entries, universe, 1)
         assert ours == reference, f"case {case}: {formula}"

@@ -167,7 +167,7 @@ def test_reports_match_fresh_evaluation(name, policy, fixtures_dir):
                 vector = vector.extend(pending.pop(0))
             c = commitments[row.commitment]
             tables = {
-                role: lifecycle_table(c, EvaluationContext(project_model(vector, role, fwd), row.tick, universe))
+                role: lifecycle_table(c, EvaluationContext(project_model(vector, role, fwd), row.tick))
                 for role in (c.debtor, c.creditor)
             }
             lifecycle = {

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import random
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,7 @@ from comal.verify import (
     enumerate_uoe,
     is_complete,
 )
+from test_protocol import random_protocol
 
 BOUND = Bound()
 
@@ -171,7 +173,7 @@ def test_ordered_moves_match_simulator(name, delivery, op_registry, chan):
         simulator = {
             (EMIT, role, inst)
             for role in graph.roles
-            for inst in enabled_emissions(v, universe, role, graph.key_bindings)
+            for inst in enabled_emissions(v, universe, role, graph.bound.key_values)
         }
         simulator |= {(RECV, receiver, inst) for receiver, inst in deliverable(v, delivery == "fifo")}
         assert {move for move, _ in graph.edges[sid]} == simulator, sid
@@ -326,22 +328,42 @@ def test_reports_are_deterministic(escrow_composed_literal):
 DIFFERENTIAL = ("Ordering", "OrderingOp", "unsafe_toy", "stuck_toy", "empty")
 
 
-@pytest.mark.parametrize("name", DIFFERENTIAL)
-def test_knowledge_sets_agree_with_ordered_enumeration(name, op_registry, toys):
+def _assert_knowledge_sets_agree(protocol, registry, bound) -> bool:
     """The knowledge-set abstraction behind safety and liveness gives the same
-    verdicts as the exact ordered enumeration checked vector by vector."""
-    protocol, registry = _protocol(name, op_registry, toys)
-    graph = enumerate_uoe(protocol, BOUND, registry)
+    verdicts as the exact ordered enumeration checked vector by vector; the
+    liveness verdict is returned."""
+    graph = enumerate_uoe(protocol, bound, registry)
     complete = [
         sid for sid, state in enumerate(graph.states)
         if is_complete(graph.emitted(state), protocol.out_params)
     ]
     live = len(graph.backward_closure(complete)) == len(graph.states)
-    assert live == check_liveness(protocol, BOUND, registry).holds
+    assert live == check_liveness(protocol, bound, registry).holds
     universe = uod(protocol, registry)
     violations = [check_viable(graph.vector(sid), universe) for sid in range(len(graph.states))]
     unsafe = any(v is not None and v.rule == "c" for v in violations)
-    assert unsafe == (not check_safety(protocol, BOUND, registry).holds)
+    assert unsafe == (not check_safety(protocol, bound, registry).holds)
+    return live
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_knowledge_sets_agree_with_ordered_enumeration(name, op_registry, toys):
+    _assert_knowledge_sets_agree(*_protocol(name, op_registry, toys), BOUND)
+
+
+@pytest.mark.parametrize("key_values", (("1",), ("1", "2")), ids=("keys1", "keys2"))
+def test_knowledge_sets_agree_with_ordered_enumeration_on_random_protocols(key_values):
+    """As above on random protocols, skipping those too large to enumerate;
+    both verdicts of liveness occur, so neither side is vacuous."""
+    rng = random.Random(11)
+    bound = Bound(key_values=key_values, max_states=5_000)
+    verdicts = []
+    for index in range(30):
+        try:
+            verdicts.append(_assert_knowledge_sets_agree(random_protocol(rng, index), None, bound))
+        except BoundExceeded:
+            continue
+    assert True in verdicts and False in verdicts, verdicts
 
 
 def test_benchmark_hook_surface(monkeypatch):
@@ -370,6 +392,37 @@ def test_alignment_rejects_unregistered_forward():
         check_alignment_reachability(odd, [], BOUND, punctual=True)
 
 
+def test_alignment_rejects_forward_with_other_key_marks():
+    """A forward must carry its base's key marks, so that its key binding is
+    the base's: one keyed by ``k`` alone does not forward ``thing``, keyed by
+    ``k`` and ``v``."""
+    registry = parse_protocols(
+        """
+        Odd {
+          roles A, B, C
+          parameters out k key, out v key, out fwdBCThingID
+          Base(A, B, out k key, out v key)
+          Al(B, C, in k key, in v, out fwdBCThingID)
+        }
+        Base {
+          roles A, B
+          parameters out k key, out v key
+          A -> B: thing[out k, out v]
+        }
+        Al {
+          roles B, C
+          parameters in k key, in v, out fwdBCThingID
+          B -> C: fwdBCThing[in k, in v, out fwdBCThingID]
+        }
+        """
+    )
+    universe = uod(registry["Odd"], registry)
+    assert universe.schema("fwdBCThing").keys == ("k",)
+    assert forwarding_registry(universe) == {}
+    with pytest.raises(UnknownForwardName):
+        check_alignment_reachability(registry["Odd"], [], BOUND, punctual=True, registry=registry)
+
+
 def test_nested_key_sets_give_one_edge_per_move(nested_keys):
     graph = KnowledgeGraph(uod(nested_keys), BOUND, nested_keys.out_params)
     graph.build()
@@ -393,7 +446,7 @@ def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_o
 
     def fresh_table(c, entries, phase):
         model = model_of(entries, fwd)
-        return lifecycle_table(c, EvaluationContext(model, phase, universe))
+        return lifecycle_table(c, EvaluationContext(model, phase))
 
     for state in graph.states:
         sets, phase = graph.decode(state)
@@ -415,7 +468,7 @@ def _uncached_moves(graph, known, observed, fifo=False):
     if sum(map(len, known)) < graph.bound.max_ticks:
         for ri, role in enumerate(graph.roles):
             knowledge = knowledge_from(known[ri], role)
-            for inst in emission_candidates(knowledge, graph.universe, role, graph.key_bindings):
+            for inst in emission_candidates(knowledge, graph.universe, role, graph.bound.key_values):
                 moves.append((ri, (EMIT, role, inst)))
     for inst in in_flight(graph.roles, known, observed, fifo):
         moves.append((graph.role_index[inst.receiver], (RECV, inst.receiver, inst)))
@@ -472,9 +525,9 @@ def test_cached_successors_match_uncached(
 def test_candidates_generated_once_per_role_and_knowledge_set(monkeypatch, op_registry):
     calls = []
 
-    def counted(knowledge, universe, role, key_bindings):
+    def counted(knowledge, universe, role, key_values):
         calls.append((role, frozenset(knowledge.instances)))
-        return emission_candidates(knowledge, universe, role, key_bindings)
+        return emission_candidates(knowledge, universe, role, key_values)
 
     monkeypatch.setattr("comal.verify.emission_candidates", counted)
     protocol = op_registry["OrderingOp"]
