@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .commitments import CommitmentSpec, parse_commitments, print_commitment
 from .enactment import DELIVERIES, trace_lines
-from .errors import BoundExceeded, ComalError
+from .errors import BoundExceeded, ComalError, read_source
 from .protocol import Protocol, parse_protocols, print_protocol, print_protocols
 from .simulate import load_scenario, report_to_json, run_scenario
 from .synthesis import SynthesisMode, compose_operationalization, synthesize_alignment_protocol
@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ComalError, OSError, UnicodeDecodeError) as exc:
+    except (ComalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -114,9 +114,9 @@ def _load_sources(files: list[Path]) -> tuple[dict[str, Protocol], dict[str, Com
     commitments: dict[str, CommitmentSpec] = {}
     for path in files:
         if path.suffix == ".cupid":
-            commitments.update(parse_commitments(path.read_text(), commitments))
+            commitments.update(parse_commitments(read_source(path), commitments))
         else:
-            protocols.update(parse_protocols(path.read_text()))
+            protocols.update(parse_protocols(read_source(path)))
     return protocols, commitments
 
 

@@ -1,5 +1,5 @@
-"""Asynchronous enactment: message instances, per-role histories, history
-vectors, emission/reception legality, and model projection.
+"""Asynchronous enactment: message instances, runs (history vectors),
+emission/reception legality, and model projection.
 
 Every observation (an emission or a reception) carries a global tick.
 Emissions are legal only when the sender already knows each ``in`` binding,
@@ -14,13 +14,14 @@ message it forwards, the forwarding identifier dropped, and each entry
 timestamped with the tick at which the role first knew it.
 
 Trace format (JSON lines): ``{"tick", "role", "dir": "emit"|"recv", "schema",
-"bindings"}``.
+"bindings"}``, one :func:`observation_to_json` record per observation. The
+simulator's traces and every ``verify`` witness are written in it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -86,41 +87,29 @@ class Observation:
 
 
 @dataclass(frozen=True)
-class History:
-    role: str
-    events: tuple[Observation, ...] = ()
-
-
-@dataclass(frozen=True)
 class HistoryVector:
-    histories: tuple[History, ...]  # sorted by role
-    clock: int = 0
+    """One run: its roles, sorted, and its observations in arrival order."""
+
+    roles: tuple[str, ...]
+    events: tuple[Observation, ...] = ()
 
     @classmethod
     def empty(cls, roles: Iterable[str]) -> "HistoryVector":
-        return cls(tuple(History(r) for r in sorted(roles)))
+        return cls(tuple(sorted(roles)))
 
-    def history(self, role: str) -> History:
-        for h in self.histories:
-            if h.role == role:
-                return h
-        raise WellFormednessError(f"role {role!r} has no history in this vector")
-
-    @property
-    def roles(self) -> tuple[str, ...]:
-        return tuple(h.role for h in self.histories)
+    def history(self, role: str) -> tuple[Observation, ...]:
+        if role not in self.roles:
+            raise WellFormednessError(f"role {role!r} has no history in this vector")
+        return tuple(obs for obs in self.events if obs.role == role)
 
     def extend(self, obs: Observation) -> "HistoryVector":
-        histories = tuple(
-            replace(h, events=h.events + (obs,)) if h.role == obs.role else h for h in self.histories
-        )
-        return HistoryVector(histories, max(self.clock, obs.tick))
+        if obs.role not in self.roles:
+            raise WellFormednessError(f"role {obs.role!r} has no history in this vector")
+        return HistoryVector(self.roles, self.events + (obs,))
 
     def observations(self) -> list[Observation]:
-        """All observations across roles, in tick order."""
-        out = [obs for h in self.histories for obs in h.events]
-        out.sort(key=lambda o: o.tick)
-        return out
+        """All observations, in tick order."""
+        return sorted(self.events, key=lambda o: o.tick)
 
 
 @dataclass(frozen=True)
@@ -197,7 +186,7 @@ def check_viable(v: HistoryVector, universe: Uod) -> ViabilityViolation | None:
     """Check a whole vector: reception matched by an earlier emission, the
     local emission rules (a), (b), (d) for every emission, and global key
     integrity (c): for one key binding, a parameter never takes two values."""
-    knowledge = {h.role: RoleKnowledge(h.role) for h in v.histories}
+    knowledge = {role: RoleKnowledge(role) for role in v.roles}
     emitted_instances: dict[MessageInstance, int] = {}
     received: set[tuple[str, MessageInstance]] = set()
     global_bound: dict[str, list[tuple[Bindings, str, int]]] = {}
@@ -287,7 +276,7 @@ def enabled_emissions(
     key_values: Sequence[str],
 ) -> list[MessageInstance]:
     """Every instance ``role`` could emit next while keeping ``v`` viable."""
-    observed = (obs.instance for obs in v.history(role).events)
+    observed = (obs.instance for obs in v.history(role))
     return emission_candidates(knowledge_from(observed, role), universe, role, key_values)
 
 
@@ -316,7 +305,7 @@ def in_flight(
 
 def deliverable(v: HistoryVector, fifo: bool = False) -> list[tuple[str, MessageInstance]]:
     """The :func:`in_flight` instances of ``v`` as (receiver, instance) pairs."""
-    known = [[obs.instance for obs in h.events] for h in v.histories]
+    known = [[obs.instance for obs in v.history(role)] for role in v.roles]
     return [(inst.receiver, inst) for inst in in_flight(v.roles, known, list(map(set, known)), fifo)]
 
 
@@ -367,7 +356,7 @@ def project_model(
     v: HistoryVector, role: str, fwd_registry: Mapping[str, ForwardingName]
 ) -> Model:
     """Project a role's history to its model (see :func:`model_of`)."""
-    return model_of(((obs.instance, obs.tick) for obs in v.history(role).events), fwd_registry)
+    return model_of(((obs.instance, obs.tick) for obs in v.history(role)), fwd_registry)
 
 
 # ---------------------------------------------------------------------------

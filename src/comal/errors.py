@@ -1,6 +1,16 @@
-"""Shared exception types."""
+"""Shared exception types, and the one reader of source files."""
 
 from __future__ import annotations
+
+from pathlib import Path
+
+
+def read_source(path: Path) -> str:
+    """A source file's text; text that is not UTF-8 is a :class:`ParseError` naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 class ComalError(Exception):

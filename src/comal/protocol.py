@@ -137,35 +137,22 @@ class Protocol:
         for ref in self.references:
             if isinstance(ref, MessageSchema):
                 ref.validate()
-                for role in (ref.sender, ref.receiver):
-                    if role not in declared_roles:
-                        raise WellFormednessError(
-                            f"protocol {self.name!r}: schema {ref.name!r} uses undeclared role {role!r}"
-                        )
-                for p in ref.params:
-                    if p.name not in declared_params:
-                        raise WellFormednessError(
-                            f"protocol {self.name!r}: schema {ref.name!r} uses undeclared parameter {p.name!r}"
-                        )
-                # Protocol keys are inherited: a schema's keys are exactly its
-                # parameters that are keys of the protocol.
-                expected = {p.name for p in ref.params if p.name in keys}
-                if set(ref.keys) != expected:
-                    raise WellFormednessError(
-                        f"protocol {self.name!r}: schema {ref.name!r} keys {set(ref.keys)} "
-                        f"must equal its parameters intersected with the protocol keys {expected}"
-                    )
+                what, roles = "schema", (ref.sender, ref.receiver)
             else:
-                for role in ref.roles:
-                    if role not in declared_roles:
-                        raise WellFormednessError(
-                            f"protocol {self.name!r}: reference {ref.name!r} uses undeclared role {role!r}"
-                        )
-                for p in ref.params:
-                    if p.name not in declared_params:
-                        raise WellFormednessError(
-                            f"protocol {self.name!r}: reference {ref.name!r} uses undeclared parameter {p.name!r}"
-                        )
+                what, roles = "reference", ref.roles
+            where = f"protocol {self.name!r}: {what} {ref.name!r}"
+            undeclared = [f"role {role!r}" for role in roles if role not in declared_roles]
+            undeclared += [f"parameter {p.name!r}" for p in ref.params if p.name not in declared_params]
+            if undeclared:
+                raise WellFormednessError(f"{where} uses undeclared {undeclared[0]}")
+            # Protocol keys are inherited: a schema's keys are exactly its
+            # parameters that are keys of the protocol.
+            expected = {p.name for p in ref.params if p.name in keys}
+            if what == "schema" and set(ref.keys) != expected:
+                raise WellFormednessError(
+                    f"{where} keys {set(ref.keys)} must equal its parameters intersected "
+                    f"with the protocol keys {expected}"
+                )
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from .enactment import (
     enabled_emissions,
     project_model,
 )
-from .errors import ParseError, ScriptedMoveNotEnabled, WellFormednessError
+from .errors import ParseError, ScriptedMoveNotEnabled, WellFormednessError, read_source
 from .protocol import Protocol, Uod, parse_protocols, uod
 from .semantics import (
     AlignmentResult,
@@ -102,7 +102,7 @@ class SimulationResult:
 def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenario:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(read_source(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario {path.name} is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(data, dict):
@@ -118,13 +118,13 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
             raise WellFormednessError(f'scenario {path.name}: "{name}" must be a list of file names, not {files!r}')
     registry: dict[str, Protocol] = {}
     for name in data["protocols"]:
-        registry.update(parse_protocols((path.parent / name).read_text()))
+        registry.update(parse_protocols(read_source(path.parent / name)))
     protocol = registry.get(data["protocol"]) if isinstance(data["protocol"], str) else None
     if protocol is None:
         raise WellFormednessError(f"scenario names unknown protocol {data['protocol']!r}")
     commitments: dict[str, CommitmentSpec] = {}
     for name in data.get("commitments", ()):
-        commitments.update(parse_commitments((path.parent / name).read_text(), commitments))
+        commitments.update(parse_commitments(read_source(path.parent / name), commitments))
     policy = data.get("policy", {"kind": "random"})
     if not isinstance(policy, dict):
         raise WellFormednessError(f"scenario {path.name}: \"policy\" must be an object, not {policy!r}")
@@ -136,16 +136,13 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
             raise WellFormednessError(
                 f'scenario {path.name}: "{name}" must be an integer, not {data[name]!r}'
             ) from None
-    key = data.get("key", "1")
-    if isinstance(key, bool) or not isinstance(key, (str, int)):
-        raise WellFormednessError(f'scenario {path.name}: "key" must be a string or an integer, not {key!r}')
     return Scenario(
         protocol=protocol,
         registry=registry,
         commitments=tuple(commitments.values()),
         policy=policy,
         delivery=data.get("delivery", "any"),
-        key=str(key),
+        key=_key_value(data.get("key", "1"), f"scenario {path.name}"),
         **numbers,
     )
 
@@ -272,7 +269,7 @@ class Simulation:
 def _scripted_tick(move, universe: Uod) -> int:
     """The tick of a scripted move, once the move is known to be an object
     naming a tick, a role and a schema of ``universe``, and ``emit`` or
-    ``recv``; ticks start at 1."""
+    ``recv``, with a valid ``"key"`` if it has one; ticks start at 1."""
     if not isinstance(move, Mapping):
         raise WellFormednessError(f"a scripted move must be an object, not {move!r}")
     for name in ("tick", "role", "dir", "schema"):
@@ -290,7 +287,16 @@ def _scripted_tick(move, universe: Uod) -> int:
         raise WellFormednessError(f"scripted move {move!r}: no message schema named {move['schema']!r}")
     if move["dir"] not in (EMIT, RECV):
         raise WellFormednessError(f'scripted move {move!r}: "dir" must be "emit" or "recv", not {move["dir"]!r}')
+    if "key" in move:
+        _key_value(move["key"], f"scripted move {move!r}")
     return tick
+
+
+def _key_value(key, where: str) -> str:
+    """A ``"key"`` value as a string; it must be a string or an integer, not a bool."""
+    if isinstance(key, bool) or not isinstance(key, (str, int)):
+        raise WellFormednessError(f'{where}: "key" must be a string or an integer, not {key!r}')
+    return str(key)
 
 
 def run_scenario(scenario: Scenario) -> SimulationResult:

@@ -20,6 +20,10 @@ encoding. Their moves, like the simulator's, are the ``emission_candidates``
 of each role's knowledge and a delivery of each ``in_flight`` message, both
 from ``enactment``.
 
+Witnesses are runs: each path in one is a list of the simulator's trace
+records (``enactment.observation_to_json``) ticked from 1, and a deadline
+lapse is the one other record, ``{"tick", "lapse"}``.
+
 Few role knowledges recur across many states (composed escrow: 9 595 safety
 states, 211 knowledge sets), so each graph interns them: a state is a tuple
 of knowledge ids, one per role, plus the phase in the timed graph. Growing a
@@ -71,6 +75,7 @@ from .enactment import (
     in_flight,
     kb_agree,
     model_of,
+    observation_to_json,
 )
 from .enactment import knowledge_from as _knowledge_from
 from .errors import BoundExceeded, WellFormednessError
@@ -148,18 +153,13 @@ def is_complete(emitted: Sequence[MessageInstance], public_out: Sequence[str]) -
     )
 
 
-def _move_json(move: tuple, tick: int) -> dict:
-    kind = move[0]
-    if kind == "lapse":
-        return {"tick": tick, "lapse": move[1]}
-    _, role, inst = move
-    return {
-        "tick": tick,
-        "role": role,
-        "dir": kind,
-        "schema": inst.schema,
-        "bindings": dict(inst.bindings),
-    }
+def _witness(moves: Sequence[tuple]) -> list[dict]:
+    """Moves as trace records, ticked from 1; a lapse is ``{"tick", "lapse"}``."""
+    return [
+        {"tick": tick, "lapse": move[1]} if move[0] == "lapse"
+        else observation_to_json(Observation(move[2], move[0], tick))
+        for tick, move in enumerate(moves, start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +327,19 @@ class StateSpace:
 
     def depth(self) -> int:
         """Moves to the last state found, the deepest in breadth-first order."""
-        return len(self._trail(len(self.states) - 1)) if self.states else 0
+        return len(self._trail(len(self.states) - 1, self.parents)) if self.states else 0
 
-    def _trail(self, state_id: int) -> list[tuple]:
-        """The moves from the initial state to ``state_id``."""
+    def _trail(self, state_id: int, parents) -> list[tuple]:
+        """The moves to ``state_id`` from the root of ``parents`` (state id -> parent id and move)."""
         moves = []
-        while self.parents[state_id] is not None:
-            state_id, move = self.parents[state_id]
+        while parents[state_id] is not None:
+            state_id, move = parents[state_id]
             moves.append(move)
         moves.reverse()
         return moves
 
     def path_to(self, state_id: int) -> list[dict]:
-        return [_move_json(move, tick) for tick, move in enumerate(self._trail(state_id), start=1)]
+        return _witness(self._trail(state_id, self.parents))
 
     def backward_closure(self, seeds: Iterable[int]) -> set[int]:
         reverse: list[list[int]] = [[] for _ in self.states]
@@ -355,6 +355,11 @@ class StateSpace:
                     closed.add(pred)
                     stack.append(pred)
         return closed
+
+    def first_stuck(self, good: Iterable[int]) -> int | None:
+        """The first state found that reaches no ``good`` state, if any."""
+        closed = self.backward_closure(good)
+        return next((sid for sid in range(len(self.states)) if sid not in closed), None)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +430,9 @@ def _complete_states(graph: StateSpace, public_out: Sequence[str]) -> list[int]:
 
 
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
-    complete = _complete_states(graph, graph.public_out)
-    closed = graph.backward_closure(complete)
-    stuck = [sid for sid in range(len(graph.states)) if sid not in closed]
-    if stuck:
-        witness = {"reach": graph.path_to(stuck[0])}
+    stuck = graph.first_stuck(_complete_states(graph, graph.public_out))
+    if stuck is not None:
+        witness = {"reach": graph.path_to(stuck)}
         return VerificationReport(
             LIVENESS, False, witness, len(graph.states), "state with no completing extension"
         )
@@ -515,10 +518,8 @@ class EnactmentGraph(StateSpace):
         return frozenset(collection), collection
 
     def vector(self, state_id: int) -> HistoryVector:
-        v = HistoryVector.empty(self.roles)
-        for tick, (direction, _, inst) in enumerate(self._trail(state_id), start=1):
-            v = v.extend(Observation(inst, direction, tick))
-        return v
+        trail = enumerate(self._trail(state_id, self.parents), start=1)
+        return HistoryVector(self.roles, tuple(Observation(inst, kind, tick) for tick, (kind, _, inst) in trail))
 
 
 def enumerate_uoe(
@@ -551,10 +552,7 @@ def check_embedding(
                 schema = composed_universe.schema(obs.instance.schema)
                 bad = emission_violation(knowledge[obs.role], schema, obs.instance, obs.tick)
                 if bad is not None:
-                    witness = {
-                        "trace": [_move_json((obs.direction, obs.role, obs.instance), obs.tick)],
-                        "violation": str(bad),
-                    }
+                    witness = {"trace": [observation_to_json(obs)], "violation": str(bad)}
                     return VerificationReport(
                         EMBEDDING, False, witness, len(input_graph.states),
                         "input enactment not viable inside the composition",
@@ -663,16 +661,16 @@ class AlignmentGraph(StateSpace):
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
         if start in goal:
             return []
-        seen = {start}
-        queue = deque([(start, [])])
+        parents: dict[int, tuple[int, tuple] | None] = {start: None}
+        queue = deque([start])
         while queue:
-            node, path = queue.popleft()
+            node = queue.popleft()
             for move, succ in self.edges[node]:
-                if succ in goal:
-                    return [_move_json(m, t) for t, m in enumerate(path + [move], start=1)]
-                if succ not in seen:
-                    seen.add(succ)
-                    queue.append((succ, path + [move]))
+                if succ not in parents:
+                    parents[succ] = (node, move)
+                    if succ in goal:
+                        return _witness(self._trail(succ, parents))
+                    queue.append(succ)
         return None
 
     # Held in the class namespace for perfbench/tracer.py, as in KnowledgeGraph.
@@ -698,20 +696,11 @@ def check_alignment_reachability(
     mode = "punctual" if punctual else "unrestricted"
     counts = [graph.alignment(state) for state in graph.states]
     for ci, c in enumerate(graph.commitments):
-        closed = graph.backward_closure(sid for sid, row in enumerate(counts) if row[ci] == 0)
-        missing = [sid for sid in range(len(graph.states)) if sid not in closed]
-        if missing:
-            witness = {
-                "commitment": c.name,
-                "reach": graph.path_to(missing[0]),
-            }
-            return VerificationReport(
-                ALIGNMENT_REACHABILITY,
-                False,
-                witness,
-                len(graph.states),
-                f"{mode}: no aligning extension for {c.name!r}",
-            )
+        stuck = graph.first_stuck(sid for sid, row in enumerate(counts) if row[ci] == 0)
+        if stuck is not None:
+            witness = {"commitment": c.name, "reach": graph.path_to(stuck)}
+            detail = f"{mode}: no aligning extension for {c.name!r}"
+            return VerificationReport(ALIGNMENT_REACHABILITY, False, witness, len(graph.states), detail)
     # Success: exhibit the most misaligned state and how it realigns.
     totals = [sum(row) for row in counts]
     witness = None

@@ -41,6 +41,7 @@ def test_non_utf8_input_is_an_error(capsys, fixtures_dir, tmp_path):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "0xff" in err
+        assert "bad.bspl" in err
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -347,9 +348,9 @@ def test_commitment_role_outside_the_protocol_is_an_error(capsys, fixtures_dir, 
 
 
 @pytest.mark.parametrize("change", ["tick", "role", "schema", "dir", {"tick": "x"}, {"tick": None}, {"tick": 0},
-                                    {"role": "Z"}, {"schema": "refund"}, {"dir": "send"}],
+                                    {"role": "Z"}, {"schema": "refund"}, {"dir": "send"}, {"key": ["a"]}],
                          ids=["tick", "role", "schema", "dir", "tick-string", "tick-null", "tick-zero",
-                              "role-unknown", "schema-unknown", "dir-unknown"])
+                              "role-unknown", "schema-unknown", "dir-unknown", "key-list"])
 def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_path, change):
     """Every move is checked before the run: a bad last move is reported as
     itself, not as a failure at its tick."""

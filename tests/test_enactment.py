@@ -89,6 +89,18 @@ def test_receive_without_send(order_universe):
     assert violation is not None and violation.rule == "unsent"
 
 
+def test_vector_takes_only_its_own_roles(order_universe):
+    """A role outside the vector has no history, and its observations are
+    refused rather than dropped."""
+    quote = instance(order_universe, "quote", oID="1", item="book", price="10")
+    v = HistoryVector.empty(["M"]).extend(Observation(quote, EMIT, 1))
+    assert v.history("M") == (Observation(quote, EMIT, 1),)
+    with pytest.raises(WellFormednessError):
+        v.extend(Observation(quote, RECV, 2))
+    with pytest.raises(WellFormednessError):
+        v.history("C")
+
+
 def test_enabled_emissions_initial(order_universe):
     v = HistoryVector.empty(order_universe.roles)
     assert [i.schema for i in enabled_emissions(v, order_universe, "M", KB)] == ["quote"]

@@ -292,7 +292,7 @@ def test_lifecycle_containment_on_running_models(
                 seed=seed,
             )
             result = run_scenario(scenario)
-            now = max(18, result.vector.clock)
+            now = max(18, result.vector.events[-1].tick)
             for c in commitments.values():
                 for role in (c.debtor, c.creditor):
                     m = project_model(result.vector, role, fwd)

@@ -20,6 +20,8 @@ from comal.enactment import (
     kb_agree,
     knowledge_from,
     model_of,
+    observation_from_json,
+    observation_to_json,
 )
 from comal.errors import BoundExceeded, UnknownForwardName, WellFormednessError
 from comal.protocol import parse_protocol, parse_protocols, uod
@@ -106,22 +108,40 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(PINNED))
-def test_pinned_outputs(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+def _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+    """The report of a ``PINNED`` case, and the universe its witness runs in."""
     kind, _, name = case.partition("-")
     if kind in ("safety", "liveness"):
         protocol, registry = _protocol(name, op_registry, toys)
         check = check_safety if kind == "safety" else check_liveness
-        report = check(protocol, BOUND, registry)
-    elif name == "OrderingOp":
+        return check(protocol, BOUND, registry), uod(protocol, registry)
+    if name == "OrderingOp":
         report = check_alignment_reachability(op_registry[name], [purchase], BOUND, True, op_registry)
-    elif name == "bare-escrow":
+        return report, uod(op_registry[name], op_registry)
+    if name == "bare-escrow":
         report = check_alignment_reachability(
             escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, True
         )
-    else:
-        report = check_embedding(op_registry["Ordering"], op_registry["OrderingOp"], BOUND, op_registry)
+        return report, uod(escrow_ordering)
+    report = check_embedding(op_registry["Ordering"], op_registry["OrderingOp"], BOUND, op_registry)
+    return report, uod(op_registry["OrderingOp"], op_registry)
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_outputs(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+    report, _ = _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments)
     assert (report.states_explored, _sha256(report.witness)) == PINNED[case]
+
+
+@pytest.mark.parametrize("case", sorted(case for case, (_, digest) in PINNED.items() if digest != NO_WITNESS))
+def test_witnesses_are_trace_records(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+    """Every witness path is a run in the trace format: each record other than
+    a lapse reads back as an observation that writes the same record."""
+    report, universe = _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments)
+    records = [r for path in report.witness.values() if isinstance(path, list) for r in path if "lapse" not in r]
+    assert records
+    for record in records:
+        assert record == observation_to_json(observation_from_json(record, universe))
 
 
 def test_enumerate_atomic_protocol():
@@ -156,7 +176,7 @@ def test_enumerate_respects_fifo(ordering, chan):
     fifo = enumerate_uoe(chan, Bound(delivery="fifo"))
     assert len(fifo.states) == 6
     for sid in range(len(fifo.states)):
-        received = [obs.instance.schema for obs in fifo.vector(sid).history("B").events]
+        received = [obs.instance.schema for obs in fifo.vector(sid).history("B")]
         assert received in ([], ["m1"], ["m1", "m2"])
 
 
