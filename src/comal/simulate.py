@@ -180,25 +180,27 @@ class Simulation:
     def _run_scripted(self, moves: Sequence[Mapping]) -> None:
         if not isinstance(moves, (list, tuple)):
             raise WellFormednessError(f"scripted \"moves\" must be a list, not {moves!r}")
-        moves = sorted(((_scripted_tick(m, self.universe), m) for m in moves), key=lambda pair: pair[0])
-        ticks = [tick for tick, _ in moves]
+        moves = sorted(
+            (_scripted_move(m, self.universe, self.scenario.key) + (m,) for m in moves), key=lambda triple: triple[0]
+        )
+        ticks = [tick for tick, _, _ in moves]
         if len(set(ticks)) != len(ticks):
             raise WellFormednessError("scripted moves must occupy distinct ticks")
         next_move = 0
         for tick in range(1, self.scenario.horizon + 1):
             if next_move < len(moves) and moves[next_move][0] == tick:
-                self._apply_scripted(moves[next_move][1], tick)
+                _, key, move = moves[next_move]
+                self._apply_scripted(move, key, tick)
                 next_move += 1
             self._report(tick)
         if next_move < len(moves):
-            tick, move = moves[next_move]
+            tick, _, move = moves[next_move]
             raise ScriptedMoveNotEnabled(f"move at tick {tick} is beyond the horizon", tick, move)
 
-    def _apply_scripted(self, move: Mapping, tick: int) -> None:
+    def _apply_scripted(self, move: Mapping, key: str, tick: int) -> None:
         role = move["role"]
         schema_name = move["schema"]
         direction = move["dir"]
-        key = str(move.get("key", self.scenario.key))
         if direction == EMIT:
             options = enabled_emissions(self.vector, self.universe, role, (key,))
             options = [i for i in options if i.schema == schema_name]
@@ -266,10 +268,11 @@ class Simulation:
             self.result.reports.append(CommitmentTick(tick, c.name, lifecycle, alignment))
 
 
-def _scripted_tick(move, universe: Uod) -> int:
-    """The tick of a scripted move, once the move is known to be an object
-    naming a tick, a role and a schema of ``universe``, and ``emit`` or
-    ``recv``, with a valid ``"key"`` if it has one; ticks start at 1."""
+def _scripted_move(move, universe: Uod, default_key: str) -> tuple[int, str]:
+    """The tick and key of a scripted move, once the move is known to be an
+    object naming a tick, a role and a schema of ``universe``, and ``emit`` or
+    ``recv``, with a valid ``"key"`` if it has one; ticks start at 1, and a
+    move without a ``"key"`` takes ``default_key``."""
     if not isinstance(move, Mapping):
         raise WellFormednessError(f"a scripted move must be an object, not {move!r}")
     for name in ("tick", "role", "dir", "schema"):
@@ -287,9 +290,7 @@ def _scripted_tick(move, universe: Uod) -> int:
         raise WellFormednessError(f"scripted move {move!r}: no message schema named {move['schema']!r}")
     if move["dir"] not in (EMIT, RECV):
         raise WellFormednessError(f'scripted move {move!r}: "dir" must be "emit" or "recv", not {move["dir"]!r}')
-    if "key" in move:
-        _key_value(move["key"], f"scripted move {move!r}")
-    return tick
+    return tick, _key_value(move.get("key", default_key), f"scripted move {move!r}")
 
 
 def _key_value(key, where: str) -> str:
