@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", action="store_true", help="input enactments embed in the composition (needs --input)")
     p.add_argument("--protocol", help="protocol under verification (default: first protocol parsed)")
     p.add_argument("--input", help="input protocol name for --theorem1/--embedding")
-    p.add_argument("--bound-keys", type=int, default=1, help="number of distinct key values")
+    p.add_argument("--bound-keys", type=int, default=1,
+                   help="number of distinct key values; safety, liveness and --theorem1 answer k values from "
+                        "the graph at one when every two message schemas share a key parameter, that graph is "
+                        "safe and live, and k times its depth fits --max-ticks, and enumerate all k otherwise")
     p.add_argument("--max-states", type=int, default=400_000)
     p.add_argument("--max-ticks", type=int, default=80,
                    help="observations per state, summed over all roles and key bindings; past it no role emits")

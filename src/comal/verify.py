@@ -42,6 +42,15 @@ learned it, so states collapse to per-role knowledge sets. Theorem 1 builds
 each protocol's graph once: a safe protocol's safety build is the whole
 graph, and liveness reads it too.
 
+Safety and liveness answer k > 1 key values from the first value's graph
+when every two schemas share a key parameter: instances at different values
+then never agree (``kb_agree``), no move, violation or completeness check
+links two values, and the k-value graph is the k-fold product of the one-value
+graph while k times its depth (most observations) fits ``max_ticks``. A safe
+and live one-value graph within that budget answers for all k with its own
+state count; otherwise, or past ``max_states``, all k values are enumerated,
+so counterexamples are the full graph's. Theorem 2 and embedding enumerate.
+
 Alignment needs time. Every observation happens in the current *phase*,
 which is also its timestamp in the observer's model and the instant tables
 are evaluated at. Observations take no time: the clock advances only through
@@ -57,7 +66,8 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .commitments import CommitmentSpec, bind_commitment
@@ -99,7 +109,10 @@ class Bound:
     * ``key_values``: the values key parameters range over. An emission
       gives every key parameter of its schema the same one of them, so mixed
       bindings (one key parameter at ``"1"``, another at ``"2"``) are not
-      produced or explored.
+      produced or explored. Safety and liveness answer k > 1 values from the
+      first value's graph when every two schemas share a key parameter, that
+      graph is safe and live and k times its depth fits ``max_ticks``;
+      otherwise all k are enumerated.
     * ``max_ticks``: observations per state, summed over every role and key
       binding; past it no role emits, and only the timed graph of Theorem 2
       still delivers and lapses deadlines.
@@ -373,6 +386,7 @@ class KnowledgeGraph(StateSpace):
         super().__init__(universe, bound)
         self.public_out = tuple(public_out)
         self.safety_violation: tuple[int, str] | None = None
+        self.detail = ""
 
     def build(self, stop_on_safety: bool = False) -> None:
         stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
@@ -402,6 +416,19 @@ class KnowledgeGraph(StateSpace):
 
 
 def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: bool) -> KnowledgeGraph:
+    """The graph at ``bound``; at k > 1 key values, the graph at the first value
+    alone when it answers for all k (see the module docstring)."""
+    values = tuple(dict.fromkeys(bound.key_values))
+    if len(values) > 1 and all(set(a.keys) & set(b.keys) for a, b in combinations(universe.schemas, 2)):
+        try:
+            one = _knowledge_graph(universe, p, replace(bound, key_values=values[:1]), stop_on_safety)
+        except BoundExceeded:
+            one = None
+        if (one is not None and one.safety_violation is None and len(values) * one.depth() <= bound.max_ticks
+                and one.first_stuck(_complete_states(one, one.public_out)) is None):
+            one.detail = f"{len(values)} key values answered from one"
+            log.info("%s: %s", p.name, one.detail)
+            return one
     graph = KnowledgeGraph(universe, bound, p.out_params)
     graph.build(stop_on_safety)
     return graph
@@ -412,7 +439,7 @@ def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
         state_id, detail = graph.safety_violation
         witness = {"reach": graph.path_to(state_id), "violation": detail}
         return VerificationReport(SAFETY, False, witness, len(graph.states), detail)
-    return VerificationReport(SAFETY, True, None, len(graph.states))
+    return VerificationReport(SAFETY, True, None, len(graph.states), graph.detail)
 
 
 def _complete_states(graph: StateSpace, public_out: Sequence[str]) -> list[int]:
@@ -436,7 +463,7 @@ def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
         return VerificationReport(
             LIVENESS, False, witness, len(graph.states), "state with no completing extension"
         )
-    return VerificationReport(LIVENESS, True, None, len(graph.states))
+    return VerificationReport(LIVENESS, True, None, len(graph.states), graph.detail)
 
 
 def check_safety(
@@ -547,12 +574,13 @@ def check_embedding(
         checked += 1
         vector = input_graph.vector(sid)
         knowledge = {role: RoleKnowledge(role) for role in vector.roles}
-        for obs in vector.observations():
+        run = vector.observations()
+        for step, obs in enumerate(run, start=1):
             if obs.direction == EMIT:
                 schema = composed_universe.schema(obs.instance.schema)
                 bad = emission_violation(knowledge[obs.role], schema, obs.instance, obs.tick)
                 if bad is not None:
-                    witness = {"trace": [observation_to_json(obs)], "violation": str(bad)}
+                    witness = {"trace": [observation_to_json(o) for o in run[:step]], "violation": str(bad)}
                     return VerificationReport(
                         EMBEDDING, False, witness, len(input_graph.states),
                         "input enactment not viable inside the composition",

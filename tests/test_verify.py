@@ -4,14 +4,18 @@ import hashlib
 import json
 import logging
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from comal.commitments import parse_commitments
 from comal.enactment import (
     EMIT,
     RECV,
+    HistoryVector,
     check_viable,
     deliverable,
     emission_candidates,
@@ -37,6 +41,8 @@ from comal.verify import (
     Bound,
     EnactmentGraph,
     KnowledgeGraph,
+    _liveness_report,
+    _safety_report,
     check_alignment_reachability,
     check_embedding,
     check_liveness,
@@ -284,6 +290,50 @@ def test_embedding_escrow(escrow_composed_literal):
     assert report.holds
 
 
+def _replay(records, universe) -> HistoryVector:
+    vector = HistoryVector.empty(universe.roles)
+    for record in records:
+        vector = vector.extend(observation_from_json(record, universe))
+    return vector
+
+
+def test_embedding_failure_witness_is_a_run():
+    """A composition whose copy of ``reply`` binds the input's ``in x`` as
+    ``out``: the witness is the input enactment up to the emission that
+    breaks, a run of the input protocol that the composition rejects at that
+    emission, for the reason the report gives."""
+    relay = parse_protocol(
+        """
+        Relay {
+          roles S, R
+          parameters out k key, out x, out y
+          S -> R: offer[out k key, out x]
+          R -> S: reply[in k key, in x, out y]
+        }
+        """
+    )
+    relay_op = parse_protocol(
+        """
+        RelayOp {
+          roles S, R
+          parameters out k key, out x, out y
+          S -> R: offer[out k key, out x]
+          R -> S: reply[in k key, out x, out y]
+        }
+        """
+    )
+    report = check_embedding(relay, relay_op, BOUND)
+    assert not report.holds
+    trace = report.witness["trace"]
+    assert [(r["role"], r["dir"], r["schema"]) for r in trace] == [
+        ("S", EMIT, "offer"), ("R", RECV, "offer"), ("R", EMIT, "reply"),
+    ]
+    assert check_viable(_replay(trace, uod(relay)), uod(relay)) is None
+    violation = check_viable(_replay(trace, uod(relay_op)), uod(relay_op))
+    assert violation is not None and violation.rule == "b" and violation.tick == len(trace)
+    assert str(violation) == report.witness["violation"]
+
+
 def test_alignment_reachability_composed(escrow_composed_literal):
     _, composed, registry, commitments = escrow_composed_literal
     report = check_alignment_reachability(
@@ -384,6 +434,94 @@ def test_knowledge_sets_agree_with_ordered_enumeration_on_random_protocols(key_v
         except BoundExceeded:
             continue
     assert True in verdicts and False in verdicts, verdicts
+
+
+def _values(k: int) -> tuple[str, ...]:
+    return tuple(str(i + 1) for i in range(k))
+
+
+def _assert_matches_full_enumeration(protocol, registry, bound) -> tuple[list, list[bool]]:
+    """Safety and liveness at ``bound`` against a direct full ``KnowledgeGraph``
+    build, whose state count at k key values must be the k-th power of a
+    decomposed report's. A report that is not decomposed must equal the full
+    build's, witness and state count included. Returns the full build's
+    reports and, per check, whether it was decomposed."""
+    k = len(bound.key_values)
+    universe = uod(protocol, registry)
+    graph = KnowledgeGraph(universe, bound, protocol.out_params)
+    graph.build(stop_on_safety=True)
+    full = [_safety_report(graph)]
+    if graph.safety_violation is not None:
+        graph = KnowledgeGraph(universe, bound, protocol.out_params)
+        graph.build()
+    full.append(_liveness_report(graph))
+    decomposed = []
+    for check, expected in zip((check_safety, check_liveness), full):
+        report = check(protocol, bound, registry)
+        decomposed.append(report.detail == f"{k} key values answered from one")
+        if decomposed[-1]:
+            assert expected.states_explored == report.states_explored ** k
+            report = replace(report, states_explored=expected.states_explored, detail="")
+        assert report == expected
+    return full, decomposed
+
+
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("name", ("Ordering", "OrderingOp", "EscrowOrdering", "unsafe_toy", "stuck_toy"))
+def test_key_values_answered_from_one_match_full_enumeration(name, k, op_registry, toys, escrow_ordering):
+    """Safe and live fixtures with one key set decompose; the toys fail at one
+    value and are enumerated, with the full graph's witness and state count."""
+    if name == "EscrowOrdering":
+        protocol, registry = escrow_ordering, None
+    else:
+        protocol, registry = _protocol(name, op_registry, toys)
+    _, decomposed = _assert_matches_full_enumeration(protocol, registry, Bound(key_values=_values(k)))
+    assert decomposed == [not name.endswith("_toy")] * 2
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_key_values_answered_from_one_only_within_the_budget(k, chan):
+    """Chan's one-value graph is 4 observations deep: k values decompose at
+    ``max_ticks`` 4k and are enumerated at 4k - 1, where the budget cuts the
+    product."""
+    one = KnowledgeGraph(uod(chan), BOUND, chan.out_params)
+    one.build()
+    assert one.depth() == 4
+    _, at_budget = _assert_matches_full_enumeration(chan, None, Bound(key_values=_values(k), max_ticks=4 * k))
+    full, below = _assert_matches_full_enumeration(chan, None, Bound(key_values=_values(k), max_ticks=4 * k - 1))
+    assert at_budget == [True, True] and below == [False, False]
+    assert full[0].states_explored < len(one.states) ** k
+
+
+def test_key_values_of_disjoint_key_sets_are_enumerated():
+    """``first`` is keyed by ``a`` and ``second`` by ``b``, so no key parameter
+    separates their instances: ``x`` from ``a`` = 1 is known at ``b`` = 2, and
+    the k-value graph is not the product of the one-value graph."""
+    protocol = parse_protocol(
+        """
+        Disjoint {
+          roles A, B
+          parameters out a key, out b key, out x, out y
+          A -> B: first[out a key, out x]
+          B -> A: second[out b key, in x, out y]
+        }
+        """
+    )
+    full, decomposed = _assert_matches_full_enumeration(protocol, None, Bound(key_values=_values(2)))
+    assert decomposed == [False, False]
+    assert full[0].states_explored != check_safety(protocol, BOUND).states_explored ** 2
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from((2, 3)))
+def test_key_values_answered_from_one_match_full_enumeration_on_random_protocols(seed, k):
+    """As above on Hypothesis-drawn random protocols, skipping those too large
+    to enumerate; about one in eight has two schemas without a shared key."""
+    protocol = random_protocol(random.Random(seed), 0)
+    try:
+        _assert_matches_full_enumeration(protocol, None, Bound(key_values=_values(k), max_states=5_000))
+    except BoundExceeded:
+        assume(False)
 
 
 def test_benchmark_hook_surface(monkeypatch):
