@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import UnknownBaseEvent, UnknownCommitmentReference, WellFormednessError
@@ -120,20 +121,26 @@ class CommitmentSpec:
         if self.debtor == self.creditor:
             raise WellFormednessError(f"commitment {self.name!r}: debtor equals creditor ({self.debtor!r})")
 
+    @cached_property  # kept in the instance __dict__, outside eq, hash and repr
+    def lifecycle(self) -> dict[str, EventExpr]:
+        """Each lifecycle state's formula, built once, so that the formulas
+        share their nodes: ``detached`` is part of ``violated``."""
+        detached = And(self.create, self.detach)
+        return {
+            "created": self.create,
+            "detached": detached,
+            "discharged": Or(And(self.create, self.discharge), And(self.detach, self.discharge)),
+            "expired": Except(self.create, self.detach),
+            "violated": Except(detached, self.discharge),
+        }
+
 
 def lifecycle_formula(kind: str, c: CommitmentSpec) -> EventExpr:
     """The event formula under which a lifecycle state of ``c`` holds."""
-    if kind == "created":
-        return c.create
-    if kind == "detached":
-        return And(c.create, c.detach)
-    if kind == "discharged":
-        return Or(And(c.create, c.discharge), And(c.detach, c.discharge))
-    if kind == "expired":
-        return Except(c.create, c.detach)
-    if kind == "violated":
-        return Except(And(c.create, c.detach), c.discharge)
-    raise WellFormednessError(f"unknown lifecycle kind {kind!r}")
+    formula = c.lifecycle.get(kind)
+    if formula is None:
+        raise WellFormednessError(f"unknown lifecycle kind {kind!r}")
+    return formula
 
 
 # ---------------------------------------------------------------------------

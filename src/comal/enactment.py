@@ -68,6 +68,19 @@ class MessageInstance:
         keys = set(self.keys)
         return tuple(item for item in self.bindings if item[0] in keys)
 
+    # The dataclass hash of the five fields, computed once: instances are
+    # hashed on every set and dict operation of the explorers. A string's hash
+    # differs between processes, so the cached value is not pickled.
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.schema, self.sender, self.receiver, self.bindings, self.keys))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in self.__dict__.items() if name != "_hash"}
+
     def binding(self, name: str) -> str | None:
         for param, value in self.bindings:
             if param == name:

@@ -18,16 +18,23 @@ passed at the evaluation instant; without a finite deadline it never holds.
 A table reads ``now`` only through exception deadlines, which are window
 upper bounds, so it stays the same until the model changes or ``now`` reaches
 :func:`next_change`; the timed explorer and the simulator both rely on this.
+
+Evaluation is per :class:`EvaluationContext`: a context evaluates each
+expression node at most once, however many formulas, window bounds and
+deadlines reach it. A commitment's lifecycle formulas are built once
+(``CommitmentSpec.lifecycle``), so its five tables, a nested lifecycle event
+and every window anchored on it share their nodes. The memo dies with the
+context, which holds one model at one instant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from . import commitments as cm
-from .commitments import CommitmentSpec, EventExpr, lifecycle_formula
+from .commitments import CommitmentSpec, EventExpr
 from .enactment import Bindings, Model, kb_agree
 from .errors import UnboundName
 
@@ -43,8 +50,15 @@ class EventInstance:
 
 @dataclass(frozen=True)
 class EvaluationContext:
+    """A model and the instant it is evaluated at. ``_memo`` holds each
+    expression node evaluated in this context with its instances, by the
+    node's ``id``; holding the node keeps that id from being reused."""
+
     model: Model
     now: int | float
+    _memo: dict[int, tuple[EventExpr, tuple[EventInstance, ...]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
@@ -53,6 +67,14 @@ def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ..
 
 
 def _eval(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    """``expr``'s instances, evaluated once per context."""
+    known = ctx._memo.get(id(expr))
+    if known is None:
+        known = ctx._memo[id(expr)] = (expr, _evaluate(expr, ctx))
+    return known[1]
+
+
+def _evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
     if isinstance(expr, cm.BaseEvent):
         return tuple(
             EventInstance(entry.key_binding, entry.bindings, entry.tick)
@@ -60,7 +82,7 @@ def _eval(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
             if entry.name == expr.name
         )
     if isinstance(expr, cm.LifecycleEvent):
-        return _eval(lifecycle_formula(expr.kind, expr.commitment), ctx)
+        return _eval(expr.commitment.lifecycle[expr.kind], ctx)
     if isinstance(expr, cm.Window):
         out = []
         for inst in _eval(expr.inner, ctx):
@@ -133,7 +155,7 @@ def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | flo
     if isinstance(expr, cm.BaseEvent):
         return INF
     if isinstance(expr, cm.LifecycleEvent):
-        return deadline(lifecycle_formula(expr.kind, expr.commitment), kb, ctx)
+        return deadline(expr.commitment.lifecycle[expr.kind], kb, ctx)
     if isinstance(expr, cm.Window):
         hi = _resolve_bound(expr.upper, kb, ctx)
         upper = INF if hi is None else hi
@@ -149,7 +171,7 @@ def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | flo
 
 def lifecycle_table(c: CommitmentSpec, ctx: EvaluationContext) -> dict[str, tuple[EventInstance, ...]]:
     """The instances of each lifecycle state of ``c`` entailed by the model."""
-    return {kind: _eval(lifecycle_formula(kind, c), ctx) for kind in cm.LIFECYCLE_KINDS}
+    return {kind: _eval(c.lifecycle[kind], ctx) for kind in cm.LIFECYCLE_KINDS}
 
 
 def window_anchors(commitments: Iterable[CommitmentSpec]) -> frozenset[tuple[EventExpr | None, int]]:

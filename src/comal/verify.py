@@ -30,11 +30,23 @@ of knowledge ids, one per role, plus the phase in the timed graph. Growing a
 knowledge by one entry is memoized, and each id's observed instance set and
 delivery order are derived once. Caches key on these: emission moves on
 (role index, observed set), so timed candidates do not split by phase;
-models, lifecycle tables and next changes on (id, phase); misalignment counts
-on (commitment, debtor id, creditor id, phase); ``is_complete`` on the
+models on id, lifecycle tables and next changes on (id, phase); misalignment
+counts on (commitment, debtor id, creditor id, phase); ``is_complete`` on the
 emitted set. Every cache lives on one graph instance and dies with it: a
 moves list depends on the universe and key values too. The observation
-budget is checked outside the caches.
+budget is checked outside the candidate cache.
+
+The timed graph repeats most untimed work once per phase (unrestricted
+OrderingOp: 8 760 states, 43 distinct tuples of observed sets). Its
+knowledge ids that observed the same instances at other phases share one
+interned observed set, the untimed projection, whose delivery order is
+derived once. A state's moves, and whether a lapse may follow them, are
+cached on the tuple of its roles' observed sets. This is exact: the moves
+read only each role's observed set, its delivery order (that set, sorted)
+and the observation budget (the sum of the sets' sizes), as delivery is never
+FIFO there, and the lapse gate reads only the moves. Only the successor
+states, the next lapse boundary and the alignment counts are worked out per
+timed state.
 
 Safety and liveness work on knowledge-set states: a role's enabled moves and
 the two verdicts depend only on what each role knows, not on the order it
@@ -67,6 +79,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -231,11 +244,11 @@ class StateSpace:
                         self.edges[sid].append((move, tid))
                 frontier = next_frontier
         finally:
-            log.info(
-                "%s: %d states, %d edges, %d candidate-cache entries, %d hits",
-                type(self).__name__, len(self.states), self.edge_count(),
-                len(self._emission_cache), self.cache_hits,
-            )
+            log.info("%s: %d states, %d edges, %s", type(self).__name__, len(self.states), self.edge_count(),
+                     self._cache_summary())
+
+    def _cache_summary(self) -> str:
+        return f"{len(self._emission_cache)} candidate-cache entries, {self.cache_hits} hits"
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         pass
@@ -409,6 +422,13 @@ class KnowledgeGraph(StateSpace):
                     )
                     return
 
+    @cached_property
+    def stuck(self) -> int | None:
+        """The first state found with no completing extension, if any: asked
+        of a built graph, once whether the key-value decomposition or the
+        liveness report asks first."""
+        return self.first_stuck(_complete_states(self, self.public_out))
+
     # perfbench/tracer.py rebinds these on each graph class it traces, so the
     # class must hold them in its own namespace.
     path_to = StateSpace.path_to
@@ -425,7 +445,7 @@ def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: b
         except BoundExceeded:
             one = None
         if (one is not None and one.safety_violation is None and len(values) * one.depth() <= bound.max_ticks
-                and one.first_stuck(_complete_states(one, one.public_out)) is None):
+                and one.stuck is None):
             one.detail = f"{len(values)} key values answered from one"
             log.info("%s: %s", p.name, one.detail)
             return one
@@ -457,9 +477,8 @@ def _complete_states(graph: StateSpace, public_out: Sequence[str]) -> list[int]:
 
 
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
-    stuck = graph.first_stuck(_complete_states(graph, graph.public_out))
-    if stuck is not None:
-        witness = {"reach": graph.path_to(stuck)}
+    if graph.stuck is not None:
+        witness = {"reach": graph.path_to(graph.stuck)}
         return VerificationReport(
             LIVENESS, False, witness, len(graph.states), "state with no completing extension"
         )
@@ -618,12 +637,21 @@ class AlignmentGraph(StateSpace):
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
+        # Each observed instance set once, with its delivery order; the moves
+        # and whether a lapse may follow them, by the tuple of observed sets.
+        self._projections: dict[frozenset, tuple[frozenset, Sequence[MessageInstance]]] = {}
+        self._moves_cache: dict[tuple[frozenset, ...], tuple[list[tuple[int, tuple]], bool]] = {}
+        self.moves_hits = 0
 
     def build(self) -> None:
         self._explore((self._knowledge_id(frozenset()),) * len(self.roles) + (0,))
 
     def _derive(self, collection):
-        return super()._derive(frozenset(inst for inst, _ in collection))
+        observed = frozenset(inst for inst, _ in collection)
+        projection = self._projections.get(observed)
+        if projection is None:
+            projection = self._projections[observed] = super()._derive(observed)
+        return projection
 
     def decode(self, state):
         """Each role's (instance, phase) set in ``state``, and its phase."""
@@ -631,12 +659,22 @@ class AlignmentGraph(StateSpace):
 
     def _successors(self, state):
         ids, now_phase = state[:-1], state[-1]
-        moves = self._moves([self._order[kid] for kid in ids], [self._observed[kid] for kid in ids])
+        observed = tuple(self._observed[kid] for kid in ids)
+        cached = self._moves_cache.get(observed)
+        if cached is None:
+            moves = self._moves([self._order[kid] for kid in ids], observed)
+            cached = self._moves_cache[observed] = (moves, self._lapse_allowed(moves))
+        else:
+            self.moves_hits += 1
+        moves, lapse_allowed = cached
         out = [(move, self._with(state, ri, (move[2], now_phase))) for ri, move in moves]
         lapse_value = self._next_boundary(ids, now_phase)
-        if lapse_value < INF and self._lapse_allowed(moves):
+        if lapse_value < INF and lapse_allowed:
             out.append((("lapse", lapse_value), ids + (lapse_value,)))
         return out
+
+    def _cache_summary(self) -> str:
+        return f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits"
 
     def _lapse_allowed(self, moves) -> bool:
         """Punctually, no deadline passes while a message is in flight or a

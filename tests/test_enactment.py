@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -270,3 +272,28 @@ def test_key_binding_cache_leaves_identity_alone(order_universe):
     used = instance(order_universe, "quote", oID="1", item="book", price="10")
     assert used.key_binding == (("oID", "1"),)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+
+
+def test_hash_cache_leaves_identity_alone(order_universe):
+    """The cached hash is the dataclass hash of the five fields; it stays out of
+    eq, repr, ``asdict`` and pickled state (a string's hash differs between
+    processes, so a pickled one could be wrong where it is loaded)."""
+    fields = ("quote", "M", "C", (("item", "book"), ("oID", "1"), ("price", "10")), ("oID",))
+    fresh = instance(order_universe, "quote", oID="1", item="book", price="10")
+    used = instance(order_universe, "quote", oID="1", item="book", price="10")
+    assert hash(used) == hash(fields)
+    assert "_hash" in used.__dict__ and "_hash" not in fresh.__dict__
+    assert used == fresh and hash(fresh) == hash(used)
+    assert repr(used) == repr(fresh) == (
+        "MessageInstance(schema='quote', sender='M', receiver='C', "
+        "bindings=(('item', 'book'), ('oID', '1'), ('price', '10')), keys=('oID',))"
+    )
+    assert dataclasses.asdict(used) == dataclasses.asdict(fresh) == dict(
+        zip(("schema", "sender", "receiver", "bindings", "keys"), fields)
+    )
+    other = instance(order_universe, "quote", oID="2", item="book", price="10")
+    hash(other)
+    assert used != other and {used, fresh, other} == {fresh, other}
+    loaded = pickle.loads(pickle.dumps(used))
+    assert "_hash" not in loaded.__dict__
+    assert loaded == used and hash(loaded) == hash(used) and repr(loaded) == repr(used)

@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comal.commitments import And, BaseEvent, Except, Or, TimeRef, Window
+from comal import semantics
+from comal.commitments import LIFECYCLE_KINDS, And, BaseEvent, Except, Or, TimeRef, Window, lifecycle_formula
 from comal.enactment import Model, ModelEntry, freeze_bindings
 from comal.protocol import parse_protocol, uod
 from comal.semantics import (
@@ -466,3 +469,94 @@ def test_evaluate_matches_brute_force_oracle():
         ours = {(i.key_binding, i.timestamp) for i in evaluate(formula, context)}
         reference = oracle_eval(formula, entries, universe, 1)
         assert ours == reference, f"case {case}: {formula}"
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per node and context
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _unshared(m, now):
+    """A context that evaluates every node afresh each time it is reached."""
+    context = EvaluationContext(m, now)
+    object.__setattr__(context, "_memo", _Forgetful())
+    return context
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_shared_context_matches_unshared_evaluation(data, ordering, escrow_ordering, purchase, escrow_commitments):
+    """On models drawn over the fixture commitments' messages (EscrowTransfer
+    nests discharged(EscrowPurchase); expired and violated are exceptions), at
+    several instants: every lifecycle table and the next change, evaluated in
+    one shared context in a drawn order, equal each formula evaluated in a
+    context of its own that remembers nothing."""
+    schemas = {s.name: s for p in (ordering, escrow_ordering) for s in uod(p).schemas}
+    ticks = data.draw(st.fixed_dictionaries(
+        {(name, key): st.none() | st.integers(0, 30) for name in sorted(schemas) for key in ("1", "2")}
+    ))
+    m = Model(tuple(
+        ModelEntry(
+            name,
+            freeze_bindings({p.name: key if p.key else f"{name}.{p.name}" for p in schemas[name].params}),
+            tick,
+            freeze_bindings({k: key for k in schemas[name].keys}),
+        )
+        for (name, key), tick in sorted(ticks.items())
+        if tick is not None
+    ))
+    commitments = data.draw(st.permutations([purchase, *escrow_commitments.values()]))
+    anchors = window_anchors(commitments)
+    for now in data.draw(st.lists(st.integers(0, 45), min_size=1, max_size=4)):
+        shared = EvaluationContext(m, now)
+        change_first = data.draw(st.booleans())
+        change = next_change(anchors, shared) if change_first else None
+        tables = {c.name: lifecycle_table(c, shared) for c in commitments}
+        if not change_first:
+            change = next_change(anchors, shared)
+        assert change == next_change(anchors, _unshared(m, now))
+        for c in commitments:
+            assert tables[c.name] == {
+                kind: evaluate(lifecycle_formula(kind, c), _unshared(m, now)) for kind in LIFECYCLE_KINDS
+            }, (c.name, now)
+
+
+def test_each_node_evaluated_once_per_context(monkeypatch, escrow_ordering, escrow_commitments):
+    """All tables and the next change in one context evaluate each distinct
+    node once, the nested discharged(EscrowPurchase) included; another
+    context evaluates again."""
+    computed = []
+    evaluate_node = semantics._evaluate
+
+    def counted(expr, context):
+        computed.append((id(context), id(expr)))
+        return evaluate_node(expr, context)
+
+    monkeypatch.setattr(semantics, "_evaluate", counted)
+    universe = uod(escrow_ordering)
+    m = Model(tuple(
+        ModelEntry(
+            name,
+            freeze_bindings({p.name: "1" if p.key else f"{name}.{p.name}" for p in universe.schema(name).params}),
+            tick,
+            (("oID", "1"),),
+        )
+        for name, tick in (("quote", 1), ("payEscrow", 3), ("ship", 5), ("payTransfer", 7))
+    ))
+    commitments = list(escrow_commitments.values())
+    nested = escrow_commitments["EscrowPurchase"].lifecycle["discharged"]
+    for _ in range(2):
+        context = EvaluationContext(m, 9)
+        tables = [lifecycle_table(c, context) for c in commitments]
+        # The nested discharge (ship at 5) plus 5 comes before quote plus 10.
+        assert next_change(window_anchors(commitments), context) == 10
+        assert kbs(tables[1]["discharged"]) == {(("oID", "1"),)}
+        assert computed.count((id(context), id(nested))) == 1
+    assert len(computed) == len(set(computed))
+    assert len({node for _, node in computed}) == len(computed) // 2

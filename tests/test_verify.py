@@ -524,6 +524,22 @@ def test_key_values_answered_from_one_match_full_enumeration_on_random_protocols
         assume(False)
 
 
+def test_decomposed_liveness_runs_the_closure_once(monkeypatch, op_registry):
+    """Deciding that the one-value graph is live answers the report too."""
+    calls = []
+    closure = KnowledgeGraph.backward_closure
+
+    def counted(graph, seeds):
+        calls.append(graph)
+        return closure(graph, seeds)
+
+    monkeypatch.setattr(KnowledgeGraph, "backward_closure", counted)
+    protocol = op_registry["OrderingOp"]
+    report = check_liveness(protocol, Bound(key_values=_values(2)), op_registry)
+    assert report.holds and report.detail == "2 key values answered from one"
+    assert len(calls) == 1
+
+
 def test_benchmark_hook_surface(monkeypatch):
     """Every attribute the benchmark's tracer rebinds is defined on its owner
     itself, not inherited, and every probed graph class defines ``build``."""
@@ -633,12 +649,20 @@ def _uncached_moves(graph, known, observed, fifo=False):
     return moves
 
 
-def _cached_graph(case, op_registry, chan, escrow_ordering, escrow_commitments, purchase):
+@pytest.fixture(scope="module")
+def escrow_op_registry(fixtures_dir):
+    return parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
+
+
+def _cached_graph(case, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase):
+    """The graph of a ``CACHE_CASES`` case, and whether its build stopped at
+    ``max_states``."""
     kind, name, setting = case
     protocol, registry = {
         "Ordering": (op_registry["Ordering"], op_registry),
         "OrderingOp": (op_registry["OrderingOp"], op_registry),
         "EscrowOrdering": (escrow_ordering, None),
+        "EscrowOrderingOp": (escrow_op_registry["EscrowOrderingOp"], escrow_op_registry),
         "Chan": (chan, None),
     }[name]
     universe = uod(protocol, registry)
@@ -646,38 +670,68 @@ def _cached_graph(case, op_registry, chan, escrow_ordering, escrow_commitments, 
         graph = KnowledgeGraph(universe, Bound(key_values=setting), protocol.out_params)
     elif kind == "ordered":
         graph = EnactmentGraph(universe, Bound(delivery=setting))
+    elif name == "EscrowOrderingOp":
+        graph = AlignmentGraph(universe, escrow_commitments.values(), Bound(max_states=setting), punctual=False)
     else:
         specs = [purchase] if name == "OrderingOp" else [escrow_commitments["EscrowPurchase"]]
         graph = AlignmentGraph(universe, specs, Bound(max_ticks=setting), punctual=True)
-    graph.build()
-    return graph
+    try:
+        graph.build()
+    except BoundExceeded as exc:
+        assert exc.partial is graph
+        return graph, True
+    return graph, False
 
 
-# (graph, protocol, key values | delivery | max_ticks). At max_ticks 3 the
-# timed graph goes on delivering and lapsing from knowledge sets whose
-# emission moves were cached while the budget lasted.
+# (graph, protocol, key values | delivery | max_ticks | max_states). At
+# max_ticks 3 the timed graph goes on delivering and lapsing from knowledge
+# sets whose emission moves were cached while the budget lasted. Unrestricted
+# composed escrow, cut at 3 000 states, is where most phases share one tuple
+# of observed sets, so where the timed moves cache answers most.
 CACHE_CASES = [
     *(("knowledge", name, keys) for name in ("Ordering", "OrderingOp", "EscrowOrdering") for keys in (("1",), ("1", "2"))),
     *(("ordered", name, delivery) for name in ("Ordering", "OrderingOp", "Chan") for delivery in ("any", "fifo")),
     ("alignment", "OrderingOp", 80),
     ("alignment", "OrderingOp", 3),
     ("alignment", "EscrowOrdering", 80),
+    ("alignment", "EscrowOrderingOp", 3_000),
 ]
 
 
 @pytest.mark.parametrize("case", CACHE_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_cached_successors_match_uncached(
-    case, monkeypatch, op_registry, chan, escrow_ordering, escrow_commitments, purchase
+    case, monkeypatch, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
 ):
     """Every state's successors, and the edges the build recorded, are those of
-    a successor function that rebuilds knowledge and candidates each time."""
-    graph = _cached_graph(case, op_registry, chan, escrow_ordering, escrow_commitments, purchase)
+    a successor function that rebuilds knowledge and candidates each time. The
+    timed graph's moves cache is emptied before each state, so that its moves
+    come from that state's own observed sets and not from another phase's. A
+    build cut at ``max_states`` recorded every edge of the states expanded
+    before the last one found, and a prefix of the rest."""
+    graph, cut = _cached_graph(
+        case, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
+    )
+    timed = isinstance(graph, AlignmentGraph)
+    if timed:
+        assert graph.moves_hits > 0
     cached = [graph._successors(state) for state in graph.states]
-    monkeypatch.setattr(graph, "_moves", lambda *args, **kwargs: _uncached_moves(graph, *args, **kwargs))
+    calls = []
+
+    def uncached_moves(*args, **kwargs):
+        calls.append(args)
+        return _uncached_moves(graph, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "_moves", uncached_moves)
+    expanded = graph.parents[-1][0] if cut else len(graph.states)
     for sid, state in enumerate(graph.states):
+        if timed:
+            graph._moves_cache.clear()
         uncached = graph._successors(state)
         assert cached[sid] == uncached, sid
-        assert graph.edges[sid] == [(move, graph.index[succ]) for move, succ in uncached], sid
+        edges = [(move, graph.index.get(succ)) for move, succ in uncached]
+        assert graph.edges[sid] == (edges if sid < expanded else edges[:len(graph.edges[sid])]), sid
+    if timed:
+        assert len(calls) == len(graph.states)
 
 
 def test_candidates_generated_once_per_role_and_knowledge_set(monkeypatch, op_registry):
@@ -748,12 +802,22 @@ def test_is_complete_matches_rescan(name, op_registry, escrow_ordering):
     assert verdicts == {True, False}
 
 
-def test_build_logs_one_line(caplog, ordering):
+def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
+    """One line per graph; the timed graph's also gives its moves cache, which
+    answers for every state after the first of each tuple of observed sets."""
     graph = KnowledgeGraph(uod(ordering), BOUND, ordering.out_params)
+    protocol = op_registry["OrderingOp"]
+    timed = AlignmentGraph(uod(protocol, op_registry), [purchase], BOUND, punctual=False)
     with caplog.at_level(logging.INFO, logger="comal.verify"):
         graph.build()
-    [record] = caplog.records
-    assert record.getMessage() == (
+        timed.build()
+    first, second = caplog.records
+    assert first.getMessage() == (
         f"KnowledgeGraph: 23 states, {graph.edge_count()} edges, "
         f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits"
+    )
+    assert second.getMessage() == (
+        f"AlignmentGraph: 8760 states, {timed.edge_count()} edges, "
+        f"{len(timed._emission_cache)} candidate-cache entries, {timed.cache_hits} hits, "
+        f"43 moves-cache entries, {8760 - 43} hits"
     )
