@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: parse | print | synthesize | compose | simulate | verify.
-Set COMAL_LOG=debug|info|warning for diagnostics verbosity.
+Set COMAL_LOG=debug|info|warning|error for diagnostics verbosity.
 """
 
 from __future__ import annotations
@@ -38,9 +38,24 @@ EXIT_ERROR = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_BOUND_EXCEEDED = 3
 
+LOG_LEVELS = ("debug", "info", "warning", "error")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit ``EXIT_ERROR``: argparse's own 2 is the counterexample
+    code. Subparsers are built with the parser's class, so they do too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("COMAL_LOG", "warning").upper())
+    level = os.environ.get("COMAL_LOG", "warning").lower()
+    if level not in LOG_LEVELS:
+        print(f"error: COMAL_LOG must be one of {', '.join(LOG_LEVELS)}", file=sys.stderr)
+        return EXIT_ERROR
+    logging.basicConfig(level=level.upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -51,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="comal", description=__doc__)
+    parser = _Parser(prog="comal", description=__doc__)
     sub = parser.add_subparsers(required=True)
 
     p = sub.add_parser("parse", help="parse and validate protocol or commitment files")
@@ -98,14 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", help="protocol under verification (default: first protocol parsed)")
     p.add_argument("--input", help="input protocol name for --theorem1/--embedding")
     p.add_argument("--bound-keys", type=int, default=1,
-                   help="number of distinct key values; safety, liveness and --theorem1 answer k values from "
-                        "the graph at one when every two message schemas share a key parameter, that graph is "
-                        "safe and live, and k times its depth fits --max-ticks, and enumerate all k otherwise")
+                   help="number of distinct key values; safety, liveness, --theorem1 and --embedding answer k "
+                        "values from the graph at one when every two message schemas share a key parameter, that "
+                        "graph is safe and live, and k times its depth fits --max-ticks, and enumerate all k "
+                        "otherwise")
     p.add_argument("--max-states", type=int, default=400_000)
     p.add_argument("--max-ticks", type=int, default=80,
                    help="observations per state, summed over all roles and key bindings; past it no role emits")
-    p.add_argument("--delivery", choices=DELIVERIES, default="any",
-                   help="in-flight delivery order; only --embedding enumerates ordered histories and reads it")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
@@ -249,7 +263,6 @@ def cmd_verify(args) -> int:
     bound = Bound(
         key_values=tuple(str(i + 1) for i in range(args.bound_keys)),
         max_ticks=args.max_ticks,
-        delivery=args.delivery,
         max_states=args.max_states,
     )
     requested = args.safety or args.liveness or args.theorem1 or args.theorem2 or args.embedding

@@ -1,7 +1,7 @@
 """Bounded verification by exhaustive enumeration of reachable enactments.
 
 Four checks are provided over a finite :class:`Bound` (key values, an
-observation budget, a delivery order and a state budget):
+observation budget and a state budget):
 
 * safety: no reachable state binds two values to one parameter of one
   enactment. Emissions are validated against the *sender's* knowledge only,
@@ -9,16 +9,19 @@ observation budget, a delivery order and a state budget):
   caught here.
 * liveness: from every reachable state some extension binds every public
   ``out`` parameter for every initiated key binding.
-* embedding: every complete enactment of an input protocol replays verbatim
-  inside a composed protocol, preserving each role's observation order.
+* embedding: every enactment of an input protocol that can still complete
+  replays inside a composed protocol: each of its emissions keeps the composed
+  schema's emission rules.
 * alignment reachability: from every reachable state of a composed protocol,
   some extension is aligned for every commitment.
 
 All four enumerate with one breadth-first explorer, ``StateSpace``; the
 knowledge-set, ordered and timed graphs below differ only in their state
-encoding. Their moves, like the simulator's, are the ``emission_candidates``
-of each role's knowledge and a delivery of each ``in_flight`` message, both
-from ``enactment``.
+encoding (no check reads the ordered one: it is the tests' exact reference).
+Their moves, like the simulator's, are the ``emission_candidates`` of each
+role's knowledge and a delivery of any ``in_flight`` message, both from
+``enactment``: BSPL's channels are unordered, and every FIFO run is also such
+a run, so a check that holds here holds under FIFO, the simulator's option.
 
 Witnesses are runs: each path in one is a list of the simulator's trace
 records (``enactment.observation_to_json``) ticked from 1, and a deadline
@@ -43,25 +46,27 @@ interned observed set, the untimed projection, whose delivery order is
 derived once. A state's moves, and whether a lapse may follow them, are
 cached on the tuple of its roles' observed sets. This is exact: the moves
 read only each role's observed set, its delivery order (that set, sorted)
-and the observation budget (the sum of the sets' sizes), as delivery is never
-FIFO there, and the lapse gate reads only the moves. Only the successor
-states, the next lapse boundary and the alignment counts are worked out per
-timed state.
+and the observation budget (the sum of the sets' sizes), and the lapse gate
+reads only the moves. Only the successor states, the next lapse boundary and
+the alignment counts are worked out per timed state.
 
-Safety and liveness work on knowledge-set states: a role's enabled moves and
-the two verdicts depend only on what each role knows, not on the order it
-learned it, so states collapse to per-role knowledge sets. Theorem 1 builds
-each protocol's graph once: a safe protocol's safety build is the whole
-graph, and liveness reads it too.
+Safety, liveness and embedding work on knowledge-set states: a role's
+enabled moves and the three verdicts depend only on what each role knows, not
+on the order it learned it, so states collapse to per-role knowledge sets.
+Theorem 1 builds each protocol's graph once: a safe protocol's safety build
+is the whole graph, and liveness reads it too. An emission on a prefix of a
+complete input enactment is exactly an emission edge into a *live* state (one
+with a completing extension), and ``emission_violation`` reads only the
+sender's order-free ``RoleKnowledge``, so embedding is exact there.
 
-Safety and liveness answer k > 1 key values from the first value's graph
-when every two schemas share a key parameter: instances at different values
-then never agree (``kb_agree``), no move, violation or completeness check
+These three answer k > 1 key values from the first value's graph when every
+two schemas share a key parameter: instances at different values then never
+agree (``kb_agree``), no move, violation, emission rule or completeness check
 links two values, and the k-value graph is the k-fold product of the one-value
 graph while k times its depth (most observations) fits ``max_ticks``. A safe
 and live one-value graph within that budget answers for all k with its own
 state count; otherwise, or past ``max_states``, all k values are enumerated,
-so counterexamples are the full graph's. Theorem 2 and embedding enumerate.
+so counterexamples are the full graph's. Theorem 2 enumerates.
 
 Alignment needs time. Every observation happens in the current *phase*,
 which is also its timestamp in the observer's model and the instant tables
@@ -85,14 +90,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .commitments import CommitmentSpec, bind_commitment
 from .enactment import (
-    DELIVERIES,
     EMIT,
     RECV,
     HistoryVector,
     MessageInstance,
     Model,
     Observation,
-    RoleKnowledge,
     emission_candidates,
     emission_violation,
     in_flight,
@@ -122,22 +125,18 @@ class Bound:
     * ``key_values``: the values key parameters range over. An emission
       gives every key parameter of its schema the same one of them, so mixed
       bindings (one key parameter at ``"1"``, another at ``"2"``) are not
-      produced or explored. Safety and liveness answer k > 1 values from the
-      first value's graph when every two schemas share a key parameter, that
-      graph is safe and live and k times its depth fits ``max_ticks``;
-      otherwise all k are enumerated.
+      produced or explored. Safety, liveness and embedding answer k > 1 values
+      from the first value's graph when every two schemas share a key
+      parameter, that graph is safe and live and k times its depth fits
+      ``max_ticks``; otherwise all k are enumerated.
     * ``max_ticks``: observations per state, summed over every role and key
       binding; past it no role emits, and only the timed graph of Theorem 2
       still delivers and lapses deadlines.
-    * ``delivery``: ``"any"`` delivers any in-flight message, ``"fifo"`` only
-      the oldest per channel. Only the ordered enumeration (``enumerate_uoe``,
-      ``check_embedding``) reads it; knowledge sets keep no order.
     * ``max_states``: states explored before ``BoundExceeded`` is raised.
     """
 
     key_values: tuple[str, ...] = ("1",)
     max_ticks: int = 80
-    delivery: str = "any"
     max_states: int = 400_000
 
     def __post_init__(self):
@@ -147,8 +146,6 @@ class Bound:
             raise WellFormednessError(f"a bound needs max_ticks >= 1, not {self.max_ticks}")
         if self.max_states < 1:
             raise WellFormednessError(f"a bound needs max_states >= 1, not {self.max_states}")
-        if self.delivery not in DELIVERIES:
-            raise WellFormednessError(f"delivery must be one of {DELIVERIES}, not {self.delivery!r}")
 
 
 @dataclass(frozen=True)
@@ -306,16 +303,11 @@ class StateSpace:
         known = [self._order[kid] for kid in state]
         if sum(map(len, known)) >= self.bound.max_ticks:
             return []
-        moves = self._moves(known, [self._observed[kid] for kid in state], self._fifo)
+        moves = self._moves(known, [self._observed[kid] for kid in state])
         return [(move, self._with(state, ri, move[2])) for ri, move in moves]
 
-    _fifo = False
-
     def _moves(
-        self,
-        known: Sequence[Sequence[MessageInstance]],
-        observed: Sequence[frozenset],
-        fifo: bool = False,
+        self, known: Sequence[Sequence[MessageInstance]], observed: Sequence[frozenset]
     ) -> list[tuple[int, tuple]]:
         """Emission candidates per role while the observation budget lasts, then
         a delivery of each in-flight instance. ``known[i]`` is what role ``i``
@@ -327,7 +319,7 @@ class StateSpace:
         if sum(map(len, known)) < self.bound.max_ticks:
             for ri, seen in enumerate(observed):
                 moves.extend(self._emissions(ri, seen))
-        for inst in in_flight(self.roles, known, observed, fifo):
+        for inst in in_flight(self.roles, known, observed):
             moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
         return moves
 
@@ -382,9 +374,8 @@ class StateSpace:
                     stack.append(pred)
         return closed
 
-    def first_stuck(self, good: Iterable[int]) -> int | None:
-        """The first state found that reaches no ``good`` state, if any."""
-        closed = self.backward_closure(good)
+    def first_outside(self, closed: set[int]) -> int | None:
+        """The first state found that is not in ``closed``, if any."""
         return next((sid for sid in range(len(self.states)) if sid not in closed), None)
 
 
@@ -423,11 +414,20 @@ class KnowledgeGraph(StateSpace):
                     return
 
     @cached_property
-    def stuck(self) -> int | None:
-        """The first state found with no completing extension, if any: asked
-        of a built graph, once whether the key-value decomposition or the
-        liveness report asks first."""
-        return self.first_stuck(_complete_states(self, self.public_out))
+    def live(self) -> set[int]:
+        """The states with a completing extension, the backward closure of the
+        complete states: asked of a built graph, once for the key-value
+        decomposition, liveness and embedding. ``is_complete`` is evaluated
+        once per distinct emitted set (the tuple of per-role sent sets)."""
+        verdicts: dict[tuple[frozenset, ...], bool] = {}
+        complete = []
+        for sid, state in enumerate(self.states):
+            sent = self.sent(state)
+            if sent not in verdicts:
+                verdicts[sent] = is_complete(self.emitted(state), self.public_out)
+            if verdicts[sent]:
+                complete.append(sid)
+        return self.backward_closure(complete)
 
     # perfbench/tracer.py rebinds these on each graph class it traces, so the
     # class must hold them in its own namespace.
@@ -445,7 +445,7 @@ def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: b
         except BoundExceeded:
             one = None
         if (one is not None and one.safety_violation is None and len(values) * one.depth() <= bound.max_ticks
-                and one.stuck is None):
+                and len(one.live) == len(one.states)):
             one.detail = f"{len(values)} key values answered from one"
             log.info("%s: %s", p.name, one.detail)
             return one
@@ -462,23 +462,10 @@ def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
     return VerificationReport(SAFETY, True, None, len(graph.states), graph.detail)
 
 
-def _complete_states(graph: StateSpace, public_out: Sequence[str]) -> list[int]:
-    """The states whose emissions are complete, evaluating ``is_complete`` once
-    per distinct emitted set (the tuple of per-role sent sets)."""
-    verdicts: dict[tuple[frozenset, ...], bool] = {}
-    complete = []
-    for sid, state in enumerate(graph.states):
-        sent = graph.sent(state)
-        if sent not in verdicts:
-            verdicts[sent] = is_complete(graph.emitted(state), public_out)
-        if verdicts[sent]:
-            complete.append(sid)
-    return complete
-
-
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
-    if graph.stuck is not None:
-        witness = {"reach": graph.path_to(graph.stuck)}
+    stuck = graph.first_outside(graph.live)
+    if stuck is not None:
+        witness = {"reach": graph.path_to(stuck)}
         return VerificationReport(
             LIVENESS, False, witness, len(graph.states), "state with no completing extension"
         )
@@ -549,12 +536,10 @@ def check_theorem1(
 class EnactmentGraph(StateSpace):
     """Reachable history vectors, deduplicated up to tick relabeling: states
     are the per-role instance sequences in observation order, with ticks
-    assigned by global arrival order on reconstruction. Keeping each sender's
-    emission order is what lets FIFO delivery find the oldest message per
-    channel."""
+    assigned by global arrival order on reconstruction. No check reads it: it
+    is the exact reference the knowledge-set graph is tested against."""
 
     def build(self) -> None:
-        self._fifo = self.bound.delivery == "fifo"
         self._explore((self._knowledge_id(()),) * len(self.roles))
 
     def _extend(self, collection, entry):
@@ -583,32 +568,32 @@ def check_embedding(
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
 ) -> VerificationReport:
-    """Every complete enactment of the input protocol replays move for move
-    inside the composed protocol, so each role's input-schema observations
-    appear there in the same order."""
-    input_graph = enumerate_uoe(input_protocol, bound, registry)
+    """Every enactment of the input protocol that can still complete replays
+    inside the composed protocol: each emission edge of the input's graph into
+    a live state passes the composed schema's emission rules against the
+    sender's knowledge at its source. On failure the witness is the path to
+    that source and the emission, a run of the input the composition rejects."""
+    graph = _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, stop_on_safety=False)
     composed_universe = uod(composed, registry)
+
+    def report(witness, detail: str) -> VerificationReport:
+        detail = ", ".join(filter(None, (detail, graph.detail)))
+        return VerificationReport(EMBEDDING, witness is None, witness, len(graph.states), detail)
+
     checked = 0
-    for sid in _complete_states(input_graph, input_protocol.out_params):
-        checked += 1
-        vector = input_graph.vector(sid)
-        knowledge = {role: RoleKnowledge(role) for role in vector.roles}
-        run = vector.observations()
-        for step, obs in enumerate(run, start=1):
-            if obs.direction == EMIT:
-                schema = composed_universe.schema(obs.instance.schema)
-                bad = emission_violation(knowledge[obs.role], schema, obs.instance, obs.tick)
-                if bad is not None:
-                    witness = {"trace": [observation_to_json(o) for o in run[:step]], "violation": str(bad)}
-                    return VerificationReport(
-                        EMBEDDING, False, witness, len(input_graph.states),
-                        "input enactment not viable inside the composition",
-                    )
-            knowledge[obs.role].observe(obs.instance)
-    return VerificationReport(
-        EMBEDDING, True, None, len(input_graph.states),
-        f"{checked} complete enactments replayed order-preservingly",
-    )
+    for sid, out_edges in enumerate(graph.edges):
+        for move, tid in out_edges:
+            if move[0] != EMIT or tid not in graph.live:
+                continue
+            checked += 1
+            _, role, inst = move
+            knowledge = _knowledge_from(graph.decode(graph.states[sid])[graph.role_index[role]], role)
+            trail = graph._trail(sid, graph.parents)
+            bad = emission_violation(knowledge, composed_universe.schema(inst.schema), inst, len(trail) + 1)
+            if bad is not None:
+                witness = {"trace": _witness(trail + [move]), "violation": str(bad)}
+                return report(witness, "input enactment not viable inside the composition")
+    return report(None, f"{checked} emissions toward complete enactments replayed")
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +747,7 @@ def check_alignment_reachability(
     mode = "punctual" if punctual else "unrestricted"
     counts = [graph.alignment(state) for state in graph.states]
     for ci, c in enumerate(graph.commitments):
-        stuck = graph.first_stuck(sid for sid, row in enumerate(counts) if row[ci] == 0)
+        stuck = graph.first_outside(graph.backward_closure(sid for sid, row in enumerate(counts) if row[ci] == 0))
         if stuck is not None:
             witness = {"commitment": c.name, "reach": graph.path_to(stuck)}
             detail = f"{mode}: no aligning extension for {c.name!r}"

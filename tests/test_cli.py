@@ -237,6 +237,29 @@ def test_verify_embedding_via_cli(capsys, fixtures_dir):
     assert "EMBEDDING: holds" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--safety", "ordering.bspl", "--bound-keys", "two"), ("--delivery", "fifo", "--safety", "ordering.bspl")],
+    ids=["bound-keys-not-int", "delivery-removed"],
+)
+def test_usage_errors_exit_1(capsys, fixtures_dir, argv):
+    """A usage error is an error, not the counterexample code 2 argparse exits
+    with; ``comal verify`` has no ``--delivery``."""
+    argv = [fixtures_dir / a if a.endswith(".bspl") else a for a in argv]
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *map(str, argv)])
+    assert info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: comal") and "error:" in captured.err
+
+
+def test_unknown_log_level_is_an_error(capsys, fixtures_dir, monkeypatch):
+    monkeypatch.setenv("COMAL_LOG", "verbose")
+    code, out, err = run(capsys, "parse", fixtures_dir / "ordering.bspl")
+    assert (code, out, err) == (1, "", "error: COMAL_LOG must be one of debug, info, warning, error\n")
+
+
 def test_verify_requires_a_property(capsys, fixtures_dir):
     code, _, err = run(capsys, "verify", fixtures_dir / "ordering.bspl")
     assert code == 1
