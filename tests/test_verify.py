@@ -222,7 +222,9 @@ def test_ordered_moves_match_simulator(name, delivery, op_registry, chan):
         assert (simulator == explored) if delivery == "any" else (simulator <= explored), sid
 
 
-@pytest.mark.parametrize("fields", ({"key_values": ()}, {"max_ticks": 0}, {"max_states": 0}))
+@pytest.mark.parametrize(
+    "fields", ({"key_values": ()}, {"max_ticks": 0}, {"max_ticks": -1}, {"max_states": 0})
+)
 def test_bound_rejects_empty_or_unknown_limits(fields):
     with pytest.raises(WellFormednessError):
         Bound(**fields)
