@@ -28,6 +28,7 @@ from .verify import (
     check_embedding,
     check_liveness,
     check_safety,
+    check_safety_and_liveness,
     check_theorem1,
 )
 
@@ -113,13 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", help="protocol under verification (default: first protocol parsed)")
     p.add_argument("--input", help="input protocol name for --theorem1/--embedding")
     p.add_argument("--bound-keys", type=int, default=1,
-                   help="number of distinct key values; safety, liveness, --theorem1 and --embedding answer k "
-                        "values from the graph at one when every two message schemas share a key parameter, that "
-                        "graph is safe and live, and k times its depth fits --max-ticks, and enumerate all k "
-                        "otherwise")
+                   help="number of distinct key values; a verdict covers every run at these values. Safety, "
+                        "liveness, --theorem1 and --embedding answer k values from the graph at one when every two "
+                        "message schemas share a key parameter and that graph is safe and live, and enumerate all "
+                        "k otherwise")
     p.add_argument("--max-states", type=int, default=400_000)
-    p.add_argument("--max-ticks", type=int, default=80,
-                   help="observations per state, summed over all roles and key bindings; past it no role emits")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
@@ -260,11 +259,7 @@ def _report_line(report: VerificationReport, json_mode: bool) -> None:
 def cmd_verify(args) -> int:
     protocols, commitments = _load_sources(args.files)
     protocol = _pick_protocol(protocols, args.protocol)
-    bound = Bound(
-        key_values=tuple(str(i + 1) for i in range(args.bound_keys)),
-        max_ticks=args.max_ticks,
-        max_states=args.max_states,
-    )
+    bound = Bound(key_values=tuple(str(i + 1) for i in range(args.bound_keys)), max_states=args.max_states)
     requested = args.safety or args.liveness or args.theorem1 or args.theorem2 or args.embedding
     if not requested:
         raise ComalError("nothing to verify: pass --safety/--liveness/--theorem1/--theorem2/--embedding")
@@ -278,9 +273,12 @@ def cmd_verify(args) -> int:
             exit_code = max(exit_code, EXIT_COUNTEREXAMPLE)
 
     try:
-        if args.safety:
+        if args.safety and args.liveness:
+            for report in check_safety_and_liveness(protocol, bound, protocols):
+                record(report)
+        elif args.safety:
             record(check_safety(protocol, bound, protocols))
-        if args.liveness:
+        elif args.liveness:
             record(check_liveness(protocol, bound, protocols))
         if args.theorem1:
             if not args.input:

@@ -1,7 +1,8 @@
 """Bounded verification by exhaustive enumeration of reachable enactments.
 
-Four checks are provided over a finite :class:`Bound` (key values, an
-observation budget and a state budget):
+Four checks are provided over a finite :class:`Bound` (key values and a
+state budget). A verdict covers every run at those key values, or the check
+raises ``BoundExceeded``:
 
 * safety: no reachable state binds two values to one parameter of one
   enactment. Emissions are validated against the *sender's* knowledge only,
@@ -23,6 +24,12 @@ role's knowledge and a delivery of any ``in_flight`` message, both from
 ``enactment``: BSPL's channels are unordered, and every FIFO run is also such
 a run, so a check that holds here holds under FIFO, the simulator's option.
 
+Every graph is finite: a parameter is bound once per enactment, so a schema
+is emitted at most once per key binding (``emission_candidates``' rule (d)),
+and a run at k key values makes at most 2·k·|schemas| observations. A lapse
+moves the phase forward to a window bound anchored at 0 or at one of those
+observations, so a run also lapses finitely often.
+
 Witnesses are runs: each path in one is a list of the simulator's trace
 records (``enactment.observation_to_json``) ticked from 1, and a deadline
 lapse is the one other record, ``{"tick", "lapse"}``.
@@ -36,8 +43,7 @@ delivery order are derived once. Caches key on these: emission moves on
 models on id, lifecycle tables and next changes on (id, phase); misalignment
 counts on (commitment, debtor id, creditor id, phase); ``is_complete`` on the
 emitted set. Every cache lives on one graph instance and dies with it: a
-moves list depends on the universe and key values too. The observation
-budget is checked outside the candidate cache.
+moves list depends on the universe and key values too.
 
 The timed graph repeats most untimed work once per phase (unrestricted
 OrderingOp: 8 760 states, 43 distinct tuples of observed sets). Its
@@ -45,28 +51,28 @@ knowledge ids that observed the same instances at other phases share one
 interned observed set, the untimed projection, whose delivery order is
 derived once. A state's moves, and whether a lapse may follow them, are
 cached on the tuple of its roles' observed sets. This is exact: the moves
-read only each role's observed set, its delivery order (that set, sorted)
-and the observation budget (the sum of the sets' sizes), and the lapse gate
-reads only the moves. Only the successor states, the next lapse boundary and
-the alignment counts are worked out per timed state.
+read only each role's observed set and its delivery order (that set,
+sorted), and the lapse gate reads only the moves. Only the successor states,
+the next lapse boundary and the alignment counts are worked out per timed
+state.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
 on the order it learned it, so states collapse to per-role knowledge sets.
-Theorem 1 builds each protocol's graph once: a safe protocol's safety build
-is the whole graph, and liveness reads it too. An emission on a prefix of a
-complete input enactment is exactly an emission edge into a *live* state (one
-with a completing extension), and ``emission_violation`` reads only the
-sender's order-free ``RoleKnowledge``, so embedding is exact there.
+Safety with liveness, alone or in Theorem 1, builds each protocol's graph
+once: a safe protocol's safety build is the whole graph, and liveness reads it
+too. An emission on a prefix of a complete input enactment is exactly an
+emission edge into a *live* state (one with a completing extension), and
+``emission_violation`` reads only the sender's order-free ``RoleKnowledge``,
+so embedding is exact there.
 
 These three answer k > 1 key values from the first value's graph when every
 two schemas share a key parameter: instances at different values then never
 agree (``kb_agree``), no move, violation, emission rule or completeness check
 links two values, and the k-value graph is the k-fold product of the one-value
-graph while k times its depth (most observations) fits ``max_ticks``. A safe
-and live one-value graph within that budget answers for all k with its own
-state count; otherwise, or past ``max_states``, all k values are enumerated,
-so counterexamples are the full graph's. Theorem 2 enumerates.
+graph. A safe and live one-value graph answers for all k with its own state
+count; otherwise, or past ``max_states``, all k values are enumerated, so
+counterexamples are the full graph's. Theorem 2 enumerates.
 
 Alignment needs time. Every observation happens in the current *phase*,
 which is also its timestamp in the observer's model and the instant tables
@@ -127,23 +133,19 @@ class Bound:
       bindings (one key parameter at ``"1"``, another at ``"2"``) are not
       produced or explored. Safety, liveness and embedding answer k > 1 values
       from the first value's graph when every two schemas share a key
-      parameter, that graph is safe and live and k times its depth fits
-      ``max_ticks``; otherwise all k are enumerated.
-    * ``max_ticks``: observations per state, summed over every role and key
-      binding; past it no role emits, and only the timed graph of Theorem 2
-      still delivers and lapses deadlines.
+      parameter and that graph is safe and live; otherwise all k are
+      enumerated.
     * ``max_states``: states explored before ``BoundExceeded`` is raised.
+      Every run at the key values is finite (see the module docstring), so
+      a verdict within it covers all of them.
     """
 
     key_values: tuple[str, ...] = ("1",)
-    max_ticks: int = 80
     max_states: int = 400_000
 
     def __post_init__(self):
-        if not self.key_values:
-            raise WellFormednessError("a bound needs at least one key value")
-        if self.max_ticks < 1:
-            raise WellFormednessError(f"a bound needs max_ticks >= 1, not {self.max_ticks}")
+        if not self.key_values or len(set(self.key_values)) < len(self.key_values):
+            raise WellFormednessError(f"a bound needs one or more distinct key values, not {self.key_values}")
         if self.max_states < 1:
             raise WellFormednessError(f"a bound needs max_states >= 1, not {self.max_states}")
 
@@ -299,26 +301,19 @@ class StateSpace:
         return [inst for sent in self.sent(state) for inst in sent]
 
     def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
-        """Successors of an untimed state: none past the observation budget."""
-        known = [self._order[kid] for kid in state]
-        if sum(map(len, known)) >= self.bound.max_ticks:
-            return []
-        moves = self._moves(known, [self._observed[kid] for kid in state])
+        moves = self._moves([self._order[kid] for kid in state], [self._observed[kid] for kid in state])
         return [(move, self._with(state, ri, move[2])) for ri, move in moves]
 
     def _moves(
         self, known: Sequence[Sequence[MessageInstance]], observed: Sequence[frozenset]
     ) -> list[tuple[int, tuple]]:
-        """Emission candidates per role while the observation budget lasts, then
-        a delivery of each in-flight instance. ``known[i]`` is what role ``i``
-        observed, in the order that sets the order of deliveries, and
-        ``observed[i]`` the same instances as a set; each move comes with the
-        index of the role that observes it. Only the timed graph asks past the
-        budget: the others stop there."""
+        """Emission candidates per role, then a delivery of each in-flight
+        instance. ``known[i]`` is what role ``i`` observed, in the order that
+        sets the order of deliveries, and ``observed[i]`` the same instances as
+        a set; each move comes with the index of the role that observes it."""
         moves = []
-        if sum(map(len, known)) < self.bound.max_ticks:
-            for ri, seen in enumerate(observed):
-                moves.extend(self._emissions(ri, seen))
+        for ri, seen in enumerate(observed):
+            moves.extend(self._emissions(ri, seen))
         for inst in in_flight(self.roles, known, observed):
             moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
         return moves
@@ -401,7 +396,7 @@ class KnowledgeGraph(StateSpace):
             return
         new = move[2]
         new_bindings = dict(new.bindings)
-        for inst in set(self.emitted(self.states[parent_id])):
+        for inst in sorted(self.emitted(self.states[parent_id]), key=_instance_order):
             if not kb_agree(inst.key_binding, new.key_binding):
                 continue
             for param, value in inst.bindings:
@@ -438,15 +433,14 @@ class KnowledgeGraph(StateSpace):
 def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: bool) -> KnowledgeGraph:
     """The graph at ``bound``; at k > 1 key values, the graph at the first value
     alone when it answers for all k (see the module docstring)."""
-    values = tuple(dict.fromkeys(bound.key_values))
-    if len(values) > 1 and all(set(a.keys) & set(b.keys) for a, b in combinations(universe.schemas, 2)):
+    k = len(bound.key_values)
+    if k > 1 and all(set(a.keys) & set(b.keys) for a, b in combinations(universe.schemas, 2)):
         try:
-            one = _knowledge_graph(universe, p, replace(bound, key_values=values[:1]), stop_on_safety)
+            one = _knowledge_graph(universe, p, replace(bound, key_values=bound.key_values[:1]), stop_on_safety)
         except BoundExceeded:
             one = None
-        if (one is not None and one.safety_violation is None and len(values) * one.depth() <= bound.max_ticks
-                and len(one.live) == len(one.states)):
-            one.detail = f"{len(values)} key values answered from one"
+        if one is not None and one.safety_violation is None and len(one.live) == len(one.states):
+            one.detail = f"{k} key values answered from one"
             log.info("%s: %s", p.name, one.detail)
             return one
     graph = KnowledgeGraph(universe, bound, p.out_params)
@@ -508,24 +502,28 @@ class Theorem1Result:
         return self.safety_preserved and self.liveness_preserved
 
 
+def check_safety_and_liveness(
+    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
+) -> tuple[VerificationReport, VerificationReport]:
+    """``check_safety`` and ``check_liveness`` from one build where it can: a
+    safe protocol's safety build ran to the end, so it is the whole graph
+    liveness needs; an unsafe one stopped early and is rebuilt."""
+    universe = uod(p, registry)
+    graph = _knowledge_graph(universe, p, bound, stop_on_safety=True)
+    safety = _safety_report(graph)
+    if not safety.holds:
+        graph = _knowledge_graph(universe, p, bound, stop_on_safety=False)
+    return safety, _liveness_report(graph)
+
+
 def check_theorem1(
     input_protocol: Protocol,
     composed: Protocol,
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
 ) -> Theorem1Result:
-    def safety_and_liveness(p: Protocol) -> tuple[VerificationReport, VerificationReport]:
-        # A safe protocol's safety build ran to the end, so it is the whole
-        # graph liveness needs; an unsafe one stopped early and is rebuilt.
-        universe = uod(p, registry)
-        graph = _knowledge_graph(universe, p, bound, stop_on_safety=True)
-        safety = _safety_report(graph)
-        if not safety.holds:
-            graph = _knowledge_graph(universe, p, bound, stop_on_safety=False)
-        return safety, _liveness_report(graph)
-
-    safety_input, liveness_input = safety_and_liveness(input_protocol)
-    safety_composed, liveness_composed = safety_and_liveness(composed)
+    safety_input, liveness_input = check_safety_and_liveness(input_protocol, bound, registry)
+    safety_composed, liveness_composed = check_safety_and_liveness(composed, bound, registry)
     return Theorem1Result(safety_input, safety_composed, liveness_input, liveness_composed)
 
 

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -239,12 +244,13 @@ def test_verify_embedding_via_cli(capsys, fixtures_dir):
 
 @pytest.mark.parametrize(
     "argv",
-    [("--safety", "ordering.bspl", "--bound-keys", "two"), ("--delivery", "fifo", "--safety", "ordering.bspl")],
-    ids=["bound-keys-not-int", "delivery-removed"],
+    [("--safety", "ordering.bspl", "--bound-keys", "two"), ("--delivery", "fifo", "--safety", "ordering.bspl"),
+     ("--max-ticks", "5", "--liveness", "ordering.bspl")],
+    ids=["bound-keys-not-int", "delivery-removed", "max-ticks-removed"],
 )
 def test_usage_errors_exit_1(capsys, fixtures_dir, argv):
     """A usage error is an error, not the counterexample code 2 argparse exits
-    with; ``comal verify`` has no ``--delivery``."""
+    with; ``comal verify`` has no ``--delivery`` and no ``--max-ticks``."""
     argv = [fixtures_dir / a if a.endswith(".bspl") else a for a in argv]
     with pytest.raises(SystemExit) as info:
         main(["verify", *map(str, argv)])
@@ -280,9 +286,37 @@ def test_verify_unknown_input_protocol_is_an_error(capsys, fixtures_dir):
         assert "'Nope' not found" in err
 
 
+def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir):
+    """Both checks read one knowledge graph, and print what each prints alone."""
+    argv = (fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp")
+    alone = [run(capsys, "verify", flag, *argv) for flag in ("--safety", "--liveness")]
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="comal.verify")
+    code, out, _ = run(capsys, "verify", "--safety", "--liveness", *argv)
+    builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
+    assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 43 states")
+    assert (code, out) == (0, alone[0][1] + alone[1][1])
+
+
+def test_verify_unsafe_relay_is_independent_of_the_hash_seed(fixtures_dir):
+    """m1 and m2 both bound x before m3 binds it again; the violation names the
+    first in message order, whatever order a set of them iterates in."""
+    argv = [sys.executable, "-m", "comal.cli", "verify", "--safety", str(fixtures_dir / "unsafe_relay.bspl")]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = [
+        subprocess.run(
+            argv, capture_output=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        )
+        for seed in ("0", "1")
+    ]
+    assert [o.returncode for o in outs] == [2, 2]
+    assert outs[0].stdout == outs[1].stdout
+    assert b"bound to 'm1.x' by 'm1' and to 'm3.x' by 'm3'" in outs[0].stdout
+
+
 def test_verify_zero_bound_is_an_error(capsys, fixtures_dir):
     for flags, toy in ((("--safety", "--bound-keys", "0"), "unsafe_toy"),
-                       (("--liveness", "--max-ticks", "0"), "stuck_toy"),
+                       (("--liveness", "--max-states", "-1"), "stuck_toy"),
                        (("--safety", "--max-states", "0"), "unsafe_toy")):
         code, out, err = run(capsys, "verify", *flags, fixtures_dir / f"{toy}.bspl")
         assert code == 1

@@ -45,18 +45,17 @@ def _instance_order(inst):
     return (inst.schema, inst.bindings)
 
 
-def _moves(graph, known, budget_left, fifo, candidates):
-    """Emissions per role while the budget lasts, then deliveries of every sent
-    instance its receiver has not observed (with ``fifo``, the first per
-    channel), each with the index of the observing role."""
+def _moves(graph, known, fifo, candidates):
+    """Emissions per role, then deliveries of every sent instance its receiver
+    has not observed (with ``fifo``, the first per channel), each with the
+    index of the observing role."""
     moves = []
-    if budget_left:
-        for ri, role in enumerate(graph.roles):
-            key = (role, frozenset(known[ri]))
-            if key not in candidates:
-                knowledge = knowledge_from(known[ri], role)
-                candidates[key] = emission_candidates(knowledge, graph.universe, role, graph.bound.key_values)
-            moves += [(ri, (EMIT, role, inst)) for inst in candidates[key]]
+    for ri, role in enumerate(graph.roles):
+        key = (role, frozenset(known[ri]))
+        if key not in candidates:
+            knowledge = knowledge_from(known[ri], role)
+            candidates[key] = emission_candidates(knowledge, graph.universe, role, graph.bound.key_values)
+        moves += [(ri, (EMIT, role, inst)) for inst in candidates[key]]
     observed = {role: set(seen) for role, seen in zip(graph.roles, known)}
     channels = set()
     for role, seen in zip(graph.roles, known):
@@ -75,11 +74,9 @@ def _reference_untimed(graph, ordered: bool, fifo: bool):
     candidates = {}
 
     def successors(state):
-        if sum(map(len, state)) >= graph.bound.max_ticks:
-            return []
         known = [list(s) if ordered else sorted(s, key=_instance_order) for s in state]
         out = []
-        for ri, move in _moves(graph, known, True, fifo, candidates):
+        for ri, move in _moves(graph, known, fifo, candidates):
             grown = state[ri] + (move[2],) if ordered else state[ri] | {move[2]}
             out.append((move, state[:ri] + (grown,) + state[ri + 1:]))
         return out
@@ -102,7 +99,7 @@ def _reference_timed(graph: AlignmentGraph):
     def successors(state):
         sets, phase = state
         known = [sorted((inst for inst, _ in s), key=_instance_order) for s in sets]
-        moves = _moves(graph, known, sum(map(len, known)) < graph.bound.max_ticks, False, candidates)
+        moves = _moves(graph, known, False, candidates)
         out = [
             (move, (sets[:ri] + (sets[ri] | {(move[2], phase)},) + sets[ri + 1:], phase))
             for ri, move in moves
