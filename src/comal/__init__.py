@@ -1,64 +1,4 @@
 """Commitment-alignment protocols: parsing, synthesis, asynchronous enactment,
 and bounded verification."""
 
-from .commitments import (
-    CommitmentSpec,
-    bind_commitment,
-    lifecycle_formula,
-    parse_commitment,
-    parse_commitments,
-    print_commitment,
-)
-from .protocol import (
-    MessageSchema,
-    ParameterDecl,
-    Protocol,
-    ProtocolReference,
-    Uod,
-    canonicalize,
-    parse_protocol,
-    parse_protocols,
-    print_protocol,
-    uod,
-)
-from .synthesis import (
-    AlignmentInstruction,
-    ForwardingName,
-    SynthesisMode,
-    compose_operationalization,
-    decompose_commitment,
-    forwarding_registry,
-    forwards_for,
-    reduce,
-    synthesize_alignment_protocol,
-)
-
-__all__ = [
-    "AlignmentInstruction",
-    "CommitmentSpec",
-    "ForwardingName",
-    "MessageSchema",
-    "ParameterDecl",
-    "Protocol",
-    "ProtocolReference",
-    "SynthesisMode",
-    "Uod",
-    "bind_commitment",
-    "canonicalize",
-    "compose_operationalization",
-    "decompose_commitment",
-    "forwarding_registry",
-    "forwards_for",
-    "lifecycle_formula",
-    "parse_commitment",
-    "parse_commitments",
-    "parse_protocol",
-    "parse_protocols",
-    "print_commitment",
-    "print_protocol",
-    "reduce",
-    "synthesize_alignment_protocol",
-    "uod",
-]
-
 __version__ = "0.1.0"

@@ -179,9 +179,10 @@ def cmd_synthesize(args) -> int:
         if name not in commitments:
             raise ComalError(f"commitment {name!r} not found")
         aligner = synthesize_alignment_protocol(commitments[name], input_protocol, mode, protocols)
-        if not aligner.schemas:
+        if aligner.schemas:
+            aligners.append(aligner)
+        else:
             print(f"warning: {name}: no forwarding required, aligner is empty", file=sys.stderr)
-        aligners.append(aligner)
         log.info("synthesized %s with %d schemas", aligner.name, len(aligner.schemas))
     text = print_protocols(aligners)
     if args.out:

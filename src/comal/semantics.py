@@ -5,13 +5,14 @@ commitment's lifecycle from its own observations, and those inferences must be
 compatible.
 
 The evaluator reads only the model. Each entry carries the key binding its
-message instance fixed (``enactment.MessageInstance.key_binding``), and
-instances correlate through shared key parameters. Windows are half-open:
-an instance at timestamp ``t`` satisfies ``[lo, hi]`` when ``lo <= t < hi``,
-where event-anchored bounds resolve per key binding to the anchor's timestamp
-plus the offset; if the anchor is absent the instance is excluded. Conjunction
-joins on shared keys and holds from the later timestamp; disjunction holds
-from the earlier. An exception ``L except R`` holds for an instance of ``L``
+message instance fixed (``enactment.MessageInstance.key_binding``); an event
+instance is a key binding and a timestamp, and instances correlate through
+shared key parameters. Windows are half-open: an instance at timestamp ``t``
+satisfies ``[lo, hi]`` when ``lo <= t < hi``, where event-anchored bounds
+resolve per key binding to the anchor's timestamp plus the offset; if the
+anchor is absent the instance is excluded. Conjunction joins on shared keys
+and holds from the later timestamp; disjunction keeps the earliest instance
+per key binding. An exception ``L except R`` holds for an instance of ``L``
 only once ``R`` is absent *and* can no longer occur, i.e. its deadline has
 passed at the evaluation instant; without a finite deadline it never holds.
 
@@ -44,7 +45,6 @@ INF = math.inf
 @dataclass(frozen=True)
 class EventInstance:
     key_binding: Bindings
-    attributes: Bindings
     timestamp: int | float
 
 
@@ -77,7 +77,7 @@ def _eval(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
 def _evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
     if isinstance(expr, cm.BaseEvent):
         return tuple(
-            EventInstance(entry.key_binding, entry.bindings, entry.tick)
+            EventInstance(entry.key_binding, entry.tick)
             for entry in ctx.model.entries
             if entry.name == expr.name
         )
@@ -99,18 +99,14 @@ def _evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, .
             for right in _eval(expr.right, ctx):
                 if kb_agree(left.key_binding, right.key_binding):
                     kb = _merge(left.key_binding, right.key_binding)
-                    attrs = _merge(left.attributes, right.attributes)
-                    out.append(EventInstance(kb, attrs, max(left.timestamp, right.timestamp)))
+                    out.append(EventInstance(kb, max(left.timestamp, right.timestamp)))
         return _dedupe(out)
     if isinstance(expr, cm.Or):
         grouped: dict[Bindings, EventInstance] = {}
         for inst in _eval(expr.left, ctx) + _eval(expr.right, ctx):
             prior = grouped.get(inst.key_binding)
             if prior is None or inst.timestamp < prior.timestamp:
-                merged = inst if prior is None else EventInstance(
-                    inst.key_binding, _merge(prior.attributes, inst.attributes), inst.timestamp
-                )
-                grouped[inst.key_binding] = merged
+                grouped[inst.key_binding] = inst
         return tuple(grouped[kb] for kb in sorted(grouped))
     if isinstance(expr, cm.Except):
         exceptions = _eval(expr.right, ctx)
@@ -131,11 +127,8 @@ def _merge(left: Bindings, right: Bindings) -> Bindings:
 
 
 def _dedupe(instances) -> tuple[EventInstance, ...]:
-    seen: dict[tuple, EventInstance] = {}
-    for inst in instances:
-        key = (inst.key_binding, inst.attributes, inst.timestamp)
-        seen.setdefault(key, inst)
-    return tuple(seen[k] for k in sorted(seen))
+    keys = {(inst.key_binding, inst.timestamp) for inst in instances}
+    return tuple(EventInstance(kb, t) for kb, t in sorted(keys))
 
 
 def _resolve_bound(bound: cm.TimeRef, kb: Bindings, ctx: EvaluationContext) -> int | float | None:

@@ -708,8 +708,6 @@ class AlignmentGraph(StateSpace):
         return counts
 
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
-        if start in goal:
-            return []
         parents: dict[int, tuple[int, tuple] | None] = {start: None}
         queue = deque([start])
         while queue:

@@ -80,16 +80,25 @@ def test_synthesize_literal_matches_published_aligner(capsys, fixtures_dir, tmp_
     assert canonicalize(synthesized) == canonicalize(golden)
 
 
-def test_synthesize_empty_aligner_warns(capsys, fixtures_dir):
+def test_synthesize_empty_aligner_warns(capsys, fixtures_dir, tmp_path):
+    """An aligner-free commitment writes no protocol, so the output reads back
+    and composes with the input protocol."""
+    aligners = tmp_path / "al.bspl"
     code, out, err = run(
         capsys,
         "synthesize",
         fixtures_dir / "ordering.bspl",
         fixtures_dir / "purchase.cupid",
         "--mode", "literal",
+        "-o", aligners,
     )
     assert code == 0
     assert "no forwarding required" in err
+    assert aligners.read_text() == ""
+    assert run(capsys, "parse", aligners)[0] == 0
+    code, out, err = run(capsys, "compose", fixtures_dir / "ordering.bspl", aligners)
+    assert code == 0 and err == ""
+    assert "Ordering(M, C, S," in out
 
 
 def test_synthesize_complete_contains_published_schemas(capsys, fixtures_dir):
@@ -426,19 +435,18 @@ def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_
 
 
 def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
-    code, out, err = run(
-        capsys,
-        "verify",
-        "--theorem1",
-        fixtures_dir / "escrow_ordering_op.bspl",
-        "--protocol", "EscrowOrderingOp",
-        "--input", "EscrowOrdering",
-        "--max-states", "500",
-        "--json",
-    )
-    assert code == 3
-    assert out == ""
-    assert err.splitlines() == [
-        "bound exceeded: more than 500 states",
-        "partial KnowledgeGraph: 500 states, 1314 edges, depth 10",
+    """A cut build reports its partial graph. At two key values of OrderingOp
+    the one-value graph is cut at 40 states too, so the two-value build runs."""
+    cases = [
+        (("--theorem1", fixtures_dir / "escrow_ordering_op.bspl", "--protocol", "EscrowOrderingOp",
+          "--input", "EscrowOrdering", "--max-states", "500", "--json"),
+         ["bound exceeded: more than 500 states", "partial KnowledgeGraph: 500 states, 1314 edges, depth 10"]),
+        (("--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--bound-keys", "2",
+          "--max-states", "40"),
+         ["bound exceeded: more than 40 states", "partial KnowledgeGraph: 40 states, 62 edges, depth 5"]),
     ]
+    for argv, lines in cases:
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == lines

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from comal.commitments import parse_commitments
 from comal.errors import CyclicReference, ParseError, UnresolvedReference, WellFormednessError
 from comal.protocol import (
     IN,
@@ -87,14 +88,46 @@ def test_undeclared_role_rejected():
         parse_protocol(text)
 
 
+HEADER = "P {\n  roles A, B\n  parameters out k key\n"
+
+# (parser, source, error, message, line of a parse error)
+MALFORMED = [
+    (parse_protocol, "Oops {\n  roles A B\n}", ParseError, "expected 'parameters'", 2),
+    (parse_protocol, HEADER + "  A -> B: m[inout k]\n}", ParseError, "expected 'in' or 'out'", 4),
+    (parse_protocol, HEADER + "  Sub(A, in k key, B)\n}", ParseError, "role arguments must precede", 4),
+    (parse_protocol, HEADER + "  A B\n}", ParseError, "expected a message schema", 4),
+    (parse_protocol, "P {\n  roles A, $B\n}", ParseError, "unexpected character", 2),
+    (parse_protocols, HEADER + "}\n" + HEADER + "}", WellFormednessError, "duplicate protocol name", None),
+    (parse_commitments, "commitment C A to B create m detach m discharge m\n" * 2, WellFormednessError,
+     "duplicate commitment name", None),
+]
+
+
 def test_syntax_error_carries_position():
-    with pytest.raises(ParseError) as info:
-        parse_protocol("Oops {\n  roles A B\n}")
-    assert info.value.line == 2
+    """A bad adornment, a role argument after a parameter argument, a
+    reference with neither '->' nor '(', an unexpected character, and
+    duplicate protocol and commitment names are each rejected."""
+    for parse, source, error, message, line in MALFORMED:
+        with pytest.raises(error, match=message) as info:
+            parse(source)
+        if line is not None:
+            assert info.value.line == line, source
 
 
 def test_round_trip_fixture(ordering, escrow_ordering, operationalization_registry):
-    for p in [ordering, escrow_ordering, *operationalization_registry.values()]:
+    hidden = parse_protocol(
+        """
+        Hidden {
+          roles A, B private R
+          parameters out k key, out x private out h, out j key
+          A -> B: m[out k, out x]
+          B -> R: n[in k, out h]
+          R -> A: o[in k, in h, out j]
+        }
+        """
+    )
+    assert hidden.private_roles == ("R",) and len(hidden.private_params) == 2
+    for p in [ordering, escrow_ordering, *operationalization_registry.values(), hidden]:
         assert parse_protocol(print_protocol(p)) == p
 
 

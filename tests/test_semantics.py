@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comal import semantics
-from comal.commitments import LIFECYCLE_KINDS, And, BaseEvent, Except, Or, TimeRef, Window, lifecycle_formula
+from comal.commitments import (
+    LIFECYCLE_KINDS,
+    And,
+    BaseEvent,
+    CommitmentSpec,
+    Except,
+    Or,
+    TimeRef,
+    Window,
+    lifecycle_formula,
+)
 from comal.enactment import Model, ModelEntry, freeze_bindings
 from comal.protocol import parse_protocol, uod
 from comal.semantics import (
@@ -307,17 +317,23 @@ def test_lifecycle_containment_on_running_models(
                     assert partial <= detached
 
 
-@pytest.mark.parametrize("case", ["Purchase", "EscrowPurchase", "EscrowTransfer"])
+@pytest.mark.parametrize("case", ["Purchase", "EscrowPurchase", "EscrowTransfer", "Drawn"])
 def test_tables_hold_until_next_change(case, ordering, escrow_ordering, purchase, escrow_commitments):
     """On random models, every lifecycle table at an instant in [now,
     next_change) equals the table at now; the rule is not vacuous either: some
-    spans are longer than one instant and some tables change at their end."""
-    protocol, c = (ordering, purchase) if case == "Purchase" else (escrow_ordering, escrow_commitments[case])
-    universe = uod(protocol)
-    anchors = window_anchors([c])
+    spans are longer than one instant and some tables change at their end.
+    The drawn case draws each commitment from the oracle's formula generator,
+    so windows sit under and, or and except."""
+    if case != "Drawn":
+        protocol, c = (ordering, purchase) if case == "Purchase" else (escrow_ordering, escrow_commitments[case])
+        universe = uod(protocol)
     rng = random.Random(f"next-change-{case}")
     long_spans = changes = 0
     for _ in range(150):
+        if case == "Drawn":
+            universe = _random_universe(rng)
+            c = CommitmentSpec(case, "A", "B", *(_random_oracle_formula(rng, 3, WITH_EXCEPT) for _ in range(3)))
+        anchors = window_anchors([c])
         entries = [
             ModelEntry(
                 schema.name,
@@ -347,9 +363,10 @@ def test_tables_hold_until_next_change(case, ordering, escrow_ordering, purchase
 ORACLE_NAMES = ["alpha", "beta", "gamma", "delta"]
 
 
-def oracle_eval(expr, entries, universe, unit):
-    """Naive reference evaluator for window-, and-, or-, and base-formulas:
-    instances as (key binding, timestamp) pairs, computed by enumeration."""
+def oracle_eval(expr, entries, universe, unit, now=40):
+    """Naive reference evaluator for window-, and-, or-, except- and
+    base-formulas at instant ``now``: instances as (key binding, timestamp)
+    pairs, computed by enumeration."""
     if isinstance(expr, BaseEvent):
         keys = set(universe.schema(expr.name).keys)
         return {
@@ -359,45 +376,61 @@ def oracle_eval(expr, entries, universe, unit):
         }
     if isinstance(expr, Window):
         kept = set()
-        for kb, ts in oracle_eval(expr.inner, entries, universe, unit):
-            bounds = []
-            ok = True
-            for bound in (expr.lower, expr.upper):
-                if bound.base_event is None:
-                    value = bound.offset if bound.offset == math.inf else bound.offset * unit
-                else:
-                    anchors = [
-                        t
-                        for akb, t in oracle_eval(bound.base_event, entries, universe, unit)
-                        if _compatible(akb, kb)
-                    ]
-                    if not anchors:
-                        ok = False
-                        break
-                    value = min(anchors) + bound.offset * unit
-                bounds.append(value)
-            if ok and bounds[0] <= ts < bounds[1]:
+        for kb, ts in oracle_eval(expr.inner, entries, universe, unit, now):
+            lo, hi = (_oracle_bound(b, kb, entries, universe, unit, now) for b in (expr.lower, expr.upper))
+            if lo is not None and hi is not None and lo <= ts < hi:
                 kept.add((kb, ts))
         return kept
     if isinstance(expr, And):
         out = set()
-        for lkb, lts in oracle_eval(expr.left, entries, universe, unit):
-            for rkb, rts in oracle_eval(expr.right, entries, universe, unit):
+        for lkb, lts in oracle_eval(expr.left, entries, universe, unit, now):
+            for rkb, rts in oracle_eval(expr.right, entries, universe, unit, now):
                 if _compatible(lkb, rkb):
                     merged = dict(rkb)
                     merged.update(dict(lkb))
                     out.add((tuple(sorted(merged.items())), max(lts, rts)))
         return out
     if isinstance(expr, Or):
-        union = oracle_eval(expr.left, entries, universe, unit) | oracle_eval(
-            expr.right, entries, universe, unit
+        union = oracle_eval(expr.left, entries, universe, unit, now) | oracle_eval(
+            expr.right, entries, universe, unit, now
         )
         best = {}
         for kb, ts in union:
             if kb not in best or ts < best[kb]:
                 best[kb] = ts
         return {(kb, ts) for kb, ts in best.items()}
+    if isinstance(expr, Except):
+        exceptions = oracle_eval(expr.right, entries, universe, unit, now)
+        return {
+            (kb, ts)
+            for kb, ts in oracle_eval(expr.left, entries, universe, unit, now)
+            if not any(_compatible(ekb, kb) for ekb, _ in exceptions)
+            and _oracle_deadline(expr.right, kb, entries, universe, unit, now) <= now
+        }
     raise AssertionError(f"oracle does not handle {type(expr).__name__}")
+
+
+def _oracle_bound(bound, kb, entries, universe, unit, now):
+    """A window bound for ``kb`` as an absolute time; None when its anchor
+    has no instance compatible with ``kb``."""
+    if bound.base_event is None:
+        return bound.offset if bound.offset == math.inf else bound.offset * unit
+    anchors = [t for akb, t in oracle_eval(bound.base_event, entries, universe, unit, now) if _compatible(akb, kb)]
+    return min(anchors) + bound.offset * unit if anchors else None
+
+
+def _oracle_deadline(expr, kb, entries, universe, unit, now):
+    """The last instant ``expr`` could still come to hold for ``kb``: a
+    window's upper bound caps its inner deadline, ``and`` holds only while
+    both sides can, ``or`` and ``except`` while either can."""
+    if isinstance(expr, BaseEvent):
+        return math.inf
+    if isinstance(expr, Window):
+        hi = _oracle_bound(expr.upper, kb, entries, universe, unit, now)
+        inner = _oracle_deadline(expr.inner, kb, entries, universe, unit, now)
+        return inner if hi is None else min(inner, hi)
+    sides = [_oracle_deadline(e, kb, entries, universe, unit, now) for e in (expr.left, expr.right)]
+    return min(sides) if isinstance(expr, And) else max(sides)
 
 
 def _compatible(kb1, kb2):
@@ -444,22 +477,26 @@ def _random_entries(rng, universe):
     return tuple(unique.values())
 
 
-def _random_oracle_formula(rng, depth):
+WITH_EXCEPT = (Window, And, Or, Except)
+
+
+def _random_oracle_formula(rng, depth, connectives=(Window, And, Or)):
     if depth == 0 or rng.random() < 0.35:
         return BaseEvent(rng.choice(ORACLE_NAMES))
-    pick = rng.randrange(3)
-    if pick == 0:
+    node = connectives[rng.randrange(len(connectives))]
+    if node is Window:
         bound = (
             TimeRef(rng.randint(0, 20))
             if rng.random() < 0.5
             else TimeRef(rng.randint(0, 12), BaseEvent(rng.choice(ORACLE_NAMES)))
         )
-        return Window(_random_oracle_formula(rng, depth - 1), upper=bound)
-    node = And if pick == 1 else Or
-    return node(_random_oracle_formula(rng, depth - 1), _random_oracle_formula(rng, depth - 1))
+        return Window(_random_oracle_formula(rng, depth - 1, connectives), upper=bound)
+    return node(*(_random_oracle_formula(rng, depth - 1, connectives) for _ in range(2)))
 
 
 def test_evaluate_matches_brute_force_oracle():
+    """Window, and and or at instant 40; then with except, nested too, at
+    drawn instants, where some exceptions hold."""
     rng = random.Random(501)
     for case in range(500):
         universe = _random_universe(rng)
@@ -469,6 +506,18 @@ def test_evaluate_matches_brute_force_oracle():
         ours = {(i.key_binding, i.timestamp) for i in evaluate(formula, context)}
         reference = oracle_eval(formula, entries, universe, 1)
         assert ours == reference, f"case {case}: {formula}"
+    rng = random.Random(502)
+    held = 0
+    for case in range(3000):
+        universe = _random_universe(rng)
+        entries = _random_entries(rng, universe)
+        formula = _random_oracle_formula(rng, rng.randint(1, 4), WITH_EXCEPT)
+        now = rng.randint(0, 30)
+        context = EvaluationContext(Model(entries), now)
+        ours = {(i.key_binding, i.timestamp) for i in evaluate(formula, context)}
+        assert ours == oracle_eval(formula, entries, universe, 1, now), f"case {case} at {now}: {formula}"
+        held += any(isinstance(node, Except) and instances for node, instances in context._memo.values())
+    assert held
 
 
 # ---------------------------------------------------------------------------
