@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import UnknownBaseEvent, UnknownCommitmentReference, WellFormednessError
+from .errors import WellFormednessError
 from .lexer import TokenStream
 from .protocol import Uod
 
@@ -135,14 +135,6 @@ class CommitmentSpec:
         }
 
 
-def lifecycle_formula(kind: str, c: CommitmentSpec) -> EventExpr:
-    """The event formula under which a lifecycle state of ``c`` holds."""
-    formula = c.lifecycle.get(kind)
-    if formula is None:
-        raise WellFormednessError(f"unknown lifecycle kind {kind!r}")
-    return formula
-
-
 # ---------------------------------------------------------------------------
 # Parsing
 
@@ -225,7 +217,7 @@ def _parse_event(stream: TokenStream, registry) -> EventExpr:
         stream.expect("symbol", ")")
         target = registry.get(ref)
         if target is None:
-            raise UnknownCommitmentReference(f"commitment {ref!r} not in registry")
+            raise WellFormednessError(f"commitment {ref!r} not in registry")
         return LifecycleEvent(tok.text, target)
     return BaseEvent(tok.text)
 
@@ -314,7 +306,7 @@ def _bind_expr(expr: EventExpr, universe: Uod) -> frozenset[str]:
     """Validate ``expr`` and return the key parameters its instances carry."""
     if isinstance(expr, BaseEvent):
         if expr.name not in universe.by_name:
-            raise UnknownBaseEvent(f"event {expr.name!r} is not a message of the universe")
+            raise WellFormednessError(f"event {expr.name!r} is not a message of the universe")
         return frozenset(universe.schema(expr.name).keys)
     if isinstance(expr, LifecycleEvent):
         bind_commitment(expr.commitment, universe)
@@ -339,4 +331,4 @@ def _bind_expr(expr: EventExpr, universe: Uod) -> frozenset[str]:
             op = {And: "and", Or: "or", Except: "except"}[type(expr)]
             raise WellFormednessError(f"{op!r} sides share no key parameter; instances cannot correlate")
         return left | right if isinstance(expr, And) else left
-    raise WellFormednessError(f"unknown expression node {type(expr).__name__}")
+    raise TypeError(f"unknown expression node {type(expr).__name__}")

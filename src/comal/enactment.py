@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from .errors import UnknownForwardName, WellFormednessError
+from .errors import WellFormednessError
 from .protocol import IN, MessageSchema, Uod
 from .synthesis import ForwardingName
 
@@ -353,7 +353,7 @@ def model_of(observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapp
             bindings = tuple(item for item in inst.bindings if item[0] != naming.id_param)
         else:
             if inst.schema.startswith("fwd"):
-                raise UnknownForwardName(f"schema {inst.schema!r} has no forwarding registry entry")
+                raise WellFormednessError(f"schema {inst.schema!r} has no forwarding registry entry")
             name = inst.schema
             bindings = inst.bindings
         key = (name, bindings)

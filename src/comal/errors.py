@@ -1,4 +1,12 @@
-"""Shared exception types, and the one reader of source files."""
+"""The four exception types, and the one reader of source files.
+
+Bad input ends in a ``ComalError``, on which ``comal`` exits 1: a
+``ParseError`` (a syntax fault, with its line and column), a
+``WellFormednessError`` (input that parses but breaks a rule of the model),
+or a plain ``ComalError`` (a command-line fault, such as a protocol name
+that no file defines). ``BoundExceeded`` carries the partial graph of a
+check that outgrew its state budget; ``comal verify`` exits 3 on it.
+Anything else raised is a programming error and ends in a traceback."""
 
 from __future__ import annotations
 
@@ -29,52 +37,9 @@ class ParseError(ComalError):
 
 
 class WellFormednessError(ComalError):
-    """A declaration violates a structural well-formedness condition."""
-
-
-class UnresolvedReference(ComalError):
-    """A protocol reference names a protocol missing from the registry."""
-
-
-class CyclicReference(ComalError):
-    """Protocol references form a cycle."""
-
-
-class UnknownCommitmentReference(ComalError):
-    """A lifecycle event names a commitment missing from the registry."""
-
-
-class UnknownBaseEvent(ComalError):
-    """An event expression names a message schema missing from the protocol."""
-
-
-class UnknownMessage(ComalError):
-    """No schema with this name exists in the universe of discourse."""
-
-
-class UnboundName(ComalError):
-    """An expression refers to a name the evaluation context cannot resolve."""
-
-
-class UnknownForwardName(ComalError):
-    """A fwd-prefixed schema has no entry in the forwarding registry."""
-
-
-class NameClash(ComalError):
-    """A synthesized parameter collides with an input-protocol parameter."""
-
-
-class InternalError(ComalError):
-    """A reduction or search reached a state that should be unreachable."""
-
-
-class ScriptedMoveNotEnabled(ComalError):
-    """A scripted scenario move is not enabled at its scheduled tick."""
-
-    def __init__(self, message: str, tick: int | None = None, move=None):
-        self.tick = tick
-        self.move = move
-        super().__init__(message)
+    """Input that parses but breaks a rule: a structural condition, a name or
+    reference that resolves to nothing, a reference cycle, conflicting
+    definitions, or a scripted move that is not enabled."""
 
 
 class BoundExceeded(ComalError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Union
 
-from .errors import CyclicReference, UnknownMessage, UnresolvedReference, WellFormednessError
+from .errors import WellFormednessError
 from .lexer import TokenStream
 
 IN = "in"
@@ -170,7 +170,7 @@ class Uod:
         try:
             return self.by_name[name]
         except KeyError:
-            raise UnknownMessage(f"no message schema named {name!r}") from None
+            raise WellFormednessError(f"no message schema named {name!r}") from None
 
     def validate(self) -> None:
         _check_unique([s.name for s in self.schemas], "schema")
@@ -403,10 +403,10 @@ def uod(p: Protocol, registry: Mapping[str, Protocol] | None = None) -> Uod:
                     )
             else:
                 if ref.name in stack:
-                    raise CyclicReference(" -> ".join(stack + (ref.name,)))
+                    raise WellFormednessError(" -> ".join(stack + (ref.name,)))
                 target = reg.get(ref.name)
                 if target is None:
-                    raise UnresolvedReference(f"protocol {ref.name!r} not found in registry")
+                    raise WellFormednessError(f"protocol {ref.name!r} not found in registry")
                 inner_roles = [role_map.get(r, r) for r in ref.roles]
                 inner_params = [param_map.get(d.name, d.name) for d in ref.params]
                 if len(inner_roles) != len(target.roles):

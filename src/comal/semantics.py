@@ -37,7 +37,6 @@ from typing import Iterable, Mapping
 from . import commitments as cm
 from .commitments import CommitmentSpec, EventExpr
 from .enactment import Bindings, Model, kb_agree
-from .errors import UnboundName
 
 INF = math.inf
 
@@ -117,7 +116,7 @@ def _evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, .
             if deadline(expr.right, inst.key_binding, ctx) <= ctx.now:
                 out.append(inst)
         return _dedupe(out)
-    raise UnboundName(f"cannot evaluate expression node {type(expr).__name__}")
+    raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")
 
 
 def _merge(left: Bindings, right: Bindings) -> Bindings:
@@ -159,7 +158,7 @@ def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | flo
         return max(deadline(expr.left, kb, ctx), deadline(expr.right, kb, ctx))
     if isinstance(expr, cm.Except):
         return max(deadline(expr.left, kb, ctx), deadline(expr.right, kb, ctx))
-    raise UnboundName(f"cannot bound expression node {type(expr).__name__}")
+    raise TypeError(f"cannot bound expression node {type(expr).__name__}")
 
 
 def lifecycle_table(c: CommitmentSpec, ctx: EvaluationContext) -> dict[str, tuple[EventInstance, ...]]:

@@ -48,7 +48,7 @@ from .enactment import (
     enabled_emissions,
     project_model,
 )
-from .errors import ParseError, ScriptedMoveNotEnabled, WellFormednessError, read_source
+from .errors import ParseError, WellFormednessError, read_source
 from .protocol import Protocol, Uod, parse_protocols, uod
 from .semantics import (
     AlignmentResult,
@@ -194,8 +194,7 @@ class Simulation:
                 next_move += 1
             self._report(tick)
         if next_move < len(moves):
-            tick, _, move = moves[next_move]
-            raise ScriptedMoveNotEnabled(f"move at tick {tick} is beyond the horizon", tick, move)
+            raise WellFormednessError(f"move at tick {moves[next_move][0]} is beyond the horizon")
 
     def _apply_scripted(self, move: Mapping, key: str, tick: int) -> None:
         role = move["role"]
@@ -205,9 +204,7 @@ class Simulation:
             options = enabled_emissions(self.vector, self.universe, role, (key,))
             options = [i for i in options if i.schema == schema_name]
             if not options:
-                raise ScriptedMoveNotEnabled(
-                    f"emission of {schema_name!r} by {role!r} is not enabled at tick {tick}", tick, move
-                )
+                raise WellFormednessError(f"emission of {schema_name!r} by {role!r} is not enabled at tick {tick}")
             self._observe(Observation(options[0], EMIT, tick))
         else:
             pending = [
@@ -218,9 +215,7 @@ class Simulation:
                 and all(value == key for _, value in inst.key_binding)
             ]
             if not pending:
-                raise ScriptedMoveNotEnabled(
-                    f"no deliverable {schema_name!r} for {role!r} at tick {tick}", tick, move
-                )
+                raise WellFormednessError(f"no deliverable {schema_name!r} for {role!r} at tick {tick}")
             self._observe(Observation(pending[0], RECV, tick))
 
     def _run_random(self, prefer_forwards: bool) -> None:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import commitments as cm
-from .commitments import CommitmentSpec, EventExpr, lifecycle_formula
-from .errors import InternalError, NameClash, WellFormednessError
+from .commitments import CommitmentSpec, EventExpr
+from .errors import WellFormednessError
 from .protocol import IN, OUT, MessageSchema, ParameterDecl, Protocol, ProtocolReference, Uod, uod
 
 
@@ -80,7 +80,7 @@ def decompose_commitment(c: CommitmentSpec) -> tuple[AlignmentInstruction, ...]:
     )
 
 
-def reduce(instr: AlignmentInstruction, fuel: int = 10_000) -> tuple[AlignmentInstruction, ...]:
+def reduce(instr: AlignmentInstruction) -> tuple[AlignmentInstruction, ...]:
     """Reduce an instruction to the atomic (single-message) instructions it
     requires. Windows align the windowed event and any events its bounds are
     anchored to; conjunction and disjunction align both sides; an exception
@@ -90,11 +90,8 @@ def reduce(instr: AlignmentInstruction, fuel: int = 10_000) -> tuple[AlignmentIn
     seen: set[AlignmentInstruction] = set()
     work = [instr]
     while work:
-        fuel -= 1
-        if fuel < 0:
-            raise InternalError("alignment reduction did not terminate")
         item = work.pop()
-        if item in seen or item.knower == item.learner:
+        if item in seen:
             continue
         seen.add(item)
         a, f, b = item.knower, item.formula, item.learner
@@ -112,9 +109,9 @@ def reduce(instr: AlignmentInstruction, fuel: int = 10_000) -> tuple[AlignmentIn
             work.append(AlignmentInstruction(a, f.left, b))
             work.append(AlignmentInstruction(b, f.right, a))
         elif isinstance(f, cm.LifecycleEvent):
-            work.append(AlignmentInstruction(a, lifecycle_formula(f.kind, f.commitment), b))
+            work.append(AlignmentInstruction(a, f.commitment.lifecycle[f.kind], b))
         else:
-            raise InternalError(f"non-reducible formula node {type(f).__name__}")
+            raise TypeError(f"non-reducible formula node {type(f).__name__}")
     unique = {(i.knower, i.formula.name, i.learner): i for i in atomic}
     return tuple(unique[k] for k in sorted(unique))
 
@@ -149,7 +146,7 @@ def forwards_for(
     not the sender.
     """
     if not isinstance(instr.formula, cm.BaseEvent):
-        raise InternalError("forwards_for requires an atomic instruction")
+        raise TypeError("forwards_for requires an atomic instruction")
     base = universe.schema(instr.formula.name)
     s, r = base.sender, base.receiver
     a, b = instr.knower, instr.learner
@@ -200,7 +197,7 @@ def synthesize_alignment_protocol(
             if p.name not in bucket:
                 bucket.append(p.name)
             if p.adornment == OUT and p.name in input_params:
-                raise NameClash(f"forwarding identifier {p.name!r} collides with an input parameter")
+                raise WellFormednessError(f"forwarding identifier {p.name!r} collides with an input parameter")
     params = tuple(ParameterDecl(n, IN, key=True) for n in sorted(key_names))
     params += tuple(ParameterDecl(n, IN) for n in in_names)
     params += tuple(ParameterDecl(n, OUT) for n in out_names)
@@ -237,7 +234,7 @@ def compose_operationalization(
         for p in aligner.params:
             if p.adornment == OUT:
                 if p.name in input_params:
-                    raise NameClash(
+                    raise WellFormednessError(
                         f"aligner {aligner.name!r} output {p.name!r} collides with an input parameter"
                     )
                 if p.name not in declared:

@@ -21,7 +21,7 @@ from comal.enactment import (
     project_model,
     trace_lines,
 )
-from comal.errors import UnknownForwardName, WellFormednessError
+from comal.errors import WellFormednessError
 from comal.protocol import parse_protocols, uod
 from comal.simulate import Scenario, run_scenario
 from comal.synthesis import forwarding_registry
@@ -205,7 +205,7 @@ def test_project_model_unknown_forward(order_universe):
     universe = uod(schemas["Odd"])
     inst = instance(universe, "fwdABThing", k="1", fwdOddID="2")
     v = play(HistoryVector.empty(universe.roles), (1, EMIT, inst))
-    with pytest.raises(UnknownForwardName):
+    with pytest.raises(WellFormednessError, match="schema 'fwdABThing' has no forwarding registry entry"):
         project_model(v, "A", {})
 
 

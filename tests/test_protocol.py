@@ -5,7 +5,7 @@ import random
 import pytest
 
 from comal.commitments import parse_commitments
-from comal.errors import CyclicReference, ParseError, UnresolvedReference, WellFormednessError
+from comal.errors import ParseError, WellFormednessError
 from comal.protocol import (
     IN,
     OUT,
@@ -232,7 +232,7 @@ def test_uod_unresolved_and_cyclic():
         }
         """
     )
-    with pytest.raises(UnresolvedReference):
+    with pytest.raises(WellFormednessError, match="protocol 'Nowhere' not found in registry"):
         uod(missing, {})
     registry = parse_protocols(
         """
@@ -248,7 +248,7 @@ def test_uod_unresolved_and_cyclic():
         }
         """
     )
-    with pytest.raises(CyclicReference):
+    with pytest.raises(WellFormednessError, match="^Ping -> Pong -> Ping$"):
         uod(registry["Ping"], registry)
 
 

@@ -17,7 +17,6 @@ from comal.commitments import (
     Or,
     TimeRef,
     Window,
-    lifecycle_formula,
 )
 from comal.enactment import Model, ModelEntry, freeze_bindings
 from comal.protocol import parse_protocol, uod
@@ -572,7 +571,7 @@ def test_shared_context_matches_unshared_evaluation(data, ordering, escrow_order
         assert change == next_change(anchors, _unshared(m, now))
         for c in commitments:
             assert tables[c.name] == {
-                kind: evaluate(lifecycle_formula(kind, c), _unshared(m, now)) for kind in LIFECYCLE_KINDS
+                kind: evaluate(c.lifecycle[kind], _unshared(m, now)) for kind in LIFECYCLE_KINDS
             }, (c.name, now)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import comal.simulate
 from comal.enactment import HistoryVector, enabled_emissions, project_model, trace_lines
-from comal.errors import ScriptedMoveNotEnabled, WellFormednessError
+from comal.errors import WellFormednessError
 from comal.protocol import uod
 from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
 from comal.simulate import Scenario, load_scenario, report_to_json, run_scenario
@@ -77,7 +77,7 @@ def test_scripted_move_not_enabled(fixtures_dir, ordering, purchase):
         },
         horizon=3,
     )
-    with pytest.raises(ScriptedMoveNotEnabled):
+    with pytest.raises(WellFormednessError, match="emission of 'pay' by 'C' is not enabled at tick 1"):
         run_scenario(scenario)
 
 

@@ -29,7 +29,7 @@ from comal.enactment import (
     observation_from_json,
     observation_to_json,
 )
-from comal.errors import BoundExceeded, UnknownForwardName, WellFormednessError
+from comal.errors import BoundExceeded, WellFormednessError
 from comal.protocol import IN, OUT, parse_protocol, parse_protocols, uod
 from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
 from comal.synthesis import (
@@ -685,7 +685,7 @@ def test_alignment_rejects_unregistered_forward():
         }
         """
     )
-    with pytest.raises(UnknownForwardName):
+    with pytest.raises(WellFormednessError, match="schema 'fwdABThing' has no forwarding registry entry"):
         check_alignment_reachability(odd, [], BOUND, punctual=True)
 
 
@@ -716,7 +716,7 @@ def test_alignment_rejects_forward_with_other_key_marks():
     universe = uod(registry["Odd"], registry)
     assert universe.schema("fwdBCThing").keys == ("k",)
     assert forwarding_registry(universe) == {}
-    with pytest.raises(UnknownForwardName):
+    with pytest.raises(WellFormednessError, match="schema 'fwdBCThing' has no forwarding registry entry"):
         check_alignment_reachability(registry["Odd"], [], BOUND, punctual=True, registry=registry)
 
 
