@@ -14,11 +14,11 @@ import os
 import sys
 from pathlib import Path
 
-from .commitments import CommitmentSpec, parse_commitments, print_commitment
+from .commitments import CommitmentSpec, print_commitment
 from .enactment import DELIVERIES, trace_lines
-from .errors import BoundExceeded, ComalError, read_source
-from .protocol import Protocol, parse_protocols, print_protocol, print_protocols
-from .simulate import load_scenario, report_to_json, run_scenario
+from .errors import BoundExceeded, ComalError
+from .protocol import Protocol, print_protocol, print_protocols
+from .simulate import load_scenario, load_sources, report_to_json, run_scenario
 from .synthesis import SynthesisMode, compose_operationalization, synthesize_alignment_protocol
 from .verify import (
     ALIGNMENT_REACHABILITY,
@@ -126,14 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_sources(files: list[Path]) -> tuple[dict[str, Protocol], dict[str, CommitmentSpec]]:
-    protocols: dict[str, Protocol] = {}
-    commitments: dict[str, CommitmentSpec] = {}
-    for path in files:
-        if path.suffix == ".cupid":
-            commitments.update(parse_commitments(read_source(path), commitments))
-        else:
-            protocols.update(parse_protocols(read_source(path)))
-    return protocols, commitments
+    """Every ``.cupid`` file is a commitment file; any other is a protocol file."""
+    return load_sources([f for f in files if f.suffix != ".cupid"], [f for f in files if f.suffix == ".cupid"])
 
 
 def _pick_protocol(protocols: dict[str, Protocol], name: str | None) -> Protocol:

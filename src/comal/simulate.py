@@ -26,6 +26,9 @@ Scenario files are JSON::
 Scripted moves name instances by schema and key value; emission bindings are
 derived (keys from the scenario key, ``in`` values from the sender's
 knowledge, ``out`` values deterministic).
+
+``load_sources`` reads the ``.bspl`` and ``.cupid`` files of a scenario, and
+those the ``comal`` command is given.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .commitments import CommitmentSpec, bind_commitment, parse_commitments
 from .enactment import (
@@ -99,6 +102,31 @@ class SimulationResult:
         raise KeyError(f"no report for commitment {commitment!r} at tick {tick}")
 
 
+def load_sources(
+    protocol_files: Iterable[Path], commitment_files: Iterable[Path]
+) -> tuple[dict[str, Protocol], dict[str, CommitmentSpec]]:
+    """The protocols and the commitments the files define, in file order; a
+    commitment file may name commitments of the files before it. A name may
+    be defined again only identically: two different definitions are a
+    :class:`WellFormednessError` naming both files."""
+    protocols: dict[str, Protocol] = {}
+    commitments: dict[str, CommitmentSpec] = {}
+    origin: dict[tuple[str, str], Path] = {}
+
+    def add(what: str, registry: dict, defined: Mapping, path: Path) -> None:
+        for name, value in defined.items():
+            if name in registry and registry[name] != value:
+                raise WellFormednessError(f"{what} {name!r} is defined differently in {origin[what, name]} and {path}")
+            registry[name] = value
+            origin[what, name] = path
+
+    for path in protocol_files:
+        add("protocol", protocols, parse_protocols(read_source(path)), path)
+    for path in commitment_files:
+        add("commitment", commitments, parse_commitments(read_source(path), commitments), path)
+    return protocols, commitments
+
+
 def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenario:
     path = Path(path)
     try:
@@ -116,26 +144,19 @@ def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenari
         files = data.get(name, [])
         if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
             raise WellFormednessError(f'scenario {path.name}: "{name}" must be a list of file names, not {files!r}')
-    registry: dict[str, Protocol] = {}
-    for name in data["protocols"]:
-        registry.update(parse_protocols(read_source(path.parent / name)))
+    registry, commitments = load_sources(
+        [path.parent / name for name in data["protocols"]], [path.parent / name for name in data.get("commitments", ())]
+    )
     protocol = registry.get(data["protocol"]) if isinstance(data["protocol"], str) else None
     if protocol is None:
         raise WellFormednessError(f"scenario names unknown protocol {data['protocol']!r}")
-    commitments: dict[str, CommitmentSpec] = {}
-    for name in data.get("commitments", ()):
-        commitments.update(parse_commitments(read_source(path.parent / name), commitments))
     policy = data.get("policy", {"kind": "random"})
     if not isinstance(policy, dict):
         raise WellFormednessError(f"scenario {path.name}: \"policy\" must be an object, not {policy!r}")
     numbers = {}
     for name, default in (("horizon", 20), ("seed", 0)):
-        try:
-            numbers[name] = int(data.get(name, default))
-        except (TypeError, ValueError):
-            raise WellFormednessError(
-                f'scenario {path.name}: "{name}" must be an integer, not {data[name]!r}'
-            ) from None
+        value = data.get(name, default)
+        numbers[name] = _integer(value, f'scenario {path.name}: "{name}" must be an integer, not {value!r}')
     return Scenario(
         protocol=protocol,
         registry=registry,
@@ -273,12 +294,10 @@ def _scripted_move(move, universe: Uod, default_key: str) -> tuple[int, str]:
     for name in ("tick", "role", "dir", "schema"):
         if name not in move:
             raise WellFormednessError(f"scripted move {move!r} has no \"{name}\"")
-    try:
-        tick = int(move["tick"])
-    except (TypeError, ValueError):
-        tick = 0
+    bad_tick = f'scripted move {move!r}: "tick" must be an integer from 1, not {move["tick"]!r}'
+    tick = _integer(move["tick"], bad_tick)
     if tick < 1:
-        raise WellFormednessError(f'scripted move {move!r}: "tick" must be an integer from 1, not {move["tick"]!r}')
+        raise WellFormednessError(bad_tick)
     if move["role"] not in universe.roles:
         raise WellFormednessError(f"scripted move {move!r}: role {move['role']!r} is not in the protocol")
     if not any(move["schema"] == schema.name for schema in universe.schemas):
@@ -286,6 +305,17 @@ def _scripted_move(move, universe: Uod, default_key: str) -> tuple[int, str]:
     if move["dir"] not in (EMIT, RECV):
         raise WellFormednessError(f'scripted move {move!r}: "dir" must be "emit" or "recv", not {move["dir"]!r}')
     return tick, _key_value(move.get("key", default_key), f"scripted move {move!r}")
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an integer. A bool, a number with a fractional part, or a
+    value ``int`` refuses is a :class:`WellFormednessError` with ``message``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise WellFormednessError(message)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise WellFormednessError(message) from None
 
 
 def _key_value(key, where: str) -> str:

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from comal.cli import main
-from comal.protocol import canonicalize, parse_protocol
+from comal.commitments import bind_commitment, parse_commitment
+from comal.protocol import canonicalize, parse_protocol, parse_protocols, print_protocol, uod
+from comal.simulate import load_scenario, report_to_json, run_scenario
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -365,10 +367,12 @@ def test_simulate_scenario_without_protocols_is_an_error(capsys, tmp_path):
     [{"seed": "abc"}, {"horizon": "x"}, {"horizon": None}, {"policy": "random"}, {"delivery": "bogus"}, "list",
      {"policy": {"kind": "scripted", "moves": 5}}, {"policy": {"kind": "scripted", "moves": [5]}},
      {"protocols": 5}, {"commitments": 3}, {"protocol": ["x"]},
-     {"horizon": -3, "policy": {"kind": "random"}}, {"key": ["a"]}, {"key": None}],
+     {"horizon": -3, "policy": {"kind": "random"}}, {"key": ["a"]}, {"key": None},
+     {"horizon": 8.7}, {"seed": True}],
     ids=["seed", "horizon", "horizon-null", "policy-string", "delivery", "top-level-list",
          "moves-not-list", "move-not-object", "protocols-not-list", "commitments-not-list",
-         "protocol-not-string", "horizon-negative", "key-list", "key-null"],
+         "protocol-not-string", "horizon-negative", "key-list", "key-null",
+         "horizon-fraction", "seed-bool"],
 )
 def test_simulate_malformed_scenario_is_an_error(capsys, fixtures_dir, tmp_path, change):
     data = direct_order(fixtures_dir)
@@ -414,9 +418,11 @@ def test_commitment_role_outside_the_protocol_is_an_error(capsys, fixtures_dir, 
 
 
 @pytest.mark.parametrize("change", ["tick", "role", "schema", "dir", {"tick": "x"}, {"tick": None}, {"tick": 0},
-                                    {"role": "Z"}, {"schema": "refund"}, {"dir": "send"}, {"key": ["a"]}],
+                                    {"role": "Z"}, {"schema": "refund"}, {"dir": "send"}, {"key": ["a"]},
+                                    {"tick": 8.5}, {"tick": 1.9}, {"tick": True}],
                          ids=["tick", "role", "schema", "dir", "tick-string", "tick-null", "tick-zero",
-                              "role-unknown", "schema-unknown", "dir-unknown", "key-list"])
+                              "role-unknown", "schema-unknown", "dir-unknown", "key-list",
+                              "tick-fraction", "tick-fraction-low", "tick-bool"])
 def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_path, change):
     """Every move is checked before the run: a bad last move is reported as
     itself, not as a failure at its tick."""
@@ -431,7 +437,7 @@ def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_
     code, out, err = run(capsys, "simulate", scenario)
     assert code == 1
     assert out == ""
-    assert "error: scripted move" in err and "Traceback" not in err
+    assert err.startswith("error: scripted move {") and "Traceback" not in err
 
 
 def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
@@ -450,3 +456,98 @@ def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
         assert code == 3
         assert out == ""
         assert err.splitlines() == lines
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"tick": 1}, "scripted moves must occupy distinct ticks"),
+     ({"horizon": 5}, "move at tick 6 is beyond the horizon"),
+     ({"role": "M", "dir": "recv", "schema": "pay"}, "no deliverable 'pay' for 'M' at tick 2")],
+    ids=["same-tick", "beyond-horizon", "nothing-deliverable"],
+)
+def test_simulate_scripted_move_that_cannot_run_is_an_error(capsys, fixtures_dir, tmp_path, change, message):
+    """A well-formed script that cannot be played out ends in one error line:
+    two moves at one tick, a move past the horizon, a receipt of a message
+    nobody sent. ``horizon`` changes the scenario, anything else its second move."""
+    data = direct_order(fixtures_dir)
+    if "horizon" in change:
+        data.update(change)
+    else:
+        data["policy"]["moves"][1].update(change)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(data))
+    code, out, err = run(capsys, "simulate", scenario)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_overrides_match_run_scenario(capsys, fixtures_dir, tmp_path):
+    """``--seed``, ``--horizon`` and ``--delivery`` print what ``run_scenario``
+    reports for the scenario loaded with the same overrides."""
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**direct_order(fixtures_dir), "policy": {"kind": "random"}}))
+    overrides = {"seed": 3, "horizon": 12, "delivery": "fifo"}
+    code, out, _ = run(capsys, "simulate", scenario, "--json", *(f"--{k}={v}" for k, v in overrides.items()))
+    assert code == 0
+    result = run_scenario(load_scenario(scenario, overrides))
+    assert out.splitlines() == [json.dumps(report_to_json(row), sort_keys=True) for row in result.reports]
+    assert json.loads(out.splitlines()[-1])["tick"] == 12
+    assert out != run(capsys, "simulate", scenario, "--json", "--horizon=12")[1]
+
+
+def test_print_one_protocol(capsys, fixtures_dir):
+    code, out, _ = run(capsys, "print", fixtures_dir / "ordering_op.bspl", "--protocol", "PurchaseAl")
+    assert code == 0
+    assert out == print_protocol(parse_protocols((fixtures_dir / "ordering_op.bspl").read_text())["PurchaseAl"])
+
+
+def test_synthesize_unknown_commitment_is_an_error(capsys, fixtures_dir):
+    code, out, err = run(capsys, "synthesize", fixtures_dir / "ordering.bspl", fixtures_dir / "purchase.cupid",
+                         "--commitment", "Nope")
+    assert (code, out, err) == (1, "", "error: commitment 'Nope' not found\n")
+
+
+def test_verify_theorem1_failing_via_cli(capsys, fixtures_dir):
+    code, out, _ = run(capsys, "verify", "--theorem1", fixtures_dir / "ordering.bspl", fixtures_dir / "unsafe_toy.bspl",
+                       "--protocol", "UnsafeToy", "--input", "Ordering")
+    assert code == 2
+    assert out.splitlines()[-1] == "THEOREM1: FAILS (safety preserved: False, liveness preserved: True)"
+
+
+def test_conflicting_definitions_are_an_error(capsys, fixtures_dir, tmp_path):
+    """A protocol or commitment defined differently in two files is an error
+    naming both files, in either order and from a scenario too; a definition
+    repeated identically is accepted."""
+    op, al = fixtures_dir / "escrow_ordering_op.bspl", fixtures_dir / "escrow_purchase_al.bspl"
+    for first, second in ((op, al), (al, op)):
+        message = f"error: protocol 'EscrowPurchaseAl' is defined differently in {first} and {second}\n"
+        code, out, err = run(capsys, "verify", "--safety", first, second, "--protocol", "EscrowOrderingOp")
+        assert (code, out, err) == (1, "", message)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({**direct_order(fixtures_dir), "protocols": [str(first), str(second)]}))
+        assert run(capsys, "simulate", scenario) == (1, "", message)
+    purchase, other = fixtures_dir / "purchase.cupid", tmp_path / "purchase.cupid"
+    other.write_text(purchase.read_text().replace("pay + 5", "pay + 6"))
+    message = f"error: commitment 'Purchase' is defined differently in {purchase} and {other}\n"
+    assert run(capsys, "parse", purchase, other) == (1, "", message)
+    code, out, _ = run(capsys, "parse", *(fixtures_dir / name for name in (
+        "ordering.bspl", "ordering_op.bspl", "escrow_purchase.cupid", "escrow_transfer.cupid")))
+    assert code == 0
+    assert out.count("protocol Ordering:") == out.count("commitment EscrowPurchase:") == 1
+
+
+CONNECTIVES = "commitment X M to C create quote and pay detach pay or ship discharge ship except pay[, quote + 5]\n"
+
+
+def test_connectives_bind_and_simulate(capsys, fixtures_dir, tmp_path, ordering):
+    """``and``, ``or`` and ``except`` bind against Ordering and run through
+    the simulator: the merchant learns of the customer's payment at tick 6."""
+    bind_commitment(parse_commitment(CONNECTIVES), uod(ordering))
+    cupid = tmp_path / "connectives.cupid"
+    cupid.write_text(CONNECTIVES)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({**direct_order(fixtures_dir), "commitments": [str(cupid)]}))
+    code, out, _ = run(capsys, "simulate", scenario)
+    assert code == 0
+    rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("t=")}
+    assert rows["t=5"].endswith(" MISALIGNED created@M;detached@M")
+    assert rows["t=6"].endswith(" aligned")
