@@ -17,7 +17,7 @@ from pathlib import Path
 from .commitments import CommitmentSpec, print_commitment
 from .enactment import DELIVERIES, trace_lines
 from .errors import BoundExceeded, ComalError
-from .protocol import Protocol, print_protocol, print_protocols
+from .protocol import Protocol, print_protocol, print_protocols, uod
 from .simulate import load_scenario, load_sources, report_to_json, run_scenario
 from .synthesis import SynthesisMode, compose_operationalization, synthesize_alignment_protocol
 from .verify import (
@@ -142,6 +142,8 @@ def _pick_protocol(protocols: dict[str, Protocol], name: str | None) -> Protocol
 
 def cmd_parse(args) -> int:
     protocols, commitments = _load_sources(args.files)
+    for p in protocols.values():
+        uod(p, protocols)
     for p in protocols.values():
         schemas = len(p.schemas)
         refs = len(p.subprotocols)
@@ -275,10 +277,12 @@ def cmd_verify(args) -> int:
             record(check_safety(protocol, bound, protocols))
         elif args.liveness:
             record(check_liveness(protocol, bound, protocols))
+        input_graph = None
         if args.theorem1:
             if not args.input:
                 raise ComalError("--theorem1 needs --input NAME")
             result = check_theorem1(_pick_protocol(protocols, args.input), protocol, bound, protocols)
+            input_graph = result.input_graph
             for report in (result.safety_input, result.safety_composed,
                            result.liveness_input, result.liveness_composed):
                 _report_line(report, args.json)
@@ -293,7 +297,7 @@ def cmd_verify(args) -> int:
         if args.embedding:
             if not args.input:
                 raise ComalError("--embedding needs --input NAME")
-            record(check_embedding(_pick_protocol(protocols, args.input), protocol, bound, protocols))
+            record(check_embedding(_pick_protocol(protocols, args.input), protocol, bound, protocols, input_graph))
         if args.theorem2:
             if not commitments:
                 raise ComalError("--theorem2 needs .cupid commitment files")

@@ -108,12 +108,18 @@ def load_sources(
     """The protocols and the commitments the files define, in file order; a
     commitment file may name commitments of the files before it. A name may
     be defined again only identically: two different definitions are a
-    :class:`WellFormednessError` naming both files."""
+    :class:`WellFormednessError` naming both files. A syntax error's line and
+    column follow the path of its file."""
     protocols: dict[str, Protocol] = {}
     commitments: dict[str, CommitmentSpec] = {}
     origin: dict[tuple[str, str], Path] = {}
 
-    def add(what: str, registry: dict, defined: Mapping, path: Path) -> None:
+    def load(what: str, registry: dict, parse, path: Path) -> None:
+        text = read_source(path)
+        try:
+            defined = parse(text)
+        except ParseError as exc:
+            raise ParseError(f"{path}:{exc}") from None
         for name, value in defined.items():
             if name in registry and registry[name] != value:
                 raise WellFormednessError(f"{what} {name!r} is defined differently in {origin[what, name]} and {path}")
@@ -121,9 +127,9 @@ def load_sources(
             origin[what, name] = path
 
     for path in protocol_files:
-        add("protocol", protocols, parse_protocols(read_source(path)), path)
+        load("protocol", protocols, parse_protocols, path)
     for path in commitment_files:
-        add("commitment", commitments, parse_commitments(read_source(path), commitments), path)
+        load("commitment", commitments, lambda text: parse_commitments(text, commitments), path)
     return protocols, commitments
 
 

@@ -13,8 +13,8 @@ raises ``BoundExceeded``:
 * embedding: every enactment of an input protocol that can still complete
   replays inside a composed protocol: each of its emissions keeps the composed
   schema's emission rules.
-* alignment reachability: from every reachable state of a composed protocol,
-  some extension is aligned for every commitment.
+* alignment reachability (Theorem 2): from every reachable state of a
+  composed protocol, some extension is aligned for every commitment.
 
 All four enumerate with one breadth-first explorer, ``StateSpace``; the
 knowledge-set, ordered and timed graphs below differ only in their state
@@ -24,11 +24,13 @@ role's knowledge and a delivery of any ``in_flight`` message, both from
 ``enactment``: BSPL's channels are unordered, and every FIFO run is also such
 a run, so a check that holds here holds under FIFO, the simulator's option.
 
-Every graph is finite: a parameter is bound once per enactment, so a schema
-is emitted at most once per key binding (``emission_candidates``' rule (d)),
-and a run at k key values makes at most 2·k·|schemas| observations. A lapse
-moves the phase forward to a window bound anchored at 0 or at one of those
-observations, so a run also lapses finitely often.
+Every graph is a finite DAG: a parameter is bound once per enactment, so a
+schema is emitted at most once per key binding (``emission_candidates``' rule
+(d)), a run at k key values makes at most 2·k·|schemas| observations, and a
+lapse moves the phase forward to a window bound anchored at 0 or at one of
+them. Every move grows the state, so every maximal run ends in a *terminal*
+state, one with no move, and "from every reachable state some extension is
+good" holds exactly when every reachable terminal state is good.
 
 Witnesses are runs: each path in one is a list of the simulator's trace
 records (``enactment.observation_to_json``) ticked from 1, and a deadline
@@ -38,31 +40,23 @@ Few role knowledges recur across many states (composed escrow: 9 595 safety
 states, 211 knowledge sets), so each graph interns them: a state is a tuple
 of knowledge ids, one per role, plus the phase in the timed graph. Growing a
 knowledge by one entry is memoized, and each id's observed instance set and
-delivery order are derived once. Caches key on these: emission moves on
-(role index, observed set), so timed candidates do not split by phase;
-models on id, lifecycle tables and next changes on (id, phase); misalignment
-counts on (commitment, debtor id, creditor id, phase); ``is_complete`` on the
-emitted set. Every cache lives on one graph instance and dies with it: a
-moves list depends on the universe and key values too.
-
-The timed graph repeats most untimed work once per phase (unrestricted
-OrderingOp: 8 760 states, 43 distinct tuples of observed sets). Its
-knowledge ids that observed the same instances at other phases share one
-interned observed set, the untimed projection, whose delivery order is
-derived once. A state's moves, and whether a lapse may follow them, are
-cached on the tuple of its roles' observed sets. This is exact: the moves
-read only each role's observed set and its delivery order (that set,
-sorted), and the lapse gate reads only the moves. Only the successor states,
-the next lapse boundary and the alignment counts are worked out per timed
+delivery order are derived once; timed ids that observed the same instances
+share them. Caches on one graph instance key on these: emission moves on
+(role index, observed set); in the timed graph, a state's moves and whether a
+lapse may follow them on the tuple of observed sets (unrestricted OrderingOp:
+8 760 states, 43 tuples), models on id, lifecycle tables and next changes on
+(id, phase), misalignment counts on (commitment, debtor id, creditor id,
+phase); ``is_complete`` on the emitted set. Only the successor states, and
+the next lapse boundary where a lapse may follow, are worked out per timed
 state.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
-on the order it learned it, so states collapse to per-role knowledge sets.
-Safety with liveness, alone or in Theorem 1, builds each protocol's graph
-once: a safe protocol's safety build is the whole graph, and liveness reads it
-too. An emission on a prefix of a complete input enactment is exactly an
-emission edge into a *live* state (one with a completing extension), and
+on the order it learned it. Safety with liveness, alone or in Theorem 1,
+builds each protocol's graph once: a safe protocol's safety build is the
+whole graph, liveness reads it too, and so may embedding after Theorem 1. An
+emission on a prefix of a complete input enactment is exactly an emission
+edge into a *live* state (one with a completing extension), and
 ``emission_violation`` reads only the sender's order-free ``RoleKnowledge``,
 so embedding is exact there.
 
@@ -83,13 +77,27 @@ annotated with its phase, which fully determines window membership;
 deadlines falling on one instant lapse together. The punctual-delivery
 restriction (deliveries and available forwards happen before deadlines pass)
 gates lapse moves on empty channels and no enabled forwarding emissions.
+
+Theorem 2 fails exactly when a reachable terminal state is misaligned for
+some commitment; the witness is the path to the first one found. On success
+it is the most misaligned state and a shortest extension to an all-aligned
+one. Punctually, a *safe* delivery, one whose parameters are ``out`` in no
+schema its receiver sends, is the only move expanded. It disables none of
+the receiver's emissions (it only adds bindings), no move disables it, no
+lapse may pass while it is in flight, so it lands at the current phase in
+every order, and observations by different roles, or two receipts by one,
+commute. So it is a stubborn set: the reduced graph is a subgraph of the
+full one with the same reachable terminal states (Valmari, "Stubborn sets for
+reduced state space generation", 1990; Godefroid, *Partial-Order Methods for
+the Verification of Concurrent Systems*, 1996). Unrestricted runs are not
+reduced: a lapse may pass before any delivery.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -369,10 +377,6 @@ class StateSpace:
                     stack.append(pred)
         return closed
 
-    def first_outside(self, closed: set[int]) -> int | None:
-        """The first state found that is not in ``closed``, if any."""
-        return next((sid for sid in range(len(self.states)) if sid not in closed), None)
-
 
 # ---------------------------------------------------------------------------
 # Knowledge-set enumeration (safety, liveness)
@@ -457,7 +461,7 @@ def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
 
 
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
-    stuck = graph.first_outside(graph.live)
+    stuck = next((sid for sid in range(len(graph.states)) if sid not in graph.live), None)
     if stuck is not None:
         witness = {"reach": graph.path_to(stuck)}
         return VerificationReport(
@@ -482,12 +486,14 @@ def check_liveness(
 
 @dataclass(frozen=True)
 class Theorem1Result:
-    """Preservation of safety and liveness by an operationalization."""
+    """Preservation of safety and liveness by an operationalization, and the
+    input protocol's whole graph, which ``check_embedding`` can read again."""
 
     safety_input: VerificationReport
     safety_composed: VerificationReport
     liveness_input: VerificationReport
     liveness_composed: VerificationReport
+    input_graph: KnowledgeGraph = field(compare=False, repr=False)
 
     @property
     def safety_preserved(self) -> bool:
@@ -502,18 +508,25 @@ class Theorem1Result:
         return self.safety_preserved and self.liveness_preserved
 
 
-def check_safety_and_liveness(
-    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
-) -> tuple[VerificationReport, VerificationReport]:
-    """``check_safety`` and ``check_liveness`` from one build where it can: a
-    safe protocol's safety build ran to the end, so it is the whole graph
-    liveness needs; an unsafe one stopped early and is rebuilt."""
+def _safety_and_liveness(
+    p: Protocol, bound: Bound, registry: Mapping[str, Protocol] | None
+) -> tuple[VerificationReport, VerificationReport, KnowledgeGraph]:
+    """Both reports from one build where it can: a safe protocol's safety
+    build ran to the end, so it is the whole graph liveness needs; an unsafe
+    one stopped early and is rebuilt. The whole graph is returned too."""
     universe = uod(p, registry)
     graph = _knowledge_graph(universe, p, bound, stop_on_safety=True)
     safety = _safety_report(graph)
     if not safety.holds:
         graph = _knowledge_graph(universe, p, bound, stop_on_safety=False)
-    return safety, _liveness_report(graph)
+    return safety, _liveness_report(graph), graph
+
+
+def check_safety_and_liveness(
+    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
+) -> tuple[VerificationReport, VerificationReport]:
+    """``check_safety`` and ``check_liveness`` from one build where it can."""
+    return _safety_and_liveness(p, bound, registry)[:2]
 
 
 def check_theorem1(
@@ -522,9 +535,9 @@ def check_theorem1(
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
 ) -> Theorem1Result:
-    safety_input, liveness_input = check_safety_and_liveness(input_protocol, bound, registry)
+    safety_input, liveness_input, graph = _safety_and_liveness(input_protocol, bound, registry)
     safety_composed, liveness_composed = check_safety_and_liveness(composed, bound, registry)
-    return Theorem1Result(safety_input, safety_composed, liveness_input, liveness_composed)
+    return Theorem1Result(safety_input, safety_composed, liveness_input, liveness_composed, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -565,13 +578,16 @@ def check_embedding(
     composed: Protocol,
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
+    input_graph: KnowledgeGraph | None = None,
 ) -> VerificationReport:
     """Every enactment of the input protocol that can still complete replays
     inside the composed protocol: each emission edge of the input's graph into
     a live state passes the composed schema's emission rules against the
     sender's knowledge at its source. On failure the witness is the path to
-    that source and the emission, a run of the input the composition rejects."""
-    graph = _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, stop_on_safety=False)
+    that source and the emission, a run of the input the composition rejects.
+    ``input_graph`` is that graph at ``bound`` if already built, as
+    ``Theorem1Result.input_graph`` is."""
+    graph = input_graph or _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, stop_on_safety=False)
     composed_universe = uod(composed, registry)
 
     def report(witness, detail: str) -> VerificationReport:
@@ -599,8 +615,8 @@ def check_embedding(
 
 
 class AlignmentGraph(StateSpace):
-    """Reachable phase-annotated knowledge states of a composed protocol,
-    including deadline-lapse moves."""
+    """Reachable phase-annotated knowledge states of a composed protocol, with
+    deadline-lapse moves; punctually, only a safe delivery where there is one."""
 
     def __init__(
         self,
@@ -625,6 +641,10 @@ class AlignmentGraph(StateSpace):
         self._projections: dict[frozenset, tuple[frozenset, Sequence[MessageInstance]]] = {}
         self._moves_cache: dict[tuple[frozenset, ...], tuple[list[tuple[int, tuple]], bool]] = {}
         self.moves_hits = 0
+        # Punctually, the schemas whose delivery is safe: none of their
+        # parameters is ``out`` in a schema their receiver sends.
+        outs = {role: {p for s in universe.schemas if s.sender == role for p in s.outs} for role in self.roles}
+        self._safe = {s.name for s in universe.schemas if punctual and outs[s.receiver].isdisjoint(s.param_names)}
 
     def build(self) -> None:
         self._explore((self._knowledge_id(frozenset()),) * len(self.roles) + (0,))
@@ -646,25 +666,22 @@ class AlignmentGraph(StateSpace):
         cached = self._moves_cache.get(observed)
         if cached is None:
             moves = self._moves([self._order[kid] for kid in ids], observed)
-            cached = self._moves_cache[observed] = (moves, self._lapse_allowed(moves))
+            # Punctually, no deadline passes while a message is in flight or a
+            # forward can be emitted, and a safe delivery is the one move taken.
+            blocked = any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst) in moves)
+            safe = [move for move in moves if move[1][0] == RECV and move[1][2].schema in self._safe][:1]
+            cached = self._moves_cache[observed] = (safe or moves, not (self.punctual and blocked))
         else:
             self.moves_hits += 1
         moves, lapse_allowed = cached
         out = [(move, self._with(state, ri, (move[2], now_phase))) for ri, move in moves]
-        lapse_value = self._next_boundary(ids, now_phase)
-        if lapse_value < INF and lapse_allowed:
+        lapse_value = self._next_boundary(ids, now_phase) if lapse_allowed else INF
+        if lapse_value < INF:
             out.append((("lapse", lapse_value), ids + (lapse_value,)))
         return out
 
     def _cache_summary(self) -> str:
         return f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits"
-
-    def _lapse_allowed(self, moves) -> bool:
-        """Punctually, no deadline passes while a message is in flight or a
-        forward can be emitted."""
-        if not self.punctual:
-            return True
-        return not any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst) in moves)
 
     def _model(self, kid: int) -> Model:
         model = self._model_cache.get(kid)
@@ -742,22 +759,23 @@ def check_alignment_reachability(
     graph.build()
     mode = "punctual" if punctual else "unrestricted"
     counts = [graph.alignment(state) for state in graph.states]
-    for ci, c in enumerate(graph.commitments):
-        stuck = graph.first_outside(graph.backward_closure(sid for sid, row in enumerate(counts) if row[ci] == 0))
-        if stuck is not None:
-            witness = {"commitment": c.name, "reach": graph.path_to(stuck)}
-            detail = f"{mode}: no aligning extension for {c.name!r}"
-            return VerificationReport(ALIGNMENT_REACHABILITY, False, witness, len(graph.states), detail)
+    # Every maximal run ends in a terminal state, so a state with no aligning
+    # extension exists exactly when a terminal one is misaligned.
+    stuck = next((sid for sid, row in enumerate(counts) if any(row) and not graph.edges[sid]), None)
+    if stuck is not None:
+        c = next(c for c, n in zip(graph.commitments, counts[stuck]) if n)
+        witness = {"commitment": c.name, "reach": graph.path_to(stuck)}
+        detail = f"{mode}: no aligning extension for {c.name!r}"
+        return VerificationReport(ALIGNMENT_REACHABILITY, False, witness, len(graph.states), detail)
     # Success: exhibit the most misaligned state and how it realigns.
     totals = [sum(row) for row in counts]
     witness = None
     if max(totals, default=0) > 0:
         worst_id = totals.index(max(totals))
         all_aligned = {sid for sid, row in enumerate(counts) if not any(row)}
-        extension = graph.forward_path(worst_id, all_aligned)
         witness = {
             "misaligned_state": graph.path_to(worst_id),
-            "extension": extension,
+            "extension": graph.forward_path(worst_id, all_aligned),
         }
     return VerificationReport(
         ALIGNMENT_REACHABILITY, True, witness, len(graph.states), f"{mode}: aligning extensions exist"

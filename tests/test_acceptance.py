@@ -213,7 +213,7 @@ def test_criterion_8_alignment_reachability(workbench):
         )
         assert not negative.holds
         assert negative.witness["commitment"] == "EscrowPurchase"
-        schemas = [step["schema"] for step in negative.witness["reach"]]
+        schemas = [step["schema"] for step in negative.witness["reach"] if "lapse" not in step]
         assert "payEscrow" in schemas  # the unnotified escrow payment
 
 

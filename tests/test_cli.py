@@ -59,6 +59,37 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_syntax_error_names_its_file(capsys, fixtures_dir, tmp_path):
+    """With several inputs, a syntax error's line and column come after the
+    path of the file they point into."""
+    bad = tmp_path / "bad.bspl"
+    bad.write_text("Oops {\n  roles A B\n}\n")
+    cut = tmp_path / "cut.cupid"
+    cut.write_text("commitment Late M to C\n")
+    for argv, expected in (
+        ((fixtures_dir / "ordering.bspl", bad), f"error: {bad}:2:11: expected 'parameters', found 'B'\n"),
+        ((fixtures_dir / "ordering.bspl", cut), f"error: {cut}:2:1: expected 'create', found 'eof'\n"),
+    ):
+        assert run(capsys, "parse", *argv) == (1, "", expected)
+
+
+def test_parse_validates_references(capsys, tmp_path):
+    """``parse`` expands references as ``verify`` does: a cycle or a missing
+    protocol exits 1 with one error line."""
+    cycle = tmp_path / "cycle.bspl"
+    cycle.write_text(
+        "P {\n roles A, B\n parameters out k key\n Q(A, B, out k key)\n}\n"
+        "Q {\n roles A, B\n parameters out k key\n P(A, B, out k key)\n}\n"
+    )
+    missing = tmp_path / "missing.bspl"
+    missing.write_text("P {\n roles A, B\n parameters out k key\n Nowhere(A, B, out k key)\n}\n")
+    for path in (cycle, missing):
+        code, out, err = run(capsys, "parse", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == run(capsys, "verify", "--safety", path)[2]
+
+
 def test_print_round_trips(capsys, fixtures_dir):
     code, out, _ = run(capsys, "print", fixtures_dir / "escrow_ordering.bspl")
     assert code == 0
@@ -307,6 +338,19 @@ def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir
     builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
     assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 43 states")
     assert (code, out) == (0, alone[0][1] + alone[1][1])
+
+
+def test_verify_theorem1_and_embedding_build_the_input_graph_once(capsys, caplog, fixtures_dir):
+    """Embedding reads the input graph Theorem 1 built, and prints what it
+    prints alone."""
+    argv = (fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--input", "Ordering")
+    theorem1, embedding = (run(capsys, "verify", flag, *argv) for flag in ("--theorem1", "--embedding"))
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="comal.verify")
+    code, out, _ = run(capsys, "verify", "--theorem1", "--embedding", *argv)
+    builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
+    assert [b.split(",")[0] for b in builds] == ["KnowledgeGraph: 23 states", "KnowledgeGraph: 43 states"]
+    assert (code, out) == (0, theorem1[1] + embedding[1])
 
 
 def test_verify_unsafe_relay_is_independent_of_the_hash_seed(fixtures_dir):

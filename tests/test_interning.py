@@ -16,10 +16,11 @@ import random
 import pytest
 from test_protocol import random_protocol
 
+from comal.commitments import parse_commitments
 from comal.enactment import EMIT, RECV, emission_candidates, knowledge_from, model_of
 from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.semantics import INF, EvaluationContext, next_change, window_anchors
-from comal.synthesis import forwarding_registry
+from comal.synthesis import SynthesisMode, compose_operationalization, forwarding_registry, synthesize_alignment_protocol
 from comal.verify import AlignmentGraph, Bound, EnactmentGraph, KnowledgeGraph
 
 
@@ -120,12 +121,29 @@ def _assert_matches(graph, reference) -> None:
     assert graph.edges == edges
 
 
-def _assert_contains(graph, reference) -> None:
-    """Every state and edge of ``reference`` is one of ``graph``'s."""
-    states, edges = reference
-    ids = {graph.decode(state): sid for sid, state in enumerate(graph.states)}
+def _plain(graph):
+    return [graph.decode(state) for state in graph.states], graph.edges
+
+
+def _assert_contains(outer, inner) -> None:
+    """Every state and edge of ``inner`` is one of ``outer``'s; each is a
+    (states, edges) pair."""
+    ids = {state: sid for sid, state in enumerate(outer[0])}
+    states, edges = inner
     for state, out in zip(states, edges):
-        assert {(move, ids[states[tid]]) for move, tid in out} <= set(graph.edges[ids[state]])
+        assert {(move, ids[states[tid]]) for move, tid in out} <= set(outer[1][ids[state]])
+
+
+def _terminals(states, edges) -> set:
+    return {state for state, out in zip(states, edges) if not out}
+
+
+def _assert_reduced(graph: AlignmentGraph, reference) -> None:
+    """The punctual graph expands only a safe delivery where there is one: it
+    is a subgraph of the full ``reference`` with the same terminal states."""
+    reduced = _plain(graph)
+    _assert_contains(reference, reduced)
+    assert _terminals(*reduced) == _terminals(*reference)
 
 
 def _check_untimed(protocol, registry, setting) -> None:
@@ -133,8 +151,11 @@ def _check_untimed(protocol, registry, setting) -> None:
     if setting in ("any", "fifo"):
         graph = EnactmentGraph(universe, Bound())
         graph.build()
-        check = _assert_matches if setting == "any" else _assert_contains
-        check(graph, _reference_untimed(graph, ordered=True, fifo=setting == "fifo"))
+        reference = _reference_untimed(graph, ordered=True, fifo=setting == "fifo")
+        if setting == "any":
+            _assert_matches(graph, reference)
+        else:
+            _assert_contains(_plain(graph), reference)
     else:
         graph = KnowledgeGraph(universe, Bound(key_values=setting), protocol.out_params)
         graph.build()
@@ -173,4 +194,58 @@ def test_timed_graph_matches_plain_encoding(name, punctual, op_registry, purchas
         universe, specs = uod(escrow_ordering), [escrow_commitments["EscrowPurchase"]]
     graph = AlignmentGraph(universe, specs, Bound(), punctual)
     graph.build()
-    _assert_matches(graph, _reference_timed(graph))
+    reference = _reference_timed(graph)
+    if punctual:
+        _assert_reduced(graph, reference)
+        assert len(graph.states) < len(reference[0])
+    else:
+        _assert_matches(graph, reference)
+
+
+LITERAL_FAILS = """
+Relay {
+  roles B, C, D
+  parameters out id key, out v0, out v1, out v2, out v3
+  B -> C: m0[out id key, out v0]
+  D -> C: m1[in id key, out v1]
+  B -> D: m2[in id key, out v2]
+  C -> B: m3[in id key, out v3]
+}
+"""
+LITERAL_FAILS_COMMITMENT = "commitment Late D to C create m3 detach m2 discharge m2[, m0 + 7]"
+
+# Unsafe: with ``offer`` in flight, B may still bind x by ``counter``, so that
+# delivery is not safe; ``start`` carries only k and is.
+RACE = """
+Race {
+  roles A, B
+  parameters out k key, out x, out y
+  A -> B: start[out k key]
+  A -> B: offer[in k key, out x]
+  B -> A: counter[in k key, out x, out y]
+}
+"""
+RACE_COMMITMENT = "commitment Deal A to B create start detach counter[, start + 3] discharge offer"
+
+
+@pytest.mark.parametrize("name", ("EscrowOrderingOp", "escrow-literal", "relay-literal", "race"))
+def test_reduction_keeps_terminal_states(name, fixtures_dir, escrow_ordering, escrow_commitments):
+    """Punctual composed escrow (complete aligners), escrow with literal
+    aligners, a literal composition whose Theorem 2 fails, and an unsafe
+    protocol whose receiver can bind a parameter of a message in flight."""
+    if name == "EscrowOrderingOp":
+        registry = parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
+        universe, specs = uod(registry[name], registry), list(escrow_commitments.values())
+    elif name == "race":
+        universe, specs = uod(parse_protocol(RACE)), list(parse_commitments(RACE_COMMITMENT).values())
+    else:
+        base, specs = escrow_ordering, list(escrow_commitments.values())
+        if name == "relay-literal":
+            base = parse_protocol(LITERAL_FAILS)
+            specs = list(parse_commitments(LITERAL_FAILS_COMMITMENT).values())
+        aligners = [synthesize_alignment_protocol(c, base, SynthesisMode.LITERAL) for c in specs]
+        composed = compose_operationalization(base, aligners)
+        universe = uod(composed, {p.name: p for p in (composed, base, *aligners)})
+    graph = AlignmentGraph(universe, specs, Bound(), punctual=True)
+    graph.build()
+    _assert_reduced(graph, _reference_timed(graph))

@@ -99,7 +99,9 @@ def _sha256(witness) -> str:
 NO_WITNESS = _sha256(None)
 
 # States explored and witness digests of the cheap fixture checks, recorded
-# before the explorers were merged; any change here is a semantic change.
+# before the explorers were merged; any change here is a semantic change. The
+# two Theorem 2 entries are the safe-delivery reduced graphs (163 and 242
+# states in full), and bare escrow's witness ends in a misaligned terminal state.
 PINNED = {
     "safety-Ordering": (23, NO_WITNESS),
     "liveness-Ordering": (23, NO_WITNESS),
@@ -111,8 +113,8 @@ PINNED = {
     "liveness-stuck_toy": (3, "c6e0c18bb32bbdb2b2df624531af9df83e41ddb4611d5f6e8c3ccee153a2dd9e"),
     "safety-empty": (1, NO_WITNESS),
     "liveness-empty": (1, NO_WITNESS),
-    "theorem2-OrderingOp": (163, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
-    "theorem2-bare-escrow": (242, "c7223a3d9c0a52e658ea01968c0247f7779df9215295c57aec881ca27afe055d"),
+    "theorem2-OrderingOp": (115, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
+    "theorem2-bare-escrow": (229, "5feb5031fbe941baa1b3180d16e1cfb565ad83f3d0596c9f525274ee329b0170"),
     "embedding-Ordering": (23, NO_WITNESS),
 }
 
@@ -449,8 +451,25 @@ def test_alignment_reachability_without_forwarding_fails(escrow_ordering, escrow
     )
     assert not report.holds
     assert report.witness["commitment"] == "EscrowPurchase"
-    schemas = [step["schema"] for step in report.witness["reach"]]
+    schemas = [step["schema"] for step in report.witness["reach"] if "lapse" not in step]
     assert "payEscrow" in schemas
+
+
+@pytest.mark.parametrize("punctual", (True, False), ids=("punctual", "unrestricted"))
+def test_alignment_failure_witness_ends_where_no_move_is_left(punctual, escrow_ordering, escrow_commitments):
+    """A failing Theorem 2 names the path to a misaligned terminal state: with
+    its lapses left out it is a viable run, after which the simulator's move
+    rule offers no emission and no delivery."""
+    report = check_alignment_reachability(
+        escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, punctual=punctual
+    )
+    assert not report.holds
+    universe = uod(escrow_ordering)
+    records = [r for r in report.witness["reach"] if "lapse" not in r]
+    vector = _replay([{**r, "tick": tick} for tick, r in enumerate(records, start=1)], universe)
+    assert check_viable(vector, universe) is None
+    assert not deliverable(vector)
+    assert not any(enabled_emissions(vector, universe, role, BOUND.key_values) for role in vector.roles)
 
 
 def test_violated_misalignment_reachable_without_ship_notification(ordering, purchase):
@@ -808,7 +827,7 @@ def _cached_graph(case, op_registry, escrow_op_registry, chan, escrow_ordering, 
 
 
 # (graph, protocol, key values | delivery, always any | max_states). Every timed
-# graph is cut: the punctual ones at 80 of their 163 (OrderingOp) and 242
+# graph is cut: the punctual ones at 80 of their 115 (OrderingOp) and 229
 # (EscrowOrdering) states, whose whole builds test_interning checks, and
 # unrestricted composed escrow at 3 000, where most phases share one tuple of
 # observed sets, so where the timed moves cache answers most.
