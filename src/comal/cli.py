@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "liveness, --theorem1 and --embedding answer k values from the graph at one when every two "
                         "message schemas share a key parameter and that graph is safe and live, and enumerate all "
                         "k otherwise")
-    p.add_argument("--max-states", type=int, default=400_000)
+    p.add_argument("--max-states", type=int, default=Bound.max_states)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)
 
@@ -168,7 +168,7 @@ def cmd_print(args) -> int:
 def cmd_synthesize(args) -> int:
     protocols, commitments = _load_sources(args.files)
     input_protocol = _pick_protocol(protocols, args.protocol)
-    wanted = args.commitment or list(commitments)
+    wanted = dict.fromkeys(args.commitment or commitments)
     mode = SynthesisMode(args.mode)
     aligners = []
     for name in wanted:
@@ -260,6 +260,13 @@ def cmd_verify(args) -> int:
     requested = args.safety or args.liveness or args.theorem1 or args.theorem2 or args.embedding
     if not requested:
         raise ComalError("nothing to verify: pass --safety/--liveness/--theorem1/--theorem2/--embedding")
+    input_protocol = None
+    if args.theorem1 or args.embedding:
+        if not args.input:
+            raise ComalError(f"--{'theorem1' if args.theorem1 else 'embedding'} needs --input NAME")
+        input_protocol = _pick_protocol(protocols, args.input)
+    if args.theorem2 and not commitments:
+        raise ComalError("--theorem2 needs .cupid commitment files")
 
     exit_code = EXIT_OK
 
@@ -279,9 +286,7 @@ def cmd_verify(args) -> int:
             record(check_liveness(protocol, bound, protocols))
         input_graph = None
         if args.theorem1:
-            if not args.input:
-                raise ComalError("--theorem1 needs --input NAME")
-            result = check_theorem1(_pick_protocol(protocols, args.input), protocol, bound, protocols)
+            result = check_theorem1(input_protocol, protocol, bound, protocols)
             input_graph = result.input_graph
             for report in (result.safety_input, result.safety_composed,
                            result.liveness_input, result.liveness_composed):
@@ -295,12 +300,8 @@ def cmd_verify(args) -> int:
             if not preserved:
                 exit_code = max(exit_code, EXIT_COUNTEREXAMPLE)
         if args.embedding:
-            if not args.input:
-                raise ComalError("--embedding needs --input NAME")
-            record(check_embedding(_pick_protocol(protocols, args.input), protocol, bound, protocols, input_graph))
+            record(check_embedding(input_protocol, protocol, bound, protocols, input_graph))
         if args.theorem2:
-            if not commitments:
-                raise ComalError("--theorem2 needs .cupid commitment files")
             record(check_alignment_reachability(
                 protocol, list(commitments.values()), bound, punctual=True, registry=protocols
             ))

@@ -392,9 +392,14 @@ def trace_lines(v: HistoryVector) -> Iterator[str]:
 
 
 def observation_from_json(record: Mapping, universe: Uod) -> Observation:
+    """The observation a trace record describes; its ``"role"`` must be the
+    observing role, the sender of an emission or the receiver of a reception."""
     schema = universe.schema(record["schema"])
     instance = MessageInstance.make(schema, record["bindings"])
     direction = record["dir"]
     if direction not in (EMIT, RECV):
         raise WellFormednessError(f"bad trace direction {direction!r}")
-    return Observation(instance, direction, int(record["tick"]))
+    obs = Observation(instance, direction, int(record["tick"]))
+    if record["role"] != obs.role:
+        raise WellFormednessError(f"trace record names role {record['role']!r}, but {obs.role!r} observes it")
+    return obs

@@ -1,19 +1,23 @@
 """Decentralized enactment simulation.
 
-A scenario enacts one protocol (usually a composed operationalization) under a
-move policy:
+A scenario enacts one protocol (usually a composed operationalization) in
+one loop over ticks 1 to the horizon. Each tick makes at most one
+observation, taken from one list of enabled moves: every role's emissions at
+a key value and every deliverable instance (any in flight, or with
+``"delivery": "fifo"`` the oldest per channel). The policy picks it:
 
-* ``scripted`` replays an explicit move list, aborting if a move is not
-  enabled at its scheduled tick;
-* ``random`` picks uniformly among enabled emissions and deliveries;
+* ``scripted`` takes the move its script names for the tick, the one entry
+  of the list with that direction, schema, observing role and key, and aborts
+  if there is none;
+* ``random`` picks uniformly from the list at the scenario key;
 * ``aligner`` is random but prefers forwarding emissions and deliveries, so
   runs drift toward alignment.
 
-One observation happens per tick. After every tick the simulator reports
-each commitment's five lifecycle states in the debtor's and the creditor's
-models (re-evaluated only after that role observes or at their
-``semantics.next_change``) and the alignment verdict; ticks after the final
-move keep reporting, so deadline expiry shows up in the report tail.
+After every tick the simulator reports each commitment's five lifecycle
+states in the debtor's and the creditor's models (re-evaluated only after
+that role observes or at their ``semantics.next_change``) and the alignment
+verdict; ticks after the final move keep reporting, so deadline expiry shows
+up in the report tail.
 
 Scenario files are JSON::
 
@@ -23,9 +27,9 @@ Scenario files are JSON::
          {"tick": 1, "role": "M", "dir": "emit", "schema": "quote"}, ...]},
      "horizon": 12, "delivery": "any", "seed": 0, "key": "1"}
 
-Scripted moves name instances by schema and key value; emission bindings are
-derived (keys from the scenario key, ``in`` values from the sender's
-knowledge, ``out`` values deterministic).
+Scripted moves name instances by schema and key value (the move's ``"key"``,
+else the scenario's); emission bindings are derived (``in`` values from the
+sender's knowledge, ``out`` values deterministic).
 
 ``load_sources`` reads the ``.bspl`` and ``.cupid`` files of a scenario, and
 those the ``comal`` command is given.
@@ -37,7 +41,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .commitments import CommitmentSpec, bind_commitment, parse_commitments
 from .enactment import (
@@ -191,77 +195,56 @@ class Simulation:
         self._tables: dict[str, tuple[dict, int | float]] = {}
 
     def run(self) -> SimulationResult:
-        policy = dict(self.scenario.policy)
+        policy = self.scenario.policy
         kind = policy.get("kind", "random")
-        if kind == "scripted":
-            self._run_scripted(policy.get("moves", ()))
-        elif kind in ("random", "aligner"):
-            self._run_random(prefer_forwards=kind == "aligner")
-        else:
+        if kind not in ("scripted", "random", "aligner"):
             raise WellFormednessError(f"unknown policy kind {kind!r}")
+        key = self.scenario.key
+        scripted = _scripted_moves(policy.get("moves", ()), self.universe, key) if kind == "scripted" else {}
+        moves = [] if kind == "scripted" else self._enabled_moves(key)
+        for tick in range(1, self.scenario.horizon + 1):
+            if tick in scripted:
+                self._apply_scripted(*scripted.pop(tick), tick)
+            elif moves:
+                preferred = [m for m in moves if m[0] == RECV or m[1].schema in self.fwd_registry]
+                direction, instance = self.rng.choice(preferred if kind == "aligner" and preferred else moves)
+                self._observe(Observation(instance, direction, tick))
+                moves = self._enabled_moves(key)
+            self._report(tick)
+        if scripted:
+            raise WellFormednessError(f"move at tick {min(scripted)} is beyond the horizon")
         self.result.vector = self.vector
         return self.result
 
-    # -- policies ----------------------------------------------------------
-
-    def _run_scripted(self, moves: Sequence[Mapping]) -> None:
-        if not isinstance(moves, (list, tuple)):
-            raise WellFormednessError(f"scripted \"moves\" must be a list, not {moves!r}")
-        moves = sorted(
-            (_scripted_move(m, self.universe, self.scenario.key) + (m,) for m in moves), key=lambda triple: triple[0]
-        )
-        ticks = [tick for tick, _, _ in moves]
-        if len(set(ticks)) != len(ticks):
-            raise WellFormednessError("scripted moves must occupy distinct ticks")
-        next_move = 0
-        for tick in range(1, self.scenario.horizon + 1):
-            if next_move < len(moves) and moves[next_move][0] == tick:
-                _, key, move = moves[next_move]
-                self._apply_scripted(move, key, tick)
-                next_move += 1
-            self._report(tick)
-        if next_move < len(moves):
-            raise WellFormednessError(f"move at tick {moves[next_move][0]} is beyond the horizon")
+    # -- moves -------------------------------------------------------------
 
     def _apply_scripted(self, move: Mapping, key: str, tick: int) -> None:
-        role = move["role"]
-        schema_name = move["schema"]
-        direction = move["dir"]
-        if direction == EMIT:
-            options = enabled_emissions(self.vector, self.universe, role, (key,))
-            options = [i for i in options if i.schema == schema_name]
-            if not options:
-                raise WellFormednessError(f"emission of {schema_name!r} by {role!r} is not enabled at tick {tick}")
-            self._observe(Observation(options[0], EMIT, tick))
-        else:
-            pending = [
-                inst
-                for receiver, inst in deliverable(self.vector, fifo=self.scenario.delivery == "fifo")
-                if receiver == role
-                and inst.schema == schema_name
-                and all(value == key for _, value in inst.key_binding)
-            ]
-            if not pending:
-                raise WellFormednessError(f"no deliverable {schema_name!r} for {role!r} at tick {tick}")
-            self._observe(Observation(pending[0], RECV, tick))
+        """Observe the enabled move of ``move``'s direction, schema and role
+        whose key parameters all take ``key``."""
+        schema, role = move["schema"], move["role"]
+        listed = self._enabled_moves(key, (role,))  # other roles' emissions would be filtered out
+        options = [
+            obs
+            for obs in (Observation(instance, direction, tick) for direction, instance in listed)
+            if (obs.direction, obs.instance.schema, obs.role) == (move["dir"], schema, role)
+            and all(value == key for _, value in obs.instance.key_binding)
+        ]
+        if not options and move["dir"] == EMIT:
+            raise WellFormednessError(f"emission of {schema!r} by {role!r} is not enabled at tick {tick}")
+        if not options:
+            raise WellFormednessError(f"no deliverable {schema!r} for {role!r} at tick {tick}")
+        self._observe(options[0])
 
-    def _run_random(self, prefer_forwards: bool) -> None:
-        moves = self._enabled_moves()
-        for tick in range(1, self.scenario.horizon + 1):
-            if moves:
-                preferred = [m for m in moves if m[0] == RECV or m[1].schema in self.fwd_registry]
-                direction, instance = self.rng.choice(preferred if prefer_forwards and preferred else moves)
-                self._observe(Observation(instance, direction, tick))
-                moves = self._enabled_moves()
-            self._report(tick)
-
-    def _enabled_moves(self) -> list[tuple[str, MessageInstance]]:
-        moves: list[tuple[str, MessageInstance]] = []
-        for role in self.universe.roles:
-            for instance in enabled_emissions(self.vector, self.universe, role, (self.scenario.key,)):
-                moves.append((EMIT, instance))
-        for _, instance in deliverable(self.vector, fifo=self.scenario.delivery == "fifo"):
-            moves.append((RECV, instance))
+    def _enabled_moves(self, key: str, roles: Iterable[str] | None = None) -> list[tuple[str, MessageInstance]]:
+        """The emissions at ``key`` of ``roles`` (every role by default), then
+        every deliverable instance, as (direction, instance) pairs sorted by
+        direction, schema and bindings."""
+        moves = [
+            (EMIT, instance)
+            for role in (self.universe.roles if roles is None else roles)
+            for instance in enabled_emissions(self.vector, self.universe, role, (key,))
+        ]
+        moves += [(RECV, instance) for _, instance in deliverable(self.vector, fifo=self.scenario.delivery == "fifo")]
         moves.sort(key=lambda m: (m[0], m[1].schema, m[1].bindings))
         return moves
 
@@ -290,27 +273,35 @@ class Simulation:
             self.result.reports.append(CommitmentTick(tick, c.name, lifecycle, alignment))
 
 
-def _scripted_move(move, universe: Uod, default_key: str) -> tuple[int, str]:
-    """The tick and key of a scripted move, once the move is known to be an
-    object naming a tick, a role and a schema of ``universe``, and ``emit`` or
-    ``recv``, with a valid ``"key"`` if it has one; ticks start at 1, and a
-    move without a ``"key"`` takes ``default_key``."""
-    if not isinstance(move, Mapping):
-        raise WellFormednessError(f"a scripted move must be an object, not {move!r}")
-    for name in ("tick", "role", "dir", "schema"):
-        if name not in move:
-            raise WellFormednessError(f"scripted move {move!r} has no \"{name}\"")
-    bad_tick = f'scripted move {move!r}: "tick" must be an integer from 1, not {move["tick"]!r}'
-    tick = _integer(move["tick"], bad_tick)
-    if tick < 1:
-        raise WellFormednessError(bad_tick)
-    if move["role"] not in universe.roles:
-        raise WellFormednessError(f"scripted move {move!r}: role {move['role']!r} is not in the protocol")
-    if not any(move["schema"] == schema.name for schema in universe.schemas):
-        raise WellFormednessError(f"scripted move {move!r}: no message schema named {move['schema']!r}")
-    if move["dir"] not in (EMIT, RECV):
-        raise WellFormednessError(f'scripted move {move!r}: "dir" must be "emit" or "recv", not {move["dir"]!r}')
-    return tick, _key_value(move.get("key", default_key), f"scripted move {move!r}")
+def _scripted_moves(moves, universe: Uod, default_key: str) -> dict[int, tuple[Mapping, str]]:
+    """Each scripted move and its key, by tick. Every move must be an object
+    naming a tick from 1, a role and a schema of ``universe``, and ``emit`` or
+    ``recv``, with a valid ``"key"`` if it has one (else it takes
+    ``default_key``); then the ticks must be distinct."""
+    if not isinstance(moves, (list, tuple)):
+        raise WellFormednessError(f"scripted \"moves\" must be a list, not {moves!r}")
+    checked = []
+    for move in moves:
+        if not isinstance(move, Mapping):
+            raise WellFormednessError(f"a scripted move must be an object, not {move!r}")
+        for name in ("tick", "role", "dir", "schema"):
+            if name not in move:
+                raise WellFormednessError(f"scripted move {move!r} has no \"{name}\"")
+        bad_tick = f'scripted move {move!r}: "tick" must be an integer from 1, not {move["tick"]!r}'
+        tick = _integer(move["tick"], bad_tick)
+        if tick < 1:
+            raise WellFormednessError(bad_tick)
+        if move["role"] not in universe.roles:
+            raise WellFormednessError(f"scripted move {move!r}: role {move['role']!r} is not in the protocol")
+        if not any(move["schema"] == schema.name for schema in universe.schemas):
+            raise WellFormednessError(f"scripted move {move!r}: no message schema named {move['schema']!r}")
+        if move["dir"] not in (EMIT, RECV):
+            raise WellFormednessError(f'scripted move {move!r}: "dir" must be "emit" or "recv", not {move["dir"]!r}')
+        checked.append((tick, move, _key_value(move.get("key", default_key), f"scripted move {move!r}")))
+    by_tick = {tick: (move, key) for tick, move, key in checked}
+    if len(by_tick) != len(checked):
+        raise WellFormednessError("scripted moves must occupy distinct ticks")
+    return by_tick
 
 
 def _integer(value, message: str) -> int:

@@ -328,6 +328,21 @@ def test_verify_unknown_input_protocol_is_an_error(capsys, fixtures_dir):
         assert "'Nope' not found" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--theorem1",), "error: --theorem1 needs --input NAME\n"),
+    (("--embedding",), "error: --embedding needs --input NAME\n"),
+    (("--theorem2",), "error: --theorem2 needs .cupid commitment files\n"),
+    (("--embedding", "--input", "Nope"),
+     "error: protocol 'Nope' not found (have: OrderingOp, Ordering, PurchaseAl)\n"),
+    (("--theorem1", "--theorem2", "--input", "Ordering"), "error: --theorem2 needs .cupid commitment files\n"),
+], ids=["theorem1", "embedding", "theorem2", "unknown-input", "theorem1-theorem2"])
+def test_verify_request_is_checked_before_any_check_runs(capsys, fixtures_dir, extra, message):
+    """A request that cannot run in full prints no verdict of its other checks."""
+    code, out, err = run(capsys, "verify", "--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp",
+                         *extra)
+    assert (code, out, err) == (1, "", message)
+
+
 def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir):
     """Both checks read one knowledge graph, and print what each prints alone."""
     argv = (fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp")
@@ -548,6 +563,18 @@ def test_synthesize_unknown_commitment_is_an_error(capsys, fixtures_dir):
     code, out, err = run(capsys, "synthesize", fixtures_dir / "ordering.bspl", fixtures_dir / "purchase.cupid",
                          "--commitment", "Nope")
     assert (code, out, err) == (1, "", "error: commitment 'Nope' not found\n")
+
+
+def test_synthesize_repeated_commitment_writes_one_aligner(capsys, fixtures_dir, tmp_path):
+    """A commitment named twice is synthesized once, so the file parses."""
+    aligners = tmp_path / "al.bspl"
+    code, out, err = run(capsys, "synthesize", fixtures_dir / "escrow_ordering.bspl",
+                         fixtures_dir / "escrow_transfer.cupid", "--commitment", "EscrowPurchase",
+                         "--commitment", "EscrowPurchase", "-o", aligners)
+    assert (code, out, err) == (0, "", "")
+    code, out, err = run(capsys, "parse", aligners)
+    assert (code, err) == (0, "")
+    assert [line.split(":")[0] for line in out.splitlines()] == ["protocol EscrowPurchaseAl"]
 
 
 def test_verify_theorem1_failing_via_cli(capsys, fixtures_dir):

@@ -22,9 +22,7 @@ from comal.enactment import (
     emission_candidates,
     emission_violation,
     enabled_emissions,
-    in_flight,
     kb_agree,
-    knowledge_from,
     model_of,
     observation_from_json,
     observation_to_json,
@@ -54,6 +52,7 @@ from comal.verify import (
     enumerate_uoe,
     is_complete,
 )
+from test_interning import _moves
 from test_protocol import random_protocol
 
 BOUND = Bound()
@@ -153,6 +152,20 @@ def test_witnesses_are_trace_records(case, op_registry, toys, purchase, escrow_o
     assert records
     for record in records:
         assert record == observation_to_json(observation_from_json(record, universe))
+
+
+@pytest.mark.parametrize("direction", ["emit", "recv"])
+def test_trace_record_must_name_its_observing_role(direction, op_registry):
+    """A record is read as the observation of its sender (``emit``) or its
+    receiver (``recv``), so any other ``"role"`` is refused."""
+    universe = uod(op_registry["Ordering"], op_registry)
+    record = {"tick": 1, "dir": direction, "schema": "quote",
+              "bindings": {"oID": "1", "item": "quote.item", "price": "quote.price"}}
+    observing = "M" if direction == "emit" else "C"
+    assert observation_from_json({**record, "role": observing}, universe).role == observing
+    for role in ("Nobody", "C" if observing == "M" else "M"):
+        with pytest.raises(WellFormednessError, match=f"names role '{role}', but '{observing}' observes it"):
+            observation_from_json({**record, "role": role}, universe)
 
 
 def test_enumerate_atomic_protocol():
@@ -778,16 +791,9 @@ def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_o
 
 
 def _uncached_moves(graph, known, observed):
-    """``StateSpace._moves`` without the per-graph cache: every role's
-    knowledge rebuilt and its candidates generated for every state."""
-    moves = []
-    for ri, role in enumerate(graph.roles):
-        knowledge = knowledge_from(known[ri], role)
-        for inst in emission_candidates(knowledge, graph.universe, role, graph.bound.key_values):
-            moves.append((ri, (EMIT, role, inst)))
-    for inst in in_flight(graph.roles, known, observed):
-        moves.append((graph.role_index[inst.receiver], (RECV, inst.receiver, inst)))
-    return moves
+    """``StateSpace._moves`` without the per-graph cache: the reference move
+    rule of ``test_interning``, every role's candidates generated afresh."""
+    return _moves(graph, known, False, {})
 
 
 @pytest.fixture(scope="module")
