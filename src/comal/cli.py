@@ -260,6 +260,11 @@ def cmd_verify(args) -> int:
     requested = args.safety or args.liveness or args.theorem1 or args.theorem2 or args.embedding
     if not requested:
         raise ComalError("nothing to verify: pass --safety/--liveness/--theorem1/--theorem2/--embedding")
+    # Nothing given is ignored: --input and .cupid files are read by these checks alone.
+    if args.input and not (args.theorem1 or args.embedding):
+        raise ComalError("--input is read only by --theorem1 and --embedding")
+    if not args.theorem2 and any(f.suffix == ".cupid" for f in args.files):
+        raise ComalError(".cupid commitment files are read only by --theorem2")
     input_protocol = None
     if args.theorem1 or args.embedding:
         if not args.input:

@@ -6,8 +6,10 @@ Emissions are legal only when the sender already knows each ``in`` binding,
 has no prior binding for any ``out`` parameter of the same enactment, and has
 not emitted the same schema for the same key binding before. Reception is
 never forced: in-flight messages may be delayed arbitrarily. The simulator
-and every explorer in ``verify`` take the messages in flight from one rule,
-:func:`in_flight`, and build role knowledge with :func:`knowledge_from`.
+and the ordered and timed explorers in ``verify`` take the messages in flight
+from one rule, :func:`in_flight` (the knowledge-set explorer computes the same
+messages, in the same order, on instance masks), and every explorer builds
+role knowledge with :func:`knowledge_from`.
 
 A role's *model* is its history with every forwarding message renamed to the
 message it forwards, the forwarding identifier dropped, and each entry

@@ -21,8 +21,10 @@ knowledge-set, ordered and timed graphs below differ only in their state
 encoding (no check reads the ordered one: it is the tests' exact reference).
 Their moves, like the simulator's, are the ``emission_candidates`` of each
 role's knowledge and a delivery of any ``in_flight`` message, both from
-``enactment``: BSPL's channels are unordered, and every FIFO run is also such
-a run, so a check that holds here holds under FIFO, the simulator's option.
+``enactment`` (the knowledge-set graph finds the same deliveries, in the same
+order, on instance masks): BSPL's channels are unordered, and every FIFO run
+is also such a run, so a check that holds here holds under FIFO, the
+simulator's option.
 
 Every graph is a finite DAG: a parameter is bound once per enactment, so a
 schema is emitted at most once per key binding (``emission_candidates``' rule
@@ -36,29 +38,40 @@ Witnesses are runs: each path in one is a list of the simulator's trace
 records (``enactment.observation_to_json``) ticked from 1, and a deadline
 lapse is the one other record, ``{"tick", "lapse"}``.
 
-Few role knowledges recur across many states (composed escrow: 9 595 safety
-states, 211 knowledge sets), so each graph interns them: a state is a tuple
-of knowledge ids, one per role, plus the phase in the timed graph. Growing a
-knowledge by one entry is memoized, and each id's observed instance set and
-delivery order are derived once; timed ids that observed the same instances
-share them. Caches on one graph instance key on these: emission moves on
-(role index, observed set); in the timed graph, a state's moves and whether a
-lapse may follow them on the tuple of observed sets (unrestricted OrderingOp:
-8 760 states, 43 tuples), models on id, lifecycle tables and next changes on
-(id, phase), misalignment counts on (commitment, debtor id, creditor id,
-phase); ``is_complete`` on the emitted set. Only the successor states, and
-the next lapse boundary where a lapse may follow, are worked out per timed
-state.
+The knowledge-set graph interns instances: each one ``emission_candidates``
+returns is one bit, numbered in the order it is first met, and a state is
+the tuple of per-role masks of the instances each role observed (composed
+escrow: 9 595 safety states over 12 instances). A move sets one bit; the
+messages in flight are the emitted bits outside their receivers' masks, and
+their deliveries are cached on that mask. Each bit keeps the mask of the
+instances it conflicts with, so an emission whose mask meets nothing already
+emitted binds no parameter twice and is not scanned. ``is_complete`` is
+evaluated once per emitted mask.
+
+The ordered and timed graphs intern whole role knowledges instead, since few
+recur across many states: a state is a tuple of knowledge ids, one per role,
+plus the phase in the timed graph. Growing a knowledge by one entry is
+memoized, and each id's observed instance set and delivery order are derived
+once; timed ids that observed the same instances share them. Caches on one
+graph instance key on these: emission moves on (role index, observed set); in
+the timed graph, a state's moves and whether a lapse may follow them on the
+tuple of observed sets (unrestricted OrderingOp: 8 760 states, 43 tuples),
+models on id, lifecycle tables and next changes on (id, phase), misalignment
+counts on (commitment, debtor id, creditor id, phase). Only the successor
+states, and the next lapse boundary where a lapse may follow, are worked out
+per timed state.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
 on the order it learned it. Safety with liveness, alone or in Theorem 1,
 builds each protocol's graph once: a safe protocol's safety build is the
-whole graph, liveness reads it too, and so may embedding after Theorem 1. An
-emission on a prefix of a complete input enactment is exactly an emission
-edge into a *live* state (one with a completing extension), and
-``emission_violation`` reads only the sender's order-free ``RoleKnowledge``,
-so embedding is exact there.
+whole graph, liveness reads it too, and so may embedding after Theorem 1.
+Liveness holds exactly when every terminal state is complete; the backward
+closure of the complete states (``live``) is computed only for embedding and
+for a liveness witness, the first state outside it. An emission on a prefix
+of a complete input enactment is exactly an emission edge into a *live*
+state (one with a completing extension), and ``emission_violation`` reads
+only the sender's order-free ``RoleKnowledge``, so embedding is exact there.
 
 These three answer k > 1 key values from the first value's graph when every
 two schemas share a key parameter: instances at different values then never
@@ -204,12 +217,13 @@ class StateSpace:
     numbered in discovery order; each keeps the edge it was found by and its
     out-edges.
 
-    A state is a tuple of knowledge ids, one per role (the timed graph appends
-    the phase). ``_knowledge[kid]`` is an interned collection, a frozenset
-    unless ``_extend`` says otherwise, and ``_derive`` gives its instance set
-    (``_observed[kid]``) and delivery order (``_order[kid]``) once; ``decode``
-    gives a state's collections back. Subclasses give the initial state (to
-    ``build``) and the timed graph its own ``_successors``."""
+    In the ordered and timed graphs a state is a tuple of knowledge ids, one
+    per role (the timed graph appends the phase). ``_knowledge[kid]`` is an
+    interned collection, a frozenset unless ``_extend`` says otherwise, and
+    ``_derive`` gives its instance set (``_observed[kid]``) and delivery order
+    (``_order[kid]``) once; ``decode`` gives a state's collections back.
+    Subclasses give the initial state (to ``build``); the timed graph gives
+    its own ``_successors``, and the knowledge-set graph its own encoding."""
 
     def __init__(self, universe: Uod, bound: Bound):
         self.universe = universe
@@ -225,10 +239,11 @@ class StateSpace:
         self._observed: list[frozenset] = []
         self._order: list[Sequence[MessageInstance]] = []
         # Knowledge id after one more entry, by (id, entry); what a role sent,
-        # by (role index, id); emission moves by (role index, observed set).
+        # by (role index, id); emission moves by (role index, observed set),
+        # or by (role index, mask) in the knowledge-set graph.
         self._grown: dict[tuple[int, object], int] = {}
         self._sent: dict[tuple[int, int], frozenset] = {}
-        self._emission_cache: dict[tuple[int, frozenset], list[tuple[int, tuple]]] = {}
+        self._emission_cache: dict[tuple[int, object], list] = {}
         self.cache_hits = 0
 
     def _explore(self, initial, stop=None) -> None:
@@ -328,20 +343,22 @@ class StateSpace:
 
     def _emissions(self, ri: int, seen: frozenset) -> list[tuple[int, tuple]]:
         """Role ``ri``'s emission moves after observing ``seen``, cached per
-        graph. Knowledge is built in set order: no ``RoleKnowledge`` answer
-        depends on order, and ``emission_candidates`` sorts its output."""
+        graph."""
         key = (ri, seen)
         moves = self._emission_cache.get(key)
         if moves is not None:
             self.cache_hits += 1
             return moves
         role = self.roles[ri]
-        knowledge = _knowledge_from(seen, role)
-        moves = self._emission_cache[key] = [
-            (ri, (EMIT, role, inst))
-            for inst in emission_candidates(knowledge, self.universe, role, self.bound.key_values)
-        ]
+        moves = self._emission_cache[key] = [(ri, (EMIT, role, inst)) for inst in self._candidates(ri, seen)]
         return moves
+
+    def _candidates(self, ri: int, seen: Iterable[MessageInstance]) -> list[MessageInstance]:
+        """What role ``ri`` may emit after observing ``seen``. Knowledge is
+        built in the order given: no ``RoleKnowledge`` answer depends on it,
+        and ``emission_candidates`` sorts its output."""
+        role = self.roles[ri]
+        return emission_candidates(_knowledge_from(seen, role), self.universe, role, self.bound.key_values)
 
     def edge_count(self) -> int:
         return sum(map(len, self.edges))
@@ -383,24 +400,128 @@ class StateSpace:
 
 
 class KnowledgeGraph(StateSpace):
-    """Reachable per-role knowledge sets under emission and delivery moves."""
+    """Reachable per-role knowledge sets under emission and delivery moves.
+
+    A state is a tuple of instance masks, one per role: bit ``b`` stands for
+    ``_instances[b]``, interned in the order ``_emissions`` first meets it,
+    with the masks of what each role sends and receives and of the instances
+    each one conflicts with. A move sets one bit of its observer's mask."""
 
     def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str]):
         super().__init__(universe, bound)
         self.public_out = tuple(public_out)
         self.safety_violation: tuple[int, str] | None = None
         self.detail = ""
+        self._instances: list[MessageInstance] = []
+        self._bit: dict[MessageInstance, int] = {}
+        self._send = [0] * len(self.roles)
+        self._recv = [0] * len(self.roles)
+        # Per bit, the instances that agree on key bindings and bind a shared
+        # parameter to another value.
+        self._conflicts: list[int] = []
+        # Delivery moves by the mask of instances in flight; ``is_complete`` by
+        # the mask of emitted instances.
+        self._delivery_cache: dict[int, list[tuple[int, tuple, int]]] = {}
+        self._complete: dict[int, bool] = {}
 
     def build(self, stop_on_safety: bool = False) -> None:
         stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
-        self._explore((self._knowledge_id(frozenset()),) * len(self.roles), stop)
+        self._explore((0,) * len(self.roles), stop)
+
+    def _intern(self, inst: MessageInstance) -> int:
+        """The bit of ``inst``, assigned with its role and conflict masks the
+        first time it is met."""
+        bit = self._bit.get(inst)
+        if bit is None:
+            bit = self._bit[inst] = len(self._instances)
+            self._send[self.role_index[inst.sender]] |= 1 << bit
+            self._recv[self.role_index[inst.receiver]] |= 1 << bit
+            values = dict(inst.bindings)
+            clash = 0
+            for other_bit, other in enumerate(self._instances):
+                if kb_agree(other.key_binding, inst.key_binding) and any(
+                    values.get(param, value) != value for param, value in other.bindings
+                ):
+                    clash |= 1 << other_bit
+                    self._conflicts[other_bit] |= 1 << bit
+            self._instances.append(inst)
+            self._conflicts.append(clash)
+        return bit
+
+    def _members(self, mask: int) -> list[MessageInstance]:
+        """The instances of ``mask``, in bit order."""
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(self._instances[low.bit_length() - 1])
+            mask ^= low
+        return members
+
+    def decode(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
+        """Each role's knowledge set in ``state``."""
+        return tuple(frozenset(self._members(mask)) for mask in state)
+
+    def sent(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
+        return tuple(frozenset(self._members(mask & sends)) for mask, sends in zip(state, self._send))
+
+    def _emitted_mask(self, state: tuple[int, ...]) -> int:
+        emitted = 0
+        for mask, sends in zip(state, self._send):
+            emitted |= mask & sends
+        return emitted
+
+    def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
+        """Emission moves per role, then a delivery of each instance in flight:
+        emitted, and not in its receiver's mask."""
+        out = []
+        emitted = received = 0
+        for ri, (mask, sends, receives) in enumerate(zip(state, self._send, self._recv)):
+            emitted |= mask & sends
+            received |= mask & receives
+            head, tail = state[:ri], state[ri + 1:]
+            out += [(move, head + (grown,) + tail) for move, grown in self._emissions(ri, mask)]
+        for ri, move, bit in self._deliveries(emitted & ~received):
+            out.append((move, state[:ri] + (state[ri] | bit,) + state[ri + 1:]))
+        return out
+
+    def _emissions(self, ri: int, mask: int) -> list[tuple[tuple, int]]:
+        """Role ``ri``'s emission moves from ``mask``, each with the mask it
+        grows to, cached per graph."""
+        key = (ri, mask)
+        moves = self._emission_cache.get(key)
+        if moves is not None:
+            self.cache_hits += 1
+            return moves
+        role = self.roles[ri]
+        moves = self._emission_cache[key] = []
+        for inst in self._candidates(ri, self._members(mask)):
+            bit = self._intern(inst)
+            moves.append(((EMIT, role, self._instances[bit]), mask | 1 << bit))
+        return moves
+
+    def _deliveries(self, pending: int) -> list[tuple[int, tuple, int]]:
+        """A delivery of each instance in ``pending``, with its receiver's
+        index and its bit, in ``in_flight``'s order: by sender in role order,
+        then by schema and bindings."""
+        moves = self._delivery_cache.get(pending)
+        if moves is None:
+            flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
+            moves = self._delivery_cache[pending] = [
+                (self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying
+            ]
+        return moves
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
+        """Record the first emission that binds a parameter of its enactment a
+        second time. The parent's emitted instances are scanned for the detail
+        only when the emission's conflict mask meets them."""
         if move[0] != EMIT or self.safety_violation is not None:
             return
-        new = move[2]
+        parent, new = self.states[parent_id], move[2]
+        if not self._emitted_mask(parent) & self._conflicts[self._bit[new]]:
+            return
         new_bindings = dict(new.bindings)
-        for inst in sorted(self.emitted(self.states[parent_id]), key=_instance_order):
+        for inst in sorted(self.emitted(parent), key=_instance_order):
             if not kb_agree(inst.key_binding, new.key_binding):
                 continue
             for param, value in inst.bindings:
@@ -412,21 +533,26 @@ class KnowledgeGraph(StateSpace):
                     )
                     return
 
+    def _is_complete(self, state: tuple[int, ...]) -> bool:
+        emitted = self._emitted_mask(state)
+        verdict = self._complete.get(emitted)
+        if verdict is None:
+            verdict = self._complete[emitted] = is_complete(self._members(emitted), self.public_out)
+        return verdict
+
+    @cached_property
+    def live_everywhere(self) -> bool:
+        """Whether every state of a built graph has a completing extension:
+        every maximal run ends in a terminal state, so exactly when every
+        terminal state is complete."""
+        return all(self._is_complete(state) for state, out in zip(self.states, self.edges) if not out)
+
     @cached_property
     def live(self) -> set[int]:
         """The states with a completing extension, the backward closure of the
-        complete states: asked of a built graph, once for the key-value
-        decomposition, liveness and embedding. ``is_complete`` is evaluated
-        once per distinct emitted set (the tuple of per-role sent sets)."""
-        verdicts: dict[tuple[frozenset, ...], bool] = {}
-        complete = []
-        for sid, state in enumerate(self.states):
-            sent = self.sent(state)
-            if sent not in verdicts:
-                verdicts[sent] = is_complete(self.emitted(state), self.public_out)
-            if verdicts[sent]:
-                complete.append(sid)
-        return self.backward_closure(complete)
+        complete states: asked of a built graph by embedding and for a
+        liveness witness."""
+        return self.backward_closure(sid for sid, state in enumerate(self.states) if self._is_complete(state))
 
     # perfbench/tracer.py rebinds these on each graph class it traces, so the
     # class must hold them in its own namespace.
@@ -443,7 +569,7 @@ def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: b
             one = _knowledge_graph(universe, p, replace(bound, key_values=bound.key_values[:1]), stop_on_safety)
         except BoundExceeded:
             one = None
-        if one is not None and one.safety_violation is None and len(one.live) == len(one.states):
+        if one is not None and one.safety_violation is None and one.live_everywhere:
             one.detail = f"{k} key values answered from one"
             log.info("%s: %s", p.name, one.detail)
             return one
@@ -461,13 +587,11 @@ def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
 
 
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
-    stuck = next((sid for sid in range(len(graph.states)) if sid not in graph.live), None)
-    if stuck is not None:
-        witness = {"reach": graph.path_to(stuck)}
-        return VerificationReport(
-            LIVENESS, False, witness, len(graph.states), "state with no completing extension"
-        )
-    return VerificationReport(LIVENESS, True, None, len(graph.states), graph.detail)
+    if graph.live_everywhere:
+        return VerificationReport(LIVENESS, True, None, len(graph.states), graph.detail)
+    stuck = next(sid for sid in range(len(graph.states)) if sid not in graph.live)
+    witness = {"reach": graph.path_to(stuck)}
+    return VerificationReport(LIVENESS, False, witness, len(graph.states), "state with no completing extension")
 
 
 def check_safety(

@@ -335,11 +335,19 @@ def test_verify_unknown_input_protocol_is_an_error(capsys, fixtures_dir):
     (("--embedding", "--input", "Nope"),
      "error: protocol 'Nope' not found (have: OrderingOp, Ordering, PurchaseAl)\n"),
     (("--theorem1", "--theorem2", "--input", "Ordering"), "error: --theorem2 needs .cupid commitment files\n"),
-], ids=["theorem1", "embedding", "theorem2", "unknown-input", "theorem1-theorem2"])
+    (("--input", "Nope"), "error: --input is read only by --theorem1 and --embedding\n"),
+    (("--input", "Ordering", "--liveness"), "error: --input is read only by --theorem1 and --embedding\n"),
+    (("purchase.cupid",), "error: .cupid commitment files are read only by --theorem2\n"),
+    (("purchase.cupid", "--theorem1", "--input", "Ordering"),
+     "error: .cupid commitment files are read only by --theorem2\n"),
+], ids=["theorem1", "embedding", "theorem2", "unknown-input", "theorem1-theorem2", "unused-input",
+        "unused-known-input", "unused-cupid", "theorem1-cupid"])
 def test_verify_request_is_checked_before_any_check_runs(capsys, fixtures_dir, extra, message):
-    """A request that cannot run in full prints no verdict of its other checks."""
-    code, out, err = run(capsys, "verify", "--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp",
-                         *extra)
+    """A request that cannot run in full, or names an input no requested check
+    reads, prints no verdict of its other checks."""
+    files = [fixtures_dir / a for a in ("ordering_op.bspl", *extra) if a.endswith((".bspl", ".cupid"))]
+    flags = [a for a in extra if not a.endswith(".cupid")]
+    code, out, err = run(capsys, "verify", "--safety", *files, "--protocol", "OrderingOp", *flags)
     assert (code, out, err) == (1, "", message)
 
 

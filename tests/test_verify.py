@@ -52,7 +52,7 @@ from comal.verify import (
     enumerate_uoe,
     is_complete,
 )
-from test_interning import _moves
+from test_interning import _instance_order, _moves
 from test_protocol import random_protocol
 
 BOUND = Bound()
@@ -679,8 +679,9 @@ def test_key_values_answered_from_one_match_full_enumeration_on_random_protocols
         assume(False)
 
 
-def test_decomposed_liveness_runs_the_closure_once(monkeypatch, op_registry):
-    """Deciding that the one-value graph is live answers the report too."""
+def test_decomposed_liveness_runs_no_closure(monkeypatch, op_registry):
+    """Deciding that the one-value graph is live answers the report too, and
+    both are decided on the terminal states, with no backward closure."""
     calls = []
     closure = KnowledgeGraph.backward_closure
 
@@ -692,7 +693,7 @@ def test_decomposed_liveness_runs_the_closure_once(monkeypatch, op_registry):
     protocol = op_registry["OrderingOp"]
     report = check_liveness(protocol, Bound(key_values=_values(2)), op_registry)
     assert report.holds and report.detail == "2 key values answered from one"
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_benchmark_hook_surface(monkeypatch):
@@ -853,13 +854,17 @@ def test_cached_successors_match_uncached(
     """Every state's successors, and the edges the build recorded, are those of
     a successor function that rebuilds knowledge and candidates each time. The
     timed graph's moves cache is emptied before each state, so that its moves
-    come from that state's own observed sets and not from another phase's. A
-    build cut at ``max_states`` recorded every edge of the states expanded
-    before the last one found, and a prefix of the rest."""
+    come from that state's own observed sets and not from another phase's. The
+    knowledge-set graph works on instance masks, not ``_moves``: both its move
+    caches are emptied before each state, and its successors, decoded, must be
+    the reference move rule's on the decoded state. A build cut at
+    ``max_states`` recorded every edge of the states expanded before the last
+    one found, and a prefix of the rest."""
     graph, cut = _cached_graph(
         case, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
     )
     timed = isinstance(graph, AlignmentGraph)
+    masks = isinstance(graph, KnowledgeGraph)
     if timed:
         assert graph.moves_hits > 0
     cached = [graph._successors(state) for state in graph.states]
@@ -874,12 +879,24 @@ def test_cached_successors_match_uncached(
     for sid, state in enumerate(graph.states):
         if timed:
             graph._moves_cache.clear()
+        if masks:
+            graph._emission_cache.clear()
+            graph._delivery_cache.clear()
         uncached = graph._successors(state)
         assert cached[sid] == uncached, sid
         edges = [(move, graph.index.get(succ)) for move, succ in uncached]
         assert graph.edges[sid] == (edges if sid < expanded else edges[:len(graph.edges[sid])]), sid
+        if masks:
+            sets = graph.decode(state)
+            reference = [
+                (move, sets[:ri] + (sets[ri] | {move[2]},) + sets[ri + 1:])
+                for ri, move in _uncached_moves(graph, [sorted(s, key=_instance_order) for s in sets], sets)
+            ]
+            assert [(move, graph.decode(succ)) for move, succ in uncached] == reference, sid
     if timed:
         assert len(calls) == len(graph.states)
+    if masks:
+        assert calls == []
 
 
 def test_candidates_generated_once_per_role_and_knowledge_set(monkeypatch, op_registry):
@@ -948,6 +965,89 @@ def test_is_complete_matches_rescan(name, op_registry, escrow_ordering):
         assert verdict == _is_complete_reference(emitted, protocol.out_params)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def _pairwise_clash(graph: KnowledgeGraph, state, new) -> str | None:
+    """A scan with no masks: ``new`` against every instance sent in ``state``,
+    in (schema, bindings) order; the detail of the first that binds a
+    parameter of its enactment to another value."""
+    sent = [inst for role, seen in zip(graph.roles, graph.decode(state)) for inst in seen if inst.sender == role]
+    for inst in sorted(sent, key=_instance_order):
+        if not kb_agree(inst.key_binding, new.key_binding):
+            continue
+        for param, value in inst.bindings:
+            if new.binding(param) not in (None, value):
+                return (f"parameter {param!r} bound to {value!r} by {inst.schema!r} "
+                        f"and to {new.binding(param)!r} by {new.schema!r}")
+    return None
+
+
+def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
+    """On a whole knowledge-set graph, the conflict masks of an emission edge
+    meet exactly where a pairwise scan finds a clash, and the safety violation
+    is the scan's first on the edges the states were found by, state id and
+    detail. Liveness decided on the terminal states, and ``check_liveness``,
+    decomposed or not, agree with the backward closure of the complete states,
+    and a failure witness is the path to the first state outside it. Returns
+    whether the graph is safe and whether it is live."""
+    graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params)
+    graph.build()
+    for sid, out in enumerate(graph.edges):
+        for move, _ in (edge for edge in out if edge[0][0] == EMIT):
+            gate = graph._emitted_mask(graph.states[sid]) & graph._conflicts[graph._bit[move[2]]]
+            assert bool(gate) == (_pairwise_clash(graph, graph.states[sid], move[2]) is not None), (sid, move)
+    found = [(tid, _pairwise_clash(graph, graph.states[pid], move[2]))
+             for tid, (pid, move) in enumerate(graph.parents[1:], start=1) if move[0] == EMIT]
+    assert graph.safety_violation == next(((tid, clash) for tid, clash in found if clash), None)
+    complete = [sid for sid, state in enumerate(graph.states) if is_complete(graph.emitted(state), protocol.out_params)]
+    closure = graph.backward_closure(complete)
+    live = len(closure) == len(graph.states)
+    assert graph.live_everywhere == live
+    assert graph.live == closure
+    report = check_liveness(protocol, bound, registry)
+    assert report.holds == live
+    if not live:
+        stuck = min(set(range(len(graph.states))) - closure)
+        assert report.witness == {"reach": graph.path_to(stuck)}
+        assert report.states_explored == len(graph.states)
+    return graph.safety_violation is None, live
+
+
+MASK_CASES = [
+    *((name, k) for name in ("Ordering", "OrderingOp", "EscrowOrdering", "unsafe_toy", "unsafe_relay", "stuck_toy",
+                             "empty") for k in (1, 2)),
+    ("EscrowOrderingOp", 1),
+]
+
+
+@pytest.mark.parametrize("name, k", MASK_CASES, ids=lambda case: str(case))
+def test_masks_match_scans(name, k, fixtures_dir, op_registry, escrow_op_registry, toys, escrow_ordering):
+    """The fixtures at one and two key values (composed escrow at one: its
+    two-value graph is the square of 9 595 states)."""
+    if name == "EscrowOrdering":
+        protocol, registry = escrow_ordering, None
+    elif name == "EscrowOrderingOp":
+        protocol, registry = escrow_op_registry[name], escrow_op_registry
+    elif name == "unsafe_relay":
+        protocol, registry = parse_protocol((fixtures_dir / "unsafe_relay.bspl").read_text()), None
+    else:
+        protocol, registry = _protocol(name, op_registry, toys)
+    safe, live = _assert_masks_match_scans(protocol, registry, Bound(key_values=_values(k)))
+    assert (safe, live) == (not name.startswith("unsafe"), name != "stuck_toy")
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_masks_match_scans_on_random_protocols(k):
+    """As above on ``test_interning``'s 30 random protocols (seed 7), all of
+    them safe, and on the 30 of the ordered cross-check above (seed 11), one
+    of them unsafe: some draws are unsafe and some not live, so neither
+    check is vacuous."""
+    verdicts = []
+    for seed in (7, 11):
+        rng = random.Random(seed)
+        verdicts += [_assert_masks_match_scans(random_protocol(rng, index), None, Bound(key_values=_values(k)))
+                     for index in range(30)]
+    assert {safe for safe, _ in verdicts} == {live for _, live in verdicts} == {True, False}
 
 
 def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
