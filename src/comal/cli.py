@@ -289,10 +289,8 @@ def cmd_verify(args) -> int:
             record(check_safety(protocol, bound, protocols))
         elif args.liveness:
             record(check_liveness(protocol, bound, protocols))
-        input_graph = None
         if args.theorem1:
             result = check_theorem1(input_protocol, protocol, bound, protocols)
-            input_graph = result.input_graph
             for report in (result.safety_input, result.safety_composed,
                            result.liveness_input, result.liveness_composed):
                 _report_line(report, args.json)
@@ -305,7 +303,7 @@ def cmd_verify(args) -> int:
             if not preserved:
                 exit_code = max(exit_code, EXIT_COUNTEREXAMPLE)
         if args.embedding:
-            record(check_embedding(input_protocol, protocol, bound, protocols, input_graph))
+            record(check_embedding(input_protocol, protocol, bound, protocols))
         if args.theorem2:
             record(check_alignment_reachability(
                 protocol, list(commitments.values()), bound, punctual=True, registry=protocols

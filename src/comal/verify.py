@@ -41,12 +41,12 @@ lapse is the one other record, ``{"tick", "lapse"}``.
 The knowledge-set graph interns instances: each one ``emission_candidates``
 returns is one bit, numbered in the order it is first met, and a state is
 the tuple of per-role masks of the instances each role observed (composed
-escrow: 9 595 safety states over 12 instances). A move sets one bit; the
+escrow: 9 595 states in full over 12 instances). A move sets one bit; the
 messages in flight are the emitted bits outside their receivers' masks, and
-their deliveries are cached on that mask. Each bit keeps the mask of the
-instances it conflicts with, so an emission whose mask meets nothing already
-emitted binds no parameter twice and is not scanned. ``is_complete`` is
-evaluated once per emitted mask.
+their deliveries, or in a reduced graph the safe one chosen, are cached on
+that mask. Each bit keeps the mask of the instances it conflicts with, so an
+emission whose mask meets nothing already emitted binds no parameter twice
+and is not scanned. ``is_complete`` is evaluated once per emitted mask.
 
 The ordered and timed graphs intern whole role knowledges instead, since few
 recur across many states: a state is a tuple of knowledge ids, one per role,
@@ -61,17 +61,37 @@ counts on (commitment, debtor id, creditor id, phase). Only the successor
 states, and the next lapse boundary where a lapse may follow, are worked out
 per timed state.
 
+A *safe* delivery is one whose parameters are ``out`` in no schema its
+receiver sends. A reduced graph expands only such a delivery where one is in
+flight, the first in delivery order. It disables none of the receiver's
+emissions (it only adds bindings, and ``in`` rules only gain values), no move
+disables it, and observations by different roles, or two receipts by one,
+commute. So it is a stubborn set: the reduced graph is a subgraph of the full
+one with the same reachable terminal states (Valmari, "Stubborn sets for
+reduced state space generation", 1990; Godefroid, *Partial-Order Methods for
+the Verification of Concurrent Systems*, 1996).
+
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
-on the order it learned it. Safety with liveness, alone or in Theorem 1,
-builds each protocol's graph once: a safe protocol's safety build is the
-whole graph, liveness reads it too, and so may embedding after Theorem 1.
-Liveness holds exactly when every terminal state is complete; the backward
+on the order it learned it. Safety and liveness are terminal-state
+properties: liveness holds exactly when every terminal state is complete, and
+a role's emitted set only grows along a run, so a state that binds a
+parameter twice is reachable exactly when such a terminal state is. So they
+read the reduced knowledge-set graph first (composed escrow: 2 678 states
+instead of 9 595), and when it is safe and live it answers with its own state
+count. Otherwise the check runs again on the full graph, so every
+counterexample, witness and state count, is the full graph's. A reduced build
+cut at ``max_states`` is reported as it is: the full graph contains it, so it
+would be cut too. Safety with liveness, alone or in Theorem 1, builds each
+protocol's graph once: a safe graph ran to the end, so liveness reads it too;
+an unsafe one stopped at its violation and is rebuilt in full. The backward
 closure of the complete states (``live``) is computed only for embedding and
-for a liveness witness, the first state outside it. An emission on a prefix
-of a complete input enactment is exactly an emission edge into a *live*
-state (one with a completing extension), and ``emission_violation`` reads
-only the sender's order-free ``RoleKnowledge``, so embedding is exact there.
+for a liveness witness, the first state outside it. Embedding reads every
+prefix of a complete input run, so its graph is never reduced. An emission on
+a prefix of a complete input enactment is exactly an emission edge into a
+*live* state (one with a completing extension), and ``emission_violation``
+reads only the sender's order-free ``RoleKnowledge``, so embedding is exact
+there.
 
 These three answer k > 1 key values from the first value's graph when every
 two schemas share a key parameter: instances at different values then never
@@ -94,23 +114,16 @@ gates lapse moves on empty channels and no enabled forwarding emissions.
 Theorem 2 fails exactly when a reachable terminal state is misaligned for
 some commitment; the witness is the path to the first one found. On success
 it is the most misaligned state and a shortest extension to an all-aligned
-one. Punctually, a *safe* delivery, one whose parameters are ``out`` in no
-schema its receiver sends, is the only move expanded. It disables none of
-the receiver's emissions (it only adds bindings), no move disables it, no
-lapse may pass while it is in flight, so it lands at the current phase in
-every order, and observations by different roles, or two receipts by one,
-commute. So it is a stubborn set: the reduced graph is a subgraph of the
-full one with the same reachable terminal states (Valmari, "Stubborn sets for
-reduced state space generation", 1990; Godefroid, *Partial-Order Methods for
-the Verification of Concurrent Systems*, 1996). Unrestricted runs are not
-reduced: a lapse may pass before any delivery.
+one. Punctual runs are reduced to safe deliveries: no lapse may pass while
+one is in flight, so it lands at the current phase in every order.
+Unrestricted runs are not reduced: a lapse may pass before any delivery.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -225,11 +238,17 @@ class StateSpace:
     Subclasses give the initial state (to ``build``); the timed graph gives
     its own ``_successors``, and the knowledge-set graph its own encoding."""
 
-    def __init__(self, universe: Uod, bound: Bound):
+    def __init__(self, universe: Uod, bound: Bound, reduced: bool = False):
         self.universe = universe
         self.bound = bound
         self.roles = tuple(sorted(universe.roles))
         self.role_index = {r: i for i, r in enumerate(self.roles)}
+        # Reduced, a state with a safe delivery in flight expands only that
+        # delivery (see the module docstring): ``_safe`` holds the schemas
+        # none of whose parameters is ``out`` in a schema their receiver sends.
+        self.reduced = reduced
+        outs = {role: {p for s in universe.schemas if s.sender == role for p in s.outs} for role in self.roles}
+        self._safe = {s.name for s in universe.schemas if reduced and outs[s.receiver].isdisjoint(s.param_names)}
         self.states: list[tuple[int, ...]] = []
         self.parents: list[tuple[int, tuple] | None] = []
         self.edges: list[list[tuple[tuple, int]]] = []
@@ -266,14 +285,19 @@ class StateSpace:
                         self.edges[sid].append((move, tid))
                 frontier = next_frontier
         finally:
-            log.info("%s: %d states, %d edges, %s", type(self).__name__, len(self.states), self.edge_count(),
-                     self._cache_summary())
+            log.info("%s: %d states, %d edges, %s%s", type(self).__name__, len(self.states), self.edge_count(),
+                     self._cache_summary(), ", reduced to safe deliveries" if self.reduced else "")
 
     def _cache_summary(self) -> str:
         return f"{len(self._emission_cache)} candidate-cache entries, {self.cache_hits} hits"
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         pass
+
+    def _first_safe(self, moves: Sequence[tuple]) -> list:
+        """The first of ``moves`` (each with its move second) that is a safe
+        delivery, alone, or nothing."""
+        return [move for move in moves if move[1][0] == RECV and move[1][2].schema in self._safe][:1]
 
     def _add(self, state, parent) -> int:
         if len(self.states) >= self.bound.max_states:
@@ -405,10 +429,12 @@ class KnowledgeGraph(StateSpace):
     A state is a tuple of instance masks, one per role: bit ``b`` stands for
     ``_instances[b]``, interned in the order ``_emissions`` first meets it,
     with the masks of what each role sends and receives and of the instances
-    each one conflicts with. A move sets one bit of its observer's mask."""
+    each one conflicts with. A move sets one bit of its observer's mask.
+    With ``reduced``, a state with a safe delivery in flight expands only that
+    delivery."""
 
-    def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str]):
-        super().__init__(universe, bound)
+    def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str], reduced: bool = False):
+        super().__init__(universe, bound, reduced)
         self.public_out = tuple(public_out)
         self.safety_violation: tuple[int, str] | None = None
         self.detail = ""
@@ -419,9 +445,10 @@ class KnowledgeGraph(StateSpace):
         # Per bit, the instances that agree on key bindings and bind a shared
         # parameter to another value.
         self._conflicts: list[int] = []
-        # Delivery moves by the mask of instances in flight; ``is_complete`` by
-        # the mask of emitted instances.
-        self._delivery_cache: dict[int, list[tuple[int, tuple, int]]] = {}
+        # Delivery moves, and whether they are the only moves expanded, by the
+        # mask of instances in flight; ``is_complete`` by the mask of emitted
+        # instances.
+        self._delivery_cache: dict[int, tuple[list[tuple[int, tuple, int]], bool]] = {}
         self._complete: dict[int, bool] = {}
 
     def build(self, stop_on_safety: bool = False) -> None:
@@ -472,15 +499,19 @@ class KnowledgeGraph(StateSpace):
 
     def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
         """Emission moves per role, then a delivery of each instance in flight:
-        emitted, and not in its receiver's mask."""
-        out = []
+        emitted, and not in its receiver's mask. Reduced, a safe delivery is
+        the only move where there is one."""
         emitted = received = 0
-        for ri, (mask, sends, receives) in enumerate(zip(state, self._send, self._recv)):
+        for mask, sends, receives in zip(state, self._send, self._recv):
             emitted |= mask & sends
             received |= mask & receives
-            head, tail = state[:ri], state[ri + 1:]
-            out += [(move, head + (grown,) + tail) for move, grown in self._emissions(ri, mask)]
-        for ri, move, bit in self._deliveries(emitted & ~received):
+        deliveries, alone = self._deliveries(emitted & ~received)
+        out = []
+        if not alone:
+            for ri, mask in enumerate(state):
+                head, tail = state[:ri], state[ri + 1:]
+                out += [(move, head + (grown,) + tail) for move, grown in self._emissions(ri, mask)]
+        for ri, move, bit in deliveries:
             out.append((move, state[:ri] + (state[ri] | bit,) + state[ri + 1:]))
         return out
 
@@ -499,17 +530,20 @@ class KnowledgeGraph(StateSpace):
             moves.append(((EMIT, role, self._instances[bit]), mask | 1 << bit))
         return moves
 
-    def _deliveries(self, pending: int) -> list[tuple[int, tuple, int]]:
+    def _deliveries(self, pending: int) -> tuple[list[tuple[int, tuple, int]], bool]:
         """A delivery of each instance in ``pending``, with its receiver's
         index and its bit, in ``in_flight``'s order: by sender in role order,
-        then by schema and bindings."""
-        moves = self._delivery_cache.get(pending)
-        if moves is None:
+        then by schema and bindings. Reduced, the first safe one alone where
+        there is one, and then ``True``: no emission is expanded."""
+        cached = self._delivery_cache.get(pending)
+        if cached is None:
             flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
-            moves = self._delivery_cache[pending] = [
+            moves = [
                 (self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying
             ]
-        return moves
+            safe = self._first_safe(moves)
+            cached = self._delivery_cache[pending] = (safe or moves, bool(safe))
+        return cached
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         """Record the first emission that binds a parameter of its enactment a
@@ -560,19 +594,31 @@ class KnowledgeGraph(StateSpace):
     backward_closure = StateSpace.backward_closure
 
 
-def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, stop_on_safety: bool) -> KnowledgeGraph:
-    """The graph at ``bound``; at k > 1 key values, the graph at the first value
-    alone when it answers for all k (see the module docstring)."""
+def _knowledge_graph(
+    universe: Uod, p: Protocol, bound: Bound, stop_on_safety: bool, reduce: bool = True
+) -> KnowledgeGraph:
+    """The graph the checks read at ``bound``. With ``reduce``, the reduced
+    graph when it is safe and live, and otherwise the full one, so that a
+    counterexample is the full graph's. At k > 1 key values, the graph at the
+    first value alone when it answers for all k (see the module docstring)."""
     k = len(bound.key_values)
     if k > 1 and all(set(a.keys) & set(b.keys) for a, b in combinations(universe.schemas, 2)):
         try:
-            one = _knowledge_graph(universe, p, replace(bound, key_values=bound.key_values[:1]), stop_on_safety)
+            one = _knowledge_graph(universe, p, replace(bound, key_values=bound.key_values[:1]), stop_on_safety, reduce)
         except BoundExceeded:
             one = None
         if one is not None and one.safety_violation is None and one.live_everywhere:
             one.detail = f"{k} key values answered from one"
             log.info("%s: %s", p.name, one.detail)
             return one
+        # A value that is unsafe or not live is so in the product too.
+        reduce = reduce and one is None
+    if reduce:
+        # The full graph contains this one, so a BoundExceeded here stands.
+        graph = KnowledgeGraph(universe, bound, p.out_params, reduced=True)
+        graph.build(stop_on_safety=True)
+        if graph.safety_violation is None and graph.live_everywhere:
+            return graph
     graph = KnowledgeGraph(universe, bound, p.out_params)
     graph.build(stop_on_safety)
     return graph
@@ -610,14 +656,12 @@ def check_liveness(
 
 @dataclass(frozen=True)
 class Theorem1Result:
-    """Preservation of safety and liveness by an operationalization, and the
-    input protocol's whole graph, which ``check_embedding`` can read again."""
+    """Preservation of safety and liveness by an operationalization."""
 
     safety_input: VerificationReport
     safety_composed: VerificationReport
     liveness_input: VerificationReport
     liveness_composed: VerificationReport
-    input_graph: KnowledgeGraph = field(compare=False, repr=False)
 
     @property
     def safety_preserved(self) -> bool:
@@ -632,25 +676,18 @@ class Theorem1Result:
         return self.safety_preserved and self.liveness_preserved
 
 
-def _safety_and_liveness(
-    p: Protocol, bound: Bound, registry: Mapping[str, Protocol] | None
-) -> tuple[VerificationReport, VerificationReport, KnowledgeGraph]:
-    """Both reports from one build where it can: a safe protocol's safety
-    build ran to the end, so it is the whole graph liveness needs; an unsafe
-    one stopped early and is rebuilt. The whole graph is returned too."""
+def check_safety_and_liveness(
+    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
+) -> tuple[VerificationReport, VerificationReport]:
+    """``check_safety`` and ``check_liveness`` from one build where it can: a
+    safe protocol's graph, reduced or not, ran to the end, so it is the graph
+    liveness needs; an unsafe one stopped early and is rebuilt in full."""
     universe = uod(p, registry)
     graph = _knowledge_graph(universe, p, bound, stop_on_safety=True)
     safety = _safety_report(graph)
     if not safety.holds:
-        graph = _knowledge_graph(universe, p, bound, stop_on_safety=False)
-    return safety, _liveness_report(graph), graph
-
-
-def check_safety_and_liveness(
-    p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
-) -> tuple[VerificationReport, VerificationReport]:
-    """``check_safety`` and ``check_liveness`` from one build where it can."""
-    return _safety_and_liveness(p, bound, registry)[:2]
+        graph = _knowledge_graph(universe, p, bound, stop_on_safety=False, reduce=False)
+    return safety, _liveness_report(graph)
 
 
 def check_theorem1(
@@ -659,9 +696,9 @@ def check_theorem1(
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
 ) -> Theorem1Result:
-    safety_input, liveness_input, graph = _safety_and_liveness(input_protocol, bound, registry)
+    safety_input, liveness_input = check_safety_and_liveness(input_protocol, bound, registry)
     safety_composed, liveness_composed = check_safety_and_liveness(composed, bound, registry)
-    return Theorem1Result(safety_input, safety_composed, liveness_input, liveness_composed, graph)
+    return Theorem1Result(safety_input, safety_composed, liveness_input, liveness_composed)
 
 
 # ---------------------------------------------------------------------------
@@ -702,16 +739,14 @@ def check_embedding(
     composed: Protocol,
     bound: Bound = Bound(),
     registry: Mapping[str, Protocol] | None = None,
-    input_graph: KnowledgeGraph | None = None,
 ) -> VerificationReport:
     """Every enactment of the input protocol that can still complete replays
     inside the composed protocol: each emission edge of the input's graph into
     a live state passes the composed schema's emission rules against the
     sender's knowledge at its source. On failure the witness is the path to
     that source and the emission, a run of the input the composition rejects.
-    ``input_graph`` is that graph at ``bound`` if already built, as
-    ``Theorem1Result.input_graph`` is."""
-    graph = input_graph or _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, stop_on_safety=False)
+    Every prefix of a complete run is read, so the graph is never reduced."""
+    graph = _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, stop_on_safety=False, reduce=False)
     composed_universe = uod(composed, registry)
 
     def report(witness, detail: str) -> VerificationReport:
@@ -749,7 +784,7 @@ class AlignmentGraph(StateSpace):
         bound: Bound,
         punctual: bool,
     ):
-        super().__init__(universe, bound)
+        super().__init__(universe, bound, reduced=punctual)
         self.commitments = tuple(commitments)
         self.punctual = punctual
         self.fwd_registry = forwarding_registry(universe)
@@ -765,10 +800,6 @@ class AlignmentGraph(StateSpace):
         self._projections: dict[frozenset, tuple[frozenset, Sequence[MessageInstance]]] = {}
         self._moves_cache: dict[tuple[frozenset, ...], tuple[list[tuple[int, tuple]], bool]] = {}
         self.moves_hits = 0
-        # Punctually, the schemas whose delivery is safe: none of their
-        # parameters is ``out`` in a schema their receiver sends.
-        outs = {role: {p for s in universe.schemas if s.sender == role for p in s.outs} for role in self.roles}
-        self._safe = {s.name for s in universe.schemas if punctual and outs[s.receiver].isdisjoint(s.param_names)}
 
     def build(self) -> None:
         self._explore((self._knowledge_id(frozenset()),) * len(self.roles) + (0,))
@@ -793,8 +824,7 @@ class AlignmentGraph(StateSpace):
             # Punctually, no deadline passes while a message is in flight or a
             # forward can be emitted, and a safe delivery is the one move taken.
             blocked = any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst) in moves)
-            safe = [move for move in moves if move[1][0] == RECV and move[1][2].schema in self._safe][:1]
-            cached = self._moves_cache[observed] = (safe or moves, not (self.punctual and blocked))
+            cached = self._moves_cache[observed] = (self._first_safe(moves) or moves, not (self.punctual and blocked))
         else:
             self.moves_hits += 1
         moves, lapse_allowed = cached

@@ -352,27 +352,34 @@ def test_verify_request_is_checked_before_any_check_runs(capsys, fixtures_dir, e
 
 
 def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir):
-    """Both checks read one knowledge graph, and print what each prints alone."""
+    """Both checks read one knowledge graph, reduced since it is safe and live,
+    and print what each prints alone."""
     argv = (fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp")
     alone = [run(capsys, "verify", flag, *argv) for flag in ("--safety", "--liveness")]
     caplog.clear()
     caplog.set_level(logging.INFO, logger="comal.verify")
     code, out, _ = run(capsys, "verify", "--safety", "--liveness", *argv)
     builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
-    assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 43 states")
+    assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 23 states")  # 43 in full
+    assert builds[0].endswith(", reduced to safe deliveries")
     assert (code, out) == (0, alone[0][1] + alone[1][1])
 
 
-def test_verify_theorem1_and_embedding_build_the_input_graph_once(capsys, caplog, fixtures_dir):
-    """Embedding reads the input graph Theorem 1 built, and prints what it
-    prints alone."""
+def test_verify_theorem1_reads_reduced_graphs_and_embedding_the_full_one(capsys, caplog, fixtures_dir):
+    """Theorem 1 reads the reduced graphs of both protocols, safe and live;
+    embedding needs every prefix of a complete run, so it builds the input's
+    full graph. Each prints what it prints alone."""
     argv = (fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--input", "Ordering")
     theorem1, embedding = (run(capsys, "verify", flag, *argv) for flag in ("--theorem1", "--embedding"))
     caplog.clear()
     caplog.set_level(logging.INFO, logger="comal.verify")
     code, out, _ = run(capsys, "verify", "--theorem1", "--embedding", *argv)
     builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
-    assert [b.split(",")[0] for b in builds] == ["KnowledgeGraph: 23 states", "KnowledgeGraph: 43 states"]
+    # Reduced Ordering (23 states in full), reduced OrderingOp (43), full Ordering.
+    assert [b.split(",")[0] for b in builds] == [
+        "KnowledgeGraph: 17 states", "KnowledgeGraph: 23 states", "KnowledgeGraph: 23 states"
+    ]
+    assert [b.endswith(", reduced to safe deliveries") for b in builds] == [True, True, False]
     assert (code, out) == (0, theorem1[1] + embedding[1])
 
 
@@ -508,15 +515,18 @@ def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_
 
 
 def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
-    """A cut build reports its partial graph. At two key values of OrderingOp
-    the one-value graph is cut at 40 states too, so the two-value build runs."""
+    """A cut build reports its partial graph, here the reduced one: the full
+    graph contains it, so it would be cut too (composed escrow's full graph
+    had 1 314 edges and depth 10 at 500 states). At two key values of
+    OrderingOp the one-value graph, 23 states reduced, is cut at 20 states
+    too, so the two-value build runs."""
     cases = [
         (("--theorem1", fixtures_dir / "escrow_ordering_op.bspl", "--protocol", "EscrowOrderingOp",
           "--input", "EscrowOrdering", "--max-states", "500", "--json"),
-         ["bound exceeded: more than 500 states", "partial KnowledgeGraph: 500 states, 1314 edges, depth 10"]),
+         ["bound exceeded: more than 500 states", "partial KnowledgeGraph: 500 states, 866 edges, depth 12"]),
         (("--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--bound-keys", "2",
-          "--max-states", "40"),
-         ["bound exceeded: more than 40 states", "partial KnowledgeGraph: 40 states, 62 edges, depth 5"]),
+          "--max-states", "20"),
+         ["bound exceeded: more than 20 states", "partial KnowledgeGraph: 20 states, 20 edges, depth 4"]),
     ]
     for argv, lines in cases:
         code, out, err = run(capsys, "verify", *argv)

@@ -1,13 +1,16 @@
-"""The explorers intern each role's knowledge and keep every state as a tuple
-of knowledge ids. A reference breadth-first search over the plain encoding
-must find the same states, numbered alike, with the same edges: per-role
-frozensets of instances (knowledge-set graph), per-role observation tuples
-(ordered graph), and per-role frozensets of (instance, phase) with the phase
-(timed graph). The reference memoizes candidates and next changes on plain
-sets, as a graph without interning would. The ordered graph delivers in any
-order; its states and edges also contain every run of the reference under
-FIFO delivery, the simulator's other order, so a check that holds on it
-holds under FIFO."""
+"""The explorers intern what they store: the knowledge-set graph keeps a state
+as a tuple of per-role instance masks, and the ordered and timed graphs as a
+tuple of knowledge ids, with the phase in the timed graph. A reference
+breadth-first search over the plain encoding must find the same states,
+numbered alike, with the same edges: per-role frozensets of instances
+(knowledge-set graph), per-role observation tuples (ordered graph), and
+per-role frozensets of (instance, phase) with the phase (timed graph). The
+reference memoizes candidates and next changes on plain sets, as a graph
+without interning would. The ordered graph delivers in any order; its states
+and edges also contain every run of the reference under FIFO delivery, the
+simulator's other order, so a check that holds on it holds under FIFO. The
+graphs reduced to safe deliveries, punctual timed and reduced knowledge-set,
+are subgraphs of the reference with the same terminal states."""
 
 from __future__ import annotations
 
@@ -166,16 +169,19 @@ UNTIMED = [("1",), ("1", "2"), "any", "fifo"]
 FIXTURES = ("Ordering", "OrderingOp", "EscrowOrdering", "Chan", "Two", "unsafe_toy", "stuck_toy", "empty")
 
 
+def _fixture(name, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering):
+    """A ``FIXTURES`` protocol by name, with the registry it needs."""
+    if name in op_registry:
+        return op_registry[name], op_registry
+    if name in ("Chan", "Two", "EscrowOrdering"):
+        return {"Chan": chan, "Two": nested_keys, "EscrowOrdering": escrow_ordering}[name], None
+    return parse_protocol((fixtures_dir / f"{name}.bspl").read_text()), None
+
+
 @pytest.mark.parametrize("setting", UNTIMED, ids=lambda s: s if isinstance(s, str) else f"keys{len(s)}")
 @pytest.mark.parametrize("name", FIXTURES)
 def test_untimed_graphs_match_plain_encoding(name, setting, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering):
-    if name in op_registry:
-        protocol, registry = op_registry[name], op_registry
-    elif name in ("Chan", "Two", "EscrowOrdering"):
-        protocol, registry = {"Chan": chan, "Two": nested_keys, "EscrowOrdering": escrow_ordering}[name], None
-    else:
-        protocol, registry = parse_protocol((fixtures_dir / f"{name}.bspl").read_text()), None
-    _check_untimed(protocol, registry, setting)
+    _check_untimed(*_fixture(name, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering), setting)
 
 
 @pytest.mark.parametrize("setting", UNTIMED, ids=lambda s: s if isinstance(s, str) else f"keys{len(s)}")
@@ -249,3 +255,49 @@ def test_reduction_keeps_terminal_states(name, fixtures_dir, escrow_ordering, es
     graph = AlignmentGraph(universe, specs, Bound(), punctual=True)
     graph.build()
     _assert_reduced(graph, _reference_timed(graph))
+
+
+def _assert_knowledge_reduced(protocol, registry, key_values) -> tuple[bool, bool, int, int]:
+    """The reduced knowledge-set graph is a subgraph of the full one, with the
+    same terminal states, safety verdict and ``live_everywhere``. Returns
+    whether the protocol is safe and whether it is live, and the reduced and
+    full state counts."""
+    universe = uod(protocol, registry)
+    bound = Bound(key_values=key_values)
+    full, reduced = (KnowledgeGraph(universe, bound, protocol.out_params, r) for r in (False, True))
+    full.build()
+    reduced.build()
+    _assert_contains(_plain(full), _plain(reduced))
+    assert _terminals(*_plain(reduced)) == _terminals(*_plain(full))
+    assert (reduced.safety_violation is None) == (full.safety_violation is None)
+    assert reduced.live_everywhere == full.live_everywhere
+    return full.safety_violation is None, full.live_everywhere, len(reduced.states), len(full.states)
+
+
+# Reduced and full state counts, so that a rule that reduces less is caught too.
+REDUCED_COUNTS = {
+    ("1",): {"Ordering": (17, 23), "OrderingOp": (23, 43), "EscrowOrdering": (25, 35),
+             "EscrowOrderingOp": (2678, 9595)},
+    ("1", "2"): {"Ordering": (240, 529), "OrderingOp": (480, 1849), "EscrowOrdering": (481, 1225)},
+}
+
+
+@pytest.mark.parametrize("key_values", (("1",), ("1", "2")), ids=("keys1", "keys2"))
+def test_knowledge_reduction_keeps_terminal_states(
+    key_values, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering
+):
+    """The fixtures, composed escrow at one key value (its two-value graph is
+    the square of 9 595 states), ``RACE``, whose ``offer`` is an unsafe
+    delivery, and 30 random protocols each from seeds 7 and 11. Safe and
+    unsafe, live and not live all occur."""
+    cases = {name: _fixture(name, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering) for name in FIXTURES}
+    if key_values == ("1",):
+        registry = parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
+        cases["EscrowOrderingOp"] = registry["EscrowOrderingOp"], registry
+    cases["Race"] = parse_protocol(RACE), None
+    for seed in (7, 11):
+        rng = random.Random(seed)
+        cases.update((f"random-{seed}-{index}", (random_protocol(rng, index), None)) for index in range(30))
+    results = {name: _assert_knowledge_reduced(*case, key_values) for name, case in cases.items()}
+    assert {safe for safe, *_ in results.values()} == {live for _, live, *_ in results.values()} == {True, False}
+    assert {name: results[name][2:] for name in REDUCED_COUNTS[key_values]} == REDUCED_COUNTS[key_values]

@@ -99,13 +99,15 @@ NO_WITNESS = _sha256(None)
 
 # States explored and witness digests of the cheap fixture checks, recorded
 # before the explorers were merged; any change here is a semantic change. The
-# two Theorem 2 entries are the safe-delivery reduced graphs (163 and 242
-# states in full), and bare escrow's witness ends in a misaligned terminal state.
+# two Theorem 2 entries (163 and 242 states in full), and safety and liveness
+# where the protocol is safe and live (full count beside them), are the
+# safe-delivery reduced graphs; every counterexample is the full graph's, and
+# bare escrow's witness ends in a misaligned terminal state.
 PINNED = {
-    "safety-Ordering": (23, NO_WITNESS),
-    "liveness-Ordering": (23, NO_WITNESS),
-    "safety-OrderingOp": (43, NO_WITNESS),
-    "liveness-OrderingOp": (43, NO_WITNESS),
+    "safety-Ordering": (17, NO_WITNESS),  # 23 in full
+    "liveness-Ordering": (17, NO_WITNESS),  # 23 in full
+    "safety-OrderingOp": (23, NO_WITNESS),  # 43 in full
+    "liveness-OrderingOp": (23, NO_WITNESS),  # 43 in full
     "safety-unsafe_toy": (5, "2577cb7f8b7129cd475483fa237ba1db46076eb790311e62dc5be761b2fed4c7"),
     "liveness-unsafe_toy": (9, NO_WITNESS),
     "safety-stuck_toy": (3, NO_WITNESS),
@@ -571,27 +573,37 @@ def _values(k: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(k))
 
 
+def _built(protocol, registry, bound, reduced=False, stop_on_safety=False) -> KnowledgeGraph:
+    graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params, reduced)
+    graph.build(stop_on_safety)
+    return graph
+
+
 def _assert_matches_full_enumeration(protocol, registry, bound) -> tuple[list, list[bool]]:
     """Safety and liveness at ``bound`` against a direct full ``KnowledgeGraph``
-    build, whose state count at k key values must be the k-th power of a
-    decomposed report's. A report that is not decomposed must equal the full
-    build's, witness and state count included. Returns the full build's
-    reports and, per check, whether it was decomposed."""
+    build, whose state count at k key values must be the k-th power of the full
+    one-value build's where a report is decomposed. A report that holds on a
+    safe and live protocol counts the states of the reduced graph it read, at
+    one value if decomposed; apart from that count and the decomposition's
+    detail, every report must equal the full build's, witness and state count
+    included. Returns the full build's reports and, per check, whether it was
+    decomposed."""
     k = len(bound.key_values)
-    universe = uod(protocol, registry)
-    graph = KnowledgeGraph(universe, bound, protocol.out_params)
-    graph.build(stop_on_safety=True)
+    graph = _built(protocol, registry, bound, stop_on_safety=True)
     full = [_safety_report(graph)]
     if graph.safety_violation is not None:
-        graph = KnowledgeGraph(universe, bound, protocol.out_params)
-        graph.build()
+        graph = _built(protocol, registry, bound)
     full.append(_liveness_report(graph))
+    sound = full[0].holds and full[1].holds
     decomposed = []
     for check, expected in zip((check_safety, check_liveness), full):
         report = check(protocol, bound, registry)
         decomposed.append(report.detail == f"{k} key values answered from one")
+        read = replace(bound, key_values=bound.key_values[:1]) if decomposed[-1] else bound
         if decomposed[-1]:
-            assert expected.states_explored == report.states_explored ** k
+            assert expected.states_explored == len(_built(protocol, registry, read).states) ** k
+        if sound:
+            assert report.states_explored == len(_built(protocol, registry, read, reduced=True).states)
             report = replace(report, states_explored=expected.states_explored, detail="")
         assert report == expected
     return full, decomposed
@@ -664,7 +676,7 @@ def test_key_values_of_disjoint_key_sets_are_enumerated():
     )
     full, decomposed = _assert_matches_full_enumeration(protocol, None, Bound(key_values=_values(2)))
     assert decomposed == [False, False]
-    assert full[0].states_explored != check_safety(protocol, BOUND).states_explored ** 2
+    assert full[0].states_explored != len(_built(protocol, None, BOUND).states) ** 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1069,3 +1081,22 @@ def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
         f"{len(timed._emission_cache)} candidate-cache entries, {timed.cache_hits} hits, "
         f"43 moves-cache entries, {8760 - 43} hits"
     )
+
+
+def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
+    """A reduced knowledge-set graph and a punctual timed graph end their line
+    in ``, reduced to safe deliveries``, after the ``"<Graph>: N states"``
+    prefix and the counts every graph logs."""
+    graph = KnowledgeGraph(uod(ordering), BOUND, ordering.out_params, reduced=True)
+    protocol = op_registry["OrderingOp"]
+    timed = AlignmentGraph(uod(protocol, op_registry), [purchase], BOUND, punctual=True)
+    with caplog.at_level(logging.INFO, logger="comal.verify"):
+        graph.build()
+        timed.build()
+    first, second = (record.getMessage() for record in caplog.records)
+    assert first == (
+        f"KnowledgeGraph: 17 states, {graph.edge_count()} edges, "
+        f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits, reduced to safe deliveries"
+    )
+    assert second.startswith("AlignmentGraph: 115 states, ")
+    assert second.endswith(f"moves-cache entries, {timed.moves_hits} hits, reduced to safe deliveries")
