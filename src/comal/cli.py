@@ -7,7 +7,6 @@ Set COMAL_LOG=debug|info|warning|error for diagnostics verbosity.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
@@ -21,7 +20,6 @@ from .protocol import Protocol, print_protocol, print_protocols, uod
 from .simulate import load_scenario, load_sources, report_to_json, run_scenario
 from .synthesis import SynthesisMode, compose_operationalization, synthesize_alignment_protocol
 from .verify import (
-    ALIGNMENT_REACHABILITY,
     Bound,
     VerificationReport,
     check_alignment_reachability,
@@ -308,24 +306,12 @@ def cmd_verify(args) -> int:
             record(check_alignment_reachability(
                 protocol, list(commitments.values()), bound, punctual=True, registry=protocols
             ))
-            # The unrestricted scheduler is reported informationally: deadlines
-            # may outrun deliveries, so this can legitimately fail or blow the
-            # bound without contradicting the punctual result.
-            try:
-                informational = check_alignment_reachability(
-                    protocol, list(commitments.values()),
-                    dataclasses.replace(bound, max_states=min(bound.max_states, 50_000)),
-                    punctual=False, registry=protocols,
-                )
-                _report_line(informational, args.json)
-            except BoundExceeded as exc:
-                if args.json:
-                    detail = "unrestricted: inconclusive (bound exceeded); informational only"
-                    partial = len(exc.partial.states)
-                    _report_line(VerificationReport(ALIGNMENT_REACHABILITY, None, None, partial, detail), True)
-                else:
-                    print("ALIGNMENT_REACHABILITY: inconclusive without the punctual-delivery "
-                          "restriction (bound exceeded); informational only")
+            # Without punctual delivery deadlines may outrun deliveries, so
+            # this can fail without contradicting the punctual result: its
+            # verdict is printed but leaves the exit code alone.
+            _report_line(check_alignment_reachability(
+                protocol, list(commitments.values()), bound, punctual=False, registry=protocols
+            ), args.json)
     except BoundExceeded as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         graph = exc.partial

@@ -4,7 +4,11 @@ which compares the debtor's and the creditor's tables: each role infers a
 commitment's lifecycle from its own observations, and those inferences must be
 compatible.
 
-The evaluator reads only the model. Each entry carries the key binding its
+The evaluator reads only the model, and the model only through base-event
+names: a ``BaseEvent`` keeps the entries of its name, and nothing else looks at
+an entry. So an expression, its deadlines and :func:`next_change` come out the
+same on the entries :func:`base_event_names` names alone; the timed explorer
+caches its tables on these views. Each entry carries the key binding its
 message instance fixed (``enactment.MessageInstance.key_binding``); an event
 instance is a key binding and a timestamp, and instances correlate through
 shared key parameters. Windows are half-open: an instance at timestamp ``t``
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import commitments as cm
 from .commitments import CommitmentSpec, EventExpr
@@ -166,26 +170,39 @@ def lifecycle_table(c: CommitmentSpec, ctx: EvaluationContext) -> dict[str, tupl
     return {kind: _eval(c.lifecycle[kind], ctx) for kind in cm.LIFECYCLE_KINDS}
 
 
-def window_anchors(commitments: Iterable[CommitmentSpec]) -> frozenset[tuple[EventExpr | None, int]]:
-    """Every (anchor expression, offset) of an event-anchored window bound in
-    ``commitments`` and the commitments their lifecycle events name, plus
-    (None, instant) for each finite absolute bound."""
-    anchors = set()
-    stack = [e for c in commitments for e in (c.create, c.detach, c.discharge)]
+def _reached(exprs: Iterable[EventExpr]) -> Iterator[EventExpr]:
+    """Every node the evaluation of ``exprs`` can reach: through windows and
+    their event-anchored bounds, connectives, and the create, detach and
+    discharge of the commitments their lifecycle events name."""
+    stack = list(exprs)
     while stack:
         expr = stack.pop()
+        yield expr
         if isinstance(expr, cm.Window):
-            stack.append(expr.inner)
-            for bound in (expr.lower, expr.upper):
-                if bound.base_event is not None:
-                    stack.append(bound.base_event)
-                if bound.offset != INF:  # never infinite after an event
-                    anchors.add((bound.base_event, int(bound.offset)))
+            stack += [expr.inner] + [b.base_event for b in (expr.lower, expr.upper) if b.base_event is not None]
         elif isinstance(expr, (cm.And, cm.Or, cm.Except)):
             stack += [expr.left, expr.right]
         elif isinstance(expr, cm.LifecycleEvent):
             stack += [expr.commitment.create, expr.commitment.detach, expr.commitment.discharge]
-    return frozenset(anchors)
+
+
+def base_event_names(exprs: Iterable[EventExpr]) -> frozenset[str]:
+    """The names of the base events ``exprs`` reach: their evaluation, and
+    their deadlines, read only the model entries of these names."""
+    return frozenset(expr.name for expr in _reached(exprs) if isinstance(expr, cm.BaseEvent))
+
+
+def window_anchors(commitments: Iterable[CommitmentSpec]) -> frozenset[tuple[EventExpr | None, int]]:
+    """Every (anchor expression, offset) of an event-anchored window bound in
+    ``commitments`` and the commitments their lifecycle events name, plus
+    (None, instant) for each finite absolute bound."""
+    return frozenset(
+        (bound.base_event, int(bound.offset))
+        for expr in _reached(e for c in commitments for e in (c.create, c.detach, c.discharge))
+        if isinstance(expr, cm.Window)
+        for bound in (expr.lower, expr.upper)
+        if bound.offset != INF  # never infinite after an event
+    )
 
 
 def next_change(anchors: Iterable[tuple[EventExpr | None, int]], ctx: EvaluationContext) -> int | float:

@@ -16,9 +16,10 @@ raises ``BoundExceeded``:
 * alignment reachability (Theorem 2): from every reachable state of a
   composed protocol, some extension is aligned for every commitment.
 
-All four enumerate with one breadth-first explorer, ``StateSpace``; the
-knowledge-set, ordered and timed graphs below differ only in their state
-encoding (no check reads the ordered one: it is the tests' exact reference).
+All four enumerate with one explorer, ``StateSpace``, breadth-first except
+for Theorem 2's unrestricted search (below); the knowledge-set, ordered and
+timed graphs below differ only in their state encoding (no check reads the
+ordered one: it is the tests' exact reference).
 Their moves, like the simulator's, are the ``emission_candidates`` of each
 role's knowledge and a delivery of any ``in_flight`` message, both from
 ``enactment`` (the knowledge-set graph finds the same deliveries, in the same
@@ -56,10 +57,15 @@ once; timed ids that observed the same instances share them. Caches on one
 graph instance key on these: emission moves on (role index, observed set); in
 the timed graph, a state's moves and whether a lapse may follow them on the
 tuple of observed sets (unrestricted OrderingOp: 8 760 states, 43 tuples),
-models on id, lifecycle tables and next changes on (id, phase), misalignment
-counts on (commitment, debtor id, creditor id, phase). Only the successor
-states, and the next lapse boundary where a lapse may follow, are worked out
-per timed state.
+and models on id. ``semantics`` reads a model only through base-event names,
+so a commitment's tables read only the entries its create, detach and
+discharge name, and the lapse boundary only those the window anchors name.
+Those entries of a model are an interned *view*: lifecycle tables are cached
+on (commitment, view, phase), misalignment counts on (commitment, debtor
+view, creditor view, phase), next changes on (anchor view, phase). Punctual
+composed escrow needs 85 tables and 34 next changes, where keys on knowledge
+id and phase need 1 181 and 217. Per timed state, only the successor states,
+and the next lapse boundary where a lapse may follow, are worked out.
 
 A *safe* delivery is one whose parameters are ``out`` in no schema its
 receiver sends. A reduced graph expands only such a delivery where one is in
@@ -117,6 +123,16 @@ it is the most misaligned state and a shortest extension to an all-aligned
 one. Punctual runs are reduced to safe deliveries: no lapse may pass while
 one is in flight, so it lands at the current phase in every order.
 Unrestricted runs are not reduced: a lapse may pass before any delivery.
+There Theorem 2 is expected to fail, so the graph is searched depth-first,
+each state's successors in their order, and the search stops at the first
+misaligned terminal state; its report counts the states found (composed
+escrow: 88, where the breadth-first graph passes 300 000). This is the
+on-the-fly, counterexample-first search of Courcoubetis, Vardi, Wolper and
+Yannakakis ("Memory-efficient algorithms for the verification of temporal
+properties", FMSD 1992). A search that finds none has expanded every state;
+it is renumbered breadth-first over its stored edges, so a holding report is
+the breadth-first one. Punctually Theorem 2 is expected to hold, and the
+search would only add a pass, so punctual runs are breadth-first.
 """
 
 from __future__ import annotations
@@ -146,7 +162,15 @@ from .enactment import (
 from .enactment import knowledge_from as _knowledge_from
 from .errors import BoundExceeded, WellFormednessError
 from .protocol import Protocol, Uod, uod
-from .semantics import INF, EvaluationContext, check_alignment_models, lifecycle_table, next_change, window_anchors
+from .semantics import (
+    INF,
+    EvaluationContext,
+    base_event_names,
+    check_alignment_models,
+    lifecycle_table,
+    next_change,
+    window_anchors,
+)
 from .semantics import evaluate  # noqa: F401  unused here; perfbench/tracer.py rebinds it on this module
 from .synthesis import forwarding_registry
 
@@ -226,9 +250,9 @@ def _witness(moves: Sequence[tuple]) -> list[dict]:
 
 
 class StateSpace:
-    """Breadth-first enumeration of the states reachable at a bound. States are
-    numbered in discovery order; each keeps the edge it was found by and its
-    out-edges.
+    """Enumeration of the states reachable at a bound, breadth-first or, to
+    look for a state, depth-first. States are numbered in discovery order;
+    each keeps the edge it was found by and its out-edges.
 
     In the ordered and timed graphs a state is a tuple of knowledge ids, one
     per role (the timed graph appends the phase). ``_knowledge[kid]`` is an
@@ -265,28 +289,63 @@ class StateSpace:
         self._emission_cache: dict[tuple[int, object], list] = {}
         self.cache_hits = 0
 
-    def _explore(self, initial, stop=None) -> None:
-        """Enumerate from ``initial``; ``stop()`` is asked before expanding each
-        state, and ``_found`` is told of every new state."""
+    def _explore(self, initial, stop=None, goal=None) -> int | None:
+        """Enumerate from ``initial``, breadth-first; ``stop()`` is asked before
+        expanding each state, and ``_found`` is told of every new state. With
+        ``goal``, depth-first instead, each state's successors in their order,
+        until a terminal state ``goal(state id)`` holds for: its id is
+        returned, or None once every state is expanded."""
         try:
             self._add(initial, None)
-            frontier = [0]
-            while frontier:
-                next_frontier: list[int] = []
-                for sid in frontier:
+            if goal is None:
+                # Breadth-first, states are expanded in the order they are found.
+                sid = 0
+                while sid < len(self.states):
                     if stop is not None and stop():
-                        return
-                    for move, succ in self._successors(self.states[sid]):
-                        tid = self.index.get(succ)
-                        if tid is None:
-                            tid = self._add(succ, (sid, move))
-                            next_frontier.append(tid)
-                            self._found(sid, tid, move)
-                        self.edges[sid].append((move, tid))
-                frontier = next_frontier
+                        return None
+                    self._expand(sid)
+                    sid += 1
+                return None
+            stack = [0]
+            while stack:
+                sid = stack.pop()
+                first = len(self.states)
+                self._expand(sid)
+                if not self.edges[sid] and goal(sid):
+                    return sid
+                # The states just found, numbered from ``first`` on; the first
+                # successor's goes on top, so it is expanded next.
+                stack.extend(range(len(self.states) - 1, first - 1, -1))
+            return None
         finally:
-            log.info("%s: %d states, %d edges, %s%s", type(self).__name__, len(self.states), self.edge_count(),
-                     self._cache_summary(), ", reduced to safe deliveries" if self.reduced else "")
+            log.info("%s: %d states, %d edges, %s%s%s", type(self).__name__, len(self.states), self.edge_count(),
+                     self._cache_summary(), ", reduced to safe deliveries" if self.reduced else "",
+                     ", depth-first" if goal is not None else "")
+
+    def _expand(self, sid: int) -> None:
+        """Record the out-edges of state ``sid``, adding the states they find."""
+        for move, succ in self._successors(self.states[sid]):
+            tid = self.index.get(succ)
+            if tid is None:
+                tid = self._add(succ, (sid, move))
+                self._found(sid, tid, move)
+            self.edges[sid].append((move, tid))
+
+    def _renumber(self) -> None:
+        """Renumber a complete graph breadth-first over its stored edges: its
+        states, parents and edges become those a breadth-first build records."""
+        states, edges = self.states, self.edges
+        order, renumbered, parents = [0], {0: 0}, [None]
+        for sid in order:
+            for move, tid in edges[sid]:
+                if tid not in renumbered:
+                    renumbered[tid] = len(order)
+                    order.append(tid)
+                    parents.append((renumbered[sid], move))
+        self.states = [states[sid] for sid in order]
+        self.parents = parents
+        self.edges = [[(move, renumbered[tid]) for move, tid in edges[sid]] for sid in order]
+        self.index = {state: sid for sid, state in enumerate(self.states)}
 
     def _cache_summary(self) -> str:
         return f"{len(self._emission_cache)} candidate-cache entries, {self.cache_hits} hits"
@@ -388,8 +447,13 @@ class StateSpace:
         return sum(map(len, self.edges))
 
     def depth(self) -> int:
-        """Moves to the last state found, the deepest in breadth-first order."""
-        return len(self._trail(len(self.states) - 1, self.parents)) if self.states else 0
+        """Moves to the deepest state found, along the edges it was found by. A
+        state is found after its parent, so one pass in id order suffices."""
+        depths = [0] * len(self.states)
+        for sid, parent in enumerate(self.parents):
+            if parent is not None:
+                depths[sid] = depths[parent[0]] + 1
+        return max(depths, default=0)
 
     def _trail(self, state_id: int, parents) -> list[tuple]:
         """The moves to ``state_id`` from the root of ``parents`` (state id -> parent id and move)."""
@@ -789,9 +853,18 @@ class AlignmentGraph(StateSpace):
         self.punctual = punctual
         self.fwd_registry = forwarding_registry(universe)
         self.anchors = window_anchors(commitments)
-        # By knowledge id, so roles with equal entries share them: models, tables
-        # and next changes (with the phase), and misalignment counts (per pair).
+        # A commitment's tables read only the entries its base events name, and
+        # the lapse boundary only those the anchors name (see ``semantics``).
+        # Models are cached by knowledge id, and the entries of one with given
+        # names are an interned view: tables, misalignment counts and next
+        # changes are cached on views, so knowledges that differ only in what a
+        # commitment does not read share its tables.
+        self._reads = {c.name: base_event_names((c.create, c.detach, c.discharge)) for c in self.commitments}
+        self._anchor_reads = base_event_names(anchor for anchor, _ in self.anchors if anchor is not None)
         self._model_cache: dict[int, Model] = {}
+        self._view_of: dict[tuple[frozenset, int], int] = {}
+        self._view_ids: dict[tuple, int] = {}
+        self._views: list[Model] = []
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
@@ -800,9 +873,20 @@ class AlignmentGraph(StateSpace):
         self._projections: dict[frozenset, tuple[frozenset, Sequence[MessageInstance]]] = {}
         self._moves_cache: dict[tuple[frozenset, ...], tuple[list[tuple[int, tuple]], bool]] = {}
         self.moves_hits = 0
+        self.misaligned_end: int | None = None
 
-    def build(self) -> None:
-        self._explore((self._knowledge_id(frozenset()),) * len(self.roles) + (0,))
+    def build(self, probe: bool = False) -> None:
+        """Enumerate breadth-first. With ``probe``, search depth-first instead
+        and stop at the first terminal state misaligned for some commitment,
+        kept in ``misaligned_end``. A probe that finds none has expanded every
+        state, and is renumbered as a breadth-first build would number it."""
+        root = (self._knowledge_id(frozenset()),) * len(self.roles) + (0,)
+        if not probe:
+            self._explore(root)
+            return
+        self.misaligned_end = self._explore(root, goal=lambda sid: any(self.alignment(self.states[sid])))
+        if self.misaligned_end is None:
+            self._renumber()
 
     def _derive(self, collection):
         observed = frozenset(inst for inst, _ in collection)
@@ -843,24 +927,37 @@ class AlignmentGraph(StateSpace):
             model = self._model_cache[kid] = model_of(self._knowledge[kid], self.fwd_registry)
         return model
 
+    def _view(self, names: frozenset, kid: int) -> int:
+        """The id of the entries of knowledge ``kid``'s model named in ``names``."""
+        key = (names, kid)
+        view = self._view_of.get(key)
+        if view is None:
+            entries = tuple(entry for entry in self._model(kid).entries if entry.name in names)
+            view = self._view_ids.get(entries)
+            if view is None:
+                view = self._view_ids[entries] = len(self._views)
+                self._views.append(Model(entries))
+            self._view_of[key] = view
+        return view
+
     def _next_boundary(self, ids: tuple[int, ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's
         lifecycle tables can change, or INF when none can."""
         first = INF
         for kid in ids:
-            key = (kid, now_phase)
+            key = (self._view(self._anchor_reads, kid), now_phase)
             change = self._change_cache.get(key)
             if change is None:
-                ctx = EvaluationContext(self._model(kid), now_phase)
+                ctx = EvaluationContext(self._views[key[0]], now_phase)
                 change = self._change_cache[key] = next_change(self.anchors, ctx)
             first = min(first, change)
         return first
 
-    def _table(self, c: CommitmentSpec, kid: int, now_phase: int) -> dict:
-        key = (c.name, kid, now_phase)
+    def _table(self, c: CommitmentSpec, view: int, now_phase: int) -> dict:
+        key = (c.name, view, now_phase)
         table = self._table_cache.get(key)
         if table is None:
-            ctx = EvaluationContext(self._model(kid), now_phase)
+            ctx = EvaluationContext(self._views[view], now_phase)
             table = self._table_cache[key] = lifecycle_table(c, ctx)
         return table
 
@@ -869,11 +966,13 @@ class AlignmentGraph(StateSpace):
         aligned."""
         counts = []
         for c in self.commitments:
-            key = (c.name, state[self.role_index[c.debtor]], state[self.role_index[c.creditor]], state[-1])
+            names = self._reads[c.name]
+            debtor = self._view(names, state[self.role_index[c.debtor]])
+            creditor = self._view(names, state[self.role_index[c.creditor]])
+            key = (c.name, debtor, creditor, state[-1])
             if key not in self._count_cache:
-                _, debtor, creditor, now_phase = key
                 self._count_cache[key] = len(check_alignment_models(
-                    c, self._table(c, debtor, now_phase), self._table(c, creditor, now_phase)
+                    c, self._table(c, debtor, state[-1]), self._table(c, creditor, state[-1])
                 ).misalignments)
             counts.append(self._count_cache[key])
         return counts
@@ -905,19 +1004,25 @@ def check_alignment_reachability(
 ) -> VerificationReport:
     """From every reachable state, some extension is aligned for every
     commitment. On success the witness shows a maximally misaligned state and
-    its aligning extension; on failure, a state with no aligning extension."""
+    its aligning extension; on failure, the path to a misaligned terminal
+    state. Unrestricted, deadlines may outrun deliveries and the check is
+    expected to fail, so the graph is probed depth-first for such a state;
+    punctually it is expected to hold, and a probe would add a second pass."""
     universe = uod(composed, registry)
     for c in commitments:
         bind_commitment(c, universe)
     graph = AlignmentGraph(universe, commitments, bound, punctual)
-    graph.build()
+    graph.build(probe=not punctual)
     mode = "punctual" if punctual else "unrestricted"
-    counts = [graph.alignment(state) for state in graph.states]
-    # Every maximal run ends in a terminal state, so a state with no aligning
-    # extension exists exactly when a terminal one is misaligned.
-    stuck = next((sid for sid, row in enumerate(counts) if any(row) and not graph.edges[sid]), None)
+    stuck = graph.misaligned_end
+    if stuck is None:
+        # The graph is complete. Every maximal run ends in a terminal state, so
+        # a state with no aligning extension exists exactly when a terminal one
+        # is misaligned.
+        counts = [graph.alignment(state) for state in graph.states]
+        stuck = next((sid for sid, row in enumerate(counts) if any(row) and not graph.edges[sid]), None)
     if stuck is not None:
-        c = next(c for c, n in zip(graph.commitments, counts[stuck]) if n)
+        c = next(c for c, n in zip(graph.commitments, graph.alignment(graph.states[stuck])) if n)
         witness = {"commitment": c.name, "reach": graph.path_to(stuck)}
         detail = f"{mode}: no aligning extension for {c.name!r}"
         return VerificationReport(ALIGNMENT_REACHABILITY, False, witness, len(graph.states), detail)

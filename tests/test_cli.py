@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 
@@ -250,17 +251,19 @@ def test_verify_theorem2_via_cli(capsys, fixtures_dir):
             ("--theorem2", "ordering_op.bspl", "purchase.cupid", "--max-states", "1000"),
             {
                 "property": "ALIGNMENT_REACHABILITY",
-                "holds": None,
-                "states": 1000,
-                "detail": "unrestricted: inconclusive (bound exceeded); informational only",
-                "witness": None,
+                "holds": False,
+                "states": 31,
+                "detail": "unrestricted: no aligning extension for 'Purchase'",
+                "witness": {"commitment": "Purchase", "reach": ANY},
             },
         ),
     ],
-    ids=["theorem1", "theorem2-inconclusive"],
+    ids=["theorem1", "theorem2-unrestricted-fails"],
 )
 def test_verify_json_lines_are_all_json(capsys, fixtures_dir, argv, last):
-    """In --json mode the summary lines are JSON too."""
+    """In --json mode the summary lines are JSON too. The unrestricted Theorem
+    2 run decides within 1 000 states: its depth-first search finds a
+    misaligned terminal state among 31, and its failure leaves exit code 0."""
     argv = [fixtures_dir / a if a.endswith((".bspl", ".cupid")) else a for a in argv]
     code, out, _ = run(capsys, "verify", *argv, "--protocol", "OrderingOp", "--json")
     assert code == 0
@@ -533,6 +536,27 @@ def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
         assert code == 3
         assert out == ""
         assert err.splitlines() == lines
+
+
+def test_verify_unrestricted_theorem2_is_bounded_like_every_check(capsys, tmp_path):
+    """The unrestricted Theorem 2 run has the user's ``--max-states``, and
+    exceeding it takes the partial-graph path, exit code 3, after the punctual
+    verdict. Here both hold, punctually on 7 states and unrestricted on 9, so
+    the depth-first search expands every state and is cut at 8."""
+    protocol = tmp_path / "note.bspl"
+    protocol.write_text("Note {\n roles S, R\n parameters out k key, out v\n S -> R: note[out k key, out v]\n}\n")
+    commitment = tmp_path / "tell.cupid"
+    commitment.write_text("commitment Tell S to R\n  create note[, 2]\n  detach note\n  discharge note\n")
+    code, out, err = run(capsys, "verify", "--theorem2", protocol, commitment)
+    assert code == 0
+    assert out.splitlines() == [
+        "ALIGNMENT_REACHABILITY: holds (7 states) punctual: aligning extensions exist",
+        "ALIGNMENT_REACHABILITY: holds (9 states) unrestricted: aligning extensions exist",
+    ]
+    code, out, err = run(capsys, "verify", "--theorem2", protocol, commitment, "--max-states", "8")
+    assert code == 3
+    assert out == "ALIGNMENT_REACHABILITY: holds (7 states) punctual: aligning extensions exist\n"
+    assert err.splitlines() == ["bound exceeded: more than 8 states", "partial AlignmentGraph: 8 states, 7 edges, depth 3"]
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,7 @@ from comal.enactment import Model, ModelEntry, freeze_bindings
 from comal.protocol import parse_protocol, uod
 from comal.semantics import (
     EvaluationContext,
+    base_event_names,
     check_alignment_models,
     deadline,
     evaluate,
@@ -321,18 +322,22 @@ def test_tables_hold_until_next_change(case, ordering, escrow_ordering, purchase
     """On random models, every lifecycle table at an instant in [now,
     next_change) equals the table at now; the rule is not vacuous either: some
     spans are longer than one instant and some tables change at their end.
-    The drawn case draws each commitment from the oracle's formula generator,
-    so windows sit under and, or and except."""
+    The table, and ``next_change``, are the same on the entries that
+    ``base_event_names`` names alone, the views the timed explorer caches on;
+    some views leave entries out. The drawn case draws each commitment from
+    the oracle's formula generator, so windows sit under and, or and except."""
     if case != "Drawn":
         protocol, c = (ordering, purchase) if case == "Purchase" else (escrow_ordering, escrow_commitments[case])
         universe = uod(protocol)
     rng = random.Random(f"next-change-{case}")
-    long_spans = changes = 0
+    long_spans = changes = views = 0
     for _ in range(150):
         if case == "Drawn":
             universe = _random_universe(rng)
             c = CommitmentSpec(case, "A", "B", *(_random_oracle_formula(rng, 3, WITH_EXCEPT) for _ in range(3)))
         anchors = window_anchors([c])
+        reads = base_event_names((c.create, c.detach, c.discharge))
+        anchor_reads = base_event_names(anchor for anchor, _ in anchors if anchor is not None)
         entries = [
             ModelEntry(
                 schema.name,
@@ -351,9 +356,14 @@ def test_tables_hold_until_next_change(case, ordering, escrow_ordering, purchase
         table = lifecycle_table(c, ctx(universe, m, now))
         for t in range(now, min(first, now + 40)):
             assert lifecycle_table(c, ctx(universe, m, t)) == table, (m, now, t)
+        view = Model(tuple(entry for entry in entries if entry.name in reads))
+        assert lifecycle_table(c, ctx(universe, view, now)) == table
+        anchor_view = Model(tuple(entry for entry in entries if entry.name in anchor_reads))
+        assert next_change(anchors, ctx(universe, anchor_view, now)) == first
+        views += len(view.entries) < len(entries)
         long_spans += first - now > 1
         changes += first < math.inf and lifecycle_table(c, ctx(universe, m, first)) != table
-    assert long_spans and changes
+    assert long_spans and changes and views
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from comal.commitments import parse_commitments
+from comal.commitments import And, BaseEvent, CommitmentSpec, Except, Or, TimeRef, Window, bind_commitment, parse_commitments
 from comal.enactment import (
     EMIT,
     RECV,
@@ -27,9 +27,9 @@ from comal.enactment import (
     observation_from_json,
     observation_to_json,
 )
-from comal.errors import BoundExceeded, WellFormednessError
+from comal.errors import BoundExceeded, ComalError, WellFormednessError
 from comal.protocol import IN, OUT, parse_protocol, parse_protocols, uod
-from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
+from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table, next_change, window_anchors
 from comal.synthesis import (
     SynthesisMode,
     compose_operationalization,
@@ -470,21 +470,52 @@ def test_alignment_reachability_without_forwarding_fails(escrow_ordering, escrow
     assert "payEscrow" in schemas
 
 
-@pytest.mark.parametrize("punctual", (True, False), ids=("punctual", "unrestricted"))
-def test_alignment_failure_witness_ends_where_no_move_is_left(punctual, escrow_ordering, escrow_commitments):
+@pytest.mark.parametrize(
+    "case, punctual",
+    [("bare-escrow", True), ("bare-escrow", False), ("composed-escrow", False)],
+    ids=("punctual", "unrestricted", "composed-escrow-unrestricted"),
+)
+def test_alignment_failure_witness_ends_where_no_move_is_left(
+    case, punctual, escrow_ordering, escrow_commitments, escrow_op_registry
+):
     """A failing Theorem 2 names the path to a misaligned terminal state: with
     its lapses left out it is a viable run, after which the simulator's move
-    rule offers no emission and no delivery."""
-    report = check_alignment_reachability(
-        escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, punctual=punctual
-    )
+    rule offers no emission and no delivery. Its commitment is misaligned in
+    the debtor's and creditor's models of the run, each observation at the
+    phase of the last lapse before it, evaluated past every window bound, so
+    no later instant realigns it. Unrestricted composed escrow is decided by
+    the depth-first probe alone: its full graph is out of reach."""
+    if case == "bare-escrow":
+        protocol, specs, registry = escrow_ordering, [escrow_commitments["EscrowPurchase"]], None
+    else:
+        protocol, specs, registry = (
+            escrow_op_registry["EscrowOrderingOp"], list(escrow_commitments.values()), escrow_op_registry
+        )
+    report = check_alignment_reachability(protocol, specs, BOUND, punctual, registry)
     assert not report.holds
-    universe = uod(escrow_ordering)
+    universe = uod(protocol, registry)
     records = [r for r in report.witness["reach"] if "lapse" not in r]
     vector = _replay([{**r, "tick": tick} for tick, r in enumerate(records, start=1)], universe)
     assert check_viable(vector, universe) is None
     assert not deliverable(vector)
     assert not any(enabled_emissions(vector, universe, role, BOUND.key_values) for role in vector.roles)
+
+    phase, observed = 0, {role: [] for role in universe.roles}
+    for record in report.witness["reach"]:
+        if "lapse" in record:
+            phase = record["lapse"]
+        else:
+            obs = observation_from_json(record, universe)
+            observed[obs.role].append((obs.instance, phase))
+    # Every bound is an absolute instant or an observation's phase plus an
+    # offset, and no observation is later than the last phase.
+    past = phase + max(offset for _, offset in window_anchors(specs)) + 1
+    c = next(c for c in specs if c.name == report.witness["commitment"])
+    fwd = forwarding_registry(universe)
+    debtor, creditor = (
+        lifecycle_table(c, EvaluationContext(model_of(observed[role], fwd), past)) for role in (c.debtor, c.creditor)
+    )
+    assert check_alignment_models(c, debtor, creditor).misalignments
 
 
 def test_violated_misalignment_reachable_without_ship_notification(ordering, purchase):
@@ -515,6 +546,127 @@ def test_bound_exceeded_carries_partial_graph(escrow_composed_literal):
             registry=registry,
         )
     assert info.value.partial is not None
+
+
+def _assert_probe_matches_full(protocol, specs, bound, registry=None) -> bool:
+    """The unrestricted depth-first probe against the breadth-first graph. It
+    finds a misaligned terminal state exactly when that graph has one, and ends
+    at one of them; states are compared decoded, since the two graphs intern
+    knowledge in different orders. When it finds none, it has renumbered itself
+    into that graph, and its report is the breadth-first one. Returns whether
+    Theorem 2 holds."""
+    universe = uod(protocol, registry)
+    full = AlignmentGraph(universe, specs, bound, punctual=False)
+    full.build()
+    misaligned_ends = {
+        full.decode(state) for sid, state in enumerate(full.states) if not full.edges[sid] and any(full.alignment(state))
+    }
+    probe = AlignmentGraph(universe, specs, bound, punctual=False)
+    probe.build(probe=True)
+    end = probe.misaligned_end
+    if end is not None:
+        assert not probe.edges[end]
+        assert probe.decode(probe.states[end]) in misaligned_ends
+        return False
+    assert not misaligned_ends
+    assert [probe.decode(state) for state in probe.states] == [full.decode(state) for state in full.states]
+    assert (probe.parents, probe.edges) == (full.parents, full.edges)
+    build = AlignmentGraph.build
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AlignmentGraph, "build", lambda graph, probe=False: build(graph))
+        breadth_first = check_alignment_reachability(protocol, specs, bound, False, registry)
+    assert check_alignment_reachability(protocol, specs, bound, False, registry) == breadth_first
+    return True
+
+
+@pytest.mark.parametrize("case", ["OrderingOp", "Ordering", "bare-escrow"])
+def test_probe_agrees_with_full_unrestricted_graph(case, op_registry, purchase, escrow_ordering, escrow_commitments):
+    """Unrestricted Theorem 2 fails on these fixtures. Composed escrow is left
+    out: its breadth-first graph passes 300 000 states."""
+    if case == "bare-escrow":
+        protocol, specs, registry = escrow_ordering, [escrow_commitments["EscrowPurchase"]], None
+    else:
+        protocol, specs, registry = op_registry[case], [purchase], op_registry
+    assert not _assert_probe_matches_full(protocol, specs, BOUND, registry)
+
+
+def _random_commitment(rng: random.Random, protocol) -> CommitmentSpec:
+    """A commitment between two of ``protocol``'s roles over its message names,
+    with windows closing 0-3 phases after an absolute 0 or a message."""
+    names = [schema.name for schema in protocol.references]
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return BaseEvent(rng.choice(names))
+        pick = rng.randrange(4)
+        if pick == 0:
+            anchor = BaseEvent(rng.choice(names)) if rng.random() < 0.5 else None
+            return Window(formula(depth - 1), upper=TimeRef(rng.randint(0, 3), anchor))
+        return (And, Or, Except)[pick - 1](formula(depth - 1), formula(depth - 1))
+
+    debtor, creditor = rng.sample(protocol.roles, 2)
+    return CommitmentSpec("C", debtor, creditor, formula(2), formula(2), formula(2))
+
+
+def _random_alignment_pairs(count: int):
+    """``random_protocol``s, seeds 0 to ``count`` - 1, each with a random
+    commitment; draws with no message, or whose commitment does not bind,
+    are skipped."""
+    for seed in range(count):
+        rng = random.Random(seed)
+        protocol = random_protocol(rng, 0)
+        if not protocol.references:
+            continue
+        commitment = _random_commitment(rng, protocol)
+        try:
+            bind_commitment(commitment, uod(protocol))
+        except ComalError:
+            continue
+        yield protocol, [commitment]
+
+
+SMALL = Bound(max_states=3_000)
+
+
+def test_probe_agrees_with_full_unrestricted_graph_on_random_protocols():
+    """As above on random commitments, where it holds as well as fails."""
+    verdicts = []
+    for protocol, specs in _random_alignment_pairs(150):
+        try:
+            verdicts.append(_assert_probe_matches_full(protocol, specs, SMALL))
+        except BoundExceeded:
+            continue
+    assert len(verdicts) > 100 and set(verdicts) == {True, False}
+
+
+def test_alignment_matches_uncached_tables_on_random_protocols():
+    """As ``test_alignment_matches_uncached_tables``, on random commitments,
+    whose windows close at offsets other than the fixtures' multiples of 5."""
+    built = 0
+    for protocol, specs in _random_alignment_pairs(150):
+        for punctual in (True, False):
+            graph = AlignmentGraph(uod(protocol), specs, SMALL, punctual)
+            try:
+                graph.build()
+            except BoundExceeded:
+                continue
+            _assert_views_match_whole_models(graph)
+            built += 1
+    assert built > 200
+
+
+def test_probe_cut_at_max_states_reports_its_deepest_state(op_registry, purchase):
+    """A depth-first probe cut at ``max_states`` carries its partial graph. Cut
+    at 30 of the 31 states it finds on OrderingOp, its last state found, at
+    depth 11, is not its deepest: ``depth`` is the longest path along the
+    edges states were found by."""
+    universe = uod(op_registry["OrderingOp"], op_registry)
+    graph = AlignmentGraph(universe, [purchase], Bound(max_states=30), punctual=False)
+    with pytest.raises(BoundExceeded) as info:
+        graph.build(probe=True)
+    assert info.value.partial is graph and len(graph.states) == 30
+    trails = [len(graph._trail(sid, graph.parents)) for sid in range(len(graph.states))]
+    assert graph.depth() == max(trails) > trails[-1]
 
 
 def test_reports_are_deterministic(escrow_composed_literal):
@@ -772,35 +924,63 @@ def test_nested_key_sets_give_one_edge_per_move(nested_keys):
     assert sum(len(out) for out in graph.edges) == 4
 
 
-@pytest.mark.parametrize("case", ["OrderingOp", "bare-escrow"])
-def test_alignment_matches_uncached_tables(case, op_registry, purchase, escrow_ordering, escrow_commitments):
-    """The graph caches one lifecycle table per (commitment, entries, phase),
-    shared by debtor and creditor; every state's counts must equal those of
-    tables evaluated afresh from each role's own entries."""
-    if case == "OrderingOp":
+@pytest.mark.parametrize("case", ["OrderingOp", "bare-escrow", "composed-escrow", "OrderingOp-unrestricted"])
+def test_alignment_matches_uncached_tables(
+    case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
+):
+    """The graph caches lifecycle tables and misalignment counts on (commitment,
+    view, phase), a view being the model entries a commitment's base events
+    name, and next lapse boundaries on the entries the window anchors name.
+    Every state's counts must equal those of tables evaluated from each role's
+    whole model, and its boundary the first ``next_change`` over each role's
+    whole model. Composed escrow's two commitments read different names;
+    unrestricted OrderingOp lapses before deliveries."""
+    punctual = not case.endswith("-unrestricted")
+    if case.startswith("OrderingOp"):
         protocol, specs, registry = op_registry["OrderingOp"], [purchase], op_registry
-    else:
+    elif case == "bare-escrow":
         protocol, specs, registry = escrow_ordering, [escrow_commitments["EscrowPurchase"]], None
-    universe = uod(protocol, registry)
-    fwd = forwarding_registry(universe)
-    graph = AlignmentGraph(universe, specs, BOUND, punctual=True)
+    else:
+        protocol, specs, registry = (
+            escrow_op_registry["EscrowOrderingOp"], list(escrow_commitments.values()), escrow_op_registry
+        )
+    graph = AlignmentGraph(uod(protocol, registry), specs, BOUND, punctual)
     graph.build()
+    if case == "composed-escrow":
+        assert len(set(graph._reads.values())) == 2
+    _assert_views_match_whole_models(graph)
 
-    def fresh_table(c, entries, phase):
-        model = model_of(entries, fwd)
-        return lifecycle_table(c, EvaluationContext(model, phase))
+
+def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
+    """Each state's misalignment counts and next lapse boundary, read from the
+    graph's view caches, against tables and ``next_change`` evaluated on each
+    role's whole model, memoized on its whole knowledge."""
+    fwd = forwarding_registry(graph.universe)
+    models: dict = {}
+    tables: dict = {}
+
+    def model(entries):
+        if entries not in models:
+            models[entries] = model_of(entries, fwd)
+        return models[entries]
+
+    def table(c, entries, phase):
+        key = (c.name, entries, phase)
+        if key not in tables:
+            tables[key] = lifecycle_table(c, EvaluationContext(model(entries), phase))
+        return tables[key]
 
     for state in graph.states:
         sets, phase = graph.decode(state)
         expected = [
             len(check_alignment_models(
-                c,
-                fresh_table(c, sets[graph.role_index[c.debtor]], phase),
-                fresh_table(c, sets[graph.role_index[c.creditor]], phase),
+                c, table(c, sets[graph.role_index[c.debtor]], phase), table(c, sets[graph.role_index[c.creditor]], phase)
             ).misalignments)
-            for c in specs
+            for c in graph.commitments
         ]
         assert graph.alignment(state) == expected
+        boundary = min(next_change(graph.anchors, EvaluationContext(model(entries), phase)) for entries in sets)
+        assert graph._next_boundary(state[:-1], phase) == boundary
 
 
 def _uncached_moves(graph, known, observed):
