@@ -6,10 +6,10 @@ Emissions are legal only when the sender already knows each ``in`` binding,
 has no prior binding for any ``out`` parameter of the same enactment, and has
 not emitted the same schema for the same key binding before. Reception is
 never forced: in-flight messages may be delayed arbitrarily. The simulator
-and the ordered and timed explorers in ``verify`` take the messages in flight
-from one rule, :func:`in_flight` (the knowledge-set explorer computes the same
-messages, in the same order, on instance masks), and every explorer builds
-role knowledge with :func:`knowledge_from`.
+and the ordered explorer in ``verify`` take the messages in flight from one
+rule, :func:`in_flight` (the knowledge-set and timed explorers compute the
+same messages, in the same order, on instance masks), and every explorer
+builds role knowledge with :func:`knowledge_from`.
 
 A role's *model* is its history with every forwarding message renamed to the
 message it forwards, the forwarding identifier dropped, and each entry
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import WellFormednessError
 from .protocol import IN, MessageSchema, Uod
@@ -296,16 +296,14 @@ def enabled_emissions(
 
 
 def in_flight(
-    roles: Sequence[str], known: Sequence[Sequence[MessageInstance]], observed: Sequence[Collection], fifo: bool = False
+    roles: Sequence[str], known: Sequence[Sequence[MessageInstance]], fifo: bool = False
 ) -> list[MessageInstance]:
     """Every sent instance whose receiver has not observed it, where
-    ``known[i]`` is what ``roles[i]`` observed, in order, and ``observed[i]``
-    the same instances as a set: by sender in role order, then in the sender's
-    ``known`` order. The sets are the callers' own (the explorers keep one per
-    knowledge id), so no received set is built here. With ``fifo`` only the
-    first instance per (sender, receiver) channel is kept; a sender's own order
-    is its emission order, so that is the oldest message on the channel."""
-    observer = dict(zip(roles, observed))
+    ``known[i]`` is what ``roles[i]`` observed, in order: by sender in role
+    order, then in the sender's ``known`` order. With ``fifo`` only the first
+    instance per (sender, receiver) channel is kept; a sender's own order is
+    its emission order, so that is the oldest message on the channel."""
+    observer = dict(zip(roles, map(set, known)))
     pending = [
         inst for role, seen in zip(roles, known) for inst in seen
         if inst.sender == role and inst not in observer[inst.receiver]
@@ -321,7 +319,7 @@ def in_flight(
 def deliverable(v: HistoryVector, fifo: bool = False) -> list[tuple[str, MessageInstance]]:
     """The :func:`in_flight` instances of ``v`` as (receiver, instance) pairs."""
     known = [[obs.instance for obs in v.history(role)] for role in v.roles]
-    return [(inst.receiver, inst) for inst in in_flight(v.roles, known, list(map(set, known)), fifo)]
+    return [(inst.receiver, inst) for inst in in_flight(v.roles, known, fifo)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,11 @@ for Theorem 2's unrestricted search (below); the knowledge-set, ordered and
 timed graphs below differ only in their state encoding (no check reads the
 ordered one: it is the tests' exact reference).
 Their moves, like the simulator's, are the ``emission_candidates`` of each
-role's knowledge and a delivery of any ``in_flight`` message, both from
-``enactment`` (the knowledge-set graph finds the same deliveries, in the same
-order, on instance masks): BSPL's channels are unordered, and every FIFO run
-is also such a run, so a check that holds here holds under FIFO, the
-simulator's option.
+role's knowledge and a delivery of any message in flight, in the order
+``enactment.in_flight`` gives (the ordered graph calls it; the knowledge-set
+and timed graphs find the same deliveries on instance masks): BSPL's channels
+are unordered, and every FIFO run is also such a run, so a check that holds
+here holds under FIFO, the simulator's option.
 
 Every graph is a finite DAG: a parameter is bound once per enactment, so a
 schema is emitted at most once per key binding (``emission_candidates``' rule
@@ -39,33 +39,32 @@ Witnesses are runs: each path in one is a list of the simulator's trace
 records (``enactment.observation_to_json``) ticked from 1, and a deadline
 lapse is the one other record, ``{"tick", "lapse"}``.
 
-The knowledge-set graph interns instances: each one ``emission_candidates``
-returns is one bit, numbered in the order it is first met, and a state is
-the tuple of per-role masks of the instances each role observed (composed
-escrow: 9 595 states in full over 12 instances). A move sets one bit; the
-messages in flight are the emitted bits outside their receivers' masks, and
-their deliveries, or in a reduced graph the safe one chosen, are cached on
-that mask. Each bit keeps the mask of the instances it conflicts with, so an
-emission whose mask meets nothing already emitted binds no parameter twice
-and is not scanned. ``is_complete`` is evaluated once per emitted mask.
+The knowledge-set and timed graphs find their moves on one encoding. Each
+instance ``emission_candidates`` returns is one bit, numbered in the order it
+is first met, and the moves from a tuple of per-role masks of observed
+instances are worked out once per graph: a move sets one bit; the messages in
+flight are the emitted bits outside their receivers' masks, and their
+deliveries, or in a reduced graph the safe one chosen, are cached on that
+mask; emissions are cached on (role index, mask). A knowledge-set state is
+such a tuple (composed escrow: 9 595 states in full over 12 instances). Each
+bit keeps the mask of the instances it conflicts with, so an emission whose
+mask meets nothing already emitted binds no parameter twice and is not
+scanned. ``is_complete`` is evaluated once per emitted mask.
 
-The ordered and timed graphs intern whole role knowledges instead, since few
-recur across many states: a state is a tuple of knowledge ids, one per role,
-plus the phase in the timed graph. Growing a knowledge by one entry is
-memoized, and each id's observed instance set and delivery order are derived
-once; timed ids that observed the same instances share them. Caches on one
-graph instance key on these: emission moves on (role index, observed set); in
-the timed graph, a state's moves and whether a lapse may follow them on the
-tuple of observed sets (unrestricted OrderingOp: 8 760 states, 43 tuples),
-and models on id. ``semantics`` reads a model only through base-event names,
-so a commitment's tables read only the entries its create, detach and
-discharge name, and the lapse boundary only those the window anchors name.
-Those entries of a model are an interned *view*: lifecycle tables are cached
-on (commitment, view, phase), misalignment counts on (commitment, debtor
-view, creditor view, phase), next changes on (anchor view, phase). Punctual
-composed escrow needs 85 tables and 34 next changes, where keys on knowledge
-id and phase need 1 181 and 217. Per timed state, only the successor states,
-and the next lapse boundary where a lapse may follow, are worked out.
+The timed graph also interns (instance, phase) pairs: a state is the tuple of
+per-role masks of the pairs each role observed, then the phase. Each pair
+mask's instance mask is derived once, and a state's moves, and whether a
+lapse may follow them, are cached on the tuple of those (unrestricted
+OrderingOp: 8 760 states, 43 tuples); models are cached on pair mask.
+``semantics`` reads a model only through base-event names, so a commitment's
+tables read only the entries its create, detach and discharge name, and the
+lapse boundary only those the window anchors name. Those entries of a model
+are an interned *view*: lifecycle tables are cached on (commitment, view,
+phase), misalignment counts on (commitment, debtor view, creditor view,
+phase), next changes on (anchor view, phase). Punctual composed escrow needs
+85 tables and 34 next changes, where keys on a role's whole knowledge and the
+phase need 1 181 and 217. Per timed state, only the successor states, and the
+next lapse boundary where a lapse may follow, are worked out.
 
 A *safe* delivery is one whose parameters are ``out`` in no schema its
 receiver sends. A reduced graph expands only such a delivery where one is in
@@ -142,7 +141,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .commitments import CommitmentSpec, bind_commitment
 from .enactment import (
@@ -245,6 +244,14 @@ def _witness(moves: Sequence[tuple]) -> list[dict]:
     ]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # ---------------------------------------------------------------------------
 # The shared explorer
 
@@ -254,13 +261,13 @@ class StateSpace:
     look for a state, depth-first. States are numbered in discovery order;
     each keeps the edge it was found by and its out-edges.
 
-    In the ordered and timed graphs a state is a tuple of knowledge ids, one
-    per role (the timed graph appends the phase). ``_knowledge[kid]`` is an
-    interned collection, a frozenset unless ``_extend`` says otherwise, and
-    ``_derive`` gives its instance set (``_observed[kid]``) and delivery order
-    (``_order[kid]``) once; ``decode`` gives a state's collections back.
-    Subclasses give the initial state (to ``build``); the timed graph gives
-    its own ``_successors``, and the knowledge-set graph its own encoding."""
+    Moves are found on instance masks: bit ``b`` stands for ``_instances[b]``,
+    interned in the order ``_emissions`` first meets it, with the masks of
+    what each role sends and receives and of the instances each one conflicts
+    with. ``_moves`` gives the moves from one instance mask per role.
+    Subclasses give the initial state (to ``build``), ``_successors``, and
+    ``decode``, which gives a state's contents back; the ordered graph keeps
+    plain observation tuples and finds its own moves."""
 
     def __init__(self, universe: Uod, bound: Bound, reduced: bool = False):
         self.universe = universe
@@ -277,16 +284,18 @@ class StateSpace:
         self.parents: list[tuple[int, tuple] | None] = []
         self.edges: list[list[tuple[tuple, int]]] = []
         self.index: dict[tuple[int, ...], int] = {}
-        self._knowledge: list = []
-        self._knowledge_ids: dict = {}
-        self._observed: list[frozenset] = []
-        self._order: list[Sequence[MessageInstance]] = []
-        # Knowledge id after one more entry, by (id, entry); what a role sent,
-        # by (role index, id); emission moves by (role index, observed set),
-        # or by (role index, mask) in the knowledge-set graph.
-        self._grown: dict[tuple[int, object], int] = {}
-        self._sent: dict[tuple[int, int], frozenset] = {}
+        self._instances: list[MessageInstance] = []
+        self._bit: dict[MessageInstance, int] = {}
+        self._send = [0] * len(self.roles)
+        self._recv = [0] * len(self.roles)
+        # Per bit, the instances that agree on key bindings and bind a shared
+        # parameter to another value.
+        self._conflicts: list[int] = []
+        # Emission moves by (role index, mask), or candidates by (role index,
+        # observed set) in the ordered graph; delivery moves, and whether they
+        # are the only moves expanded, by the mask of instances in flight.
         self._emission_cache: dict[tuple[int, object], list] = {}
+        self._delivery_cache: dict[int, tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.cache_hits = 0
 
     def _explore(self, initial, stop=None, goal=None) -> int | None:
@@ -353,11 +362,6 @@ class StateSpace:
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         pass
 
-    def _first_safe(self, moves: Sequence[tuple]) -> list:
-        """The first of ``moves`` (each with its move second) that is a safe
-        delivery, alone, or nothing."""
-        return [move for move in moves if move[1][0] == RECV and move[1][2].schema in self._safe][:1]
-
     def _add(self, state, parent) -> int:
         if len(self.states) >= self.bound.max_states:
             raise BoundExceeded(f"more than {self.bound.max_states} states", partial=self)
@@ -368,73 +372,72 @@ class StateSpace:
         self.index[state] = sid
         return sid
 
-    def _extend(self, collection, entry):
-        return collection | {entry}
+    def _intern(self, inst: MessageInstance) -> int:
+        """The bit of ``inst``, assigned with its role and conflict masks the
+        first time it is met."""
+        bit = self._bit.get(inst)
+        if bit is None:
+            bit = self._bit[inst] = len(self._instances)
+            self._send[self.role_index[inst.sender]] |= 1 << bit
+            self._recv[self.role_index[inst.receiver]] |= 1 << bit
+            values = dict(inst.bindings)
+            clash = 0
+            for other_bit, other in enumerate(self._instances):
+                if kb_agree(other.key_binding, inst.key_binding) and any(
+                    values.get(param, value) != value for param, value in other.bindings
+                ):
+                    clash |= 1 << other_bit
+                    self._conflicts[other_bit] |= 1 << bit
+            self._instances.append(inst)
+            self._conflicts.append(clash)
+        return bit
 
-    def _derive(self, collection) -> tuple[frozenset, Sequence[MessageInstance]]:
-        """The instances a knowledge observed, and the order of deliveries."""
-        return collection, sorted(collection, key=_instance_order)
+    def _members(self, mask: int) -> list[MessageInstance]:
+        """The instances of ``mask``, in bit order."""
+        return [self._instances[bit] for bit in _bits(mask)]
 
-    def _knowledge_id(self, collection) -> int:
-        kid = self._knowledge_ids.get(collection)
-        if kid is None:
-            kid = self._knowledge_ids[collection] = len(self._knowledge)
-            self._knowledge.append(collection)
-            observed, order = self._derive(collection)
-            self._observed.append(observed)
-            self._order.append(order)
-        return kid
+    def _moves(self, masks: Sequence[int]) -> list[tuple[int, tuple, int]]:
+        """The moves from one instance mask per role, each with its observer's
+        index and the bit it sets: emissions per role, then a delivery of each
+        instance in flight, emitted and not in its receiver's mask. Reduced,
+        the first safe delivery alone where there is one."""
+        emitted = received = 0
+        for mask, sends, receives in zip(masks, self._send, self._recv):
+            emitted |= mask & sends
+            received |= mask & receives
+        deliveries, alone = self._deliveries(emitted & ~received)
+        if alone:
+            return deliveries
+        return [move for ri, mask in enumerate(masks) for move in self._emissions(ri, mask)] + deliveries
 
-    def _with(self, state: tuple[int, ...], ri: int, entry) -> tuple[int, ...]:
-        key = (state[ri], entry)
-        grown = self._grown.get(key)
-        if grown is None:
-            grown = self._grown[key] = self._knowledge_id(self._extend(self._knowledge[state[ri]], entry))
-        return state[:ri] + (grown,) + state[ri + 1:]
-
-    def decode(self, state: tuple[int, ...]) -> tuple:
-        """Each role's interned collection in ``state``."""
-        return tuple(self._knowledge[kid] for kid in state)
-
-    def sent(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
-        """Per role, the instances in its knowledge it is the sender of."""
-        for ri, (role, kid) in enumerate(zip(self.roles, state)):
-            if (ri, kid) not in self._sent:
-                self._sent[ri, kid] = frozenset(inst for inst in self._observed[kid] if inst.sender == role)
-        return tuple(self._sent[ri, kid] for ri, kid in enumerate(state[:len(self.roles)]))
-
-    def emitted(self, state: tuple[int, ...]) -> list[MessageInstance]:
-        return [inst for sent in self.sent(state) for inst in sent]
-
-    def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
-        moves = self._moves([self._order[kid] for kid in state], [self._observed[kid] for kid in state])
-        return [(move, self._with(state, ri, move[2])) for ri, move in moves]
-
-    def _moves(
-        self, known: Sequence[Sequence[MessageInstance]], observed: Sequence[frozenset]
-    ) -> list[tuple[int, tuple]]:
-        """Emission candidates per role, then a delivery of each in-flight
-        instance. ``known[i]`` is what role ``i`` observed, in the order that
-        sets the order of deliveries, and ``observed[i]`` the same instances as
-        a set; each move comes with the index of the role that observes it."""
-        moves = []
-        for ri, seen in enumerate(observed):
-            moves.extend(self._emissions(ri, seen))
-        for inst in in_flight(self.roles, known, observed):
-            moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
-        return moves
-
-    def _emissions(self, ri: int, seen: frozenset) -> list[tuple[int, tuple]]:
-        """Role ``ri``'s emission moves after observing ``seen``, cached per
-        graph."""
-        key = (ri, seen)
+    def _emissions(self, ri: int, mask: int) -> list[tuple[int, tuple, int]]:
+        """Role ``ri``'s emission moves from ``mask``, cached per graph."""
+        key = (ri, mask)
         moves = self._emission_cache.get(key)
         if moves is not None:
             self.cache_hits += 1
             return moves
         role = self.roles[ri]
-        moves = self._emission_cache[key] = [(ri, (EMIT, role, inst)) for inst in self._candidates(ri, seen)]
+        moves = self._emission_cache[key] = []
+        for inst in self._candidates(ri, self._members(mask)):
+            bit = self._intern(inst)
+            moves.append((ri, (EMIT, role, self._instances[bit]), 1 << bit))
         return moves
+
+    def _deliveries(self, pending: int) -> tuple[list[tuple[int, tuple, int]], bool]:
+        """A delivery of each instance in ``pending``, in ``in_flight``'s order:
+        by sender in role order, then by schema and bindings. Reduced, the
+        first safe one alone where there is one, and then ``True``: no
+        emission is expanded."""
+        cached = self._delivery_cache.get(pending)
+        if cached is None:
+            flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
+            moves = [
+                (self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying
+            ]
+            safe = [move for move in moves if move[1][2].schema in self._safe][:1]
+            cached = self._delivery_cache[pending] = (safe or moves, bool(safe))
+        return cached
 
     def _candidates(self, ri: int, seen: Iterable[MessageInstance]) -> list[MessageInstance]:
         """What role ``ri`` may emit after observing ``seen``. Knowledge is
@@ -490,70 +493,28 @@ class StateSpace:
 class KnowledgeGraph(StateSpace):
     """Reachable per-role knowledge sets under emission and delivery moves.
 
-    A state is a tuple of instance masks, one per role: bit ``b`` stands for
-    ``_instances[b]``, interned in the order ``_emissions`` first meets it,
-    with the masks of what each role sends and receives and of the instances
-    each one conflicts with. A move sets one bit of its observer's mask.
-    With ``reduced``, a state with a safe delivery in flight expands only that
-    delivery."""
+    A state is a tuple of instance masks, one per role, and a move sets one
+    bit of its observer's mask. With ``reduced``, a state with a safe
+    delivery in flight expands only that delivery."""
 
     def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str], reduced: bool = False):
         super().__init__(universe, bound, reduced)
         self.public_out = tuple(public_out)
         self.safety_violation: tuple[int, str] | None = None
         self.detail = ""
-        self._instances: list[MessageInstance] = []
-        self._bit: dict[MessageInstance, int] = {}
-        self._send = [0] * len(self.roles)
-        self._recv = [0] * len(self.roles)
-        # Per bit, the instances that agree on key bindings and bind a shared
-        # parameter to another value.
-        self._conflicts: list[int] = []
-        # Delivery moves, and whether they are the only moves expanded, by the
-        # mask of instances in flight; ``is_complete`` by the mask of emitted
-        # instances.
-        self._delivery_cache: dict[int, tuple[list[tuple[int, tuple, int]], bool]] = {}
+        # ``is_complete`` by the mask of emitted instances.
         self._complete: dict[int, bool] = {}
 
     def build(self, stop_on_safety: bool = False) -> None:
         stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
         self._explore((0,) * len(self.roles), stop)
 
-    def _intern(self, inst: MessageInstance) -> int:
-        """The bit of ``inst``, assigned with its role and conflict masks the
-        first time it is met."""
-        bit = self._bit.get(inst)
-        if bit is None:
-            bit = self._bit[inst] = len(self._instances)
-            self._send[self.role_index[inst.sender]] |= 1 << bit
-            self._recv[self.role_index[inst.receiver]] |= 1 << bit
-            values = dict(inst.bindings)
-            clash = 0
-            for other_bit, other in enumerate(self._instances):
-                if kb_agree(other.key_binding, inst.key_binding) and any(
-                    values.get(param, value) != value for param, value in other.bindings
-                ):
-                    clash |= 1 << other_bit
-                    self._conflicts[other_bit] |= 1 << bit
-            self._instances.append(inst)
-            self._conflicts.append(clash)
-        return bit
-
-    def _members(self, mask: int) -> list[MessageInstance]:
-        """The instances of ``mask``, in bit order."""
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(self._instances[low.bit_length() - 1])
-            mask ^= low
-        return members
-
     def decode(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
         """Each role's knowledge set in ``state``."""
         return tuple(frozenset(self._members(mask)) for mask in state)
 
-    def sent(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
-        return tuple(frozenset(self._members(mask & sends)) for mask, sends in zip(state, self._send))
+    def emitted(self, state: tuple[int, ...]) -> list[MessageInstance]:
+        return self._members(self._emitted_mask(state))
 
     def _emitted_mask(self, state: tuple[int, ...]) -> int:
         emitted = 0
@@ -562,52 +523,7 @@ class KnowledgeGraph(StateSpace):
         return emitted
 
     def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
-        """Emission moves per role, then a delivery of each instance in flight:
-        emitted, and not in its receiver's mask. Reduced, a safe delivery is
-        the only move where there is one."""
-        emitted = received = 0
-        for mask, sends, receives in zip(state, self._send, self._recv):
-            emitted |= mask & sends
-            received |= mask & receives
-        deliveries, alone = self._deliveries(emitted & ~received)
-        out = []
-        if not alone:
-            for ri, mask in enumerate(state):
-                head, tail = state[:ri], state[ri + 1:]
-                out += [(move, head + (grown,) + tail) for move, grown in self._emissions(ri, mask)]
-        for ri, move, bit in deliveries:
-            out.append((move, state[:ri] + (state[ri] | bit,) + state[ri + 1:]))
-        return out
-
-    def _emissions(self, ri: int, mask: int) -> list[tuple[tuple, int]]:
-        """Role ``ri``'s emission moves from ``mask``, each with the mask it
-        grows to, cached per graph."""
-        key = (ri, mask)
-        moves = self._emission_cache.get(key)
-        if moves is not None:
-            self.cache_hits += 1
-            return moves
-        role = self.roles[ri]
-        moves = self._emission_cache[key] = []
-        for inst in self._candidates(ri, self._members(mask)):
-            bit = self._intern(inst)
-            moves.append(((EMIT, role, self._instances[bit]), mask | 1 << bit))
-        return moves
-
-    def _deliveries(self, pending: int) -> tuple[list[tuple[int, tuple, int]], bool]:
-        """A delivery of each instance in ``pending``, with its receiver's
-        index and its bit, in ``in_flight``'s order: by sender in role order,
-        then by schema and bindings. Reduced, the first safe one alone where
-        there is one, and then ``True``: no emission is expanded."""
-        cached = self._delivery_cache.get(pending)
-        if cached is None:
-            flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
-            moves = [
-                (self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying
-            ]
-            safe = self._first_safe(moves)
-            cached = self._delivery_cache[pending] = (safe or moves, bool(safe))
-        return cached
+        return [(move, state[:ri] + (state[ri] | bit,) + state[ri + 1:]) for ri, move, bit in self._moves(state)]
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         """Record the first emission that binds a parameter of its enactment a
@@ -770,19 +686,36 @@ def check_theorem1(
 
 
 class EnactmentGraph(StateSpace):
-    """Reachable history vectors, deduplicated up to tick relabeling: states
-    are the per-role instance sequences in observation order, with ticks
-    assigned by global arrival order on reconstruction. No check reads it: it
-    is the exact reference the knowledge-set graph is tested against."""
+    """Reachable history vectors, deduplicated up to tick relabeling: a state
+    is the tuple of per-role instance sequences in observation order, with
+    ticks assigned by global arrival order on reconstruction. It keeps this
+    plain encoding and delivers what ``in_flight`` gives. No check reads it:
+    it is the exact reference the knowledge-set graph is tested against."""
 
     def build(self) -> None:
-        self._explore((self._knowledge_id(()),) * len(self.roles))
+        self._explore(((),) * len(self.roles))
 
-    def _extend(self, collection, entry):
-        return collection + (entry,)
+    def decode(self, state: tuple[tuple[MessageInstance, ...], ...]) -> tuple[tuple[MessageInstance, ...], ...]:
+        return state
 
-    def _derive(self, collection):
-        return frozenset(collection), collection
+    def emitted(self, state: tuple[tuple[MessageInstance, ...], ...]) -> list[MessageInstance]:
+        return [inst for role, seen in zip(self.roles, state) for inst in seen if inst.sender == role]
+
+    def _successors(self, state):
+        """Emission candidates per role, cached on (role index, observed set),
+        then a delivery of each ``in_flight`` instance."""
+        moves = []
+        for ri, seen in enumerate(state):
+            key = (ri, frozenset(seen))
+            candidates = self._emission_cache.get(key)
+            if candidates is None:
+                candidates = self._emission_cache[key] = self._candidates(ri, seen)
+            else:
+                self.cache_hits += 1
+            moves += [(ri, (EMIT, self.roles[ri], inst)) for inst in candidates]
+        for inst in in_flight(self.roles, state):
+            moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
+        return [(move, state[:ri] + (state[ri] + (move[2],),) + state[ri + 1:]) for ri, move in moves]
 
     def vector(self, state_id: int) -> HistoryVector:
         trail = enumerate(self._trail(state_id, self.parents), start=1)
@@ -839,7 +772,11 @@ def check_embedding(
 
 class AlignmentGraph(StateSpace):
     """Reachable phase-annotated knowledge states of a composed protocol, with
-    deadline-lapse moves; punctually, only a safe delivery where there is one."""
+    deadline-lapse moves; punctually, only a safe delivery where there is one.
+
+    A state is a tuple of per-role masks over interned (instance, phase)
+    pairs, bit ``p`` standing for ``_pairs[p]``, then the phase. Moves are
+    found on the instance masks the pair masks give (``_observed``)."""
 
     def __init__(
         self,
@@ -855,7 +792,7 @@ class AlignmentGraph(StateSpace):
         self.anchors = window_anchors(commitments)
         # A commitment's tables read only the entries its base events name, and
         # the lapse boundary only those the anchors name (see ``semantics``).
-        # Models are cached by knowledge id, and the entries of one with given
+        # Models are cached by pair mask, and the entries of one with given
         # names are an interned view: tables, misalignment counts and next
         # changes are cached on views, so knowledges that differ only in what a
         # commitment does not read share its tables.
@@ -868,10 +805,13 @@ class AlignmentGraph(StateSpace):
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
-        # Each observed instance set once, with its delivery order; the moves
-        # and whether a lapse may follow them, by the tuple of observed sets.
-        self._projections: dict[frozenset, tuple[frozenset, Sequence[MessageInstance]]] = {}
-        self._moves_cache: dict[tuple[frozenset, ...], tuple[list[tuple[int, tuple]], bool]] = {}
+        # The pairs; the mask of each by (instance mask, phase); the instance
+        # mask of each pair mask; the moves, and whether a lapse may follow
+        # them, by the tuple of instance masks.
+        self._pairs: list[tuple[MessageInstance, int]] = []
+        self._pair_bit: dict[tuple[int, int], int] = {}
+        self._observed_cache: dict[int, int] = {}
+        self._moves_cache: dict[tuple[int, ...], tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.moves_hits = 0
         self.misaligned_end: int | None = None
 
@@ -880,7 +820,7 @@ class AlignmentGraph(StateSpace):
         and stop at the first terminal state misaligned for some commitment,
         kept in ``misaligned_end``. A probe that finds none has expanded every
         state, and is renumbered as a breadth-first build would number it."""
-        root = (self._knowledge_id(frozenset()),) * len(self.roles) + (0,)
+        root = (0,) * (len(self.roles) + 1)
         if not probe:
             self._explore(root)
             return
@@ -888,51 +828,67 @@ class AlignmentGraph(StateSpace):
         if self.misaligned_end is None:
             self._renumber()
 
-    def _derive(self, collection):
-        observed = frozenset(inst for inst, _ in collection)
-        projection = self._projections.get(observed)
-        if projection is None:
-            projection = self._projections[observed] = super()._derive(observed)
-        return projection
+    def _pair(self, bit: int, phase: int) -> int:
+        """The one-bit mask of the pair of ``bit``'s instance and ``phase``,
+        interned the first time it is met."""
+        key = (bit, phase)
+        pair = self._pair_bit.get(key)
+        if pair is None:
+            pair = self._pair_bit[key] = 1 << len(self._pairs)
+            self._pairs.append((self._instances[bit.bit_length() - 1], phase))
+        return pair
+
+    def _observed(self, pairs: int) -> int:
+        """The mask of the instances in pair mask ``pairs``."""
+        observed = self._observed_cache.get(pairs)
+        if observed is None:
+            observed = 0
+            for p in _bits(pairs):
+                observed |= 1 << self._bit[self._pairs[p][0]]
+            self._observed_cache[pairs] = observed
+        return observed
 
     def decode(self, state):
         """Each role's (instance, phase) set in ``state``, and its phase."""
-        return super().decode(state[:-1]), state[-1]
+        return tuple(frozenset(self._pairs[p] for p in _bits(pairs)) for pairs in state[:-1]), state[-1]
 
     def _successors(self, state):
-        ids, now_phase = state[:-1], state[-1]
-        observed = tuple(self._observed[kid] for kid in ids)
+        now_phase = state[-1]
+        observed = tuple(map(self._observed, state[:-1]))
         cached = self._moves_cache.get(observed)
         if cached is None:
-            moves = self._moves([self._order[kid] for kid in ids], observed)
+            moves = self._moves(observed)
             # Punctually, no deadline passes while a message is in flight or a
-            # forward can be emitted, and a safe delivery is the one move taken.
-            blocked = any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst) in moves)
-            cached = self._moves_cache[observed] = (self._first_safe(moves) or moves, not (self.punctual and blocked))
+            # forward can be emitted.
+            blocked = any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst), _ in moves)
+            cached = self._moves_cache[observed] = (moves, not (self.punctual and blocked))
         else:
             self.moves_hits += 1
         moves, lapse_allowed = cached
-        out = [(move, self._with(state, ri, (move[2], now_phase))) for ri, move in moves]
-        lapse_value = self._next_boundary(ids, now_phase) if lapse_allowed else INF
+        out = [
+            (move, state[:ri] + (state[ri] | self._pair(bit, now_phase),) + state[ri + 1:]) for ri, move, bit in moves
+        ]
+        lapse_value = self._next_boundary(state[:-1], now_phase) if lapse_allowed else INF
         if lapse_value < INF:
-            out.append((("lapse", lapse_value), ids + (lapse_value,)))
+            out.append((("lapse", lapse_value), state[:-1] + (lapse_value,)))
         return out
 
     def _cache_summary(self) -> str:
         return f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits"
 
-    def _model(self, kid: int) -> Model:
-        model = self._model_cache.get(kid)
+    def _model(self, pairs: int) -> Model:
+        model = self._model_cache.get(pairs)
         if model is None:
-            model = self._model_cache[kid] = model_of(self._knowledge[kid], self.fwd_registry)
+            model = self._model_cache[pairs] = model_of((self._pairs[p] for p in _bits(pairs)), self.fwd_registry)
         return model
 
-    def _view(self, names: frozenset, kid: int) -> int:
-        """The id of the entries of knowledge ``kid``'s model named in ``names``."""
-        key = (names, kid)
+    def _view(self, names: frozenset, pairs: int) -> int:
+        """The id of the entries of pair mask ``pairs``'s model named in
+        ``names``."""
+        key = (names, pairs)
         view = self._view_of.get(key)
         if view is None:
-            entries = tuple(entry for entry in self._model(kid).entries if entry.name in names)
+            entries = tuple(entry for entry in self._model(pairs).entries if entry.name in names)
             view = self._view_ids.get(entries)
             if view is None:
                 view = self._view_ids[entries] = len(self._views)
@@ -940,12 +896,12 @@ class AlignmentGraph(StateSpace):
             self._view_of[key] = view
         return view
 
-    def _next_boundary(self, ids: tuple[int, ...], now_phase: int) -> int | float:
+    def _next_boundary(self, masks: tuple[int, ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's
         lifecycle tables can change, or INF when none can."""
         first = INF
-        for kid in ids:
-            key = (self._view(self._anchor_reads, kid), now_phase)
+        for pairs in masks:
+            key = (self._view(self._anchor_reads, pairs), now_phase)
             change = self._change_cache.get(key)
             if change is None:
                 ctx = EvaluationContext(self._views[key[0]], now_phase)

@@ -1,16 +1,18 @@
-"""The explorers intern what they store: the knowledge-set graph keeps a state
-as a tuple of per-role instance masks, and the ordered and timed graphs as a
-tuple of knowledge ids, with the phase in the timed graph. A reference
-breadth-first search over the plain encoding must find the same states,
-numbered alike, with the same edges: per-role frozensets of instances
-(knowledge-set graph), per-role observation tuples (ordered graph), and
-per-role frozensets of (instance, phase) with the phase (timed graph). The
-reference memoizes candidates and next changes on plain sets, as a graph
-without interning would. The ordered graph delivers in any order; its states
-and edges also contain every run of the reference under FIFO delivery, the
-simulator's other order, so a check that holds on it holds under FIFO. The
-graphs reduced to safe deliveries, punctual timed and reduced knowledge-set,
-are subgraphs of the reference with the same terminal states."""
+"""The knowledge-set and timed graphs intern what they store: a knowledge-set
+state is a tuple of per-role instance masks, and a timed state a tuple of
+per-role masks of (instance, phase) pairs, with the phase; the ordered graph
+keeps the plain encoding. A reference breadth-first search over the plain
+encoding must find the same states, numbered alike, with the same edges:
+per-role frozensets of instances (knowledge-set graph), per-role observation
+tuples (ordered graph), and per-role frozensets of (instance, phase) with the
+phase (timed graph). The reference memoizes candidates and next changes on
+plain sets, as a graph without interning would. The ordered graph delivers in
+any order; its states and edges also contain every run of the reference under
+FIFO delivery, the simulator's other order, so a check that holds on it holds
+under FIFO. The graphs reduced to safe deliveries, punctual timed and reduced
+knowledge-set, are subgraphs of the reference with the same terminal states.
+The timed reference also runs on random commitments, in
+``test_verify.test_timed_graph_matches_plain_encoding_on_random_protocols``."""
 
 from __future__ import annotations
 
@@ -74,7 +76,9 @@ def _moves(graph, known, fifo, candidates):
     return moves
 
 
-def _reference_untimed(graph, ordered: bool, fifo: bool):
+def _untimed_successors(graph, ordered: bool, fifo: bool):
+    """The reference move rule on plain per-role tuples (``ordered``) or
+    frozensets of instances."""
     candidates = {}
 
     def successors(state):
@@ -85,11 +89,17 @@ def _reference_untimed(graph, ordered: bool, fifo: bool):
             out.append((move, state[:ri] + (grown,) + state[ri + 1:]))
         return out
 
+    return successors
+
+
+def _reference_untimed(graph, ordered: bool, fifo: bool):
     empty = () if ordered else frozenset()
-    return _bfs((empty,) * len(graph.roles), successors)
+    return _bfs((empty,) * len(graph.roles), _untimed_successors(graph, ordered, fifo))
 
 
-def _reference_timed(graph: AlignmentGraph):
+def _timed_successors(graph: AlignmentGraph):
+    """The reference timed move rule on plain per-role frozensets of
+    (instance, phase) with the phase, unreduced."""
     fwd = forwarding_registry(graph.universe)
     anchors = window_anchors(graph.commitments)
     candidates, changes = {}, {}
@@ -114,7 +124,11 @@ def _reference_timed(graph: AlignmentGraph):
             out.append((("lapse", boundary), (sets, boundary)))
         return out
 
-    return _bfs((tuple(frozenset() for _ in graph.roles), 0), successors)
+    return successors
+
+
+def _reference_timed(graph: AlignmentGraph):
+    return _bfs((tuple(frozenset() for _ in graph.roles), 0), _timed_successors(graph))
 
 
 def _assert_matches(graph, reference) -> None:

@@ -52,7 +52,14 @@ from comal.verify import (
     enumerate_uoe,
     is_complete,
 )
-from test_interning import _instance_order, _moves
+from test_interning import (
+    _assert_matches,
+    _assert_reduced,
+    _instance_order,
+    _reference_timed,
+    _timed_successors,
+    _untimed_successors,
+)
 from test_protocol import random_protocol
 
 BOUND = Bound()
@@ -99,10 +106,13 @@ NO_WITNESS = _sha256(None)
 
 # States explored and witness digests of the cheap fixture checks, recorded
 # before the explorers were merged; any change here is a semantic change. The
-# two Theorem 2 entries (163 and 242 states in full), and safety and liveness
-# where the protocol is safe and live (full count beside them), are the
-# safe-delivery reduced graphs; every counterexample is the full graph's, and
-# bare escrow's witness ends in a misaligned terminal state.
+# punctual Theorem 2 entries (163, 242 and 16 244 states in full), and safety
+# and liveness where the protocol is safe and live (full count beside them),
+# are the safe-delivery reduced graphs; every counterexample is the full
+# graph's, and bare escrow's witness ends in a misaligned terminal state. The
+# ``unrestricted`` entries are Theorem 2's depth-first probes, which stop at
+# the first misaligned terminal state they find. Composed escrow's three were
+# recorded before the timed graph moved onto instance masks.
 PINNED = {
     "safety-Ordering": (17, NO_WITNESS),  # 23 in full
     "liveness-Ordering": (17, NO_WITNESS),  # 23 in full
@@ -116,23 +126,31 @@ PINNED = {
     "liveness-empty": (1, NO_WITNESS),
     "theorem2-OrderingOp": (115, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
     "theorem2-bare-escrow": (229, "5feb5031fbe941baa1b3180d16e1cfb565ad83f3d0596c9f525274ee329b0170"),
+    "theorem2-EscrowOrderingOp": (5957, "6c431fed20b0ea12d96ed0ea672385103545f4953219b04d5691eb53a5c16341"),
+    "unrestricted-OrderingOp": (31, "52461936276554f889480168805252e7a2cbf92c7e052c142e908e99e2b34e05"),
+    "unrestricted-EscrowOrderingOp": (88, "04dccae7109506a2247e56d21338ea70be0f3a451f040c92b1a684caea71adae"),
     "embedding-Ordering": (23, NO_WITNESS),
 }
 
 
-def _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+def _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments, escrow_op_registry):
     """The report of a ``PINNED`` case, and the universe its witness runs in."""
     kind, _, name = case.partition("-")
     if kind in ("safety", "liveness"):
         protocol, registry = _protocol(name, op_registry, toys)
         check = check_safety if kind == "safety" else check_liveness
         return check(protocol, BOUND, registry), uod(protocol, registry)
+    punctual = kind == "theorem2"
     if name == "OrderingOp":
-        report = check_alignment_reachability(op_registry[name], [purchase], BOUND, True, op_registry)
+        report = check_alignment_reachability(op_registry[name], [purchase], BOUND, punctual, op_registry)
         return report, uod(op_registry[name], op_registry)
+    if name == "EscrowOrderingOp":
+        specs = list(escrow_commitments.values())
+        report = check_alignment_reachability(escrow_op_registry[name], specs, BOUND, punctual, escrow_op_registry)
+        return report, uod(escrow_op_registry[name], escrow_op_registry)
     if name == "bare-escrow":
         report = check_alignment_reachability(
-            escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, True
+            escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, punctual
         )
         return report, uod(escrow_ordering)
     report = check_embedding(op_registry["Ordering"], op_registry["OrderingOp"], BOUND, op_registry)
@@ -140,16 +158,20 @@ def _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_co
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
-def test_pinned_outputs(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
-    report, _ = _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments)
+def test_pinned_outputs(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments, escrow_op_registry):
+    report, _ = _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments,
+                               escrow_op_registry)
     assert (report.states_explored, _sha256(report.witness)) == PINNED[case]
 
 
 @pytest.mark.parametrize("case", sorted(case for case, (_, digest) in PINNED.items() if digest != NO_WITNESS))
-def test_witnesses_are_trace_records(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments):
+def test_witnesses_are_trace_records(
+    case, op_registry, toys, purchase, escrow_ordering, escrow_commitments, escrow_op_registry
+):
     """Every witness path is a run in the trace format: each record other than
     a lapse reads back as an observation that writes the same record."""
-    report, universe = _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments)
+    report, universe = _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments,
+                                      escrow_op_registry)
     records = [r for path in report.witness.values() if isinstance(path, list) for r in path if "lapse" not in r]
     assert records
     for record in records:
@@ -655,6 +677,21 @@ def test_alignment_matches_uncached_tables_on_random_protocols():
     assert built > 200
 
 
+@pytest.mark.parametrize("punctual", (True, False), ids=("punctual", "unrestricted"))
+def test_timed_graph_matches_plain_encoding_on_random_protocols(punctual):
+    """``test_interning``'s timed reference, on plain per-role sets of
+    (instance, phase), against the graph on random commitments: unrestricted,
+    the same states, numbered alike, with the same edges; punctually, a
+    subgraph of the reference with the same terminal states."""
+    checked = 0
+    for protocol, specs in _random_alignment_pairs(150):
+        graph = AlignmentGraph(uod(protocol), specs, SMALL, punctual)
+        graph.build()
+        (_assert_reduced if punctual else _assert_matches)(graph, _reference_timed(graph))
+        checked += 1
+    assert checked == 113
+
+
 def test_probe_cut_at_max_states_reports_its_deepest_state(op_registry, purchase):
     """A depth-first probe cut at ``max_states`` carries its partial graph. Cut
     at 30 of the 31 states it finds on OrderingOp, its last state found, at
@@ -983,12 +1020,6 @@ def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
         assert graph._next_boundary(state[:-1], phase) == boundary
 
 
-def _uncached_moves(graph, known, observed):
-    """``StateSpace._moves`` without the per-graph cache: the reference move
-    rule of ``test_interning``, every role's candidates generated afresh."""
-    return _moves(graph, known, False, {})
-
-
 @pytest.fixture(scope="module")
 def escrow_op_registry(fixtures_dir):
     return parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
@@ -1039,56 +1070,60 @@ CACHE_CASES = [
 ]
 
 
+def _first_safe(graph, edges):
+    """``edges`` as a reduced graph expands them: the first delivery whose
+    parameters are ``out`` in no schema its receiver sends, alone, where there
+    is one."""
+    outs = {role: {p for s in graph.universe.schemas if s.sender == role for p in s.outs} for role in graph.roles}
+    safe = [
+        (move, succ) for move, succ in edges
+        if move[0] == RECV and outs[move[1]].isdisjoint(graph.universe.schema(move[2].schema).param_names)
+    ]
+    return safe[:1] or edges
+
+
 @pytest.mark.parametrize("case", CACHE_CASES, ids=lambda case: "-".join(map(str, case)))
 def test_cached_successors_match_uncached(
     case, monkeypatch, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
 ):
-    """Every state's successors, and the edges the build recorded, are those of
-    a successor function that rebuilds knowledge and candidates each time. The
-    timed graph's moves cache is emptied before each state, so that its moves
-    come from that state's own observed sets and not from another phase's. The
-    knowledge-set graph works on instance masks, not ``_moves``: both its move
-    caches are emptied before each state, and its successors, decoded, must be
-    the reference move rule's on the decoded state. A build cut at
-    ``max_states`` recorded every edge of the states expanded before the last
-    one found, and a prefix of the rest."""
+    """Every state's successors, and the edges the build recorded, are those
+    the graph finds with its move caches emptied before each state: emission,
+    delivery and, in the timed graph, moves, so that its moves come from that
+    state's own observed sets and not from another phase's, and each mask
+    graph calls ``_moves`` once per state. Decoded, they are the reference
+    move rule's on the decoded state, which rebuilds knowledge and candidates
+    each time; punctually, reduced to the first safe delivery where there is
+    one. A build cut at ``max_states`` recorded every edge of the states
+    expanded before the last one found, and a prefix of the rest."""
     graph, cut = _cached_graph(
         case, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
     )
     timed = isinstance(graph, AlignmentGraph)
-    masks = isinstance(graph, KnowledgeGraph)
+    ordered = isinstance(graph, EnactmentGraph)
     if timed:
         assert graph.moves_hits > 0
+        reference = _timed_successors(graph)
+    else:
+        reference = _untimed_successors(graph, ordered, fifo=False)
     cached = [graph._successors(state) for state in graph.states]
     calls = []
-
-    def uncached_moves(*args, **kwargs):
-        calls.append(args)
-        return _uncached_moves(graph, *args, **kwargs)
-
-    monkeypatch.setattr(graph, "_moves", uncached_moves)
+    moves = graph._moves
+    monkeypatch.setattr(graph, "_moves", lambda masks: calls.append(masks) or moves(masks))
     expanded = graph.parents[-1][0] if cut else len(graph.states)
     for sid, state in enumerate(graph.states):
+        graph._emission_cache.clear()
+        graph._delivery_cache.clear()
         if timed:
             graph._moves_cache.clear()
-        if masks:
-            graph._emission_cache.clear()
-            graph._delivery_cache.clear()
         uncached = graph._successors(state)
         assert cached[sid] == uncached, sid
         edges = [(move, graph.index.get(succ)) for move, succ in uncached]
         assert graph.edges[sid] == (edges if sid < expanded else edges[:len(graph.edges[sid])]), sid
-        if masks:
-            sets = graph.decode(state)
-            reference = [
-                (move, sets[:ri] + (sets[ri] | {move[2]},) + sets[ri + 1:])
-                for ri, move in _uncached_moves(graph, [sorted(s, key=_instance_order) for s in sets], sets)
-            ]
-            assert [(move, graph.decode(succ)) for move, succ in uncached] == reference, sid
-    if timed:
-        assert len(calls) == len(graph.states)
-    if masks:
-        assert calls == []
+        expected = reference(graph.decode(state))
+        if graph.reduced:
+            expected = _first_safe(graph, expected)
+        assert [(move, graph.decode(succ)) for move, succ in uncached] == expected, sid
+    assert len(calls) == (0 if ordered else len(graph.states))
 
 
 def test_candidates_generated_once_per_role_and_knowledge_set(monkeypatch, op_registry):
