@@ -520,13 +520,13 @@ def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_
 def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
     """A cut build reports its partial graph, here the reduced one: the full
     graph contains it, so it would be cut too (composed escrow's full graph
-    had 1 314 edges and depth 10 at 500 states). At two key values of
+    had 430 edges and depth 8 at 200 states). At two key values of
     OrderingOp the one-value graph, 23 states reduced, is cut at 20 states
     too, so the two-value build runs."""
     cases = [
         (("--theorem1", fixtures_dir / "escrow_ordering_op.bspl", "--protocol", "EscrowOrderingOp",
-          "--input", "EscrowOrdering", "--max-states", "500", "--json"),
-         ["bound exceeded: more than 500 states", "partial KnowledgeGraph: 500 states, 866 edges, depth 12"]),
+          "--input", "EscrowOrdering", "--max-states", "200", "--json"),
+         ["bound exceeded: more than 200 states", "partial KnowledgeGraph: 200 states, 261 edges, depth 21"]),
         (("--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--bound-keys", "2",
           "--max-states", "20"),
          ["bound exceeded: more than 20 states", "partial KnowledgeGraph: 20 states, 20 edges, depth 4"]),

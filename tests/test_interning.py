@@ -9,9 +9,10 @@ phase (timed graph). The reference memoizes candidates and next changes on
 plain sets, as a graph without interning would. The ordered graph delivers in
 any order; its states and edges also contain every run of the reference under
 FIFO delivery, the simulator's other order, so a check that holds on it holds
-under FIFO. The graphs reduced to safe deliveries, punctual timed and reduced
-knowledge-set, are subgraphs of the reference with the same terminal states.
-The timed reference also runs on random commitments, in
+under FIFO. The reduced graphs, punctual timed and reduced knowledge-set,
+which expand a safe delivery or an independent forward's emission alone where
+there is one, are subgraphs of the reference with the same terminal states and
+verdicts. The timed reference also runs on random commitments, in
 ``test_verify.test_timed_graph_matches_plain_encoding_on_random_protocols``."""
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from test_protocol import random_protocol
 from comal.commitments import parse_commitments
 from comal.enactment import EMIT, RECV, emission_candidates, knowledge_from, model_of
 from comal.protocol import parse_protocol, parse_protocols, uod
-from comal.semantics import INF, EvaluationContext, next_change, window_anchors
+from comal.semantics import (
+    INF,
+    EvaluationContext,
+    check_alignment_models,
+    lifecycle_table,
+    next_change,
+    window_anchors,
+)
 from comal.synthesis import SynthesisMode, compose_operationalization, forwarding_registry, synthesize_alignment_protocol
 from comal.verify import AlignmentGraph, Bound, EnactmentGraph, KnowledgeGraph
 
@@ -155,12 +163,33 @@ def _terminals(states, edges) -> set:
     return {state for state, out in zip(states, edges) if not out}
 
 
+def _theorem2_holds(graph: AlignmentGraph, states, edges) -> bool:
+    """Whether no terminal state of the plain ``states`` is misaligned, with
+    tables evaluated on each role's whole model."""
+    fwd = forwarding_registry(graph.universe)
+    for (sets, phase), out in zip(states, edges):
+        if out:
+            continue
+        for c in graph.commitments:
+            debtor, creditor = (
+                lifecycle_table(c, EvaluationContext(model_of(sets[graph.role_index[role]], fwd), phase))
+                for role in (c.debtor, c.creditor)
+            )
+            if check_alignment_models(c, debtor, creditor).misalignments:
+                return False
+    return True
+
+
 def _assert_reduced(graph: AlignmentGraph, reference) -> None:
-    """The punctual graph expands only a safe delivery where there is one: it
-    is a subgraph of the full ``reference`` with the same terminal states."""
+    """The punctual graph expands only a safe delivery, or else an independent
+    forward's emission, where there is one: it is a subgraph of the full
+    ``reference`` with the same terminal states, and its own Theorem 2 verdict
+    is the reference's."""
     reduced = _plain(graph)
     _assert_contains(reference, reduced)
     assert _terminals(*reduced) == _terminals(*reference)
+    holds = not any(any(graph.alignment(state)) for state, out in zip(graph.states, graph.edges) if not out)
+    assert holds == _theorem2_holds(graph, *reference)
 
 
 def _check_untimed(protocol, registry, setting) -> None:
@@ -248,6 +277,14 @@ Race {
 RACE_COMMITMENT = "commitment Deal A to B create start detach counter[, start + 3] discharge offer"
 
 
+def _composition(base, specs, mode=SynthesisMode.LITERAL):
+    """``base`` composed with the aligners of ``specs`` synthesized in
+    ``mode``, and the registry the composition needs."""
+    aligners = [synthesize_alignment_protocol(c, base, mode) for c in specs]
+    composed = compose_operationalization(base, aligners)
+    return composed, {p.name: p for p in (composed, base, *aligners)}
+
+
 @pytest.mark.parametrize("name", ("EscrowOrderingOp", "escrow-literal", "relay-literal", "race"))
 def test_reduction_keeps_terminal_states(name, fixtures_dir, escrow_ordering, escrow_commitments):
     """Punctual composed escrow (complete aligners), escrow with literal
@@ -263,21 +300,18 @@ def test_reduction_keeps_terminal_states(name, fixtures_dir, escrow_ordering, es
         if name == "relay-literal":
             base = parse_protocol(LITERAL_FAILS)
             specs = list(parse_commitments(LITERAL_FAILS_COMMITMENT).values())
-        aligners = [synthesize_alignment_protocol(c, base, SynthesisMode.LITERAL) for c in specs]
-        composed = compose_operationalization(base, aligners)
-        universe = uod(composed, {p.name: p for p in (composed, base, *aligners)})
+        universe = uod(*_composition(base, specs))
     graph = AlignmentGraph(universe, specs, Bound(), punctual=True)
     graph.build()
     _assert_reduced(graph, _reference_timed(graph))
 
 
-def _assert_knowledge_reduced(protocol, registry, key_values) -> tuple[bool, bool, int, int]:
+def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, bool, int, int]:
     """The reduced knowledge-set graph is a subgraph of the full one, with the
     same terminal states, safety verdict and ``live_everywhere``. Returns
     whether the protocol is safe and whether it is live, and the reduced and
     full state counts."""
     universe = uod(protocol, registry)
-    bound = Bound(key_values=key_values)
     full, reduced = (KnowledgeGraph(universe, bound, protocol.out_params, r) for r in (False, True))
     full.build()
     reduced.build()
@@ -291,8 +325,8 @@ def _assert_knowledge_reduced(protocol, registry, key_values) -> tuple[bool, boo
 # Reduced and full state counts, so that a rule that reduces less is caught too.
 REDUCED_COUNTS = {
     ("1",): {"Ordering": (17, 23), "OrderingOp": (23, 43), "EscrowOrdering": (25, 35),
-             "EscrowOrderingOp": (2678, 9595)},
-    ("1", "2"): {"Ordering": (240, 529), "OrderingOp": (480, 1849), "EscrowOrdering": (481, 1225)},
+             "EscrowOrderingOp": (230, 9595)},
+    ("1", "2"): {"Ordering": (240, 529), "OrderingOp": (429, 1849), "EscrowOrdering": (481, 1225)},
 }
 
 
@@ -302,16 +336,20 @@ def test_knowledge_reduction_keeps_terminal_states(
 ):
     """The fixtures, composed escrow at one key value (its two-value graph is
     the square of 9 595 states), ``RACE``, whose ``offer`` is an unsafe
-    delivery, and 30 random protocols each from seeds 7 and 11. Safe and
-    unsafe, live and not live all occur."""
+    delivery, ``LITERAL_FAILS`` with its literal aligner, and 30 random
+    protocols each from seeds 7 and 11. Safe and unsafe, live and not live
+    all occur."""
     cases = {name: _fixture(name, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering) for name in FIXTURES}
     if key_values == ("1",):
         registry = parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
         cases["EscrowOrderingOp"] = registry["EscrowOrderingOp"], registry
     cases["Race"] = parse_protocol(RACE), None
+    cases["relay-literal"] = _composition(
+        parse_protocol(LITERAL_FAILS), parse_commitments(LITERAL_FAILS_COMMITMENT).values()
+    )
     for seed in (7, 11):
         rng = random.Random(seed)
         cases.update((f"random-{seed}-{index}", (random_protocol(rng, index), None)) for index in range(30))
-    results = {name: _assert_knowledge_reduced(*case, key_values) for name, case in cases.items()}
+    results = {name: _assert_knowledge_reduced(*case, Bound(key_values=key_values)) for name, case in cases.items()}
     assert {safe for safe, *_ in results.values()} == {live for _, live, *_ in results.values()} == {True, False}
     assert {name: results[name][2:] for name in REDUCED_COUNTS[key_values]} == REDUCED_COUNTS[key_values]

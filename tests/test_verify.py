@@ -53,8 +53,10 @@ from comal.verify import (
     is_complete,
 )
 from test_interning import (
+    _assert_knowledge_reduced,
     _assert_matches,
     _assert_reduced,
+    _composition,
     _instance_order,
     _reference_timed,
     _timed_successors,
@@ -108,11 +110,13 @@ NO_WITNESS = _sha256(None)
 # before the explorers were merged; any change here is a semantic change. The
 # punctual Theorem 2 entries (163, 242 and 16 244 states in full), and safety
 # and liveness where the protocol is safe and live (full count beside them),
-# are the safe-delivery reduced graphs; every counterexample is the full
-# graph's, and bare escrow's witness ends in a misaligned terminal state. The
-# ``unrestricted`` entries are Theorem 2's depth-first probes, which stop at
-# the first misaligned terminal state they find. Composed escrow's three were
-# recorded before the timed graph moved onto instance masks.
+# are the reduced graphs; every counterexample is the full graph's, and bare
+# escrow's witness ends in a misaligned terminal state. Composed escrow's
+# punctual entry also expands one independent forward at a time (5 957 states
+# with safe deliveries alone), so its holding witness is that graph's most
+# misaligned state. The ``unrestricted`` entries are Theorem 2's depth-first
+# probes, which stop at the first misaligned terminal state they find, and
+# were recorded before the timed graph moved onto instance masks.
 PINNED = {
     "safety-Ordering": (17, NO_WITNESS),  # 23 in full
     "liveness-Ordering": (17, NO_WITNESS),  # 23 in full
@@ -126,7 +130,7 @@ PINNED = {
     "liveness-empty": (1, NO_WITNESS),
     "theorem2-OrderingOp": (115, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
     "theorem2-bare-escrow": (229, "5feb5031fbe941baa1b3180d16e1cfb565ad83f3d0596c9f525274ee329b0170"),
-    "theorem2-EscrowOrderingOp": (5957, "6c431fed20b0ea12d96ed0ea672385103545f4953219b04d5691eb53a5c16341"),
+    "theorem2-EscrowOrderingOp": (1216, "31e6c2d9a61e22be7b22b26b454c59a0e30e082e46be4aa33bdf5678ac496078"),
     "unrestricted-OrderingOp": (31, "52461936276554f889480168805252e7a2cbf92c7e052c142e908e99e2b34e05"),
     "unrestricted-EscrowOrderingOp": (88, "04dccae7109506a2247e56d21338ea70be0f3a451f040c92b1a684caea71adae"),
     "embedding-Ordering": (23, NO_WITNESS),
@@ -630,21 +634,24 @@ def _random_commitment(rng: random.Random, protocol) -> CommitmentSpec:
     return CommitmentSpec("C", debtor, creditor, formula(2), formula(2), formula(2))
 
 
+def _random_alignment_pair(seed: int):
+    """The ``random_protocol`` of ``seed`` with a random commitment, or None
+    for a draw with no message or whose commitment does not bind."""
+    rng = random.Random(seed)
+    protocol = random_protocol(rng, 0)
+    if not protocol.references:
+        return None
+    commitment = _random_commitment(rng, protocol)
+    try:
+        bind_commitment(commitment, uod(protocol))
+    except ComalError:
+        return None
+    return protocol, [commitment]
+
+
 def _random_alignment_pairs(count: int):
-    """``random_protocol``s, seeds 0 to ``count`` - 1, each with a random
-    commitment; draws with no message, or whose commitment does not bind,
-    are skipped."""
-    for seed in range(count):
-        rng = random.Random(seed)
-        protocol = random_protocol(rng, 0)
-        if not protocol.references:
-            continue
-        commitment = _random_commitment(rng, protocol)
-        try:
-            bind_commitment(commitment, uod(protocol))
-        except ComalError:
-            continue
-        yield protocol, [commitment]
+    """The ``_random_alignment_pair``s of seeds 0 to ``count`` - 1."""
+    return filter(None, map(_random_alignment_pair, range(count)))
 
 
 SMALL = Bound(max_states=3_000)
@@ -690,6 +697,36 @@ def test_timed_graph_matches_plain_encoding_on_random_protocols(punctual):
         (_assert_reduced if punctual else _assert_matches)(graph, _reference_timed(graph))
         checked += 1
     assert checked == 113
+
+
+def test_forward_reduction_keeps_terminal_states_on_random_compositions():
+    """``random_protocol`` draws no forward, so the forward rule is checked on
+    each ``_random_alignment_pairs`` draw composed with its commitment's
+    aligner, synthesized in each mode. The reduced knowledge-set graph is a
+    subgraph of the full one with the same terminal states, safety and
+    liveness, and the punctual timed graph one of the unreduced reference
+    with the same terminal states and Theorem 2 verdict. Compositions whose
+    full knowledge-set graph passes 3 000 states are left out. At seeds 71
+    and 95 a forward's ``in`` parameter is ``out`` in two schemas, and
+    expanding that forward alone loses terminal states in both modes."""
+    checked = []
+    for seed in range(150):
+        pair = _random_alignment_pair(seed)
+        if pair is None:
+            continue
+        protocol, specs = pair
+        for mode in SynthesisMode:
+            composed, registry = _composition(protocol, specs, mode)
+            try:
+                _assert_knowledge_reduced(composed, registry, SMALL)
+            except BoundExceeded:
+                continue
+            graph = AlignmentGraph(uod(composed, registry), specs, BOUND, punctual=True)
+            graph.build()
+            _assert_reduced(graph, _reference_timed(graph))
+            checked.append((seed, mode))
+    assert len(checked) == 224
+    assert {(seed, mode) for seed in (71, 95) for mode in SynthesisMode} <= set(checked)
 
 
 def test_probe_cut_at_max_states_reports_its_deepest_state(op_registry, purchase):
@@ -1070,16 +1107,34 @@ CACHE_CASES = [
 ]
 
 
-def _first_safe(graph, edges):
+def _reduced_edges(graph, edges):
     """``edges`` as a reduced graph expands them: the first delivery whose
     parameters are ``out`` in no schema its receiver sends, alone, where there
-    is one."""
-    outs = {role: {p for s in graph.universe.schemas if s.sender == role for p in s.outs} for role in graph.roles}
+    is one; otherwise the first emission of an independent forward, alone,
+    where there is one. A forward is independent when no other schema has its
+    ``out`` parameters ``out``, its sender receives none of them, and each of
+    its non-key ``in`` parameters is ``out`` in one schema at most."""
+    schemas = graph.universe.schemas
+    outs = {role: {p for s in schemas if s.sender == role for p in s.outs} for role in graph.roles}
+    binders = [p for s in schemas for p in s.outs]
+    forwards = forwarding_registry(graph.universe)
+
+    def independent(schema):
+        return (
+            schema.name in forwards
+            and all(binders.count(p) == 1 for p in schema.outs)
+            and not any(set(s.param_names) & set(schema.outs) for s in schemas if s.receiver == schema.sender)
+            and all(binders.count(p) <= 1 for p in schema.ins if p not in schema.keys)
+        )
+
     safe = [
         (move, succ) for move, succ in edges
         if move[0] == RECV and outs[move[1]].isdisjoint(graph.universe.schema(move[2].schema).param_names)
     ]
-    return safe[:1] or edges
+    forward = [
+        (move, succ) for move, succ in edges if move[0] == EMIT and independent(graph.universe.schema(move[2].schema))
+    ]
+    return safe[:1] or forward[:1] or edges
 
 
 @pytest.mark.parametrize("case", CACHE_CASES, ids=lambda case: "-".join(map(str, case)))
@@ -1093,8 +1148,9 @@ def test_cached_successors_match_uncached(
     graph calls ``_moves`` once per state. Decoded, they are the reference
     move rule's on the decoded state, which rebuilds knowledge and candidates
     each time; punctually, reduced to the first safe delivery where there is
-    one. A build cut at ``max_states`` recorded every edge of the states
-    expanded before the last one found, and a prefix of the rest."""
+    one, or else to the first independent forward's emission. A build cut at
+    ``max_states`` recorded every edge of the states expanded before the last
+    one found, and a prefix of the rest."""
     graph, cut = _cached_graph(
         case, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
     )
@@ -1121,7 +1177,7 @@ def test_cached_successors_match_uncached(
         assert graph.edges[sid] == (edges if sid < expanded else edges[:len(graph.edges[sid])]), sid
         expected = reference(graph.decode(state))
         if graph.reduced:
-            expected = _first_safe(graph, expected)
+            expected = _reduced_edges(graph, expected)
         assert [(move, graph.decode(succ)) for move, succ in uncached] == expected, sid
     assert len(calls) == (0 if ordered else len(graph.states))
 
