@@ -14,10 +14,15 @@ a key value and every deliverable instance (any in flight, or with
   runs drift toward alignment.
 
 After every tick the simulator reports each commitment's five lifecycle
-states in the debtor's and the creditor's models (re-evaluated only after
-that role observes or at their ``semantics.next_change``) and the alignment
-verdict; ticks after the final move keep reporting, so deadline expiry shows
-up in the report tail.
+states in the debtor's and the creditor's models and the alignment verdict;
+ticks after the final move keep reporting, so deadline expiry shows up in the
+report tail. Each tick redoes only what it can change. A role's lifecycle
+tables are re-evaluated only after that role observes or at their
+``semantics.next_change``. A commitment's row is rebuilt, and its alignment
+checked, only when its debtor's or creditor's tables were; otherwise the new
+row reuses the last one's ``lifecycle`` and ``alignment``. A role's enabled
+emissions depend only on its own history, so they are generated once per key
+value and again only after that role observes.
 
 Scenario files are JSON::
 
@@ -88,6 +93,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CommitmentTick:
+    """One commitment's report at one tick. Rows are read-only snapshots:
+    consecutive rows of a commitment share one ``lifecycle`` and one
+    ``alignment`` object while neither party's tables changed."""
+
     tick: int
     commitment: str
     lifecycle: Mapping[str, Mapping[str, list]]  # role -> kind -> key bindings
@@ -193,6 +202,11 @@ class Simulation:
         self.anchors = window_anchors(scenario.commitments)
         # role -> (its lifecycle tables by commitment name, the tick they next change at)
         self._tables: dict[str, tuple[dict, int | float]] = {}
+        # commitment name -> (the debtor's and the creditor's tables its last
+        # row was built from, that row's lifecycle and alignment)
+        self._rows: dict[str, tuple[dict, dict, dict, AlignmentResult]] = {}
+        # role -> key value -> the role's enabled emissions at that value
+        self._emissions: dict[str, dict[str, list[MessageInstance]]] = {}
 
     def run(self) -> SimulationResult:
         policy = self.scenario.policy
@@ -242,17 +256,25 @@ class Simulation:
         moves = [
             (EMIT, instance)
             for role in (self.universe.roles if roles is None else roles)
-            for instance in enabled_emissions(self.vector, self.universe, role, (key,))
+            for instance in self._emitted(role, key)
         ]
         moves += [(RECV, instance) for _, instance in deliverable(self.vector, fifo=self.scenario.delivery == "fifo")]
         moves.sort(key=lambda m: (m[0], m[1].schema, m[1].bindings))
         return moves
+
+    def _emitted(self, role: str, key: str) -> list[MessageInstance]:
+        """``role``'s enabled emissions at ``key``, kept until it observes."""
+        by_key = self._emissions.setdefault(role, {})
+        if key not in by_key:
+            by_key[key] = enabled_emissions(self.vector, self.universe, role, (key,))
+        return by_key[key]
 
     # -- bookkeeping --------------------------------------------------------
 
     def _observe(self, obs: Observation) -> None:
         self.vector = self.vector.extend(obs)
         self._tables.pop(obs.role, None)
+        self._emissions.pop(obs.role, None)
 
     def _role_tables(self, role: str, tick: int) -> dict:
         cached = self._tables.get(role)
@@ -264,13 +286,15 @@ class Simulation:
 
     def _report(self, tick: int) -> None:
         for c in self.scenario.commitments:
-            tables = {role: self._role_tables(role, tick)[c.name] for role in (c.debtor, c.creditor)}
-            lifecycle = {
-                role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
-                for role, table in tables.items()
-            }
-            alignment = check_alignment_models(c, tables[c.debtor], tables[c.creditor])
-            self.result.reports.append(CommitmentTick(tick, c.name, lifecycle, alignment))
+            debtor, creditor = (self._role_tables(role, tick)[c.name] for role in (c.debtor, c.creditor))
+            last = self._rows.get(c.name)
+            if last is None or last[0] is not debtor or last[1] is not creditor:
+                lifecycle = {
+                    role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
+                    for role, table in ((c.debtor, debtor), (c.creditor, creditor))
+                }
+                last = self._rows[c.name] = debtor, creditor, lifecycle, check_alignment_models(c, debtor, creditor)
+            self.result.reports.append(CommitmentTick(tick, c.name, *last[2:]))
 
 
 def _scripted_moves(moves, universe: Uod, default_key: str) -> dict[int, tuple[Mapping, str]]:

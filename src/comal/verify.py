@@ -350,7 +350,8 @@ class StateSpace:
             return None
         finally:
             log.info("%s: %d states, %d edges, %s%s%s", type(self).__name__, len(self.states), self.edge_count(),
-                     self._cache_summary(), ", reduced to safe deliveries" if self.reduced else "",
+                     self._cache_summary(),
+                     ", reduced to safe deliveries and independent forwards" if self.reduced else "",
                      ", depth-first" if goal is not None else "")
 
     def _expand(self, sid: int) -> None:

@@ -364,7 +364,7 @@ def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir
     code, out, _ = run(capsys, "verify", "--safety", "--liveness", *argv)
     builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
     assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 23 states")  # 43 in full
-    assert builds[0].endswith(", reduced to safe deliveries")
+    assert builds[0].endswith(", reduced to safe deliveries and independent forwards")
     assert (code, out) == (0, alone[0][1] + alone[1][1])
 
 
@@ -382,7 +382,8 @@ def test_verify_theorem1_reads_reduced_graphs_and_embedding_the_full_one(capsys,
     assert [b.split(",")[0] for b in builds] == [
         "KnowledgeGraph: 17 states", "KnowledgeGraph: 23 states", "KnowledgeGraph: 23 states"
     ]
-    assert [b.endswith(", reduced to safe deliveries") for b in builds] == [True, True, False]
+    reduced = ", reduced to safe deliveries and independent forwards"
+    assert [b.endswith(reduced) for b in builds] == [True, True, False]
     assert (code, out) == (0, theorem1[1] + embedding[1])
 
 

@@ -10,7 +10,7 @@ from comal.enactment import HistoryVector, enabled_emissions, project_model, tra
 from comal.errors import WellFormednessError
 from comal.protocol import uod
 from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
-from comal.simulate import Scenario, load_scenario, report_to_json, run_scenario
+from comal.simulate import Scenario, Simulation, load_scenario, report_to_json, run_scenario
 from comal.synthesis import forwarding_registry
 
 
@@ -178,27 +178,61 @@ def test_reports_match_fresh_evaluation(name, policy, fixtures_dir):
             assert row.alignment == check_alignment_models(c, tables[c.debtor], tables[c.creditor])
 
 
-def test_moves_are_recomputed_only_after_observations(fixtures_dir, monkeypatch):
-    """Enabled moves do not depend on the tick, so each role's emissions are
-    generated once at the start and once after each observation."""
+def test_emissions_are_regenerated_only_after_own_observations(fixtures_dir, monkeypatch):
+    """A role's enabled emissions depend only on its own history, so each
+    role's are generated once at first need and once more after each of its
+    own observations, never after another role's."""
     seen = []
 
-    def counting(v, *args):
-        seen.append(len(v.observations()))
-        return enabled_emissions(v, *args)
+    def counting(v, universe, role, key_values):
+        seen.append((role, len(v.history(role))))
+        return enabled_emissions(v, universe, role, key_values)
 
     monkeypatch.setattr(comal.simulate, "enabled_emissions", counting)
     scenario = load_scenario(
         fixtures_dir / "scenario_nested_transfer.json", {"policy": {"kind": "random"}, "horizon": 120, "seed": 1}
     )
     vector = run_scenario(scenario).vector
-    observed = len(vector.observations())
-    assert observed < 60  # most ticks are idle
-    assert sorted(seen) == sorted(list(range(observed + 1)) * len(vector.roles))
+    assert len(vector.observations()) < 60  # most ticks are idle
+    assert sorted(seen) == sorted(
+        (role, observed) for role in vector.roles for observed in range(len(vector.history(role)) + 1)
+    )
+
+
+def test_alignment_is_rechecked_only_when_tables_change(fixtures_dir, monkeypatch):
+    """A commitment's row is rebuilt, and its alignment checked, only at a
+    tick where its debtor's or creditor's lifecycle table was re-evaluated;
+    every other tick reuses the last row, so a long idle tail costs no checks."""
+    evaluated = {}  # id of each lifecycle table -> (the tick it was evaluated at, the table)
+    checked = []
+
+    def evaluating(c, ctx):
+        table = lifecycle_table(c, ctx)
+        evaluated[id(table)] = ctx.now, table
+        return table
+
+    def checking(c, debtor_table, creditor_table):
+        tick = len(simulation.result.reports) // len(scenario.commitments) + 1
+        checked.append((tick, {evaluated[id(debtor_table)][0], evaluated[id(creditor_table)][0]}))
+        return check_alignment_models(c, debtor_table, creditor_table)
+
+    monkeypatch.setattr(comal.simulate, "lifecycle_table", evaluating)
+    monkeypatch.setattr(comal.simulate, "check_alignment_models", checking)
+    scenario = load_scenario(
+        fixtures_dir / "scenario_nested_transfer.json", {"policy": {"kind": "random"}, "horizon": 800, "seed": 1}
+    )
+    simulation = Simulation(scenario)
+    rows = len(simulation.run().reports)
+    assert rows == 800 * len(scenario.commitments)
+    assert all(tick in evaluated_at for tick, evaluated_at in checked)
+    assert len(checked) < rows // 20
 
 
 # SHA-256 of what ``comal simulate --json --trace`` writes (trace lines, then
-# report lines) for seeded runs at horizon 40; "scenario-policy-delivery-seed".
+# report lines) for seeded runs; "scenario-policy-delivery-seed", at horizon 40,
+# or "scenario-policy-delivery-seed-horizon". The horizon-800 runs are idle for
+# all but about 24 ticks, so their reports byte-check rows reused across
+# hundreds of unchanged ticks.
 SIM_PINNED = {
     "direct_order-random-any-2": "6730b08cdeba1134c5a22ca8b2340ed3064c4f70e685f52eedde3b4ae1c8c79b",
     "direct_order-random-any-5": "8984c8447a8453e1ce53b4f499d72fbf36383031e63863bac852eeb1229d4f79",
@@ -224,15 +258,20 @@ SIM_PINNED = {
     "nested_transfer-aligner-any-5": "b08410982549616860906db513a84e35e26065753968b19bd5bf0b4b034afa72",
     "nested_transfer-aligner-fifo-2": "b2efb0655da3cb81483c8344bf2a29d0c4322ccd818289e7175ba7dc842a8c58",
     "nested_transfer-aligner-fifo-5": "b08410982549616860906db513a84e35e26065753968b19bd5bf0b4b034afa72",
+    "nested_transfer-random-any-5-800": "e01fb37aa7e812417306c7edd7c5c6cd3881629df54f5b1302b5c4cec9aad1b7",
+    "nested_transfer-random-fifo-5-800": "f47e6bc9c0b962a8f3f3ebbb286ba34cbcc8520621edea1ca463a6f3d1a64b4e",
+    "nested_transfer-aligner-any-5-800": "5aa94e126773ddce609bd53f8e4ff949d51ec8b157f3088115d6eb455b321ca8",
+    "nested_transfer-aligner-fifo-5-800": "5aa94e126773ddce609bd53f8e4ff949d51ec8b157f3088115d6eb455b321ca8",
 }
 
 
 @pytest.mark.parametrize("case", sorted(SIM_PINNED))
 def test_pinned_simulation_bytes(case, fixtures_dir):
-    name, policy, delivery, seed = case.split("-")
+    name, policy, delivery, seed, *rest = case.split("-")
+    horizon = int(rest[0]) if rest else 40
     scenario = load_scenario(
         fixtures_dir / f"scenario_{name}.json",
-        {"policy": {"kind": policy}, "delivery": delivery, "seed": int(seed), "horizon": 40},
+        {"policy": {"kind": policy}, "delivery": delivery, "seed": int(seed), "horizon": horizon},
     )
     result = run_scenario(scenario)
     lines = list(trace_lines(result.vector))

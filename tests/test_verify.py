@@ -1356,8 +1356,8 @@ def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
 
 def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
     """A reduced knowledge-set graph and a punctual timed graph end their line
-    in ``, reduced to safe deliveries``, after the ``"<Graph>: N states"``
-    prefix and the counts every graph logs."""
+    in ``, reduced to safe deliveries and independent forwards``, after the
+    ``"<Graph>: N states"`` prefix and the counts every graph logs."""
     graph = KnowledgeGraph(uod(ordering), BOUND, ordering.out_params, reduced=True)
     protocol = op_registry["OrderingOp"]
     timed = AlignmentGraph(uod(protocol, op_registry), [purchase], BOUND, punctual=True)
@@ -1367,7 +1367,10 @@ def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
     first, second = (record.getMessage() for record in caplog.records)
     assert first == (
         f"KnowledgeGraph: 17 states, {graph.edge_count()} edges, "
-        f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits, reduced to safe deliveries"
+        f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits, "
+        "reduced to safe deliveries and independent forwards"
     )
     assert second.startswith("AlignmentGraph: 115 states, ")
-    assert second.endswith(f"moves-cache entries, {timed.moves_hits} hits, reduced to safe deliveries")
+    assert second.endswith(
+        f"moves-cache entries, {timed.moves_hits} hits, reduced to safe deliveries and independent forwards"
+    )
