@@ -6,10 +6,9 @@ Emissions are legal only when the sender already knows each ``in`` binding,
 has no prior binding for any ``out`` parameter of the same enactment, and has
 not emitted the same schema for the same key binding before. Reception is
 never forced: in-flight messages may be delayed arbitrarily. The simulator
-and the ordered explorer in ``verify`` take the messages in flight from one
-rule, :func:`in_flight` (the knowledge-set and timed explorers compute the
-same messages, in the same order, on instance masks), and every explorer
-builds role knowledge with :func:`knowledge_from`.
+takes the messages in flight, in any order or FIFO, from :func:`deliverable`
+(``verify``'s explorers find the same messages on instance masks), and every
+explorer builds role knowledge with :func:`knowledge_from`.
 
 A role's *model* is its history with every forwarding message renamed to the
 message it forwards, the forwarding identifier dropped, and each entry
@@ -17,7 +16,8 @@ timestamped with the tick at which the role first knew it.
 
 Trace format (JSON lines): ``{"tick", "role", "dir": "emit"|"recv", "schema",
 "bindings"}``, one :func:`observation_to_json` record per observation. The
-simulator's traces and every ``verify`` witness are written in it.
+simulator's traces and every ``verify`` witness are written in it, and
+:func:`vector_from_records` reads them back as a run.
 """
 
 from __future__ import annotations
@@ -169,9 +169,6 @@ class RoleKnowledge:
                 found.append(value)
         return found
 
-    def binds(self, param: str, kb: Bindings) -> bool:
-        return bool(self.values_for(param, kb))
-
 
 def emission_violation(
     knowledge: RoleKnowledge, schema: MessageSchema, instance: MessageInstance, tick: int
@@ -190,7 +187,7 @@ def emission_violation(
                     "a", knowledge.role, tick, instance, f"'in' parameter {p.name!r} not known as {value!r}"
                 )
         else:
-            if knowledge.binds(p.name, kb):
+            if knowledge.values_for(p.name, kb):
                 return ViabilityViolation(
                     "b", knowledge.role, tick, instance, f"'out' parameter {p.name!r} already bound"
                 )
@@ -295,31 +292,20 @@ def enabled_emissions(
     return emission_candidates(knowledge_from(observed, role), universe, role, key_values)
 
 
-def in_flight(
-    roles: Sequence[str], known: Sequence[Sequence[MessageInstance]], fifo: bool = False
-) -> list[MessageInstance]:
-    """Every sent instance whose receiver has not observed it, where
-    ``known[i]`` is what ``roles[i]`` observed, in order: by sender in role
-    order, then in the sender's ``known`` order. With ``fifo`` only the first
-    instance per (sender, receiver) channel is kept; a sender's own order is
-    its emission order, so that is the oldest message on the channel."""
-    observer = dict(zip(roles, map(set, known)))
-    pending = [
-        inst for role, seen in zip(roles, known) for inst in seen
-        if inst.sender == role and inst not in observer[inst.receiver]
-    ]
-    if fifo:
-        oldest: dict[tuple[str, str], MessageInstance] = {}
-        for inst in pending:
-            oldest.setdefault((inst.sender, inst.receiver), inst)
-        pending = list(oldest.values())
-    return pending
-
-
 def deliverable(v: HistoryVector, fifo: bool = False) -> list[tuple[str, MessageInstance]]:
-    """The :func:`in_flight` instances of ``v`` as (receiver, instance) pairs."""
-    known = [[obs.instance for obs in v.history(role)] for role in v.roles]
-    return [(inst.receiver, inst) for inst in in_flight(v.roles, known, fifo)]
+    """Every instance emitted in ``v`` and not yet received, as (receiver,
+    instance) pairs in emission order. With ``fifo`` only the first per
+    (sender, receiver) channel, the oldest message on it."""
+    received = {obs.instance for obs in v.events if obs.direction == RECV}
+    pending: list[tuple[str, MessageInstance]] = []
+    channels: set[tuple[str, str]] = set()
+    for obs in v.events:
+        inst = obs.instance
+        channel = (inst.sender, inst.receiver)
+        if obs.direction == EMIT and inst not in received and not (fifo and channel in channels):
+            channels.add(channel)
+            pending.append((inst.receiver, inst))
+    return pending
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +389,13 @@ def observation_from_json(record: Mapping, universe: Uod) -> Observation:
     if record["role"] != obs.role:
         raise WellFormednessError(f"trace record names role {record['role']!r}, but {obs.role!r} observes it")
     return obs
+
+
+def vector_from_records(records: Iterable[Mapping], universe: Uod) -> HistoryVector:
+    """The run trace or witness records describe, in record order: lapse
+    records (``{"tick", "lapse"}``) are skipped and ticks renumbered from 1, so
+    consecutive witness parts read as one run."""
+    vector = HistoryVector.empty(universe.roles)
+    for tick, record in enumerate((record for record in records if "lapse" not in record), start=1):
+        vector = vector.extend(observation_from_json({**record, "tick": tick}, universe))
+    return vector

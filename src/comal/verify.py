@@ -19,13 +19,12 @@ raises ``BoundExceeded``:
 All four enumerate with one explorer, ``StateSpace``, breadth-first except
 for Theorem 2's unrestricted search (below); the knowledge-set, ordered and
 timed graphs below differ only in their state encoding (no check reads the
-ordered one: it is the tests' exact reference).
-Their moves, like the simulator's, are the ``emission_candidates`` of each
-role's knowledge and a delivery of any message in flight, in the order
-``enactment.in_flight`` gives (the ordered graph calls it; the knowledge-set
-and timed graphs find the same deliveries on instance masks): BSPL's channels
-are unordered, and every FIFO run is also such a run, so a check that holds
-here holds under FIFO, the simulator's option.
+ordered one: it is the tests' exact reference), and all three find their
+moves with one rule, ``StateSpace._moves``. Their moves, like the
+simulator's, are the ``emission_candidates`` of each role's knowledge and a
+delivery of any message in flight: BSPL's channels are unordered, and every
+FIFO run is also such a run, so a check that holds here holds under FIFO, the
+simulator's option (``enactment.deliverable``).
 
 Every graph is a finite DAG: a parameter is bound once per enactment, so a
 schema is emitted at most once per key binding (``emission_candidates``' rule
@@ -39,17 +38,17 @@ Witnesses are runs: each path in one is a list of the simulator's trace
 records (``enactment.observation_to_json``) ticked from 1, and a deadline
 lapse is the one other record, ``{"tick", "lapse"}``.
 
-The knowledge-set and timed graphs find their moves on one encoding. Each
-instance ``emission_candidates`` returns is one bit, numbered in the order it
-is first met, and the moves from a tuple of per-role masks of observed
-instances are worked out once per graph: a move sets one bit; the messages in
-flight are the emitted bits outside their receivers' masks, and their
-deliveries, or in a reduced graph the safe one chosen, are cached on that
-mask; emissions are cached on (role index, mask). A knowledge-set state is
-such a tuple (composed escrow: 9 595 states in full over 12 instances). Each
-bit keeps the mask of the instances it conflicts with, so an emission whose
-mask meets nothing already emitted binds no parameter twice and is not
-scanned. ``is_complete`` is evaluated once per emitted mask.
+Every graph finds its moves on one encoding. Each instance
+``emission_candidates`` returns is one bit, numbered in the order it is first
+met, and the moves from a tuple of per-role masks of observed instances are
+worked out once per graph: a move sets one bit; the messages in flight are
+the emitted bits outside their receivers' masks, and their deliveries, or in
+a reduced graph the safe one chosen, are cached on that mask; emissions are
+cached on (role index, mask). A knowledge-set state is such a tuple (composed
+escrow: 9 595 states in full over 12 instances); the ordered graph derives it
+from its observation tuples. Each bit keeps the masks of the instances whose
+key bindings agree with its own and of those that also clash with it, so
+safety and completeness are read off masks (see ``KnowledgeGraph``).
 
 The timed graph also interns (instance, phase) pairs: a state is the tuple of
 per-role masks of the pairs each role observed, then the phase. Each pair
@@ -167,7 +166,6 @@ from .enactment import (
     Observation,
     emission_candidates,
     emission_violation,
-    in_flight,
     kb_agree,
     model_of,
     observation_to_json,
@@ -234,21 +232,6 @@ def _instance_order(inst: MessageInstance):
     return (inst.schema, inst.bindings)
 
 
-def is_complete(emitted: Sequence[MessageInstance], public_out: Sequence[str]) -> bool:
-    """Every key binding initiated by the emitted instances binds every public
-    ``out`` parameter."""
-    initiated: set = set()
-    binders: dict[str, set] = {param: set() for param in public_out}
-    for inst in emitted:
-        initiated.add(inst.key_binding)
-        for param, _ in inst.bindings:
-            if param in binders:
-                binders[param].add(inst.key_binding)
-    return all(
-        any(kb_agree(binder, kb) for binder in binders[param]) for kb in initiated for param in public_out
-    )
-
-
 def _witness(moves: Sequence[tuple]) -> list[dict]:
     """Moves as trace records, ticked from 1; a lapse is ``{"tick", "lapse"}``."""
     return [
@@ -256,6 +239,14 @@ def _witness(moves: Sequence[tuple]) -> list[dict]:
         else observation_to_json(Observation(move[2], move[0], tick))
         for tick, move in enumerate(moves, start=1)
     ]
+
+
+def _union(masks: Sequence[int], parts: Sequence[int]) -> int:
+    """The union of each mask's intersection with its part."""
+    union = 0
+    for mask, part in zip(masks, parts):
+        union |= mask & part
+    return union
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -277,11 +268,11 @@ class StateSpace:
 
     Moves are found on instance masks: bit ``b`` stands for ``_instances[b]``,
     interned in the order ``_emissions`` first meets it, with the masks of
-    what each role sends and receives and of the instances each one conflicts
-    with. ``_moves`` gives the moves from one instance mask per role.
-    Subclasses give the initial state (to ``build``), ``_successors``, and
-    ``decode``, which gives a state's contents back; the ordered graph keeps
-    plain observation tuples and finds its own moves."""
+    what each role sends and receives, of the instances it agrees and
+    conflicts with, and of each parameter's binders. ``_moves`` gives every
+    graph's moves from one instance mask per role. Subclasses give the initial
+    state (to ``build``), ``_successors``, and ``decode``, which gives a
+    state's contents back."""
 
     def __init__(self, universe: Uod, bound: Bound, reduced: bool = False):
         self.universe = universe
@@ -310,13 +301,15 @@ class StateSpace:
         self._bit: dict[MessageInstance, int] = {}
         self._send = [0] * len(self.roles)
         self._recv = [0] * len(self.roles)
-        # Per bit, the instances that agree on key bindings and bind a shared
-        # parameter to another value.
+        # Per bit, the instances whose key bindings agree with it (``kb_agree``),
+        # itself included, and those of them that bind a shared parameter to
+        # another value; per parameter, the instances that bind it.
+        self._agree: list[int] = []
         self._conflicts: list[int] = []
-        # Emission moves by (role index, mask), or candidates by (role index,
-        # observed set) in the ordered graph; delivery moves, and whether they
-        # are the only moves expanded, by the mask of instances in flight.
-        self._emission_cache: dict[tuple[int, object], list] = {}
+        self._binders: dict[str, int] = {}
+        # Emission moves by (role index, mask); delivery moves, and whether
+        # they are the only moves expanded, by the mask of instances in flight.
+        self._emission_cache: dict[tuple[int, int], list] = {}
         self._delivery_cache: dict[int, tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.cache_hits = 0
 
@@ -396,22 +389,27 @@ class StateSpace:
         return sid
 
     def _intern(self, inst: MessageInstance) -> int:
-        """The bit of ``inst``, assigned with its role and conflict masks the
-        first time it is met."""
+        """The bit of ``inst``, assigned with its role, agreement, conflict and
+        binder masks the first time it is met."""
         bit = self._bit.get(inst)
         if bit is None:
             bit = self._bit[inst] = len(self._instances)
             self._send[self.role_index[inst.sender]] |= 1 << bit
             self._recv[self.role_index[inst.receiver]] |= 1 << bit
             values = dict(inst.bindings)
-            clash = 0
+            agree, clash = 1 << bit, 0
             for other_bit, other in enumerate(self._instances):
-                if kb_agree(other.key_binding, inst.key_binding) and any(
-                    values.get(param, value) != value for param, value in other.bindings
-                ):
+                if not kb_agree(other.key_binding, inst.key_binding):
+                    continue
+                agree |= 1 << other_bit
+                self._agree[other_bit] |= 1 << bit
+                if any(values.get(param, value) != value for param, value in other.bindings):
                     clash |= 1 << other_bit
                     self._conflicts[other_bit] |= 1 << bit
+            for param in values:
+                self._binders[param] = self._binders.get(param, 0) | 1 << bit
             self._instances.append(inst)
+            self._agree.append(agree)
             self._conflicts.append(clash)
         return bit
 
@@ -419,17 +417,17 @@ class StateSpace:
         """The instances of ``mask``, in bit order."""
         return [self._instances[bit] for bit in _bits(mask)]
 
+    def _emitted_mask(self, masks: Sequence[int]) -> int:
+        """The instances some role sent, given one instance mask per role."""
+        return _union(masks, self._send)
+
     def _moves(self, masks: Sequence[int]) -> list[tuple[int, tuple, int]]:
         """The moves from one instance mask per role, each with its observer's
         index and the bit it sets: emissions per role, then a delivery of each
         instance in flight, emitted and not in its receiver's mask. Reduced,
         the first safe delivery, or else the first emission of an independent
         forward, alone where there is one."""
-        emitted = received = 0
-        for mask, sends, receives in zip(masks, self._send, self._recv):
-            emitted |= mask & sends
-            received |= mask & receives
-        deliveries, alone = self._deliveries(emitted & ~received)
+        deliveries, alone = self._deliveries(self._emitted_mask(masks) & ~_union(masks, self._recv))
         if alone:
             return deliveries
         emissions = [move for ri, mask in enumerate(masks) for move in self._emissions(ri, mask)]
@@ -437,7 +435,9 @@ class StateSpace:
         return [forward] if forward else emissions + deliveries
 
     def _emissions(self, ri: int, mask: int) -> list[tuple[int, tuple, int]]:
-        """Role ``ri``'s emission moves from ``mask``, cached per graph."""
+        """Role ``ri``'s emission moves from ``mask``, cached per graph.
+        Knowledge is built in bit order: no ``RoleKnowledge`` answer depends on
+        it, and ``emission_candidates`` sorts its output."""
         key = (ri, mask)
         moves = self._emission_cache.get(key)
         if moves is not None:
@@ -445,16 +445,16 @@ class StateSpace:
             return moves
         role = self.roles[ri]
         moves = self._emission_cache[key] = []
-        for inst in self._candidates(ri, self._members(mask)):
+        knowledge = _knowledge_from(self._members(mask), role)
+        for inst in emission_candidates(knowledge, self.universe, role, self.bound.key_values):
             bit = self._intern(inst)
             moves.append((ri, (EMIT, role, self._instances[bit]), 1 << bit))
         return moves
 
     def _deliveries(self, pending: int) -> tuple[list[tuple[int, tuple, int]], bool]:
-        """A delivery of each instance in ``pending``, in ``in_flight``'s order:
-        by sender in role order, then by schema and bindings. Reduced, the
-        first safe one alone where there is one, and then ``True``: no
-        emission is expanded."""
+        """A delivery of each instance in ``pending``, by sender in role order,
+        then by schema and bindings. Reduced, the first safe one alone where
+        there is one, and then ``True``: no emission is expanded."""
         cached = self._delivery_cache.get(pending)
         if cached is None:
             flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
@@ -464,13 +464,6 @@ class StateSpace:
             safe = [move for move in moves if move[1][2].schema in self._safe][:1]
             cached = self._delivery_cache[pending] = (safe or moves, bool(safe))
         return cached
-
-    def _candidates(self, ri: int, seen: Iterable[MessageInstance]) -> list[MessageInstance]:
-        """What role ``ri`` may emit after observing ``seen``. Knowledge is
-        built in the order given: no ``RoleKnowledge`` answer depends on it,
-        and ``emission_candidates`` sorts its output."""
-        role = self.roles[ri]
-        return emission_candidates(_knowledge_from(seen, role), self.universe, role, self.bound.key_values)
 
     def edge_count(self) -> int:
         return sum(map(len, self.edges))
@@ -528,7 +521,7 @@ class KnowledgeGraph(StateSpace):
         self.public_out = tuple(public_out)
         self.safety_violation: tuple[int, str] | None = None
         self.detail = ""
-        # ``is_complete`` by the mask of emitted instances.
+        # ``_is_complete`` by the mask of emitted instances.
         self._complete: dict[int, bool] = {}
 
     def build(self, stop_on_safety: bool = False) -> None:
@@ -542,42 +535,37 @@ class KnowledgeGraph(StateSpace):
     def emitted(self, state: tuple[int, ...]) -> list[MessageInstance]:
         return self._members(self._emitted_mask(state))
 
-    def _emitted_mask(self, state: tuple[int, ...]) -> int:
-        emitted = 0
-        for mask, sends in zip(state, self._send):
-            emitted |= mask & sends
-        return emitted
-
     def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
         return [(move, state[:ri] + (state[ri] | bit,) + state[ri + 1:]) for ri, move, bit in self._moves(state)]
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         """Record the first emission that binds a parameter of its enactment a
-        second time. The parent's emitted instances are scanned for the detail
-        only when the emission's conflict mask meets them."""
+        second time, against the first instance, in (schema, bindings) order,
+        that its conflict mask meets among those already emitted."""
         if move[0] != EMIT or self.safety_violation is not None:
             return
-        parent, new = self.states[parent_id], move[2]
-        if not self._emitted_mask(parent) & self._conflicts[self._bit[new]]:
+        new = move[2]
+        clash = self._emitted_mask(self.states[parent_id]) & self._conflicts[self._bit[new]]
+        if not clash:
             return
-        new_bindings = dict(new.bindings)
-        for inst in sorted(self.emitted(parent), key=_instance_order):
-            if not kb_agree(inst.key_binding, new.key_binding):
-                continue
-            for param, value in inst.bindings:
-                if param in new_bindings and new_bindings[param] != value:
-                    self.safety_violation = (
-                        state_id,
-                        f"parameter {param!r} bound to {value!r} by {inst.schema!r} "
-                        f"and to {new_bindings[param]!r} by {new.schema!r}",
-                    )
-                    return
+        inst = min(self._members(clash), key=_instance_order)
+        param, value = next(item for item in inst.bindings if new.binding(item[0]) not in (None, item[1]))
+        self.safety_violation = (
+            state_id,
+            f"parameter {param!r} bound to {value!r} by {inst.schema!r} "
+            f"and to {new.binding(param)!r} by {new.schema!r}",
+        )
 
     def _is_complete(self, state: tuple[int, ...]) -> bool:
+        """Whether every emitted instance agrees with an emitted binder of each
+        public ``out`` parameter, so every initiated key binding binds them."""
         emitted = self._emitted_mask(state)
         verdict = self._complete.get(emitted)
         if verdict is None:
-            verdict = self._complete[emitted] = is_complete(self._members(emitted), self.public_out)
+            verdict = self._complete[emitted] = all(
+                emitted & self._agree[bit] & self._binders.get(param, 0)
+                for bit in _bits(emitted) for param in self.public_out
+            )
         return verdict
 
     @cached_property
@@ -714,9 +702,9 @@ def check_theorem1(
 class EnactmentGraph(StateSpace):
     """Reachable history vectors, deduplicated up to tick relabeling: a state
     is the tuple of per-role instance sequences in observation order, with
-    ticks assigned by global arrival order on reconstruction. It keeps this
-    plain encoding and delivers what ``in_flight`` gives. No check reads it:
-    it is the exact reference the knowledge-set graph is tested against."""
+    ticks assigned by global arrival order on reconstruction. Its moves are
+    ``_moves`` on each role's instance mask. No check reads it: it is the
+    exact reference the knowledge-set graph is tested against."""
 
     def build(self) -> None:
         self._explore(((),) * len(self.roles))
@@ -728,20 +716,8 @@ class EnactmentGraph(StateSpace):
         return [inst for role, seen in zip(self.roles, state) for inst in seen if inst.sender == role]
 
     def _successors(self, state):
-        """Emission candidates per role, cached on (role index, observed set),
-        then a delivery of each ``in_flight`` instance."""
-        moves = []
-        for ri, seen in enumerate(state):
-            key = (ri, frozenset(seen))
-            candidates = self._emission_cache.get(key)
-            if candidates is None:
-                candidates = self._emission_cache[key] = self._candidates(ri, seen)
-            else:
-                self.cache_hits += 1
-            moves += [(ri, (EMIT, self.roles[ri], inst)) for inst in candidates]
-        for inst in in_flight(self.roles, state):
-            moves.append((self.role_index[inst.receiver], (RECV, inst.receiver, inst)))
-        return [(move, state[:ri] + (state[ri] + (move[2],),) + state[ri + 1:]) for ri, move in moves]
+        masks = [sum(1 << self._intern(inst) for inst in seen) for seen in state]
+        return [(move, state[:ri] + (state[ri] + (move[2],),) + state[ri + 1:]) for ri, move, _ in self._moves(masks)]
 
     def vector(self, state_id: int) -> HistoryVector:
         trail = enumerate(self._trail(state_id, self.parents), start=1)

@@ -43,16 +43,7 @@ def chan():
 @pytest.fixture(scope="session")
 def nested_keys():
     """Two key sets, one inside the other: ``a`` is keyed by k, ``b`` by k and j."""
-    return parse_protocol(
-        """
-        Two {
-          roles A, B
-          parameters out k key, out j key, out x, out y
-          A -> B: a[out k key, out x]
-          B -> A: b[in k key, out j key, out y]
-        }
-        """
-    )
+    return parse_protocol(fixture_text("nested_keys.bspl"))
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from comal.enactment import (
     observation_to_json,
     project_model,
     trace_lines,
+    vector_from_records,
 )
 from comal.errors import WellFormednessError
 from comal.protocol import parse_protocols, uod
@@ -212,6 +213,17 @@ def test_project_model_unknown_forward(order_universe):
 def test_bindings_domain_checked(order_universe):
     with pytest.raises(WellFormednessError):
         MessageInstance.make(order_universe.schema("quote"), {"oID": "1"})
+
+
+def test_vector_from_records_reads_witness_parts_as_one_run(order_universe):
+    """A trace reads back as its run. Witness parts are each ticked from 1 and
+    carry lapse records; joined, they read as one run ticked from 1."""
+    v = order_run(order_universe)
+    records = [json.loads(line) for line in trace_lines(v)]
+    assert vector_from_records(records, order_universe) == v
+    head, tail = records[:2], [{**r, "tick": tick} for tick, r in enumerate(records[2:], start=1)]
+    parts = head + [{"tick": 3, "lapse": 5}] + tail
+    assert vector_from_records(parts, order_universe) == v
 
 
 def test_trace_round_trip(order_universe):

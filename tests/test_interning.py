@@ -61,8 +61,9 @@ def _instance_order(inst):
 
 def _moves(graph, known, fifo, candidates):
     """Emissions per role, then deliveries of every sent instance its receiver
-    has not observed (with ``fifo``, the first per channel), each with the
-    index of the observing role."""
+    has not observed, by sender in role order, then in (schema, bindings)
+    order (with ``fifo``, the first per channel in emission order), each with
+    the index of the observing role."""
     moves = []
     for ri, role in enumerate(graph.roles):
         key = (role, frozenset(known[ri]))
@@ -73,8 +74,9 @@ def _moves(graph, known, fifo, candidates):
     observed = {role: set(seen) for role, seen in zip(graph.roles, known)}
     channels = set()
     for role, seen in zip(graph.roles, known):
-        for inst in seen:
-            if inst.sender != role or inst in observed[inst.receiver]:
+        sent = [inst for inst in seen if inst.sender == role]
+        for inst in sent if fifo else sorted(sent, key=_instance_order):
+            if inst in observed[inst.receiver]:
                 continue
             if fifo:
                 if (inst.sender, inst.receiver) in channels:

@@ -15,7 +15,6 @@ from comal.commitments import And, BaseEvent, CommitmentSpec, Except, Or, TimeRe
 from comal.enactment import (
     EMIT,
     RECV,
-    HistoryVector,
     RoleKnowledge,
     check_viable,
     deliverable,
@@ -26,6 +25,7 @@ from comal.enactment import (
     model_of,
     observation_from_json,
     observation_to_json,
+    vector_from_records,
 )
 from comal.errors import BoundExceeded, ComalError, WellFormednessError
 from comal.protocol import IN, OUT, parse_protocol, parse_protocols, uod
@@ -50,7 +50,6 @@ from comal.verify import (
     check_safety_and_liveness,
     check_theorem1,
     enumerate_uoe,
-    is_complete,
 )
 from test_interning import (
     _assert_knowledge_reduced,
@@ -209,7 +208,7 @@ def test_enumerate_ordering_complete_states(ordering):
     initiated = [
         s for s in graph.states if any(events for events in graph.decode(s))
     ]
-    complete = [s for s in initiated if is_complete(graph.emitted(s), ordering.out_params)]
+    complete = [s for s in initiated if _is_complete_reference(graph.emitted(s), ordering.out_params)]
     assert complete
     for state in complete:
         emitted = {inst.schema for inst in graph.emitted(state)}
@@ -351,13 +350,6 @@ def test_embedding_escrow(escrow_composed_literal):
     assert report.holds
 
 
-def _replay(records, universe) -> HistoryVector:
-    vector = HistoryVector.empty(universe.roles)
-    for record in records:
-        vector = vector.extend(observation_from_json(record, universe))
-    return vector
-
-
 # The input protocol, and a composition whose copy of ``reply`` binds the
 # input's ``in x`` as ``out``.
 RELAY = parse_protocol(
@@ -392,8 +384,8 @@ def test_embedding_failure_witness_is_a_run():
     assert [(r["role"], r["dir"], r["schema"]) for r in trace] == [
         ("S", EMIT, "offer"), ("R", RECV, "offer"), ("R", EMIT, "reply"),
     ]
-    assert check_viable(_replay(trace, uod(RELAY)), uod(RELAY)) is None
-    violation = check_viable(_replay(trace, uod(RELAY_OP)), uod(RELAY_OP))
+    assert check_viable(vector_from_records(trace, uod(RELAY)), uod(RELAY)) is None
+    violation = check_viable(vector_from_records(trace, uod(RELAY_OP)), uod(RELAY_OP))
     assert violation is not None and violation.rule == "b" and violation.tick == len(trace)
     assert str(violation) == report.witness["violation"]
 
@@ -406,7 +398,7 @@ def _embedding_reference(input_protocol, composed, bound, registry) -> bool:
     graph = enumerate_uoe(input_protocol, bound, registry)
     universe = uod(composed, registry)
     for sid, state in enumerate(graph.states):
-        if not is_complete(graph.emitted(state), input_protocol.out_params):
+        if not _is_complete_reference(graph.emitted(state), input_protocol.out_params):
             continue
         knowledge = {role: RoleKnowledge(role) for role in graph.roles}
         for obs in graph.vector(sid).observations():
@@ -427,8 +419,8 @@ def _assert_embedding_agrees(input_protocol, composed, bound, registry=None) -> 
     if not report.holds:
         trace = report.witness["trace"]
         source, target = uod(input_protocol, registry), uod(composed, registry)
-        assert check_viable(_replay(trace, source), source) is None
-        violation = check_viable(_replay(trace, target), target)
+        assert check_viable(vector_from_records(trace, source), source) is None
+        violation = check_viable(vector_from_records(trace, target), target)
         assert violation is not None and violation.tick == len(trace)
         assert str(violation) == report.witness["violation"]
     return report.holds
@@ -520,8 +512,7 @@ def test_alignment_failure_witness_ends_where_no_move_is_left(
     report = check_alignment_reachability(protocol, specs, BOUND, punctual, registry)
     assert not report.holds
     universe = uod(protocol, registry)
-    records = [r for r in report.witness["reach"] if "lapse" not in r]
-    vector = _replay([{**r, "tick": tick} for tick, r in enumerate(records, start=1)], universe)
+    vector = vector_from_records(report.witness["reach"], universe)
     assert check_viable(vector, universe) is None
     assert not deliverable(vector)
     assert not any(enabled_emissions(vector, universe, role, BOUND.key_values) for role in vector.roles)
@@ -764,7 +755,7 @@ def _assert_knowledge_sets_agree(protocol, registry, bound) -> bool:
     graph = enumerate_uoe(protocol, bound, registry)
     complete = [
         sid for sid, state in enumerate(graph.states)
-        if is_complete(graph.emitted(state), protocol.out_params)
+        if _is_complete_reference(graph.emitted(state), protocol.out_params)
     ]
     live = len(graph.backward_closure(complete)) == len(graph.states)
     assert live == check_liveness(protocol, bound, registry).holds
@@ -1144,13 +1135,13 @@ def test_cached_successors_match_uncached(
     """Every state's successors, and the edges the build recorded, are those
     the graph finds with its move caches emptied before each state: emission,
     delivery and, in the timed graph, moves, so that its moves come from that
-    state's own observed sets and not from another phase's, and each mask
-    graph calls ``_moves`` once per state. Decoded, they are the reference
-    move rule's on the decoded state, which rebuilds knowledge and candidates
-    each time; punctually, reduced to the first safe delivery where there is
-    one, or else to the first independent forward's emission. A build cut at
-    ``max_states`` recorded every edge of the states expanded before the last
-    one found, and a prefix of the rest."""
+    state's own observed sets and not from another phase's, and every graph,
+    the ordered one too, calls ``_moves`` once per state. Decoded, they are
+    the reference move rule's on the decoded state, which rebuilds knowledge
+    and candidates each time; punctually, reduced to the first safe delivery
+    where there is one, or else to the first independent forward's emission.
+    A build cut at ``max_states`` recorded every edge of the states expanded
+    before the last one found, and a prefix of the rest."""
     graph, cut = _cached_graph(
         case, op_registry, escrow_op_registry, chan, escrow_ordering, escrow_commitments, purchase
     )
@@ -1179,7 +1170,7 @@ def test_cached_successors_match_uncached(
         if graph.reduced:
             expected = _reduced_edges(graph, expected)
         assert [(move, graph.decode(succ)) for move, succ in uncached] == expected, sid
-    assert len(calls) == (0 if ordered else len(graph.states))
+    assert len(calls) == len(graph.states)
 
 
 def test_candidates_generated_once_per_role_and_knowledge_set(monkeypatch, op_registry):
@@ -1236,20 +1227,6 @@ def _is_complete_reference(emitted, public_out):
     )
 
 
-@pytest.mark.parametrize("name", ("Ordering", "OrderingOp", "EscrowOrdering"))
-def test_is_complete_matches_rescan(name, op_registry, escrow_ordering):
-    protocol, registry = (escrow_ordering, None) if name == "EscrowOrdering" else (op_registry[name], op_registry)
-    graph = KnowledgeGraph(uod(protocol, registry), Bound(key_values=("1", "2")), protocol.out_params)
-    graph.build()
-    verdicts = set()
-    for state in graph.states:
-        emitted = graph.emitted(state)
-        verdict = is_complete(emitted, protocol.out_params)
-        assert verdict == _is_complete_reference(emitted, protocol.out_params)
-        verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
 def _pairwise_clash(graph: KnowledgeGraph, state, new) -> str | None:
     """A scan with no masks: ``new`` against every instance sent in ``state``,
     in (schema, bindings) order; the detail of the first that binds a
@@ -1269,10 +1246,11 @@ def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
     """On a whole knowledge-set graph, the conflict masks of an emission edge
     meet exactly where a pairwise scan finds a clash, and the safety violation
     is the scan's first on the edges the states were found by, state id and
-    detail. Liveness decided on the terminal states, and ``check_liveness``,
-    decomposed or not, agree with the backward closure of the complete states,
-    and a failure witness is the path to the first state outside it. Returns
-    whether the graph is safe and whether it is live."""
+    detail. Every state's completeness, read off the masks, is a rescan's of
+    its emitted instances. Liveness decided on the terminal states, and
+    ``check_liveness``, decomposed or not, agree with the backward closure of
+    the complete states, and a failure witness is the path to the first state
+    outside it. Returns whether the graph is safe and whether it is live."""
     graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params)
     graph.build()
     for sid, out in enumerate(graph.edges):
@@ -1282,7 +1260,9 @@ def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
     found = [(tid, _pairwise_clash(graph, graph.states[pid], move[2]))
              for tid, (pid, move) in enumerate(graph.parents[1:], start=1) if move[0] == EMIT]
     assert graph.safety_violation == next(((tid, clash) for tid, clash in found if clash), None)
-    complete = [sid for sid, state in enumerate(graph.states) if is_complete(graph.emitted(state), protocol.out_params)]
+    verdicts = [graph._is_complete(state) for state in graph.states]
+    assert verdicts == [_is_complete_reference(graph.emitted(state), protocol.out_params) for state in graph.states]
+    complete = [sid for sid, verdict in enumerate(verdicts) if verdict]
     closure = graph.backward_closure(complete)
     live = len(closure) == len(graph.states)
     assert graph.live_everywhere == live
@@ -1298,17 +1278,21 @@ def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
 
 MASK_CASES = [
     *((name, k) for name in ("Ordering", "OrderingOp", "EscrowOrdering", "unsafe_toy", "unsafe_relay", "stuck_toy",
-                             "empty") for k in (1, 2)),
+                             "empty", "Two") for k in (1, 2)),
     ("EscrowOrderingOp", 1),
 ]
 
 
 @pytest.mark.parametrize("name, k", MASK_CASES, ids=lambda case: str(case))
-def test_masks_match_scans(name, k, fixtures_dir, op_registry, escrow_op_registry, toys, escrow_ordering):
+def test_masks_match_scans(name, k, fixtures_dir, op_registry, escrow_op_registry, toys, escrow_ordering, nested_keys):
     """The fixtures at one and two key values (composed escrow at one: its
-    two-value graph is the square of 9 595 states)."""
+    two-value graph is the square of 9 595 states). In ``Two`` an enactment
+    of ``a``, keyed by k, is completed by ``b``, keyed by k and j: their key
+    bindings agree without being equal."""
     if name == "EscrowOrdering":
         protocol, registry = escrow_ordering, None
+    elif name == "Two":
+        protocol, registry = nested_keys, None
     elif name == "EscrowOrderingOp":
         protocol, registry = escrow_op_registry[name], escrow_op_registry
     elif name == "unsafe_relay":
