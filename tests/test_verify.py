@@ -1227,6 +1227,21 @@ def _is_complete_reference(emitted, public_out):
     )
 
 
+@pytest.mark.parametrize("name", ("Ordering", "OrderingOp", "EscrowOrdering"))
+def test_is_complete_matches_rescan(name, op_registry, escrow_ordering):
+    """Completeness read off the masks is a rescan's of the emitted
+    instances on every state at two key values, and both verdicts occur."""
+    protocol, registry = (escrow_ordering, None) if name == "EscrowOrdering" else (op_registry[name], op_registry)
+    graph = KnowledgeGraph(uod(protocol, registry), Bound(key_values=("1", "2")), protocol.out_params)
+    graph.build()
+    verdicts = set()
+    for state in graph.states:
+        verdict = graph._is_complete(state)
+        assert verdict == _is_complete_reference(graph.emitted(state), protocol.out_params)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def _pairwise_clash(graph: KnowledgeGraph, state, new) -> str | None:
     """A scan with no masks: ``new`` against every instance sent in ``state``,
     in (schema, bindings) order; the detail of the first that binds a
