@@ -36,6 +36,10 @@ from .protocol import Uod
 INFINITY = math.inf
 
 LIFECYCLE_KINDS = ("created", "detached", "discharged", "expired", "violated")
+# Lifecycle states the creditor's model must not exceed the debtor's, and
+# conversely; keyed by which side's inference implies the other's.
+CREDITOR_TO_DEBTOR = ("created", "detached", "violated")
+DEBTOR_TO_CREDITOR = ("discharged", "expired")
 
 
 class EventExpr:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
 from .errors import WellFormednessError
 from .lexer import TokenStream
@@ -223,9 +223,11 @@ def _parse_protocol(stream: TokenStream) -> Protocol:
     private_params: tuple[ParameterDecl, ...] = ()
     if stream.accept("name", "private"):
         private_params = _parse_params(stream)
+    # Parameters the protocol declares key are key in each of its schemas.
+    keys = {p.name for p in params + private_params if p.key}
     references: list[Reference] = []
     while not stream.at("symbol", "}"):
-        references.append(_parse_reference(stream))
+        references.append(_parse_reference(stream, keys))
     stream.expect("symbol", "}")
     protocol = Protocol(
         name=name,
@@ -235,7 +237,6 @@ def _parse_protocol(stream: TokenStream) -> Protocol:
         private_params=private_params,
         references=tuple(references),
     )
-    protocol = _inherit_keys(protocol)
     protocol.validate()
     return protocol
 
@@ -247,23 +248,23 @@ def _parse_names(stream: TokenStream) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _parse_param(stream: TokenStream) -> ParameterDecl:
+def _parse_param(stream: TokenStream, keys: AbstractSet[str] = frozenset()) -> ParameterDecl:
     tok = stream.expect("name")
     if tok.text not in (IN, OUT):
         raise stream.error(f"expected 'in' or 'out', found {tok.text!r}")
     name = stream.expect("name").text
-    key = stream.accept("name", "key") is not None
+    key = stream.accept("name", "key") is not None or name in keys
     return ParameterDecl(name, tok.text, key)
 
 
-def _parse_params(stream: TokenStream) -> tuple[ParameterDecl, ...]:
-    params = [_parse_param(stream)]
+def _parse_params(stream: TokenStream, keys: AbstractSet[str] = frozenset()) -> tuple[ParameterDecl, ...]:
+    params = [_parse_param(stream, keys)]
     while stream.accept("symbol", ","):
-        params.append(_parse_param(stream))
+        params.append(_parse_param(stream, keys))
     return tuple(params)
 
 
-def _parse_reference(stream: TokenStream) -> Reference:
+def _parse_reference(stream: TokenStream, keys: AbstractSet[str]) -> Reference:
     first = stream.expect("name")
     if stream.at("symbol", "->"):
         stream.next()
@@ -271,7 +272,7 @@ def _parse_reference(stream: TokenStream) -> Reference:
         stream.expect("symbol", ":")
         name = stream.expect("name").text
         stream.expect("symbol", "[")
-        params = _parse_params(stream)
+        params = _parse_params(stream, keys)
         stream.expect("symbol", "]")
         return MessageSchema(name=name, sender=first.text, receiver=receiver, params=params)
     if stream.at("symbol", "("):
@@ -290,18 +291,6 @@ def _parse_reference(stream: TokenStream) -> Reference:
         stream.expect("symbol", ")")
         return ProtocolReference(name=first.text, roles=tuple(roles), params=tuple(params))
     raise stream.error("expected a message schema ('->') or a protocol reference ('(')")
-
-
-def _inherit_keys(protocol: Protocol) -> Protocol:
-    """Mark each schema parameter as key when the protocol declares it so."""
-    keys = {p.name for p in protocol.all_params() if p.key}
-    refs: list[Reference] = []
-    for ref in protocol.references:
-        if isinstance(ref, MessageSchema):
-            params = tuple(replace(p, key=p.key or p.name in keys) for p in ref.params)
-            ref = replace(ref, params=params)
-        refs.append(ref)
-    return replace(protocol, references=tuple(refs))
 
 
 # ---------------------------------------------------------------------------

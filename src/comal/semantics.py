@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from . import commitments as cm
-from .commitments import CommitmentSpec, EventExpr
+from .commitments import CREDITOR_TO_DEBTOR, DEBTOR_TO_CREDITOR, CommitmentSpec, EventExpr
 from .enactment import Bindings, Model, kb_agree
 
 INF = math.inf
@@ -221,11 +221,6 @@ def next_change(anchors: Iterable[tuple[EventExpr | None, int]], ctx: Evaluation
 # ---------------------------------------------------------------------------
 # Alignment
 
-# Lifecycle states the creditor's model must not exceed the debtor's, and
-# conversely; keyed by which side's inference implies the other's.
-CREDITOR_TO_DEBTOR = ("created", "detached", "violated")
-DEBTOR_TO_CREDITOR = ("discharged", "expired")
-
 
 @dataclass(frozen=True)
 class Misalignment:
@@ -246,8 +241,8 @@ def check_alignment_models(
     creditor_table: Mapping[str, tuple[EventInstance, ...]],
 ) -> AlignmentResult:
     """Compare the debtor's and the creditor's :func:`lifecycle_table` of
-    ``c``: the creditor's created/detached/violated inferences must be the
-    debtor's too, and the debtor's discharged/expired must be the creditor's."""
+    ``c``: the creditor's ``CREDITOR_TO_DEBTOR`` inferences must be the
+    debtor's too, and the debtor's ``DEBTOR_TO_CREDITOR`` ones the creditor's."""
     failures: list[Misalignment] = []
     for kind in CREDITOR_TO_DEBTOR:
         have = _kbs(debtor_table[kind])

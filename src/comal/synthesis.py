@@ -64,19 +64,13 @@ class ForwardingName:
 
 
 def decompose_commitment(c: CommitmentSpec) -> tuple[AlignmentInstruction, ...]:
-    """The five lifecycle instructions of a commitment.
-
-    The creditor's stronger expectations (created, detached, violated) must
-    reach the debtor; the debtor's releases (discharged, expired) must reach
-    the creditor.
-    """
+    """The five lifecycle instructions of a commitment: the creditor's
+    inferences of the ``CREDITOR_TO_DEBTOR`` states must reach the debtor, and
+    the debtor's of the ``DEBTOR_TO_CREDITOR`` states the creditor."""
     life = lambda kind: cm.LifecycleEvent(kind, c)
-    return (
-        AlignmentInstruction(c.creditor, life("created"), c.debtor),
-        AlignmentInstruction(c.creditor, life("detached"), c.debtor),
-        AlignmentInstruction(c.creditor, life("violated"), c.debtor),
-        AlignmentInstruction(c.debtor, life("discharged"), c.creditor),
-        AlignmentInstruction(c.debtor, life("expired"), c.creditor),
+    return tuple(
+        [AlignmentInstruction(c.creditor, life(kind), c.debtor) for kind in cm.CREDITOR_TO_DEBTOR]
+        + [AlignmentInstruction(c.debtor, life(kind), c.creditor) for kind in cm.DEBTOR_TO_CREDITOR]
     )
 
 

@@ -50,11 +50,10 @@ from its observation tuples. Each bit keeps the masks of the instances whose
 key bindings agree with its own and of those that also clash with it, so
 safety and completeness are read off masks (see ``KnowledgeGraph``).
 
-The timed graph also interns (instance, phase) pairs: a state is the tuple of
-per-role masks of the pairs each role observed, then the phase. Each pair
-mask's instance mask is derived once, and a state's moves, and whether a
-lapse may follow them, are cached on the tuple of those (unrestricted
-OrderingOp: 8 760 states, 43 tuples); models are cached on pair mask.
+The timed graph also interns (instance, phase) pairs: a state is each role's
+instance mask, each role's mask of the pairs it observed, and the phase. A
+state's moves, and whether a lapse may follow them, are cached on its instance
+masks (unrestricted OrderingOp: 8 760 states, 43 tuples); models on pair mask.
 ``semantics`` reads a model only through base-event names, so a commitment's
 tables read only the entries its create, detach and discharge name, and the
 lapse boundary only those the window anchors name. Those entries of a model
@@ -150,11 +149,11 @@ search would only add a pass, so punctual runs are breadth-first.
 from __future__ import annotations
 
 import logging
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 from .commitments import CommitmentSpec, bind_commitment
 from .enactment import (
@@ -247,6 +246,11 @@ def _union(masks: Sequence[int], parts: Sequence[int]) -> int:
     for mask, part in zip(masks, parts):
         union |= mask & part
     return union
+
+
+def _with(masks: tuple[int, ...], index: int, bit: int) -> tuple[int, ...]:
+    """``masks`` with ``bit`` set in the mask at ``index``."""
+    return masks[:index] + (masks[index] | bit,) + masks[index + 1:]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -356,20 +360,29 @@ class StateSpace:
                 self._found(sid, tid, move)
             self.edges[sid].append((move, tid))
 
+    def _walk(self, start: int, goal: Container[int] = frozenset()) -> dict[int, tuple[int, tuple] | None]:
+        """Breadth-first over the stored edges from ``start``: each state
+        reached, in the order first reached, with the edge it was first
+        reached by (None for ``start``). Stops when it reaches a state of ``goal``."""
+        parents: dict[int, tuple[int, tuple] | None] = {start: None}
+        order = [start]
+        for sid in order:
+            for move, tid in self.edges[sid]:
+                if tid not in parents:
+                    parents[tid] = (sid, move)
+                    if tid in goal:
+                        return parents
+                    order.append(tid)
+        return parents
+
     def _renumber(self) -> None:
         """Renumber a complete graph breadth-first over its stored edges: its
         states, parents and edges become those a breadth-first build records."""
-        states, edges = self.states, self.edges
-        order, renumbered, parents = [0], {0: 0}, [None]
-        for sid in order:
-            for move, tid in edges[sid]:
-                if tid not in renumbered:
-                    renumbered[tid] = len(order)
-                    order.append(tid)
-                    parents.append((renumbered[sid], move))
-        self.states = [states[sid] for sid in order]
-        self.parents = parents
-        self.edges = [[(move, renumbered[tid]) for move, tid in edges[sid]] for sid in order]
+        walk = self._walk(0)
+        renumbered = {sid: new for new, sid in enumerate(walk)}
+        self.states = [self.states[sid] for sid in walk]
+        self.parents = [None if parent is None else (renumbered[parent[0]], parent[1]) for parent in walk.values()]
+        self.edges = [[(move, renumbered[tid]) for move, tid in self.edges[sid]] for sid in walk]
         self.index = {state: sid for sid, state in enumerate(self.states)}
 
     def _cache_summary(self) -> str:
@@ -521,8 +534,6 @@ class KnowledgeGraph(StateSpace):
         self.public_out = tuple(public_out)
         self.safety_violation: tuple[int, str] | None = None
         self.detail = ""
-        # ``_is_complete`` by the mask of emitted instances.
-        self._complete: dict[int, bool] = {}
 
     def build(self, stop_on_safety: bool = False) -> None:
         stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
@@ -536,7 +547,7 @@ class KnowledgeGraph(StateSpace):
         return self._members(self._emitted_mask(state))
 
     def _successors(self, state: tuple[int, ...]) -> list[tuple[tuple, tuple[int, ...]]]:
-        return [(move, state[:ri] + (state[ri] | bit,) + state[ri + 1:]) for ri, move, bit in self._moves(state)]
+        return [(move, _with(state, ri, bit)) for ri, move, bit in self._moves(state)]
 
     def _found(self, parent_id: int, state_id: int, move: tuple) -> None:
         """Record the first emission that binds a parameter of its enactment a
@@ -560,13 +571,10 @@ class KnowledgeGraph(StateSpace):
         """Whether every emitted instance agrees with an emitted binder of each
         public ``out`` parameter, so every initiated key binding binds them."""
         emitted = self._emitted_mask(state)
-        verdict = self._complete.get(emitted)
-        if verdict is None:
-            verdict = self._complete[emitted] = all(
-                emitted & self._agree[bit] & self._binders.get(param, 0)
-                for bit in _bits(emitted) for param in self.public_out
-            )
-        return verdict
+        return all(
+            emitted & self._agree[bit] & self._binders.get(param, 0)
+            for bit in _bits(emitted) for param in self.public_out
+        )
 
     @cached_property
     def live_everywhere(self) -> bool:
@@ -777,9 +785,10 @@ class AlignmentGraph(StateSpace):
     deadline-lapse moves; punctually, only a safe delivery, or else an
     independent forward's emission, where there is one.
 
-    A state is a tuple of per-role masks over interned (instance, phase)
-    pairs, bit ``p`` standing for ``_pairs[p]``, then the phase. Moves are
-    found on the instance masks the pair masks give (``_observed``)."""
+    A state is (per-role instance masks, per-role masks of interned (instance,
+    phase) pairs, phase), bit ``p`` of a pair mask standing for ``_pairs[p]``.
+    A move sets its bit in both of its observer's masks and a lapse changes
+    only the phase. Moves are found on the instance masks."""
 
     def __init__(
         self,
@@ -790,7 +799,6 @@ class AlignmentGraph(StateSpace):
     ):
         super().__init__(universe, bound, reduced=punctual)
         self.commitments = tuple(commitments)
-        self.punctual = punctual
         self.anchors = window_anchors(commitments)
         # A commitment's tables read only the entries its base events name, and
         # the lapse boundary only those the anchors name (see ``semantics``).
@@ -807,12 +815,10 @@ class AlignmentGraph(StateSpace):
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
-        # The pairs; the mask of each by (instance mask, phase); the instance
-        # mask of each pair mask; the moves, and whether a lapse may follow
-        # them, by the tuple of instance masks.
+        # The pairs; the mask of each by (instance mask, phase); the moves, and
+        # whether a lapse may follow them, by a state's instance masks.
         self._pairs: list[tuple[MessageInstance, int]] = []
         self._pair_bit: dict[tuple[int, int], int] = {}
-        self._observed_cache: dict[int, int] = {}
         self._moves_cache: dict[tuple[int, ...], tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.moves_hits = 0
         self.misaligned_end: int | None = None
@@ -822,7 +828,7 @@ class AlignmentGraph(StateSpace):
         and stop at the first terminal state misaligned for some commitment,
         kept in ``misaligned_end``. A probe that finds none has expanded every
         state, and is renumbered as a breadth-first build would number it."""
-        root = (0,) * (len(self.roles) + 1)
+        root = ((0,) * len(self.roles), (0,) * len(self.roles), 0)
         if not probe:
             self._explore(root)
             return
@@ -840,39 +846,29 @@ class AlignmentGraph(StateSpace):
             self._pairs.append((self._instances[bit.bit_length() - 1], phase))
         return pair
 
-    def _observed(self, pairs: int) -> int:
-        """The mask of the instances in pair mask ``pairs``."""
-        observed = self._observed_cache.get(pairs)
-        if observed is None:
-            observed = 0
-            for p in _bits(pairs):
-                observed |= 1 << self._bit[self._pairs[p][0]]
-            self._observed_cache[pairs] = observed
-        return observed
-
     def decode(self, state):
         """Each role's (instance, phase) set in ``state``, and its phase."""
-        return tuple(frozenset(self._pairs[p] for p in _bits(pairs)) for pairs in state[:-1]), state[-1]
+        return tuple(frozenset(self._pairs[p] for p in _bits(pairs)) for pairs in state[1]), state[2]
 
     def _successors(self, state):
-        now_phase = state[-1]
-        observed = tuple(map(self._observed, state[:-1]))
+        observed, pairs, now_phase = state
         cached = self._moves_cache.get(observed)
         if cached is None:
             moves = self._moves(observed)
             # Punctually, no deadline passes while a message is in flight or a
             # forward can be emitted.
             blocked = any(kind == RECV or inst.schema in self.fwd_registry for _, (kind, _, inst), _ in moves)
-            cached = self._moves_cache[observed] = (moves, not (self.punctual and blocked))
+            cached = self._moves_cache[observed] = (moves, not (self.reduced and blocked))
         else:
             self.moves_hits += 1
         moves, lapse_allowed = cached
         out = [
-            (move, state[:ri] + (state[ri] | self._pair(bit, now_phase),) + state[ri + 1:]) for ri, move, bit in moves
+            (move, (_with(observed, ri, bit), _with(pairs, ri, self._pair(bit, now_phase)), now_phase))
+            for ri, move, bit in moves
         ]
-        lapse_value = self._next_boundary(state[:-1], now_phase) if lapse_allowed else INF
+        lapse_value = self._next_boundary(pairs, now_phase) if lapse_allowed else INF
         if lapse_value < INF:
-            out.append((("lapse", lapse_value), state[:-1] + (lapse_value,)))
+            out.append((("lapse", lapse_value), (observed, pairs, lapse_value)))
         return out
 
     def _cache_summary(self) -> str:
@@ -922,31 +918,25 @@ class AlignmentGraph(StateSpace):
     def alignment(self, state) -> list[int]:
         """Each commitment's number of misalignments at ``state``; 0 means
         aligned."""
+        _, pairs, phase = state
         counts = []
         for c in self.commitments:
             names = self._reads[c.name]
-            debtor = self._view(names, state[self.role_index[c.debtor]])
-            creditor = self._view(names, state[self.role_index[c.creditor]])
-            key = (c.name, debtor, creditor, state[-1])
+            debtor = self._view(names, pairs[self.role_index[c.debtor]])
+            creditor = self._view(names, pairs[self.role_index[c.creditor]])
+            key = (c.name, debtor, creditor, phase)
             if key not in self._count_cache:
                 self._count_cache[key] = len(check_alignment_models(
-                    c, self._table(c, debtor, state[-1]), self._table(c, creditor, state[-1])
+                    c, self._table(c, debtor, phase), self._table(c, creditor, phase)
                 ).misalignments)
             counts.append(self._count_cache[key])
         return counts
 
     def forward_path(self, start: int, goal: set[int]) -> list[dict] | None:
-        parents: dict[int, tuple[int, tuple] | None] = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            for move, succ in self.edges[node]:
-                if succ not in parents:
-                    parents[succ] = (node, move)
-                    if succ in goal:
-                        return _witness(self._trail(succ, parents))
-                    queue.append(succ)
-        return None
+        """A shortest path from ``start`` to a state of ``goal``, or None."""
+        parents = self._walk(start, goal)
+        end = next(reversed(parents))
+        return _witness(self._trail(end, parents)) if end in goal else None
 
     # Held in the class namespace for perfbench/tracer.py, as in KnowledgeGraph.
     path_to = StateSpace.path_to

@@ -129,7 +129,7 @@ def _timed_successors(graph: AlignmentGraph):
             for ri, move in moves
         ]
         boundary = min((change(s, phase) for s in sets), default=INF)
-        blocked = graph.punctual and any(kind == RECV or inst.schema in fwd for _, (kind, _, inst) in moves)
+        blocked = graph.reduced and any(kind == RECV or inst.schema in fwd for _, (kind, _, inst) in moves)
         if boundary < INF and not blocked:
             out.append((("lapse", boundary), (sets, boundary)))
         return out

@@ -720,6 +720,50 @@ def test_forward_reduction_keeps_terminal_states_on_random_compositions():
     assert {(seed, mode) for seed in (71, 95) for mode in SynthesisMode} <= set(checked)
 
 
+def test_theorem2_on_random_compositions():
+    """The paper's Theorems 1 and 2 on each ``_random_alignment_pairs`` draw
+    that is safe and live at ``SMALL``, composed with its commitment's aligner
+    synthesized in each mode. Complete mode holds punctual Theorem 2 on every
+    draw, and literal mode fails it on two, each with a witness that replays
+    as a viable run of the composition. Both modes preserve safety. Liveness
+    is not always preserved: a composition's public ``out`` parameters include
+    every forward's identifier, but a forward can only follow its base
+    message, and at seeds 47, 60 and 80 that message reads an ``in``
+    parameter nothing binds; at seed 110 two messages bind one ``out``
+    parameter, so once one of them is received the other cannot follow."""
+    kept, literal_fails, not_live = 0, [], set()
+    for seed in range(150):
+        pair = _random_alignment_pair(seed)
+        if pair is None:
+            continue
+        protocol, specs = pair
+        try:
+            safety, liveness = check_safety_and_liveness(protocol, SMALL)
+        except BoundExceeded:
+            continue
+        if not (safety.holds and liveness.holds):
+            continue
+        kept += 1
+        for mode in SynthesisMode:
+            composed, registry = _composition(protocol, specs, mode)
+            theorem1 = check_theorem1(protocol, composed, SMALL, registry)
+            assert theorem1.safety_preserved, (seed, mode)
+            if not theorem1.liveness_preserved:
+                not_live.add((seed, mode))
+            report = check_alignment_reachability(composed, specs, SMALL, True, registry)
+            if report.holds:
+                continue
+            assert mode is SynthesisMode.LITERAL, seed
+            literal_fails.append(seed)
+            universe = uod(composed, registry)
+            assert check_viable(vector_from_records(report.witness["reach"], universe), universe) is None
+    assert kept == 93
+    assert literal_fails == [45, 120]
+    assert not_live == {(seed, mode) for seed in (47, 60, 80) for mode in SynthesisMode} | {
+        (110, SynthesisMode.COMPLETE)
+    }
+
+
 def test_probe_cut_at_max_states_reports_its_deepest_state(op_registry, purchase):
     """A depth-first probe cut at ``max_states`` carries its partial graph. Cut
     at 30 of the 31 states it finds on OrderingOp, its last state found, at
@@ -989,17 +1033,11 @@ def test_nested_key_sets_give_one_edge_per_move(nested_keys):
     assert sum(len(out) for out in graph.edges) == 4
 
 
-@pytest.mark.parametrize("case", ["OrderingOp", "bare-escrow", "composed-escrow", "OrderingOp-unrestricted"])
-def test_alignment_matches_uncached_tables(
-    case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
-):
-    """The graph caches lifecycle tables and misalignment counts on (commitment,
-    view, phase), a view being the model entries a commitment's base events
-    name, and next lapse boundaries on the entries the window anchors name.
-    Every state's counts must equal those of tables evaluated from each role's
-    whole model, and its boundary the first ``next_change`` over each role's
-    whole model. Composed escrow's two commitments read different names;
-    unrestricted OrderingOp lapses before deliveries."""
+TIMED_CASES = ["OrderingOp", "bare-escrow", "composed-escrow", "OrderingOp-unrestricted"]
+
+
+def _timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments):
+    """The built timed graph of a ``TIMED_CASES`` case at ``BOUND``."""
     punctual = not case.endswith("-unrestricted")
     if case.startswith("OrderingOp"):
         protocol, specs, registry = op_registry["OrderingOp"], [purchase], op_registry
@@ -1011,9 +1049,56 @@ def test_alignment_matches_uncached_tables(
         )
     graph = AlignmentGraph(uod(protocol, registry), specs, BOUND, punctual)
     graph.build()
+    return graph
+
+
+@pytest.mark.parametrize("case", TIMED_CASES)
+def test_alignment_matches_uncached_tables(
+    case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
+):
+    """The graph caches lifecycle tables and misalignment counts on (commitment,
+    view, phase), a view being the model entries a commitment's base events
+    name, and next lapse boundaries on the entries the window anchors name.
+    Every state's counts must equal those of tables evaluated from each role's
+    whole model, and its boundary the first ``next_change`` over each role's
+    whole model. Composed escrow's two commitments read different names;
+    unrestricted OrderingOp lapses before deliveries."""
+    graph = _timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
     if case == "composed-escrow":
         assert len(set(graph._reads.values())) == 2
     _assert_views_match_whole_models(graph)
+
+
+def _assert_instance_masks_match_pairs(graph: AlignmentGraph) -> None:
+    """Each role's instance mask in every state is the mask of the instances
+    in its (instance, phase) pairs, which the moves are found from."""
+    for state in graph.states:
+        sets, _ = graph.decode(state)
+        assert state[0] == tuple(sum(1 << graph._bit[inst] for inst in {inst for inst, _ in s}) for s in sets)
+
+
+@pytest.mark.parametrize("case", [*TIMED_CASES, "random"])
+def test_timed_instance_masks_match_pair_masks(
+    case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
+):
+    """A timed state carries each role's instance mask beside its pair mask:
+    a move sets its bit in both, a lapse changes neither. On the fixture
+    graphs and on the random ones, built punctually and unrestricted, every
+    state's instance masks are those its pair masks give."""
+    if case != "random":
+        graphs = [_timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)]
+    else:
+        graphs = []
+        for protocol, specs in _random_alignment_pairs(150):
+            for punctual in (True, False):
+                graphs.append(AlignmentGraph(uod(protocol), specs, SMALL, punctual))
+                try:
+                    graphs[-1].build()
+                except BoundExceeded:
+                    pass  # a cut graph's states carry both masks as well
+    for graph in graphs:
+        _assert_instance_masks_match_pairs(graph)
+    assert sum(len(graph.states) for graph in graphs) > 100
 
 
 def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
@@ -1045,7 +1130,7 @@ def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
         ]
         assert graph.alignment(state) == expected
         boundary = min(next_change(graph.anchors, EvaluationContext(model(entries), phase)) for entries in sets)
-        assert graph._next_boundary(state[:-1], phase) == boundary
+        assert graph._next_boundary(state[1], phase) == boundary
 
 
 @pytest.fixture(scope="module")
