@@ -53,16 +53,22 @@ safety and completeness are read off masks (see ``KnowledgeGraph``).
 The timed graph also interns (instance, phase) pairs: a state is each role's
 instance mask, each role's mask of the pairs it observed, and the phase. A
 state's moves, and whether a lapse may follow them, are cached on its instance
-masks (unrestricted OrderingOp: 8 760 states, 43 tuples); models on pair mask.
-``semantics`` reads a model only through base-event names, so a commitment's
-tables read only the entries its create, detach and discharge name, and the
-lapse boundary only those the window anchors name. Those entries of a model
-are an interned *view*: lifecycle tables are cached on (commitment, view,
-phase), misalignment counts on (commitment, debtor view, creditor view,
-phase), next changes on (anchor view, phase). Punctual composed escrow needs
-85 tables and 34 next changes, where keys on a role's whole knowledge and the
-phase need 1 181 and 217. Per timed state, only the successor states, and the
-next lapse boundary where a lapse may follow, are worked out.
+masks (unrestricted OrderingOp: 8 760 states, 43 tuples). ``semantics`` reads
+a model only through base-event names, so a commitment's tables read only the
+entries its create, detach and discharge name, and the lapse boundary only
+those the window anchors name. Those entries of a model are an interned
+*view*: lifecycle tables are cached on (commitment, view, phase),
+misalignment counts on (commitment, debtor view, creditor view, phase), next
+changes on (anchor view, phase). No pair mask's model is projected. A pair's
+one model entry is projected when the pair is interned, and a move derives
+the views of the pair mask it reaches from its parent's: it adds one entry,
+at a phase no earlier than any its observer holds, so an entry already there
+keeps its tick (incremental view maintenance: Gupta, Mumick and
+Subrahmanian, "Maintaining views incrementally", SIGMOD 1993). Punctual
+composed escrow projects 36 pairs into 41 views, and needs 80 tables and 34
+next changes, where keys on a role's whole knowledge and the phase need 848
+and 217. Per timed state, only the successor states, and the next lapse
+boundary where a lapse may follow, are worked out.
 
 A *safe* delivery is one whose parameters are ``out`` in no schema its
 receiver sends. A reduced graph expands only such a delivery where one is in
@@ -162,6 +168,7 @@ from .enactment import (
     HistoryVector,
     MessageInstance,
     Model,
+    ModelEntry,
     Observation,
     emission_candidates,
     emission_violation,
@@ -788,7 +795,10 @@ class AlignmentGraph(StateSpace):
     A state is (per-role instance masks, per-role masks of interned (instance,
     phase) pairs, phase), bit ``p`` of a pair mask standing for ``_pairs[p]``.
     A move sets its bit in both of its observer's masks and a lapse changes
-    only the phase. Moves are found on the instance masks."""
+    only the phase. Moves are found on the instance masks. Each pair mask a
+    move reaches keeps one view id per read set, derived from the parent
+    mask's by the entry of the pair the move sets (``_grow``); tables,
+    misalignment counts and lapse boundaries are read off those ids."""
 
     def __init__(
         self,
@@ -802,23 +812,26 @@ class AlignmentGraph(StateSpace):
         self.anchors = window_anchors(commitments)
         # A commitment's tables read only the entries its base events name, and
         # the lapse boundary only those the anchors name (see ``semantics``).
-        # Models are cached by pair mask, and the entries of one with given
-        # names are an interned view: tables, misalignment counts and next
-        # changes are cached on views, so knowledges that differ only in what a
-        # commitment does not read share its tables.
+        # A model's entries named in one read set are an interned view, so that
+        # knowledges differing only in what a commitment does not read share its
+        # tables. Each pair mask a move reaches keeps one view id per read set,
+        # the anchors' first, derived from its parent's ids (see ``_grow``).
         self._reads = {c.name: base_event_names((c.create, c.detach, c.discharge)) for c in self.commitments}
-        self._anchor_reads = base_event_names(anchor for anchor, _ in self.anchors if anchor is not None)
-        self._model_cache: dict[int, Model] = {}
-        self._view_of: dict[tuple[frozenset, int], int] = {}
-        self._view_ids: dict[tuple, int] = {}
-        self._views: list[Model] = []
+        anchor_reads = base_event_names(anchor for anchor, _ in self.anchors if anchor is not None)
+        self._read_sets = (anchor_reads, *(self._reads[c.name] for c in self.commitments))
+        self._view_ids: dict[tuple, int] = {(): 0}
+        self._views: list[Model] = [Model(())]
+        self._mask_views: dict[int, tuple[int, ...]] = {0: (0,) * len(self._read_sets)}
+        self._insert_cache: dict[tuple[int, int], int] = {}
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
-        # The pairs; the mask of each by (instance mask, phase); the moves, and
-        # whether a lapse may follow them, by a state's instance masks.
+        # The pairs, each pair's model entry and whether each read set reads it;
+        # the index of each by (instance mask, phase); the moves, and whether a
+        # lapse may follow them, by a state's instance masks.
         self._pairs: list[tuple[MessageInstance, int]] = []
-        self._pair_bit: dict[tuple[int, int], int] = {}
+        self._entries: list[tuple[ModelEntry, tuple[bool, ...]]] = []
+        self._pair_index: dict[tuple[int, int], int] = {}
         self._moves_cache: dict[tuple[int, ...], tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.moves_hits = 0
         self.misaligned_end: int | None = None
@@ -836,15 +849,38 @@ class AlignmentGraph(StateSpace):
         if self.misaligned_end is None:
             self._renumber()
 
-    def _pair(self, bit: int, phase: int) -> int:
-        """The one-bit mask of the pair of ``bit``'s instance and ``phase``,
-        interned the first time it is met."""
-        key = (bit, phase)
-        pair = self._pair_bit.get(key)
-        if pair is None:
-            pair = self._pair_bit[key] = 1 << len(self._pairs)
+    def _grow(self, masks: tuple[int, ...], ri: int, bit: int, phase: int) -> tuple[int, ...]:
+        """``masks`` with the pair of ``bit``'s instance and ``phase`` set in role
+        ``ri``'s, a pair interned with its one model entry when first met. A new
+        mask's views are derived from its parent's: a move's pair is at the
+        current phase, no earlier than any its observer holds, so an entry
+        already in a view keeps its tick, as ``model_of`` keeps the earliest."""
+        p = self._pair_index.get((bit, phase))
+        if p is None:
+            p = self._pair_index[bit, phase] = len(self._pairs)
             self._pairs.append((self._instances[bit.bit_length() - 1], phase))
-        return pair
+            entry = self._model(1 << p).entries[0]
+            self._entries.append((entry, tuple(entry.name in names for names in self._read_sets)))
+        child = masks[ri] | 1 << p
+        if child not in self._mask_views:
+            self._mask_views[child] = tuple(
+                self._insert(view, p) if read else view
+                for view, read in zip(self._mask_views[masks[ri]], self._entries[p][1])
+            )
+        return masks[:ri] + (child,) + masks[ri + 1:]
+
+    def _insert(self, view: int, p: int) -> int:
+        """The id of view ``view`` with pair ``p``'s entry, in (name, bindings)
+        order, unless an entry with its name and bindings is there already."""
+        key = (view, p)
+        if key not in self._insert_cache:
+            entry, entries = self._entries[p][0], self._views[view].entries
+            if not any((e.name, e.bindings) == (entry.name, entry.bindings) for e in entries):
+                entries = tuple(sorted((*entries, entry), key=lambda e: (e.name, e.bindings)))
+            grown = self._insert_cache[key] = self._view_ids.setdefault(entries, len(self._views))
+            if grown == len(self._views):
+                self._views.append(Model(entries))
+        return self._insert_cache[key]
 
     def decode(self, state):
         """Each role's (instance, phase) set in ``state``, and its phase."""
@@ -863,7 +899,7 @@ class AlignmentGraph(StateSpace):
             self.moves_hits += 1
         moves, lapse_allowed = cached
         out = [
-            (move, (_with(observed, ri, bit), _with(pairs, ri, self._pair(bit, now_phase)), now_phase))
+            (move, (_with(observed, ri, bit), self._grow(pairs, ri, bit, now_phase), now_phase))
             for ri, move, bit in moves
         ]
         lapse_value = self._next_boundary(pairs, now_phase) if lapse_allowed else INF
@@ -872,34 +908,18 @@ class AlignmentGraph(StateSpace):
         return out
 
     def _cache_summary(self) -> str:
-        return f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits"
+        return (f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits, "
+                f"{len(self._views)} views, {len(self._table_cache)} tables")
 
     def _model(self, pairs: int) -> Model:
-        model = self._model_cache.get(pairs)
-        if model is None:
-            model = self._model_cache[pairs] = model_of((self._pairs[p] for p in _bits(pairs)), self.fwd_registry)
-        return model
-
-    def _view(self, names: frozenset, pairs: int) -> int:
-        """The id of the entries of pair mask ``pairs``'s model named in
-        ``names``."""
-        key = (names, pairs)
-        view = self._view_of.get(key)
-        if view is None:
-            entries = tuple(entry for entry in self._model(pairs).entries if entry.name in names)
-            view = self._view_ids.get(entries)
-            if view is None:
-                view = self._view_ids[entries] = len(self._views)
-                self._views.append(Model(entries))
-            self._view_of[key] = view
-        return view
+        return model_of((self._pairs[p] for p in _bits(pairs)), self.fwd_registry)
 
     def _next_boundary(self, masks: tuple[int, ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's
         lifecycle tables can change, or INF when none can."""
         first = INF
         for pairs in masks:
-            key = (self._view(self._anchor_reads, pairs), now_phase)
+            key = (self._mask_views[pairs][0], now_phase)
             change = self._change_cache.get(key)
             if change is None:
                 ctx = EvaluationContext(self._views[key[0]], now_phase)
@@ -920,10 +940,9 @@ class AlignmentGraph(StateSpace):
         aligned."""
         _, pairs, phase = state
         counts = []
-        for c in self.commitments:
-            names = self._reads[c.name]
-            debtor = self._view(names, pairs[self.role_index[c.debtor]])
-            creditor = self._view(names, pairs[self.role_index[c.creditor]])
+        for i, c in enumerate(self.commitments, start=1):
+            debtor = self._mask_views[pairs[self.role_index[c.debtor]]][i]
+            creditor = self._mask_views[pairs[self.role_index[c.creditor]]][i]
             key = (c.name, debtor, creditor, phase)
             if key not in self._count_cache:
                 self._count_cache[key] = len(check_alignment_models(

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import comal.verify
 from comal.commitments import And, BaseEvent, CommitmentSpec, Except, Or, TimeRef, Window, bind_commitment, parse_commitments
 from comal.enactment import (
     EMIT,
     RECV,
+    Model,
     RoleKnowledge,
     check_viable,
     deliverable,
@@ -29,7 +31,14 @@ from comal.enactment import (
 )
 from comal.errors import BoundExceeded, ComalError, WellFormednessError
 from comal.protocol import IN, OUT, parse_protocol, parse_protocols, uod
-from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table, next_change, window_anchors
+from comal.semantics import (
+    EvaluationContext,
+    base_event_names,
+    check_alignment_models,
+    lifecycle_table,
+    next_change,
+    window_anchors,
+)
 from comal.synthesis import (
     SynthesisMode,
     compose_operationalization,
@@ -1058,7 +1067,8 @@ def test_alignment_matches_uncached_tables(
 ):
     """The graph caches lifecycle tables and misalignment counts on (commitment,
     view, phase), a view being the model entries a commitment's base events
-    name, and next lapse boundaries on the entries the window anchors name.
+    name, and next lapse boundaries on the entries the window anchors name;
+    each pair mask's views are derived per move from its parent's views.
     Every state's counts must equal those of tables evaluated from each role's
     whole model, and its boundary the first ``next_change`` over each role's
     whole model. Composed escrow's two commitments read different names;
@@ -1077,28 +1087,91 @@ def _assert_instance_masks_match_pairs(graph: AlignmentGraph) -> None:
         assert state[0] == tuple(sum(1 << graph._bit[inst] for inst in {inst for inst, _ in s}) for s in sets)
 
 
-@pytest.mark.parametrize("case", [*TIMED_CASES, "random"])
+def _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments):
+    """The graph of a ``TIMED_CASES`` case; for ``"random"`` the graphs of the
+    ``_random_alignment_pairs``, built punctually and unrestricted at
+    ``SMALL``; for ``"cut"`` composed escrow, both ways, and unrestricted
+    OrderingOp, each cut at 300 states."""
+    if case in TIMED_CASES:
+        return [_timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)]
+    if case == "random":
+        draws = [(uod(protocol), specs, punctual, SMALL)
+                 for protocol, specs in _random_alignment_pairs(150) for punctual in (True, False)]
+    else:
+        composed = uod(escrow_op_registry["EscrowOrderingOp"], escrow_op_registry)
+        cut = Bound(max_states=300)
+        draws = [(composed, list(escrow_commitments.values()), punctual, cut) for punctual in (True, False)]
+        draws.append((uod(op_registry["OrderingOp"], op_registry), [purchase], False, cut))
+    graphs = []
+    for universe, specs, punctual, bound in draws:
+        graphs.append(AlignmentGraph(universe, specs, bound, punctual))
+        try:
+            graphs[-1].build()
+        except BoundExceeded:
+            assert case == "cut"
+    return graphs
+
+
+@pytest.mark.parametrize("case", [*TIMED_CASES, "random", "cut"])
 def test_timed_instance_masks_match_pair_masks(
     case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
 ):
     """A timed state carries each role's instance mask beside its pair mask:
     a move sets its bit in both, a lapse changes neither. On the fixture
-    graphs and on the random ones, built punctually and unrestricted, every
-    state's instance masks are those its pair masks give."""
-    if case != "random":
-        graphs = [_timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)]
-    else:
-        graphs = []
-        for protocol, specs in _random_alignment_pairs(150):
-            for punctual in (True, False):
-                graphs.append(AlignmentGraph(uod(protocol), specs, SMALL, punctual))
-                try:
-                    graphs[-1].build()
-                except BoundExceeded:
-                    pass  # a cut graph's states carry both masks as well
+    graphs, on the random ones, built punctually and unrestricted, and on cut
+    builds, every state's instance masks are those its pair masks give."""
+    graphs = _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
     for graph in graphs:
         _assert_instance_masks_match_pairs(graph)
     assert sum(len(graph.states) for graph in graphs) > 100
+
+
+@pytest.mark.parametrize("case", [*TIMED_CASES, "random", "cut"])
+def test_views_derived_per_move_match_whole_models(
+    case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
+):
+    """Each pair mask a move reaches keeps one view per read set, the
+    anchors' then each commitment's, derived from its parent's views by the
+    entry of the pair the move sets. On the fixture graphs, on the random
+    ones, built both ways, and on cut builds, every role's views in every
+    state are the entries of its whole model with the read set's names."""
+    graphs = _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
+    checked = 0
+    for graph in graphs:
+        fwd = forwarding_registry(graph.universe)
+        names = (
+            base_event_names(anchor for anchor, _ in graph.anchors if anchor is not None),
+            *(base_event_names((c.create, c.detach, c.discharge)) for c in graph.commitments),
+        )
+        for state in graph.states:
+            sets, _ = graph.decode(state)
+            for pairs, mask in zip(sets, state[1]):
+                entries = model_of(pairs, fwd).entries
+                expected = [Model(tuple(e for e in entries if e.name in reads)) for reads in names]
+                assert [graph._views[view] for view in graph._mask_views[mask]] == expected
+                checked += 1
+    assert checked > 100
+
+
+def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, escrow_commitments):
+    """The timed graph projects a model once per interned (instance, phase)
+    pair, never per pair mask: on punctual composed escrow, through the
+    build and an alignment pass over every state."""
+    projected = []
+
+    def counted(observed, fwd):
+        observed = list(observed)
+        projected.append(observed)
+        return model_of(observed, fwd)
+
+    monkeypatch.setattr(comal.verify, "model_of", counted)
+    protocol = escrow_op_registry["EscrowOrderingOp"]
+    graph = AlignmentGraph(uod(protocol, escrow_op_registry), list(escrow_commitments.values()), BOUND, punctual=True)
+    graph.build()
+    assert any(any(graph.alignment(state)) for state in graph.states)
+    assert (len(graph.states), len(graph._pairs), len(graph._views)) == (1216, 36, 41)
+    assert len(projected) == len(graph._pairs)
+    assert all(len(observed) == 1 for observed in projected)
 
 
 def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
@@ -1419,7 +1492,10 @@ def test_masks_match_scans_on_random_protocols(k):
 
 def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
     """One line per graph; the timed graph's also gives its moves cache, which
-    answers for every state after the first of each tuple of observed sets."""
+    answers for every state after the first of each tuple of observed sets,
+    and its views and lifecycle tables. Views are derived as moves are found;
+    tables are worked out by ``alignment``, which a breadth-first build does
+    not ask."""
     graph = KnowledgeGraph(uod(ordering), BOUND, ordering.out_params)
     protocol = op_registry["OrderingOp"]
     timed = AlignmentGraph(uod(protocol, op_registry), [purchase], BOUND, punctual=False)
@@ -1434,7 +1510,7 @@ def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
     assert second.getMessage() == (
         f"AlignmentGraph: 8760 states, {timed.edge_count()} edges, "
         f"{len(timed._emission_cache)} candidate-cache entries, {timed.cache_hits} hits, "
-        f"43 moves-cache entries, {8760 - 43} hits"
+        f"43 moves-cache entries, {8760 - 43} hits, 89 views, 0 tables"
     )
 
 
@@ -1456,5 +1532,6 @@ def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
     )
     assert second.startswith("AlignmentGraph: 115 states, ")
     assert second.endswith(
-        f"moves-cache entries, {timed.moves_hits} hits, reduced to safe deliveries and independent forwards"
+        f"moves-cache entries, {timed.moves_hits} hits, 16 views, 0 tables, "
+        "reduced to safe deliveries and independent forwards"
     )
