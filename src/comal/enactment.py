@@ -141,7 +141,10 @@ class ViabilityViolation:
 
 def kb_agree(kb1: Bindings, kb2: Bindings) -> bool:
     """Two key bindings correlate when they agree on every shared key parameter."""
-    other = dict(kb2)
+    return _agrees(kb1, dict(kb2))
+
+
+def _agrees(kb1: Bindings, other: Mapping[str, str]) -> bool:
     return all(other.get(param, value) == value for param, value in kb1)
 
 
@@ -163,9 +166,10 @@ class RoleKnowledge:
             self._bound.setdefault(param, []).append((inst.key_binding, value))
 
     def values_for(self, param: str, kb: Bindings) -> list[str]:
+        other = dict(kb)
         found = []
         for known_kb, value in self._bound.get(param, ()):
-            if kb_agree(known_kb, kb) and value not in found:
+            if value not in found and _agrees(known_kb, other):
                 found.append(value)
         return found
 
@@ -254,29 +258,33 @@ def emission_candidates(
     role: str,
     key_values: Sequence[str],
 ) -> list[MessageInstance]:
-    """Every instance ``role`` could emit given ``knowledge``. For each of the
-    distinct ``key_values`` every key parameter of a schema takes that value,
-    so mixed bindings are not produced; every other ``out`` parameter takes its
-    one :func:`default_value`."""
+    """Every instance ``role`` could emit given ``knowledge``, sorted by
+    (schema, bindings). Each distinct key value gives a schema's key parameters
+    one binding ``kb``, so mixed bindings are not produced, and the rules are
+    decided once per (schema, ``kb``): it was not emitted at ``kb`` (d), no
+    ``out`` parameter is known at ``kb`` (b), and each ``in`` key parameter is
+    known as the key value there (a). Each ``in`` non-key parameter then ranges
+    over its values known at ``kb``, which is rule (a) for it, and each ``out``
+    non-key parameter takes its one :func:`default_value`."""
     out: list[MessageInstance] = []
     for schema in universe.schemas:
         if schema.sender != role:
             continue
         for value in dict.fromkeys(key_values):
             kb = freeze_bindings({k: value for k in schema.keys})
+            if (schema.name, kb) in knowledge.emitted or any(
+                knowledge.values_for(p.name, kb) if p.adornment != IN  # (b)
+                else p.key and value not in knowledge.values_for(p.name, kb)  # (a)
+                for p in schema.params
+            ):
+                continue
             candidates = [dict(kb)]
             for p in schema.params:
                 if p.key:
                     continue
-                if p.adornment == IN:
-                    values = knowledge.values_for(p.name, kb)
-                else:
-                    values = [default_value(schema.name, p.name)]
-                candidates = [{**partial, p.name: value} for partial in candidates for value in values]
-            for bindings in candidates:
-                instance = MessageInstance.make(schema, bindings)
-                if emission_violation(knowledge, schema, instance, 0) is None:
-                    out.append(instance)
+                values = knowledge.values_for(p.name, kb) if p.adornment == IN else [default_value(schema.name, p.name)]
+                candidates = [{**partial, p.name: v} for partial in candidates for v in values]
+            out.extend(MessageInstance.make(schema, bindings) for bindings in candidates)
     out.sort(key=lambda i: (i.schema, i.bindings))
     return out
 

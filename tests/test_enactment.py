@@ -6,6 +6,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from comal.enactment import (
     EMIT,
@@ -14,18 +16,26 @@ from comal.enactment import (
     MessageInstance,
     Observation,
     check_viable,
+    default_value,
     deliverable,
+    emission_candidates,
+    emission_violation,
     enabled_emissions,
+    freeze_bindings,
+    kb_agree,
+    knowledge_from,
     observation_from_json,
     observation_to_json,
     project_model,
     trace_lines,
     vector_from_records,
 )
-from comal.errors import WellFormednessError
-from comal.protocol import parse_protocols, uod
+from comal.errors import BoundExceeded, WellFormednessError
+from comal.protocol import IN, parse_protocol, parse_protocols, uod
 from comal.simulate import Scenario, run_scenario
 from comal.synthesis import forwarding_registry
+from comal.verify import Bound, KnowledgeGraph
+from test_protocol import random_protocol
 
 KB = ("1",)
 
@@ -277,6 +287,131 @@ def test_emission_candidates_distinct_with_nested_key_sets(nested_keys):
     universe = uod(nested_keys)
     candidates = enabled_emissions(HistoryVector.empty(universe.roles), universe, "A", ("1",))
     assert [inst.schema for inst in candidates] == ["a"]
+
+
+def _reference_candidates(knowledge, universe, role, key_values):
+    """The candidates built one by one and then checked: every combination of
+    a key value, the ``in`` values known at its key binding and the ``out``
+    defaults, kept when ``emission_violation`` allows it."""
+    out = []
+    for schema in universe.schemas:
+        if schema.sender != role:
+            continue
+        for value in dict.fromkeys(key_values):
+            kb = freeze_bindings({k: value for k in schema.keys})
+            candidates = [dict(kb)]
+            for p in schema.params:
+                if p.key:
+                    continue
+                values = knowledge.values_for(p.name, kb) if p.adornment == IN else [default_value(schema.name, p.name)]
+                candidates = [{**partial, p.name: v} for partial in candidates for v in values]
+            for bindings in candidates:
+                inst = MessageInstance.make(schema, bindings)
+                if emission_violation(knowledge, schema, inst, 0) is None:
+                    out.append(inst)
+    return sorted(out, key=lambda i: (i.schema, i.bindings))
+
+
+def _assert_candidates_match_reference(universe, key_values, max_states=400_000):
+    """``emission_candidates`` equals the reference for each role's knowledge
+    in every state of the full knowledge-set graph at ``key_values``, or in
+    every state found before ``max_states`` cuts it; and each ``values_for``
+    those rules read is the scan of the role's instances ``kb_agree`` gives.
+    Returns the number of distinct knowledges checked."""
+    graph = KnowledgeGraph(universe, Bound(key_values, max_states), ())
+    try:
+        graph.build()
+    except BoundExceeded:
+        pass
+    checked = set()
+    for state in graph.states:
+        for role, observed in zip(graph.roles, graph.decode(state)):
+            if (role, observed) in checked:
+                continue
+            checked.add((role, observed))
+            knowledge = knowledge_from(sorted(observed, key=lambda i: (i.schema, i.bindings)), role)
+            expected = _reference_candidates(knowledge, universe, role, key_values)
+            assert emission_candidates(knowledge, universe, role, key_values) == expected
+            for schema in universe.schemas:
+                for value in key_values:
+                    kb = freeze_bindings({k: value for k in schema.keys})
+                    for param in schema.param_names:
+                        scan = [b for i in knowledge.instances if kb_agree(i.key_binding, kb) for p, b in i.bindings
+                                if p == param]
+                        assert knowledge.values_for(param, kb) == list(dict.fromkeys(scan))
+    return len(checked)
+
+
+@pytest.mark.parametrize("k", (1, 2))
+@pytest.mark.parametrize(
+    "file, name",
+    [
+        ("nested_keys.bspl", "Two"),
+        ("unsafe_toy.bspl", "UnsafeToy"),
+        ("unsafe_relay.bspl", "UnsafeRelay"),
+        ("ordering_op.bspl", "OrderingOp"),
+        ("escrow_ordering_op.bspl", "EscrowOrderingOp"),
+    ],
+)
+def test_emission_candidates_match_per_candidate_reference(fixtures_dir, file, name, k):
+    """Deciding the rules once per (schema, key value) offers exactly what
+    checking each built candidate did. Composed escrow at two key values
+    passes 400 000 states, so there the first 10 000 states are checked."""
+    registry = parse_protocols((fixtures_dir / file).read_text())
+    universe = uod(registry[name], registry)
+    cap = 10_000 if (name, k) == ("EscrowOrderingOp", 2) else 400_000
+    assert _assert_candidates_match_reference(universe, tuple(str(i + 1) for i in range(k)), cap) > 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from((1, 2)))
+def test_emission_candidates_match_reference_on_random_protocols(seed, k):
+    """As above on Hypothesis-drawn random protocols, where an ``in`` key may
+    never be bound and a schema may bind no ``out`` parameter, so that only
+    rule (d) stops it being sent twice."""
+    protocol = random_protocol(random.Random(seed), 0)
+    assume(protocol.references)
+    _assert_candidates_match_reference(uod(protocol), tuple(str(i + 1) for i in range(k)), 5_000)
+
+
+def test_in_key_unknown_at_a_value_blocks_only_that_value(nested_keys):
+    """``b[in k key, out j key, out y]`` is offered to B at the one key value
+    whose ``k`` B has learned, not at the other."""
+    universe = uod(nested_keys)
+    a = instance(universe, "a", k="1", x="a.x")
+    knowledge = knowledge_from([a], "B")
+    offered = emission_candidates(knowledge, universe, "B", ("1", "2"))
+    assert offered == [instance(universe, "b", k="1", j="1", y="b.y")]
+    assert emission_candidates(knowledge_from([], "B"), universe, "B", ("1", "2")) == []
+
+
+def test_emitted_at_one_value_is_offered_at_another():
+    """Rule (d) is per key binding. ``ack`` binds no ``out`` parameter, so only
+    (d) stops a second ``ack`` at ``k=1``; the one at 2 is still offered. (In
+    the fixtures every schema binds an ``out`` parameter, and (b) stops it too.)"""
+    universe = uod(parse_protocol(
+        """
+        Ack {
+          roles A, B
+          parameters out k key, out x
+          B -> A: start[out k key, out x]
+          A -> B: ack[in k key, in x]
+        }
+        """
+    ))
+    starts = [instance(universe, "start", k=k, x="start.x") for k in ("1", "2")]
+    acks = [instance(universe, "ack", k=k, x="start.x") for k in ("1", "2")]
+    assert emission_candidates(knowledge_from(starts, "A"), universe, "A", ("1", "2")) == acks
+    assert emission_candidates(knowledge_from([*starts, acks[0]], "A"), universe, "A", ("1", "2")) == acks[1:]
+
+
+def test_known_out_at_one_value_blocks_only_that_value(fixtures_dir):
+    """Rule (b) is per key binding: once B has received ``x`` at ``k=1`` it
+    knows ``k`` and ``v`` there, so ``y[out k key, out v]`` is offered at 2
+    only."""
+    universe = uod(parse_protocol((fixtures_dir / "unsafe_toy.bspl").read_text()))
+    knowledge = knowledge_from([instance(universe, "x", k="1", v="x.v")], "B")
+    assert emission_candidates(knowledge, universe, "B", ("1", "2")) == [instance(universe, "y", k="2", v="y.v")]
 
 
 def test_key_binding_cache_leaves_identity_alone(order_universe):

@@ -1535,3 +1535,19 @@ def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
         f"moves-cache entries, {timed.moves_hits} hits, 16 views, 0 tables, "
         "reduced to safe deliveries and independent forwards"
     )
+
+
+def test_alignment_check_logs_its_caches_after_the_pass(caplog, escrow_op_registry, escrow_commitments):
+    """A breadth-first build logs its line before alignment is asked, so its
+    ``tables`` field reads 0; ``check_alignment_reachability`` logs a second
+    line after the pass, with the lifecycle tables, misalignment counts and
+    next changes then cached. Punctual composed escrow: 41 views, then 80
+    tables and 34 next changes, as the module docstring says."""
+    protocol = escrow_op_registry["EscrowOrderingOp"]
+    specs = list(escrow_commitments.values())
+    with caplog.at_level(logging.INFO, logger="comal.verify"):
+        report = check_alignment_reachability(protocol, specs, BOUND, True, escrow_op_registry)
+    build, after = (record.getMessage() for record in caplog.records)
+    assert report.holds and build.startswith("AlignmentGraph: 1216 states, ")
+    assert build.endswith("41 views, 0 tables, reduced to safe deliveries and independent forwards")
+    assert after == "AlignmentGraph: 80 tables, 149 counts, 34 next changes after the punctual check"
