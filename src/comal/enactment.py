@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import WellFormednessError
@@ -238,12 +239,6 @@ def check_viable(v: HistoryVector, universe: Uod) -> ViabilityViolation | None:
     return None
 
 
-def default_value(schema: str, param: str) -> str:
-    """Deterministic synthetic binding for an ``out`` parameter; distinct
-    schemas binding the same parameter produce distinct values."""
-    return f"{schema}.{param}"
-
-
 def knowledge_from(instances: Iterable[MessageInstance], role: str) -> RoleKnowledge:
     """What ``role`` knows after observing ``instances``."""
     knowledge = RoleKnowledge(role)
@@ -265,26 +260,31 @@ def emission_candidates(
     ``out`` parameter is known at ``kb`` (b), and each ``in`` key parameter is
     known as the key value there (a). Each ``in`` non-key parameter then ranges
     over its values known at ``kb``, which is rule (a) for it, and each ``out``
-    non-key parameter takes its one :func:`default_value`."""
+    non-key parameter takes its one ``protocol.default_value``. What the rules
+    read of each schema (its sorted key and parameter names, the parameters
+    each rule reads, the defaults) is the universe's ``emission_plans``, worked
+    out once per universe, so ``kb`` and each instance's bindings are built in
+    name order with no sort. Every binding is complete by construction, so
+    instances are built directly; :meth:`MessageInstance.make` checks and
+    sorts the bindings of a trace record."""
     out: list[MessageInstance] = []
-    for schema in universe.schemas:
-        if schema.sender != role:
-            continue
+    values_for = knowledge.values_for
+    for plan in universe.emission_plans.get(role, ()):
+        schema = plan.schema
         for value in dict.fromkeys(key_values):
-            kb = freeze_bindings({k: value for k in schema.keys})
-            if (schema.name, kb) in knowledge.emitted or any(
-                knowledge.values_for(p.name, kb) if p.adornment != IN  # (b)
-                else p.key and value not in knowledge.values_for(p.name, kb)  # (a)
-                for p in schema.params
+            kb = tuple((k, value) for k in plan.keys)
+            if (
+                (schema.name, kb) in knowledge.emitted  # (d)
+                or any(values_for(p, kb) for p in plan.outs)  # (b)
+                or any(value not in values_for(p, kb) for p in plan.in_keys)  # (a)
             ):
                 continue
-            candidates = [dict(kb)]
-            for p in schema.params:
-                if p.key:
-                    continue
-                values = knowledge.values_for(p.name, kb) if p.adornment == IN else [default_value(schema.name, p.name)]
-                candidates = [{**partial, p.name: v} for partial in candidates for v in values]
-            out.extend(MessageInstance.make(schema, bindings) for bindings in candidates)
+            choices = [(value,) if fill is None else fill or values_for(name, kb)
+                       for name, fill in zip(plan.names, plan.fills)]
+            out.extend(
+                MessageInstance(schema.name, schema.sender, schema.receiver, tuple(zip(plan.names, combo)), plan.keys)
+                for combo in product(*choices)
+            )
     out.sort(key=lambda i: (i.schema, i.bindings))
     return out
 

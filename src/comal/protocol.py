@@ -155,6 +155,43 @@ class Protocol:
                 )
 
 
+def default_value(schema: str, param: str) -> str:
+    """Deterministic synthetic binding for an ``out`` parameter; distinct
+    schemas binding the same parameter produce distinct values."""
+    return f"{schema}.{param}"
+
+
+@dataclass(frozen=True)
+class EmissionPlan:
+    """What the emission rules read of one schema (see
+    ``enactment.emission_candidates``), worked out once per universe."""
+
+    schema: MessageSchema
+    keys: tuple[str, ...]  # sorted, as on every instance
+    outs: tuple[str, ...]  # rule (b): none may be known at the key binding
+    in_keys: tuple[str, ...]  # rule (a): each must be known as the key value
+    names: tuple[str, ...]  # every parameter, sorted, as in every instance's bindings
+    # The values each of ``names`` takes: None for a key parameter (the key
+    # value), () for an ``in`` non-key one (its values known at the key
+    # binding), else the one ``default_value`` of an ``out`` non-key one.
+    fills: tuple[tuple[str, ...] | None, ...]
+
+    @classmethod
+    def of(cls, schema: MessageSchema) -> "EmissionPlan":
+        params = sorted(schema.params, key=lambda p: p.name)
+        return cls(
+            schema=schema,
+            keys=tuple(p.name for p in params if p.key),
+            outs=schema.outs,
+            in_keys=tuple(p.name for p in schema.params if p.key and p.adornment == IN),
+            names=tuple(p.name for p in params),
+            fills=tuple(
+                None if p.key else () if p.adornment == IN else (default_value(schema.name, p.name),)
+                for p in params
+            ),
+        )
+
+
 @dataclass(frozen=True)
 class Uod:
     """Universe of discourse: every role and message schema a protocol can reach."""
@@ -165,6 +202,14 @@ class Uod:
     @cached_property
     def by_name(self) -> Mapping[str, MessageSchema]:
         return {s.name: s for s in self.schemas}
+
+    @cached_property
+    def emission_plans(self) -> Mapping[str, tuple[EmissionPlan, ...]]:
+        """Each sending role's schemas, in universe order, as the emission rules read them."""
+        plans: dict[str, list[EmissionPlan]] = {}
+        for s in self.schemas:
+            plans.setdefault(s.sender, []).append(EmissionPlan.of(s))
+        return {role: tuple(found) for role, found in plans.items()}
 
     def schema(self, name: str) -> MessageSchema:
         try:

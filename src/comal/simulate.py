@@ -16,11 +16,17 @@ a key value and every deliverable instance (any in flight, or with
 After every tick the simulator reports each commitment's five lifecycle
 states in the debtor's and the creditor's models and the alignment verdict;
 ticks after the final move keep reporting, so deadline expiry shows up in the
-report tail. Each tick redoes only what it can change. A role's lifecycle
-tables are re-evaluated only after that role observes or at their
-``semantics.next_change``. A commitment's row is rebuilt, and its alignment
-checked, only when its debtor's or creditor's tables were; otherwise the new
-row reuses the last one's ``lifecycle`` and ``alignment``. A role's enabled
+report tail. Each tick redoes only what it can change. The simulation keeps
+the first tick at which any commitment's debtor's or creditor's tables can
+change: the earliest of their ``semantics.next_change``, or the tick of the
+next observation. Before that tick a quiet tick refreshes nothing and only
+appends each commitment's current row. From it, the stale tables are
+re-evaluated (those of a role that observed, or whose window bound fell due),
+and a commitment's row is rebuilt, and its alignment checked, only when its
+debtor's or creditor's tables were; otherwise the row keeps the last one's
+``lifecycle`` and ``alignment``. A random run of the nested-transfer scenario
+to horizon 800 (seed 1) refreshes at 24 of its 800 ticks, the ticks of its 24
+observations, and only appends rows at the other 776. A role's enabled
 emissions depend only on its own history, so they are generated once per key
 value and again only after that role observes.
 
@@ -46,7 +52,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .commitments import CommitmentSpec, bind_commitment, parse_commitments
 from .enactment import (
@@ -63,6 +69,7 @@ from .enactment import (
 from .errors import ParseError, WellFormednessError, read_source
 from .protocol import Protocol, Uod, parse_protocols, uod
 from .semantics import (
+    INF,
     AlignmentResult,
     EvaluationContext,
     check_alignment_models,
@@ -91,11 +98,11 @@ class Scenario:
             raise WellFormednessError(f"horizon must be at least 0, not {self.horizon}")
 
 
-@dataclass(frozen=True)
-class CommitmentTick:
+class CommitmentTick(NamedTuple):
     """One commitment's report at one tick. Rows are read-only snapshots:
     consecutive rows of a commitment share one ``lifecycle`` and one
-    ``alignment`` object while neither party's tables changed."""
+    ``alignment`` object while neither party's tables changed, so a quiet
+    tick, where no table can change, only appends one tuple per commitment."""
 
     tick: int
     commitment: str
@@ -205,6 +212,10 @@ class Simulation:
         # commitment name -> (the debtor's and the creditor's tables its last
         # row was built from, that row's lifecycle and alignment)
         self._rows: dict[str, tuple[dict, dict, dict, AlignmentResult]] = {}
+        # each commitment's current (name, lifecycle, alignment), appended every tick
+        self._current: list[tuple[str, dict, AlignmentResult]] = []
+        # the first tick at which any of the tables above can change
+        self._stale_at: int | float = 0
         # role -> key value -> the role's enabled emissions at that value
         self._emissions: dict[str, dict[str, list[MessageInstance]]] = {}
 
@@ -275,6 +286,7 @@ class Simulation:
         self.vector = self.vector.extend(obs)
         self._tables.pop(obs.role, None)
         self._emissions.pop(obs.role, None)
+        self._stale_at = 0
 
     def _role_tables(self, role: str, tick: int) -> dict:
         cached = self._tables.get(role)
@@ -285,6 +297,14 @@ class Simulation:
         return cached[0]
 
     def _report(self, tick: int) -> None:
+        if tick >= self._stale_at:
+            self._refresh(tick)
+        self.result.reports += [CommitmentTick(tick, *row) for row in self._current]
+
+    def _refresh(self, tick: int) -> None:
+        """Re-evaluate the stale tables, rebuild the rows whose tables changed,
+        and work out the next tick at which any table can change."""
+        current = []
         for c in self.scenario.commitments:
             debtor, creditor = (self._role_tables(role, tick)[c.name] for role in (c.debtor, c.creditor))
             last = self._rows.get(c.name)
@@ -294,7 +314,10 @@ class Simulation:
                     for role, table in ((c.debtor, debtor), (c.creditor, creditor))
                 }
                 last = self._rows[c.name] = debtor, creditor, lifecycle, check_alignment_models(c, debtor, creditor)
-            self.result.reports.append(CommitmentTick(tick, c.name, *last[2:]))
+            current.append((c.name, *last[2:]))
+        self._current = current
+        # Only debtors' and creditors' tables are ever cached, and all are now.
+        self._stale_at = min((changes for _, changes in self._tables.values()), default=INF)
 
 
 def _scripted_moves(moves, universe: Uod, default_key: str) -> dict[int, tuple[Mapping, str]]:

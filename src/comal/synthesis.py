@@ -81,14 +81,17 @@ def reduce(instr: AlignmentInstruction) -> tuple[AlignmentInstruction, ...]:
     aligns its left side forward and its right side in the reverse direction;
     lifecycle events expand to their formulas."""
     atomic: list[AlignmentInstruction] = []
-    seen: set[AlignmentInstruction] = set()
+    # Formula nodes are compared by identity, since hashing an instruction walks
+    # its whole formula tree: every node is reachable from ``instr`` or a
+    # commitment's cached ``lifecycle`` while this runs, so no id is reused.
+    seen: set[tuple[str, int, str]] = set()
     work = [instr]
     while work:
         item = work.pop()
-        if item in seen:
-            continue
-        seen.add(item)
         a, f, b = item.knower, item.formula, item.learner
+        if (a, id(f), b) in seen:
+            continue
+        seen.add((a, id(f), b))
         if isinstance(f, cm.BaseEvent):
             atomic.append(item)
         elif isinstance(f, cm.Window):

@@ -16,7 +16,6 @@ from comal.enactment import (
     MessageInstance,
     Observation,
     check_viable,
-    default_value,
     deliverable,
     emission_candidates,
     emission_violation,
@@ -31,7 +30,7 @@ from comal.enactment import (
     vector_from_records,
 )
 from comal.errors import BoundExceeded, WellFormednessError
-from comal.protocol import IN, parse_protocol, parse_protocols, uod
+from comal.protocol import IN, default_value, parse_protocol, parse_protocols, uod
 from comal.simulate import Scenario, run_scenario
 from comal.synthesis import forwarding_registry
 from comal.verify import Bound, KnowledgeGraph

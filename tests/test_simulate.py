@@ -10,7 +10,7 @@ from comal.enactment import HistoryVector, enabled_emissions, project_model, tra
 from comal.errors import WellFormednessError
 from comal.protocol import uod
 from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
-from comal.simulate import Scenario, Simulation, load_scenario, report_to_json, run_scenario
+from comal.simulate import CommitmentTick, Scenario, Simulation, load_scenario, report_to_json, run_scenario
 from comal.synthesis import forwarding_registry
 
 
@@ -156,26 +156,82 @@ def test_reports_match_fresh_evaluation(name, policy, fixtures_dir):
         scenario = load_scenario(
             fixtures_dir / f"scenario_{name}.json", {"policy": {"kind": policy}, "seed": seed, "horizon": 120}
         )
-        result = run_scenario(scenario)
-        universe = uod(scenario.protocol, scenario.registry)
-        fwd = forwarding_registry(universe)
-        commitments = {c.name: c for c in scenario.commitments}
-        pending = result.vector.observations()
-        vector = HistoryVector.empty(universe.roles)
-        for row in result.reports:
-            while pending and pending[0].tick <= row.tick:
-                vector = vector.extend(pending.pop(0))
-            c = commitments[row.commitment]
-            tables = {
-                role: lifecycle_table(c, EvaluationContext(project_model(vector, role, fwd), row.tick))
-                for role in (c.debtor, c.creditor)
-            }
-            lifecycle = {
-                role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
-                for role, table in tables.items()
-            }
-            assert row.lifecycle == lifecycle, (seed, row.tick)
-            assert row.alignment == check_alignment_models(c, tables[c.debtor], tables[c.creditor])
+        assert_rows_match_fresh_evaluation(scenario, run_scenario(scenario), seed)
+
+
+def assert_rows_match_fresh_evaluation(scenario, result, seed=None):
+    """Each report row of ``result`` equals the row built from models freshly
+    projected from the run's observations up to its tick and tables evaluated
+    at that tick."""
+    universe = uod(scenario.protocol, scenario.registry)
+    fwd = forwarding_registry(universe)
+    commitments = {c.name: c for c in scenario.commitments}
+    pending = result.vector.observations()
+    vector = HistoryVector.empty(universe.roles)
+    for row in result.reports:
+        while pending and pending[0].tick <= row.tick:
+            vector = vector.extend(pending.pop(0))
+        c = commitments[row.commitment]
+        tables = {
+            role: lifecycle_table(c, EvaluationContext(project_model(vector, role, fwd), row.tick))
+            for role in (c.debtor, c.creditor)
+        }
+        lifecycle = {
+            role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
+            for role, table in tables.items()
+        }
+        assert row.lifecycle == lifecycle, (seed, row.tick)
+        assert row.alignment == check_alignment_models(c, tables[c.debtor], tables[c.creditor])
+
+
+def _quiet_ordering(ordering, purchase):
+    """Ordering with the quote sent at tick 1 and received at tick 2, then
+    nothing until M requests shipping at tick 30: each party's ``quote + 10``
+    window closes in the quiet stretch (M's at 11, C's at 12)."""
+    moves = [
+        {"tick": 1, "role": "M", "dir": "emit", "schema": "quote"},
+        {"tick": 2, "role": "C", "dir": "recv", "schema": "quote"},
+        {"tick": 30, "role": "M", "dir": "emit", "schema": "requestShip"},
+    ]
+    return Scenario(
+        protocol=ordering,
+        registry={ordering.name: ordering},
+        commitments=(purchase,),
+        policy={"kind": "scripted", "moves": moves},
+        horizon=60,
+    )
+
+
+def test_quiet_ticks_refresh_nothing(ordering, purchase, monkeypatch):
+    """Tables are evaluated only at an observation or at a window boundary:
+    both parties' at tick 1, C's at 2 and M's at 30 after they observe, and
+    M's at 11 and C's at 12, where their deadlines pass. Every other tick only
+    appends rows, and every row still equals a freshly evaluated one."""
+    evaluated_at = []
+
+    def evaluating(c, ctx):
+        evaluated_at.append(ctx.now)
+        return lifecycle_table(c, ctx)
+
+    monkeypatch.setattr(comal.simulate, "lifecycle_table", evaluating)
+    scenario = _quiet_ordering(ordering, purchase)
+    result = run_scenario(scenario)
+    assert evaluated_at == [1, 1, 2, 11, 12, 30]
+    assert [row.tick for row in result.reports] == list(range(1, 61))
+    assert [row.tick for row in result.reports if not row.alignment.aligned] == [11]
+    assert result.report_at(12, "Purchase").lifecycle["C"]["expired"] == [{"oID": "1"}]
+    assert_rows_match_fresh_evaluation(scenario, result)
+
+
+def test_report_rows_are_light_immutable_tuples(ordering, purchase):
+    result = run_scenario(_quiet_ordering(ordering, purchase))
+    row = result.report_at(20, "Purchase")
+    assert CommitmentTick._fields == ("tick", "commitment", "lifecycle", "alignment")
+    assert tuple(row) == (20, "Purchase", row.lifecycle, row.alignment)
+    with pytest.raises(AttributeError):
+        row.tick = 21
+    quiet = [row for row in result.reports if 12 <= row.tick < 30]
+    assert all(r.lifecycle is quiet[0].lifecycle and r.alignment is quiet[0].alignment for r in quiet)
 
 
 def test_emissions_are_regenerated_only_after_own_observations(fixtures_dir, monkeypatch):
