@@ -12,7 +12,11 @@ explorer builds role knowledge with :func:`knowledge_from`.
 
 A role's *model* is its history with every forwarding message renamed to the
 message it forwards, the forwarding identifier dropped, and each entry
-timestamped with the tick at which the role first knew it.
+timestamped with the tick at which the role first knew it. It grows by one
+rule: :func:`model_entry` is an observation's entry, and :meth:`Model.add`
+adds it unless the role knew it already. :func:`model_of` folds a whole
+history; the simulator and ``verify``'s timed graph add one entry per
+observation.
 
 Trace format (JSON lines): ``{"tick", "role", "dir": "emit"|"recv", "schema",
 "bindings"}``, one :func:`observation_to_json` record per observation. The
@@ -23,8 +27,9 @@ simulator's traces and every ``verify`` witness are written in it, and
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -330,33 +335,39 @@ class ModelEntry:
 
 @dataclass(frozen=True)
 class Model:
-    entries: tuple[ModelEntry, ...]
+    entries: tuple[ModelEntry, ...]  # in (name, bindings) order, one per (name, bindings)
+
+    def add(self, entry: ModelEntry) -> "Model":
+        """This model with ``entry`` inserted in (name, bindings) order, or this
+        very model when it has an entry of that name and bindings: the role
+        knew it already, so the entry there keeps its tick. Entries added in
+        tick order keep the earliest."""
+        entries, key = self.entries, (entry.name, entry.bindings)
+        i = bisect_left(entries, key, key=lambda e: (e.name, e.bindings))
+        if i < len(entries) and (entries[i].name, entries[i].bindings) == key:
+            return self
+        return Model(entries[:i] + (entry,) + entries[i:])
+
+
+def model_entry(inst: MessageInstance, tick: int, fwd_registry: Mapping[str, ForwardingName]) -> ModelEntry:
+    """The entry of ``inst`` observed at ``tick``: a forward renamed to the
+    message it forwards and stripped of the forwarding identifier. It keeps
+    the instance's key binding: a forward carries its base's keys (see
+    ``synthesis.forwarding_registry``), so renaming leaves it exact."""
+    naming = fwd_registry.get(inst.schema)
+    if naming is not None:
+        bindings = tuple(item for item in inst.bindings if item[0] != naming.id_param)
+        return ModelEntry(naming.base_message, bindings, tick, inst.key_binding)
+    if inst.schema.startswith("fwd"):
+        raise WellFormednessError(f"schema {inst.schema!r} has no forwarding registry entry")
+    return ModelEntry(inst.schema, inst.bindings, tick, inst.key_binding)
 
 
 def model_of(observed: Iterable[tuple[MessageInstance, int]], fwd_registry: Mapping[str, ForwardingName]) -> Model:
     """The model of a role that observed each instance at the paired tick:
-    forwards renamed to the message they forward and stripped of the
-    forwarding identifier; duplicate knowledge keeps the earliest tick. Each
-    entry keeps its instance's key binding: a forward carries its base's keys
-    (see ``synthesis.forwarding_registry``), so renaming leaves it exact."""
-    first: dict[tuple[str, Bindings], tuple[int, Bindings]] = {}
-    for inst, tick in observed:
-        naming = fwd_registry.get(inst.schema)
-        if naming is not None:
-            name = naming.base_message
-            bindings = tuple(item for item in inst.bindings if item[0] != naming.id_param)
-        else:
-            if inst.schema.startswith("fwd"):
-                raise WellFormednessError(f"schema {inst.schema!r} has no forwarding registry entry")
-            name = inst.schema
-            bindings = inst.bindings
-        key = (name, bindings)
-        if key not in first or tick < first[key][0]:
-            first[key] = (tick, inst.key_binding)
-    entries = tuple(
-        ModelEntry(name, bindings, tick, kb) for (name, bindings), (tick, kb) in sorted(first.items())
-    )
-    return Model(entries)
+    :meth:`Model.add` of each one's :func:`model_entry`, in tick order."""
+    pairs = sorted(observed, key=lambda pair: pair[1])
+    return reduce(Model.add, (model_entry(inst, tick, fwd_registry) for inst, tick in pairs), Model(()))
 
 
 def project_model(

@@ -150,8 +150,8 @@ class Protocol:
             expected = {p.name for p in ref.params if p.name in keys}
             if what == "schema" and set(ref.keys) != expected:
                 raise WellFormednessError(
-                    f"{where} keys {set(ref.keys)} must equal its parameters intersected "
-                    f"with the protocol keys {expected}"
+                    f"{where} keys {sorted(ref.keys)} must equal its parameters intersected "
+                    f"with the protocol keys {sorted(expected)}"
                 )
 
 

@@ -16,19 +16,24 @@ a key value and every deliverable instance (any in flight, or with
 After every tick the simulator reports each commitment's five lifecycle
 states in the debtor's and the creditor's models and the alignment verdict;
 ticks after the final move keep reporting, so deadline expiry shows up in the
-report tail. Each tick redoes only what it can change. The simulation keeps
-the first tick at which any commitment's debtor's or creditor's tables can
-change: the earliest of their ``semantics.next_change``, or the tick of the
-next observation. Before that tick a quiet tick refreshes nothing and only
-appends each commitment's current row. From it, the stale tables are
-re-evaluated (those of a role that observed, or whose window bound fell due),
-and a commitment's row is rebuilt, and its alignment checked, only when its
+report tail. Each tick redoes only what it can change. Each role keeps its
+model of the entries the commitments read (their base events' names, which
+include the window anchors'), grown by ``enactment.Model.add`` as it
+observes: a forward of a message it knows, or a message no commitment reads,
+leaves the model as it is. The simulation keeps the first tick at which any
+commitment's debtor's or creditor's tables can change: the earliest of their
+``semantics.next_change``, or the tick of the next observation that grows a
+model. Before that tick a quiet tick refreshes nothing and only appends each
+commitment's current row. From it, the stale tables are re-evaluated (those
+of a role whose model grew, or whose window bound fell due), and a
+commitment's row is rebuilt, and its alignment checked, only when its
 debtor's or creditor's tables were; otherwise the row keeps the last one's
 ``lifecycle`` and ``alignment``. A random run of the nested-transfer scenario
-to horizon 800 (seed 1) refreshes at 24 of its 800 ticks, the ticks of its 24
-observations, and only appends rows at the other 776. A role's enabled
-emissions depend only on its own history, so they are generated once per key
-value and again only after that role observes.
+to horizon 800 (seed 1) makes 24 observations, 12 of which grow a model, and
+refreshes at 17 of its 800 ticks, those 12 and 5 window bounds; at the other
+783 it only appends rows. A role's enabled emissions depend only on its own
+history, so they are generated once per key value and again only after that
+role observes.
 
 Scenario files are JSON::
 
@@ -61,17 +66,20 @@ from .enactment import (
     RECV,
     HistoryVector,
     MessageInstance,
+    Model,
     Observation,
     deliverable,
     enabled_emissions,
-    project_model,
+    model_entry,
 )
+from .enactment import project_model  # noqa: F401  unused here; perfbench/tracer.py rebinds it on this module
 from .errors import ParseError, WellFormednessError, read_source
 from .protocol import Protocol, Uod, parse_protocols, uod
 from .semantics import (
     INF,
     AlignmentResult,
     EvaluationContext,
+    base_event_names,
     check_alignment_models,
     lifecycle_table,
     next_change,
@@ -207,13 +215,17 @@ class Simulation:
         for c in scenario.commitments:
             bind_commitment(c, self.universe)
         self.anchors = window_anchors(scenario.commitments)
-        # role -> (its lifecycle tables by commitment name, the tick they next change at)
-        self._tables: dict[str, tuple[dict, int | float]] = {}
-        # commitment name -> (the debtor's and the creditor's tables its last
-        # row was built from, that row's lifecycle and alignment)
+        # The commitments' tables, and the window anchors they reach, read only
+        # the model entries of these names (see ``semantics``); each role's
+        # model keeps those entries alone.
+        self._reads = base_event_names(e for c in scenario.commitments for e in (c.create, c.detach, c.discharge))
+        self._models: dict[str, Model] = {role: Model(()) for role in self.universe.roles}
+        # role -> (the model its lifecycle tables were evaluated on, the tables
+        # by commitment name, the tick they next change at)
+        self._tables: dict[str, tuple[Model, dict, int | float]] = {}
+        # commitment name -> (the debtor's and the creditor's tables its
+        # current row was built from, that row's lifecycle and alignment)
         self._rows: dict[str, tuple[dict, dict, dict, AlignmentResult]] = {}
-        # each commitment's current (name, lifecycle, alignment), appended every tick
-        self._current: list[tuple[str, dict, AlignmentResult]] = []
         # the first tick at which any of the tables above can change
         self._stale_at: int | float = 0
         # role -> key value -> the role's enabled emissions at that value
@@ -283,28 +295,30 @@ class Simulation:
     # -- bookkeeping --------------------------------------------------------
 
     def _observe(self, obs: Observation) -> None:
+        """Extend the run by ``obs``, and the observer's model by its entry
+        when a commitment reads it and the observer did not know it yet."""
         self.vector = self.vector.extend(obs)
-        self._tables.pop(obs.role, None)
         self._emissions.pop(obs.role, None)
-        self._stale_at = 0
+        entry = model_entry(obs.instance, obs.tick, self.fwd_registry)
+        if entry.name in self._reads and (grown := self._models[obs.role].add(entry)) is not self._models[obs.role]:
+            self._models[obs.role], self._stale_at = grown, 0
 
     def _role_tables(self, role: str, tick: int) -> dict:
         cached = self._tables.get(role)
-        if cached is None or tick >= cached[1]:
-            ctx = EvaluationContext(project_model(self.vector, role, self.fwd_registry), tick)
+        if cached is None or cached[0] is not self._models[role] or tick >= cached[2]:
+            ctx = EvaluationContext(self._models[role], tick)
             tables = {c.name: lifecycle_table(c, ctx) for c in self.scenario.commitments}
-            cached = self._tables[role] = (tables, next_change(self.anchors, ctx))
-        return cached[0]
+            cached = self._tables[role] = (ctx.model, tables, next_change(self.anchors, ctx))
+        return cached[1]
 
     def _report(self, tick: int) -> None:
         if tick >= self._stale_at:
             self._refresh(tick)
-        self.result.reports += [CommitmentTick(tick, *row) for row in self._current]
+        self.result.reports += [CommitmentTick(tick, name, row[2], row[3]) for name, row in self._rows.items()]
 
     def _refresh(self, tick: int) -> None:
         """Re-evaluate the stale tables, rebuild the rows whose tables changed,
         and work out the next tick at which any table can change."""
-        current = []
         for c in self.scenario.commitments:
             debtor, creditor = (self._role_tables(role, tick)[c.name] for role in (c.debtor, c.creditor))
             last = self._rows.get(c.name)
@@ -313,11 +327,9 @@ class Simulation:
                     role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
                     for role, table in ((c.debtor, debtor), (c.creditor, creditor))
                 }
-                last = self._rows[c.name] = debtor, creditor, lifecycle, check_alignment_models(c, debtor, creditor)
-            current.append((c.name, *last[2:]))
-        self._current = current
+                self._rows[c.name] = debtor, creditor, lifecycle, check_alignment_models(c, debtor, creditor)
         # Only debtors' and creditors' tables are ever cached, and all are now.
-        self._stale_at = min((changes for _, changes in self._tables.values()), default=INF)
+        self._stale_at = min((changes for *_, changes in self._tables.values()), default=INF)
 
 
 def _scripted_moves(moves, universe: Uod, default_key: str) -> dict[int, tuple[Mapping, str]]:

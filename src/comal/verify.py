@@ -61,9 +61,9 @@ those the window anchors name. Those entries of a model are an interned
 misalignment counts on (commitment, debtor view, creditor view, phase), next
 changes on (anchor view, phase). No pair mask's model is projected. A pair's
 one model entry is projected when the pair is interned, and a move derives
-the views of the pair mask it reaches from its parent's: it adds one entry,
-at a phase no earlier than any its observer holds, so an entry already there
-keeps its tick (incremental view maintenance: Gupta, Mumick and
+the views of the pair mask it reaches from its parent's by
+``enactment.Model.add`` of that entry, at a phase no earlier than any its
+observer holds (incremental view maintenance: Gupta, Mumick and
 Subrahmanian, "Maintaining views incrementally", SIGMOD 1993). Punctual
 composed escrow projects 36 pairs into 41 views, and needs 80 tables and 34
 next changes, where keys on a role's whole knowledge and the phase need 848
@@ -852,9 +852,8 @@ class AlignmentGraph(StateSpace):
     def _grow(self, masks: tuple[int, ...], ri: int, bit: int, phase: int) -> tuple[int, ...]:
         """``masks`` with the pair of ``bit``'s instance and ``phase`` set in role
         ``ri``'s, a pair interned with its one model entry when first met. A new
-        mask's views are derived from its parent's: a move's pair is at the
-        current phase, no earlier than any its observer holds, so an entry
-        already in a view keeps its tick, as ``model_of`` keeps the earliest."""
+        mask's views are derived from its parent's by ``Model.add``: a move's
+        pair is at the current phase, no earlier than any its observer holds."""
         p = self._pair_index.get((bit, phase))
         if p is None:
             p = self._pair_index[bit, phase] = len(self._pairs)
@@ -870,16 +869,13 @@ class AlignmentGraph(StateSpace):
         return masks[:ri] + (child,) + masks[ri + 1:]
 
     def _insert(self, view: int, p: int) -> int:
-        """The id of view ``view`` with pair ``p``'s entry, in (name, bindings)
-        order, unless an entry with its name and bindings is there already."""
+        """The id of view ``view`` grown by pair ``p``'s entry (``Model.add``)."""
         key = (view, p)
         if key not in self._insert_cache:
-            entry, entries = self._entries[p][0], self._views[view].entries
-            if not any((e.name, e.bindings) == (entry.name, entry.bindings) for e in entries):
-                entries = tuple(sorted((*entries, entry), key=lambda e: (e.name, e.bindings)))
-            grown = self._insert_cache[key] = self._view_ids.setdefault(entries, len(self._views))
+            model = self._views[view].add(self._entries[p][0])
+            grown = self._insert_cache[key] = self._view_ids.setdefault(model.entries, len(self._views))
             if grown == len(self._views):
-                self._views.append(Model(entries))
+                self._views.append(model)
         return self._insert_cache[key]
 
     def decode(self, state):

@@ -15,6 +15,7 @@ from comal.cli import main
 from comal.commitments import bind_commitment, parse_commitment
 from comal.protocol import canonicalize, parse_protocol, parse_protocols, print_protocol, uod
 from comal.simulate import load_scenario, report_to_json, run_scenario
+from test_protocol import MISKEYED
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -72,6 +73,59 @@ def test_syntax_error_names_its_file(capsys, fixtures_dir, tmp_path):
         ((fixtures_dir / "ordering.bspl", cut), f"error: {cut}:2:1: expected 'create', found 'eof'\n"),
     ):
         assert run(capsys, "parse", *argv) == (1, "", expected)
+
+
+def _error_case_files(fixtures_dir) -> dict[str, str]:
+    """Inputs that each reach one error message no other test triggers."""
+    m = "R1 {\n roles A, B\n parameters out k key, out x\n A -> B: m[out k, out x]\n}\n"
+    top = "Top {\n roles A, B\n parameters out k key, out x, out y\n %s\n}\n"
+    ordering = (fixtures_dir / "ordering.bspl").read_text()
+    return {
+        "miskeyed.bspl": MISKEYED,
+        # Two references whose universes define m differently.
+        "conflict.bspl": top % "R1(A, B, out k key, out x)\n R2(A, B, out k key, out y)" + m
+        + m.replace("R1", "R2").replace("x", "y"),
+        "few_roles.bspl": top % "R1(A, out k key, out x)" + m,
+        "many_params.bspl": top % "R1(A, B, out k key, out x, out y)" + m,
+        # m is keyed by k and n by j, so n's window cannot end at m + 5.
+        "two_keys.bspl": "Two {\n roles A, B\n parameters out k key, out j key, out x, out y\n"
+        " A -> B: m[out k, out x]\n B -> A: n[out j, out y]\n}\n",
+        "late.cupid": "commitment Late A to B\n  create m\n  detach n[, m + 5]\n  discharge m\n",
+        "consumer_al.bspl": "OrderingAl {\n roles C, M\n parameters in oID key, in zzz, out fwdCMZID\n"
+        " C -> M: fwdCMZ[in oID, in zzz, out fwdCMZID]\n}\n",
+        # Ordering declaring the identifier of Purchase's one forward, fwdSMShip.
+        "ordering_fwd.bspl": ordering.replace("out sID\n", "out sID, out fwdSMShipID\n", 1),
+    }
+
+
+ERROR_CASES = {
+    "miskeyed": (["parse", "miskeyed.bspl"], "protocol 'P': schema 'm' keys ['k', 'x'] must equal its "
+                 "parameters intersected with the protocol keys ['k']"),
+    "conflicting-schemas": (["parse", "conflict.bspl"], "conflicting definitions for schema 'm' in the universe of 'Top'"),
+    "too-few-roles": (["parse", "few_roles.bspl"], "reference 'R1': 1 role arguments for 2 declared roles"),
+    "too-many-params": (["parse", "many_params.bspl"], "reference 'R1': 3 parameter arguments for 2 declared parameters"),
+    "window-keys-verify": (["verify", "--theorem2", "two_keys.bspl", "late.cupid"],
+                           "window bound event shares no key parameter with the windowed event"),
+    "window-keys-synthesize": (["synthesize", "two_keys.bspl", "late.cupid"],
+                               "window bound event shares no key parameter with the windowed event"),
+    "policy-kind": (["simulate", "bogus.json"], "unknown policy kind 'bogus'"),
+    "no-protocol": (["verify", "--theorem2", "{fixtures}/purchase.cupid"], "no protocol given"),
+    "aligner-consumes": (["compose", "{fixtures}/ordering.bspl", "consumer_al.bspl"],
+                         "aligner 'OrderingAl' consumes 'zzz', which the input does not provide"),
+    "forward-id-declared": (["synthesize", "ordering_fwd.bspl", "{fixtures}/purchase.cupid"],
+                            "forwarding identifier 'fwdSMShipID' collides with an input parameter"),
+}
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_error_exits_1_with_one_line(capsys, fixtures_dir, tmp_path, case):
+    """Each of these malformed inputs ends in exit 1 and one error line."""
+    for name, text in _error_case_files(fixtures_dir).items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "bogus.json").write_text(json.dumps({**direct_order(fixtures_dir), "policy": {"kind": "bogus"}}))
+    (command, *args), message = ERROR_CASES[case]
+    args = [arg if arg.startswith("-") else tmp_path / arg.format(fixtures=fixtures_dir) for arg in args]
+    assert run(capsys, command, *args) == (1, "", f"error: {message}\n")
 
 
 def test_parse_validates_references(capsys, tmp_path):

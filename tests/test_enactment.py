@@ -14,6 +14,8 @@ from comal.enactment import (
     RECV,
     HistoryVector,
     MessageInstance,
+    Model,
+    ModelEntry,
     Observation,
     check_viable,
     deliverable,
@@ -23,6 +25,8 @@ from comal.enactment import (
     freeze_bindings,
     kb_agree,
     knowledge_from,
+    model_entry,
+    model_of,
     observation_from_json,
     observation_to_json,
     project_model,
@@ -99,6 +103,28 @@ def test_receive_without_send(order_universe):
     v = play(HistoryVector.empty(order_universe.roles), (1, RECV, quote))
     violation = check_viable(v, order_universe)
     assert violation is not None and violation.rule == "unsent"
+
+
+def test_receive_twice(order_universe):
+    quote = instance(order_universe, "quote", oID="1", item="book", price="10")
+    v = play(HistoryVector.empty(order_universe.roles), (1, EMIT, quote), (2, RECV, quote), (3, RECV, quote))
+    violation = check_viable(v, order_universe)
+    assert (violation.rule, violation.role, violation.tick, violation.detail) == ("unsent", "C", 3, "received twice")
+
+
+def test_emission_by_a_non_sender_role(order_universe):
+    """An instance whose sender is not its schema's: C emitting a quote."""
+    quote = instance(order_universe, "quote", oID="1", item="book", price="10")
+    forged = dataclasses.replace(quote, sender="C", receiver="M")
+    violation = check_viable(play(HistoryVector.empty(order_universe.roles), (1, EMIT, forged)), order_universe)
+    assert (violation.rule, violation.role, violation.detail) == ("a", "C", "emitted by a non-sender role")
+
+
+def test_trace_record_with_a_bad_direction(order_universe):
+    record = {"tick": 1, "role": "M", "dir": "send", "schema": "quote",
+              "bindings": {"oID": "1", "item": "book", "price": "10"}}
+    with pytest.raises(WellFormednessError, match="^bad trace direction 'send'$"):
+        observation_from_json(record, order_universe)
 
 
 def test_vector_takes_only_its_own_roles(order_universe):
@@ -217,6 +243,66 @@ def test_project_model_unknown_forward(order_universe):
     v = play(HistoryVector.empty(universe.roles), (1, EMIT, inst))
     with pytest.raises(WellFormednessError, match="schema 'fwdABThing' has no forwarding registry entry"):
         project_model(v, "A", {})
+
+
+def _reference_model_of(observed, fwd_registry):
+    """The model as one dict of the earliest (tick, key binding) per renamed
+    (name, bindings), sorted: the rule ``Model.add`` and ``model_entry`` fold."""
+    first = {}
+    for inst, tick in observed:
+        naming = fwd_registry.get(inst.schema)
+        if naming is not None:
+            name = naming.base_message
+            bindings = tuple(item for item in inst.bindings if item[0] != naming.id_param)
+        else:
+            name, bindings = inst.schema, inst.bindings
+        if (name, bindings) not in first or tick < first[name, bindings][0]:
+            first[name, bindings] = (tick, inst.key_binding)
+    return Model(tuple(ModelEntry(name, bindings, tick, kb) for (name, bindings), (tick, kb) in sorted(first.items())))
+
+
+def _model_pool(registry):
+    """Instances of composed escrow at two orders: base messages, forwards of
+    them under two identifiers, and a second payment, so that renamed
+    forwards and repeats collide."""
+    universe = uod(registry["OperationalizationProtocol"], registry)
+    pool = []
+    for oid in ("1", "2"):
+        pool += [
+            instance(universe, "quote", oID=oid, item="book", price="10"),
+            instance(universe, "payEscrow", oID=oid, pID="7"),
+            instance(universe, "payEscrow", oID=oid, pID="8"),
+            instance(universe, "ship", oID=oid, sID="5"),
+        ]
+        pool += [instance(universe, "fwdCMPayEscrow", oID=oid, pID="7", fwdCMPayEscrowID=i) for i in ("9", "10")]
+        pool += [instance(universe, "fwdSEShip", oID=oid, sID="5", fwdSEShipID="3")]
+        pool += [instance(universe, "fwdMEShip", oID=oid, sID="5", fwdMEShipID="4")]
+    return pool, forwarding_registry(universe)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_model_of_folds_add_like_the_earliest_tick_dict(operationalization_registry, data):
+    """On drawn observation lists, unordered, with forwards and repeats, the
+    fold of ``Model.add`` over ``model_entry`` equals the dict that keeps the
+    earliest tick per (name, bindings)."""
+    pool, fwd = _model_pool(operationalization_registry)
+    observed = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 8)), max_size=16))
+    assert model_of(observed, fwd) == _reference_model_of(observed, fwd)
+
+
+def test_model_add_keeps_a_known_entry(operationalization_registry):
+    """``add`` returns the model itself for an entry of a known (name,
+    bindings), whatever its tick, and inserts others in (name, bindings)
+    order."""
+    pool, fwd = _model_pool(operationalization_registry)
+    quote, pay, _, ship, forward, *_ = pool
+    model = Model(()).add(model_entry(ship, 2, fwd)).add(model_entry(quote, 5, fwd))
+    assert [(e.name, e.tick) for e in model.entries] == [("quote", 5), ("ship", 2)]
+    assert model.add(model_entry(quote, 1, fwd)) is model
+    grown = model.add(model_entry(forward, 3, fwd))
+    assert grown.entries == (model_entry(pay, 3, fwd), *model.entries)
+    assert grown.add(model_entry(pay, 4, fwd)) is grown
 
 
 def test_bindings_domain_checked(order_universe):

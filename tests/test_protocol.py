@@ -64,6 +64,20 @@ def test_schema_requires_key():
         parse_protocol(text)
 
 
+MISKEYED = "P {\n roles A, B\n parameters out k key, out x\n A -> B: m[out k key, out x key]\n}\n"
+
+
+def test_schema_keys_must_be_the_protocol_keys():
+    """The message names the keys sorted, whatever the hash seed."""
+    message = (
+        "protocol 'P': schema 'm' keys ['k', 'x'] must equal its parameters intersected "
+        "with the protocol keys ['k']"
+    )
+    with pytest.raises(WellFormednessError) as info:
+        parse_protocol(MISKEYED)
+    assert str(info.value) == message
+
+
 def test_parameter_cannot_be_both_in_and_out():
     text = """
     Bad {

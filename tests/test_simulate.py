@@ -6,10 +6,10 @@ import json
 import pytest
 
 import comal.simulate
-from comal.enactment import HistoryVector, enabled_emissions, project_model, trace_lines
+from comal.enactment import HistoryVector, Model, enabled_emissions, project_model, trace_lines
 from comal.errors import WellFormednessError
 from comal.protocol import uod
-from comal.semantics import EvaluationContext, check_alignment_models, lifecycle_table
+from comal.semantics import EvaluationContext, base_event_names, check_alignment_models, lifecycle_table
 from comal.simulate import CommitmentTick, Scenario, Simulation, load_scenario, report_to_json, run_scenario
 from comal.synthesis import forwarding_registry
 
@@ -203,10 +203,12 @@ def _quiet_ordering(ordering, purchase):
 
 
 def test_quiet_ticks_refresh_nothing(ordering, purchase, monkeypatch):
-    """Tables are evaluated only at an observation or at a window boundary:
-    both parties' at tick 1, C's at 2 and M's at 30 after they observe, and
-    M's at 11 and C's at 12, where their deadlines pass. Every other tick only
-    appends rows, and every row still equals a freshly evaluated one."""
+    """Tables are evaluated only when a party's model grows or a window
+    boundary falls due: both parties' at tick 1, C's at 2 after it receives
+    the quote, and M's at 11 and C's at 12, where their deadlines pass. M's
+    ``requestShip`` at 30 is no entry ``Purchase`` reads, so it evaluates
+    nothing. Every other tick only appends rows, and every row still equals a
+    freshly evaluated one."""
     evaluated_at = []
 
     def evaluating(c, ctx):
@@ -216,11 +218,71 @@ def test_quiet_ticks_refresh_nothing(ordering, purchase, monkeypatch):
     monkeypatch.setattr(comal.simulate, "lifecycle_table", evaluating)
     scenario = _quiet_ordering(ordering, purchase)
     result = run_scenario(scenario)
-    assert evaluated_at == [1, 1, 2, 11, 12, 30]
+    assert evaluated_at == [1, 1, 2, 11, 12]
     assert [row.tick for row in result.reports] == list(range(1, 61))
     assert [row.tick for row in result.reports if not row.alignment.aligned] == [11]
     assert result.report_at(12, "Purchase").lifecycle["C"]["expired"] == [{"oID": "1"}]
     assert_rows_match_fresh_evaluation(scenario, result)
+
+
+@pytest.mark.parametrize("policy", ["scripted", "random", "aligner"])
+@pytest.mark.parametrize("name", ["direct_order", "escrow_payment", "nested_transfer"])
+def test_role_models_match_projected_models(name, policy, fixtures_dir, monkeypatch):
+    """At every refresh, each role's model, grown by ``Model.add`` one
+    observation at a time, is its projected whole model restricted to the
+    names the commitments read."""
+    refresh = Simulation._refresh
+    checked = []
+
+    def checking(simulation, tick):
+        fwd = simulation.fwd_registry
+        reads = base_event_names(e for c in simulation.scenario.commitments for e in (c.create, c.detach, c.discharge))
+        for role in simulation.universe.roles:
+            entries = project_model(simulation.vector, role, fwd).entries
+            assert simulation._models[role] == Model(tuple(e for e in entries if e.name in reads)), (tick, role)
+        checked.append(tick)
+        refresh(simulation, tick)
+
+    monkeypatch.setattr(Simulation, "_refresh", checking)
+    runs = [{}] if policy == "scripted" else [{"policy": {"kind": policy}, "seed": s, "horizon": 120} for s in (1, 2, 3)]
+    for overrides in runs:
+        run_scenario(load_scenario(fixtures_dir / f"scenario_{name}.json", overrides))
+    assert len(checked) >= 5
+
+
+def test_repeated_and_unread_entries_evaluate_nothing(fixtures_dir, monkeypatch):
+    """The nested-transfer script, then, after the last window bound falls
+    due at 21, M forwards ship to E, which knows it from S, and E forwards
+    payEscrow to M, which knows it from C. Neither forward, emitted or
+    received, grows a model, and nor does ``requestShip`` at ticks 3 and 4,
+    which no commitment reads: tables are evaluated at the same ticks as
+    without the four forwards, where a party's model grows or a window bound
+    falls due."""
+    evaluated_at = []
+
+    def evaluating(c, ctx):
+        evaluated_at.append(ctx.now)
+        return lifecycle_table(c, ctx)
+
+    monkeypatch.setattr(comal.simulate, "lifecycle_table", evaluating)
+    path = fixtures_dir / "scenario_nested_transfer.json"
+    script = json.loads(path.read_text())["policy"]["moves"]
+    forwards = [
+        {"tick": 22, "role": "M", "dir": "emit", "schema": "fwdMEShip"},
+        {"tick": 23, "role": "E", "dir": "recv", "schema": "fwdMEShip"},
+        {"tick": 24, "role": "E", "dir": "emit", "schema": "fwdEMPayEscrow"},
+        {"tick": 25, "role": "M", "dir": "recv", "schema": "fwdEMPayEscrow"},
+    ]
+    ticks = []
+    for moves in (script, script + forwards):
+        scenario = load_scenario(path, {"policy": {"kind": "scripted", "moves": moves}, "horizon": 30})
+        result = run_scenario(scenario)
+        assert len(result.vector.observations()) == len(moves)
+        assert_rows_match_fresh_evaluation(scenario, result)
+        ticks.append(sorted(set(evaluated_at)))
+        evaluated_at.clear()
+    assert [obs.instance.schema for obs in result.vector.observations()][2:4] == ["requestShip"] * 2
+    assert ticks[0] == ticks[1] == [1, 2, 6, 7, 9, 11, 12, 13, 14, 15, 16, 18, 20, 21]
 
 
 def test_report_rows_are_light_immutable_tuples(ordering, purchase):

@@ -554,11 +554,59 @@ def test_violated_misalignment_reachable_without_ship_notification(ordering, pur
 
 
 def test_violated_alignment_restored_by_notification(ordering, purchase):
+    """Ordering composed with complete mode's aligner for Purchase, whose one
+    forward is the shipper's notification of ``ship`` to the merchant
+    (``fwdSMShip``), holds punctual Theorem 2. It holds without that
+    notification too, as bare Ordering does (``NECESSITY``): punctually every
+    message is delivered before a deadline passes. So this shows the
+    composition aligned, not that the notification is needed."""
     aligner = synthesize_alignment_protocol(purchase, ordering, SynthesisMode.COMPLETE)
     composed = compose_operationalization(ordering, [aligner])
     registry = {p.name: p for p in [composed, ordering, aligner]}
     report = check_alignment_reachability(composed, [purchase], BOUND, punctual=True, registry=registry)
     assert report.holds
+
+
+# Punctual Theorem 2 on a composition with each of its forwards dropped in
+# turn, from every aligner that has it: (input, commitments, synthesis mode,
+# the forwards it holds without, those it fails without, whether the bare
+# input protocol holds with no aligner). With every forward, each holds.
+# Complete escrow holds without any one forward but fwdMEQuote, literal escrow
+# without none; bare escrow fails, and bare Ordering holds.
+NECESSITY = {
+    "OrderingOp": ("ordering.bspl", "purchase.cupid", "complete", {"fwdSMShip"}, set(), True),
+    "escrow-complete": (
+        "escrow_ordering.bspl", "escrow_transfer.cupid", "complete",
+        {"fwdCMPayEscrow", "fwdEMPayEscrow", "fwdEMShip", "fwdMEShip", "fwdSEShip", "fwdSMShip"}, {"fwdMEQuote"},
+        False,
+    ),
+    "escrow-literal": (
+        "escrow_ordering.bspl", "escrow_transfer.cupid", "literal",
+        set(), {"fwdCMPayEscrow", "fwdMEQuote", "fwdSEShip", "fwdSMShip"}, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NECESSITY)
+def test_forward_necessity_on_the_fixtures(fixtures_dir, case):
+    """Which forwards punctual Theorem 2 can do without, one at a time, and
+    whether the bare protocol holds (see ``NECESSITY``)."""
+    input_file, cupid, mode, droppable, needed, bare = NECESSITY[case]
+    base = parse_protocol((fixtures_dir / input_file).read_text())
+    specs = list(parse_commitments((fixtures_dir / cupid).read_text()).values())
+    aligners = [synthesize_alignment_protocol(c, base, SynthesisMode(mode)) for c in specs]
+
+    def holds(dropped):
+        kept = [replace(a, references=tuple(r for r in a.references if r.name != dropped)) for a in aligners]
+        composed = compose_operationalization(base, kept)
+        registry = {p.name: p for p in [composed, base, *kept]}
+        return check_alignment_reachability(composed, specs, BOUND, punctual=True, registry=registry).holds
+
+    forwards = {r.name for a in aligners for r in a.references}
+    assert forwards == droppable | needed
+    assert holds(None)
+    assert {f for f in forwards if holds(f)} == droppable
+    assert check_alignment_reachability(base, specs, BOUND, punctual=True).holds is bare
 
 
 def test_bound_exceeded_carries_partial_graph(escrow_composed_literal):
