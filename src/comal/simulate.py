@@ -13,27 +13,26 @@ a key value and every deliverable instance (any in flight, or with
 * ``aligner`` is random but prefers forwarding emissions and deliveries, so
   runs drift toward alignment.
 
-After every tick the simulator reports each commitment's five lifecycle
-states in the debtor's and the creditor's models and the alignment verdict;
-ticks after the final move keep reporting, so deadline expiry shows up in the
-report tail. Each tick redoes only what it can change. Each role keeps its
-model of the entries the commitments read (their base events' names, which
-include the window anchors'), grown by ``enactment.Model.add`` as it
-observes: a forward of a message it knows, or a message no commitment reads,
-leaves the model as it is. The simulation keeps the first tick at which any
-commitment's debtor's or creditor's tables can change: the earliest of their
+After every tick the simulator reports each commitment's five lifecycle states
+in the debtor's and the creditor's models and the alignment verdict; ticks
+after the final move keep reporting, so deadline expiry shows up in the report
+tail. Each tick redoes only what it can change. Each debtor and creditor keeps
+its model of the entries the commitments read (their base events' names, which
+include the window anchors'), grown by ``enactment.Model.add`` as it observes:
+a forward of a message it knows, or a message no commitment reads, leaves the
+model as it is. The simulation keeps the first tick at which any commitment's
+debtor's or creditor's tables can change: the earliest of their
 ``semantics.next_change``, or the tick of the next observation that grows a
 model. Before that tick a quiet tick refreshes nothing and only appends each
-commitment's current row. From it, the stale tables are re-evaluated (those
-of a role whose model grew, or whose window bound fell due), and a
-commitment's row is rebuilt, and its alignment checked, only when its
-debtor's or creditor's tables were; otherwise the row keeps the last one's
-``lifecycle`` and ``alignment``. A random run of the nested-transfer scenario
-to horizon 800 (seed 1) makes 24 observations, 12 of which grow a model, and
-refreshes at 17 of its 800 ticks, those 12 and 5 window bounds; at the other
-783 it only appends rows. A role's enabled emissions depend only on its own
-history, so they are generated once per key value and again only after that
-role observes.
+commitment's current row. From it, the stale tables are re-evaluated (those of
+a role whose model grew, or whose window bound fell due), and a commitment's
+row is rebuilt, and its alignment checked, only when its debtor's or
+creditor's tables were; otherwise the row keeps the last one's ``lifecycle``
+and ``alignment``. A random run of the nested-transfer scenario to horizon 800
+(seed 1) makes 24 observations, 11 of which grow a model, and refreshes at 16
+of its 800 ticks, those 11 and 5 window bounds; at the other 784 it only
+appends rows. A role's enabled emissions depend only on its own history, so
+they are generated once per key value and again only after that role observes.
 
 Scenario files are JSON::
 
@@ -216,10 +215,10 @@ class Simulation:
             bind_commitment(c, self.universe)
         self.anchors = window_anchors(scenario.commitments)
         # The commitments' tables, and the window anchors they reach, read only
-        # the model entries of these names (see ``semantics``); each role's
-        # model keeps those entries alone.
+        # the model entries of these names (see ``semantics``); each debtor's
+        # and creditor's model keeps those entries alone.
         self._reads = base_event_names(e for c in scenario.commitments for e in (c.create, c.detach, c.discharge))
-        self._models: dict[str, Model] = {role: Model(()) for role in self.universe.roles}
+        self._models: dict[str, Model] = {r: Model(()) for c in scenario.commitments for r in (c.debtor, c.creditor)}
         # role -> (the model its lifecycle tables were evaluated on, the tables
         # by commitment name, the tick they next change at)
         self._tables: dict[str, tuple[Model, dict, int | float]] = {}
@@ -295,12 +294,12 @@ class Simulation:
     # -- bookkeeping --------------------------------------------------------
 
     def _observe(self, obs: Observation) -> None:
-        """Extend the run by ``obs``, and the observer's model by its entry
-        when a commitment reads it and the observer did not know it yet."""
+        """Extend the run by ``obs``, and a debtor's or creditor's model by a new read entry."""
         self.vector = self.vector.extend(obs)
         self._emissions.pop(obs.role, None)
         entry = model_entry(obs.instance, obs.tick, self.fwd_registry)
-        if entry.name in self._reads and (grown := self._models[obs.role].add(entry)) is not self._models[obs.role]:
+        model = self._models.get(obs.role)
+        if model is not None and entry.name in self._reads and (grown := model.add(entry)) is not model:
             self._models[obs.role], self._stale_at = grown, 0
 
     def _role_tables(self, role: str, tick: int) -> dict:

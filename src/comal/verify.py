@@ -50,25 +50,26 @@ from its observation tuples. Each bit keeps the masks of the instances whose
 key bindings agree with its own and of those that also clash with it, so
 safety and completeness are read off masks (see ``KnowledgeGraph``).
 
-The timed graph also interns (instance, phase) pairs: a state is each role's
-instance mask, each role's mask of the pairs it observed, and the phase. A
-state's moves, and whether a lapse may follow them, are cached on its instance
-masks (unrestricted OrderingOp: 8 760 states, 43 tuples). ``semantics`` reads
-a model only through base-event names, so a commitment's tables read only the
-entries its create, detach and discharge name, and the lapse boundary only
-those the window anchors name. Those entries of a model are an interned
-*view*: lifecycle tables are cached on (commitment, view, phase),
-misalignment counts on (commitment, debtor view, creditor view, phase), next
-changes on (anchor view, phase). No pair mask's model is projected. A pair's
-one model entry is projected when the pair is interned, and a move derives
-the views of the pair mask it reaches from its parent's by
-``enactment.Model.add`` of that entry, at a phase no earlier than any its
-observer holds (incremental view maintenance: Gupta, Mumick and
-Subrahmanian, "Maintaining views incrementally", SIGMOD 1993). Punctual
-composed escrow projects 36 pairs into 41 views, and needs 80 tables and 34
-next changes, where keys on a role's whole knowledge and the phase need 848
-and 217. Per timed state, only the successor states, and the next lapse
-boundary where a lapse may follow, are worked out.
+The timed graph also interns (instance, phase) pairs, each projected to its
+one model entry when first met. ``semantics`` reads a model only through
+base-event names, so a commitment's tables read only the entries its create,
+detach and discharge name, and the lapse boundary only those the window
+anchors name: a model's entries of one read set are an interned *view*, and a
+role's views an interned *view record*. A timed state is each role's instance
+mask and view record, and the phase. States differing only in entries nobody
+reads, or in a later phase of a known entry, are one: they have the same
+moves, lapse, tables and successors (an exact abstraction: Clarke, Grumberg
+and Long, "Model checking and abstraction", TOPLAS 1994). Breadth-first, only
+a class's first-found member finds new classes, so numbering and witnesses
+are those of the graph that tells them apart. Moves, and whether a lapse may
+follow, are cached on instance masks (unrestricted OrderingOp: 2 103 states,
+43 tuples); tables on (commitment, view, phase), misalignment counts on
+(commitment, debtor view, creditor view, phase), next changes on (anchor view,
+phase). A move steps its observer's record by ``enactment.Model.add`` of its
+pair's entry, at a phase no earlier than any its observer holds (incremental
+view maintenance: Gupta, Mumick and Subrahmanian, SIGMOD 1993). Punctual
+composed escrow needs 41 views, 80 tables and 34 next changes; keys on whole
+knowledge and phase need 848 and 217 over the 1 216 states with every phase.
 
 A *safe* delivery is one whose parameters are ``out`` in no schema its
 receiver sends. A reduced graph expands only such a delivery where one is in
@@ -89,7 +90,7 @@ disables nothing. ``emission_candidates`` gives a non-key ``out`` parameter
 its one default value, so by (b) to (d) the sender never learns a second value
 of a parameter the forward reads or binds: no move disables it. No lapse passes
 while it is enabled (below), so it is a stubborn set too. Punctual composed
-escrow takes 1 216 states instead of 5 957, with the same 30 terminal states,
+escrow takes 702 states instead of 4 227, with the same 15 terminal states,
 and its reduced knowledge-set graph 230 instead of 2 678. The unrestricted
 Theorem 2 search, embedding and the full rebuilds are never reduced.
 
@@ -788,17 +789,14 @@ def check_embedding(
 
 
 class AlignmentGraph(StateSpace):
-    """Reachable phase-annotated knowledge states of a composed protocol, with
-    deadline-lapse moves; punctually, only a safe delivery, or else an
-    independent forward's emission, where there is one.
-
-    A state is (per-role instance masks, per-role masks of interned (instance,
-    phase) pairs, phase), bit ``p`` of a pair mask standing for ``_pairs[p]``.
-    A move sets its bit in both of its observer's masks and a lapse changes
-    only the phase. Moves are found on the instance masks. Each pair mask a
-    move reaches keeps one view id per read set, derived from the parent
-    mask's by the entry of the pair the move sets (``_grow``); tables,
-    misalignment counts and lapse boundaries are read off those ids."""
+    """Reachable phase-annotated knowledge states of a composed protocol, up
+    to the views its checks read, with deadline-lapse moves; punctually, only
+    a safe delivery, or else an independent forward's emission, where there is
+    one. A state is (per-role instance masks, per-role view-record ids,
+    phase). A move sets its bit in its observer's instance mask and steps its
+    record by its (instance, phase) pair's entry (``_grow``); a lapse changes
+    only the phase. Moves are found on instance masks; tables, misalignment
+    counts and lapse boundaries are read off records."""
 
     def __init__(
         self,
@@ -812,23 +810,22 @@ class AlignmentGraph(StateSpace):
         self.anchors = window_anchors(commitments)
         # A commitment's tables read only the entries its base events name, and
         # the lapse boundary only those the anchors name (see ``semantics``).
-        # A model's entries named in one read set are an interned view, so that
-        # knowledges differing only in what a commitment does not read share its
-        # tables. Each pair mask a move reaches keeps one view id per read set,
-        # the anchors' first, derived from its parent's ids (see ``_grow``).
+        # A model's entries named in one read set are an interned view; a role's
+        # views, the anchors' first, an interned record, 0 holding empty views.
         self._reads = {c.name: base_event_names((c.create, c.detach, c.discharge)) for c in self.commitments}
         anchor_reads = base_event_names(anchor for anchor, _ in self.anchors if anchor is not None)
         self._read_sets = (anchor_reads, *(self._reads[c.name] for c in self.commitments))
         self._view_ids: dict[tuple, int] = {(): 0}
         self._views: list[Model] = [Model(())]
-        self._mask_views: dict[int, tuple[int, ...]] = {0: (0,) * len(self._read_sets)}
+        self._records: list[tuple[int, ...]] = [(0,) * len(self._read_sets)]
+        self._record_ids: dict[tuple[int, ...], int] = {self._records[0]: 0}
         self._insert_cache: dict[tuple[int, int], int] = {}
+        self._grow_cache: dict[tuple[int, int], int] = {}
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
-        # The pairs, each pair's model entry and whether each read set reads it;
-        # the index of each by (instance mask, phase); the moves, and whether a
-        # lapse may follow them, by a state's instance masks.
+        # The pairs, each one's entry and whether each read set reads it, their index
+        # by (instance mask, phase); moves, and whether a lapse may follow, by instance masks.
         self._pairs: list[tuple[MessageInstance, int]] = []
         self._entries: list[tuple[ModelEntry, tuple[bool, ...]]] = []
         self._pair_index: dict[tuple[int, int], int] = {}
@@ -849,24 +846,26 @@ class AlignmentGraph(StateSpace):
         if self.misaligned_end is None:
             self._renumber()
 
-    def _grow(self, masks: tuple[int, ...], ri: int, bit: int, phase: int) -> tuple[int, ...]:
-        """``masks`` with the pair of ``bit``'s instance and ``phase`` set in role
-        ``ri``'s, a pair interned with its one model entry when first met. A new
-        mask's views are derived from its parent's by ``Model.add``: a move's
-        pair is at the current phase, no earlier than any its observer holds."""
+    def _grow(self, records: tuple[int, ...], ri: int, bit: int, phase: int) -> tuple[int, ...]:
+        """``records`` with role ``ri``'s stepped, by ``Model.add``, by the pair
+        of ``bit``'s instance and ``phase``, interned with its one model entry
+        when first met; a move's pair is at the current phase, no earlier than
+        any its observer holds. Steps are cached on (record, pair)."""
         p = self._pair_index.get((bit, phase))
         if p is None:
             p = self._pair_index[bit, phase] = len(self._pairs)
             self._pairs.append((self._instances[bit.bit_length() - 1], phase))
             entry = self._model(1 << p).entries[0]
             self._entries.append((entry, tuple(entry.name in names for names in self._read_sets)))
-        child = masks[ri] | 1 << p
-        if child not in self._mask_views:
-            self._mask_views[child] = tuple(
-                self._insert(view, p) if read else view
-                for view, read in zip(self._mask_views[masks[ri]], self._entries[p][1])
-            )
-        return masks[:ri] + (child,) + masks[ri + 1:]
+        key = (records[ri], p)
+        child = self._grow_cache.get(key)
+        if child is None:
+            views = zip(self._records[records[ri]], self._entries[p][1])
+            record = tuple(self._insert(view, p) if read else view for view, read in views)
+            child = self._grow_cache[key] = self._record_ids.setdefault(record, len(self._records))
+            if child == len(self._records):
+                self._records.append(record)
+        return records[:ri] + (child,) + records[ri + 1:]
 
     def _insert(self, view: int, p: int) -> int:
         """The id of view ``view`` grown by pair ``p``'s entry (``Model.add``)."""
@@ -879,11 +878,12 @@ class AlignmentGraph(StateSpace):
         return self._insert_cache[key]
 
     def decode(self, state):
-        """Each role's (instance, phase) set in ``state``, and its phase."""
-        return tuple(frozenset(self._pairs[p] for p in _bits(pairs)) for pairs in state[1]), state[2]
+        """Each role's instance set and views (``Model``s) in ``state``, and its phase."""
+        views = tuple(tuple(self._views[view] for view in self._records[record]) for record in state[1])
+        return tuple(frozenset(self._members(mask)) for mask in state[0]), views, state[2]
 
     def _successors(self, state):
-        observed, pairs, now_phase = state
+        observed, records, now_phase = state
         cached = self._moves_cache.get(observed)
         if cached is None:
             moves = self._moves(observed)
@@ -895,12 +895,12 @@ class AlignmentGraph(StateSpace):
             self.moves_hits += 1
         moves, lapse_allowed = cached
         out = [
-            (move, (_with(observed, ri, bit), self._grow(pairs, ri, bit, now_phase), now_phase))
+            (move, (_with(observed, ri, bit), self._grow(records, ri, bit, now_phase), now_phase))
             for ri, move, bit in moves
         ]
-        lapse_value = self._next_boundary(pairs, now_phase) if lapse_allowed else INF
+        lapse_value = self._next_boundary(records, now_phase) if lapse_allowed else INF
         if lapse_value < INF:
-            out.append((("lapse", lapse_value), (observed, pairs, lapse_value)))
+            out.append((("lapse", lapse_value), (observed, records, lapse_value)))
         return out
 
     def _cache_summary(self) -> str:
@@ -910,12 +910,12 @@ class AlignmentGraph(StateSpace):
     def _model(self, pairs: int) -> Model:
         return model_of((self._pairs[p] for p in _bits(pairs)), self.fwd_registry)
 
-    def _next_boundary(self, masks: tuple[int, ...], now_phase: int) -> int | float:
+    def _next_boundary(self, records: tuple[int, ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's
         lifecycle tables can change, or INF when none can."""
         first = INF
-        for pairs in masks:
-            key = (self._mask_views[pairs][0], now_phase)
+        for record in records:
+            key = (self._records[record][0], now_phase)
             change = self._change_cache.get(key)
             if change is None:
                 ctx = EvaluationContext(self._views[key[0]], now_phase)
@@ -934,11 +934,11 @@ class AlignmentGraph(StateSpace):
     def alignment(self, state) -> list[int]:
         """Each commitment's number of misalignments at ``state``; 0 means
         aligned."""
-        _, pairs, phase = state
+        _, records, phase = state
         counts = []
         for i, c in enumerate(self.commitments, start=1):
-            debtor = self._mask_views[pairs[self.role_index[c.debtor]]][i]
-            creditor = self._mask_views[pairs[self.role_index[c.creditor]]][i]
+            debtor = self._records[records[self.role_index[c.debtor]]][i]
+            creditor = self._records[records[self.role_index[c.creditor]]][i]
             key = (c.name, debtor, creditor, phase)
             if key not in self._count_cache:
                 self._count_cache[key] = len(check_alignment_models(

@@ -1,18 +1,29 @@
 """The knowledge-set and timed graphs intern what they store: a knowledge-set
 state is a tuple of per-role instance masks, and a timed state a tuple of
-per-role masks of (instance, phase) pairs, with the phase; the ordered graph
+per-role instance masks and view records with the phase; the ordered graph
 keeps the plain encoding. A reference breadth-first search over the plain
 encoding must find the same states, numbered alike, with the same edges:
-per-role frozensets of instances (knowledge-set graph), per-role observation
-tuples (ordered graph), and per-role frozensets of (instance, phase) with the
-phase (timed graph). The reference memoizes candidates and next changes on
-plain sets, as a graph without interning would. The ordered graph delivers in
-any order; its states and edges also contain every run of the reference under
-FIFO delivery, the simulator's other order, so a check that holds on it holds
-under FIFO. The reduced graphs, punctual timed and reduced knowledge-set,
-which expand a safe delivery or an independent forward's emission alone where
-there is one, are subgraphs of the reference with the same terminal states and
-verdicts. The timed reference also runs on random commitments, in
+per-role frozensets of instances (knowledge-set graph) and per-role
+observation tuples (ordered graph). The reference memoizes candidates and next
+changes on plain sets, as a graph without interning would. The ordered graph
+delivers in any order; its states and edges also contain every run of the
+reference under FIFO delivery, the simulator's other order, so a check that
+holds on it holds under FIFO.
+
+The timed reference runs on per-role frozensets of (instance, phase) with the
+phase. The timed graph explores it up to what its checks read: a plain state's
+*class* is each role's instance set, each role's model restricted to each read
+set (the window anchors' base-event names, then each commitment's), and the
+phase. States of one class have the same moves, lapse and tables, and their
+successors are of the same classes; this is checked on every plain state. The
+timed graph must be the breadth-first quotient of the reference: each class
+once, numbered by its first member in breadth-first order, with that member's
+parent and edges. The reduced graphs, punctual timed and reduced
+knowledge-set, which expand a safe delivery or an independent forward's
+emission alone where there is one, are subgraphs of the reference with the
+same terminal states and verdicts; the punctual timed graph is the quotient of
+the reference reduced so. The timed reference also runs on random
+commitments, in
 ``test_verify.test_timed_graph_matches_plain_encoding_on_random_protocols``."""
 
 from __future__ import annotations
@@ -23,11 +34,12 @@ import pytest
 from test_protocol import random_protocol
 
 from comal.commitments import parse_commitments
-from comal.enactment import EMIT, RECV, emission_candidates, knowledge_from, model_of
+from comal.enactment import EMIT, RECV, Model, emission_candidates, knowledge_from, model_of, observation_from_json
 from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.semantics import (
     INF,
     EvaluationContext,
+    base_event_names,
     check_alignment_models,
     lifecycle_table,
     next_change,
@@ -182,14 +194,129 @@ def _theorem2_holds(graph: AlignmentGraph, states, edges) -> bool:
     return True
 
 
+def _reduced_edges(graph, edges):
+    """``edges`` as a reduced graph expands them: the first delivery whose
+    parameters are ``out`` in no schema its receiver sends, alone, where there
+    is one; otherwise the first emission of an independent forward, alone,
+    where there is one. A forward is independent when no other schema has its
+    ``out`` parameters ``out``, its sender receives none of them, and each of
+    its non-key ``in`` parameters is ``out`` in one schema at most."""
+    schemas = graph.universe.schemas
+    outs = {role: {p for s in schemas if s.sender == role for p in s.outs} for role in graph.roles}
+    binders = [p for s in schemas for p in s.outs]
+    forwards = forwarding_registry(graph.universe)
+
+    def independent(schema):
+        return (
+            schema.name in forwards
+            and all(binders.count(p) == 1 for p in schema.outs)
+            and not any(set(s.param_names) & set(schema.outs) for s in schemas if s.receiver == schema.sender)
+            and all(binders.count(p) <= 1 for p in schema.ins if p not in schema.keys)
+        )
+
+    safe = [
+        (move, succ) for move, succ in edges
+        if move[0] == RECV and outs[move[1]].isdisjoint(graph.universe.schema(move[2].schema).param_names)
+    ]
+    forward = [
+        (move, succ) for move, succ in edges if move[0] == EMIT and independent(graph.universe.schema(move[2].schema))
+    ]
+    return safe[:1] or forward[:1] or edges
+
+
+def _reference_reduced(graph: AlignmentGraph):
+    """``_reference_timed`` expanding only what ``_reduced_edges`` keeps."""
+    successors = _timed_successors(graph)
+    return _bfs((tuple(frozenset() for _ in graph.roles), 0), lambda state: _reduced_edges(graph, successors(state)))
+
+
+def _classes(graph: AlignmentGraph):
+    """The class of a plain timed state: each role's instance set, its
+    model's entries of each read set's names, the window anchors' then each
+    commitment's, and the phase. Models are memoized on plain sets."""
+    fwd = forwarding_registry(graph.universe)
+    read_sets = (
+        base_event_names(anchor for anchor, _ in window_anchors(graph.commitments) if anchor is not None),
+        *(base_event_names((c.create, c.detach, c.discharge)) for c in graph.commitments),
+    )
+    views = {}
+
+    def role_views(pairs):
+        if pairs not in views:
+            entries = model_of(pairs, fwd).entries
+            views[pairs] = tuple(Model(tuple(e for e in entries if e.name in reads)) for reads in read_sets)
+        return views[pairs]
+
+    def cls(state):
+        sets, phase = state
+        return tuple(frozenset(inst for inst, _ in s) for s in sets), tuple(map(role_views, sets)), phase
+
+    return cls
+
+
+def _assert_quotient(graph: AlignmentGraph, reference) -> None:
+    """``graph`` is the breadth-first quotient of the plain ``reference``:
+    every plain state's edges lead, move by move, to the classes its class's
+    first member's lead to, and the graph's decoded states, parents and edges
+    are those of each class's first member, numbered in breadth-first order."""
+    states, edges = reference
+    cls = _classes(graph)
+    classes = [cls(state) for state in states]
+    index: dict = {}
+    firsts = []
+    for sid, c in enumerate(classes):
+        if index.setdefault(c, len(firsts)) == len(firsts):
+            firsts.append(sid)
+    quotient_edges = [[(move, index[classes[tid]]) for move, tid in out] for out in edges]
+    for sid, out in enumerate(quotient_edges):
+        assert out == quotient_edges[firsts[index[classes[sid]]]], sid
+    parents: list = [None] * len(states)
+    for sid, out in enumerate(edges):
+        for move, tid in out:
+            if tid and parents[tid] is None:
+                parents[tid] = (sid, move)
+    assert [graph.decode(state) for state in graph.states] == [classes[sid] for sid in firsts]
+    assert graph.parents == [
+        None if parents[sid] is None else (index[classes[parents[sid][0]]], parents[sid][1]) for sid in firsts
+    ]
+    assert graph.edges == [quotient_edges[sid] for sid in firsts]
+
+
+def _replay(graph: AlignmentGraph, sid: int):
+    """The plain timed state ``graph.path_to(sid)`` reaches: each role's
+    observations paired with the phase of each, and the phase."""
+    sets = [set() for _ in graph.roles]
+    phase = 0
+    for record in graph.path_to(sid):
+        if "lapse" in record:
+            phase = record["lapse"]
+        else:
+            obs = observation_from_json(record, graph.universe)
+            sets[graph.role_index[obs.role]].add((obs.instance, phase))
+    return tuple(map(frozenset, sets)), phase
+
+
+def _assert_replays(graph: AlignmentGraph) -> int:
+    """Every state decodes to the class of its ``path_to`` replay: each role's
+    instances, its views, the entries of the replay's whole model with each
+    read set's names, and the phase. Returns the number of roles' views
+    compared, one per role per state."""
+    cls = _classes(graph)
+    for sid, state in enumerate(graph.states):
+        assert graph.decode(state) == cls(_replay(graph, sid)), sid
+    return len(graph.states) * len(graph.roles)
+
+
 def _assert_reduced(graph: AlignmentGraph, reference) -> None:
     """The punctual graph expands only a safe delivery, or else an independent
-    forward's emission, where there is one: it is a subgraph of the full
-    ``reference`` with the same terminal states, and its own Theorem 2 verdict
-    is the reference's."""
-    reduced = _plain(graph)
+    forward's emission, where there is one: the plain reference reduced so is
+    a subgraph of the full ``reference`` with the same terminal states, the
+    graph is its quotient, and the graph's Theorem 2 verdict is the full
+    reference's."""
+    reduced = _reference_reduced(graph)
     _assert_contains(reference, reduced)
     assert _terminals(*reduced) == _terminals(*reference)
+    _assert_quotient(graph, reduced)
     holds = not any(any(graph.alignment(state)) for state, out in zip(graph.states, graph.edges) if not out)
     assert holds == _theorem2_holds(graph, *reference)
 
@@ -250,7 +377,7 @@ def test_timed_graph_matches_plain_encoding(name, punctual, op_registry, purchas
         _assert_reduced(graph, reference)
         assert len(graph.states) < len(reference[0])
     else:
-        _assert_matches(graph, reference)
+        _assert_quotient(graph, reference)
 
 
 LITERAL_FAILS = """
@@ -306,6 +433,7 @@ def test_reduction_keeps_terminal_states(name, fixtures_dir, escrow_ordering, es
     graph = AlignmentGraph(universe, specs, Bound(), punctual=True)
     graph.build()
     _assert_reduced(graph, _reference_timed(graph))
+    _assert_replays(graph)
 
 
 def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, bool, int, int]:

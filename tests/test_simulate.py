@@ -228,19 +228,21 @@ def test_quiet_ticks_refresh_nothing(ordering, purchase, monkeypatch):
 @pytest.mark.parametrize("policy", ["scripted", "random", "aligner"])
 @pytest.mark.parametrize("name", ["direct_order", "escrow_payment", "nested_transfer"])
 def test_role_models_match_projected_models(name, policy, fixtures_dir, monkeypatch):
-    """At every refresh, each role's model, grown by ``Model.add`` one
-    observation at a time, is its projected whole model restricted to the
-    names the commitments read."""
+    """At every refresh, each debtor's and creditor's model, grown by
+    ``Model.add`` one observation at a time, is its projected whole model
+    restricted to the names the commitments read. No other role keeps one."""
     refresh = Simulation._refresh
     checked = []
 
     def checking(simulation, tick):
         fwd = simulation.fwd_registry
         reads = base_event_names(e for c in simulation.scenario.commitments for e in (c.create, c.detach, c.discharge))
-        for role in simulation.universe.roles:
+        parties = {role for c in simulation.scenario.commitments for role in (c.debtor, c.creditor)}
+        assert set(simulation._models) == parties
+        for role in parties:
             entries = project_model(simulation.vector, role, fwd).entries
             assert simulation._models[role] == Model(tuple(e for e in entries if e.name in reads)), (tick, role)
-        checked.append(tick)
+            checked.append((tick, role))
         refresh(simulation, tick)
 
     monkeypatch.setattr(Simulation, "_refresh", checking)
@@ -283,6 +285,37 @@ def test_repeated_and_unread_entries_evaluate_nothing(fixtures_dir, monkeypatch)
         evaluated_at.clear()
     assert [obs.instance.schema for obs in result.vector.observations()][2:4] == ["requestShip"] * 2
     assert ticks[0] == ticks[1] == [1, 2, 6, 7, 9, 11, 12, 13, 14, 15, 16, 18, 20, 21]
+
+
+def test_observations_by_no_party_refresh_nothing(fixtures_dir, monkeypatch):
+    """S is neither commitment's debtor or creditor in nested transfer, so its
+    observations grow no model: the script's refreshes are the ticks that
+    evaluate tables, and S's ``ship`` at 5, a name both commitments read,
+    starts none. Over aligner and random runs to horizon 800 (seeds 1-5),
+    every refresh evaluates a table."""
+    evaluated_at, refreshed_at = [], []
+    refresh = Simulation._refresh
+
+    def evaluating(c, ctx):
+        evaluated_at.append(ctx.now)
+        return lifecycle_table(c, ctx)
+
+    def refreshing(simulation, tick):
+        refreshed_at.append(tick)
+        refresh(simulation, tick)
+
+    monkeypatch.setattr(comal.simulate, "lifecycle_table", evaluating)
+    monkeypatch.setattr(Simulation, "_refresh", refreshing)
+    path = fixtures_dir / "scenario_nested_transfer.json"
+    vector = run_scenario(load_scenario(path)).vector
+    assert [obs.tick for obs in vector.history("S")] == [4, 5, 12, 14]
+    assert refreshed_at == sorted(set(evaluated_at)) == [1, 2, 6, 7, 9, 11, 12, 13, 14, 15, 16]
+    for kind in ("aligner", "random"):
+        for seed in range(1, 6):
+            refreshed_at.clear()
+            evaluated_at.clear()
+            run_scenario(load_scenario(path, {"policy": {"kind": kind}, "seed": seed, "horizon": 800}))
+            assert refreshed_at == sorted(set(evaluated_at)), (kind, seed)
 
 
 def test_report_rows_are_light_immutable_tuples(ordering, purchase):

@@ -62,11 +62,15 @@ from comal.verify import (
 )
 from test_interning import (
     _assert_knowledge_reduced,
-    _assert_matches,
+    _assert_quotient,
     _assert_reduced,
+    _assert_replays,
+    _classes,
     _composition,
     _instance_order,
+    _reduced_edges,
     _reference_timed,
+    _replay,
     _timed_successors,
     _untimed_successors,
 )
@@ -122,9 +126,13 @@ NO_WITNESS = _sha256(None)
 # escrow's witness ends in a misaligned terminal state. Composed escrow's
 # punctual entry also expands one independent forward at a time (5 957 states
 # with safe deliveries alone), so its holding witness is that graph's most
-# misaligned state. The ``unrestricted`` entries are Theorem 2's depth-first
-# probes, which stop at the first misaligned terminal state they find, and
-# were recorded before the timed graph moved onto instance masks.
+# misaligned state. Timed states are explored up to the views their
+# commitments read, so the punctual entries count classes of states (115, 229
+# and 1 216 with states keyed on every observation and its phase); each class
+# is numbered by its first member, so the witnesses did not change. The
+# ``unrestricted`` entries are Theorem 2's depth-first probes, which stop at
+# the first misaligned terminal state they find, and were recorded before the
+# timed graph moved onto instance masks.
 PINNED = {
     "safety-Ordering": (17, NO_WITNESS),  # 23 in full
     "liveness-Ordering": (17, NO_WITNESS),  # 23 in full
@@ -136,9 +144,9 @@ PINNED = {
     "liveness-stuck_toy": (3, "c6e0c18bb32bbdb2b2df624531af9df83e41ddb4611d5f6e8c3ccee153a2dd9e"),
     "safety-empty": (1, NO_WITNESS),
     "liveness-empty": (1, NO_WITNESS),
-    "theorem2-OrderingOp": (115, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
-    "theorem2-bare-escrow": (229, "5feb5031fbe941baa1b3180d16e1cfb565ad83f3d0596c9f525274ee329b0170"),
-    "theorem2-EscrowOrderingOp": (1216, "31e6c2d9a61e22be7b22b26b454c59a0e30e082e46be4aa33bdf5678ac496078"),
+    "theorem2-OrderingOp": (73, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
+    "theorem2-bare-escrow": (113, "5feb5031fbe941baa1b3180d16e1cfb565ad83f3d0596c9f525274ee329b0170"),
+    "theorem2-EscrowOrderingOp": (702, "31e6c2d9a61e22be7b22b26b454c59a0e30e082e46be4aa33bdf5678ac496078"),
     "unrestricted-OrderingOp": (31, "52461936276554f889480168805252e7a2cbf92c7e052c142e908e99e2b34e05"),
     "unrestricted-EscrowOrderingOp": (88, "04dccae7109506a2247e56d21338ea70be0f3a451f040c92b1a684caea71adae"),
     "embedding-Ordering": (23, NO_WITNESS),
@@ -736,13 +744,15 @@ def test_alignment_matches_uncached_tables_on_random_protocols():
 def test_timed_graph_matches_plain_encoding_on_random_protocols(punctual):
     """``test_interning``'s timed reference, on plain per-role sets of
     (instance, phase), against the graph on random commitments: unrestricted,
-    the same states, numbered alike, with the same edges; punctually, a
-    subgraph of the reference with the same terminal states."""
+    the graph is the reference's breadth-first quotient (states, parents and
+    edges); punctually, the quotient of the reference reduced to safe
+    deliveries and independent forwards, which is a subgraph of the reference
+    with the same terminal states."""
     checked = 0
     for protocol, specs in _random_alignment_pairs(150):
         graph = AlignmentGraph(uod(protocol), specs, SMALL, punctual)
         graph.build()
-        (_assert_reduced if punctual else _assert_matches)(graph, _reference_timed(graph))
+        (_assert_reduced if punctual else _assert_quotient)(graph, _reference_timed(graph))
         checked += 1
     assert checked == 113
 
@@ -1116,10 +1126,10 @@ def test_alignment_matches_uncached_tables(
     """The graph caches lifecycle tables and misalignment counts on (commitment,
     view, phase), a view being the model entries a commitment's base events
     name, and next lapse boundaries on the entries the window anchors name;
-    each pair mask's views are derived per move from its parent's views.
-    Every state's counts must equal those of tables evaluated from each role's
-    whole model, and its boundary the first ``next_change`` over each role's
-    whole model. Composed escrow's two commitments read different names;
+    each role's view record is stepped per move from its parent's. Every
+    state's counts must equal those of tables evaluated from each role's whole
+    model in the state's ``path_to`` replay, and its boundary the first
+    ``next_change`` over those whole models. Composed escrow's two commitments read different names;
     unrestricted OrderingOp lapses before deliveries."""
     graph = _timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
     if case == "composed-escrow":
@@ -1127,12 +1137,17 @@ def test_alignment_matches_uncached_tables(
     _assert_views_match_whole_models(graph)
 
 
-def _assert_instance_masks_match_pairs(graph: AlignmentGraph) -> None:
-    """Each role's instance mask in every state is the mask of the instances
-    in its (instance, phase) pairs, which the moves are found from."""
-    for state in graph.states:
-        sets, _ = graph.decode(state)
-        assert state[0] == tuple(sum(1 << graph._bit[inst] for inst in {inst for inst, _ in s}) for s in sets)
+def _assert_instance_masks_match_replays(graph: AlignmentGraph) -> int:
+    """Each role's instance mask in every state, which the moves are found
+    from, is the mask of the instances the state's ``path_to`` replay has the
+    role observe, and ``decode`` gives those instances. Returns the number of
+    masks compared, one per role per state."""
+    for sid, state in enumerate(graph.states):
+        sets, _ = _replay(graph, sid)
+        instances = tuple(frozenset(inst for inst, _ in pairs) for pairs in sets)
+        assert state[0] == tuple(sum(1 << graph._bit[inst] for inst in s) for s in instances)
+        assert graph.decode(state)[0] == instances
+    return len(graph.states) * len(graph.roles)
 
 
 def _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments):
@@ -1164,47 +1179,34 @@ def _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_orderi
 def test_timed_instance_masks_match_pair_masks(
     case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
 ):
-    """A timed state carries each role's instance mask beside its pair mask:
-    a move sets its bit in both, a lapse changes neither. On the fixture
+    """A timed state carries each role's instance mask beside its view
+    record: a move sets its bit, a lapse changes neither. On the fixture
     graphs, on the random ones, built punctually and unrestricted, and on cut
-    builds, every state's instance masks are those its pair masks give."""
+    builds, every state's instance masks are those of the observations its
+    ``path_to`` replays."""
     graphs = _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
-    for graph in graphs:
-        _assert_instance_masks_match_pairs(graph)
-    assert sum(len(graph.states) for graph in graphs) > 100
+    assert sum(map(_assert_instance_masks_match_replays, graphs)) > 100
 
 
 @pytest.mark.parametrize("case", [*TIMED_CASES, "random", "cut"])
 def test_views_derived_per_move_match_whole_models(
     case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
 ):
-    """Each pair mask a move reaches keeps one view per read set, the
-    anchors' then each commitment's, derived from its parent's views by the
+    """Each role's view record in a state holds one view per read set, the
+    anchors' then each commitment's, stepped from its parent's record by the
     entry of the pair the move sets. On the fixture graphs, on the random
     ones, built both ways, and on cut builds, every role's views in every
-    state are the entries of its whole model with the read set's names."""
+    state are the entries, with the read set's names, of the whole model of
+    the observations the state's ``path_to`` replays, at the phases it
+    replays them, and the state's phase is the replay's."""
     graphs = _timed_graphs(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
-    checked = 0
-    for graph in graphs:
-        fwd = forwarding_registry(graph.universe)
-        names = (
-            base_event_names(anchor for anchor, _ in graph.anchors if anchor is not None),
-            *(base_event_names((c.create, c.detach, c.discharge)) for c in graph.commitments),
-        )
-        for state in graph.states:
-            sets, _ = graph.decode(state)
-            for pairs, mask in zip(sets, state[1]):
-                entries = model_of(pairs, fwd).entries
-                expected = [Model(tuple(e for e in entries if e.name in reads)) for reads in names]
-                assert [graph._views[view] for view in graph._mask_views[mask]] == expected
-                checked += 1
-    assert checked > 100
+    assert sum(map(_assert_replays, graphs)) > 100
 
 
 def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, escrow_commitments):
     """The timed graph projects a model once per interned (instance, phase)
-    pair, never per pair mask: on punctual composed escrow, through the
-    build and an alignment pass over every state."""
+    pair, never per state or view record: on punctual composed escrow,
+    through the build and an alignment pass over every state."""
     projected = []
 
     def counted(observed, fwd):
@@ -1217,7 +1219,7 @@ def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, es
     graph = AlignmentGraph(uod(protocol, escrow_op_registry), list(escrow_commitments.values()), BOUND, punctual=True)
     graph.build()
     assert any(any(graph.alignment(state)) for state in graph.states)
-    assert (len(graph.states), len(graph._pairs), len(graph._views)) == (1216, 36, 41)
+    assert (len(graph.states), len(graph._pairs), len(graph._views)) == (702, 36, 41)
     assert len(projected) == len(graph._pairs)
     assert all(len(observed) == 1 for observed in projected)
 
@@ -1225,7 +1227,8 @@ def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, es
 def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
     """Each state's misalignment counts and next lapse boundary, read from the
     graph's view caches, against tables and ``next_change`` evaluated on each
-    role's whole model, memoized on its whole knowledge."""
+    role's whole model in the state's ``path_to`` replay, memoized on its whole
+    knowledge."""
     fwd = forwarding_registry(graph.universe)
     models: dict = {}
     tables: dict = {}
@@ -1241,8 +1244,8 @@ def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
             tables[key] = lifecycle_table(c, EvaluationContext(model(entries), phase))
         return tables[key]
 
-    for state in graph.states:
-        sets, phase = graph.decode(state)
+    for sid, state in enumerate(graph.states):
+        sets, phase = _replay(graph, sid)
         expected = [
             len(check_alignment_models(
                 c, table(c, sets[graph.role_index[c.debtor]], phase), table(c, sets[graph.role_index[c.creditor]], phase)
@@ -1291,10 +1294,10 @@ def _cached_graph(case, op_registry, escrow_op_registry, chan, escrow_ordering, 
 
 
 # (graph, protocol, key values | delivery, always any | max_states). Every timed
-# graph is cut: the punctual ones at 80 of their 115 (OrderingOp) and 229
-# (EscrowOrdering) states, whose whole builds test_interning checks, and
-# unrestricted composed escrow at 3 000, where most phases share one tuple of
-# observed sets, so where the timed moves cache answers most.
+# graph but punctual OrderingOp, whose 73 states fit in 80, is cut: punctual
+# EscrowOrdering at 80 of its 113 states (test_interning checks both whole
+# builds), and unrestricted composed escrow at 3 000, where most phases share
+# one tuple of observed sets, so where the timed moves cache answers most.
 CACHE_CASES = [
     *(("knowledge", name, keys) for name in ("Ordering", "OrderingOp", "EscrowOrdering") for keys in (("1",), ("1", "2"))),
     *(("ordered", name, "any") for name in ("Ordering", "OrderingOp", "Chan")),
@@ -1302,36 +1305,6 @@ CACHE_CASES = [
     ("alignment", "EscrowOrdering", 80),
     ("alignment", "EscrowOrderingOp", 3_000),
 ]
-
-
-def _reduced_edges(graph, edges):
-    """``edges`` as a reduced graph expands them: the first delivery whose
-    parameters are ``out`` in no schema its receiver sends, alone, where there
-    is one; otherwise the first emission of an independent forward, alone,
-    where there is one. A forward is independent when no other schema has its
-    ``out`` parameters ``out``, its sender receives none of them, and each of
-    its non-key ``in`` parameters is ``out`` in one schema at most."""
-    schemas = graph.universe.schemas
-    outs = {role: {p for s in schemas if s.sender == role for p in s.outs} for role in graph.roles}
-    binders = [p for s in schemas for p in s.outs]
-    forwards = forwarding_registry(graph.universe)
-
-    def independent(schema):
-        return (
-            schema.name in forwards
-            and all(binders.count(p) == 1 for p in schema.outs)
-            and not any(set(s.param_names) & set(schema.outs) for s in schemas if s.receiver == schema.sender)
-            and all(binders.count(p) <= 1 for p in schema.ins if p not in schema.keys)
-        )
-
-    safe = [
-        (move, succ) for move, succ in edges
-        if move[0] == RECV and outs[move[1]].isdisjoint(graph.universe.schema(move[2].schema).param_names)
-    ]
-    forward = [
-        (move, succ) for move, succ in edges if move[0] == EMIT and independent(graph.universe.schema(move[2].schema))
-    ]
-    return safe[:1] or forward[:1] or edges
 
 
 @pytest.mark.parametrize("case", CACHE_CASES, ids=lambda case: "-".join(map(str, case)))
@@ -1344,8 +1317,11 @@ def test_cached_successors_match_uncached(
     state's own observed sets and not from another phase's, and every graph,
     the ordered one too, calls ``_moves`` once per state. Decoded, they are
     the reference move rule's on the decoded state, which rebuilds knowledge
-    and candidates each time; punctually, reduced to the first safe delivery
-    where there is one, or else to the first independent forward's emission.
+    and candidates each time; in the timed graph, on the plain state the
+    state's ``path_to`` replays, each successor taken to its class (see
+    ``test_interning``). Punctually, they are reduced to the first safe
+    delivery where there is one, or else to the first independent forward's
+    emission.
     A build cut at ``max_states`` recorded every edge of the states expanded
     before the last one found, and a prefix of the rest."""
     graph, cut = _cached_graph(
@@ -1355,9 +1331,15 @@ def test_cached_successors_match_uncached(
     ordered = isinstance(graph, EnactmentGraph)
     if timed:
         assert graph.moves_hits > 0
-        reference = _timed_successors(graph)
+        successors, cls = _timed_successors(graph), _classes(graph)
+
+        def reference(sid):
+            return [(move, cls(succ)) for move, succ in successors(_replay(graph, sid))]
     else:
-        reference = _untimed_successors(graph, ordered, fifo=False)
+        successors = _untimed_successors(graph, ordered, fifo=False)
+
+        def reference(sid):
+            return successors(graph.decode(graph.states[sid]))
     cached = [graph._successors(state) for state in graph.states]
     calls = []
     moves = graph._moves
@@ -1372,7 +1354,7 @@ def test_cached_successors_match_uncached(
         assert cached[sid] == uncached, sid
         edges = [(move, graph.index.get(succ)) for move, succ in uncached]
         assert graph.edges[sid] == (edges if sid < expanded else edges[:len(graph.edges[sid])]), sid
-        expected = reference(graph.decode(state))
+        expected = reference(sid)
         if graph.reduced:
             expected = _reduced_edges(graph, expected)
         assert [(move, graph.decode(succ)) for move, succ in uncached] == expected, sid
@@ -1556,9 +1538,9 @@ def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
         f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits"
     )
     assert second.getMessage() == (
-        f"AlignmentGraph: 8760 states, {timed.edge_count()} edges, "
+        f"AlignmentGraph: 2103 states, {timed.edge_count()} edges, "
         f"{len(timed._emission_cache)} candidate-cache entries, {timed.cache_hits} hits, "
-        f"43 moves-cache entries, {8760 - 43} hits, 89 views, 0 tables"
+        f"43 moves-cache entries, {2103 - 43} hits, 89 views, 0 tables"
     )
 
 
@@ -1578,7 +1560,7 @@ def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
         f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits, "
         "reduced to safe deliveries and independent forwards"
     )
-    assert second.startswith("AlignmentGraph: 115 states, ")
+    assert second.startswith("AlignmentGraph: 73 states, ")
     assert second.endswith(
         f"moves-cache entries, {timed.moves_hits} hits, 16 views, 0 tables, "
         "reduced to safe deliveries and independent forwards"
@@ -1596,6 +1578,6 @@ def test_alignment_check_logs_its_caches_after_the_pass(caplog, escrow_op_regist
     with caplog.at_level(logging.INFO, logger="comal.verify"):
         report = check_alignment_reachability(protocol, specs, BOUND, True, escrow_op_registry)
     build, after = (record.getMessage() for record in caplog.records)
-    assert report.holds and build.startswith("AlignmentGraph: 1216 states, ")
+    assert report.holds and build.startswith("AlignmentGraph: 702 states, ")
     assert build.endswith("41 views, 0 tables, reduced to safe deliveries and independent forwards")
     assert after == "AlignmentGraph: 80 tables, 149 counts, 34 next changes after the punctual check"
