@@ -44,9 +44,9 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token("name", text, line, col))
             col += i - start
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < n and source[i].isdigit():
+            while i < n and source[i].isdecimal():
                 i += 1
             tokens.append(Token("number", source[start:i], line, col))
             col += i - start

@@ -17,18 +17,18 @@ After every tick the simulator reports each commitment's five lifecycle states
 in the debtor's and the creditor's models and the alignment verdict; ticks
 after the final move keep reporting, so deadline expiry shows up in the report
 tail. Each tick redoes only what it can change. Each debtor and creditor keeps
-its model of the entries the commitments read (their base events' names, which
-include the window anchors'), grown by ``enactment.Model.add`` as it observes:
-a forward of a message it knows, or a message no commitment reads, leaves the
-model as it is. The simulation keeps the first tick at which any commitment's
-debtor's or creditor's tables can change: the earliest of their
-``semantics.next_change``, or the tick of the next observation that grows a
-model. Before that tick a quiet tick refreshes nothing and only appends each
-commitment's current row. From it, the stale tables are re-evaluated (those of
-a role whose model grew, or whose window bound fell due), and a commitment's
-row is rebuilt, and its alignment checked, only when its debtor's or
-creditor's tables were; otherwise the row keeps the last one's ``lifecycle``
-and ``alignment``. A random run of the nested-transfer scenario to horizon 800
+one record: its model of the entries the commitments read (their base events'
+names, which include the window anchors'), grown by ``enactment.Model.add`` as
+it observes, so a forward of a message it knows, or a message no commitment
+reads, leaves it as it is; the tables of its own commitments, evaluated in one
+context so that a nested commitment shares the memo of the one it nests; and
+the tick they next change at (``semantics.next_change``). Until the first such
+tick, or the next observation that grows a model, a quiet tick refreshes
+nothing and only appends each commitment's current row. Then the stale parties
+are re-evaluated (those whose model grew, or whose window bound fell due), and
+a commitment's row is rebuilt, and its alignment checked, only when its debtor
+or creditor was; otherwise it keeps the last row's ``lifecycle`` and
+``alignment``. A random run of the nested-transfer scenario to horizon 800
 (seed 1) makes 24 observations, 11 of which grow a model, and refreshes at 16
 of its 800 ticks, those 11 and 5 window bounds; at the other 784 it only
 appends rows. A role's enabled emissions depend only on its own history, so
@@ -215,17 +215,17 @@ class Simulation:
             bind_commitment(c, self.universe)
         self.anchors = window_anchors(scenario.commitments)
         # The commitments' tables, and the window anchors they reach, read only
-        # the model entries of these names (see ``semantics``); each debtor's
-        # and creditor's model keeps those entries alone.
+        # the model entries of these names (see ``semantics``).
         self._reads = base_event_names(e for c in scenario.commitments for e in (c.create, c.detach, c.discharge))
-        self._models: dict[str, Model] = {r: Model(()) for c in scenario.commitments for r in (c.debtor, c.creditor)}
-        # role -> (the model its lifecycle tables were evaluated on, the tables
-        # by commitment name, the tick they next change at)
-        self._tables: dict[str, tuple[Model, dict, int | float]] = {}
-        # commitment name -> (the debtor's and the creditor's tables its
-        # current row was built from, that row's lifecycle and alignment)
-        self._rows: dict[str, tuple[dict, dict, dict, AlignmentResult]] = {}
-        # the first tick at which any of the tables above can change
+        # Each debtor and creditor -> [its model of those entries alone, its
+        # tables by name of the commitments it is party to (None until they are
+        # evaluated on that model), the tick they next change at]
+        self._parties: dict[str, list] = {
+            role: [Model(()), None, 0] for c in scenario.commitments for role in (c.debtor, c.creditor)
+        }
+        # commitment name -> its current row's lifecycle and alignment
+        self._rows: dict[str, tuple[dict, AlignmentResult]] = {}
+        # the first tick at which any party's tables can change
         self._stale_at: int | float = 0
         # role -> key value -> the role's enabled emissions at that value
         self._emissions: dict[str, dict[str, list[MessageInstance]]] = {}
@@ -298,37 +298,35 @@ class Simulation:
         self.vector = self.vector.extend(obs)
         self._emissions.pop(obs.role, None)
         entry = model_entry(obs.instance, obs.tick, self.fwd_registry)
-        model = self._models.get(obs.role)
-        if model is not None and entry.name in self._reads and (grown := model.add(entry)) is not model:
-            self._models[obs.role], self._stale_at = grown, 0
-
-    def _role_tables(self, role: str, tick: int) -> dict:
-        cached = self._tables.get(role)
-        if cached is None or cached[0] is not self._models[role] or tick >= cached[2]:
-            ctx = EvaluationContext(self._models[role], tick)
-            tables = {c.name: lifecycle_table(c, ctx) for c in self.scenario.commitments}
-            cached = self._tables[role] = (ctx.model, tables, next_change(self.anchors, ctx))
-        return cached[1]
+        party = self._parties.get(obs.role)
+        if party is not None and entry.name in self._reads and (grown := party[0].add(entry)) is not party[0]:
+            party[:2], self._stale_at = (grown, None), 0
 
     def _report(self, tick: int) -> None:
         if tick >= self._stale_at:
             self._refresh(tick)
-        self.result.reports += [CommitmentTick(tick, name, row[2], row[3]) for name, row in self._rows.items()]
+        self.result.reports += [CommitmentTick(tick, name, *row) for name, row in self._rows.items()]
 
     def _refresh(self, tick: int) -> None:
-        """Re-evaluate the stale tables, rebuild the rows whose tables changed,
-        and work out the next tick at which any table can change."""
+        """Re-evaluate the stale parties' tables, rebuild the rows of the
+        commitments with such a party, and work out the next tick at which any
+        party's tables can change."""
+        fresh = set()
+        for role, party in self._parties.items():
+            if party[1] is None or tick >= party[2]:
+                ctx = EvaluationContext(party[0], tick)  # one memo for a commitment and those it nests
+                own = (c for c in self.scenario.commitments if role in (c.debtor, c.creditor))
+                party[1:] = {c.name: lifecycle_table(c, ctx) for c in own}, next_change(self.anchors, ctx)
+                fresh.add(role)
         for c in self.scenario.commitments:
-            debtor, creditor = (self._role_tables(role, tick)[c.name] for role in (c.debtor, c.creditor))
-            last = self._rows.get(c.name)
-            if last is None or last[0] is not debtor or last[1] is not creditor:
+            if c.debtor in fresh or c.creditor in fresh:
+                debtor, creditor = (self._parties[role][1][c.name] for role in (c.debtor, c.creditor))
                 lifecycle = {
                     role: {kind: [dict(inst.key_binding) for inst in instances] for kind, instances in table.items()}
                     for role, table in ((c.debtor, debtor), (c.creditor, creditor))
                 }
-                self._rows[c.name] = debtor, creditor, lifecycle, check_alignment_models(c, debtor, creditor)
-        # Only debtors' and creditors' tables are ever cached, and all are now.
-        self._stale_at = min((changes for *_, changes in self._tables.values()), default=INF)
+                self._rows[c.name] = lifecycle, check_alignment_models(c, debtor, creditor)
+        self._stale_at = min((changes for *_, changes in self._parties.values()), default=INF)
 
 
 def _scripted_moves(moves, universe: Uod, default_key: str) -> dict[int, tuple[Mapping, str]]:

@@ -75,6 +75,14 @@ def test_syntax_error_names_its_file(capsys, fixtures_dir, tmp_path):
         assert run(capsys, "parse", *argv) == (1, "", expected)
 
 
+def test_non_decimal_digit_is_a_syntax_error(capsys, tmp_path):
+    """``²`` is a digit ``int`` refuses, so it starts no number: ``parse``
+    exits 1 with one error line at its line and column, not a traceback."""
+    bad = tmp_path / "superscript.cupid"
+    bad.write_text("commitment P M to C create quote detach pay[, quote + ²] discharge ship\n", encoding="utf-8")
+    assert run(capsys, "parse", bad) == (1, "", f"error: {bad}:1:55: unexpected character '²'\n")
+
+
 def _error_case_files(fixtures_dir) -> dict[str, str]:
     """Inputs that each reach one error message no other test triggers."""
     m = "R1 {\n roles A, B\n parameters out k key, out x\n A -> B: m[out k, out x]\n}\n"

@@ -14,10 +14,11 @@ from comal.commitments import (
     ZERO,
     bind_commitment,
     parse_commitment,
+    parse_commitments,
     print_commitment,
 )
-from comal.errors import WellFormednessError
-from comal.protocol import uod
+from comal.errors import ComalError, ParseError, WellFormednessError
+from comal.protocol import parse_protocols, uod
 
 
 def test_parse_purchase(purchase):
@@ -55,6 +56,41 @@ def test_window_defaults():
     c = parse_commitment("commitment X A to B create m detach n[,] discharge o[3, 9]")
     assert c.detach == Window(BaseEvent("n"), ZERO, FOREVER)
     assert c.discharge == Window(BaseEvent("o"), TimeRef(3), TimeRef(9))
+
+
+def test_non_decimal_digit_is_a_parse_error():
+    """A digit ``int`` refuses, such as ``²``, starts no number: it is an
+    unexpected character at its line and column. A decimal digit of another
+    script, such as ``٣``, is a number."""
+    with pytest.raises(ParseError, match="unexpected character '²'") as info:
+        parse_commitment("commitment P M to C create quote detach pay[, quote + ²] discharge ship")
+    assert (info.value.line, info.value.column) == (1, 55)
+    c = parse_commitment("commitment P M to C create quote detach pay[, quote + ٣] discharge ship")
+    assert c.detach == Window(BaseEvent("pay"), ZERO, TimeRef(3, BaseEvent("quote")))
+
+
+def test_inserted_characters_raise_only_comal_errors(fixtures_dir):
+    """Each of these characters (digits ``int`` refuses or reads, a letter,
+    and whitespace that ends no line), inserted at every offset of the
+    commitment fixtures and ``ordering.bspl``, parses or is a ComalError:
+    nothing else escapes the parsers."""
+    characters = ("²", "½", "٣", "é", "\u00a0", "\u2028", "\u0085", "\r")
+    sources = [(parse_commitments, f"{name}.cupid") for name in ("purchase", "escrow_purchase", "escrow_transfer")]
+    sources.append((parse_protocols, "ordering.bspl"))
+    parsed, escaped = 0, []
+    for parse, name in sources:
+        text = (fixtures_dir / name).read_text()
+        for ch in characters:
+            for i in range(len(text) + 1):
+                parsed += 1
+                try:
+                    parse(text[:i] + ch + text[i:])
+                except ComalError:
+                    pass
+                except Exception as exc:  # noqa: BLE001  any other exception is the failure reported
+                    escaped.append((name, ch, i, repr(exc)))
+    assert parsed == 6704
+    assert escaped == []
 
 
 def test_operator_precedence():
