@@ -19,7 +19,9 @@ File grammar (`//` comments allowed):
     window     := "[" [time] "," [time] "]"
     time       := NUMBER | event ["+" NUMBER]
 
-``except`` binds loosest, then ``or``, then ``and``.
+``except`` binds loosest, then ``or``, then ``and``. A condition nests at
+most ``lexer.MAX_DEPTH`` parentheses, and its :func:`formula_depth` is at most
+``MAX_DEPTH``; past either it is a ``ParseError``.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from .errors import WellFormednessError
-from .lexer import TokenStream
+from .errors import ParseError, WellFormednessError
+from .lexer import MAX_DEPTH, Token, TokenStream
 from .protocol import Uod
 
 INFINITY = math.inf
@@ -138,6 +140,12 @@ class CommitmentSpec:
             "violated": Except(detached, self.discharge),
         }
 
+    @cached_property
+    def depth(self) -> int:
+        """The deepest :func:`formula_depth` of its conditions; the parser
+        records it, and a nested commitment's is worked out once."""
+        return max(map(formula_depth, (self.create, self.detach, self.discharge)))
+
 
 # ---------------------------------------------------------------------------
 # Parsing
@@ -173,47 +181,64 @@ def _parse_commitment(stream: TokenStream, registry: Mapping[str, CommitmentSpec
     stream.expect("name", "to")
     creditor = stream.expect("name").text
     stream.expect("name", "create")
-    create = _parse_expr(stream, registry)
+    create, create_depth = _parse_expr(stream, registry, 0)
     stream.expect("name", "detach")
-    detach = _parse_expr(stream, registry)
+    detach, detach_depth = _parse_expr(stream, registry, 0)
     stream.expect("name", "discharge")
-    discharge = _parse_expr(stream, registry)
-    return CommitmentSpec(name, debtor, creditor, create, detach, discharge)
+    discharge, discharge_depth = _parse_expr(stream, registry, 0)
+    c = CommitmentSpec(name, debtor, creditor, create, detach, discharge)
+    # The parser knows ``depth`` already; a later reference reads it from here.
+    c.__dict__["depth"] = max(create_depth, detach_depth, discharge_depth)
+    return c
 
 
-def _parse_expr(stream: TokenStream, registry) -> EventExpr:
-    expr = _parse_or(stream, registry)
-    while stream.accept("name", "except"):
-        expr = Except(expr, _parse_or(stream, registry))
-    return expr
+def _checked(tok: Token, depth: int) -> int:
+    """``depth``, a ``ParseError`` at ``tok`` past ``MAX_DEPTH``."""
+    if depth > MAX_DEPTH:
+        raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels", tok.line, tok.column)
+    return depth
 
 
-def _parse_or(stream: TokenStream, registry) -> EventExpr:
-    expr = _parse_and(stream, registry)
-    while stream.accept("name", "or"):
-        expr = Or(expr, _parse_and(stream, registry))
-    return expr
+def _parse_expr(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
+    """An expression within ``level`` parentheses, and its :func:`formula_depth`."""
+    expr, depth = _parse_or(stream, registry, level)
+    while tok := stream.accept("name", "except"):
+        right, right_depth = _parse_or(stream, registry, level)
+        expr, depth = Except(expr, right), _checked(tok, 1 + max(depth, right_depth))
+    return expr, depth
 
 
-def _parse_and(stream: TokenStream, registry) -> EventExpr:
-    expr = _parse_atom(stream, registry)
-    while stream.accept("name", "and"):
-        expr = And(expr, _parse_atom(stream, registry))
-    return expr
+def _parse_or(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
+    expr, depth = _parse_and(stream, registry, level)
+    while tok := stream.accept("name", "or"):
+        right, right_depth = _parse_and(stream, registry, level)
+        expr, depth = Or(expr, right), _checked(tok, 1 + max(depth, right_depth))
+    return expr, depth
 
 
-def _parse_atom(stream: TokenStream, registry) -> EventExpr:
-    if stream.accept("symbol", "("):
-        expr = _parse_expr(stream, registry)
+def _parse_and(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
+    expr, depth = _parse_atom(stream, registry, level)
+    while tok := stream.accept("name", "and"):
+        right, right_depth = _parse_atom(stream, registry, level)
+        expr, depth = And(expr, right), _checked(tok, 1 + max(depth, right_depth))
+    return expr, depth
+
+
+def _parse_atom(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
+    if stream.at("symbol", "("):
+        if level == MAX_DEPTH:
+            raise stream.error(f"parentheses nested deeper than {MAX_DEPTH} levels")
+        stream.next()
+        expr, depth = _parse_expr(stream, registry, level + 1)
         stream.expect("symbol", ")")
     else:
-        expr = _parse_event(stream, registry)
+        expr, depth = _parse_event(stream, registry)
     if stream.at("symbol", "["):
-        expr = _parse_window(stream, registry, expr)
-    return expr
+        expr, depth = _parse_window(stream, registry, expr, depth)
+    return expr, depth
 
 
-def _parse_event(stream: TokenStream, registry) -> EventExpr:
+def _parse_event(stream: TokenStream, registry) -> tuple[EventExpr, int]:
     tok = stream.expect("name")
     if tok.text in LIFECYCLE_KINDS and stream.at("symbol", "("):
         stream.next()
@@ -222,31 +247,56 @@ def _parse_event(stream: TokenStream, registry) -> EventExpr:
         target = registry.get(ref)
         if target is None:
             raise WellFormednessError(f"commitment {ref!r} not in registry")
-        return LifecycleEvent(tok.text, target)
-    return BaseEvent(tok.text)
+        return LifecycleEvent(tok.text, target), _checked(tok, 3 + target.depth)
+    return BaseEvent(tok.text), 1
 
 
-def _parse_window(stream: TokenStream, registry, inner: EventExpr) -> Window:
-    stream.expect("symbol", "[")
+def _parse_window(stream: TokenStream, registry, inner: EventExpr, depth: int) -> tuple[Window, int]:
+    tok = stream.expect("symbol", "[")
     lower = ZERO
     if not stream.at("symbol", ","):
-        lower = _parse_time(stream, registry)
+        lower, lower_depth = _parse_time(stream, registry)
+        depth = max(depth, lower_depth)
     stream.expect("symbol", ",")
     upper = FOREVER
     if not stream.at("symbol", "]"):
-        upper = _parse_time(stream, registry)
+        upper, upper_depth = _parse_time(stream, registry)
+        depth = max(depth, upper_depth)
     stream.expect("symbol", "]")
-    return Window(inner, lower, upper)
+    return Window(inner, lower, upper), _checked(tok, 1 + depth)
 
 
-def _parse_time(stream: TokenStream, registry) -> TimeRef:
+def _parse_time(stream: TokenStream, registry) -> tuple[TimeRef, int]:
     if stream.at("number"):
-        return TimeRef(int(stream.next().text))
-    event = _parse_event(stream, registry)
+        return TimeRef(int(stream.next().text)), 0
+    event, depth = _parse_event(stream, registry)
     offset = 0
     if stream.accept("symbol", "+"):
         offset = int(stream.expect("number").text)
-    return TimeRef(offset, event)
+    return TimeRef(offset, event), depth
+
+
+def formula_depth(expr: EventExpr) -> int:
+    """The nodes along ``expr``'s longest path. A lifecycle event counts three
+    more than its commitment's ``depth``: its formula
+    (``CommitmentSpec.lifecycle``) joins the conditions with up to two
+    connectives, and equality and hashing walk all three."""
+    if isinstance(expr, LifecycleEvent):
+        return 3 + expr.commitment.depth
+    return 1 + max(map(formula_depth, subformulas(expr)), default=0)
+
+
+def subformulas(expr: EventExpr) -> list[EventExpr]:
+    """The expressions directly below ``expr``: a window's event and the
+    events its bounds are anchored to, a connective's two sides, or the
+    create, detach and discharge of the commitment a lifecycle event names."""
+    if isinstance(expr, Window):
+        return [expr.inner] + [t.base_event for t in (expr.lower, expr.upper) if t.base_event is not None]
+    if isinstance(expr, (And, Or, Except)):
+        return [expr.left, expr.right]
+    if isinstance(expr, LifecycleEvent):
+        return [expr.commitment.create, expr.commitment.detach, expr.commitment.discharge]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -299,38 +349,44 @@ def print_commitment(c: CommitmentSpec) -> str:
 def bind_commitment(c: CommitmentSpec, universe: Uod) -> None:
     """Check that ``c`` only uses roles and message names from ``universe`` and
     that every connective correlates its sides through shared key parameters."""
-    for role in (c.debtor, c.creditor):
-        if role not in universe.roles:
-            raise WellFormednessError(f"commitment {c.name!r}: role {role!r} not in the universe")
-    for expr in (c.create, c.detach, c.discharge):
-        _bind_expr(expr, universe)
+    _bind_commitment(c, universe, {})
 
 
-def _bind_expr(expr: EventExpr, universe: Uod) -> frozenset[str]:
+def _bind_commitment(c: CommitmentSpec, universe: Uod, seen: dict[int, frozenset[str]]) -> frozenset[str]:
+    """Bind ``c`` and return the key parameters its conditions carry. Each
+    commitment is bound once per call: ``seen`` holds their key sets by
+    ``id``, as hashing a commitment walks its whole formula tree."""
+    keys = seen.get(id(c))
+    if keys is None:
+        for role in (c.debtor, c.creditor):
+            if role not in universe.roles:
+                raise WellFormednessError(f"commitment {c.name!r}: role {role!r} not in the universe")
+        conditions = (c.create, c.detach, c.discharge)
+        keys = seen[id(c)] = frozenset().union(*(_bind_expr(e, universe, seen) for e in conditions))
+    return keys
+
+
+def _bind_expr(expr: EventExpr, universe: Uod, seen: dict[int, frozenset[str]]) -> frozenset[str]:
     """Validate ``expr`` and return the key parameters its instances carry."""
     if isinstance(expr, BaseEvent):
         if expr.name not in universe.by_name:
             raise WellFormednessError(f"event {expr.name!r} is not a message of the universe")
         return frozenset(universe.schema(expr.name).keys)
     if isinstance(expr, LifecycleEvent):
-        bind_commitment(expr.commitment, universe)
-        keys: frozenset[str] = frozenset()
-        for kind_expr in (expr.commitment.create, expr.commitment.detach, expr.commitment.discharge):
-            keys |= _bind_expr(kind_expr, universe)
-        return keys
+        return _bind_commitment(expr.commitment, universe, seen)
     if isinstance(expr, Window):
-        keys = _bind_expr(expr.inner, universe)
+        keys = _bind_expr(expr.inner, universe, seen)
         for bound in (expr.lower, expr.upper):
             if bound.base_event is not None:
-                anchor = _bind_expr(bound.base_event, universe)
+                anchor = _bind_expr(bound.base_event, universe, seen)
                 if not anchor & keys:
                     raise WellFormednessError(
                         "window bound event shares no key parameter with the windowed event"
                     )
         return keys
     if isinstance(expr, (And, Or, Except)):
-        left = _bind_expr(expr.left, universe)
-        right = _bind_expr(expr.right, universe)
+        left = _bind_expr(expr.left, universe, seen)
+        right = _bind_expr(expr.right, universe, seen)
         if not left & right:
             op = {And: "and", Or: "or", Except: "except"}[type(expr)]
             raise WellFormednessError(f"{op!r} sides share no key parameter; instances cannot correlate")

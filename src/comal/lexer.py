@@ -6,6 +6,14 @@ from dataclasses import dataclass
 
 from .errors import ParseError
 
+# The deepest nesting read from a source: parentheses within one formula,
+# nodes along a formula's longest path (``commitments.formula_depth``), and
+# protocol references within one another (``protocol.uod``). Every walker of
+# these structures recurses a few frames per level, so this keeps them well
+# below Python's default recursion limit of 1 000 frames. The deepest fixture
+# formula, EscrowTransfer's discharge, is 6 levels deep.
+MAX_DEPTH = 100
+
 # Multi-character symbols must precede their prefixes.
 SYMBOLS = ("->", "{", "}", "[", "]", "(", ")", ",", ":", "+")
 

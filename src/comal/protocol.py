@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import AbstractSet, Iterable, Mapping, Union
 
 from .errors import WellFormednessError
-from .lexer import TokenStream
+from .lexer import MAX_DEPTH, TokenStream
 
 IN = "in"
 OUT = "out"
@@ -412,7 +412,8 @@ def canonicalize(p: Protocol) -> Protocol:
 
 def uod(p: Protocol, registry: Mapping[str, Protocol] | None = None) -> Uod:
     """All roles and message schemas reachable from ``p`` through references,
-    with role and parameter names substituted per each reference's arguments."""
+    with role and parameter names substituted per each reference's arguments.
+    References nest at most ``MAX_DEPTH`` deep."""
     reg = dict(registry or {})
     reg.setdefault(p.name, p)
     roles: list[str] = []
@@ -438,6 +439,10 @@ def uod(p: Protocol, registry: Mapping[str, Protocol] | None = None) -> Uod:
             else:
                 if ref.name in stack:
                     raise WellFormednessError(" -> ".join(stack + (ref.name,)))
+                if len(stack) > MAX_DEPTH:
+                    raise WellFormednessError(
+                        f"references nested deeper than {MAX_DEPTH} levels: {' -> '.join(stack + (ref.name,))}"
+                    )
                 target = reg.get(ref.name)
                 if target is None:
                     raise WellFormednessError(f"protocol {ref.name!r} not found in registry")

@@ -171,19 +171,19 @@ def lifecycle_table(c: CommitmentSpec, ctx: EvaluationContext) -> dict[str, tupl
 
 
 def _reached(exprs: Iterable[EventExpr]) -> Iterator[EventExpr]:
-    """Every node the evaluation of ``exprs`` can reach: through windows and
-    their event-anchored bounds, connectives, and the create, detach and
-    discharge of the commitments their lifecycle events name."""
+    """Every node the evaluation of ``exprs`` can reach, once each: through
+    windows and their event-anchored bounds, connectives, and the create,
+    detach and discharge of the commitments their lifecycle events name. Nodes
+    are told apart by ``id``, as hashing one walks its whole formula tree."""
     stack = list(exprs)
+    seen: set[int] = set()
     while stack:
         expr = stack.pop()
+        if id(expr) in seen:
+            continue
+        seen.add(id(expr))
         yield expr
-        if isinstance(expr, cm.Window):
-            stack += [expr.inner] + [b.base_event for b in (expr.lower, expr.upper) if b.base_event is not None]
-        elif isinstance(expr, (cm.And, cm.Or, cm.Except)):
-            stack += [expr.left, expr.right]
-        elif isinstance(expr, cm.LifecycleEvent):
-            stack += [expr.commitment.create, expr.commitment.detach, expr.commitment.discharge]
+        stack += cm.subformulas(expr)
 
 
 def base_event_names(exprs: Iterable[EventExpr]) -> frozenset[str]:

@@ -92,7 +92,8 @@ of a parameter the forward reads or binds: no move disables it. No lapse passes
 while it is enabled (below), so it is a stubborn set too. Punctual composed
 escrow takes 702 states instead of 4 227, with the same 15 terminal states,
 and its reduced knowledge-set graph 230 instead of 2 678. The unrestricted
-Theorem 2 search, embedding and the full rebuilds are never reduced.
+Theorem 2 search, embedding and a graph built after a failing reduced one are
+never reduced.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
@@ -102,15 +103,15 @@ a role's emitted set only grows along a run, so a state that binds a
 parameter twice is reachable exactly when such a terminal state is. So they
 read the reduced knowledge-set graph first (composed escrow: 230 states
 instead of 9 595), and when it is safe and live it answers with its own state
-count. Otherwise the check runs again on the full graph, so every
-counterexample, witness and state count, is the full graph's. A reduced build
-cut at ``max_states`` is reported as it is: the full graph contains it, so it
-would be cut too. Safety with liveness, alone or in Theorem 1, builds each
-protocol's graph once: a safe graph ran to the end, so liveness reads it too;
-an unsafe one stopped at its violation and is rebuilt in full. The backward
-closure of the complete states (``live``) is computed only for embedding and
-for a liveness witness, the first state outside it. Embedding reads every
-prefix of a complete input run, so its graph is never reduced. An emission on
+count. Otherwise the full graph is built, so every counterexample, witness and
+state count is the full graph's. A reduced build cut at ``max_states`` is
+reported as it is: the full graph contains it, so it would be cut too. Every
+build stops at its first safety violation, and a check that reads liveness
+resumes it, to end as an uninterrupted build would: safety with liveness,
+alone or in Theorem 1, builds no graph twice. The backward closure of
+the complete states (``live``) is computed only for embedding and for a
+liveness witness, the first state outside it. Embedding reads every prefix of
+a complete input run, so its graph is never reduced. An emission on
 a prefix of a complete input enactment is exactly an emission edge into a
 *live* state (one with a completing extension), and ``emission_violation``
 reads only the sender's order-free ``RoleKnowledge``, so embedding is exact
@@ -120,9 +121,9 @@ These three answer k > 1 key values from the first value's graph when every
 two schemas share a key parameter: instances at different values then never
 agree (``kb_agree``), no move, violation, emission rule or completeness check
 links two values, and the k-value graph is the k-fold product of the one-value
-graph. A safe and live one-value graph answers for all k with its own state
-count; otherwise, or past ``max_states``, all k values are enumerated, so
-counterexamples are the full graph's. Theorem 2 enumerates.
+graph. The one-value graph is reduced unless the check is not; safe and live,
+it answers for all k with its own state count. If it fails, so does the
+product, and all k values are enumerated in full. Theorem 2 enumerates.
 
 Alignment needs time. Every observation happens in the current *phase*,
 which is also its timestamp in the observer's model and the instant tables
@@ -157,6 +158,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -324,23 +326,24 @@ class StateSpace:
         self._emission_cache: dict[tuple[int, int], list] = {}
         self._delivery_cache: dict[int, tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.cache_hits = 0
+        self._expanded = 0  # states expanded breadth-first; see ``_explore``
 
     def _explore(self, initial, stop=None, goal=None) -> int | None:
-        """Enumerate from ``initial``, breadth-first; ``stop()`` is asked before
-        expanding each state, and ``_found`` is told of every new state. With
-        ``goal``, depth-first instead, each state's successors in their order,
-        until a terminal state ``goal(state id)`` holds for: its id is
-        returned, or None once every state is expanded."""
+        """Enumerate from ``initial``, breadth-first, or resume where ``stop()``,
+        asked before expanding each state, ended it; ``_found`` is told of every
+        new state. With ``goal``, depth-first instead, each state's successors
+        in their order, until a terminal state ``goal(state id)`` holds for:
+        its id is returned, or None once every state is expanded."""
         try:
-            self._add(initial, None)
+            if not self.states:
+                self._add(initial, None)
             if goal is None:
                 # Breadth-first, states are expanded in the order they are found.
-                sid = 0
-                while sid < len(self.states):
+                while self._expanded < len(self.states):
                     if stop is not None and stop():
                         return None
-                    self._expand(sid)
-                    sid += 1
+                    self._expand(self._expanded)
+                    self._expanded += 1
                 return None
             stack = [0]
             while stack:
@@ -511,18 +514,12 @@ class StateSpace:
         return _witness(self._trail(state_id, self.parents))
 
     def backward_closure(self, seeds: Iterable[int]) -> set[int]:
-        reverse: list[list[int]] = [[] for _ in self.states]
-        for sid, out_edges in enumerate(self.edges):
-            for _, tid in out_edges:
-                reverse[tid].append(sid)
+        """The states with a path to one of ``seeds``, in one pass from the last
+        state back: in a knowledge-set or ordered graph every edge leads to a later state."""
         closed = set(seeds)
-        stack = list(closed)
-        while stack:
-            node = stack.pop()
-            for pred in reverse[node]:
-                if pred not in closed:
-                    closed.add(pred)
-                    stack.append(pred)
+        for sid in range(len(self.states) - 1, -1, -1):
+            if sid not in closed and any(tid in closed for _, tid in self.edges[sid]):
+                closed.add(sid)
         return closed
 
 
@@ -544,8 +541,15 @@ class KnowledgeGraph(StateSpace):
         self.detail = ""
 
     def build(self, stop_on_safety: bool = False) -> None:
+        """Enumerate, to the first safety violation with ``stop_on_safety``."""
         stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
         self._explore((0,) * len(self.roles), stop)
+
+    def complete(self) -> KnowledgeGraph:
+        """This graph, its build resumed if a safety violation stopped it."""
+        if self._expanded < len(self.states):
+            self.build()
+        return self
 
     def decode(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
         """Each role's knowledge set in ``state``."""
@@ -604,25 +608,23 @@ class KnowledgeGraph(StateSpace):
     backward_closure = StateSpace.backward_closure
 
 
-def _knowledge_graph(
-    universe: Uod, p: Protocol, bound: Bound, stop_on_safety: bool, reduce: bool = True
-) -> KnowledgeGraph:
-    """The graph the checks read at ``bound``. With ``reduce``, the reduced
-    graph when it is safe and live, and otherwise the full one, so that a
-    counterexample is the full graph's. At k > 1 key values, the graph at the
-    first value alone when it answers for all k (see the module docstring)."""
+def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, reduce: bool = True) -> KnowledgeGraph:
+    """The graph the checks read at ``bound``, stopped at its first safety
+    violation. With ``reduce``, the reduced graph when it is safe and live, and
+    otherwise the full one, so that a counterexample is the full graph's. At
+    k > 1 key values, the first value's graph when it answers for all k."""
     k = len(bound.key_values)
     if k > 1 and all(set(a.keys) & set(b.keys) for a, b in combinations(universe.schemas, 2)):
-        try:
-            one = _knowledge_graph(universe, p, replace(bound, key_values=bound.key_values[:1]), stop_on_safety, reduce)
-        except BoundExceeded:
-            one = None
-        if one is not None and one.safety_violation is None and one.live_everywhere:
-            one.detail = f"{k} key values answered from one"
-            log.info("%s: %s", p.name, one.detail)
-            return one
-        # A value that is unsafe or not live is so in the product too.
-        reduce = reduce and one is None
+        one = KnowledgeGraph(universe, replace(bound, key_values=bound.key_values[:1]), p.out_params, reduce)
+        with suppress(BoundExceeded):
+            one.build(stop_on_safety=True)
+            if one.safety_violation is None and one.live_everywhere:
+                one.detail = f"{k} key values answered from one"
+                log.info("%s: %s", p.name, one.detail)
+                return one
+            # A value that is unsafe or not live is so in the product too; a
+            # reduced graph is so exactly when the full one is.
+            reduce = False
     if reduce:
         # The full graph contains this one, so a BoundExceeded here stands.
         graph = KnowledgeGraph(universe, bound, p.out_params, reduced=True)
@@ -630,7 +632,7 @@ def _knowledge_graph(
         if graph.safety_violation is None and graph.live_everywhere:
             return graph
     graph = KnowledgeGraph(universe, bound, p.out_params)
-    graph.build(stop_on_safety)
+    graph.build(stop_on_safety=True)
     return graph
 
 
@@ -643,6 +645,7 @@ def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
 
 
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
+    graph.complete()
     if graph.live_everywhere:
         return VerificationReport(LIVENESS, True, None, len(graph.states), graph.detail)
     stuck = next(sid for sid in range(len(graph.states)) if sid not in graph.live)
@@ -654,14 +657,14 @@ def check_safety(
     p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
 ) -> VerificationReport:
     """Key integrity across every reachable state at the bound."""
-    return _safety_report(_knowledge_graph(uod(p, registry), p, bound, stop_on_safety=True))
+    return _safety_report(_knowledge_graph(uod(p, registry), p, bound))
 
 
 def check_liveness(
     p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
 ) -> VerificationReport:
     """Every reachable state can still be extended to a complete enactment."""
-    return _liveness_report(_knowledge_graph(uod(p, registry), p, bound, stop_on_safety=False))
+    return _liveness_report(_knowledge_graph(uod(p, registry), p, bound))
 
 
 @dataclass(frozen=True)
@@ -689,15 +692,10 @@ class Theorem1Result:
 def check_safety_and_liveness(
     p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
 ) -> tuple[VerificationReport, VerificationReport]:
-    """``check_safety`` and ``check_liveness`` from one build where it can: a
-    safe protocol's graph, reduced or not, ran to the end, so it is the graph
-    liveness needs; an unsafe one stopped early and is rebuilt in full."""
-    universe = uod(p, registry)
-    graph = _knowledge_graph(universe, p, bound, stop_on_safety=True)
-    safety = _safety_report(graph)
-    if not safety.holds:
-        graph = _knowledge_graph(universe, p, bound, stop_on_safety=False, reduce=False)
-    return safety, _liveness_report(graph)
+    """``check_safety`` and ``check_liveness`` from one graph, which an unsafe
+    protocol's violation stops until liveness resumes it."""
+    graph = _knowledge_graph(uod(p, registry), p, bound)
+    return _safety_report(graph), _liveness_report(graph)
 
 
 def check_theorem1(
@@ -761,7 +759,7 @@ def check_embedding(
     sender's knowledge at its source. On failure the witness is the path to
     that source and the emission, a run of the input the composition rejects.
     Every prefix of a complete run is read, so the graph is never reduced."""
-    graph = _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, stop_on_safety=False, reduce=False)
+    graph = _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, reduce=False).complete()
     composed_universe = uod(composed, registry)
 
     def report(witness, detail: str) -> VerificationReport:

@@ -13,9 +13,10 @@ import pytest
 
 from comal.cli import main
 from comal.commitments import bind_commitment, parse_commitment
+from comal.lexer import MAX_DEPTH
 from comal.protocol import canonicalize, parse_protocol, parse_protocols, print_protocol, uod
 from comal.simulate import load_scenario, report_to_json, run_scenario
-from test_protocol import MISKEYED
+from test_protocol import MISKEYED, reference_chain
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -151,6 +152,37 @@ def test_parse_validates_references(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err == run(capsys, "verify", "--safety", path)[2]
+
+
+def _deep_inputs(tmp_path, depth: int) -> list[list]:
+    """Commands reading inputs nested ``depth`` levels: parentheses in a
+    condition, through ``parse``; an ``and`` chain of that many terms, through
+    ``synthesize`` and ``verify --theorem2``; protocol references, through
+    ``parse``."""
+    commitment = "commitment P M to C create {} detach pay discharge ship\n"
+    parentheses, chain = tmp_path / "parentheses.cupid", tmp_path / "chain.cupid"
+    parentheses.write_text(commitment.format("(" * depth + "quote" + ")" * depth))
+    chain.write_text(commitment.format(" and ".join(["quote"] * depth)))
+    references = tmp_path / "references.bspl"
+    references.write_text(reference_chain(depth))
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    return [["parse", parentheses], ["synthesize", fixtures / "ordering.bspl", chain],
+            ["verify", "--theorem2", fixtures / "ordering_op.bspl", chain, "--protocol", "OrderingOp"],
+            ["parse", references]]
+
+
+def test_nesting_at_the_depth_bound_runs(capsys, tmp_path):
+    for argv in _deep_inputs(tmp_path, MAX_DEPTH):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def test_nesting_past_the_depth_bound_is_one_error_line(capsys, tmp_path):
+    """One level past the bound, each command exits 1 with one error line
+    (deeper inputs ended in a ``RecursionError`` traceback)."""
+    for argv in _deep_inputs(tmp_path, MAX_DEPTH + 1):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1 and f"nested deeper than {MAX_DEPTH}" in err
 
 
 def test_print_round_trips(capsys, fixtures_dir):

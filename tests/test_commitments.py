@@ -1,24 +1,34 @@
 from __future__ import annotations
 
+from contextlib import suppress
+from itertools import islice
+
 import pytest
 
+from comal import commitments, semantics
 from comal.commitments import (
     And,
     BaseEvent,
+    CommitmentSpec,
     Except,
     FOREVER,
+    LIFECYCLE_KINDS,
     LifecycleEvent,
     Or,
     TimeRef,
     Window,
     ZERO,
     bind_commitment,
+    formula_depth,
     parse_commitment,
     parse_commitments,
     print_commitment,
 )
+from comal.enactment import Model, ModelEntry
 from comal.errors import ComalError, ParseError, WellFormednessError
+from comal.lexer import MAX_DEPTH
 from comal.protocol import parse_protocols, uod
+from comal.synthesis import synthesize_alignment_protocol
 
 
 def test_parse_purchase(purchase):
@@ -160,3 +170,110 @@ def test_bind_rejects_uncorrelated_sides():
     c = parse_commitment("commitment X A to B create m or n detach m discharge n", registry)
     with pytest.raises(WellFormednessError, match="share no key"):
         bind_commitment(c, universe)
+
+
+def _chain(length: int, twice: bool) -> CommitmentSpec:
+    """C0 to C{length - 1}, each created on the creation of the one before it;
+    with ``twice``, also detached on its detachment, so that it names that
+    commitment twice."""
+    c = CommitmentSpec("C0", "M", "C", BaseEvent("quote"), BaseEvent("pay"), BaseEvent("ship"))
+    for i in range(1, length):
+        detach = LifecycleEvent("detached", c) if twice else BaseEvent("pay")
+        c = CommitmentSpec(f"C{i}", "M", "C", LifecycleEvent("created", c), detach, BaseEvent("ship"))
+    return c
+
+
+@pytest.mark.parametrize("twice", (False, True), ids=("once", "twice"))
+def test_nested_commitments_are_walked_once_each(monkeypatch, ordering, twice):
+    """Binding a chain of 40 nested commitments binds each commitment's three
+    conditions once, and ``semantics._reached`` visits each once: 120 calls
+    and 120 nodes, where walking every path takes 2**40 on the twice-named
+    chain. The counters stop a walk that passes 120."""
+    n = 40
+    last = _chain(n, twice)
+    calls = 0
+    bind = commitments._bind_expr
+
+    class Exhausted(Exception):
+        pass
+
+    def counted(expr, universe, seen):
+        nonlocal calls
+        calls += 1
+        if calls > 3 * n:
+            raise Exhausted
+        return bind(expr, universe, seen)
+
+    monkeypatch.setattr(commitments, "_bind_expr", counted)
+    # A stopped walk is left here, and only counts reach the asserts, so that
+    # a failure report prints no formula: printing one walks every path too.
+    with suppress(Exhausted):
+        bind_commitment(last, uod(ordering))
+    assert calls == 3 * n
+    conditions = (last.create, last.detach, last.discharge)
+    assert sum(1 for _ in islice(semantics._reached(conditions), 3 * n + 1)) == 3 * n
+    assert semantics.base_event_names(conditions) == {"quote", "pay", "ship"}
+
+
+# Purchase's three messages of order 1: quote at tick 1, pay at 2, ship at 3,
+# in (name, bindings) order.
+MODEL = Model(tuple(
+    ModelEntry(name, (("oID", "1"), (f"{name}ID", "v")), tick, (("oID", "1"),))
+    for name, tick in (("pay", 2), ("quote", 1), ("ship", 3))
+))
+
+
+def _nested_source(length: int) -> str:
+    """C0 to C{length - 1}, each created on the creation of the one before."""
+    lines = ["commitment C0 M to C create quote detach pay discharge ship"]
+    lines += [f"commitment C{i} M to C create created(C{i - 1}) detach pay discharge ship" for i in range(1, length)]
+    return "\n".join(lines) + "\n"
+
+
+def _deep_source(kind: str, depth: int) -> str:
+    """A commitment file whose last condition nests ``depth`` levels of
+    ``kind``: parentheses, an ``and`` chain of that many terms, or created
+    events nested through 3·depth + 1 levels (a lifecycle event counts its
+    commitment's formula)."""
+    if kind == "nested":
+        return _nested_source(depth + 1)
+    create = "(" * depth + "quote" + ")" * depth if kind == "parentheses" else " and ".join(["quote"] * depth)
+    return f"commitment P M to C create {create} detach pay[, quote + 10] discharge ship[, pay + 5]\n"
+
+
+DEEPEST = {"parentheses": MAX_DEPTH, "chain": MAX_DEPTH, "nested": (MAX_DEPTH - 1) // 3}
+
+
+@pytest.mark.parametrize("kind", DEEPEST)
+def test_deepest_formula_binds_synthesizes_and_evaluates(kind, ordering):
+    """At the depth bound a commitment parses, prints back, binds, has its
+    aligner synthesized and its lifecycle evaluated and bounded: every walker
+    stays within Python's recursion limit."""
+    registry = parse_commitments(_deep_source(kind, DEEPEST[kind]))
+    c = list(registry.values())[-1]
+    assert formula_depth(c.create) == (1 if kind == "parentheses" else MAX_DEPTH)
+    assert c.depth == max(formula_depth(e) for e in (c.create, c.detach, c.discharge))
+    assert parse_commitment(print_commitment(c), registry) == c
+    assert hash(c) == hash(parse_commitment(print_commitment(c), registry))
+    bind_commitment(c, uod(ordering))
+    assert synthesize_alignment_protocol(c, ordering).schemas
+    ctx = semantics.EvaluationContext(MODEL, 20)
+    assert semantics.lifecycle_table(c, ctx)["created"]
+    for kind in LIFECYCLE_KINDS:
+        semantics.deadline(c.lifecycle[kind], (("oID", "1"),), ctx)
+
+
+@pytest.mark.parametrize("kind", DEEPEST)
+def test_formula_past_the_depth_bound_is_a_parse_error(kind):
+    """One level deeper is a ``ParseError`` at the token that passes the
+    bound: the parenthesis past it, the ``and`` that makes the chain too deep,
+    or the lifecycle event whose commitment is too deep."""
+    source = _deep_source(kind, DEEPEST[kind] + 1)
+    last = source.splitlines()[-1]
+    line, column = source.count("\n"), last.index(" create ") + len(" create ") + 1
+    if kind == "parentheses":
+        column += MAX_DEPTH
+    elif kind == "chain":
+        column += len("quote and " * (MAX_DEPTH - 1) + "quote ")
+    with pytest.raises(ParseError, match=f"^{line}:{column}: .* nested deeper than {MAX_DEPTH} levels$"):
+        parse_commitments(source)

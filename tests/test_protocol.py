@@ -6,6 +6,7 @@ import pytest
 
 from comal.commitments import parse_commitments
 from comal.errors import ParseError, WellFormednessError
+from comal.lexer import MAX_DEPTH
 from comal.protocol import (
     IN,
     OUT,
@@ -264,6 +265,24 @@ def test_uod_unresolved_and_cyclic():
     )
     with pytest.raises(WellFormednessError, match="^Ping -> Pong -> Ping$"):
         uod(registry["Ping"], registry)
+
+
+def reference_chain(length: int) -> str:
+    """P0 to P{length}, each referring to the next; P{length} sends m."""
+    chain = "".join(f"P{i} {{\n roles A, B\n parameters out k key\n P{i + 1}(A, B, out k key)\n}}\n"
+                    for i in range(length))
+    return chain + f"P{length} {{\n roles A, B\n parameters out k key\n A -> B: m[out k key]\n}}\n"
+
+
+def test_references_nest_up_to_the_depth_bound():
+    """``MAX_DEPTH`` references nested in one another expand; one more is a
+    ``WellFormednessError`` naming the chain."""
+    registry = parse_protocols(reference_chain(MAX_DEPTH))
+    assert [s.name for s in uod(registry["P0"], registry).schemas] == ["m"]
+    registry = parse_protocols(reference_chain(MAX_DEPTH + 1))
+    chain = " -> ".join(f"P{i}" for i in range(MAX_DEPTH + 2))
+    with pytest.raises(WellFormednessError, match=f"^references nested deeper than {MAX_DEPTH} levels: {chain}$"):
+        uod(registry["P0"], registry)
 
 
 # ---------------------------------------------------------------------------

@@ -1581,3 +1581,136 @@ def test_alignment_check_logs_its_caches_after_the_pass(caplog, escrow_op_regist
     assert report.holds and build.startswith("AlignmentGraph: 702 states, ")
     assert build.endswith("41 views, 0 tables, reduced to safe deliveries and independent forwards")
     assert after == "AlignmentGraph: 80 tables, 149 counts, 34 next changes after the punctual check"
+
+
+def _graph_record(graph: KnowledgeGraph) -> tuple:
+    return (graph.states, graph.parents, graph.edges, list(graph._emission_cache), graph.cache_hits,
+            graph.safety_violation)
+
+
+def _assert_resumed_equals_uninterrupted(protocol, registry, bound, reduced=False) -> bool:
+    """A graph stopped at its safety violation and then completed records what
+    one built without stopping records: states, parents, edges, emission-cache
+    keys, cache hits and the violation. Returns whether the build stopped early."""
+    universe = uod(protocol, registry)
+    resumed = KnowledgeGraph(universe, bound, protocol.out_params, reduced)
+    resumed.build(stop_on_safety=True)
+    stopped = resumed._expanded < len(resumed.states)
+    assert resumed.complete() is resumed
+    whole = KnowledgeGraph(universe, bound, protocol.out_params, reduced)
+    whole.build()
+    assert _graph_record(resumed) == _graph_record(whole)
+    return stopped
+
+
+@pytest.mark.parametrize("reduced", (False, True), ids=("full", "reduced"))
+@pytest.mark.parametrize("name, k", (("unsafe_toy", 1), ("unsafe_relay", 1), ("unsafe_relay", 2), ("unsafe_relay", 3)))
+def test_resumed_build_equals_uninterrupted(name, k, reduced, fixtures_dir):
+    protocol = parse_protocol((fixtures_dir / f"{name}.bspl").read_text())
+    assert _assert_resumed_equals_uninterrupted(protocol, None, Bound(key_values=_values(k)), reduced)
+
+
+def _made_unsafe(protocol, rng: random.Random):
+    """``protocol`` with a schema that binds a non-key parameter made to bind
+    every parameter ``out``, and a copy of it sent by another role: both are
+    enabled at the start and bind that parameter to different values. None
+    when no schema binds a non-key parameter."""
+    chosen = [i for i, s in enumerate(protocol.references) if not all(d.key for d in s.params)]
+    if not chosen:
+        return None
+    i = rng.choice(chosen)
+    schema = protocol.references[i]
+    schema = replace(schema, params=tuple(replace(d, adornment=OUT) for d in schema.params))
+    sender = rng.choice([r for r in protocol.roles if r != schema.sender])
+    receiver = rng.choice([r for r in protocol.roles if r != sender])
+    copy = replace(schema, name=schema.name + "Again", sender=sender, receiver=receiver)
+    return replace(protocol, references=protocol.references[:i] + (schema, copy) + protocol.references[i + 1:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from((1, 2)), reduced=st.booleans())
+def test_resumed_build_equals_uninterrupted_on_random_protocols(seed, k, reduced):
+    """As above on Hypothesis-drawn random protocols, each made unsafe, so
+    that every build is stopped and resumed; those too large to enumerate
+    are skipped."""
+    rng = random.Random(seed)
+    protocol = _made_unsafe(random_protocol(rng, 0), rng)
+    assume(protocol is not None)
+    try:
+        assert _assert_resumed_equals_uninterrupted(protocol, None, Bound(_values(k), max_states=5_000), reduced)
+    except BoundExceeded:
+        assume(False)
+
+
+# States expanded per check; in parentheses, what each cost while a graph
+# stopped at a violation was rebuilt from state 0 and a failing one-value
+# graph was built a second time in full.
+EXPANSIONS = {
+    "safety-and-liveness-unsafe_relay-2": (check_safety_and_liveness, "unsafe_relay", 2, 88),  # (131)
+    "safety-and-liveness-unsafe_relay-1": (check_safety_and_liveness, "unsafe_relay", 1, 16),  # (23)
+    "liveness-unsafe_relay-3": (check_liveness, "unsafe_relay", 3, 736),  # (745)
+    "liveness-stuck_toy-2": (check_liveness, "stuck_toy", 2, 12),  # (15)
+    "embedding-unsafe_relay-2": (lambda p, bound: check_embedding(p, p, bound), "unsafe_relay", 2, 88),  # (90)
+}
+
+
+@pytest.mark.parametrize("case", EXPANSIONS)
+def test_checks_expand_each_state_of_a_graph_once(case, monkeypatch, fixtures_dir):
+    """A check builds each graph once: a graph its safety violation stopped
+    is resumed for liveness, and a one-value graph that fails, reduced or
+    not, sends the check to the k-value full graph directly."""
+    check, name, k, expanded = EXPANSIONS[case]
+    calls = []
+    expand = comal.verify.StateSpace._expand
+
+    def counted(graph, sid):
+        calls.append(sid)
+        return expand(graph, sid)
+
+    monkeypatch.setattr(comal.verify.StateSpace, "_expand", counted)
+    check(parse_protocol((fixtures_dir / f"{name}.bspl").read_text()), Bound(key_values=_values(k)))
+    assert len(calls) == expanded
+
+
+def _reverse_closure(graph, seeds) -> set[int]:
+    """The states with a path to one of ``seeds``, over reverse adjacency lists."""
+    reverse: list[list[int]] = [[] for _ in graph.states]
+    for sid, out in enumerate(graph.edges):
+        for _, tid in out:
+            reverse[tid].append(sid)
+    closed, stack = set(seeds), list(seeds)
+    while stack:
+        for pred in reverse[stack.pop()]:
+            if pred not in closed:
+                closed.add(pred)
+                stack.append(pred)
+    return closed
+
+
+@pytest.mark.parametrize("kind", ("knowledge", "reduced", "ordered"))
+def test_backward_closure_in_one_pass_on_random_protocols(kind):
+    """Every move adds an observation, so every stored edge of a knowledge-set
+    graph, reduced or not, and of an ordered graph leads to a later state, and
+    the one-pass closure is the reverse-adjacency one, from the complete
+    states and from random ones; both find states beyond their seeds."""
+    rng = random.Random(32)
+    grown = 0
+    for index in range(30):
+        protocol = random_protocol(rng, index)
+        bound = Bound(_values(rng.choice((1, 2))), max_states=5_000)
+        if kind == "ordered":
+            graph = EnactmentGraph(uod(protocol), bound)
+        else:
+            graph = KnowledgeGraph(uod(protocol), bound, protocol.out_params, reduced=kind == "reduced")
+        try:
+            graph.build()
+        except BoundExceeded:
+            continue
+        assert all(tid > sid for sid, out in enumerate(graph.edges) for _, tid in out)
+        complete = [sid for sid, state in enumerate(graph.states)
+                    if _is_complete_reference(graph.emitted(state), protocol.out_params)]
+        for seeds in (complete, rng.sample(range(len(graph.states)), min(3, len(graph.states)))):
+            closure = graph.backward_closure(seeds)
+            assert closure == _reverse_closure(graph, seeds)
+            grown += len(closure) > len(seeds)
+    assert grown >= 5, grown
