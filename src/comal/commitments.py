@@ -27,7 +27,7 @@ most ``lexer.MAX_DEPTH`` parentheses, and its :func:`formula_depth` is at most
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -81,12 +81,17 @@ class BaseEvent(EventExpr):
 
 @dataclass(frozen=True)
 class LifecycleEvent(EventExpr):
+    """A commitment reaching a lifecycle state. Equality, hashing and ``repr``
+    read the kind and the commitment's name, as ``print_event`` does."""
+
     kind: str
-    commitment: "CommitmentSpec"
+    commitment: "CommitmentSpec" = field(compare=False, repr=False)
+    name: str = field(init=False)
 
     def __post_init__(self):
         if self.kind not in LIFECYCLE_KINDS:
             raise WellFormednessError(f"unknown lifecycle kind {self.kind!r}")
+        object.__setattr__(self, "name", self.commitment.name)
 
 
 @dataclass(frozen=True)
@@ -280,7 +285,8 @@ def formula_depth(expr: EventExpr) -> int:
     """The nodes along ``expr``'s longest path. A lifecycle event counts three
     more than its commitment's ``depth``: its formula
     (``CommitmentSpec.lifecycle``) joins the conditions with up to two
-    connectives, and equality and hashing walk all three."""
+    connectives, and evaluation, ``deadline`` and binding walk all three.
+    Equality and hashing read only the commitment's name."""
     if isinstance(expr, LifecycleEvent):
         return 3 + expr.commitment.depth
     return 1 + max(map(formula_depth, subformulas(expr)), default=0)
@@ -314,7 +320,7 @@ def _print_expr(expr: EventExpr, outer: int) -> str:
     if isinstance(expr, BaseEvent):
         return expr.name
     if isinstance(expr, LifecycleEvent):
-        return f"{expr.kind}({expr.commitment.name})"
+        return f"{expr.kind}({expr.name})"
     if isinstance(expr, Window):
         lo = "" if expr.lower == ZERO else _print_time(expr.lower)
         hi = "" if expr.upper == FOREVER else _print_time(expr.upper)

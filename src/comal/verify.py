@@ -50,26 +50,28 @@ from its observation tuples. Each bit keeps the masks of the instances whose
 key bindings agree with its own and of those that also clash with it, so
 safety and completeness are read off masks (see ``KnowledgeGraph``).
 
-The timed graph also interns (instance, phase) pairs, each projected to its
-one model entry when first met. ``semantics`` reads a model only through
-base-event names, so a commitment's tables read only the entries its create,
-detach and discharge name, and the lapse boundary only those the window
-anchors name: a model's entries of one read set are an interned *view*, and a
-role's views an interned *view record*. A timed state is each role's instance
-mask and view record, and the phase. States differing only in entries nobody
-reads, or in a later phase of a known entry, are one: they have the same
-moves, lapse, tables and successors (an exact abstraction: Clarke, Grumberg
-and Long, "Model checking and abstraction", TOPLAS 1994). Breadth-first, only
-a class's first-found member finds new classes, so numbering and witnesses
-are those of the graph that tells them apart. Moves, and whether a lapse may
-follow, are cached on instance masks (unrestricted OrderingOp: 2 103 states,
-43 tuples); tables on (commitment, view, phase), misalignment counts on
-(commitment, debtor view, creditor view, phase), next changes on (anchor view,
-phase). A move steps its observer's record by ``enactment.Model.add`` of its
-pair's entry, at a phase no earlier than any its observer holds (incremental
-view maintenance: Gupta, Mumick and Subrahmanian, SIGMOD 1993). Punctual
-composed escrow needs 41 views, 80 tables and 34 next changes; keys on whole
-knowledge and phase need 848 and 217 over the 1 216 states with every phase.
+The timed graph gives a move the model entry of its instance at its phase
+(``enactment.model_entry``), made once per (instance, phase). ``semantics``
+reads a model only through base-event names, so a commitment's tables read
+only the entries its create, detach and discharge name, and the lapse
+boundary only those the window anchors name: a model's entries of one read
+set are an interned *view*, and a role's views an interned *view record*. A
+timed state is each role's instance mask and view record, and the phase.
+States differing only in entries nobody reads, or in a later phase of a
+known entry, are one: they have the same moves, lapse, tables and successors
+(an exact abstraction: Clarke, Grumberg and Long, "Model checking and
+abstraction", TOPLAS 1994). Breadth-first, only a class's first-found member
+finds new classes, so numbering and witnesses are those of the graph that
+tells them apart. Moves, and whether a lapse may follow, are cached on
+instance masks (unrestricted OrderingOp: 2 103 states, 43 tuples); tables on
+(commitment, view, phase), misalignment counts on (commitment, debtor view,
+creditor view, phase), next changes on (anchor view, phase). A move steps its
+observer's record by ``enactment.Model.add`` of its entry, at a phase no
+earlier than any its observer holds, as the simulator grows a role's model
+(incremental view maintenance: Gupta, Mumick and Subrahmanian, SIGMOD
+1993). Punctual composed escrow needs 41 views, 80 tables and 34 next
+changes; keys on whole knowledge and phase need 848 and 217 over the 1 216
+states with every phase.
 
 A *safe* delivery is one whose parameters are ``out`` in no schema its
 receiver sends. A reduced graph expands only such a delivery where one is in
@@ -175,8 +177,7 @@ from .enactment import (
     Observation,
     emission_candidates,
     emission_violation,
-    kb_agree,
-    model_of,
+    model_entry,
     observation_to_json,
 )
 from .enactment import knowledge_from as _knowledge_from
@@ -317,10 +318,14 @@ class StateSpace:
         self._recv = [0] * len(self.roles)
         # Per bit, the instances whose key bindings agree with it (``kb_agree``),
         # itself included, and those of them that bind a shared parameter to
-        # another value; per parameter, the instances that bind it.
+        # another value; per parameter, the instances that bind it. An agreement
+        # mask is read off the instances keyed by each key parameter and those
+        # keyed by it at each value, so only agreeing instances are compared.
         self._agree: list[int] = []
         self._conflicts: list[int] = []
         self._binders: dict[str, int] = {}
+        self._keyed: dict[str, int] = {}
+        self._key_values: dict[tuple[str, str], int] = {}
         # Emission moves by (role index, mask); delivery moves, and whether
         # they are the only moves expanded, by the mask of instances in flight.
         self._emission_cache: dict[tuple[int, int], list] = {}
@@ -421,19 +426,21 @@ class StateSpace:
             self._send[self.role_index[inst.sender]] |= 1 << bit
             self._recv[self.role_index[inst.receiver]] |= 1 << bit
             values = dict(inst.bindings)
-            agree, clash = 1 << bit, 0
-            for other_bit, other in enumerate(self._instances):
-                if not kb_agree(other.key_binding, inst.key_binding):
-                    continue
-                agree |= 1 << other_bit
+            # Earlier instances not keyed by each key parameter, or keyed by it at its value.
+            agree, clash = (1 << bit) - 1, 0
+            for key in inst.key_binding:
+                agree &= ~self._keyed.get(key[0], 0) | self._key_values.get(key, 0)
+                self._keyed[key[0]] = self._keyed.get(key[0], 0) | 1 << bit
+                self._key_values[key] = self._key_values.get(key, 0) | 1 << bit
+            for other_bit in _bits(agree):
                 self._agree[other_bit] |= 1 << bit
-                if any(values.get(param, value) != value for param, value in other.bindings):
+                if any(values.get(param, value) != value for param, value in self._instances[other_bit].bindings):
                     clash |= 1 << other_bit
                     self._conflicts[other_bit] |= 1 << bit
             for param in values:
                 self._binders[param] = self._binders.get(param, 0) | 1 << bit
             self._instances.append(inst)
-            self._agree.append(agree)
+            self._agree.append(agree | 1 << bit)
             self._conflicts.append(clash)
         return bit
 
@@ -792,7 +799,7 @@ class AlignmentGraph(StateSpace):
     a safe delivery, or else an independent forward's emission, where there is
     one. A state is (per-role instance masks, per-role view-record ids,
     phase). A move sets its bit in its observer's instance mask and steps its
-    record by its (instance, phase) pair's entry (``_grow``); a lapse changes
+    record by its instance's entry at the phase (``_grow``); a lapse changes
     only the phase. Moves are found on instance masks; tables, misalignment
     counts and lapse boundaries are read off records."""
 
@@ -817,16 +824,14 @@ class AlignmentGraph(StateSpace):
         self._views: list[Model] = [Model(())]
         self._records: list[tuple[int, ...]] = [(0,) * len(self._read_sets)]
         self._record_ids: dict[tuple[int, ...], int] = {self._records[0]: 0}
-        self._insert_cache: dict[tuple[int, int], int] = {}
-        self._grow_cache: dict[tuple[int, int], int] = {}
+        self._insert_cache: dict[tuple[int, int, int], int] = {}
+        self._grow_cache: dict[tuple[int, int, int], int] = {}
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
-        # The pairs, each one's entry and whether each read set reads it, their index
-        # by (instance mask, phase); moves, and whether a lapse may follow, by instance masks.
-        self._pairs: list[tuple[MessageInstance, int]] = []
-        self._entries: list[tuple[ModelEntry, tuple[bool, ...]]] = []
-        self._pair_index: dict[tuple[int, int], int] = {}
+        # Each move's entry and whether each read set reads it, by (instance
+        # index, phase); moves, and whether a lapse may follow, by instance masks.
+        self._entries: dict[tuple[int, int], tuple[ModelEntry, tuple[bool, ...]]] = {}
         self._moves_cache: dict[tuple[int, ...], tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.moves_hits = 0
         self.misaligned_end: int | None = None
@@ -844,32 +849,29 @@ class AlignmentGraph(StateSpace):
         if self.misaligned_end is None:
             self._renumber()
 
-    def _grow(self, records: tuple[int, ...], ri: int, bit: int, phase: int) -> tuple[int, ...]:
-        """``records`` with role ``ri``'s stepped, by ``Model.add``, by the pair
-        of ``bit``'s instance and ``phase``, interned with its one model entry
-        when first met; a move's pair is at the current phase, no earlier than
-        any its observer holds. Steps are cached on (record, pair)."""
-        p = self._pair_index.get((bit, phase))
-        if p is None:
-            p = self._pair_index[bit, phase] = len(self._pairs)
-            self._pairs.append((self._instances[bit.bit_length() - 1], phase))
-            entry = self._model(1 << p).entries[0]
-            self._entries.append((entry, tuple(entry.name in names for names in self._read_sets)))
-        key = (records[ri], p)
+    def _grow(self, records: tuple[int, ...], ri: int, index: int, phase: int) -> tuple[int, ...]:
+        """``records`` with role ``ri``'s stepped, by ``Model.add``, by the entry
+        of instance ``index`` at ``phase``, made when first met; a move is at the
+        current phase, no earlier than any its observer holds. Steps are cached
+        on (record, index, phase)."""
+        key = (records[ri], index, phase)
         child = self._grow_cache.get(key)
         if child is None:
-            views = zip(self._records[records[ri]], self._entries[p][1])
-            record = tuple(self._insert(view, p) if read else view for view, read in views)
+            if (index, phase) not in self._entries:
+                entry = self._model(index, phase)
+                self._entries[index, phase] = (entry, tuple(entry.name in names for names in self._read_sets))
+            views = zip(self._records[records[ri]], self._entries[index, phase][1])
+            record = tuple(self._insert(view, index, phase) if read else view for view, read in views)
             child = self._grow_cache[key] = self._record_ids.setdefault(record, len(self._records))
             if child == len(self._records):
                 self._records.append(record)
         return records[:ri] + (child,) + records[ri + 1:]
 
-    def _insert(self, view: int, p: int) -> int:
-        """The id of view ``view`` grown by pair ``p``'s entry (``Model.add``)."""
-        key = (view, p)
+    def _insert(self, view: int, index: int, phase: int) -> int:
+        """The id of view ``view`` grown by the entry of instance ``index`` at ``phase`` (``Model.add``)."""
+        key = (view, index, phase)
         if key not in self._insert_cache:
-            model = self._views[view].add(self._entries[p][0])
+            model = self._views[view].add(self._entries[index, phase][0])
             grown = self._insert_cache[key] = self._view_ids.setdefault(model.entries, len(self._views))
             if grown == len(self._views):
                 self._views.append(model)
@@ -893,7 +895,7 @@ class AlignmentGraph(StateSpace):
             self.moves_hits += 1
         moves, lapse_allowed = cached
         out = [
-            (move, (_with(observed, ri, bit), self._grow(records, ri, bit, now_phase), now_phase))
+            (move, (_with(observed, ri, bit), self._grow(records, ri, bit.bit_length() - 1, now_phase), now_phase))
             for ri, move, bit in moves
         ]
         lapse_value = self._next_boundary(records, now_phase) if lapse_allowed else INF
@@ -905,8 +907,9 @@ class AlignmentGraph(StateSpace):
         return (f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits, "
                 f"{len(self._views)} views, {len(self._table_cache)} tables")
 
-    def _model(self, pairs: int) -> Model:
-        return model_of((self._pairs[p] for p in _bits(pairs)), self.fwd_registry)
+    def _model(self, index: int, phase: int) -> ModelEntry:
+        """The entry of instance ``index`` observed at ``phase``."""
+        return model_entry(self._instances[index], phase, self.fwd_registry)
 
     def _next_boundary(self, records: tuple[int, ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's

@@ -12,6 +12,7 @@ from comal.commitments import (
     CommitmentSpec,
     Except,
     FOREVER,
+    INFINITY,
     LIFECYCLE_KINDS,
     LifecycleEvent,
     Or,
@@ -28,6 +29,7 @@ from comal.enactment import Model, ModelEntry
 from comal.errors import ComalError, ParseError, WellFormednessError
 from comal.lexer import MAX_DEPTH
 from comal.protocol import parse_protocols, uod
+from comal.simulate import load_sources
 from comal.synthesis import synthesize_alignment_protocol
 
 
@@ -40,6 +42,36 @@ def test_parse_purchase(purchase):
     assert purchase.discharge == Window(
         BaseEvent("ship"), ZERO, TimeRef(5, BaseEvent("pay"))
     )
+
+
+@pytest.mark.parametrize(
+    "offset, base, message",
+    [
+        (-1, None, "absolute instant must be a tick >= 0, got -1"),
+        (1.5, None, "absolute instant must be a tick >= 0, got 1.5"),
+        (INFINITY, BaseEvent("quote"), "event offset must be a tick >= 0, got inf"),
+        (-1, BaseEvent("quote"), "event offset must be a tick >= 0, got -1"),
+    ],
+    ids=("absolute-negative", "absolute-fraction", "event-infinite", "event-negative"),
+)
+def test_time_reference_offsets_are_ticks(offset, base, message):
+    with pytest.raises(WellFormednessError, match=f"^{message}$"):
+        TimeRef(offset, base)
+
+
+def test_lifecycle_event_kind_is_checked(purchase):
+    with pytest.raises(WellFormednessError, match="^unknown lifecycle kind 'paid'$"):
+        LifecycleEvent("paid", purchase)
+
+
+def test_lifecycle_events_compare_by_kind_and_name(purchase):
+    """Equality, hashing and ``repr`` read the commitment's name, as printing
+    does, not its conditions."""
+    renamed = parse_commitment("commitment Purchase M to C create pay detach quote discharge ship")
+    assert LifecycleEvent("created", renamed) == LifecycleEvent("created", purchase)
+    assert hash(LifecycleEvent("created", renamed)) == hash(LifecycleEvent("created", purchase))
+    assert LifecycleEvent("created", purchase) != LifecycleEvent("detached", purchase)
+    assert repr(LifecycleEvent("created", purchase)) == "LifecycleEvent(kind='created', name='Purchase')"
 
 
 def test_parse_nested_transfer(escrow_transfer, escrow_purchase):
@@ -213,6 +245,54 @@ def test_nested_commitments_are_walked_once_each(monkeypatch, ordering, twice):
     conditions = (last.create, last.detach, last.discharge)
     assert sum(1 for _ in islice(semantics._reached(conditions), 3 * n + 1)) == 3 * n
     assert semantics.base_event_names(conditions) == {"quote", "pay", "ship"}
+
+
+def _twice_source(length: int) -> str:
+    """``_chain(length, twice=True)`` as a commitment file."""
+    lines = ["commitment C0 M to C create quote detach pay discharge ship"]
+    lines += [f"commitment C{i} M to C create created(C{i - 1}) detach detached(C{i - 1}) discharge ship"
+              for i in range(1, length)]
+    return "\n".join(lines) + "\n"
+
+
+def test_depth_of_a_built_commitment_is_its_parsed_twins():
+    """The parser records a commitment's depth; one built directly works it
+    out from its conditions, to the same value: 100 at the bound."""
+    n = (MAX_DEPTH - 1) // 3 + 1
+    assert _chain(n, twice=True).depth == parse_commitments(_twice_source(n))[f"C{n - 1}"].depth == MAX_DEPTH
+
+
+def test_commitments_defined_twice_are_compared_once_each(monkeypatch, tmp_path):
+    """Loading a file that chains 34 commitments, each created and detached on
+    the one before it, twice over compares each commitment with its twin
+    once, and each of its two lifecycle events by kind and name: 100
+    comparisons, where comparing formulas walks 2**33 paths. The counter stops
+    a comparison past 102, and only the count reaches the assert, so that a
+    failure report prints no formula."""
+    n = (MAX_DEPTH - 1) // 3 + 1
+    path = tmp_path / "chain.cupid"
+    path.write_text(_twice_source(n))
+    calls = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def counting(cls):
+        compare = cls.__eq__
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            if calls > 3 * n:
+                raise Exhausted
+            return compare(self, other)
+        monkeypatch.setattr(cls, "__eq__", counted)
+
+    counting(CommitmentSpec)
+    counting(LifecycleEvent)
+    with suppress(Exhausted):
+        assert len(load_sources([], [path, path])[1]) == n
+    assert calls == 3 * n - 2
 
 
 # Purchase's three messages of order 1: quote at tick 1, pay at 2, ship at 3,

@@ -162,6 +162,33 @@ def test_canonicalize_is_order_insensitive(ordering):
     assert canonicalize(shuffled) == canonicalize(ordering)
 
 
+def test_canonicalize_keeps_a_reference_as_written(fixtures_dir):
+    """A protocol reference's arguments are positional, so canonicalizing
+    sorts the references by name but leaves each one's arguments in order."""
+    op = parse_protocols((fixtures_dir / "ordering_op.bspl").read_text())["OrderingOp"]
+    shuffled = Protocol(op.name, op.roles, op.params, references=tuple(reversed(op.references)))
+    assert canonicalize(shuffled).references == tuple(sorted(op.references, key=lambda r: r.name))
+
+
+@pytest.mark.parametrize(
+    "name, adornment, message",
+    [("x", "inout", "parameter 'x': bad adornment 'inout'"), ("", OUT, "parameter name must be nonempty")],
+    ids=("adornment", "name"),
+)
+def test_parameter_declaration_is_checked(name, adornment, message):
+    with pytest.raises(WellFormednessError, match=f"^{message}$"):
+        ParameterDecl(name, adornment)
+
+
+def test_uod_rejects_a_role_outside_the_universe():
+    """A protocol built without ``validate`` may send a schema from a role it
+    does not declare; its universe refuses it."""
+    k = ParameterDecl("k", OUT, key=True)
+    p = Protocol("P", ("A",), (k,), references=(MessageSchema("m", "A", "B", (k,)),))
+    with pytest.raises(WellFormednessError, match="^schema 'm' uses a role outside the universe$"):
+        uod(p)
+
+
 def test_uod_ordering(ordering):
     universe = uod(ordering)
     assert set(universe.roles) == {"M", "C", "S"}

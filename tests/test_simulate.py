@@ -39,6 +39,12 @@ def test_direct_order_timeline(fixtures_dir):
     assert not kb_names(last, "C", "violated")
 
 
+def test_report_at_a_tick_without_a_row(fixtures_dir):
+    result = run_scenario(load_scenario(fixtures_dir / "scenario_direct_order.json"))
+    with pytest.raises(KeyError, match="no report for commitment 'Purchase' at tick 99"):
+        result.report_at(99, "Purchase")
+
+
 def test_escrow_payment_timeline(fixtures_dir):
     scenario = load_scenario(fixtures_dir / "scenario_escrow_payment.json")
     result = run_scenario(scenario)

@@ -63,6 +63,11 @@ def test_decompose_yields_five(purchase):
     }
 
 
+def test_alignment_instruction_needs_two_roles():
+    with pytest.raises(WellFormednessError, match="^alignment instruction: knower equals learner$"):
+        AlignmentInstruction("M", BaseEvent("quote"), "M")
+
+
 def test_reduce_window():
     instr = AlignmentInstruction(
         "C", Window(BaseEvent("payEscrow"), upper=TimeRef(10, BaseEvent("quote"))), "M"

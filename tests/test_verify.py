@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import random
+from contextlib import suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from comal.enactment import (
     emission_violation,
     enabled_emissions,
     kb_agree,
+    model_entry,
     model_of,
     observation_from_json,
     observation_to_json,
@@ -50,6 +52,7 @@ from comal.verify import (
     Bound,
     EnactmentGraph,
     KnowledgeGraph,
+    StateSpace,
     _liveness_report,
     _safety_report,
     check_alignment_reachability,
@@ -1204,24 +1207,23 @@ def test_views_derived_per_move_match_whole_models(
 
 
 def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, escrow_commitments):
-    """The timed graph projects a model once per interned (instance, phase)
-    pair, never per state or view record: on punctual composed escrow,
+    """The timed graph makes a model entry once per (instance, phase) pair a
+    move reaches, never per state or view record: on punctual composed escrow,
     through the build and an alignment pass over every state."""
     projected = []
 
-    def counted(observed, fwd):
-        observed = list(observed)
-        projected.append(observed)
-        return model_of(observed, fwd)
+    def counted(inst, tick, fwd):
+        projected.append((inst, tick))
+        return model_entry(inst, tick, fwd)
 
-    monkeypatch.setattr(comal.verify, "model_of", counted)
+    monkeypatch.setattr(comal.verify, "model_entry", counted)
     protocol = escrow_op_registry["EscrowOrderingOp"]
     graph = AlignmentGraph(uod(protocol, escrow_op_registry), list(escrow_commitments.values()), BOUND, punctual=True)
     graph.build()
     assert any(any(graph.alignment(state)) for state in graph.states)
-    assert (len(graph.states), len(graph._pairs), len(graph._views)) == (702, 36, 41)
-    assert len(projected) == len(graph._pairs)
-    assert all(len(observed) == 1 for observed in projected)
+    assert (len(graph.states), len(graph._entries), len(graph._views)) == (702, 36, 41)
+    assert len(projected) == len(graph._entries)
+    assert len(set(projected)) == len(projected)
 
 
 def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
@@ -1518,6 +1520,68 @@ def test_masks_match_scans_on_random_protocols(k):
         verdicts += [_assert_masks_match_scans(random_protocol(rng, index), None, Bound(key_values=_values(k)))
                      for index in range(30)]
     assert {safe for safe, _ in verdicts} == {live for _, live in verdicts} == {True, False}
+
+
+def _assert_agreement_masks_match_pairs(graph: StateSpace) -> int:
+    """Each interned instance's agreement and conflict masks, against
+    ``kb_agree`` and a binding comparison over every pair of instances; the
+    number of agreeing pairs whose key bindings differ is returned."""
+    unequal = 0
+    for bit, inst in enumerate(graph._instances):
+        agree = clash = 0
+        for other_bit, other in enumerate(graph._instances):
+            if kb_agree(other.key_binding, inst.key_binding):
+                agree |= 1 << other_bit
+                unequal += other.key_binding != inst.key_binding
+                if any(inst.binding(param) not in (None, value) for param, value in other.bindings):
+                    clash |= 1 << other_bit
+        assert (graph._agree[bit], graph._conflicts[bit]) == (agree, clash), (bit, inst)
+    return unequal
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_agreement_masks_match_pairwise_checks(k, nested_keys, op_registry, toys):
+    """The masks ``_intern`` reads off per-(key parameter, value) masks are a
+    pairwise ``kb_agree`` scan's, on ``Two`` (fixture ``nested_keys``),
+    OrderingOp, the unsafe toy and 30 random protocols (seed 7), built in
+    full or to 2 000 states. In ``Two`` a pair can agree with unequal key
+    bindings, so the scan is not only a comparison of equal ones."""
+    rng = random.Random(7)
+    cases = [(nested_keys, None), *(_protocol(name, op_registry, toys) for name in ("OrderingOp", "unsafe_toy"))]
+    cases += [(random_protocol(rng, index), None) for index in range(30)]
+    unequal = []
+    for protocol, registry in cases:
+        graph = KnowledgeGraph(uod(protocol, registry), Bound(_values(k), 2_000), protocol.out_params)
+        with suppress(BoundExceeded):
+            graph.build()
+        unequal.append(_assert_agreement_masks_match_pairs(graph))
+    assert unequal[0] > 0
+
+
+def test_interning_reads_only_agreeing_instances(ordering):
+    """Ordering at 600 key values, cut at 10 states, interns a quote at each
+    value in its first expansion, and no two agree. Interning reads fewer than
+    10 earlier instances per instance, where comparing each with every one
+    before it reads about 300."""
+
+    class Counted(list):
+        reads = 0
+
+        def __getitem__(self, index):
+            Counted.reads += 1
+            return super().__getitem__(index)
+
+        def __iter__(self):
+            for item in super().__iter__():
+                Counted.reads += 1
+                yield item
+
+    graph = KnowledgeGraph(uod(ordering), Bound(_values(600), 10), ordering.out_params)
+    graph._instances = Counted()
+    with pytest.raises(BoundExceeded):
+        graph.build()
+    assert len(graph._instances) >= 600
+    assert Counted.reads < 10 * len(graph._instances)
 
 
 def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
