@@ -11,17 +11,17 @@ File grammar (`//` comments allowed):
 
     commitment := "commitment" NAME ROLE "to" ROLE
                   "create" expr "detach" expr "discharge" expr
-    expr       := orexpr ("except" orexpr)*
-    orexpr     := andexpr ("or" andexpr)*
-    andexpr    := atom ("and" atom)*
-    atom       := ("(" expr ")" | event) [window]
+    expr       := atom (CONNECTIVE atom)*
+    atom       := ("(" expr ")" | event) window*
     event      := LIFEKIND "(" NAME ")" | NAME
     window     := "[" [time] "," [time] "]"
     time       := NUMBER | event ["+" NUMBER]
 
-``except`` binds loosest, then ``or``, then ``and``. A condition nests at
-most ``lexer.MAX_DEPTH`` parentheses, and its :func:`formula_depth` is at most
-``MAX_DEPTH``; past either it is a ``ParseError``.
+``CONNECTIVES`` lists the connectives' keywords, loosest first; each
+associates to the left. The parser, the printer and the binder all read it. A
+condition nests at most ``lexer.MAX_DEPTH`` parentheses, and its
+:func:`formula_depth` is at most ``MAX_DEPTH``; past either it is a
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -119,6 +119,11 @@ class Except(EventExpr):
     right: EventExpr
 
 
+# The connectives and their keywords, loosest first: each binds tighter than
+# those before it, so ``a except b or c and d`` is ``a except (b or (c and d))``.
+CONNECTIVES = ((Except, "except"), (Or, "or"), (And, "and"))
+
+
 @dataclass(frozen=True)
 class CommitmentSpec:
     name: str
@@ -204,29 +209,21 @@ def _checked(tok: Token, depth: int) -> int:
     return depth
 
 
-def _parse_expr(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
-    """An expression within ``level`` parentheses, and its :func:`formula_depth`."""
-    expr, depth = _parse_or(stream, registry, level)
-    while tok := stream.accept("name", "except"):
-        right, right_depth = _parse_or(stream, registry, level)
-        expr, depth = Except(expr, right), _checked(tok, 1 + max(depth, right_depth))
-    return expr, depth
-
-
-def _parse_or(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
-    expr, depth = _parse_and(stream, registry, level)
-    while tok := stream.accept("name", "or"):
-        right, right_depth = _parse_and(stream, registry, level)
-        expr, depth = Or(expr, right), _checked(tok, 1 + max(depth, right_depth))
-    return expr, depth
-
-
-def _parse_and(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
+def _parse_expr(stream: TokenStream, registry, level: int, tier: int = 0) -> tuple[EventExpr, int]:
+    """An expression within ``level`` parentheses whose connectives are
+    ``CONNECTIVES[tier:]``, and its :func:`formula_depth`. Precedence climbing:
+    a connective's right side takes only those binding tighter, so each
+    parenthesis costs two frames."""
     expr, depth = _parse_atom(stream, registry, level)
-    while tok := stream.accept("name", "and"):
-        right, right_depth = _parse_atom(stream, registry, level)
-        expr, depth = And(expr, right), _checked(tok, 1 + max(depth, right_depth))
-    return expr, depth
+    while True:
+        for t in range(tier, len(CONNECTIVES)):
+            node, keyword = CONNECTIVES[t]
+            if tok := stream.accept("name", keyword):
+                right, right_depth = _parse_expr(stream, registry, level, t + 1)
+                expr, depth = node(expr, right), _checked(tok, 1 + max(depth, right_depth))
+                break
+        else:
+            return expr, depth
 
 
 def _parse_atom(stream: TokenStream, registry, level: int) -> tuple[EventExpr, int]:
@@ -238,7 +235,7 @@ def _parse_atom(stream: TokenStream, registry, level: int) -> tuple[EventExpr, i
         stream.expect("symbol", ")")
     else:
         expr, depth = _parse_event(stream, registry)
-    if stream.at("symbol", "["):
+    while stream.at("symbol", "["):
         expr, depth = _parse_window(stream, registry, expr, depth)
     return expr, depth
 
@@ -313,9 +310,6 @@ def print_event(expr: EventExpr) -> str:
     return _print_expr(expr, 0)
 
 
-_PRECEDENCE = {Except: 1, Or: 2, And: 3}
-
-
 def _print_expr(expr: EventExpr, outer: int) -> str:
     if isinstance(expr, BaseEvent):
         return expr.name
@@ -324,19 +318,18 @@ def _print_expr(expr: EventExpr, outer: int) -> str:
     if isinstance(expr, Window):
         lo = "" if expr.lower == ZERO else _print_time(expr.lower)
         hi = "" if expr.upper == FOREVER else _print_time(expr.upper)
-        return f"{_print_expr(expr.inner, 4)}[{lo}, {hi}]"
-    op = {And: "and", Or: "or", Except: "except"}[type(expr)]
-    level = _PRECEDENCE[type(expr)]
-    text = f"{_print_expr(expr.left, level)} {op} {_print_expr(expr.right, level + 1)}"
-    return f"({text})" if level < outer else text
+        return f"{_print_expr(expr.inner, len(CONNECTIVES))}[{lo}, {hi}]"
+    tier = [node for node, _ in CONNECTIVES].index(type(expr))
+    text = f"{_print_expr(expr.left, tier)} {CONNECTIVES[tier][1]} {_print_expr(expr.right, tier + 1)}"
+    return f"({text})" if tier < outer else text
 
 
 def _print_time(t: TimeRef) -> str:
     if t.is_absolute:
         return str(int(t.offset))
     if t.offset == 0:
-        return _print_expr(t.base_event, 4)
-    return f"{_print_expr(t.base_event, 4)} + {int(t.offset)}"
+        return _print_expr(t.base_event, len(CONNECTIVES))
+    return f"{_print_expr(t.base_event, len(CONNECTIVES))} + {int(t.offset)}"
 
 
 def print_commitment(c: CommitmentSpec) -> str:
@@ -394,7 +387,8 @@ def _bind_expr(expr: EventExpr, universe: Uod, seen: dict[int, frozenset[str]]) 
         left = _bind_expr(expr.left, universe, seen)
         right = _bind_expr(expr.right, universe, seen)
         if not left & right:
-            op = {And: "and", Or: "or", Except: "except"}[type(expr)]
-            raise WellFormednessError(f"{op!r} sides share no key parameter; instances cannot correlate")
-        return left | right if isinstance(expr, And) else left
+            keyword = dict(CONNECTIVES)[type(expr)]
+            raise WellFormednessError(f"{keyword!r} sides share no key parameter; instances cannot correlate")
+        # An ``or`` instance comes from either side, an ``except`` one from its left.
+        return left | right if isinstance(expr, And) else left & right if isinstance(expr, Or) else left
     raise TypeError(f"unknown expression node {type(expr).__name__}")

@@ -9,9 +9,11 @@ from .errors import ParseError
 # The deepest nesting read from a source: parentheses within one formula,
 # nodes along a formula's longest path (``commitments.formula_depth``), and
 # protocol references within one another (``protocol.uod``). Every walker of
-# these structures recurses a few frames per level, so this keeps them well
-# below Python's default recursion limit of 1 000 frames. The deepest fixture
-# formula, EscrowTransfer's discharge, is 6 levels deep.
+# these structures recurses a few frames per level: the commitment parser two
+# per parenthesis, dataclass equality and ``repr`` three per formula node. At
+# this bound the deepest walk, ``repr`` of a 100-term ``and`` chain, takes about
+# 306 frames, well below Python's default recursion limit of 1 000. The deepest
+# fixture formula, EscrowTransfer's discharge, is 6 levels deep.
 MAX_DEPTH = 100
 
 # Multi-character symbols must precede their prefixes.

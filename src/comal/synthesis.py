@@ -74,18 +74,18 @@ def decompose_commitment(c: CommitmentSpec) -> tuple[AlignmentInstruction, ...]:
     )
 
 
-def reduce(instr: AlignmentInstruction) -> tuple[AlignmentInstruction, ...]:
-    """Reduce an instruction to the atomic (single-message) instructions it
-    requires. Windows align the windowed event and any events its bounds are
-    anchored to; conjunction and disjunction align both sides; an exception
-    aligns its left side forward and its right side in the reverse direction;
-    lifecycle events expand to their formulas."""
-    atomic: list[AlignmentInstruction] = []
+def reduce(*instrs: AlignmentInstruction) -> tuple[AlignmentInstruction, ...]:
+    """Reduce instructions to the atomic (single-message) instructions they
+    require, once each, sorted. A node aligns its ``cm.subformulas`` in its
+    own direction, with two exceptions: an exception aligns its right side in
+    the reverse direction, and a lifecycle event aligns its formula
+    (``CommitmentSpec.lifecycle``)."""
+    atomic: dict[tuple[str, str, str], AlignmentInstruction] = {}
     # Formula nodes are compared by identity, since hashing an instruction walks
-    # its whole formula tree: every node is reachable from ``instr`` or a
+    # its whole formula tree: every node is reachable from ``instrs`` or a
     # commitment's cached ``lifecycle`` while this runs, so no id is reused.
     seen: set[tuple[str, int, str]] = set()
-    work = [instr]
+    work = list(instrs)
     while work:
         item = work.pop()
         a, f, b = item.knower, item.formula, item.learner
@@ -93,33 +93,19 @@ def reduce(instr: AlignmentInstruction) -> tuple[AlignmentInstruction, ...]:
             continue
         seen.add((a, id(f), b))
         if isinstance(f, cm.BaseEvent):
-            atomic.append(item)
-        elif isinstance(f, cm.Window):
-            work.append(AlignmentInstruction(a, f.inner, b))
-            for bound in (f.lower, f.upper):
-                if bound.base_event is not None:
-                    work.append(AlignmentInstruction(a, bound.base_event, b))
-        elif isinstance(f, (cm.And, cm.Or)):
-            work.append(AlignmentInstruction(a, f.left, b))
-            work.append(AlignmentInstruction(a, f.right, b))
+            atomic[a, f.name, b] = item
         elif isinstance(f, cm.Except):
-            work.append(AlignmentInstruction(a, f.left, b))
-            work.append(AlignmentInstruction(b, f.right, a))
+            work += [AlignmentInstruction(a, f.left, b), AlignmentInstruction(b, f.right, a)]
         elif isinstance(f, cm.LifecycleEvent):
             work.append(AlignmentInstruction(a, f.commitment.lifecycle[f.kind], b))
         else:
-            raise TypeError(f"non-reducible formula node {type(f).__name__}")
-    unique = {(i.knower, i.formula.name, i.learner): i for i in atomic}
-    return tuple(unique[k] for k in sorted(unique))
+            work += [AlignmentInstruction(a, g, b) for g in cm.subformulas(f)]
+    return tuple(atomic[k] for k in sorted(atomic))
 
 
 def atomic_instructions(c: CommitmentSpec) -> tuple[AlignmentInstruction, ...]:
     """All atomic instructions required to align ``c``."""
-    out: dict[tuple[str, str, str], AlignmentInstruction] = {}
-    for instr in decompose_commitment(c):
-        for atom in reduce(instr):
-            out[(atom.knower, atom.formula.name, atom.learner)] = atom
-    return tuple(out[k] for k in sorted(out))
+    return reduce(*decompose_commitment(c))
 
 
 def forward_schema(base: MessageSchema, forwarder: str, recipient: str) -> MessageSchema:

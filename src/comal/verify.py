@@ -883,6 +883,8 @@ class AlignmentGraph(StateSpace):
         return tuple(frozenset(self._members(mask)) for mask in state[0]), views, state[2]
 
     def _successors(self, state):
+        """Each move's successor, then the lapse's, made one at a time, so a
+        build cut by ``max_states`` stops making them at the cut."""
         observed, records, now_phase = state
         cached = self._moves_cache.get(observed)
         if cached is None:
@@ -894,14 +896,11 @@ class AlignmentGraph(StateSpace):
         else:
             self.moves_hits += 1
         moves, lapse_allowed = cached
-        out = [
-            (move, (_with(observed, ri, bit), self._grow(records, ri, bit.bit_length() - 1, now_phase), now_phase))
-            for ri, move, bit in moves
-        ]
+        for ri, move, bit in moves:
+            yield move, (_with(observed, ri, bit), self._grow(records, ri, bit.bit_length() - 1, now_phase), now_phase)
         lapse_value = self._next_boundary(records, now_phase) if lapse_allowed else INF
         if lapse_value < INF:
-            out.append((("lapse", lapse_value), (observed, records, lapse_value)))
-        return out
+            yield ("lapse", lapse_value), (observed, records, lapse_value)
 
     def _cache_summary(self) -> str:
         return (f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits, "

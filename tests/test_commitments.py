@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import random
+import sys
 from contextlib import suppress
 from itertools import islice
 
@@ -7,6 +10,7 @@ import pytest
 
 from comal import commitments, semantics
 from comal.commitments import (
+    CONNECTIVES,
     And,
     BaseEvent,
     CommitmentSpec,
@@ -28,7 +32,7 @@ from comal.commitments import (
 from comal.enactment import Model, ModelEntry
 from comal.errors import ComalError, ParseError, WellFormednessError
 from comal.lexer import MAX_DEPTH
-from comal.protocol import parse_protocols, uod
+from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.simulate import load_sources
 from comal.synthesis import synthesize_alignment_protocol
 
@@ -159,6 +163,46 @@ def test_round_trip_compound():
     assert parse_commitment(print_commitment(c)) == c
 
 
+def _random_formula(rng: random.Random, depth: int, target: CommitmentSpec):
+    """A formula at most ``depth`` nodes deep over quote, pay, ship and
+    ``target``'s lifecycle events, joined by every connective and windowed
+    with absolute, event-anchored or default bounds."""
+
+    def event():
+        if rng.random() < 0.25:
+            return LifecycleEvent(rng.choice(LIFECYCLE_KINDS), target)
+        return BaseEvent(rng.choice(("quote", "pay", "ship")))
+
+    def bound(default):
+        pick = rng.randrange(3)
+        return default if pick == 0 else TimeRef(rng.randint(0, 9), event() if pick == 2 else None)
+
+    if depth == 1 or rng.random() < 0.2:
+        return event()
+    pick = rng.randrange(len(CONNECTIVES) + 1)
+    if pick == len(CONNECTIVES):
+        return Window(_random_formula(rng, depth - 1, target), bound(ZERO), bound(FOREVER))
+    node = CONNECTIVES[pick][0]
+    return node(_random_formula(rng, depth - 1, target), _random_formula(rng, depth - 1, target))
+
+
+def test_round_trip_random(purchase):
+    """Printing and parsing back gives the same commitment, on formulas the
+    printer must parenthesize: a looser connective below a tighter one or as
+    a right side, a connective or a window under a window."""
+    rng = random.Random(2017)
+    registry = {purchase.name: purchase}
+    texts = []
+    for _ in range(300):
+        c = CommitmentSpec("X", "M", "C", *(_random_formula(rng, 6, purchase) for _ in range(3)))
+        texts.append(print_commitment(c))
+        assert parse_commitment(texts[-1], registry) == c, texts[-1]
+    bare = [text.replace(f"({purchase.name})", "") for text in texts]
+    assert all(any(f" {keyword} " in text for text in bare) for _, keyword in CONNECTIVES)
+    assert sum("(" in text for text in bare) > 100
+    assert any(f"{kind}({purchase.name}) + " in text for text in texts for kind in LIFECYCLE_KINDS)
+
+
 def test_lifecycle_formulas(purchase):
     cre, det, dis = purchase.create, purchase.detach, purchase.discharge
     assert purchase.lifecycle == {
@@ -201,6 +245,26 @@ def test_bind_rejects_uncorrelated_sides():
     universe = uod(parse_protocol(protocol_text))
     c = parse_commitment("commitment X A to B create m or n detach m discharge n", registry)
     with pytest.raises(WellFormednessError, match="share no key"):
+        bind_commitment(c, universe)
+
+
+@pytest.mark.parametrize("create", ("(a or b) and c", "(b or a) and c"))
+def test_bind_or_carries_the_keys_of_both_sides(create):
+    """An ``or`` instance comes from either side, so it carries only the keys
+    both sides carry: here none that ``c`` carries, whichever side ``b`` is."""
+    universe = uod(parse_protocol(
+        """
+        Keys {
+          roles A, B
+          parameters out k key, out j key, out x, out y, out z
+          A -> B: a[out k key, out x]
+          B -> A: b[in k key, out j key, out y]
+          A -> B: c[out j key, out z]
+        }
+        """
+    ))
+    c = parse_commitment(f"commitment X A to B create {create} detach a discharge c")
+    with pytest.raises(WellFormednessError, match="^'and' sides share no key parameter"):
         bind_commitment(c, universe)
 
 
@@ -341,6 +405,19 @@ def test_deepest_formula_binds_synthesizes_and_evaluates(kind, ordering):
     assert semantics.lifecycle_table(c, ctx)["created"]
     for kind in LIFECYCLE_KINDS:
         semantics.deadline(c.lifecycle[kind], (("oID", "1"),), ctx)
+
+
+def test_parentheses_at_the_depth_bound_take_two_frames_each():
+    """The parser recurses once per parenthesis through ``_parse_atom`` and
+    ``_parse_expr``, so ``MAX_DEPTH`` of them parse within 250 frames."""
+    source = _deep_source("parentheses", MAX_DEPTH)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 250)
+    try:
+        c = parse_commitment(source)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert c.create == BaseEvent("quote")
 
 
 @pytest.mark.parametrize("kind", DEEPEST)
