@@ -179,9 +179,11 @@ def parse_commitments(
 
 
 def parse_commitment(source: str, registry: Mapping[str, CommitmentSpec] | None = None) -> CommitmentSpec:
-    """Parse the first commitment in ``source``."""
+    """Parse ``source``, which holds one commitment and nothing after it."""
     stream = TokenStream(source)
-    return _parse_commitment(stream, dict(registry or {}))
+    c = _parse_commitment(stream, dict(registry or {}))
+    stream.expect("eof")
+    return c
 
 
 def _parse_commitment(stream: TokenStream, registry: Mapping[str, CommitmentSpec]) -> CommitmentSpec:
@@ -351,28 +353,40 @@ def bind_commitment(c: CommitmentSpec, universe: Uod) -> None:
     _bind_commitment(c, universe, {})
 
 
-def _bind_commitment(c: CommitmentSpec, universe: Uod, seen: dict[int, frozenset[str]]) -> frozenset[str]:
-    """Bind ``c`` and return the key parameters its conditions carry. Each
-    commitment is bound once per call: ``seen`` holds their key sets by
-    ``id``, as hashing a commitment walks its whole formula tree."""
+def _bind_commitment(
+    c: CommitmentSpec, universe: Uod, seen: dict[int, dict[str, frozenset[str]]]
+) -> dict[str, frozenset[str]]:
+    """Bind ``c`` and return, for each lifecycle kind, the key parameters its
+    instances carry. Each commitment is bound once per call: ``seen`` holds
+    their key sets by ``id``, as hashing a commitment walks its whole formula
+    tree."""
     keys = seen.get(id(c))
     if keys is None:
         for role in (c.debtor, c.creditor):
             if role not in universe.roles:
                 raise WellFormednessError(f"commitment {c.name!r}: role {role!r} not in the universe")
-        conditions = (c.create, c.detach, c.discharge)
-        keys = seen[id(c)] = frozenset().union(*(_bind_expr(e, universe, seen) for e in conditions))
+        create, detach, discharge = (_bind_expr(e, universe, seen) for e in (c.create, c.detach, c.discharge))
+        # What ``_bind_expr`` would give each formula of ``c.lifecycle``, read
+        # off the conditions' key sets without walking the formulas again.
+        detached = create | detach
+        keys = seen[id(c)] = {
+            "created": create,
+            "detached": detached,
+            "discharged": (create | discharge) & (detach | discharge),
+            "expired": create,
+            "violated": detached,
+        }
     return keys
 
 
-def _bind_expr(expr: EventExpr, universe: Uod, seen: dict[int, frozenset[str]]) -> frozenset[str]:
+def _bind_expr(expr: EventExpr, universe: Uod, seen: dict[int, dict[str, frozenset[str]]]) -> frozenset[str]:
     """Validate ``expr`` and return the key parameters its instances carry."""
     if isinstance(expr, BaseEvent):
         if expr.name not in universe.by_name:
             raise WellFormednessError(f"event {expr.name!r} is not a message of the universe")
         return frozenset(universe.schema(expr.name).keys)
     if isinstance(expr, LifecycleEvent):
-        return _bind_commitment(expr.commitment, universe, seen)
+        return _bind_commitment(expr.commitment, universe, seen)[expr.kind]
     if isinstance(expr, Window):
         keys = _bind_expr(expr.inner, universe, seen)
         for bound in (expr.lower, expr.upper):

@@ -84,18 +84,23 @@ reduced state space generation", 1990; Godefroid, *Partial-Order Methods for
 the Verification of Concurrent Systems*, 1996).
 
 Where none is, a reduced graph expands only the first emission, in move
-order, of an *independent forward*: a schema (a) in ``forwarding_registry``,
-(b) whose ``out`` parameters no other schema has ``out``, (c) whose sender
-receives none of them, and (d) each of whose non-key ``in`` parameters is
-``out`` in one schema at most. It binds only its own fresh identifier, so it
-disables nothing. ``emission_candidates`` gives a non-key ``out`` parameter
-its one default value, so by (b) to (d) the sender never learns a second value
-of a parameter the forward reads or binds: no move disables it. No lapse passes
-while it is enabled (below), so it is a stubborn set too. Punctual composed
-escrow takes 702 states instead of 4 227, with the same 15 terminal states,
-and its reduced knowledge-set graph 230 instead of 2 678. The unrestricted
-Theorem 2 search, embedding and a graph built after a failing reduced one are
-never reduced.
+order, of an *independent emission*: of a schema (b) whose ``out`` parameters
+no other schema has ``out``, (c) whose sender receives none of them, and (d)
+each of whose non-key ``in`` parameters is ``out`` in one schema at most. By
+(b) it binds only what no other move binds, so it disables nothing.
+``emission_candidates`` gives a non-key ``out`` parameter its one default
+value, so by (b) to (d) the sender never learns a second value of a parameter
+the emission reads, nor any value of one it binds: no move disables it. (c)
+is not implied by (b): a message back to its sender that carries one of them
+under other keys agrees with the emission at another key value, and would
+disable it there. So it is a stubborn set too. The timed graph also asks (a)
+that the schema be in ``forwarding_registry``: no lapse passes while a
+forward is enabled (below), but a plain emission does not commute with a
+lapse. The knowledge-set graph has no lapses. Punctual composed escrow takes
+702 states instead of 4 227, with the same 15 terminal states, and its
+reduced knowledge-set graph 81 instead of 2 678 (230 with independent
+forwards alone). The unrestricted Theorem 2 search, embedding and a graph
+built after a failing reduced one are never reduced.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
@@ -103,7 +108,7 @@ on the order it learned it. Safety and liveness are terminal-state
 properties: liveness holds exactly when every terminal state is complete, and
 a role's emitted set only grows along a run, so a state that binds a
 parameter twice is reachable exactly when such a terminal state is. So they
-read the reduced knowledge-set graph first (composed escrow: 230 states
+read the reduced knowledge-set graph first (composed escrow: 81 states
 instead of 9 595), and when it is safe and live it answers with its own state
 count. Otherwise the full graph is built, so every counterexample, witness and
 state count is the full graph's. A reduced build cut at ``max_states`` is
@@ -295,8 +300,8 @@ class StateSpace:
         self.roles = tuple(sorted(universe.roles))
         self.role_index = {r: i for i, r in enumerate(self.roles)}
         # Reduced, a state expands only a safe delivery where one is in flight,
-        # else only an independent forward's emission where one is enabled (see
-        # the module docstring); ``_safe`` and ``_independent`` name the schemas.
+        # else only an independent emission where one is enabled (see the
+        # module docstring); ``_safe`` and ``_independent`` name the schemas.
         self.reduced = reduced
         self.fwd_registry = forwarding_registry(universe)
         schemas = universe.schemas
@@ -305,7 +310,7 @@ class StateSpace:
         binders = Counter(p for s in schemas for p in s.outs)
         self._safe = {s.name for s in schemas if reduced and outs[s.receiver].isdisjoint(s.param_names)}
         self._independent = {
-            s.name for s in schemas if reduced and s.name in self.fwd_registry and heard[s.sender].isdisjoint(s.outs)
+            s.name for s in schemas if reduced and heard[s.sender].isdisjoint(s.outs)
             and all(binders[p] == 1 for p in s.outs) and all(binders[p] <= 1 for p in s.ins if p not in s.keys)
         }
         self.states: list[tuple[int, ...]] = []
@@ -364,7 +369,7 @@ class StateSpace:
         finally:
             log.info("%s: %d states, %d edges, %s%s%s", type(self).__name__, len(self.states), self.edge_count(),
                      self._cache_summary(),
-                     ", reduced to safe deliveries and independent forwards" if self.reduced else "",
+                     ", reduced to safe deliveries and independent emissions" if self.reduced else "",
                      ", depth-first" if goal is not None else "")
 
     def _expand(self, sid: int) -> None:
@@ -456,14 +461,14 @@ class StateSpace:
         """The moves from one instance mask per role, each with its observer's
         index and the bit it sets: emissions per role, then a delivery of each
         instance in flight, emitted and not in its receiver's mask. Reduced,
-        the first safe delivery, or else the first emission of an independent
-        forward, alone where there is one."""
+        the first safe delivery, or else the first independent emission (in the
+        timed graph, only a forward is independent), alone where there is one."""
         deliveries, alone = self._deliveries(self._emitted_mask(masks) & ~_union(masks, self._recv))
         if alone:
             return deliveries
         emissions = [move for ri, mask in enumerate(masks) for move in self._emissions(ri, mask)]
-        forward = next((move for move in emissions if move[1][2].schema in self._independent), None)
-        return [forward] if forward else emissions + deliveries
+        independent = next((move for move in emissions if move[1][2].schema in self._independent), None)
+        return [independent] if independent else emissions + deliveries
 
     def _emissions(self, ri: int, mask: int) -> list[tuple[int, tuple, int]]:
         """Role ``ri``'s emission moves from ``mask``, cached per graph.
@@ -539,7 +544,8 @@ class KnowledgeGraph(StateSpace):
 
     A state is a tuple of instance masks, one per role, and a move sets one
     bit of its observer's mask. With ``reduced``, a state expands only a safe
-    delivery, or else an independent forward's emission, where there is one."""
+    delivery, or else an independent emission, forward or not, where there is
+    one: with no lapses, conditions (b) to (d) suffice."""
 
     def __init__(self, universe: Uod, bound: Bound, public_out: Sequence[str], reduced: bool = False):
         super().__init__(universe, bound, reduced)
@@ -811,6 +817,9 @@ class AlignmentGraph(StateSpace):
         punctual: bool,
     ):
         super().__init__(universe, bound, reduced=punctual)
+        # Only a forward blocks a lapse, so only a forward lands at the current
+        # phase in every order: a plain emission does not commute with a lapse.
+        self._independent &= self.fwd_registry.keys()
         self.commitments = tuple(commitments)
         self.anchors = window_anchors(commitments)
         # A commitment's tables read only the entries its base events name, and

@@ -91,6 +91,11 @@ def test_debtor_equals_creditor_rejected():
         parse_commitment("commitment X A to A create m detach n discharge o")
 
 
+def test_trailing_tokens_after_a_commitment_are_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_commitment("commitment X A to B create m detach n discharge o ) garbage [")
+
+
 def test_unknown_nested_commitment():
     with pytest.raises(WellFormednessError, match="commitment 'Nowhere' not in registry"):
         parse_commitment(
@@ -248,24 +253,44 @@ def test_bind_rejects_uncorrelated_sides():
         bind_commitment(c, universe)
 
 
+KEYS = """
+Keys {
+  roles A, B
+  parameters out k key, out j key, out x, out y, out z
+  A -> B: a[out k key, out x]
+  B -> A: b[in k key, out j key, out y]
+  A -> B: c[out j key, out z]
+}
+"""
+
+
 @pytest.mark.parametrize("create", ("(a or b) and c", "(b or a) and c"))
 def test_bind_or_carries_the_keys_of_both_sides(create):
     """An ``or`` instance comes from either side, so it carries only the keys
     both sides carry: here none that ``c`` carries, whichever side ``b`` is."""
-    universe = uod(parse_protocol(
-        """
-        Keys {
-          roles A, B
-          parameters out k key, out j key, out x, out y, out z
-          A -> B: a[out k key, out x]
-          B -> A: b[in k key, out j key, out y]
-          A -> B: c[out j key, out z]
-        }
-        """
-    ))
+    universe = uod(parse_protocol(KEYS))
     c = parse_commitment(f"commitment X A to B create {create} detach a discharge c")
     with pytest.raises(WellFormednessError, match="^'and' sides share no key parameter"):
         bind_commitment(c, universe)
+
+
+@pytest.mark.parametrize("kind, binds", (
+    ("created", False), ("expired", False), ("detached", True), ("violated", True), ("discharged", False),
+))
+def test_lifecycle_event_carries_the_keys_of_its_kind(kind, binds):
+    """A lifecycle instance carries the keys of its kind's formula, not of
+    every condition of its commitment: ``C`` is created and expires by ``a``,
+    keyed by ``k`` alone, so ``c``, keyed by ``j``, cannot correlate with
+    those; its detachment joins ``b`` and carries ``j`` too, and its discharge
+    comes from ``a`` with either of ``a`` and ``b``, so carries ``k`` alone."""
+    universe = uod(parse_protocol(KEYS))
+    registry = {"C": parse_commitment("commitment C A to B create a detach b discharge a")}
+    d = parse_commitment(f"commitment D A to B create {kind}(C) and c detach a discharge a", registry)
+    if binds:
+        bind_commitment(d, universe)
+    else:
+        with pytest.raises(WellFormednessError, match="^'and' sides share no key parameter"):
+            bind_commitment(d, universe)
 
 
 def _chain(length: int, twice: bool) -> CommitmentSpec:

@@ -19,11 +19,11 @@ successors are of the same classes; this is checked on every plain state. The
 timed graph must be the breadth-first quotient of the reference: each class
 once, numbered by its first member in breadth-first order, with that member's
 parent and edges. The reduced graphs, punctual timed and reduced
-knowledge-set, which expand a safe delivery or an independent forward's
-emission alone where there is one, are subgraphs of the reference with the
-same terminal states and verdicts; the punctual timed graph is the quotient of
-the reference reduced so. The timed reference also runs on random
-commitments, in
+knowledge-set, which expand a safe delivery or an independent emission (in
+the timed graph, a forward's) alone where there is one, are subgraphs of the
+reference with the same terminal states and verdicts; the punctual timed
+graph is the quotient of the reference reduced so. The timed reference also
+runs on random commitments, in
 ``test_verify.test_timed_graph_matches_plain_encoding_on_random_protocols``."""
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from comal.semantics import (
     window_anchors,
 )
 from comal.synthesis import SynthesisMode, compose_operationalization, forwarding_registry, synthesize_alignment_protocol
-from comal.verify import AlignmentGraph, Bound, EnactmentGraph, KnowledgeGraph
+from comal.verify import AlignmentGraph, Bound, EnactmentGraph, KnowledgeGraph, check_safety_and_liveness
 
 
 @pytest.fixture(scope="module")
@@ -405,6 +405,21 @@ Race {
 """
 RACE_COMMITMENT = "commitment Deal A to B create start detach counter[, start + 3] discharge offer"
 
+# ``s`` meets conditions (b) and (d) of an independent emission, not (c): its
+# sender hears ``p`` back by ``t``, keyed by ``m`` alone, so ``t`` agrees with
+# ``s`` at every key value. At two values, receiving ``t`` before sending ``s``
+# at the second value disables it there; expanding ``s`` alone would lose the
+# terminal states where A never sends it.
+ECHO = """
+Echo {
+  roles A, B
+  parameters out k key, out m key, out p, out q
+  A -> B: s[out k key, out p]
+  B -> A: u[out m key, out q]
+  B -> A: t[in m key, in p]
+}
+"""
+
 
 def _composition(base, specs, mode=SynthesisMode.LITERAL):
     """``base`` composed with the aligners of ``specs`` synthesized in
@@ -412,6 +427,22 @@ def _composition(base, specs, mode=SynthesisMode.LITERAL):
     aligners = [synthesize_alignment_protocol(c, base, mode) for c in specs]
     composed = compose_operationalization(base, aligners)
     return composed, {p.name: p for p in (composed, base, *aligners)}
+
+
+def _fan(n: int):
+    """The fan protocol of ``n`` messages composed with the complete-mode
+    aligner of ``P``, and the registry the composition needs. ``m0`` from A to
+    B starts an enactment; each later message is independent of the others:
+    ``m_i`` goes from C to A when i mod 3 is 2, and otherwise from B to C,
+    reading ``x0``."""
+    messages = ["A -> B: m0[out k key, out x0]"] + [
+        f"C -> A: m{i}[in k key, out x{i}]" if i % 3 == 2 else f"B -> C: m{i}[in k key, in x0, out x{i}]"
+        for i in range(1, n)
+    ]
+    params = ", ".join(["out k key", *(f"out x{i}" for i in range(n))])
+    base = parse_protocol(f"Fan{n} {{\n  roles A, B, C\n  parameters {params}\n  " + "\n  ".join(messages) + "\n}\n")
+    commitment = f"commitment P A to B create m0 detach m1[, m0 + 10] discharge m{n - 1}[, m1 + 5]"
+    return _composition(base, parse_commitments(commitment).values(), SynthesisMode.COMPLETE)
 
 
 @pytest.mark.parametrize("name", ("EscrowOrderingOp", "escrow-literal", "relay-literal", "race"))
@@ -454,9 +485,9 @@ def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, b
 
 # Reduced and full state counts, so that a rule that reduces less is caught too.
 REDUCED_COUNTS = {
-    ("1",): {"Ordering": (17, 23), "OrderingOp": (23, 43), "EscrowOrdering": (25, 35),
-             "EscrowOrderingOp": (230, 9595)},
-    ("1", "2"): {"Ordering": (240, 529), "OrderingOp": (429, 1849), "EscrowOrdering": (481, 1225)},
+    ("1",): {"Ordering": (9, 23), "OrderingOp": (12, 43), "EscrowOrdering": (11, 35),
+             "EscrowOrderingOp": (81, 9595), "fan-6": (29, 1851)},
+    ("1", "2"): {"Ordering": (45, 529), "OrderingOp": (95, 1849), "EscrowOrdering": (57, 1225)},
 }
 
 
@@ -464,16 +495,19 @@ REDUCED_COUNTS = {
 def test_knowledge_reduction_keeps_terminal_states(
     key_values, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering
 ):
-    """The fixtures, composed escrow at one key value (its two-value graph is
-    the square of 9 595 states), ``RACE``, whose ``offer`` is an unsafe
-    delivery, ``LITERAL_FAILS`` with its literal aligner, and 30 random
+    """The fixtures, composed escrow and ``_fan(6)`` at one key value (their
+    two-value graphs are the squares of 9 595 and 1 851 states), ``RACE``,
+    whose ``offer`` is an unsafe delivery, ``ECHO``, whose ``s`` is not
+    independent, ``LITERAL_FAILS`` with its literal aligner, and 30 random
     protocols each from seeds 7 and 11. Safe and unsafe, live and not live
     all occur."""
     cases = {name: _fixture(name, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering) for name in FIXTURES}
     if key_values == ("1",):
         registry = parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
         cases["EscrowOrderingOp"] = registry["EscrowOrderingOp"], registry
+        cases["fan-6"] = _fan(6)
     cases["Race"] = parse_protocol(RACE), None
+    cases["Echo"] = parse_protocol(ECHO), None
     cases["relay-literal"] = _composition(
         parse_protocol(LITERAL_FAILS), parse_commitments(LITERAL_FAILS_COMMITMENT).values()
     )
@@ -483,3 +517,13 @@ def test_knowledge_reduction_keeps_terminal_states(
     results = {name: _assert_knowledge_reduced(*case, Bound(key_values=key_values)) for name, case in cases.items()}
     assert {safe for safe, *_ in results.values()} == {live for _, live, *_ in results.values()} == {True, False}
     assert {name: results[name][2:] for name in REDUCED_COUNTS[key_values]} == REDUCED_COUNTS[key_values]
+
+
+@pytest.mark.parametrize("n, states", ((10, 51), (12, 87)))
+def test_fan_safety_and_liveness_read_the_reduced_graph(n, states):
+    """Wide protocols are where independent emissions pay: safety and
+    liveness of fan-10 and fan-12 hold on one reduced graph each (16 616 and
+    92 486 states with independent forwards alone)."""
+    composed, registry = _fan(n)
+    reports = check_safety_and_liveness(composed, Bound(), registry)
+    assert [(report.holds, report.states_explored) for report in reports] == [(True, states)] * 2

@@ -137,10 +137,10 @@ NO_WITNESS = _sha256(None)
 # the first misaligned terminal state they find, and were recorded before the
 # timed graph moved onto instance masks.
 PINNED = {
-    "safety-Ordering": (17, NO_WITNESS),  # 23 in full
-    "liveness-Ordering": (17, NO_WITNESS),  # 23 in full
-    "safety-OrderingOp": (23, NO_WITNESS),  # 43 in full
-    "liveness-OrderingOp": (23, NO_WITNESS),  # 43 in full
+    "safety-Ordering": (9, NO_WITNESS),  # 23 in full
+    "liveness-Ordering": (9, NO_WITNESS),  # 23 in full
+    "safety-OrderingOp": (12, NO_WITNESS),  # 43 in full
+    "liveness-OrderingOp": (12, NO_WITNESS),  # 43 in full
     "safety-unsafe_toy": (5, "2577cb7f8b7129cd475483fa237ba1db46076eb790311e62dc5be761b2fed4c7"),
     "liveness-unsafe_toy": (9, NO_WITNESS),
     "safety-stuck_toy": (3, NO_WITNESS),
@@ -761,11 +761,11 @@ def test_timed_graph_matches_plain_encoding_on_random_protocols(punctual):
 
 
 def test_forward_reduction_keeps_terminal_states_on_random_compositions():
-    """``random_protocol`` draws no forward, so the forward rule is checked on
-    each ``_random_alignment_pairs`` draw composed with its commitment's
-    aligner, synthesized in each mode. The reduced knowledge-set graph is a
-    subgraph of the full one with the same terminal states, safety and
-    liveness, and the punctual timed graph one of the unreduced reference
+    """``random_protocol`` draws no forward, so the timed graph's forward rule
+    is checked on each ``_random_alignment_pairs`` draw composed with its
+    commitment's aligner, synthesized in each mode. The reduced knowledge-set
+    graph is a subgraph of the full one with the same terminal states, safety
+    and liveness, and the punctual timed graph one of the unreduced reference
     with the same terminal states and Theorem 2 verdict. Compositions whose
     full knowledge-set graph passes 3 000 states are left out. At seeds 71
     and 95 a forward's ``in`` parameter is ``out`` in two schemas, and
@@ -1610,7 +1610,7 @@ def test_build_logs_one_line(caplog, ordering, op_registry, purchase):
 
 def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
     """A reduced knowledge-set graph and a punctual timed graph end their line
-    in ``, reduced to safe deliveries and independent forwards``, after the
+    in ``, reduced to safe deliveries and independent emissions``, after the
     ``"<Graph>: N states"`` prefix and the counts every graph logs."""
     graph = KnowledgeGraph(uod(ordering), BOUND, ordering.out_params, reduced=True)
     protocol = op_registry["OrderingOp"]
@@ -1620,14 +1620,14 @@ def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
         timed.build()
     first, second = (record.getMessage() for record in caplog.records)
     assert first == (
-        f"KnowledgeGraph: 17 states, {graph.edge_count()} edges, "
+        f"KnowledgeGraph: 9 states, {graph.edge_count()} edges, "
         f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits, "
-        "reduced to safe deliveries and independent forwards"
+        "reduced to safe deliveries and independent emissions"
     )
     assert second.startswith("AlignmentGraph: 73 states, ")
     assert second.endswith(
         f"moves-cache entries, {timed.moves_hits} hits, 16 views, 0 tables, "
-        "reduced to safe deliveries and independent forwards"
+        "reduced to safe deliveries and independent emissions"
     )
 
 
@@ -1643,7 +1643,7 @@ def test_alignment_check_logs_its_caches_after_the_pass(caplog, escrow_op_regist
         report = check_alignment_reachability(protocol, specs, BOUND, True, escrow_op_registry)
     build, after = (record.getMessage() for record in caplog.records)
     assert report.holds and build.startswith("AlignmentGraph: 702 states, ")
-    assert build.endswith("41 views, 0 tables, reduced to safe deliveries and independent forwards")
+    assert build.endswith("41 views, 0 tables, reduced to safe deliveries and independent emissions")
     assert after == "AlignmentGraph: 80 tables, 149 counts, 34 next changes after the punctual check"
 
 
