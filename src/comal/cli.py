@@ -114,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound-keys", type=int, default=1,
                    help="number of distinct key values; a verdict covers every run at these values. Safety, "
                         "liveness, --theorem1 and --embedding answer k values from the graph at one when every two "
-                        "message schemas share a key parameter and that graph is safe and live, and enumerate all "
-                        "k otherwise")
+                        "message schemas share a key parameter, whatever its verdict, and enumerate all k otherwise")
     p.add_argument("--max-states", type=int, default=Bound.max_states)
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=cmd_verify)

@@ -99,8 +99,8 @@ forward is enabled (below), but a plain emission does not commute with a
 lapse. The knowledge-set graph has no lapses. Punctual composed escrow takes
 702 states instead of 4 227, with the same 15 terminal states, and its
 reduced knowledge-set graph 81 instead of 2 678 (230 with independent
-forwards alone). The unrestricted Theorem 2 search, embedding and a graph
-built after a failing reduced one are never reduced.
+forwards alone). The unrestricted Theorem 2 search and embedding are never
+reduced.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
@@ -108,29 +108,23 @@ on the order it learned it. Safety and liveness are terminal-state
 properties: liveness holds exactly when every terminal state is complete, and
 a role's emitted set only grows along a run, so a state that binds a
 parameter twice is reachable exactly when such a terminal state is. So they
-read the reduced knowledge-set graph first (composed escrow: 81 states
-instead of 9 595), and when it is safe and live it answers with its own state
-count. Otherwise the full graph is built, so every counterexample, witness and
-state count is the full graph's. A reduced build cut at ``max_states`` is
-reported as it is: the full graph contains it, so it would be cut too. Every
+are decided and reported on the reduced graph (composed escrow: 81 states
+instead of 9 595). A stubborn set keeps the terminal states reachable from
+each of its states, so its path to an unsafe state is an unsafe run, and a
+state with no completing extension in it has none in the full graph. Every
 build stops at its first safety violation, and a check that reads liveness
-resumes it, to end as an uninterrupted build would: safety with liveness,
-alone or in Theorem 1, builds no graph twice. The backward closure of
-the complete states (``live``) is computed only for embedding and for a
-liveness witness, the first state outside it. Embedding reads every prefix of
-a complete input run, so its graph is never reduced. An emission on
-a prefix of a complete input enactment is exactly an emission edge into a
-*live* state (one with a completing extension), and ``emission_violation``
-reads only the sender's order-free ``RoleKnowledge``, so embedding is exact
-there.
+resumes it. The backward closure of the complete states (``live``) is
+computed only for embedding and for a liveness witness, the first state
+outside it. Embedding alone builds the full graph: an emission on a prefix of
+a complete input enactment is exactly an emission edge into a *live* state,
+and ``emission_violation`` reads only the sender's order-free
+``RoleKnowledge``.
 
-These three answer k > 1 key values from the first value's graph when every
-two schemas share a key parameter: instances at different values then never
-agree (``kb_agree``), no move, violation, emission rule or completeness check
-links two values, and the k-value graph is the k-fold product of the one-value
-graph. The one-value graph is reduced unless the check is not; safe and live,
-it answers for all k with its own state count. If it fails, so does the
-product, and all k values are enumerated in full. Theorem 2 enumerates.
+When every two schemas share a key parameter, instances at different key
+values never agree (``kb_agree``), so the k-value graph is the k-fold
+product of the first value's graph. These three then answer k > 1 values
+from that graph, whatever its verdict: a witness there is a k-value run with
+the other values idle, and a report's detail says so. Theorem 2 enumerates.
 
 Alignment needs time. Every observation happens in the current *phase*,
 which is also its timestamp in the observer's model and the instant tables
@@ -165,7 +159,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
@@ -217,8 +210,7 @@ class Bound:
       bindings (one key parameter at ``"1"``, another at ``"2"``) are not
       produced or explored. Safety, liveness and embedding answer k > 1 values
       from the first value's graph when every two schemas share a key
-      parameter and that graph is safe and live; otherwise all k are
-      enumerated.
+      parameter; otherwise all k are enumerated.
     * ``max_states``: states explored before ``BoundExceeded`` is raised.
       Every run at the key values is finite (see the module docstring), so
       a verdict within it covers all of them.
@@ -622,48 +614,41 @@ class KnowledgeGraph(StateSpace):
 
 
 def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, reduce: bool = True) -> KnowledgeGraph:
-    """The graph the checks read at ``bound``, stopped at its first safety
-    violation. With ``reduce``, the reduced graph when it is safe and live, and
-    otherwise the full one, so that a counterexample is the full graph's. At
-    k > 1 key values, the first value's graph when it answers for all k."""
+    """The one graph a check reads at ``bound``, reduced with ``reduce``,
+    stopped at its first safety violation. At k > 1 key values where every two
+    schemas share a key parameter, it is built at the first value alone."""
     k = len(bound.key_values)
+    detail = ""
     if k > 1 and all(set(a.keys) & set(b.keys) for a, b in combinations(universe.schemas, 2)):
-        one = KnowledgeGraph(universe, replace(bound, key_values=bound.key_values[:1]), p.out_params, reduce)
-        with suppress(BoundExceeded):
-            one.build(stop_on_safety=True)
-            if one.safety_violation is None and one.live_everywhere:
-                one.detail = f"{k} key values answered from one"
-                log.info("%s: %s", p.name, one.detail)
-                return one
-            # A value that is unsafe or not live is so in the product too; a
-            # reduced graph is so exactly when the full one is.
-            reduce = False
-    if reduce:
-        # The full graph contains this one, so a BoundExceeded here stands.
-        graph = KnowledgeGraph(universe, bound, p.out_params, reduced=True)
-        graph.build(stop_on_safety=True)
-        if graph.safety_violation is None and graph.live_everywhere:
-            return graph
-    graph = KnowledgeGraph(universe, bound, p.out_params)
+        bound = replace(bound, key_values=bound.key_values[:1])
+        detail = f"{k} key values answered from one"
+        log.info("%s: %s", p.name, detail)
+    graph = KnowledgeGraph(universe, bound, p.out_params, reduce)
+    graph.detail = detail
     graph.build(stop_on_safety=True)
     return graph
 
 
+def _report(prop: str, graph: KnowledgeGraph, witness, detail: str = "") -> VerificationReport:
+    """A report on ``graph``, holding when there is no witness; its detail
+    ends with the graph's."""
+    detail = ", ".join(filter(None, (detail, graph.detail)))
+    return VerificationReport(prop, witness is None, witness, len(graph.states), detail)
+
+
 def _safety_report(graph: KnowledgeGraph) -> VerificationReport:
-    if graph.safety_violation is not None:
-        state_id, detail = graph.safety_violation
-        witness = {"reach": graph.path_to(state_id), "violation": detail}
-        return VerificationReport(SAFETY, False, witness, len(graph.states), detail)
-    return VerificationReport(SAFETY, True, None, len(graph.states), graph.detail)
+    if graph.safety_violation is None:
+        return _report(SAFETY, graph, None)
+    state_id, detail = graph.safety_violation
+    return _report(SAFETY, graph, {"reach": graph.path_to(state_id), "violation": detail}, detail)
 
 
 def _liveness_report(graph: KnowledgeGraph) -> VerificationReport:
     graph.complete()
     if graph.live_everywhere:
-        return VerificationReport(LIVENESS, True, None, len(graph.states), graph.detail)
+        return _report(LIVENESS, graph, None)
     stuck = next(sid for sid in range(len(graph.states)) if sid not in graph.live)
-    witness = {"reach": graph.path_to(stuck)}
-    return VerificationReport(LIVENESS, False, witness, len(graph.states), "state with no completing extension")
+    return _report(LIVENESS, graph, {"reach": graph.path_to(stuck)}, "state with no completing extension")
 
 
 def check_safety(
@@ -705,8 +690,8 @@ class Theorem1Result:
 def check_safety_and_liveness(
     p: Protocol, bound: Bound = Bound(), registry: Mapping[str, Protocol] | None = None
 ) -> tuple[VerificationReport, VerificationReport]:
-    """``check_safety`` and ``check_liveness`` from one graph, which an unsafe
-    protocol's violation stops until liveness resumes it."""
+    """``check_safety`` and ``check_liveness`` from one reduced graph, which
+    an unsafe protocol's violation stops until liveness resumes it."""
     graph = _knowledge_graph(uod(p, registry), p, bound)
     return _safety_report(graph), _liveness_report(graph)
 
@@ -774,11 +759,6 @@ def check_embedding(
     Every prefix of a complete run is read, so the graph is never reduced."""
     graph = _knowledge_graph(uod(input_protocol, registry), input_protocol, bound, reduce=False).complete()
     composed_universe = uod(composed, registry)
-
-    def report(witness, detail: str) -> VerificationReport:
-        detail = ", ".join(filter(None, (detail, graph.detail)))
-        return VerificationReport(EMBEDDING, witness is None, witness, len(graph.states), detail)
-
     checked = 0
     for sid, out_edges in enumerate(graph.edges):
         for move, tid in out_edges:
@@ -791,8 +771,8 @@ def check_embedding(
             bad = emission_violation(knowledge, composed_universe.schema(inst.schema), inst, len(trail) + 1)
             if bad is not None:
                 witness = {"trace": _witness(trail + [move]), "violation": str(bad)}
-                return report(witness, "input enactment not viable inside the composition")
-    return report(None, f"{checked} emissions toward complete enactments replayed")
+                return _report(EMBEDDING, graph, witness, "input enactment not viable inside the composition")
+    return _report(EMBEDDING, graph, None, f"{checked} emissions toward complete enactments replayed")
 
 
 # ---------------------------------------------------------------------------

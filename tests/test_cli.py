@@ -449,8 +449,8 @@ def test_verify_request_is_checked_before_any_check_runs(capsys, fixtures_dir, e
 
 
 def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir):
-    """Both checks read one knowledge graph, reduced since it is safe and live,
-    and print what each prints alone."""
+    """Both checks read one reduced knowledge graph, and print what each
+    prints alone."""
     argv = (fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp")
     alone = [run(capsys, "verify", flag, *argv) for flag in ("--safety", "--liveness")]
     caplog.clear()
@@ -616,15 +616,15 @@ def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
     """A cut build reports its partial graph, here the reduced one: the full
     graph contains it, so it would be cut too (composed escrow's reduced graph
     has 81 states, its full one 9 595). At two key values of OrderingOp the
-    one-value graph, 12 states reduced, is cut at 10 states too, so the
-    two-value build runs."""
+    one-value graph, 12 states reduced, answers for both values, so its cut
+    stands and is reported."""
     cases = [
         (("--theorem1", fixtures_dir / "escrow_ordering_op.bspl", "--protocol", "EscrowOrderingOp",
           "--input", "EscrowOrdering", "--max-states", "60", "--json"),
          ["bound exceeded: more than 60 states", "partial KnowledgeGraph: 60 states, 64 edges, depth 21"]),
         (("--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--bound-keys", "2",
           "--max-states", "10"),
-         ["bound exceeded: more than 10 states", "partial KnowledgeGraph: 10 states, 9 edges, depth 5"]),
+         ["bound exceeded: more than 10 states", "partial KnowledgeGraph: 10 states, 9 edges, depth 9"]),
     ]
     for argv, lines in cases:
         code, out, err = run(capsys, "verify", *argv)

@@ -34,7 +34,17 @@ import pytest
 from test_protocol import random_protocol
 
 from comal.commitments import parse_commitments
-from comal.enactment import EMIT, RECV, Model, emission_candidates, knowledge_from, model_of, observation_from_json
+from comal.enactment import (
+    EMIT,
+    RECV,
+    Model,
+    check_viable,
+    emission_candidates,
+    knowledge_from,
+    model_of,
+    observation_from_json,
+    vector_from_records,
+)
 from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.semantics import (
     INF,
@@ -467,11 +477,32 @@ def test_reduction_keeps_terminal_states(name, fixtures_dir, escrow_ordering, es
     _assert_replays(graph)
 
 
+def _assert_unsafe_run(records, universe) -> None:
+    """The witness ``records`` replay as a viable run on every prefix but the
+    whole, which breaks key integrity."""
+    for end in range(len(records)):
+        assert check_viable(vector_from_records(records[:end], universe), universe) is None, end
+    violation = check_viable(vector_from_records(records, universe), universe)
+    assert violation is not None and violation.rule == "c", violation
+
+
+def _replayed(graph: KnowledgeGraph, records) -> tuple[frozenset, ...]:
+    """Each role's knowledge set after the witness ``records``."""
+    sets = [set() for _ in graph.roles]
+    for record in records:
+        obs = observation_from_json(record, graph.universe)
+        sets[graph.role_index[obs.role]].add(obs.instance)
+    return tuple(map(frozenset, sets))
+
+
 def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, bool, int, int]:
     """The reduced knowledge-set graph is a subgraph of the full one, with the
-    same terminal states, safety verdict and ``live_everywhere``. Returns
-    whether the protocol is safe and whether it is live, and the reduced and
-    full state counts."""
+    same terminal states, safety verdict and ``live_everywhere``; the checks
+    report on it alone. Its safety witness is an unsafe run, and each of its
+    states has a completing extension exactly when it has one in the full
+    graph, so its liveness witness, the first state outside ``live``, ends
+    where the full graph has none either. Returns whether the protocol is
+    safe and whether it is live, and the reduced and full state counts."""
     universe = uod(protocol, registry)
     full, reduced = (KnowledgeGraph(universe, bound, protocol.out_params, r) for r in (False, True))
     full.build()
@@ -480,6 +511,14 @@ def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, b
     assert _terminals(*_plain(reduced)) == _terminals(*_plain(full))
     assert (reduced.safety_violation is None) == (full.safety_violation is None)
     assert reduced.live_everywhere == full.live_everywhere
+    if reduced.safety_violation is not None:
+        _assert_unsafe_run(reduced.path_to(reduced.safety_violation[0]), universe)
+    ids = {state: sid for sid, state in enumerate(_plain(full)[0])}
+    for sid, state in enumerate(_plain(reduced)[0]):
+        assert (sid in reduced.live) == (ids[state] in full.live), sid
+    if not reduced.live_everywhere:
+        stuck = min(set(range(len(reduced.states))) - reduced.live)
+        assert ids[_replayed(full, reduced.path_to(stuck))] not in full.live
     return full.safety_violation is None, full.live_everywhere, len(reduced.states), len(full.states)
 
 
@@ -496,8 +535,8 @@ def test_knowledge_reduction_keeps_terminal_states(
     key_values, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering
 ):
     """The fixtures, composed escrow and ``_fan(6)`` at one key value (their
-    two-value graphs are the squares of 9 595 and 1 851 states), ``RACE``,
-    whose ``offer`` is an unsafe delivery, ``ECHO``, whose ``s`` is not
+    two-value graphs are the squares of 9 595 and 1 851 states),
+    ``unsafe_relay``, ``RACE``, whose ``offer`` is an unsafe delivery, ``ECHO``, whose ``s`` is not
     independent, ``LITERAL_FAILS`` with its literal aligner, and 30 random
     protocols each from seeds 7 and 11. Safe and unsafe, live and not live
     all occur."""
@@ -506,6 +545,7 @@ def test_knowledge_reduction_keeps_terminal_states(
         registry = parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
         cases["EscrowOrderingOp"] = registry["EscrowOrderingOp"], registry
         cases["fan-6"] = _fan(6)
+    cases["unsafe_relay"] = parse_protocol((fixtures_dir / "unsafe_relay.bspl").read_text()), None
     cases["Race"] = parse_protocol(RACE), None
     cases["Echo"] = parse_protocol(ECHO), None
     cases["relay-literal"] = _composition(

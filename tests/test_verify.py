@@ -6,6 +6,7 @@ import logging
 import random
 from contextlib import suppress
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -53,8 +54,6 @@ from comal.verify import (
     EnactmentGraph,
     KnowledgeGraph,
     StateSpace,
-    _liveness_report,
-    _safety_report,
     check_alignment_reachability,
     check_embedding,
     check_liveness,
@@ -68,12 +67,14 @@ from test_interning import (
     _assert_quotient,
     _assert_reduced,
     _assert_replays,
+    _assert_unsafe_run,
     _classes,
     _composition,
     _instance_order,
     _reduced_edges,
     _reference_timed,
     _replay,
+    _replayed,
     _timed_successors,
     _untimed_successors,
 )
@@ -124,12 +125,12 @@ NO_WITNESS = _sha256(None)
 # States explored and witness digests of the cheap fixture checks, recorded
 # before the explorers were merged; any change here is a semantic change. The
 # punctual Theorem 2 entries (163, 242 and 16 244 states in full), and safety
-# and liveness where the protocol is safe and live (full count beside them),
-# are the reduced graphs; every counterexample is the full graph's, and bare
-# escrow's witness ends in a misaligned terminal state. Composed escrow's
-# punctual entry also expands one independent forward at a time (5 957 states
-# with safe deliveries alone), so its holding witness is that graph's most
-# misaligned state. Timed states are explored up to the views their
+# and liveness (full count beside those the reduction shrinks), are the
+# reduced graphs; the toys' reduced graphs are their full ones, so their
+# counterexamples are as recorded, and bare escrow's witness ends in a
+# misaligned terminal state. Composed escrow's punctual entry also expands one
+# independent forward at a time (5 957 states with safe deliveries alone), so
+# its holding witness is that graph's most misaligned state. Timed states are explored up to the views their
 # commitments read, so the punctual entries count classes of states (115, 229
 # and 1 216 with states keyed on every observation and its phase); each class
 # is numbered by its first member, so the witnesses did not change. The
@@ -346,6 +347,33 @@ def test_theorem1_vacuous_on_unsafe_input(toys):
     result = check_theorem1(unsafe, unsafe, BOUND)
     assert not result.safety_input.holds
     assert result.safety_preserved  # implication is vacuous
+
+
+# Safety and liveness of seed 225's compositions: (holds, states explored).
+SEED225 = {
+    SynthesisMode.LITERAL: [(False, 76), (False, 1_281)],
+    SynthesisMode.COMPLETE: [(False, 54), (False, 56_067)],
+}
+
+
+@pytest.mark.parametrize("mode", SynthesisMode, ids=lambda mode: mode.value)
+def test_theorem1_decides_seed225(mode, fixtures_dir):
+    """Seed 225's input is safe and live, but a forward lets E send what it
+    never could in the input, so both compositions are unsafe and not live.
+    Theorem 1 decides at the default bound in both modes (complete mode's
+    full graph passes 400 000 states); each witness replays, the safety one
+    as an unsafe run and the liveness one as a viable run."""
+    protocol = parse_protocol((fixtures_dir / "seed225.bspl").read_text())
+    specs = parse_commitments((fixtures_dir / "seed225.cupid").read_text()).values()
+    composed, registry = _composition(protocol, specs, mode)
+    result = check_theorem1(protocol, composed, BOUND, registry)
+    assert result.safety_input.holds and result.liveness_input.holds
+    assert not result.safety_preserved and not result.liveness_preserved
+    reports = [result.safety_composed, result.liveness_composed]
+    assert [(report.holds, report.states_explored) for report in reports] == SEED225[mode]
+    universe = uod(composed, registry)
+    _assert_unsafe_run(reports[0].witness["reach"], universe)
+    assert check_viable(vector_from_records(reports[1].witness["reach"], universe), universe) is None
 
 
 def test_composition_enlarges_state_space(escrow_composed_literal):
@@ -910,47 +938,62 @@ def _built(protocol, registry, bound, reduced=False, stop_on_safety=False) -> Kn
     return graph
 
 
-def _assert_matches_full_enumeration(protocol, registry, bound) -> tuple[list, list[bool]]:
+def _read_bound(protocol, registry, bound) -> Bound:
+    """The bound of the graph safety and liveness read: the first key value
+    alone where every two schemas share a key parameter, else ``bound``."""
+    schemas = uod(protocol, registry).schemas
+    if all(set(a.keys) & set(b.keys) for a, b in combinations(schemas, 2)):
+        return replace(bound, key_values=bound.key_values[:1])
+    return bound
+
+
+def _assert_matches_full_enumeration(protocol, registry, bound) -> tuple[KnowledgeGraph, bool]:
     """Safety and liveness at ``bound`` against a direct full ``KnowledgeGraph``
-    build, whose state count at k key values must be the k-th power of the full
-    one-value build's where a report is decomposed. A report that holds on a
-    safe and live protocol counts the states of the reduced graph it read, at
-    one value if decomposed; apart from that count and the decomposition's
-    detail, every report must equal the full build's, witness and state count
-    included. Returns the full build's reports and, per check, whether it was
-    decomposed."""
+    build: each report's verdict is the full build's. Where every two schemas
+    share a key parameter, a check at k > 1 key values is decomposed, and the
+    full build's state count is the k-th power of the full one-value build's.
+    A report counts the states of the reduced graph it read, at one value if
+    decomposed, a safety report up to its first violation, and its detail
+    names the decomposition. A failing report's witness replays: a safety
+    witness is an unsafe run, and a liveness witness ends in a state of the
+    full build with no completing extension. Returns the full build and
+    whether the checks were decomposed."""
     k = len(bound.key_values)
-    graph = _built(protocol, registry, bound, stop_on_safety=True)
-    full = [_safety_report(graph)]
-    if graph.safety_violation is not None:
-        graph = _built(protocol, registry, bound)
-    full.append(_liveness_report(graph))
-    sound = full[0].holds and full[1].holds
-    decomposed = []
-    for check, expected in zip((check_safety, check_liveness), full):
+    universe = uod(protocol, registry)
+    full = _built(protocol, registry, bound)
+    read = _read_bound(protocol, registry, bound)
+    decomposed = k > 1 and read != bound
+    if decomposed:
+        assert len(full.states) == len(_built(protocol, registry, read).states) ** k
+    reduced = _built(protocol, registry, read, reduced=True, stop_on_safety=True)
+    counts = [len(reduced.states), len(reduced.complete().states)]
+    decomposition = f"{k} key values answered from one" if decomposed else ""
+    ids = {full.decode(state): sid for sid, state in enumerate(full.states)}
+    verdicts = [full.safety_violation is None, full.live_everywhere]
+    for check, holds, states in zip((check_safety, check_liveness), verdicts, counts):
         report = check(protocol, bound, registry)
-        decomposed.append(report.detail == f"{k} key values answered from one")
-        read = replace(bound, key_values=bound.key_values[:1]) if decomposed[-1] else bound
-        if decomposed[-1]:
-            assert expected.states_explored == len(_built(protocol, registry, read).states) ** k
-        if sound:
-            assert report.states_explored == len(_built(protocol, registry, read, reduced=True).states)
-            report = replace(report, states_explored=expected.states_explored, detail="")
-        assert report == expected
+        assert (report.holds, report.states_explored) == (holds, states)
+        assert report.detail.endswith(decomposition) and ("answered from one" in report.detail) == decomposed
+        if holds:
+            assert report.witness is None
+        elif check is check_safety:
+            _assert_unsafe_run(report.witness["reach"], universe)
+        else:
+            assert ids[_replayed(full, report.witness["reach"])] not in full.live
     return full, decomposed
 
 
 @pytest.mark.parametrize("k", (2, 3))
 @pytest.mark.parametrize("name", ("Ordering", "OrderingOp", "EscrowOrdering", "unsafe_toy", "stuck_toy"))
 def test_key_values_answered_from_one_match_full_enumeration(name, k, op_registry, toys, escrow_ordering):
-    """Safe and live fixtures with one key set decompose; the toys fail at one
-    value and are enumerated, with the full graph's witness and state count."""
+    """Every fixture here has one key set, so each decomposes, safe and live
+    or not: the toys fail at one value and so at k, with a one-value witness."""
     if name == "EscrowOrdering":
         protocol, registry = escrow_ordering, None
     else:
         protocol, registry = _protocol(name, op_registry, toys)
     _, decomposed = _assert_matches_full_enumeration(protocol, registry, Bound(key_values=_values(k)))
-    assert decomposed == [not name.endswith("_toy")] * 2
+    assert decomposed
 
 
 @pytest.mark.parametrize("k", (2, 3))
@@ -961,8 +1004,8 @@ def test_key_values_answered_from_one_at_any_depth(k, chan):
     one.build()
     assert one.depth() == 4
     full, decomposed = _assert_matches_full_enumeration(chan, None, Bound(key_values=_values(k)))
-    assert decomposed == [True, True]
-    assert full[0].states_explored == len(one.states) ** k
+    assert decomposed
+    assert len(full.states) == len(one.states) ** k
 
 
 def _chain(length: int):
@@ -1006,8 +1049,8 @@ def test_key_values_of_disjoint_key_sets_are_enumerated():
         """
     )
     full, decomposed = _assert_matches_full_enumeration(protocol, None, Bound(key_values=_values(2)))
-    assert decomposed == [False, False]
-    assert full[0].states_explored != len(_built(protocol, None, BOUND).states) ** 2
+    assert not decomposed
+    assert len(full.states) != len(_built(protocol, None, BOUND).states) ** 2
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1454,8 +1497,11 @@ def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
     detail. Every state's completeness, read off the masks, is a rescan's of
     its emitted instances. Liveness decided on the terminal states, and
     ``check_liveness``, decomposed or not, agree with the backward closure of
-    the complete states, and a failure witness is the path to the first state
-    outside it. Returns whether the graph is safe and whether it is live."""
+    the complete states. A failing report counts the states of the reduced
+    graph it read, and its witness is the path there to the first state
+    outside that graph's closure, rescanned; the witness ends outside the
+    whole graph's closure. Returns whether the graph is safe and whether it
+    is live."""
     graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params)
     graph.build()
     for sid, out in enumerate(graph.edges):
@@ -1475,9 +1521,14 @@ def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
     report = check_liveness(protocol, bound, registry)
     assert report.holds == live
     if not live:
-        stuck = min(set(range(len(graph.states))) - closure)
-        assert report.witness == {"reach": graph.path_to(stuck)}
-        assert report.states_explored == len(graph.states)
+        read = _built(protocol, registry, _read_bound(protocol, registry, bound), reduced=True)
+        complete = [sid for sid, state in enumerate(read.states)
+                    if _is_complete_reference(read.emitted(state), protocol.out_params)]
+        stuck = min(set(range(len(read.states))) - read.backward_closure(complete))
+        assert report.witness == {"reach": read.path_to(stuck)}
+        assert report.states_explored == len(read.states)
+        ids = {graph.decode(state): sid for sid, state in enumerate(graph.states)}
+        assert ids[_replayed(graph, report.witness["reach"])] not in closure
     return graph.safety_violation is None, live
 
 
@@ -1706,23 +1757,25 @@ def test_resumed_build_equals_uninterrupted_on_random_protocols(seed, k, reduced
         assume(False)
 
 
-# States expanded per check; in parentheses, what each cost while a graph
-# stopped at a violation was rebuilt from state 0 and a failing one-value
-# graph was built a second time in full.
+# States expanded per check; in parentheses, what each cost while a failing
+# reduced graph was rebuilt in full for its witness and a failing one-value
+# graph sent the check to the k-value full graph. Each protocol here is
+# unsafe or not live, and unsafe_relay's one-value graph, reduced or not, is
+# one run of 9 states.
 EXPANSIONS = {
-    "safety-and-liveness-unsafe_relay-2": (check_safety_and_liveness, "unsafe_relay", 2, 88),  # (131)
-    "safety-and-liveness-unsafe_relay-1": (check_safety_and_liveness, "unsafe_relay", 1, 16),  # (23)
-    "liveness-unsafe_relay-3": (check_liveness, "unsafe_relay", 3, 736),  # (745)
-    "liveness-stuck_toy-2": (check_liveness, "stuck_toy", 2, 12),  # (15)
-    "embedding-unsafe_relay-2": (lambda p, bound: check_embedding(p, p, bound), "unsafe_relay", 2, 88),  # (90)
+    "safety-and-liveness-unsafe_relay-2": (check_safety_and_liveness, "unsafe_relay", 2, 9),  # (88)
+    "safety-and-liveness-unsafe_relay-1": (check_safety_and_liveness, "unsafe_relay", 1, 9),  # (16)
+    "liveness-unsafe_relay-3": (check_liveness, "unsafe_relay", 3, 9),  # (736)
+    "liveness-stuck_toy-2": (check_liveness, "stuck_toy", 2, 3),  # (12)
+    "embedding-unsafe_relay-2": (lambda p, bound: check_embedding(p, p, bound), "unsafe_relay", 2, 9),  # (88)
 }
 
 
 @pytest.mark.parametrize("case", EXPANSIONS)
 def test_checks_expand_each_state_of_a_graph_once(case, monkeypatch, fixtures_dir):
-    """A check builds each graph once: a graph its safety violation stopped
-    is resumed for liveness, and a one-value graph that fails, reduced or
-    not, sends the check to the k-value full graph directly."""
+    """A check builds one graph, once: a graph its safety violation stopped
+    is resumed for liveness, and a one-value graph answers for k values
+    whatever its verdict."""
     check, name, k, expanded = EXPANSIONS[case]
     calls = []
     expand = comal.verify.StateSpace._expand
