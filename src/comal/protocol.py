@@ -250,9 +250,12 @@ def parse_protocols(source: str) -> dict[str, Protocol]:
 
 
 def parse_protocol(source: str) -> Protocol:
-    """Parse the first protocol in ``source`` and check well-formedness."""
+    """Parse the one protocol in ``source``, with nothing after it, and check
+    well-formedness."""
     stream = TokenStream(source)
-    return _parse_protocol(stream)
+    p = _parse_protocol(stream)
+    stream.expect("eof")
+    return p
 
 
 def _parse_protocol(stream: TokenStream) -> Protocol:

@@ -55,23 +55,20 @@ The timed graph gives a move the model entry of its instance at its phase
 reads a model only through base-event names, so a commitment's tables read
 only the entries its create, detach and discharge name, and the lapse
 boundary only those the window anchors name: a model's entries of one read
-set are an interned *view*, and a role's views an interned *view record*. A
-timed state is each role's instance mask and view record, and the phase.
-States differing only in entries nobody reads, or in a later phase of a
-known entry, are one: they have the same moves, lapse, tables and successors
-(an exact abstraction: Clarke, Grumberg and Long, "Model checking and
-abstraction", TOPLAS 1994). Breadth-first, only a class's first-found member
-finds new classes, so numbering and witnesses are those of the graph that
-tells them apart. Moves, and whether a lapse may follow, are cached on
-instance masks (unrestricted OrderingOp: 2 103 states, 43 tuples); tables on
-(commitment, view, phase), misalignment counts on (commitment, debtor view,
-creditor view, phase), next changes on (anchor view, phase). A move steps its
-observer's record by ``enactment.Model.add`` of its entry, at a phase no
-earlier than any its observer holds, as the simulator grows a role's model
-(incremental view maintenance: Gupta, Mumick and Subrahmanian, SIGMOD
-1993). Punctual composed escrow needs 41 views, 80 tables and 34 next
-changes; keys on whole knowledge and phase need 848 and 217 over the 1 216
-states with every phase.
+set are an interned *view*. A timed state is each role's instance mask and
+tuple of view ids, and the phase. States differing only in entries nobody
+reads, or in a later phase of a known entry, are one: they have the same
+moves, lapse, tables and successors (an exact abstraction: Clarke, Grumberg
+and Long, "Model checking and abstraction", TOPLAS 1994), and breadth-first
+only a class's first-found member finds new classes, so numbering and
+witnesses are those of the graph that tells them apart. A move steps its
+observer's views by ``enactment.Model.add`` of its entry, as the simulator
+grows a role's model (incremental view maintenance: Gupta, Mumick and
+Subrahmanian, SIGMOD 1993). Moves are cached on instance masks, steps on
+(views, instance, phase), tables on (commitment, view, phase), misalignment
+counts on (commitment, debtor view, creditor view, phase), next changes on
+(anchor view, phase): punctual composed escrow needs 41 views, 80 tables and
+34 next changes, where keys on whole knowledge and phase need 848 and 217.
 
 A *safe* delivery is one whose parameters are ``out`` in no schema its
 receiver sends. A reduced graph expands only such a delivery where one is in
@@ -545,15 +542,14 @@ class KnowledgeGraph(StateSpace):
         self.safety_violation: tuple[int, str] | None = None
         self.detail = ""
 
-    def build(self, stop_on_safety: bool = False) -> None:
-        """Enumerate, to the first safety violation with ``stop_on_safety``."""
-        stop = (lambda: self.safety_violation is not None) if stop_on_safety else None
-        self._explore((0,) * len(self.roles), stop)
+    def build(self) -> None:
+        """Enumerate breadth-first, to the first safety violation if there is one."""
+        self._explore((0,) * len(self.roles), lambda: self.safety_violation is not None)
 
     def complete(self) -> KnowledgeGraph:
-        """This graph, its build resumed if a safety violation stopped it."""
-        if self._expanded < len(self.states):
-            self.build()
+        """This graph enumerated to the end, from where ``build`` stopped or from the start."""
+        if not self.states or self._expanded < len(self.states):
+            self._explore((0,) * len(self.roles))
         return self
 
     def decode(self, state: tuple[int, ...]) -> tuple[frozenset, ...]:
@@ -625,7 +621,7 @@ def _knowledge_graph(universe: Uod, p: Protocol, bound: Bound, reduce: bool = Tr
         log.info("%s: %s", p.name, detail)
     graph = KnowledgeGraph(universe, bound, p.out_params, reduce)
     graph.detail = detail
-    graph.build(stop_on_safety=True)
+    graph.build()
     return graph
 
 
@@ -766,7 +762,7 @@ def check_embedding(
                 continue
             checked += 1
             _, role, inst = move
-            knowledge = _knowledge_from(graph.decode(graph.states[sid])[graph.role_index[role]], role)
+            knowledge = _knowledge_from(graph._members(graph.states[sid][graph.role_index[role]]), role)
             trail = graph._trail(sid, graph.parents)
             bad = emission_violation(knowledge, composed_universe.schema(inst.schema), inst, len(trail) + 1)
             if bad is not None:
@@ -783,11 +779,11 @@ class AlignmentGraph(StateSpace):
     """Reachable phase-annotated knowledge states of a composed protocol, up
     to the views its checks read, with deadline-lapse moves; punctually, only
     a safe delivery, or else an independent forward's emission, where there is
-    one. A state is (per-role instance masks, per-role view-record ids,
+    one. A state is (per-role instance masks, per-role tuples of view ids,
     phase). A move sets its bit in its observer's instance mask and steps its
-    record by its instance's entry at the phase (``_grow``); a lapse changes
+    views by its instance's entry at the phase (``_grow``); a lapse changes
     only the phase. Moves are found on instance masks; tables, misalignment
-    counts and lapse boundaries are read off records."""
+    counts and lapse boundaries are read off views."""
 
     def __init__(
         self,
@@ -804,63 +800,57 @@ class AlignmentGraph(StateSpace):
         self.anchors = window_anchors(commitments)
         # A commitment's tables read only the entries its base events name, and
         # the lapse boundary only those the anchors name (see ``semantics``).
-        # A model's entries named in one read set are an interned view; a role's
-        # views, the anchors' first, an interned record, 0 holding empty views.
+        # A model's entries named in one read set are an interned view; a role
+        # holds one per read set, the anchors' first, view 0 being empty.
         self._reads = {c.name: base_event_names((c.create, c.detach, c.discharge)) for c in self.commitments}
         anchor_reads = base_event_names(anchor for anchor, _ in self.anchors if anchor is not None)
         self._read_sets = (anchor_reads, *(self._reads[c.name] for c in self.commitments))
         self._view_ids: dict[tuple, int] = {(): 0}
         self._views: list[Model] = [Model(())]
-        self._records: list[tuple[int, ...]] = [(0,) * len(self._read_sets)]
-        self._record_ids: dict[tuple[int, ...], int] = {self._records[0]: 0}
         self._insert_cache: dict[tuple[int, int, int], int] = {}
-        self._grow_cache: dict[tuple[int, int, int], int] = {}
+        self._grow_cache: dict[tuple[tuple[int, ...], int, int], tuple[int, ...]] = {}
         self._table_cache: dict[tuple, dict] = {}
         self._change_cache: dict[tuple[int, int], int | float] = {}
         self._count_cache: dict[tuple, int] = {}
-        # Each move's entry and whether each read set reads it, by (instance
-        # index, phase); moves, and whether a lapse may follow, by instance masks.
-        self._entries: dict[tuple[int, int], tuple[ModelEntry, tuple[bool, ...]]] = {}
+        # Each move's entry by (instance index, phase); moves, and whether a
+        # lapse may follow, by instance masks.
+        self._entries: dict[tuple[int, int], ModelEntry] = {}
         self._moves_cache: dict[tuple[int, ...], tuple[list[tuple[int, tuple, int]], bool]] = {}
         self.moves_hits = 0
-        self.misaligned_end: int | None = None
 
-    def build(self, probe: bool = False) -> None:
+    def build(self, probe: bool = False) -> int | None:
         """Enumerate breadth-first. With ``probe``, search depth-first instead
         and stop at the first terminal state misaligned for some commitment,
-        kept in ``misaligned_end``. A probe that finds none has expanded every
-        state, and is renumbered as a breadth-first build would number it."""
-        root = ((0,) * len(self.roles), (0,) * len(self.roles), 0)
-        if not probe:
-            self._explore(root)
-            return
-        self.misaligned_end = self._explore(root, goal=lambda sid: any(self.alignment(self.states[sid])))
-        if self.misaligned_end is None:
+        whose id is returned. A probe that finds none has expanded every state,
+        and is renumbered as a breadth-first build would number it."""
+        root = ((0,) * len(self.roles), ((0,) * len(self._read_sets),) * len(self.roles), 0)
+        end = self._explore(root, goal=(lambda sid: any(self.alignment(self.states[sid]))) if probe else None)
+        if probe and end is None:
             self._renumber()
+        return end
 
-    def _grow(self, records: tuple[int, ...], ri: int, index: int, phase: int) -> tuple[int, ...]:
-        """``records`` with role ``ri``'s stepped, by ``Model.add``, by the entry
+    def _grow(self, views: tuple[tuple[int, ...], ...], ri: int, index: int, phase: int) -> tuple[tuple[int, ...], ...]:
+        """``views`` with role ``ri``'s stepped, by ``Model.add``, by the entry
         of instance ``index`` at ``phase``, made when first met; a move is at the
         current phase, no earlier than any its observer holds. Steps are cached
-        on (record, index, phase)."""
-        key = (records[ri], index, phase)
+        on (the role's views, index, phase)."""
+        key = (views[ri], index, phase)
         child = self._grow_cache.get(key)
         if child is None:
-            if (index, phase) not in self._entries:
-                entry = self._model(index, phase)
-                self._entries[index, phase] = (entry, tuple(entry.name in names for names in self._read_sets))
-            views = zip(self._records[records[ri]], self._entries[index, phase][1])
-            record = tuple(self._insert(view, index, phase) if read else view for view, read in views)
-            child = self._grow_cache[key] = self._record_ids.setdefault(record, len(self._records))
-            if child == len(self._records):
-                self._records.append(record)
-        return records[:ri] + (child,) + records[ri + 1:]
+            entry = self._entries.get((index, phase))
+            if entry is None:
+                entry = self._entries[index, phase] = self._model(index, phase)
+            child = self._grow_cache[key] = tuple(
+                self._insert(view, index, phase) if entry.name in names else view
+                for view, names in zip(views[ri], self._read_sets)
+            )
+        return views[:ri] + (child,) + views[ri + 1:]
 
     def _insert(self, view: int, index: int, phase: int) -> int:
         """The id of view ``view`` grown by the entry of instance ``index`` at ``phase`` (``Model.add``)."""
         key = (view, index, phase)
         if key not in self._insert_cache:
-            model = self._views[view].add(self._entries[index, phase][0])
+            model = self._views[view].add(self._entries[index, phase])
             grown = self._insert_cache[key] = self._view_ids.setdefault(model.entries, len(self._views))
             if grown == len(self._views):
                 self._views.append(model)
@@ -868,13 +858,13 @@ class AlignmentGraph(StateSpace):
 
     def decode(self, state):
         """Each role's instance set and views (``Model``s) in ``state``, and its phase."""
-        views = tuple(tuple(self._views[view] for view in self._records[record]) for record in state[1])
+        views = tuple(tuple(self._views[view] for view in role_views) for role_views in state[1])
         return tuple(frozenset(self._members(mask)) for mask in state[0]), views, state[2]
 
     def _successors(self, state):
         """Each move's successor, then the lapse's, made one at a time, so a
         build cut by ``max_states`` stops making them at the cut."""
-        observed, records, now_phase = state
+        observed, views, now_phase = state
         cached = self._moves_cache.get(observed)
         if cached is None:
             moves = self._moves(observed)
@@ -886,10 +876,10 @@ class AlignmentGraph(StateSpace):
             self.moves_hits += 1
         moves, lapse_allowed = cached
         for ri, move, bit in moves:
-            yield move, (_with(observed, ri, bit), self._grow(records, ri, bit.bit_length() - 1, now_phase), now_phase)
-        lapse_value = self._next_boundary(records, now_phase) if lapse_allowed else INF
+            yield move, (_with(observed, ri, bit), self._grow(views, ri, bit.bit_length() - 1, now_phase), now_phase)
+        lapse_value = self._next_boundary(views, now_phase) if lapse_allowed else INF
         if lapse_value < INF:
-            yield ("lapse", lapse_value), (observed, records, lapse_value)
+            yield ("lapse", lapse_value), (observed, views, lapse_value)
 
     def _cache_summary(self) -> str:
         return (f"{super()._cache_summary()}, {len(self._moves_cache)} moves-cache entries, {self.moves_hits} hits, "
@@ -899,12 +889,12 @@ class AlignmentGraph(StateSpace):
         """The entry of instance ``index`` observed at ``phase``."""
         return model_entry(self._instances[index], phase, self.fwd_registry)
 
-    def _next_boundary(self, records: tuple[int, ...], now_phase: int) -> int | float:
+    def _next_boundary(self, views: tuple[tuple[int, ...], ...], now_phase: int) -> int | float:
         """The phase the next lapse jumps to: the first at which some role's
         lifecycle tables can change, or INF when none can."""
         first = INF
-        for record in records:
-            key = (self._records[record][0], now_phase)
+        for role_views in views:
+            key = (role_views[0], now_phase)
             change = self._change_cache.get(key)
             if change is None:
                 ctx = EvaluationContext(self._views[key[0]], now_phase)
@@ -923,11 +913,11 @@ class AlignmentGraph(StateSpace):
     def alignment(self, state) -> list[int]:
         """Each commitment's number of misalignments at ``state``; 0 means
         aligned."""
-        _, records, phase = state
+        _, views, phase = state
         counts = []
         for i, c in enumerate(self.commitments, start=1):
-            debtor = self._records[records[self.role_index[c.debtor]]][i]
-            creditor = self._records[records[self.role_index[c.creditor]]][i]
+            debtor = views[self.role_index[c.debtor]][i]
+            creditor = views[self.role_index[c.creditor]][i]
             key = (c.name, debtor, creditor, phase)
             if key not in self._count_cache:
                 self._count_cache[key] = len(check_alignment_models(
@@ -964,9 +954,8 @@ def check_alignment_reachability(
     for c in commitments:
         bind_commitment(c, universe)
     graph = AlignmentGraph(universe, commitments, bound, punctual)
-    graph.build(probe=not punctual)
+    stuck = graph.build(probe=not punctual)
     mode = "punctual" if punctual else "unrestricted"
-    stuck = graph.misaligned_end
     if stuck is None:
         # The graph is complete. Every maximal run ends in a terminal state, so
         # a state with no aligning extension exists exactly when a terminal one

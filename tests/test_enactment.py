@@ -405,7 +405,7 @@ def _assert_candidates_match_reference(universe, key_values, max_states=400_000)
     Returns the number of distinct knowledges checked."""
     graph = KnowledgeGraph(universe, Bound(key_values, max_states), ())
     try:
-        graph.build()
+        graph.complete()
     except BoundExceeded:
         pass
     checked = set()

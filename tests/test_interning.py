@@ -1,6 +1,6 @@
 """The knowledge-set and timed graphs intern what they store: a knowledge-set
 state is a tuple of per-role instance masks, and a timed state a tuple of
-per-role instance masks and view records with the phase; the ordered graph
+per-role instance masks and view-id tuples with the phase; the ordered graph
 keeps the plain encoding. A reference breadth-first search over the plain
 encoding must find the same states, numbered alike, with the same edges:
 per-role frozensets of instances (knowledge-set graph) and per-role
@@ -342,8 +342,7 @@ def _check_untimed(protocol, registry, setting) -> None:
         else:
             _assert_contains(_plain(graph), reference)
     else:
-        graph = KnowledgeGraph(universe, Bound(key_values=setting), protocol.out_params)
-        graph.build()
+        graph = KnowledgeGraph(universe, Bound(key_values=setting), protocol.out_params).complete()
         _assert_matches(graph, _reference_untimed(graph, ordered=False, fifo=False))
 
 
@@ -505,8 +504,8 @@ def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, b
     safe and whether it is live, and the reduced and full state counts."""
     universe = uod(protocol, registry)
     full, reduced = (KnowledgeGraph(universe, bound, protocol.out_params, r) for r in (False, True))
-    full.build()
-    reduced.build()
+    full.complete()
+    reduced.complete()
     _assert_contains(_plain(full), _plain(reduced))
     assert _terminals(*_plain(reduced)) == _terminals(*_plain(full))
     assert (reduced.safety_violation is None) == (full.safety_violation is None)

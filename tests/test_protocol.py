@@ -112,6 +112,7 @@ MALFORMED = [
     (parse_protocol, HEADER + "  Sub(A, in k key, B)\n}", ParseError, "role arguments must precede", 4),
     (parse_protocol, HEADER + "  A B\n}", ParseError, "expected a message schema", 4),
     (parse_protocol, "P {\n  roles A, $B\n}", ParseError, "unexpected character", 2),
+    (parse_protocol, HEADER + "}\ngarbage [", ParseError, "expected 'eof', found 'garbage'", 5),
     (parse_protocols, HEADER + "}\n" + HEADER + "}", WellFormednessError, "duplicate protocol name", None),
     (parse_commitments, "commitment C A to B create m detach m discharge m\n" * 2, WellFormednessError,
      "duplicate commitment name", None),
@@ -120,8 +121,9 @@ MALFORMED = [
 
 def test_syntax_error_carries_position():
     """A bad adornment, a role argument after a parameter argument, a
-    reference with neither '->' nor '(', an unexpected character, and
-    duplicate protocol and commitment names are each rejected."""
+    reference with neither '->' nor '(', an unexpected character, tokens
+    after the one protocol ``parse_protocol`` reads, and duplicate protocol
+    and commitment names are each rejected."""
     for parse, source, error, message, line in MALFORMED:
         with pytest.raises(error, match=message) as info:
             parse(source)

@@ -136,7 +136,9 @@ NO_WITNESS = _sha256(None)
 # is numbered by its first member, so the witnesses did not change. The
 # ``unrestricted`` entries are Theorem 2's depth-first probes, which stop at
 # the first misaligned terminal state they find, and were recorded before the
-# timed graph moved onto instance masks.
+# timed graph moved onto instance masks. The ``@2`` entries run at two key
+# values, which Theorem 2 enumerates, and were recorded before timed states
+# held each role's view ids directly.
 PINNED = {
     "safety-Ordering": (9, NO_WITNESS),  # 23 in full
     "liveness-Ordering": (9, NO_WITNESS),  # 23 in full
@@ -153,31 +155,36 @@ PINNED = {
     "theorem2-EscrowOrderingOp": (702, "31e6c2d9a61e22be7b22b26b454c59a0e30e082e46be4aa33bdf5678ac496078"),
     "unrestricted-OrderingOp": (31, "52461936276554f889480168805252e7a2cbf92c7e052c142e908e99e2b34e05"),
     "unrestricted-EscrowOrderingOp": (88, "04dccae7109506a2247e56d21338ea70be0f3a451f040c92b1a684caea71adae"),
+    "theorem2-OrderingOp@2": (13553, "640abda095eb15e2d23b5030d937568eeed8de2e9bc3f73cc17acb1d6c1bfb85"),
+    "theorem2-bare-escrow@2": (45301, "3c1589a97100db3ff42bfe5c3c632c7a3a24125eab7bf99d65d642896046fea0"),
     "embedding-Ordering": (23, NO_WITNESS),
 }
 
 
 def _pinned_report(case, op_registry, toys, purchase, escrow_ordering, escrow_commitments, escrow_op_registry):
-    """The report of a ``PINNED`` case, and the universe its witness runs in."""
+    """The report of a ``PINNED`` case, at the key values its ``@k`` suffix
+    counts (one without), and the universe its witness runs in."""
     kind, _, name = case.partition("-")
+    name, _, k = name.partition("@")
+    bound = Bound(key_values=_values(int(k or 1)))
     if kind in ("safety", "liveness"):
         protocol, registry = _protocol(name, op_registry, toys)
         check = check_safety if kind == "safety" else check_liveness
-        return check(protocol, BOUND, registry), uod(protocol, registry)
+        return check(protocol, bound, registry), uod(protocol, registry)
     punctual = kind == "theorem2"
     if name == "OrderingOp":
-        report = check_alignment_reachability(op_registry[name], [purchase], BOUND, punctual, op_registry)
+        report = check_alignment_reachability(op_registry[name], [purchase], bound, punctual, op_registry)
         return report, uod(op_registry[name], op_registry)
     if name == "EscrowOrderingOp":
         specs = list(escrow_commitments.values())
-        report = check_alignment_reachability(escrow_op_registry[name], specs, BOUND, punctual, escrow_op_registry)
+        report = check_alignment_reachability(escrow_op_registry[name], specs, bound, punctual, escrow_op_registry)
         return report, uod(escrow_op_registry[name], escrow_op_registry)
     if name == "bare-escrow":
         report = check_alignment_reachability(
-            escrow_ordering, [escrow_commitments["EscrowPurchase"]], BOUND, punctual
+            escrow_ordering, [escrow_commitments["EscrowPurchase"]], bound, punctual
         )
         return report, uod(escrow_ordering)
-    report = check_embedding(op_registry["Ordering"], op_registry["OrderingOp"], BOUND, op_registry)
+    report = check_embedding(op_registry["Ordering"], op_registry["OrderingOp"], bound, op_registry)
     return report, uod(op_registry["OrderingOp"], op_registry)
 
 
@@ -675,8 +682,7 @@ def _assert_probe_matches_full(protocol, specs, bound, registry=None) -> bool:
         full.decode(state) for sid, state in enumerate(full.states) if not full.edges[sid] and any(full.alignment(state))
     }
     probe = AlignmentGraph(universe, specs, bound, punctual=False)
-    probe.build(probe=True)
-    end = probe.misaligned_end
+    end = probe.build(probe=True)
     if end is not None:
         assert not probe.edges[end]
         assert probe.decode(probe.states[end]) in misaligned_ends
@@ -932,10 +938,8 @@ def _values(k: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(k))
 
 
-def _built(protocol, registry, bound, reduced=False, stop_on_safety=False) -> KnowledgeGraph:
-    graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params, reduced)
-    graph.build(stop_on_safety)
-    return graph
+def _built(protocol, registry, bound, reduced=False) -> KnowledgeGraph:
+    return KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params, reduced).complete()
 
 
 def _read_bound(protocol, registry, bound) -> Bound:
@@ -965,7 +969,8 @@ def _assert_matches_full_enumeration(protocol, registry, bound) -> tuple[Knowled
     decomposed = k > 1 and read != bound
     if decomposed:
         assert len(full.states) == len(_built(protocol, registry, read).states) ** k
-    reduced = _built(protocol, registry, read, reduced=True, stop_on_safety=True)
+    reduced = KnowledgeGraph(universe, read, protocol.out_params, reduced=True)
+    reduced.build()
     counts = [len(reduced.states), len(reduced.complete().states)]
     decomposition = f"{k} key values answered from one" if decomposed else ""
     ids = {full.decode(state): sid for sid, state in enumerate(full.states)}
@@ -1172,7 +1177,7 @@ def test_alignment_matches_uncached_tables(
     """The graph caches lifecycle tables and misalignment counts on (commitment,
     view, phase), a view being the model entries a commitment's base events
     name, and next lapse boundaries on the entries the window anchors name;
-    each role's view record is stepped per move from its parent's. Every
+    each role's views are stepped per move from its parent's. Every
     state's counts must equal those of tables evaluated from each role's whole
     model in the state's ``path_to`` replay, and its boundary the first
     ``next_change`` over those whole models. Composed escrow's two commitments read different names;
@@ -1238,8 +1243,8 @@ def test_timed_instance_masks_match_pair_masks(
 def test_views_derived_per_move_match_whole_models(
     case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments
 ):
-    """Each role's view record in a state holds one view per read set, the
-    anchors' then each commitment's, stepped from its parent's record by the
+    """Each role's view tuple in a state holds one view per read set, the
+    anchors' then each commitment's, stepped from its parent's tuple by the
     entry of the pair the move sets. On the fixture graphs, on the random
     ones, built both ways, and on cut builds, every role's views in every
     state are the entries, with the read set's names, of the whole model of
@@ -1251,7 +1256,7 @@ def test_views_derived_per_move_match_whole_models(
 
 def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, escrow_commitments):
     """The timed graph makes a model entry once per (instance, phase) pair a
-    move reaches, never per state or view record: on punctual composed escrow,
+    move reaches, never per state or view tuple: on punctual composed escrow,
     through the build and an alignment pass over every state."""
     projected = []
 
@@ -1502,8 +1507,7 @@ def _assert_masks_match_scans(protocol, registry, bound) -> tuple[bool, bool]:
     outside that graph's closure, rescanned; the witness ends outside the
     whole graph's closure. Returns whether the graph is safe and whether it
     is live."""
-    graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params)
-    graph.build()
+    graph = KnowledgeGraph(uod(protocol, registry), bound, protocol.out_params).complete()
     for sid, out in enumerate(graph.edges):
         for move, _ in (edge for edge in out if edge[0][0] == EMIT):
             gate = graph._emitted_mask(graph.states[sid]) & graph._conflicts[graph._bit[move[2]]]
@@ -1604,7 +1608,7 @@ def test_agreement_masks_match_pairwise_checks(k, nested_keys, op_registry, toys
     for protocol, registry in cases:
         graph = KnowledgeGraph(uod(protocol, registry), Bound(_values(k), 2_000), protocol.out_params)
         with suppress(BoundExceeded):
-            graph.build()
+            graph.complete()
         unequal.append(_assert_agreement_masks_match_pairs(graph))
     assert unequal[0] > 0
 
@@ -1709,11 +1713,10 @@ def _assert_resumed_equals_uninterrupted(protocol, registry, bound, reduced=Fals
     keys, cache hits and the violation. Returns whether the build stopped early."""
     universe = uod(protocol, registry)
     resumed = KnowledgeGraph(universe, bound, protocol.out_params, reduced)
-    resumed.build(stop_on_safety=True)
+    resumed.build()
     stopped = resumed._expanded < len(resumed.states)
     assert resumed.complete() is resumed
-    whole = KnowledgeGraph(universe, bound, protocol.out_params, reduced)
-    whole.build()
+    whole = KnowledgeGraph(universe, bound, protocol.out_params, reduced).complete()
     assert _graph_record(resumed) == _graph_record(whole)
     return stopped
 
@@ -1817,10 +1820,12 @@ def test_backward_closure_in_one_pass_on_random_protocols(kind):
         bound = Bound(_values(rng.choice((1, 2))), max_states=5_000)
         if kind == "ordered":
             graph = EnactmentGraph(uod(protocol), bound)
+            build = graph.build
         else:
             graph = KnowledgeGraph(uod(protocol), bound, protocol.out_params, reduced=kind == "reduced")
+            build = graph.complete
         try:
-            graph.build()
+            build()
         except BoundExceeded:
             continue
         assert all(tid > sid for sid, out in enumerate(graph.edges) for _, tid in out)
