@@ -42,13 +42,13 @@ Every graph finds its moves on one encoding. Each instance
 ``emission_candidates`` returns is one bit, numbered in the order it is first
 met, and the moves from a tuple of per-role masks of observed instances are
 worked out once per graph: a move sets one bit; the messages in flight are
-the emitted bits outside their receivers' masks, and their deliveries, or in
-a reduced graph the safe one chosen, are cached on that mask; emissions are
-cached on (role index, mask). A knowledge-set state is such a tuple (composed
-escrow: 9 595 states in full over 12 instances); the ordered graph derives it
-from its observation tuples. Each bit keeps the masks of the instances whose
-key bindings agree with its own and of those that also clash with it, so
-safety and completeness are read off masks (see ``KnowledgeGraph``).
+the emitted bits outside their receivers' masks, and their deliveries are
+cached on that mask; emissions are cached on (role index, mask). A
+knowledge-set state is such a tuple (composed escrow: 9 595 states in full
+over 12 instances); the ordered graph derives it from its observation
+tuples. Each bit keeps the masks of the instances whose key bindings agree
+with its own and of those that also clash with it, so safety and
+completeness are read off masks (see ``KnowledgeGraph``).
 
 The timed graph gives a move the model entry of its instance at its phase
 (``enactment.model_entry``), made once per (instance, phase). ``semantics``
@@ -67,37 +67,36 @@ grows a role's model (incremental view maintenance: Gupta, Mumick and
 Subrahmanian, SIGMOD 1993). Moves are cached on instance masks, steps on
 (views, instance, phase), tables on (commitment, view, phase), misalignment
 counts on (commitment, debtor view, creditor view, phase), next changes on
-(anchor view, phase): punctual composed escrow needs 41 views, 80 tables and
-34 next changes, where keys on whole knowledge and phase need 848 and 217.
+(anchor view, phase): punctual composed escrow needs 36 views, 75 tables and
+34 next changes.
 
-A *safe* delivery is one whose parameters are ``out`` in no schema its
-receiver sends. A reduced graph expands only such a delivery where one is in
-flight, the first in delivery order. It disables none of the receiver's
-emissions (it only adds bindings, and ``in`` rules only gain values), no move
-disables it, and observations by different roles, or two receipts by one,
-commute. So it is a stubborn set: the reduced graph is a subgraph of the full
-one with the same reachable terminal states (Valmari, "Stubborn sets for
-reduced state space generation", 1990; Godefroid, *Partial-Order Methods for
-the Verification of Concurrent Systems*, 1996).
+A reduced graph expands one move alone where it can, a stubborn set: it is a
+subgraph of the full one with the same terminal states reachable from each
+state (Valmari, "Stubborn sets for reduced state space generation", 1990).
+That move is the first *safe* delivery, in delivery order: one of t to r where
+each schema s r sends with an ``out`` parameter among t's shares a key
+parameter with t, and r has emitted s at t's key value. Every instance gives
+all its key parameters one value (``Bound``), so t's bindings reach s only at
+that value, where rule (d) forbids s for good; ``in`` rules only gain values.
+So t disables nothing, nothing disables it, and it commutes with every other
+move (a punctual lapse waits for it, below). Whether a delivery is safe
+depends on the state, a conditional dependency (Godefroid and Pirottin,
+"Refining dependencies improves partial-order verification methods", CAV
+1993).
 
-Where none is, a reduced graph expands only the first emission, in move
-order, of an *independent emission*: of a schema (b) whose ``out`` parameters
-no other schema has ``out``, (c) whose sender receives none of them, and (d)
-each of whose non-key ``in`` parameters is ``out`` in one schema at most. By
-(b) it binds only what no other move binds, so it disables nothing.
-``emission_candidates`` gives a non-key ``out`` parameter its one default
-value, so by (b) to (d) the sender never learns a second value of a parameter
-the emission reads, nor any value of one it binds: no move disables it. (c)
-is not implied by (b): a message back to its sender that carries one of them
-under other keys agrees with the emission at another key value, and would
-disable it there. So it is a stubborn set too. The timed graph also asks (a)
-that the schema be in ``forwarding_registry``: no lapse passes while a
-forward is enabled (below), but a plain emission does not commute with a
-lapse. The knowledge-set graph has no lapses. Punctual composed escrow takes
-702 states instead of 4 227, with the same 15 terminal states, and its
-reduced knowledge-set graph 81 instead of 2 678 (230 with independent
-forwards alone). The unrestricted Theorem 2 search and embedding are never
-reduced.
+Else it is the first emission, in move order, of an *independent* schema:
+(b) no other schema has its ``out`` parameters ``out``, (c) its sender
+receives none of them, and (d) each of its non-key ``in`` parameters is
+``out`` in one schema at most. By (b) it disables nothing;
+``emission_candidates`` gives a non-key ``out`` parameter one default value,
+so by (b) to (d) its sender never learns a second value of what it reads, nor
+any of what it binds. (c) is not implied: a message back to the sender that
+carries one of them under other keys agrees with it at another key value. The
+timed graph also asks (a) that the schema be a forward: a forward blocks a
+lapse (below), and a plain emission does not commute with one. Punctual
+composed escrow takes 288 states, not 12 684 (1 856 with safe deliveries
+alone), with the same 15 terminal states; its reduced knowledge-set graph 25,
+not 9 595. The unrestricted Theorem 2 search and embedding are never reduced.
 
 Safety, liveness and embedding work on knowledge-set states: a role's
 enabled moves and the three verdicts depend only on what each role knows, not
@@ -105,14 +104,12 @@ on the order it learned it. Safety and liveness are terminal-state
 properties: liveness holds exactly when every terminal state is complete, and
 a role's emitted set only grows along a run, so a state that binds a
 parameter twice is reachable exactly when such a terminal state is. So they
-are decided and reported on the reduced graph (composed escrow: 81 states
-instead of 9 595). A stubborn set keeps the terminal states reachable from
-each of its states, so its path to an unsafe state is an unsafe run, and a
-state with no completing extension in it has none in the full graph. Every
-build stops at its first safety violation, and a check that reads liveness
-resumes it. The backward closure of the complete states (``live``) is
-computed only for embedding and for a liveness witness, the first state
-outside it. Embedding alone builds the full graph: an emission on a prefix of
+are decided and reported on the reduced graph: its path to an unsafe state is
+an unsafe run, and a state with no completing extension in it has none in the
+full graph. Every build stops at its first safety violation, and a check that
+reads liveness resumes it. The backward closure of the complete states
+(``live``) is computed only for embedding and for a liveness witness, the
+first state outside it. Embedding alone builds the full graph: an emission on a prefix of
 a complete input enactment is exactly an emission edge into a *live* state,
 and ``emission_violation`` reads only the sender's order-free
 ``RoleKnowledge``.
@@ -205,9 +202,10 @@ class Bound:
     * ``key_values``: the values key parameters range over. An emission
       gives every key parameter of its schema the same one of them, so mixed
       bindings (one key parameter at ``"1"``, another at ``"2"``) are not
-      produced or explored. Safety, liveness and embedding answer k > 1 values
-      from the first value's graph when every two schemas share a key
-      parameter; otherwise all k are enumerated.
+      produced or explored, and the safe-delivery rule of a reduced graph
+      reads an instance's one key value. Safety, liveness and embedding
+      answer k > 1 values from the first value's graph when every two
+      schemas share a key parameter; otherwise all k are enumerated.
     * ``max_states``: states explored before ``BoundExceeded`` is raised.
       Every run at the key values is finite (see the module docstring), so
       a verdict within it covers all of them.
@@ -290,16 +288,21 @@ class StateSpace:
         self.role_index = {r: i for i, r in enumerate(self.roles)}
         # Reduced, a state expands only a safe delivery where one is in flight,
         # else only an independent emission where one is enabled (see the
-        # module docstring); ``_safe`` and ``_independent`` name the schemas.
+        # module docstring). ``_disablers`` gives each schema t the schemas its
+        # receiver sends with an ``out`` parameter among t's, each with one key
+        # parameter the two share (None, which keys no instance, if none);
+        # ``_independent`` names the independent schemas.
         self.reduced = reduced
-        self.fwd_registry = forwarding_registry(universe)
-        schemas = universe.schemas
-        outs = {role: {p for s in schemas if s.sender == role for p in s.outs} for role in self.roles}
+        schemas = universe.schemas if reduced else ()
         heard = {role: {p for s in schemas if s.receiver == role for p in s.param_names} for role in self.roles}
         binders = Counter(p for s in schemas for p in s.outs)
-        self._safe = {s.name for s in schemas if reduced and outs[s.receiver].isdisjoint(s.param_names)}
+        self._disablers = {
+            t.name: [(s.name, min(set(s.keys) & set(t.keys), default=None))
+                     for s in schemas if s.sender == t.receiver and not set(s.outs).isdisjoint(t.param_names)]
+            for t in schemas
+        }
         self._independent = {
-            s.name for s in schemas if reduced and heard[s.sender].isdisjoint(s.outs)
+            s.name for s in schemas if heard[s.sender].isdisjoint(s.outs)
             and all(binders[p] == 1 for p in s.outs) and all(binders[p] <= 1 for p in s.ins if p not in s.keys)
         }
         self.states: list[tuple[int, ...]] = []
@@ -320,10 +323,11 @@ class StateSpace:
         self._binders: dict[str, int] = {}
         self._keyed: dict[str, int] = {}
         self._key_values: dict[tuple[str, str], int] = {}
-        # Emission moves by (role index, mask); delivery moves, and whether
-        # they are the only moves expanded, by the mask of instances in flight.
+        self._schema_bits: dict[str, int] = {}
+        # Emission moves by (role index, mask); delivery moves, in delivery
+        # order, by the mask of instances in flight.
         self._emission_cache: dict[tuple[int, int], list] = {}
-        self._delivery_cache: dict[int, tuple[list[tuple[int, tuple, int]], bool]] = {}
+        self._delivery_cache: dict[int, list[tuple[int, tuple, int]]] = {}
         self.cache_hits = 0
         self._expanded = 0  # states expanded breadth-first; see ``_explore``
 
@@ -412,8 +416,8 @@ class StateSpace:
         return sid
 
     def _intern(self, inst: MessageInstance) -> int:
-        """The bit of ``inst``, assigned with its role, agreement, conflict and
-        binder masks the first time it is met."""
+        """The bit of ``inst``, assigned with its role, agreement, conflict,
+        binder and schema masks the first time it is met."""
         bit = self._bit.get(inst)
         if bit is None:
             bit = self._bit[inst] = len(self._instances)
@@ -433,6 +437,7 @@ class StateSpace:
                     self._conflicts[other_bit] |= 1 << bit
             for param in values:
                 self._binders[param] = self._binders.get(param, 0) | 1 << bit
+            self._schema_bits[inst.schema] = self._schema_bits.get(inst.schema, 0) | 1 << bit
             self._instances.append(inst)
             self._agree.append(agree | 1 << bit)
             self._conflicts.append(clash)
@@ -452,12 +457,25 @@ class StateSpace:
         instance in flight, emitted and not in its receiver's mask. Reduced,
         the first safe delivery, or else the first independent emission (in the
         timed graph, only a forward is independent), alone where there is one."""
-        deliveries, alone = self._deliveries(self._emitted_mask(masks) & ~_union(masks, self._recv))
-        if alone:
-            return deliveries
+        deliveries = self._deliveries(self._emitted_mask(masks) & ~_union(masks, self._recv))
+        if self.reduced:
+            safe = next((move for move in deliveries if self._safe_delivery(masks[move[0]], move[1][2])), None)
+            if safe:
+                return [safe]
         emissions = [move for ri, mask in enumerate(masks) for move in self._emissions(ri, mask)]
         independent = next((move for move in emissions if move[1][2].schema in self._independent), None)
         return [independent] if independent else emissions + deliveries
+
+    def _safe_delivery(self, mask: int, inst: MessageInstance) -> bool:
+        """Whether delivering ``inst`` to a receiver that has observed ``mask``
+        disables none of its emissions: each schema it sends with an ``out``
+        parameter among the instance's shares a key parameter with it and is
+        in ``mask`` at its key value, so rule (d) forbids it there for good."""
+        value = inst.key_binding[0][1]
+        return all(
+            mask & self._schema_bits.get(schema, 0) & self._key_values.get((key, value), 0)
+            for schema, key in self._disablers[inst.schema]
+        )
 
     def _emissions(self, ri: int, mask: int) -> list[tuple[int, tuple, int]]:
         """Role ``ri``'s emission moves from ``mask``, cached per graph.
@@ -476,19 +494,16 @@ class StateSpace:
             moves.append((ri, (EMIT, role, self._instances[bit]), 1 << bit))
         return moves
 
-    def _deliveries(self, pending: int) -> tuple[list[tuple[int, tuple, int]], bool]:
+    def _deliveries(self, pending: int) -> list[tuple[int, tuple, int]]:
         """A delivery of each instance in ``pending``, by sender in role order,
-        then by schema and bindings. Reduced, the first safe one alone where
-        there is one, and then ``True``: no emission is expanded."""
-        cached = self._delivery_cache.get(pending)
-        if cached is None:
+        then by schema and bindings."""
+        moves = self._delivery_cache.get(pending)
+        if moves is None:
             flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
-            moves = [
+            moves = self._delivery_cache[pending] = [
                 (self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying
             ]
-            safe = [move for move in moves if move[1][2].schema in self._safe][:1]
-            cached = self._delivery_cache[pending] = (safe or moves, bool(safe))
-        return cached
+        return moves
 
     def edge_count(self) -> int:
         return sum(map(len, self.edges))
@@ -793,6 +808,7 @@ class AlignmentGraph(StateSpace):
         punctual: bool,
     ):
         super().__init__(universe, bound, reduced=punctual)
+        self.fwd_registry = forwarding_registry(universe)
         # Only a forward blocks a lapse, so only a forward lands at the current
         # phase in every order: a plain emission does not commute with a lapse.
         self._independent &= self.fwd_registry.keys()

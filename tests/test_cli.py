@@ -457,7 +457,7 @@ def test_verify_safety_and_liveness_build_one_graph(capsys, caplog, fixtures_dir
     caplog.set_level(logging.INFO, logger="comal.verify")
     code, out, _ = run(capsys, "verify", "--safety", "--liveness", *argv)
     builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
-    assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 12 states")  # 43 in full
+    assert len(builds) == 1 and builds[0].startswith("KnowledgeGraph: 11 states")  # 43 in full
     assert builds[0].endswith(", reduced to safe deliveries and independent emissions")
     assert (code, out) == (0, alone[0][1] + alone[1][1])
 
@@ -474,7 +474,7 @@ def test_verify_theorem1_reads_reduced_graphs_and_embedding_the_full_one(capsys,
     builds = [r.getMessage() for r in caplog.records if r.getMessage().startswith("KnowledgeGraph:")]
     # Reduced Ordering (23 states in full), reduced OrderingOp (43), full Ordering.
     assert [b.split(",")[0] for b in builds] == [
-        "KnowledgeGraph: 9 states", "KnowledgeGraph: 12 states", "KnowledgeGraph: 23 states"
+        "KnowledgeGraph: 9 states", "KnowledgeGraph: 11 states", "KnowledgeGraph: 23 states"
     ]
     reduced = ", reduced to safe deliveries and independent emissions"
     assert [b.endswith(reduced) for b in builds] == [True, True, False]
@@ -615,13 +615,13 @@ def test_simulate_malformed_scripted_move_is_an_error(capsys, fixtures_dir, tmp_
 def test_verify_bound_exceeded_reports_partial_graph(capsys, fixtures_dir):
     """A cut build reports its partial graph, here the reduced one: the full
     graph contains it, so it would be cut too (composed escrow's reduced graph
-    has 81 states, its full one 9 595). At two key values of OrderingOp the
-    one-value graph, 12 states reduced, answers for both values, so its cut
+    has 25 states, its full one 9 595). At two key values of OrderingOp the
+    one-value graph, 11 states reduced, answers for both values, so its cut
     stands and is reported."""
     cases = [
         (("--theorem1", fixtures_dir / "escrow_ordering_op.bspl", "--protocol", "EscrowOrderingOp",
-          "--input", "EscrowOrdering", "--max-states", "60", "--json"),
-         ["bound exceeded: more than 60 states", "partial KnowledgeGraph: 60 states, 64 edges, depth 21"]),
+          "--input", "EscrowOrdering", "--max-states", "20", "--json"),
+         ["bound exceeded: more than 20 states", "partial KnowledgeGraph: 20 states, 19 edges, depth 19"]),
         (("--safety", fixtures_dir / "ordering_op.bspl", "--protocol", "OrderingOp", "--bound-keys", "2",
           "--max-states", "10"),
          ["bound exceeded: more than 10 states", "partial KnowledgeGraph: 10 states, 9 edges, depth 9"]),

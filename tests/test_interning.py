@@ -37,6 +37,7 @@ from comal.commitments import parse_commitments
 from comal.enactment import (
     EMIT,
     RECV,
+    MessageInstance,
     Model,
     check_viable,
     emission_candidates,
@@ -45,7 +46,7 @@ from comal.enactment import (
     observation_from_json,
     vector_from_records,
 )
-from comal.protocol import parse_protocol, parse_protocols, uod
+from comal.protocol import default_value, parse_protocol, parse_protocols, uod
 from comal.semantics import (
     INF,
     EvaluationContext,
@@ -204,15 +205,18 @@ def _theorem2_holds(graph: AlignmentGraph, states, edges) -> bool:
     return True
 
 
-def _reduced_edges(graph, edges):
-    """``edges`` as a reduced graph expands them: the first delivery whose
-    parameters are ``out`` in no schema its receiver sends, alone, where there
-    is one; otherwise the first emission of an independent forward, alone,
-    where there is one. A forward is independent when no other schema has its
-    ``out`` parameters ``out``, its sender receives none of them, and each of
-    its non-key ``in`` parameters is ``out`` in one schema at most."""
+def _reduced_edges(graph, known, edges):
+    """``edges`` from a state where each role has observed the instances of
+    ``known``, as a reduced graph expands them: the first safe delivery alone,
+    where there is one; otherwise the first emission of an independent
+    forward, alone, where there is one. A delivery is safe when each schema its
+    receiver sends with an ``out`` parameter among the delivered instance's
+    shares a key parameter with it, and the receiver has sent an instance of
+    that schema at the delivered instance's key value. A forward is
+    independent when no other schema has its ``out`` parameters ``out``, its
+    sender receives none of them, and each of its non-key ``in`` parameters is
+    ``out`` in one schema at most."""
     schemas = graph.universe.schemas
-    outs = {role: {p for s in schemas if s.sender == role for p in s.outs} for role in graph.roles}
     binders = [p for s in schemas for p in s.outs]
     forwards = forwarding_registry(graph.universe)
 
@@ -224,20 +228,32 @@ def _reduced_edges(graph, edges):
             and all(binders.count(p) <= 1 for p in schema.ins if p not in schema.keys)
         )
 
-    safe = [
-        (move, succ) for move, succ in edges
-        if move[0] == RECV and outs[move[1]].isdisjoint(graph.universe.schema(move[2].schema).param_names)
-    ]
+    def safe(receiver, inst):
+        schema = graph.universe.schema(inst.schema)
+        sent = known[graph.role_index[receiver]]
+        value = inst.key_binding[0][1]
+        return all(
+            set(s.keys) & set(schema.keys)
+            and any(other.schema == s.name and other.key_binding[0][1] == value for other in sent)
+            for s in schemas if s.sender == receiver and set(s.outs) & set(schema.param_names)
+        )
+
+    delivery = [(move, succ) for move, succ in edges if move[0] == RECV and safe(move[1], move[2])]
     forward = [
         (move, succ) for move, succ in edges if move[0] == EMIT and independent(graph.universe.schema(move[2].schema))
     ]
-    return safe[:1] or forward[:1] or edges
+    return delivery[:1] or forward[:1] or edges
 
 
 def _reference_reduced(graph: AlignmentGraph):
     """``_reference_timed`` expanding only what ``_reduced_edges`` keeps."""
     successors = _timed_successors(graph)
-    return _bfs((tuple(frozenset() for _ in graph.roles), 0), lambda state: _reduced_edges(graph, successors(state)))
+
+    def reduced(state):
+        known = [{inst for inst, _ in s} for s in state[0]]
+        return _reduced_edges(graph, known, successors(state))
+
+    return _bfs((tuple(frozenset() for _ in graph.roles), 0), reduced)
 
 
 def _classes(graph: AlignmentGraph):
@@ -402,7 +418,8 @@ Relay {
 LITERAL_FAILS_COMMITMENT = "commitment Late D to C create m3 detach m2 discharge m2[, m0 + 7]"
 
 # Unsafe: with ``offer`` in flight, B may still bind x by ``counter``, so that
-# delivery is not safe; ``start`` carries only k and is.
+# delivery is not safe until B has sent ``counter`` at its key value;
+# ``start`` carries only k and always is.
 RACE = """
 Race {
   roles A, B
@@ -523,9 +540,9 @@ def _assert_knowledge_reduced(protocol, registry, bound: Bound) -> tuple[bool, b
 
 # Reduced and full state counts, so that a rule that reduces less is caught too.
 REDUCED_COUNTS = {
-    ("1",): {"Ordering": (9, 23), "OrderingOp": (12, 43), "EscrowOrdering": (11, 35),
-             "EscrowOrderingOp": (81, 9595), "fan-6": (29, 1851)},
-    ("1", "2"): {"Ordering": (45, 529), "OrderingOp": (95, 1849), "EscrowOrdering": (57, 1225)},
+    ("1",): {"Ordering": (9, 23), "OrderingOp": (11, 43), "EscrowOrdering": (11, 35),
+             "EscrowOrderingOp": (25, 9595), "fan-6": (19, 1851)},
+    ("1", "2"): {"Ordering": (32, 529), "OrderingOp": (40, 1849), "EscrowOrdering": (40, 1225)},
 }
 
 
@@ -535,10 +552,10 @@ def test_knowledge_reduction_keeps_terminal_states(
 ):
     """The fixtures, composed escrow and ``_fan(6)`` at one key value (their
     two-value graphs are the squares of 9 595 and 1 851 states),
-    ``unsafe_relay``, ``RACE``, whose ``offer`` is an unsafe delivery, ``ECHO``, whose ``s`` is not
-    independent, ``LITERAL_FAILS`` with its literal aligner, and 30 random
-    protocols each from seeds 7 and 11. Safe and unsafe, live and not live
-    all occur."""
+    ``unsafe_relay``, ``RACE``, whose ``offer`` is unsafe until B sends
+    ``counter``, ``ECHO``, whose ``s`` is not independent, ``LITERAL_FAILS``
+    with its literal aligner, and 30 random protocols each from seeds 7 and
+    11. Safe and unsafe, live and not live all occur."""
     cases = {name: _fixture(name, fixtures_dir, op_registry, chan, nested_keys, escrow_ordering) for name in FIXTURES}
     if key_values == ("1",):
         registry = parse_protocols((fixtures_dir / "escrow_ordering_op.bspl").read_text())
@@ -558,11 +575,33 @@ def test_knowledge_reduction_keeps_terminal_states(
     assert {name: results[name][2:] for name in REDUCED_COUNTS[key_values]} == REDUCED_COUNTS[key_values]
 
 
-@pytest.mark.parametrize("n, states", ((10, 51), (12, 87)))
+def test_a_disabler_sent_at_another_key_value_leaves_the_delivery_unsafe():
+    """In ``RACE`` at two key values, A has sent ``start`` at both and
+    ``offer`` at 1, and B has received both ``start``s and sent ``counter``,
+    which binds ``offer``'s x, at 2 only. B may still send ``counter`` at 1, so
+    the delivery of ``offer`` at 1 is not expanded alone. Once B has sent
+    ``counter`` at 1 too, rule (d) forbids it there, and the delivery is."""
+    universe = uod(parse_protocol(RACE))
+    graph = KnowledgeGraph(universe, Bound(key_values=("1", "2")), ("k", "x", "y"), reduced=True)
+
+    def bit(name, value):
+        schema = universe.schema(name)
+        bindings = {p: value if p == "k" else default_value(name, p) for p in schema.param_names}
+        return 1 << graph._intern(MessageInstance.make(schema, bindings))
+
+    start, offer, counter = bit("start", "1") | bit("start", "2"), bit("offer", "1"), bit("counter", "2")
+    delivery = (graph.role_index["B"], (RECV, "B", graph._instances[offer.bit_length() - 1]), offer)
+    moves = graph._moves((start | offer, start | counter))
+    assert delivery in moves and len(moves) > 1
+    assert graph._moves((start | offer, start | counter | bit("counter", "1"))) == [delivery]
+
+
+@pytest.mark.parametrize("n, states", ((10, 25), (12, 31)))
 def test_fan_safety_and_liveness_read_the_reduced_graph(n, states):
     """Wide protocols are where independent emissions pay: safety and
-    liveness of fan-10 and fan-12 hold on one reduced graph each (16 616 and
-    92 486 states with independent forwards alone)."""
+    liveness of fan-10 and fan-12 hold on one reduced graph each (51 and 87
+    states when a delivery was safe only if its receiver bound none of its
+    parameters)."""
     composed, registry = _fan(n)
     reports = check_safety_and_liveness(composed, Bound(), registry)
     assert [(report.holds, report.states_explored) for report in reports] == [(True, states)] * 2

@@ -126,37 +126,43 @@ NO_WITNESS = _sha256(None)
 # before the explorers were merged; any change here is a semantic change. The
 # punctual Theorem 2 entries (163, 242 and 16 244 states in full), and safety
 # and liveness (full count beside those the reduction shrinks), are the
-# reduced graphs; the toys' reduced graphs are their full ones, so their
-# counterexamples are as recorded, and bare escrow's witness ends in a
-# misaligned terminal state. Composed escrow's punctual entry also expands one
-# independent forward at a time (5 957 states with safe deliveries alone), so
-# its holding witness is that graph's most misaligned state. Timed states are explored up to the views their
-# commitments read, so the punctual entries count classes of states (115, 229
-# and 1 216 with states keyed on every observation and its phase); each class
-# is numbered by its first member, so the witnesses did not change. The
-# ``unrestricted`` entries are Theorem 2's depth-first probes, which stop at
-# the first misaligned terminal state they find, and were recorded before the
-# timed graph moved onto instance masks. The ``@2`` entries run at two key
-# values, which Theorem 2 enumerates, and were recorded before timed states
-# held each role's view ids directly.
+# reduced graphs; the toys' counterexamples are as recorded, and bare escrow's
+# witness ends in a misaligned terminal state. Composed escrow's punctual
+# entry also expands one independent forward at a time, so its holding
+# witness is that graph's most misaligned state. Timed states are explored up
+# to the views their commitments read, so the punctual entries count classes
+# of states (104, 213 and 539 with states keyed on every observation and its
+# phase); each class is numbered by its first member, so the witnesses are
+# those of the graph that tells them apart. The ``unrestricted`` entries are
+# Theorem 2's depth-first probes, which stop at the first misaligned terminal
+# state they find. The ``@2`` entries run at two key values, which Theorem 2
+# enumerates. The reduced counts, and the punctual witnesses of bare escrow,
+# of composed escrow and of OrderingOp at two values, were re-recorded when a
+# delivery became safe once its receiver has sent, at its key value, every
+# schema that could bind one of its parameters (OrderingOp 73 -> 65, bare
+# escrow 113 -> 103, composed escrow 702 -> 288, at two values 13 553 -> 9 893
+# and 45 301 -> 32 396): such a delivery lands alone, so fewer states hold a
+# message in flight. Composed escrow's and two-value OrderingOp's most
+# misaligned states now have one misalignment, not two: the old ones held
+# several messages to M in flight at once.
 PINNED = {
     "safety-Ordering": (9, NO_WITNESS),  # 23 in full
     "liveness-Ordering": (9, NO_WITNESS),  # 23 in full
-    "safety-OrderingOp": (12, NO_WITNESS),  # 43 in full
-    "liveness-OrderingOp": (12, NO_WITNESS),  # 43 in full
+    "safety-OrderingOp": (11, NO_WITNESS),  # 43 in full
+    "liveness-OrderingOp": (11, NO_WITNESS),  # 43 in full
     "safety-unsafe_toy": (5, "2577cb7f8b7129cd475483fa237ba1db46076eb790311e62dc5be761b2fed4c7"),
-    "liveness-unsafe_toy": (9, NO_WITNESS),
+    "liveness-unsafe_toy": (8, NO_WITNESS),  # 9 in full
     "safety-stuck_toy": (3, NO_WITNESS),
     "liveness-stuck_toy": (3, "c6e0c18bb32bbdb2b2df624531af9df83e41ddb4611d5f6e8c3ccee153a2dd9e"),
     "safety-empty": (1, NO_WITNESS),
     "liveness-empty": (1, NO_WITNESS),
-    "theorem2-OrderingOp": (73, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
-    "theorem2-bare-escrow": (113, "5feb5031fbe941baa1b3180d16e1cfb565ad83f3d0596c9f525274ee329b0170"),
-    "theorem2-EscrowOrderingOp": (702, "31e6c2d9a61e22be7b22b26b454c59a0e30e082e46be4aa33bdf5678ac496078"),
+    "theorem2-OrderingOp": (65, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
+    "theorem2-bare-escrow": (103, "9c8b7ca00e0554398314b53a9ec8352b31f877d44ae1c601674327803db0fdb8"),
+    "theorem2-EscrowOrderingOp": (288, "4dc6ff4530228a0dc9de0faf031c6cc3a82247967b63ade443b5a7837ce4aee1"),
     "unrestricted-OrderingOp": (31, "52461936276554f889480168805252e7a2cbf92c7e052c142e908e99e2b34e05"),
     "unrestricted-EscrowOrderingOp": (88, "04dccae7109506a2247e56d21338ea70be0f3a451f040c92b1a684caea71adae"),
-    "theorem2-OrderingOp@2": (13553, "640abda095eb15e2d23b5030d937568eeed8de2e9bc3f73cc17acb1d6c1bfb85"),
-    "theorem2-bare-escrow@2": (45301, "3c1589a97100db3ff42bfe5c3c632c7a3a24125eab7bf99d65d642896046fea0"),
+    "theorem2-OrderingOp@2": (9893, "769fd50c538baabb3d06a8c240a13b360b037eda1eb5ed72edec9f5c2501ce4b"),
+    "theorem2-bare-escrow@2": (32396, "a5a83378995aa3a1d3d512de5396d8d3661671a4576df817d93b68cd239df4f5"),
     "embedding-Ordering": (23, NO_WITNESS),
 }
 
@@ -358,8 +364,8 @@ def test_theorem1_vacuous_on_unsafe_input(toys):
 
 # Safety and liveness of seed 225's compositions: (holds, states explored).
 SEED225 = {
-    SynthesisMode.LITERAL: [(False, 76), (False, 1_281)],
-    SynthesisMode.COMPLETE: [(False, 54), (False, 56_067)],
+    SynthesisMode.LITERAL: [(False, 77), (False, 667)],
+    SynthesisMode.COMPLETE: [(False, 54), (False, 16_889)],
 }
 
 
@@ -1269,7 +1275,7 @@ def test_timed_graph_projects_each_pair_once(monkeypatch, escrow_op_registry, es
     graph = AlignmentGraph(uod(protocol, escrow_op_registry), list(escrow_commitments.values()), BOUND, punctual=True)
     graph.build()
     assert any(any(graph.alignment(state)) for state in graph.states)
-    assert (len(graph.states), len(graph._entries), len(graph._views)) == (702, 36, 41)
+    assert (len(graph.states), len(graph._entries), len(graph._views)) == (288, 36, 36)
     assert len(projected) == len(graph._entries)
     assert len(set(projected)) == len(projected)
 
@@ -1344,8 +1350,8 @@ def _cached_graph(case, op_registry, escrow_op_registry, chan, escrow_ordering, 
 
 
 # (graph, protocol, key values | delivery, always any | max_states). Every timed
-# graph but punctual OrderingOp, whose 73 states fit in 80, is cut: punctual
-# EscrowOrdering at 80 of its 113 states (test_interning checks both whole
+# graph but punctual OrderingOp, whose 65 states fit in 80, is cut: punctual
+# EscrowOrdering at 80 of its 103 states (test_interning checks both whole
 # builds), and unrestricted composed escrow at 3 000, where most phases share
 # one tuple of observed sets, so where the timed moves cache answers most.
 CACHE_CASES = [
@@ -1406,7 +1412,7 @@ def test_cached_successors_match_uncached(
         assert graph.edges[sid] == (edges if sid < expanded else edges[:len(graph.edges[sid])]), sid
         expected = reference(sid)
         if graph.reduced:
-            expected = _reduced_edges(graph, expected)
+            expected = _reduced_edges(graph, graph.decode(graph.states[sid])[0], expected)
         assert [(move, graph.decode(succ)) for move, succ in uncached] == expected, sid
     assert len(calls) == len(graph.states)
 
@@ -1679,7 +1685,7 @@ def test_reduced_build_logs_say_so(caplog, ordering, op_registry, purchase):
         f"{len(graph._emission_cache)} candidate-cache entries, {graph.cache_hits} hits, "
         "reduced to safe deliveries and independent emissions"
     )
-    assert second.startswith("AlignmentGraph: 73 states, ")
+    assert second.startswith("AlignmentGraph: 65 states, ")
     assert second.endswith(
         f"moves-cache entries, {timed.moves_hits} hits, 16 views, 0 tables, "
         "reduced to safe deliveries and independent emissions"
@@ -1690,16 +1696,16 @@ def test_alignment_check_logs_its_caches_after_the_pass(caplog, escrow_op_regist
     """A breadth-first build logs its line before alignment is asked, so its
     ``tables`` field reads 0; ``check_alignment_reachability`` logs a second
     line after the pass, with the lifecycle tables, misalignment counts and
-    next changes then cached. Punctual composed escrow: 41 views, then 80
+    next changes then cached. Punctual composed escrow: 36 views, then 75
     tables and 34 next changes, as the module docstring says."""
     protocol = escrow_op_registry["EscrowOrderingOp"]
     specs = list(escrow_commitments.values())
     with caplog.at_level(logging.INFO, logger="comal.verify"):
         report = check_alignment_reachability(protocol, specs, BOUND, True, escrow_op_registry)
     build, after = (record.getMessage() for record in caplog.records)
-    assert report.holds and build.startswith("AlignmentGraph: 702 states, ")
-    assert build.endswith("41 views, 0 tables, reduced to safe deliveries and independent emissions")
-    assert after == "AlignmentGraph: 80 tables, 149 counts, 34 next changes after the punctual check"
+    assert report.holds and build.startswith("AlignmentGraph: 288 states, ")
+    assert build.endswith("36 views, 0 tables, reduced to safe deliveries and independent emissions")
+    assert after == "AlignmentGraph: 75 tables, 126 counts, 34 next changes after the punctual check"
 
 
 def _graph_record(graph: KnowledgeGraph) -> tuple:
