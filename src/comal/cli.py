@@ -253,6 +253,8 @@ def _report_line(report: VerificationReport, json_mode: bool) -> None:
 def cmd_verify(args) -> int:
     protocols, commitments = _load_sources(args.files)
     protocol = _pick_protocol(protocols, args.protocol)
+    if args.bound_keys < 1:
+        raise ComalError(f"--bound-keys must be at least 1, not {args.bound_keys}")
     bound = Bound(key_values=tuple(str(i + 1) for i in range(args.bound_keys)), max_states=args.max_states)
     requested = args.safety or args.liveness or args.theorem1 or args.theorem2 or args.embedding
     if not requested:

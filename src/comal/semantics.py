@@ -242,16 +242,17 @@ def check_alignment_models(
 ) -> AlignmentResult:
     """Compare the debtor's and the creditor's :func:`lifecycle_table` of
     ``c``: the creditor's ``CREDITOR_TO_DEBTOR`` inferences must be the
-    debtor's too, and the debtor's ``DEBTOR_TO_CREDITOR`` ones the creditor's."""
+    debtor's too, and the debtor's ``DEBTOR_TO_CREDITOR`` ones the creditor's.
+    Misalignments follow the order of the knower's table."""
     failures: list[Misalignment] = []
     for kind in CREDITOR_TO_DEBTOR:
         have = _kbs(debtor_table[kind])
-        for kb in _kbs(creditor_table[kind]):
+        for kb in dict.fromkeys(i.key_binding for i in creditor_table[kind]):
             if kb not in have:
                 failures.append(Misalignment(kind, kb, c.debtor))
     for kind in DEBTOR_TO_CREDITOR:
         have = _kbs(creditor_table[kind])
-        for kb in _kbs(debtor_table[kind]):
+        for kb in dict.fromkeys(i.key_binding for i in debtor_table[kind]):
             if kb not in have:
                 failures.append(Misalignment(kind, kb, c.creditor))
     return AlignmentResult(aligned=not failures, misalignments=tuple(failures))

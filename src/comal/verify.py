@@ -42,13 +42,12 @@ Every graph finds its moves on one encoding. Each instance
 ``emission_candidates`` returns is one bit, numbered in the order it is first
 met, and the moves from a tuple of per-role masks of observed instances are
 worked out once per graph: a move sets one bit; the messages in flight are
-the emitted bits outside their receivers' masks, and their deliveries are
-cached on that mask; emissions are cached on (role index, mask). A
-knowledge-set state is such a tuple (composed escrow: 9 595 states in full
-over 12 instances); the ordered graph derives it from its observation
-tuples. Each bit keeps the masks of the instances whose key bindings agree
-with its own and of those that also clash with it, so safety and
-completeness are read off masks (see ``KnowledgeGraph``).
+the emitted bits outside their receivers' masks; emissions are cached on
+(role index, mask). A knowledge-set state is such a tuple (composed escrow:
+9 595 states in full over 12 instances); the ordered graph derives it from
+its observation tuples. Each bit keeps the masks of the instances whose key
+bindings agree with its own and of those that also clash with it, so safety
+and completeness are read off masks (see ``KnowledgeGraph``).
 
 The timed graph gives a move the model entry of its instance at its phase
 (``enactment.model_entry``), made once per (instance, phase). ``semantics``
@@ -144,9 +143,10 @@ escrow: 88, where the breadth-first graph passes 300 000). This is the
 on-the-fly, counterexample-first search of Courcoubetis, Vardi, Wolper and
 Yannakakis ("Memory-efficient algorithms for the verification of temporal
 properties", FMSD 1992). A search that finds none has expanded every state;
-it is renumbered breadth-first over its stored edges, so a holding report is
-the breadth-first one. Punctually Theorem 2 is expected to hold, and the
-search would only add a pass, so punctual runs are breadth-first.
+no graph is rewritten once built, but its report reads the states
+breadth-first over their stored edges, so it is the breadth-first one.
+Punctually Theorem 2 is expected to hold, and the search would only add a
+pass, so punctual runs are breadth-first.
 """
 
 from __future__ import annotations
@@ -324,10 +324,8 @@ class StateSpace:
         self._keyed: dict[str, int] = {}
         self._key_values: dict[tuple[str, str], int] = {}
         self._schema_bits: dict[str, int] = {}
-        # Emission moves by (role index, mask); delivery moves, in delivery
-        # order, by the mask of instances in flight.
+        # Emission moves by (role index, mask).
         self._emission_cache: dict[tuple[int, int], list] = {}
-        self._delivery_cache: dict[int, list[tuple[int, tuple, int]]] = {}
         self.cache_hits = 0
         self._expanded = 0  # states expanded breadth-first; see ``_explore``
 
@@ -388,16 +386,6 @@ class StateSpace:
                         return parents
                     order.append(tid)
         return parents
-
-    def _renumber(self) -> None:
-        """Renumber a complete graph breadth-first over its stored edges: its
-        states, parents and edges become those a breadth-first build records."""
-        walk = self._walk(0)
-        renumbered = {sid: new for new, sid in enumerate(walk)}
-        self.states = [self.states[sid] for sid in walk]
-        self.parents = [None if parent is None else (renumbered[parent[0]], parent[1]) for parent in walk.values()]
-        self.edges = [[(move, renumbered[tid]) for move, tid in self.edges[sid]] for sid in walk]
-        self.index = {state: sid for sid, state in enumerate(self.states)}
 
     def _cache_summary(self) -> str:
         return f"{len(self._emission_cache)} candidate-cache entries, {self.cache_hits} hits"
@@ -497,13 +485,8 @@ class StateSpace:
     def _deliveries(self, pending: int) -> list[tuple[int, tuple, int]]:
         """A delivery of each instance in ``pending``, by sender in role order,
         then by schema and bindings."""
-        moves = self._delivery_cache.get(pending)
-        if moves is None:
-            flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
-            moves = self._delivery_cache[pending] = [
-                (self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying
-            ]
-        return moves
+        flying = sorted(self._members(pending), key=lambda i: (self.role_index[i.sender], _instance_order(i)))
+        return [(self.role_index[inst.receiver], (RECV, inst.receiver, inst), 1 << self._bit[inst]) for inst in flying]
 
     def edge_count(self) -> int:
         return sum(map(len, self.edges))
@@ -818,9 +801,10 @@ class AlignmentGraph(StateSpace):
         # the lapse boundary only those the anchors name (see ``semantics``).
         # A model's entries named in one read set are an interned view; a role
         # holds one per read set, the anchors' first, view 0 being empty.
-        self._reads = {c.name: base_event_names((c.create, c.detach, c.discharge)) for c in self.commitments}
-        anchor_reads = base_event_names(anchor for anchor, _ in self.anchors if anchor is not None)
-        self._read_sets = (anchor_reads, *(self._reads[c.name] for c in self.commitments))
+        self._read_sets = (
+            base_event_names(anchor for anchor, _ in self.anchors if anchor is not None),
+            *(base_event_names((c.create, c.detach, c.discharge)) for c in self.commitments),
+        )
         self._view_ids: dict[tuple, int] = {(): 0}
         self._views: list[Model] = [Model(())]
         self._insert_cache: dict[tuple[int, int, int], int] = {}
@@ -837,13 +821,9 @@ class AlignmentGraph(StateSpace):
     def build(self, probe: bool = False) -> int | None:
         """Enumerate breadth-first. With ``probe``, search depth-first instead
         and stop at the first terminal state misaligned for some commitment,
-        whose id is returned. A probe that finds none has expanded every state,
-        and is renumbered as a breadth-first build would number it."""
+        whose id is returned; a probe that finds none has expanded every state."""
         root = ((0,) * len(self.roles), ((0,) * len(self._read_sets),) * len(self.roles), 0)
-        end = self._explore(root, goal=(lambda sid: any(self.alignment(self.states[sid]))) if probe else None)
-        if probe and end is None:
-            self._renumber()
-        return end
+        return self._explore(root, goal=(lambda sid: any(self.alignment(self.states[sid]))) if probe else None)
 
     def _grow(self, views: tuple[tuple[int, ...], ...], ri: int, index: int, phase: int) -> tuple[tuple[int, ...], ...]:
         """``views`` with role ``ri``'s stepped, by ``Model.add``, by the entry
@@ -975,9 +955,11 @@ def check_alignment_reachability(
     if stuck is None:
         # The graph is complete. Every maximal run ends in a terminal state, so
         # a state with no aligning extension exists exactly when a terminal one
-        # is misaligned.
-        counts = [graph.alignment(state) for state in graph.states]
-        stuck = next((sid for sid, row in enumerate(counts) if any(row) and not graph.edges[sid]), None)
+        # is misaligned. States are read breadth-first over the stored edges:
+        # a breadth-first build's own numbering, and a probe's report is the
+        # breadth-first one.
+        counts = {sid: graph.alignment(graph.states[sid]) for sid in graph._walk(0)}
+        stuck = next((sid for sid, row in counts.items() if any(row) and not graph.edges[sid]), None)
     log.info("AlignmentGraph: %d tables, %d counts, %d next changes after the %s check",
              len(graph._table_cache), len(graph._count_cache), len(graph._change_cache), mode)
     if stuck is not None:
@@ -985,15 +967,15 @@ def check_alignment_reachability(
         witness = {"commitment": c.name, "reach": graph.path_to(stuck)}
         detail = f"{mode}: no aligning extension for {c.name!r}"
         return VerificationReport(ALIGNMENT_REACHABILITY, False, witness, len(graph.states), detail)
-    # Success: exhibit the most misaligned state and how it realigns.
-    totals = [sum(row) for row in counts]
+    # Success: exhibit the first most misaligned state (never state 0, whose
+    # models are empty) and how it realigns.
+    worst = max(counts, key=lambda sid: sum(counts[sid]))
     witness = None
-    if max(totals, default=0) > 0:
-        worst_id = totals.index(max(totals))
-        all_aligned = {sid for sid, row in enumerate(counts) if not any(row)}
+    if any(counts[worst]):
+        all_aligned = {sid for sid, row in counts.items() if not any(row)}
         witness = {
-            "misaligned_state": graph.path_to(worst_id),
-            "extension": graph.forward_path(worst_id, all_aligned),
+            "misaligned_state": graph.forward_path(0, {worst}),
+            "extension": graph.forward_path(worst, all_aligned),
         }
     return VerificationReport(
         ALIGNMENT_REACHABILITY, True, witness, len(graph.states), f"{mode}: aligning extensions exist"

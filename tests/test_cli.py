@@ -497,6 +497,38 @@ def test_verify_unsafe_relay_is_independent_of_the_hash_seed(fixtures_dir):
     assert b"bound to 'm1.x' by 'm1' and to 'm3.x' by 'm3'" in outs[0].stdout
 
 
+def test_simulate_misalignments_are_independent_of_the_hash_seed(tmp_path):
+    """A's ``created`` row holds X at two key bindings, {k} from a and {j, k}
+    from b, and C knows neither; the two misalignments are listed in the
+    row's order, whatever order a set of them iterates in."""
+    (tmp_path / "three.bspl").write_text(
+        "Three {\n roles A, B, C\n parameters out k key, out j key, out x, out y, out z\n"
+        " A -> B: a[out k key, out x]\n B -> A: b[in k key, out j key, out y]\n"
+        " A -> C: c[in k key, in j key, out z]\n}\n"
+    )
+    (tmp_path / "three.cupid").write_text("commitment X C to A create a or b detach c discharge c\n")
+    moves = [{"tick": 1, "role": "A", "dir": "emit", "schema": "a"},
+             {"tick": 2, "role": "B", "dir": "recv", "schema": "a"},
+             {"tick": 3, "role": "B", "dir": "emit", "schema": "b"},
+             {"tick": 4, "role": "A", "dir": "recv", "schema": "b"}]
+    (tmp_path / "three.json").write_text(json.dumps({
+        "protocols": ["three.bspl"], "protocol": "Three", "commitments": ["three.cupid"],
+        "policy": {"kind": "scripted", "moves": moves}, "horizon": 4,
+    }))
+    argv = [sys.executable, "-m", "comal.cli", "simulate", str(tmp_path / "three.json"), "--json"]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = [
+        subprocess.run(
+            argv, capture_output=True, timeout=60, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        )
+        for seed in ("0", "1")
+    ]
+    assert [o.returncode for o in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+    last = json.loads(outs[0].stdout.splitlines()[-1])
+    assert [m["key"] for m in last["misalignments"]] == [{"j": "1", "k": "1"}, {"k": "1"}]
+
+
 def test_verify_zero_bound_is_an_error(capsys, fixtures_dir):
     for flags, toy in ((("--safety", "--bound-keys", "0"), "unsafe_toy"),
                        (("--liveness", "--max-states", "-1"), "stuck_toy"),
@@ -505,6 +537,8 @@ def test_verify_zero_bound_is_an_error(capsys, fixtures_dir):
         assert code == 1
         assert out == ""
         assert "error:" in err
+        if "--bound-keys" in flags:
+            assert "--bound-keys must be at least 1, not 0" in err
 
 
 def test_missing_files_are_errors(capsys, fixtures_dir, tmp_path):

@@ -201,6 +201,19 @@ def test_pinned_outputs(case, op_registry, toys, purchase, escrow_ordering, escr
     assert (report.states_explored, _sha256(report.witness)) == PINNED[case]
 
 
+def test_pinned_holding_unrestricted_probe(op_registry):
+    """With no deadline, unrestricted Theorem 2 holds on OrderingOp: the
+    depth-first probe expands every state and finds no misaligned terminal
+    one. Its report reads the probed graph breadth-first, so its witness is
+    the breadth-first graph's most misaligned state and extension."""
+    spec = parse_commitments("commitment NoDeadline M to C create quote detach pay discharge ship")["NoDeadline"]
+    report = check_alignment_reachability(op_registry["OrderingOp"], [spec], BOUND, False, op_registry)
+    assert report.holds
+    assert (report.states_explored, _sha256(report.witness)) == (
+        43, "ed43055b5a025573c415cc73fb5adcd2eb718bb6ae5c1108a4916a0f985e4fa1"
+    )
+
+
 @pytest.mark.parametrize("case", sorted(case for case, (_, digest) in PINNED.items() if digest != NO_WITNESS))
 def test_witnesses_are_trace_records(
     case, op_registry, toys, purchase, escrow_ordering, escrow_commitments, escrow_op_registry
@@ -678,9 +691,9 @@ def _assert_probe_matches_full(protocol, specs, bound, registry=None) -> bool:
     """The unrestricted depth-first probe against the breadth-first graph. It
     finds a misaligned terminal state exactly when that graph has one, and ends
     at one of them; states are compared decoded, since the two graphs intern
-    knowledge in different orders. When it finds none, it has renumbered itself
-    into that graph, and its report is the breadth-first one. Returns whether
-    Theorem 2 holds."""
+    knowledge in different orders. When it finds none, it has expanded every
+    state, and its report is the breadth-first one. Returns whether Theorem 2
+    holds."""
     universe = uod(protocol, registry)
     full = AlignmentGraph(universe, specs, bound, punctual=False)
     full.build()
@@ -694,8 +707,6 @@ def _assert_probe_matches_full(protocol, specs, bound, registry=None) -> bool:
         assert probe.decode(probe.states[end]) in misaligned_ends
         return False
     assert not misaligned_ends
-    assert [probe.decode(state) for state in probe.states] == [full.decode(state) for state in full.states]
-    assert (probe.parents, probe.edges) == (full.parents, full.edges)
     build = AlignmentGraph.build
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(AlignmentGraph, "build", lambda graph, probe=False: build(graph))
@@ -938,6 +949,18 @@ def test_knowledge_sets_agree_with_ordered_enumeration_on_random_protocols(key_v
         except BoundExceeded:
             continue
     assert True in verdicts and False in verdicts, verdicts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from((1, 2)))
+def test_knowledge_sets_agree_with_ordered_enumeration_on_drawn_protocols(seed, k):
+    """As above on Hypothesis-drawn random protocols, skipping those too large
+    to enumerate."""
+    protocol = random_protocol(random.Random(seed), 0)
+    try:
+        _assert_knowledge_sets_agree(protocol, None, Bound(_values(k), max_states=5_000))
+    except BoundExceeded:
+        assume(False)
 
 
 def _values(k: int) -> tuple[str, ...]:
@@ -1190,7 +1213,7 @@ def test_alignment_matches_uncached_tables(
     unrestricted OrderingOp lapses before deliveries."""
     graph = _timed_graph(case, op_registry, escrow_op_registry, purchase, escrow_ordering, escrow_commitments)
     if case == "composed-escrow":
-        assert len(set(graph._reads.values())) == 2
+        assert len(set(graph._read_sets[1:])) == 2
     _assert_views_match_whole_models(graph)
 
 
@@ -1403,7 +1426,6 @@ def test_cached_successors_match_uncached(
     expanded = graph.parents[-1][0] if cut else len(graph.states)
     for sid, state in enumerate(graph.states):
         graph._emission_cache.clear()
-        graph._delivery_cache.clear()
         if timed:
             graph._moves_cache.clear()
         uncached = list(graph._successors(state))
