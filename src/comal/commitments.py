@@ -49,6 +49,19 @@ class EventExpr:
 
     __slots__ = ()
 
+    @cached_property  # kept in each node's __dict__, outside eq, hash and repr
+    def reads_clock(self) -> bool:
+        """Whether the instances of this expression can depend on the instant
+        it is evaluated at, not only on the model. Only an ``except`` reads
+        the clock, and so does every node above one: a lifecycle event
+        through its formula in ``CommitmentSpec.lifecycle``, so ``expired``
+        and ``violated`` do, whatever the conditions below them."""
+        if isinstance(self, Except):
+            return True
+        if isinstance(self, LifecycleEvent):
+            return self.commitment.lifecycle[self.kind].reads_clock
+        return any(e.reads_clock for e in subformulas(self))
+
 
 @dataclass(frozen=True)
 class TimeRef:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -336,6 +336,11 @@ class ModelEntry:
 @dataclass(frozen=True)
 class Model:
     entries: tuple[ModelEntry, ...]  # in (name, bindings) order, one per (name, bindings)
+    # ``semantics``' memo of the expression nodes evaluated on this model that
+    # do not read the clock and that a later instant reads (``semantics._eval``):
+    # their instances hold at every instant, so every evaluation context over
+    # this model shares them.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def add(self, entry: ModelEntry) -> "Model":
         """This model with ``entry`` inserted in (name, bindings) order, or this

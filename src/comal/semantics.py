@@ -24,19 +24,25 @@ A table reads ``now`` only through exception deadlines, which are window
 upper bounds, so it stays the same until the model changes or ``now`` reaches
 :func:`next_change`; the timed explorer and the simulator both rely on this.
 
-Evaluation is per :class:`EvaluationContext`: a context evaluates each
-expression node at most once, however many formulas, window bounds and
-deadlines reach it. A commitment's lifecycle formulas are built once
-(``CommitmentSpec.lifecycle``), so its five tables, a nested lifecycle event
-and every window anchored on it share their nodes. The memo dies with the
-context, which holds one model at one instant.
+Evaluation is per :class:`EvaluationContext`, one model at one instant: a
+context evaluates each expression node at most once, however many formulas,
+window bounds and deadlines reach it. A commitment's lifecycle formulas are
+built once (``CommitmentSpec.lifecycle``), so its five tables, a nested
+lifecycle event and every window anchored on it share their nodes. Only an
+``except`` reads the instant, and so do the nodes above it
+(``EventExpr.reads_clock``): ``expired``, ``violated`` and what names them.
+The others hold at every instant, and those a later instant reads (see
+:func:`_eval`) are kept on the model object, so every context over it shares
+them: the timed explorer's views at each phase, and a simulator party's model
+at each window bound until the model grows. Another context over the same
+model evaluates only the nodes that read the clock.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import commitments as cm
 from .commitments import CREDITOR_TO_DEBTOR, DEBTOR_TO_CREDITOR, CommitmentSpec, EventExpr
@@ -45,8 +51,7 @@ from .enactment import Bindings, Model, kb_agree
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class EventInstance:
+class EventInstance(NamedTuple):
     key_binding: Bindings
     timestamp: int | float
 
@@ -55,13 +60,23 @@ class EventInstance:
 class EvaluationContext:
     """A model and the instant it is evaluated at. ``_memo`` holds each
     expression node evaluated in this context with its instances, by the
-    node's ``id``; holding the node keeps that id from being reused."""
+    node's ``id``; holding the node keeps that id from being reused. Of the
+    nodes that do not read the clock (``EventExpr.reads_clock``), those a
+    later instant reads are kept on the model instead (``Model._memo``, see
+    :func:`_eval`), so every context over one model shares them. ``_within``
+    holds the one such node being evaluated, if any. ``_anchors`` holds each
+    event-anchored bound's earliest anchor instant, or None, by the anchor's
+    ``id`` and a key binding, with the anchor."""
 
     model: Model
     now: int | float
     _memo: dict[int, tuple[EventExpr, tuple[EventInstance, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    _anchors: dict[tuple[int, Bindings], tuple[EventExpr, int | float | None]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _within: list[EventExpr] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
@@ -70,7 +85,31 @@ def evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ..
 
 
 def _eval(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
-    """``expr``'s instances, evaluated once per context."""
+    """``expr``'s instances, evaluated once per context. A node that does not
+    read the clock is kept on the model as well, and so evaluated once per
+    model, unless it is evaluated within a window or connective that does not
+    read the clock either: a later instant reaches it only through that one.
+    A later instant starts again from the lifecycle formulas and the window
+    anchors and re-evaluates the nodes that read the clock, so the model
+    keeps what it reads: those formulas and anchors, and the operands of the
+    nodes that read the clock. Where a node is kept never changes its
+    instances: without the clock, they are the same at every instant."""
+    if expr.reads_clock:
+        return _in_context(expr, ctx)
+    known = ctx.model._memo.get(id(expr))
+    if known is None:
+        if ctx._within:
+            return _in_context(expr, ctx)
+        opens = isinstance(expr, (cm.Window, cm.And, cm.Or))
+        if opens:
+            ctx._within.append(expr)
+        known = ctx.model._memo[id(expr)] = (expr, _in_context(expr, ctx))
+        if opens:
+            ctx._within.pop()
+    return known[1]
+
+
+def _in_context(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
     known = ctx._memo.get(id(expr))
     if known is None:
         known = ctx._memo[id(expr)] = (expr, _evaluate(expr, ctx))
@@ -78,49 +117,71 @@ def _eval(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
 
 
 def _evaluate(expr: EventExpr, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
-    if isinstance(expr, cm.BaseEvent):
-        return tuple(
-            EventInstance(entry.key_binding, entry.tick)
-            for entry in ctx.model.entries
-            if entry.name == expr.name
-        )
-    if isinstance(expr, cm.LifecycleEvent):
-        return _eval(expr.commitment.lifecycle[expr.kind], ctx)
-    if isinstance(expr, cm.Window):
-        out = []
-        for inst in _eval(expr.inner, ctx):
-            lo = _resolve_bound(expr.lower, inst.key_binding, ctx)
-            hi = _resolve_bound(expr.upper, inst.key_binding, ctx)
-            if lo is None or hi is None:
-                continue
-            if lo <= inst.timestamp < hi:
-                out.append(inst)
-        return tuple(out)
-    if isinstance(expr, cm.And):
-        out = []
-        for left in _eval(expr.left, ctx):
-            for right in _eval(expr.right, ctx):
-                if kb_agree(left.key_binding, right.key_binding):
-                    kb = _merge(left.key_binding, right.key_binding)
-                    out.append(EventInstance(kb, max(left.timestamp, right.timestamp)))
-        return _dedupe(out)
-    if isinstance(expr, cm.Or):
-        grouped: dict[Bindings, EventInstance] = {}
-        for inst in _eval(expr.left, ctx) + _eval(expr.right, ctx):
-            prior = grouped.get(inst.key_binding)
-            if prior is None or inst.timestamp < prior.timestamp:
-                grouped[inst.key_binding] = inst
-        return tuple(grouped[kb] for kb in sorted(grouped))
-    if isinstance(expr, cm.Except):
-        exceptions = _eval(expr.right, ctx)
-        out = []
-        for inst in _eval(expr.left, ctx):
-            if any(kb_agree(inst.key_binding, e.key_binding) for e in exceptions):
-                continue
-            if deadline(expr.right, inst.key_binding, ctx) <= ctx.now:
-                out.append(inst)
-        return _dedupe(out)
-    raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")
+    rule = _RULES.get(type(expr))
+    if rule is None:
+        raise TypeError(f"cannot evaluate expression node {type(expr).__name__}")
+    return rule(expr, ctx)
+
+
+def _base(expr: cm.BaseEvent, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    return tuple(EventInstance(entry.key_binding, entry.tick) for entry in ctx.model.entries if entry.name == expr.name)
+
+
+def _lifecycle(expr: cm.LifecycleEvent, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    return _eval(expr.commitment.lifecycle[expr.kind], ctx)
+
+
+def _window(expr: cm.Window, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    out = []
+    for inst in _eval(expr.inner, ctx):
+        lo = _resolve_bound(expr.lower, inst.key_binding, ctx)
+        hi = _resolve_bound(expr.upper, inst.key_binding, ctx)
+        if lo is not None and hi is not None and lo <= inst.timestamp < hi:
+            out.append(inst)
+    return tuple(out)
+
+
+def _and(expr: cm.And, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    left = _eval(expr.left, ctx)
+    right = _eval(expr.right, ctx) if left else ()
+    return _dedupe(
+        EventInstance(_merge(i.key_binding, j.key_binding), max(i.timestamp, j.timestamp))
+        for i in left
+        for j in right
+        if kb_agree(i.key_binding, j.key_binding)
+    )
+
+
+def _or(expr: cm.Or, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    grouped: dict[Bindings, EventInstance] = {}
+    for inst in _eval(expr.left, ctx) + _eval(expr.right, ctx):
+        prior = grouped.get(inst.key_binding)
+        if prior is None or inst.timestamp < prior.timestamp:
+            grouped[inst.key_binding] = inst
+    return tuple(grouped[kb] for kb in sorted(grouped))
+
+
+def _except(expr: cm.Except, ctx: EvaluationContext) -> tuple[EventInstance, ...]:
+    left = _eval(expr.left, ctx)
+    if not left:
+        return ()
+    exceptions = _eval(expr.right, ctx)
+    return _dedupe(
+        inst
+        for inst in left
+        if not any(kb_agree(inst.key_binding, e.key_binding) for e in exceptions)
+        and deadline(expr.right, inst.key_binding, ctx) <= ctx.now
+    )
+
+
+_RULES = {
+    cm.BaseEvent: _base,
+    cm.LifecycleEvent: _lifecycle,
+    cm.Window: _window,
+    cm.And: _and,
+    cm.Or: _or,
+    cm.Except: _except,
+}
 
 
 def _merge(left: Bindings, right: Bindings) -> Bindings:
@@ -129,20 +190,21 @@ def _merge(left: Bindings, right: Bindings) -> Bindings:
     return tuple(sorted(merged.items()))
 
 
-def _dedupe(instances) -> tuple[EventInstance, ...]:
-    keys = {(inst.key_binding, inst.timestamp) for inst in instances}
-    return tuple(EventInstance(kb, t) for kb, t in sorted(keys))
+def _dedupe(instances: Iterable[EventInstance]) -> tuple[EventInstance, ...]:
+    return tuple(sorted(set(instances)))
 
 
 def _resolve_bound(bound: cm.TimeRef, kb: Bindings, ctx: EvaluationContext) -> int | float | None:
     """A window bound as an absolute time for one key binding, or None when an
     event-anchored bound's event has not occurred."""
-    if bound.is_absolute:
+    anchor = bound.base_event
+    if anchor is None:
         return bound.offset
-    anchors = [i for i in _eval(bound.base_event, ctx) if kb_agree(i.key_binding, kb)]
-    if not anchors:
-        return None
-    return min(i.timestamp for i in anchors) + bound.offset
+    known = ctx._anchors.get((id(anchor), kb))
+    if known is None:
+        first = min((i.timestamp for i in _eval(anchor, ctx) if kb_agree(i.key_binding, kb)), default=None)
+        known = ctx._anchors[id(anchor), kb] = (anchor, first)
+    return None if known[1] is None else known[1] + bound.offset
 
 
 def deadline(expr: EventExpr, kb: Bindings, ctx: EvaluationContext) -> int | float:

@@ -21,7 +21,8 @@ one record: its model of the entries the commitments read (their base events'
 names, which include the window anchors'), grown by ``enactment.Model.add`` as
 it observes, so a forward of a message it knows, or a message no commitment
 reads, leaves it as it is; the tables of its own commitments, evaluated in one
-context so that a nested commitment shares the memo of the one it nests; and
+context so that a nested commitment shares the memo of the one it nests, and
+on a model that keeps until it grows what does not read the clock; and
 the tick they next change at (``semantics.next_change``). Until the first such
 tick, or the next observation that grows a model, a quiet tick refreshes
 nothing and only appends each commitment's current row. Then the stale parties

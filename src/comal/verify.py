@@ -51,23 +51,19 @@ and completeness are read off masks (see ``KnowledgeGraph``).
 
 The timed graph gives a move the model entry of its instance at its phase
 (``enactment.model_entry``), made once per (instance, phase). ``semantics``
-reads a model only through base-event names, so a commitment's tables read
-only the entries its create, detach and discharge name, and the lapse
-boundary only those the window anchors name: a model's entries of one read
-set are an interned *view*. A timed state is each role's instance mask and
-tuple of view ids, and the phase. States differing only in entries nobody
-reads, or in a later phase of a known entry, are one: they have the same
-moves, lapse, tables and successors (an exact abstraction: Clarke, Grumberg
-and Long, "Model checking and abstraction", TOPLAS 1994), and breadth-first
-only a class's first-found member finds new classes, so numbering and
-witnesses are those of the graph that tells them apart. A move steps its
-observer's views by ``enactment.Model.add`` of its entry, as the simulator
-grows a role's model (incremental view maintenance: Gupta, Mumick and
-Subrahmanian, SIGMOD 1993). Moves are cached on instance masks, steps on
-(views, instance, phase), tables on (commitment, view, phase), misalignment
-counts on (commitment, debtor view, creditor view, phase), next changes on
-(anchor view, phase): punctual composed escrow needs 36 views, 75 tables and
-34 next changes.
+reads a model only through base-event names, so a role's entries of one read
+set (a commitment's base events, or the window anchors') form an interned
+*view*, stepped per move by ``Model.add`` (incremental view maintenance:
+Gupta, Mumick and Subrahmanian, SIGMOD 1993). A timed state is each role's
+instance mask and view ids, and the phase: states differing only in entries
+nobody reads, or in a later phase of a known entry, have the same moves,
+lapse, tables and successors (an exact abstraction: Clarke, Grumberg and
+Long, TOPLAS 1994), and breadth-first numbering keeps each class's first
+member, so witnesses are those of the graph that tells them apart. Tables,
+misalignment counts and next changes are cached on views and phase, and a
+view's model keeps across phases what does not read the clock
+(``semantics``): punctual composed escrow needs 36 views, 75 tables and 34
+next changes.
 
 A reduced graph expands one move alone where it can, a stubborn set: it is a
 subgraph of the full one with the same terminal states reachable from each

@@ -188,21 +188,22 @@ def _terminals(states, edges) -> set:
     return {state for state, out in zip(states, edges) if not out}
 
 
-def _theorem2_holds(graph: AlignmentGraph, states, edges) -> bool:
-    """Whether no terminal state of the plain ``states`` is misaligned, with
-    tables evaluated on each role's whole model."""
+def _assert_fresh_tables(graph: AlignmentGraph, sid: int, state) -> None:
+    """Graph state ``sid``'s misalignment counts, and the tables it caches
+    for each commitment's debtor and creditor, are those evaluated afresh on
+    each role's whole model in the plain timed ``state``."""
+    sets, phase = state
     fwd = forwarding_registry(graph.universe)
-    for (sets, phase), out in zip(states, edges):
-        if out:
-            continue
-        for c in graph.commitments:
-            debtor, creditor = (
-                lifecycle_table(c, EvaluationContext(model_of(sets[graph.role_index[role]], fwd), phase))
-                for role in (c.debtor, c.creditor)
-            )
-            if check_alignment_models(c, debtor, creditor).misalignments:
-                return False
-    return True
+    views = graph.states[sid][1]
+    counts = []
+    for i, c in enumerate(graph.commitments, start=1):
+        debtor, creditor = tables = [
+            lifecycle_table(c, EvaluationContext(model_of(sets[graph.role_index[role]], fwd), phase))
+            for role in (c.debtor, c.creditor)
+        ]
+        assert [graph._table(c, views[graph.role_index[role]][i], phase) for role in (c.debtor, c.creditor)] == tables
+        counts.append(len(check_alignment_models(c, debtor, creditor).misalignments))
+    assert graph.alignment(graph.states[sid]) == counts
 
 
 def _reduced_edges(graph, known, edges):
@@ -337,14 +338,18 @@ def _assert_reduced(graph: AlignmentGraph, reference) -> None:
     """The punctual graph expands only a safe delivery, or else an independent
     forward's emission, where there is one: the plain reference reduced so is
     a subgraph of the full ``reference`` with the same terminal states, the
-    graph is its quotient, and the graph's Theorem 2 verdict is the full
+    graph is its quotient, and each graph state's cached tables and
+    misalignment counts are those evaluated on the whole models of every
+    plain state of its class, so the graph's Theorem 2 verdict is the full
     reference's."""
     reduced = _reference_reduced(graph)
     _assert_contains(reference, reduced)
     assert _terminals(*reduced) == _terminals(*reference)
     _assert_quotient(graph, reduced)
-    holds = not any(any(graph.alignment(state)) for state, out in zip(graph.states, graph.edges) if not out)
-    assert holds == _theorem2_holds(graph, *reference)
+    cls = _classes(graph)
+    index = {graph.decode(state): sid for sid, state in enumerate(graph.states)}
+    for state in reduced[0]:
+        _assert_fresh_tables(graph, index[cls(state)], state)
 
 
 def _check_untimed(protocol, registry, setting) -> None:
@@ -388,11 +393,25 @@ def test_untimed_graphs_match_plain_encoding_on_random_protocols(setting):
         _check_untimed(random_protocol(rng, index), None, setting)
 
 
+# Commitments created by a lifecycle state that reads the clock: the timed
+# graph evaluates a view's tables at each phase it reaches, and these must
+# change at Purchase's deadlines although the view does not.
+CLOCKED_COMMITMENTS = """
+commitment Lapse C to M create expired(Purchase) detach quote discharge pay
+commitment Compensate M to C create violated(Purchase) detach pay discharge ship
+"""
+
+
 @pytest.mark.parametrize("punctual", (True, False), ids=("punctual", "unrestricted"))
-@pytest.mark.parametrize("name", ("OrderingOp", "bare-escrow"))
+@pytest.mark.parametrize("name", ("OrderingOp", "OrderingOp-clocked", "bare-escrow"))
 def test_timed_graph_matches_plain_encoding(name, punctual, op_registry, purchase, escrow_ordering, escrow_commitments):
-    if name == "OrderingOp":
-        universe, specs = uod(op_registry[name], op_registry), [purchase]
+    """The OrderingOp-clocked case adds ``CLOCKED_COMMITMENTS`` to Purchase;
+    punctually, every state's cached tables are checked against tables
+    evaluated on its whole models (``_assert_reduced``)."""
+    if name.startswith("OrderingOp"):
+        universe, specs = uod(op_registry["OrderingOp"], op_registry), [purchase]
+        if name == "OrderingOp-clocked":
+            specs += parse_commitments(CLOCKED_COMMITMENTS, {"Purchase": purchase}).values()
     else:
         universe, specs = uod(escrow_ordering), [escrow_commitments["EscrowPurchase"]]
     graph = AlignmentGraph(universe, specs, Bound(), punctual)

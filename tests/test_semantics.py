@@ -505,7 +505,10 @@ def _random_oracle_formula(rng, depth, connectives=(Window, And, Or)):
 
 def test_evaluate_matches_brute_force_oracle():
     """Window, and and or at instant 40; then with except, nested too, at
-    drawn instants, where some exceptions hold."""
+    drawn instants, where some exceptions hold. Each drawn model is evaluated
+    on one ``Model`` at a drawn instant, then later, earlier and later again,
+    and must give at each what a fresh model gives, which the model's memo of
+    clock-free nodes would not if it held a node that reads the clock."""
     rng = random.Random(501)
     for case in range(500):
         universe = _random_universe(rng)
@@ -522,10 +525,14 @@ def test_evaluate_matches_brute_force_oracle():
         entries = _random_entries(rng, universe)
         formula = _random_oracle_formula(rng, rng.randint(1, 4), WITH_EXCEPT)
         now = rng.randint(0, 30)
-        context = EvaluationContext(Model(entries), now)
-        ours = {(i.key_binding, i.timestamp) for i in evaluate(formula, context)}
-        assert ours == oracle_eval(formula, entries, universe, 1, now), f"case {case} at {now}: {formula}"
-        held += any(isinstance(node, Except) and instances for node, instances in context._memo.values())
+        shared = Model(entries)
+        for at in (now, now + 8, now // 2, 31):
+            context = EvaluationContext(shared, at)
+            ours = evaluate(formula, context)
+            assert ours == evaluate(formula, EvaluationContext(Model(entries), at)), f"case {case} at {at}: {formula}"
+            reference = oracle_eval(formula, entries, universe, 1, at)
+            assert {(i.key_binding, i.timestamp) for i in ours} == reference, f"case {case} at {at}: {formula}"
+            held += any(isinstance(node, Except) and instances for node, instances in context._memo.values())
     assert held
 
 
@@ -541,9 +548,13 @@ class _Forgetful(dict):
 
 
 def _unshared(m, now):
-    """A context that evaluates every node afresh each time it is reached."""
-    context = EvaluationContext(m, now)
+    """A context that evaluates every node afresh each time it is reached: on
+    a copy of ``m`` whose memo, like the context's memos, keeps nothing."""
+    copy = Model(m.entries)
+    object.__setattr__(copy, "_memo", _Forgetful())
+    context = EvaluationContext(copy, now)
     object.__setattr__(context, "_memo", _Forgetful())
+    object.__setattr__(context, "_anchors", _Forgetful())
     return context
 
 
@@ -587,34 +598,53 @@ def test_shared_context_matches_unshared_evaluation(data, ordering, escrow_order
 
 def test_each_node_evaluated_once_per_context(monkeypatch, escrow_ordering, escrow_commitments):
     """All tables and the next change in one context evaluate each distinct
-    node once, the nested discharged(EscrowPurchase) included; another
-    context evaluates again."""
+    node once, the nested discharged(EscrowPurchase) included. Another
+    context over the same model evaluates only the nodes that read the clock
+    (expired, violated and the nodes above them): the model keeps what it
+    reads of the others, the lifecycle formulas, the anchors and the operands
+    of those nodes, but not the event inside a window that does not read the
+    clock. A context over a grown model, even grown by an entry no commitment
+    reads, evaluates them all again."""
     computed = []
     evaluate_node = semantics._evaluate
 
     def counted(expr, context):
-        computed.append((id(context), id(expr)))
+        computed.append(expr)
         return evaluate_node(expr, context)
 
     monkeypatch.setattr(semantics, "_evaluate", counted)
     universe = uod(escrow_ordering)
+
+    def entry(name, tick):
+        bindings = {p.name: "1" if p.key else f"{name}.{p.name}" for p in universe.schema(name).params}
+        return ModelEntry(name, freeze_bindings(bindings), tick, (("oID", "1"),))
+
     m = Model(tuple(
-        ModelEntry(
-            name,
-            freeze_bindings({p.name: "1" if p.key else f"{name}.{p.name}" for p in universe.schema(name).params}),
-            tick,
-            (("oID", "1"),),
-        )
-        for name, tick in (("quote", 1), ("payEscrow", 3), ("ship", 5), ("payTransfer", 7))
+        entry(name, tick) for name, tick in (("quote", 1), ("payEscrow", 3), ("ship", 5), ("payTransfer", 7))
     ))
     commitments = list(escrow_commitments.values())
-    nested = escrow_commitments["EscrowPurchase"].lifecycle["discharged"]
-    for _ in range(2):
-        context = EvaluationContext(m, 9)
+
+    def evaluated(model):
+        computed.clear()
+        context = EvaluationContext(model, 9)
         tables = [lifecycle_table(c, context) for c in commitments]
         # The nested discharge (ship at 5) plus 5 comes before quote plus 10.
         assert next_change(window_anchors(commitments), context) == 10
         assert kbs(tables[1]["discharged"]) == {(("oID", "1"),)}
-        assert computed.count((id(context), id(nested))) == 1
-    assert len(computed) == len(set(computed))
-    assert len({node for _, node in computed}) == len(computed) // 2
+        ids = [id(node) for node in computed]
+        assert len(ids) == len(set(ids))
+        return ids
+
+    first = evaluated(m)
+    assert id(escrow_commitments["EscrowPurchase"].lifecycle["discharged"]) in first
+    clocked = [id(node) for node in computed if node.reads_clock]
+    assert 0 < len(clocked) < len(first)
+    assert evaluated(m) == clocked
+    purchase = escrow_commitments["EscrowPurchase"]
+    kept = {id(node) for node, _ in m._memo.values()}
+    assert {id(purchase.lifecycle[kind]) for kind in ("created", "detached", "discharged")} <= kept
+    assert {id(purchase.detach), id(purchase.detach.upper.base_event)} <= kept
+    assert id(purchase.detach.inner) in first and id(purchase.detach.inner) not in kept
+    grown = m.add(entry("requestShip", 8))
+    assert grown is not m
+    assert evaluated(grown) == first

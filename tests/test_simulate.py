@@ -4,8 +4,10 @@ import hashlib
 import json
 
 import pytest
+from test_interning import CLOCKED_COMMITMENTS
 
 import comal.simulate
+from comal.commitments import parse_commitments
 from comal.enactment import HistoryVector, Model, enabled_emissions, project_model, trace_lines
 from comal.errors import WellFormednessError
 from comal.protocol import uod
@@ -206,6 +208,37 @@ def _quiet_ordering(ordering, purchase):
         policy={"kind": "scripted", "moves": moves},
         horizon=60,
     )
+
+
+def test_clock_reading_lifecycle_events_match_fresh_evaluation(ordering, purchase):
+    """Two commitments created by lifecycle states of Purchase that read the
+    clock, ``CLOCKED_COMMITMENTS``. At key 1 the quote goes unpaid, so
+    Purchase expires at 11 for M and at 12 for C; at key 2 the payment is
+    never followed by a shipment, so Purchase is violated at 10 for C and at
+    11 for M. No model grows at those ticks, yet the tables of both
+    commitments change there, and every row equals a freshly evaluated one."""
+    moves = [
+        {"tick": 1, "role": "M", "dir": "emit", "schema": "quote"},
+        {"tick": 2, "role": "C", "dir": "recv", "schema": "quote"},
+        {"tick": 3, "role": "M", "dir": "emit", "schema": "quote", "key": "2"},
+        {"tick": 4, "role": "C", "dir": "recv", "schema": "quote", "key": "2"},
+        {"tick": 5, "role": "C", "dir": "emit", "schema": "pay", "key": "2"},
+        {"tick": 6, "role": "M", "dir": "recv", "schema": "pay", "key": "2"},
+    ]
+    clocked = parse_commitments(CLOCKED_COMMITMENTS, {purchase.name: purchase})
+    scenario = Scenario(
+        protocol=ordering,
+        registry={ordering.name: ordering},
+        commitments=(purchase, *clocked.values()),
+        policy={"kind": "scripted", "moves": moves},
+        horizon=20,
+    )
+    result = run_scenario(scenario)
+    for name, key, role, tick in (("Lapse", "1", "M", 11), ("Lapse", "1", "C", 12),
+                                  ("Compensate", "2", "C", 10), ("Compensate", "2", "M", 11)):
+        assert {"oID": key} not in result.report_at(tick - 1, name).lifecycle[role]["created"]
+        assert {"oID": key} in result.report_at(tick, name).lifecycle[role]["created"]
+    assert_rows_match_fresh_evaluation(scenario, result)
 
 
 def test_quiet_ticks_refresh_nothing(ordering, purchase, monkeypatch):

@@ -1307,20 +1307,22 @@ def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
     """Each state's misalignment counts and next lapse boundary, read from the
     graph's view caches, against tables and ``next_change`` evaluated on each
     role's whole model in the state's ``path_to`` replay, memoized on its whole
-    knowledge."""
+    knowledge. Each evaluation is on a fresh copy of the model, so none
+    shares the results a model keeps of the nodes that do not read the
+    clock."""
     fwd = forwarding_registry(graph.universe)
     models: dict = {}
     tables: dict = {}
 
-    def model(entries):
+    def fresh(entries):
         if entries not in models:
             models[entries] = model_of(entries, fwd)
-        return models[entries]
+        return Model(models[entries].entries)
 
     def table(c, entries, phase):
         key = (c.name, entries, phase)
         if key not in tables:
-            tables[key] = lifecycle_table(c, EvaluationContext(model(entries), phase))
+            tables[key] = lifecycle_table(c, EvaluationContext(fresh(entries), phase))
         return tables[key]
 
     for sid, state in enumerate(graph.states):
@@ -1332,7 +1334,7 @@ def _assert_views_match_whole_models(graph: AlignmentGraph) -> None:
             for c in graph.commitments
         ]
         assert graph.alignment(state) == expected
-        boundary = min(next_change(graph.anchors, EvaluationContext(model(entries), phase)) for entries in sets)
+        boundary = min(next_change(graph.anchors, EvaluationContext(fresh(entries), phase)) for entries in sets)
         assert graph._next_boundary(state[1], phase) == boundary
 
 
