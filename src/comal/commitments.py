@@ -285,12 +285,21 @@ def _parse_window(stream: TokenStream, registry, inner: EventExpr, depth: int) -
 
 def _parse_time(stream: TokenStream, registry) -> tuple[TimeRef, int]:
     if stream.at("number"):
-        return TimeRef(int(stream.next().text)), 0
+        return TimeRef(_number(stream.next())), 0
     event, depth = _parse_event(stream, registry)
     offset = 0
     if stream.accept("symbol", "+"):
-        offset = int(stream.expect("number").text)
+        offset = _number(stream.expect("number"))
     return TimeRef(offset, event), depth
+
+
+def _number(tok: Token) -> int:
+    """``tok``'s value; a ``ParseError`` at ``tok`` when it has more digits
+    than ``int`` converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise ParseError(f"number of {len(tok.text)} digits is too long", tok.line, tok.column) from None
 
 
 def formula_depth(expr: EventExpr) -> int:

@@ -475,10 +475,11 @@ def uod(p: Protocol, registry: Mapping[str, Protocol] | None = None) -> Uod:
 
 
 def _substitute_schema(s: MessageSchema, role_map: dict[str, str], param_map: dict[str, str]) -> MessageSchema:
-    params = tuple(replace(d, name=param_map.get(d.name, d.name)) for d in s.params)
-    return MessageSchema(
-        name=s.name,
-        sender=role_map.get(s.sender, s.sender),
-        receiver=role_map.get(s.receiver, s.receiver),
-        params=params,
-    )
+    """``s`` with its roles and parameters renamed; ``s`` itself when nothing renames it."""
+    sender = role_map.get(s.sender, s.sender)
+    receiver = role_map.get(s.receiver, s.receiver)
+    names = tuple(param_map.get(name, name) for name in s.param_names)
+    if (sender, receiver, names) == (s.sender, s.receiver, s.param_names):
+        return s
+    params = tuple(d if name == d.name else replace(d, name=name) for d, name in zip(s.params, names))
+    return MessageSchema(name=s.name, sender=sender, receiver=receiver, params=params)

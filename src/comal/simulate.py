@@ -163,10 +163,14 @@ def load_sources(
 
 def load_scenario(path: str | Path, overrides: Mapping | None = None) -> Scenario:
     path = Path(path)
+    source = read_source(path)
     try:
-        data = json.loads(read_source(path))
+        data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ParseError(f"scenario {path.name} is not JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except (ValueError, RecursionError) as exc:
+        # An integer of more digits than ``int`` converts, or nesting past the recursion limit.
+        raise ParseError(f"scenario {path.name} cannot be read: {exc}") from None
     if not isinstance(data, dict):
         raise WellFormednessError(f"scenario {path.name} must be a JSON object")
     data.update(overrides or {})

@@ -16,6 +16,7 @@ from comal.commitments import bind_commitment, parse_commitment
 from comal.lexer import MAX_DEPTH
 from comal.protocol import canonicalize, parse_protocol, parse_protocols, print_protocol, uod
 from comal.simulate import load_scenario, report_to_json, run_scenario
+from test_commitments import LONG_NUMBER, int_digits_limited
 from test_protocol import MISKEYED, reference_chain
 
 
@@ -32,6 +33,15 @@ def direct_order(fixtures_dir) -> dict:
     data["protocols"] = [str(fixtures_dir / name) for name in data["protocols"]]
     data["commitments"] = [str(fixtures_dir / name) for name in data["commitments"]]
     return data
+
+
+def oversized_scenarios(fixtures_dir) -> dict[str, str]:
+    """The direct-order scenario with a horizon of more digits than ``int``
+    converts, and with a policy nested 100 000 arrays deep."""
+    data = direct_order(fixtures_dir)
+    horizon = json.dumps({**data, "horizon": 0}).replace('"horizon": 0', f'"horizon": {LONG_NUMBER}')
+    nested = json.dumps({**data, "policy": 0}).replace('"policy": 0', '"policy": ' + "[" * 100_000 + "]" * 100_000)
+    return {"horizon.json": horizon, "nested.json": nested}
 
 
 def test_parse_ok(capsys, fixtures_dir):
@@ -82,6 +92,26 @@ def test_non_decimal_digit_is_a_syntax_error(capsys, tmp_path):
     bad = tmp_path / "superscript.cupid"
     bad.write_text("commitment P M to C create quote detach pay[, quote + ²] discharge ship\n", encoding="utf-8")
     assert run(capsys, "parse", bad) == (1, "", f"error: {bad}:1:55: unexpected character '²'\n")
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param("long.cupid", marks=int_digits_limited),
+    pytest.param("horizon.json", marks=int_digits_limited),
+    "nested.json",
+])
+def test_oversized_input_ends_in_one_error_line(capsys, fixtures_dir, tmp_path, name):
+    """A window offset or scenario horizon with more digits than ``int``
+    converts, and a scenario policy nested 100 000 arrays deep, end in exit 1
+    and one error line naming the file, not a traceback."""
+    path = tmp_path / name
+    if name == "long.cupid":
+        path.write_text(f"commitment P M to C create quote detach pay[, quote + {LONG_NUMBER}] discharge ship\n")
+        assert run(capsys, "parse", path) == (1, "", f"error: {path}:1:55: number of 5000 digits is too long\n")
+    else:
+        path.write_text(oversized_scenarios(fixtures_dir)[name])
+        code, out, err = run(capsys, "simulate", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: scenario {name} cannot be read: ") and err.count("\n") == 1
 
 
 def _error_case_files(fixtures_dir) -> dict[str, str]:

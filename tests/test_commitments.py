@@ -36,6 +36,14 @@ from comal.protocol import parse_protocol, parse_protocols, uod
 from comal.simulate import load_sources
 from comal.synthesis import synthesize_alignment_protocol
 
+# More digits than ``int`` converts, where the interpreter limits them
+# (``sys.get_int_max_str_digits``, 4 300 by default).
+LONG_NUMBER = "9" * 5000
+int_digits_limited = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_NUMBER),
+    reason="this interpreter converts a number of any length",
+)
+
 
 def test_parse_purchase(purchase):
     assert (purchase.debtor, purchase.creditor) == ("M", "C")
@@ -107,6 +115,18 @@ def test_window_defaults():
     c = parse_commitment("commitment X A to B create m detach n[,] discharge o[3, 9]")
     assert c.detach == Window(BaseEvent("n"), ZERO, FOREVER)
     assert c.discharge == Window(BaseEvent("o"), TimeRef(3), TimeRef(9))
+
+
+@int_digits_limited
+@pytest.mark.parametrize(
+    "window, column", [(f"[, quote + {LONG_NUMBER}]", 55), (f"[{LONG_NUMBER}, ]", 45)], ids=["offset", "bound"]
+)
+def test_long_number_is_a_parse_error(window, column):
+    """A number with more digits than ``int`` converts, as an offset or as a
+    bound, is a ``ParseError`` at its line and column."""
+    with pytest.raises(ParseError, match="^1:%d: number of 5000 digits is too long$" % column) as info:
+        parse_commitment(f"commitment P M to C create quote detach pay{window} discharge ship")
+    assert (info.value.line, info.value.column) == (1, column)
 
 
 def test_non_decimal_digit_is_a_parse_error():

@@ -4,12 +4,14 @@ import hashlib
 import json
 
 import pytest
+from test_cli import oversized_scenarios
+from test_commitments import int_digits_limited
 from test_interning import CLOCKED_COMMITMENTS
 
 import comal.simulate
 from comal.commitments import parse_commitments
 from comal.enactment import HistoryVector, Model, enabled_emissions, project_model, trace_lines
-from comal.errors import WellFormednessError
+from comal.errors import ParseError, WellFormednessError
 from comal.protocol import uod
 from comal.semantics import EvaluationContext, base_event_names, check_alignment_models, lifecycle_table
 from comal.simulate import CommitmentTick, Scenario, Simulation, load_scenario, report_to_json, run_scenario
@@ -87,6 +89,19 @@ def test_scripted_move_not_enabled(fixtures_dir, ordering, purchase):
     )
     with pytest.raises(WellFormednessError, match="emission of 'pay' by 'C' is not enabled at tick 1"):
         run_scenario(scenario)
+
+
+@pytest.mark.parametrize("name, cause", [
+    pytest.param("horizon.json", "integer string conversion", marks=int_digits_limited),
+    ("nested.json", "recursion"),
+])
+def test_unreadable_scenario_is_a_parse_error(fixtures_dir, tmp_path, name, cause):
+    """JSON that ``json`` cannot turn into Python values is a ``ParseError``
+    naming the scenario file, not a ``ValueError`` or ``RecursionError``."""
+    path = tmp_path / name
+    path.write_text(oversized_scenarios(fixtures_dir)[name])
+    with pytest.raises(ParseError, match=f"^scenario {name} cannot be read: .*{cause}"):
+        load_scenario(path)
 
 
 def test_scenario_rejects_unknown_delivery(ordering, purchase):
